@@ -206,21 +206,41 @@ def radford_s4_checks(ops: BasisOps, a: LC, a_inv: LC, alpha, alpha_inv) -> list
 # the twisted product formula for lambda and its extraction (both directions)
 
 
-def _twisted_product_holds(ops: BasisOps, lam, rho2, tau2, h, l) -> bool:
-    lhs = ops.eval_fn(lam, ops.mul(l, h))
-    rhs = ops.zero
-    for ch, (h1, h2, h3) in ops.delta_n(h, 3):
-        for cl, (l1, l2, l3) in ops.delta_n(l, 3):
-            r = rho2(h1, l1)
-            if not r:
-                continue
-            t = tau2(h3, l3)
-            if not t:
-                continue
-            mid = ops.eval_fn(lam, ops.mul(h2, l2))
-            if mid:
-                rhs = rhs + ch * cl * r * mid * t
-    return lhs == rhs
+def _twisted_product_predicate(ops: BasisOps, lam, rho2, tau2):
+    """Pair predicate for lambda(l h) = rho(h1, l1) lambda(h2 l2) tau(h3, l3).
+
+    Delta^3 of each key is built once and grouped by its first leg, so rho
+    is evaluated once per pair of first legs and a zero skips the whole
+    block; lambda(x y) is cached per key pair.  The caches live in the
+    returned closure only.
+    """
+    def grouped_delta3(k) -> dict:
+        groups: dict = {}
+        for c, (k1, k2, k3) in ops.delta_n(k, 3):
+            groups.setdefault(k1, []).append((c, k2, k3))
+        return groups
+
+    delta3 = memo_fn(grouped_delta3)
+    lam_mul = memo_fn(lambda pair: ops.eval_fn(lam, ops.mul(*pair)))
+
+    def holds(pair) -> bool:
+        h, l = pair
+        rhs = ops.zero
+        for h1, h_rest in delta3(h).items():
+            for l1, l_rest in delta3(l).items():
+                r = rho2(h1, l1)
+                if not r:
+                    continue
+                for ch, h2, h3 in h_rest:
+                    for cl, l2, l3 in l_rest:
+                        t = tau2(h3, l3)
+                        if t:
+                            mid = lam_mul((h2, l2))
+                            if mid:
+                                rhs = rhs + ch * cl * r * mid * t
+        return lam_mul((l, h)) == rhs
+
+    return holds
 
 
 def integral_twist_from_coinner(ops: BasisOps, lam, alpha, omega, omega_inv):
@@ -258,7 +278,7 @@ def integral_twist_from_coinner(ops: BasisOps, lam, alpha, omega, omega_inv):
         check("coinner.omega_invertible", True),
         check("coinner.omega_implements_s_inverse_squared", True),
         grid_check("integral_twist.product_formula", _pairs(ops),
-                   lambda p: _twisted_product_holds(ops, lam, rho2, tau2, p[0], p[1]),
+                   _twisted_product_predicate(ops, lam, rho2, tau2),
                    lambda p: f"at {_pair_label(ops, p)}"),
     ]
     return rho2, tau2, checks
@@ -272,12 +292,12 @@ def coinner_from_integral_twist(ops: BasisOps, lam, a_inv: LC, alpha_inv, rho2, 
     with checks that they are convolution inverse to each other, stable
     under S^-2, and realize S^-2.
     """
-    for h in ops.keys:
-        for l in ops.keys:
-            if not _twisted_product_holds(ops, lam, rho2, tau2, h, l):
-                raise PreconditionError(
-                    "twisted product formula fails at "
-                    f"({ops.label(h)}, {ops.label(l)}); extraction refused")
+    holds = _twisted_product_predicate(ops, lam, rho2, tau2)
+    for pair in _pairs(ops):
+        if not holds(pair):
+            raise PreconditionError(
+                f"twisted product formula fails at {_pair_label(ops, pair)}; "
+                "extraction refused")
 
     def rho_prime_raw(h):
         acc = ops.zero

@@ -594,7 +594,9 @@ def dualize_qt(algebra: FinHopfAlgebra, r) -> tuple[FinHopfAlgebra, Braiding, li
     """The dual Hopf algebra with sigma(f, g) = (f x g)(R).
 
     The convolution-solved inverse must agree with the coefficient matrix of
-    R^-1, and the braided functionals must evaluate the Drinfeld elements.
+    R^-1, and the braided functionals must evaluate the Drinfeld elements:
+    u(f) = f(u), and v(f) = sigma(f1, S f2) = f(R^1 S(R^2)) = f(S(u)), which is
+    f(v^-1) since the QT side defines v = S(u)^-1.
     """
     from .quasitriangular import drinfeld_elements
 
@@ -612,6 +614,6 @@ def dualize_qt(algebra: FinHopfAlgebra, r) -> tuple[FinHopfAlgebra, Braiding, li
         lambda i: f"at {dual.labels[i]}"))
     out.append(grid_check(
         "cqt.dual_bridge_v", ops.keys,
-        lambda i: fns["v"](i) == qt.v.coeffs[i],
+        lambda i: fns["v"](i) == qt.v_inv.coeffs[i],
         lambda i: f"at {dual.labels[i]}"))
     return dual, br, out

@@ -692,10 +692,6 @@ def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
     return algebra._axiom_results()
 
 
-def dual_hopf(algebra: FinHopfAlgebra) -> FinHopfAlgebra:
-    return algebra.dual()
-
-
 def same_structure_constants(a: FinHopfAlgebra, b: FinHopfAlgebra) -> bool:
     """Numeric table equality, ignoring labels and names."""
     if a.dim != b.dim or a.field != b.field:

@@ -129,6 +129,41 @@ def test_verify_corrupted_r_exits_one(capsys, tmp_path):
     assert "[FAIL] qt.hexagon_comultiply_first_leg  :: at (1, x, x)" in out
 
 
+def permuted_double_c3_obj():
+    """D(kC3) on delta_a g^b with R = sum_b delta_b (x) g^b, basis permuted."""
+    n = 3
+    perm = [4, 7, 0, 2, 8, 5, 1, 6, 3]  # perm[a * n + b] = new index of delta_a g^b
+    ix = lambda a, b: perm[(a % n) * n + b % n]
+    basis = [""] * n * n
+    for a in range(n):
+        for b in range(n):
+            basis[ix(a, b)] = f"d{a}" + ("" if b == 0 else "g" if b == 1 else f"g^{b}")
+    sums = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    return {
+        "name": "D(kC3)",
+        "field": {"type": "rationals"},
+        "basis": basis,
+        "mult": sorted([ix(a, b), ix(a, c), ix(a, b + c), 1] for a, b, c in sums),
+        "comult": sorted([ix(a, b), ix(c, b), ix(a - c, b), 1] for a, b, c in sums),
+        "counit": sorted([ix(a, b), int(a == 0)] for a in range(n) for b in range(n)),
+        "antipode": sorted([ix(-a, -b), ix(a, b), 1] for a in range(n) for b in range(n)),
+        # g^b = sum_a delta_a g^b on the second leg
+        "R": sorted(([1, ix(b, 0), ix(a, b)] for b in range(n) for a in range(n)),
+                    key=lambda e: e[1:]),
+    }
+
+
+def test_verify_double_passes_dual_bridge_v(capsys, tmp_path):
+    # the dual braiding's v evaluates f(S(u)) = f(v^-1); D(kC3) has v != v^-1
+    path = write_doc(tmp_path, permuted_double_c3_obj())
+    rc, out, _ = run(capsys, "verify", path, "--json")
+    obj = json.loads(out)
+    statuses = {c["name"]: c["status"] for c in obj["checks"]}
+    assert statuses["cqt.dual_bridge_v"] == "pass"
+    assert "fail" not in statuses.values()
+    assert rc == 0 and obj["result"] == "pass"
+
+
 def test_compute_golden_lines(capsys):
     rc, out, _ = run(capsys, "compute", "preset:sweedler4", "u")
     assert rc == 0

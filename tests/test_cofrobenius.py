@@ -1,19 +1,28 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfcheck import cofrobenius, laurent
 from hopfcheck.cofrobenius import (
     PreconditionError,
+    _twisted_product_predicate,
     check_radford_s4,
     check_s2_inner_witness,
     cofrobenius_checks,
     cofrobenius_data,
+    coinner_from_integral_twist,
     coinner_from_integral_twist_findim,
+    integral_twist_from_coinner,
     integral_twist_from_coinner_findim,
     left_integrals,
     modular_element_checks,
 )
+from hopfcheck.coquasitriangular import braided_functionals, cqt_functionals, dualize_qt
 from hopfcheck.hopf import Functional2
+from hopfcheck.lincomb import _pair_label, _pairs
 from hopfcheck.linalg import Matrix
 from hopfcheck.scalars import QQ
 
@@ -130,3 +139,132 @@ def test_extraction_refuses_perturbed_pair(sweedler, sweedler_data):
     with pytest.raises(PreconditionError,
                        match=r"twisted product formula fails at \(g, x\)"):
         coinner_from_integral_twist_findim(sweedler, data, rho, Functional2(sweedler, rows))
+
+
+# ---------------------------------------------------------------------------
+# the planned twisted-product predicate against the per-pair definition
+
+
+def naive_twisted_product_holds(ops, lam, rho2, tau2, h, l) -> bool:
+    """lambda(l h) = rho(h1, l1) lambda(h2 l2) tau(h3, l3), summed term by term."""
+    lhs = ops.eval_fn(lam, ops.mul(l, h))
+    rhs = ops.zero
+    for ch, (h1, h2, h3) in ops.delta_n(h, 3):
+        for cl, (l1, l2, l3) in ops.delta_n(l, 3):
+            r = rho2(h1, l1)
+            if not r:
+                continue
+            t = tau2(h3, l3)
+            if not t:
+                continue
+            mid = ops.eval_fn(lam, ops.mul(h2, l2))
+            if mid:
+                rhs = rhs + ch * cl * r * mid * t
+    return lhs == rhs
+
+
+def finite_twist(algebra, omega):
+    """(ops, lam, a_inv, alpha_inv, rho2, tau2) for a co-inner omega."""
+    data = cofrobenius_data(algebra)
+    ops = algebra.basis_ops()
+    lam = data.lam.as_fn()
+    rho2, tau2, _ = integral_twist_from_coinner(
+        ops, lam, data.alpha.as_fn(), omega.as_fn(),
+        algebra.conv_inverse(omega).as_fn())
+    return ops, lam, data.a_inv.lc(), data.alpha_inv.as_fn(), rho2, tau2
+
+
+def dual_c4_twist(c4):
+    dual = c4.dual()
+    # evaluation at the generator is grouplike in the commutative dual, so
+    # it realizes S^-2 = id co-innerly and gives a nontrivial pair
+    return finite_twist(dual, dual.functional([0, 1, 0, 0]))
+
+
+@pytest.fixture(scope="module", params=["sweedler", "dual_sweedler", "dual_c4", "laurent3"])
+def twist_carrier(request, sweedler, sweedler_data, sweedler_r, c4):
+    if request.param == "sweedler":
+        return finite_twist(sweedler, sweedler_data.alpha)
+    if request.param == "dual_sweedler":
+        dual, br, _ = dualize_qt(sweedler, sweedler_r)
+        cqt, _ = cqt_functionals(dual, br)
+        return finite_twist(dual, cqt.u_inv)
+    if request.param == "dual_c4":
+        return dual_c4_twist(c4)
+    ops = laurent.basis_ops(3)
+    lam = laurent.integral_value
+    _, a_inv_lc, _, alpha, alpha_inv = laurent.family_data(ops)
+    fns, _ = braided_functionals(ops, laurent.braiding())
+    rho2, tau2, _ = integral_twist_from_coinner(ops, lam, alpha, fns["u"], fns["u_inv"])
+    return ops, lam, a_inv_lc, alpha_inv, rho2, tau2
+
+
+def test_twisted_product_predicate_matches_definition(twist_carrier):
+    ops, lam, _, _, rho2, tau2 = twist_carrier
+    holds = _twisted_product_predicate(ops, lam, rho2, tau2)
+    for h, l in _pairs(ops):
+        assert naive_twisted_product_holds(ops, lam, rho2, tau2, h, l)
+        assert holds((h, l))
+
+
+@settings(max_examples=15, deadline=None)
+@given(which=st.sampled_from(["rho", "tau"]), i=st.integers(0, 63), j=st.integers(0, 63),
+       bump=st.sampled_from([-2, -1, 1, 3]))
+def test_perturbed_pair_is_refused_at_the_same_pair(twist_carrier, which, i, j, bump):
+    ops, lam, a_inv, alpha_inv, rho2, tau2 = twist_carrier
+    spot = (ops.keys[i % len(ops.keys)], ops.keys[j % len(ops.keys)])
+    base = rho2 if which == "rho" else tau2
+    bumped = lambda x, y: base(x, y) + bump if (x, y) == spot else base(x, y)
+    if which == "rho":
+        rho2 = bumped
+    else:
+        tau2 = bumped
+
+    holds = _twisted_product_predicate(ops, lam, rho2, tau2)
+    pairs = _pairs(ops)
+    verdicts = [holds(p) for p in pairs]
+    assert verdicts == [naive_twisted_product_holds(ops, lam, rho2, tau2, *p) for p in pairs]
+    bad = next((p for p, ok in zip(pairs, verdicts) if not ok), None)
+    if bad is None:
+        coinner_from_integral_twist(ops, lam, a_inv, alpha_inv, rho2, tau2)
+        return
+    with pytest.raises(PreconditionError) as refused:
+        coinner_from_integral_twist(ops, lam, a_inv, alpha_inv, rho2, tau2)
+    assert str(refused.value) == (
+        f"twisted product formula fails at {_pair_label(ops, bad)}; extraction refused")
+
+
+def test_product_formula_grid_builds_delta3_once_per_key(c4, monkeypatch):
+    ops, lam, _, _, rho2, tau2 = dual_c4_twist(c4)
+    calls = []
+
+    def counting_delta(k):
+        calls.append(k)
+        return ops.delta(k)
+
+    counted = dataclasses.replace(ops, delta=counting_delta)
+    holds = _twisted_product_predicate(counted, lam, rho2, tau2)
+    assert all(holds(p) for p in _pairs(ops))
+    # Delta^3 of k costs one delta call on k and one on each left leg
+    budget = sum(1 + len(ops.delta(k)) for k in ops.keys)
+    assert len(calls) <= budget
+
+    # the same bound holds for the grid the twist construction runs, up to
+    # its memoized omega * alpha convolution (one delta call per key)
+    spent = {}
+    real_grid_check = cofrobenius.grid_check
+
+    def counting_grid_check(name, items, predicate, describe):
+        before = len(calls)
+        result = real_grid_check(name, items, predicate, describe)
+        spent[name] = len(calls) - before
+        return result
+
+    monkeypatch.setattr(cofrobenius, "grid_check", counting_grid_check)
+    dual = c4.dual()
+    omega = dual.functional([0, 1, 0, 0])
+    _, _, checks = integral_twist_from_coinner(
+        counted, lam, cofrobenius_data(dual).alpha.as_fn(), omega.as_fn(),
+        dual.conv_inverse(omega).as_fn())
+    assert all(c.ok for c in checks)
+    assert spent["integral_twist.product_formula"] <= budget + len(ops.keys)
