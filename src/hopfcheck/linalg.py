@@ -1,8 +1,13 @@
-"""Dense exact linear algebra: solving, nullspaces, inverses, echelon bases.
+"""Exact linear algebra: solving, nullspaces, inverses, echelon bases.
 
-Everything works over the fields from hopfcheck.scalars by plain Gaussian
-elimination with exact division.  Pivots are chosen as the first nonzero
-entry in a column; with exact arithmetic the choice only affects speed.
+Everything works over the fields from hopfcheck.scalars with exact
+division.  Matrices are dense, but the systems the package builds are
+mostly zeros, so Gauss-Jordan elimination runs on sparse rows: each row is
+a {column: value} dict, and a column -> rows index means only the rows
+that hold the pivot column get visited.  Among the rows that can pivot a
+column the sparsest is taken, to limit fill-in.  The pivot choice cannot
+change any result: the reduced row echelon form of a matrix is unique, so
+every pivot order gives the same rows.
 """
 
 from __future__ import annotations
@@ -99,31 +104,53 @@ def _dot(u, v, zero: Scalar) -> Scalar:
 
 
 def _rref(rows: list[list[Scalar]]) -> list[int]:
-    """Reduce in place to reduced row echelon form; return pivot columns."""
-    if not rows:
+    """Reduce in place to reduced row echelon form; return pivot columns.
+
+    The rows are written back dense: the pivot rows in pivot order, then
+    the zero rows.
+    """
+    if not rows or not rows[0]:
         return []
     nrows, ncols = len(rows), len(rows[0])
+    zero = rows[0][0] - rows[0][0]  # the entries' own zero, even when none is zero
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    holders: list[set[int]] = [set() for _ in range(ncols)]  # column -> rows nonzero there
+    for i, row in enumerate(sparse):
+        for j in row:
+            holders[j].add(i)
+    unpivoted = set(range(nrows))
     pivots: list[int] = []
-    r = 0
+    pivot_rows: list[dict] = []
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        candidates = holders[c] & unpivoted
+        if not candidates:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        p = min(candidates, key=lambda i: (len(sparse[i]), i))
+        unpivoted.discard(p)
+        prow = sparse[p]
+        inv = prow[c]
+        for j, x in prow.items():
+            prow[j] = x / inv
+        for i in holders[c] - {p}:
+            row = sparse[i]
+            f = -row.pop(c)
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                x = row[j] + f * v if j in row else f * v
+                if x:
+                    row[j] = x
+                    holders[j].add(i)
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+        holders[c] = {p}
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+        pivot_rows.append(prow)
+    rows[:] = [[zero] * ncols for _ in range(nrows)]
+    for dense, prow in zip(rows, pivot_rows):
+        for j, x in prow.items():
+            dense[j] = x
     return pivots
 
 

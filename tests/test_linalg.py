@@ -1,23 +1,57 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcheck import linalg
+from hopfcheck.document import build_algebra, parse_document
+from hopfcheck.hopf import compute_antipode
 from hopfcheck.linalg import (
     EchelonBasis,
     Matrix,
     SingularMatrixError,
+    _rref,
     invert_matrix,
     nullspace,
     rank,
     solve_linear,
 )
-from hopfcheck.scalars import PrimeField, QQ
+from hopfcheck.scalars import FpElement, PrimeField, QQ
 
 
 def mat(rows):
     return Matrix.from_rows(QQ, [[Fraction(x) for x in row] for row in rows])
+
+
+def dense_rref(rows):
+    """Dense Gauss-Jordan: the first nonzero entry pivots, whole rows update.
+
+    The reference the sparse _rref must reproduce exactly, rows and
+    pivots, and the elimination inside naive_solve.
+    """
+    if not rows:
+        return []
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 def naive_solve(rows, rhs):
@@ -29,23 +63,9 @@ def naive_solve(rows, rhs):
     m = [[Fraction(x) for x in row] + [Fraction(b)]
          for row, b in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
-    where = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        where.append(c)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
+    where = dense_rref(m)
+    if ncols in where:
+        return None
     out = [Fraction(0)] * ncols
     for row_idx, c in enumerate(where):
         out[c] = m[row_idx][ncols]
@@ -156,3 +176,160 @@ class TestEchelonBasis:
         assert span.dim == expected
         for v in vecs:
             assert span.contains(tuple(Fraction(x) for x in v))
+
+
+# -- the sparse elimination kernel against the dense definition --------------
+
+
+FIELDS = [QQ, PrimeField(7), PrimeField(10007)]
+
+
+def is_field_scalar(field, x):
+    if field == QQ:
+        return type(x) is Fraction
+    return type(x) is FpElement and x.p == field.p
+
+
+def nonzero_scalars(field):
+    if field == QQ:
+        return st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    return st.integers(1, field.p - 1).map(field.from_int)
+
+
+@st.composite
+def sparse_matrices(draw, field, max_dim=10):
+    """Up to max_dim x max_dim; mostly zeros, sometimes fully dense."""
+    nrows = draw(st.integers(0, max_dim))
+    ncols = draw(st.integers(0, max_dim)) if nrows else 0
+    zero_weight = draw(st.integers(0, 6))
+    entry = st.one_of(*[st.just(field.zero)] * zero_weight, nonzero_scalars(field))
+    return Matrix.from_rows(field, [[draw(entry) for _ in range(ncols)] for _ in range(nrows)])
+
+
+def try_invert(a):
+    try:
+        return invert_matrix(a)
+    except SingularMatrixError as exc:
+        return str(exc)
+
+
+def public_results(a, b):
+    return solve_linear(a, b), nullspace(a), rank(a), try_invert(a)
+
+
+def result_scalars(results):
+    sol, null, _, inv = results
+    vectors = list(null)
+    if sol is not None:
+        vectors += [sol.particular, *sol.homogeneous]
+    if isinstance(inv, Matrix):
+        vectors += inv.rows
+    return [x for v in vectors for x in v]
+
+
+def assert_matches_dense(field, rows):
+    sparse_rows = [list(r) for r in rows]
+    dense_rows = [list(r) for r in rows]
+    assert _rref(sparse_rows) == dense_rref(dense_rows)
+    assert sparse_rows == dense_rows
+    assert all(is_field_scalar(field, x) for row in sparse_rows for x in row)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rref_matches_dense_reference(field, data):
+    a = data.draw(sparse_matrices(field))
+    assert_matches_dense(field, a.rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_public_results_match_dense_reference(field, data):
+    a = data.draw(sparse_matrices(field))
+    consistent = data.draw(st.booleans())
+    vector = st.lists(st.one_of(st.just(field.zero), nonzero_scalars(field)),
+                      min_size=a.ncols if consistent else a.nrows,
+                      max_size=a.ncols if consistent else a.nrows)
+    b = a.apply(tuple(data.draw(vector))) if consistent else tuple(data.draw(vector))
+    got = public_results(a, b)
+    with mock.patch.object(linalg, "_rref", dense_rref):
+        expected = public_results(a, b)
+    assert got == expected
+    if consistent:
+        assert got[0] is not None
+    assert all(is_field_scalar(field, x) for x in result_scalars(got))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_kernel_edge_cases(field):
+    zero, one = field.zero, field.one
+    no_cols = Matrix.from_rows(field, [[], [], []])
+    assert rank(no_cols) == 0
+    assert nullspace(no_cols) == ()
+    assert solve_linear(no_cols, (zero,) * 3) == linalg.LinearSolution((), ())
+    assert solve_linear(no_cols, (one, zero, zero)) is None
+
+    zeros = Matrix.zeros(field, 3, 4)
+    assert rank(zeros) == 0
+    assert nullspace(zeros) == Matrix.identity(field, 4).rows
+    assert solve_linear(zeros, (zero, one, zero)) is None
+    assert_matches_dense(field, zeros.rows)
+
+    assert invert_matrix(Matrix(field, ())) == Matrix(field, ())
+
+    ints = lambda rows: [[field.from_int(x) for x in row] for row in rows]
+    for dense in ([[1, 2], [3, 4]], [[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6]], [[5]]):
+        rows = ints(dense)
+        assert all(x for row in rows for x in row), "no zero entry to reuse"
+        assert_matches_dense(field, rows)
+    inverse = invert_matrix(Matrix.from_rows(field, ints([[1, 2], [3, 4]])))
+    assert all(is_field_scalar(field, x) for row in inverse.rows for x in row)
+    assert inverse.rows[0][0] == field.from_int(-2)
+
+
+def h_n_document(big_n):
+    """H_N = Laurent / (g^N - 1) over QQ, basis g^i x^j at index 2 i + j,
+    antipode omitted (the layout of the benchmark's quotient workload)."""
+    idx = lambda i, j: 2 * (i % big_n) + j
+    return {
+        "name": f"H{big_n}",
+        "field": {"type": "rationals"},
+        "basis": [f"g^{i}" + ("x" if j else "") for i in range(big_n) for j in (0, 1)],
+        "mult": [[idx(i, j), idx(t, s), idx(i + t, j + s), -1 if j * t % 2 else 1]
+                 for i in range(big_n) for j in (0, 1)
+                 for t in range(big_n) for s in (0, 1) if j + s <= 1],
+        "comult": [e for i in range(big_n) for e in (
+            [idx(i, 0), idx(i, 0), idx(i, 0), 1],
+            [idx(i, 1), idx(i, 1), idx(i, 0), 1],
+            [idx(i, 1), idx(i + 1, 0), idx(i, 1), 1])],
+        "counit": [[idx(i, j), 1 - j] for i in range(big_n) for j in (0, 1)],
+    }
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                       "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+
+def test_antipode_solve_scalar_work_is_bounded(monkeypatch):
+    """The antipode system of H_4 (dimension 8, 64 unknowns) is almost all
+    zeros: compute_antipode takes 655 Fraction operations with the sparse
+    kernel and 30,804 with the dense loop."""
+    algebra = build_algebra(parse_document(h_n_document(4)), check=False)
+    count = [0]
+
+    def counted(op):
+        def wrapper(*args):
+            count[0] += 1
+            return op(*args)
+        return wrapper
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
+    antipode = compute_antipode(algebra)
+    sparse_ops, count[0] = count[0], 0
+    with mock.patch.object(linalg, "_rref", dense_rref):
+        assert compute_antipode(algebra) == antipode
+    dense_ops = count[0]
+    assert sparse_ops <= 2000 < dense_ops
