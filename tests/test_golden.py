@@ -1,10 +1,14 @@
-"""Golden `hopf verify --json` reports, compared byte for byte.
+"""Golden `hopf` output, compared byte for byte.
 
-tests/golden/ holds the report of every preset (the runs of
-scripts/verify_presets.py) and of two small generated documents: H_4 over
-F_10007 with the antipode omitted, so that it is solved for, and the
-Drinfeld double D(kC2).  A change that alters any of them fails here.
-When a report is meant to change, regenerate every file with
+tests/golden/<case>.json holds the `verify --json` report of every preset
+(the runs of scripts/verify_presets.py) and of two small generated
+documents: H_4 over F_10007 with the antipode omitted, so that it is
+solved for, and the Drinfeld double D(kC2).  tests/golden/cli/<case>.json
+holds, for the same sources (the Laurent family at window 2), the exit
+code, stdout and stderr of the text `verify` report, of `check` for every
+theorem token and of `compute` for every target, usage errors included.
+A change that alters any of them fails here.  When output is meant to
+change, regenerate every file with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfcheck.cli import main
+from hopfcheck.cli import CHECK_TOKENS, COMPUTE_TARGETS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 P = 10007
@@ -76,22 +80,46 @@ PRESETS = {
     "sweedler4_xi0": ["preset:sweedler4", "--xi", "0"],
     "laurent": ["preset:laurent", "--window", "5"],
 }
+CLI_PRESETS = {**PRESETS, "laurent": ["preset:laurent", "--window", "2"]}
 DOCUMENTS = {"h4_f10007": h4_prime_document, "double_c2": double_c2_document}
 CASES = sorted([*PRESETS, *DOCUMENTS])
 
 
+def source(case: str, presets: dict, workdir: Path) -> list[str]:
+    if case in presets:
+        return presets[case]
+    path = workdir / f"{case}.json"
+    path.write_text(json.dumps(DOCUMENTS[case]()), encoding="utf-8")
+    return [str(path)]
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def report(case: str, workdir: Path) -> str:
-    if case in PRESETS:
-        source = PRESETS[case]
-    else:
-        path = workdir / f"{case}.json"
-        path.write_text(json.dumps(DOCUMENTS[case]()), encoding="utf-8")
-        source = [str(path)]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(["verify", *source, "--json"])
+    code, out, _ = run(["verify", *source(case, PRESETS, workdir), "--json"])
     assert code == 0, f"{case}: exit {code}"
-    return buf.getvalue()
+    return out
+
+
+def cli_transcript(case: str, workdir: Path) -> str:
+    """Every text command line on one source, as canonical JSON; a document
+    path is recorded as its file name so the transcript does not depend on
+    where the document was written."""
+    where, *flags = source(case, CLI_PRESETS, workdir)
+    lines = [["verify", where, *flags]]
+    lines += [["check", where, token, *flags] for token in CHECK_TOKENS]
+    lines += [["compute", where, what, *flags] for what in COMPUTE_TARGETS]
+    runs = []
+    for argv in lines:
+        code, out, err = run(argv)
+        shown = [Path(a).name if a == where and case in DOCUMENTS else a for a in argv]
+        runs.append({"argv": shown, "exit": code, "stdout": out, "stderr": err})
+    return json.dumps(runs, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -100,9 +128,17 @@ def test_report_matches_golden(case, tmp_path):
     assert report(case, tmp_path) == expected
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_cli_transcript_matches_golden(case, tmp_path):
+    expected = (GOLDEN / "cli" / f"{case}.json").read_text(encoding="utf-8")
+    assert cli_transcript(case, tmp_path) == expected
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             (GOLDEN / f"{case}.json").write_text(report(case, Path(tmp)), encoding="utf-8")
-            print(f"wrote {GOLDEN / case}.json", file=sys.stderr)
+            (GOLDEN / "cli" / f"{case}.json").write_text(cli_transcript(case, Path(tmp)),
+                                                         encoding="utf-8")
+            print(f"wrote {case}", file=sys.stderr)
