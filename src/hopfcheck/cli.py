@@ -24,34 +24,28 @@ from fractions import Fraction
 from . import laurent
 from .cofrobenius import (
     CONVENTIONS,
+    Carrier,
     CoFrobeniusData,
     PreconditionError,
-    check_radford_s4,
     check_s2_inner_witness,
     cofrobenius_checks,
     cofrobenius_data,
-    coinner_from_integral_twist,
-    coinner_from_integral_twist_findim,
-    integral_twist_from_coinner,
-    integral_twist_from_coinner_findim,
     radford_s4_checks,
+    twist_round_trip,
 )
 from .coquasitriangular import (
     CQT_CONVENTIONS,
     Braiding,
-    alpha_beta_g,
     braided_functionals,
     braided_modular_corollary_checks,
+    braiding_axiom_checks,
     braiding_from_matrix,
-    check_braided_modular_corollary,
-    check_modular_convolution_identity,
-    cqt_functionals,
     dualize_qt,
-    flip_inverse_braiding,
+    flip_braiding_checks,
     grouplike_homomorphism_checks,
+    grouplike_witness_checks,
     modular_characters,
     modular_convolution_checks,
-    verify_cqt,
 )
 from .document import (
     AlgebraDocument,
@@ -87,6 +81,7 @@ COMPUTE_TARGETS = ("lambda", "a", "alpha", "chi", "u", "v", "uv",
                    "a_alpha", "b_alpha", "minimal-subhopf")
 CHECK_TOKENS = ("s4", "uv", "main3", "factunim", "cor25", "cor3",
                 "tangent", "minimal")
+QT_TOKENS = ("uv", "factunim", "cor25", "minimal")  # need an R-matrix
 DEFAULT_WINDOW = 5
 
 
@@ -193,48 +188,44 @@ def _qt_chain(algebra: FinHopfAlgebra, data: CoFrobeniusData, r: RMatrix,
     report.add_computed("b_alpha", algebra.format_element(b_alpha))
 
 
-def _cqt_chain(algebra: FinHopfAlgebra, data: CoFrobeniusData, br: Braiding,
+def _format_fn(algebra: FinHopfAlgebra, fn) -> str:
+    return algebra.format_functional(algebra.functional(map(fn, range(algebra.dim))))
+
+
+def _cqt_chain(algebra: FinHopfAlgebra, c: Carrier, br: Braiding,
                grouplikes: dict, report: Report, prefix: str = "") -> None:
     def emit(checks) -> None:
         if prefix:
-            checks = [CheckResult(prefix + c.name, c.status, c.witness)
-                      for c in checks]
+            checks = [CheckResult(prefix + x.name, x.status, x.witness)
+                      for x in checks]
         report.extend(checks)
 
-    base = verify_cqt(algebra, br)
+    ops = c.ops
+    base = braiding_axiom_checks(ops, br)
     emit(base)
-    if not all(c.ok for c in base):
+    if not all(x.ok for x in base):
         return
-    cqt, fn_checks = cqt_functionals(algebra, br)
+    fns, fn_checks = braided_functionals(ops, br)
     emit(fn_checks)
-    emit(check_modular_convolution_identity(algebra, data, br, cqt))
-    emit(check_braided_modular_corollary(algebra, data, br, cqt))
+    emit(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))
+    emit(braided_modular_corollary_checks(ops, br, fns, c.alpha, c.alpha_inv,
+                                          c.a, c.a_inv))
 
-    glikes = {"a": data.a}
-    glikes.update(grouplikes)
-    pairs = {}
-    for name in sorted(glikes):
-        g = glikes[name]
-        _, w_checks = alpha_beta_g(algebra, br, g, name=name)
+    glikes = {"a": c.a}
+    glikes.update((name, g.lc()) for name, g in grouplikes.items())
+    # the inverse of a grouplike is its antipode
+    pairs = {name: (g, ops.s_lc(g)) for name, g in glikes.items()}
+    for name in sorted(pairs):
+        _, w_checks = grouplike_witness_checks(ops, br, *pairs[name], name=name)
         emit(w_checks)
-        pairs[name] = (g.lc(), algebra.invert_element(g).lc())
-    emit(grouplike_homomorphism_checks(algebra.basis_ops(), br, pairs))
+    emit(grouplike_homomorphism_checks(ops, br, pairs))
 
-    _, flip_checks = flip_inverse_braiding(algebra, data, br, cqt)
+    _, flip_checks = flip_braiding_checks(ops, br, fns, c.a, c.a_inv)
     emit(flip_checks)
+    emit(twist_round_trip(c, fns["u"], fns["u_inv"]))
 
-    try:
-        rho, tau, twist_checks = integral_twist_from_coinner_findim(
-            algebra, data, cqt.u_inv)
-        emit(twist_checks)
-        _, _, extract_checks = coinner_from_integral_twist_findim(
-            algebra, data, rho, tau)
-        emit(extract_checks)
-    except PreconditionError as exc:
-        emit([failed("integral_twist.preconditions", str(exc))])
-
-    report.add_computed(prefix + "u", algebra.format_functional(cqt.u))
-    report.add_computed(prefix + "v", algebra.format_functional(cqt.v))
+    report.add_computed(prefix + "u", _format_fn(algebra, fns["u"]))
+    report.add_computed(prefix + "v", _format_fn(algebra, fns["v"]))
 
 
 def _dual_chain(algebra: FinHopfAlgebra, r: RMatrix, characters: dict,
@@ -252,7 +243,7 @@ def _dual_chain(algebra: FinHopfAlgebra, r: RMatrix, characters: dict,
                   for c in cofrobenius_checks(dual, dual_data))
     # characters of the algebra are grouplikes of its dual
     glikes = {name: dual.element(f.values) for name, f in characters.items()}
-    _cqt_chain(dual, dual_data, br, glikes, report, prefix="dual.")
+    _cqt_chain(dual, dual_data.carrier, br, glikes, report, prefix="dual.")
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +303,7 @@ def cmd_verify(job: Job, args) -> int:
             br = None
             report.add(failed("cqt.braiding_invertible", str(exc)))
         if br is not None:
-            _cqt_chain(algebra, data, br, grouplikes, report)
+            _cqt_chain(algebra, data.carrier, br, grouplikes, report)
     if r is not None:
         _dual_chain(algebra, r, characters, report)
     return _finish(report, args)
@@ -338,29 +329,26 @@ def _laurent_lc(ops, lc) -> str:
 
 
 def cmd_compute_laurent(what: str, window: int, report: Report) -> None:
-    ops = laurent.basis_ops(window)
     if what == "minimal-subhopf":
         raise UsageError("minimal-subhopf needs a finite-dimensional R-matrix source")
+    c = laurent.family_data(laurent.basis_ops(window))
+    ops = c.ops
     if what == "lambda":
-        _laurent_table(report, ops, "lambda", laurent.integral_value)
+        _laurent_table(report, ops, "lambda", c.lam)
     elif what == "a":
-        a_lc, a_inv_lc = laurent.solve_modular(ops)
-        report.add_computed("a", _laurent_lc(ops, a_lc))
-        report.add_computed("a^-1", _laurent_lc(ops, a_inv_lc))
+        report.add_computed("a", _laurent_lc(ops, c.a))
+        report.add_computed("a^-1", _laurent_lc(ops, c.a_inv))
     elif what == "chi":
-        chi = laurent.solve_nakayama(ops)
         for k in ops.keys:
-            report.add_computed(f"chi({ops.label(k)})", _laurent_lc(ops, chi(k)))
+            report.add_computed(f"chi({ops.label(k)})", _laurent_lc(ops, c.chi(k)))
     elif what == "alpha":
-        _, _, _, alpha, _ = laurent.family_data(ops)
-        _laurent_table(report, ops, "alpha", alpha)
+        _laurent_table(report, ops, "alpha", c.alpha)
     elif what in ("u", "v", "uv"):
         fns, _ = braided_functionals(ops, laurent.braiding())
         fn = fns[what] if what in ("u", "v") else ops.convolve(fns["u"], fns["v"])
         _laurent_table(report, ops, what, fn)
     else:  # a_alpha / b_alpha
-        a_lc, a_inv_lc = laurent.solve_modular(ops)
-        alpha_a, beta_a = modular_characters(ops, laurent.braiding(), a_lc, a_inv_lc)
+        alpha_a, beta_a = modular_characters(ops, laurent.braiding(), c.a, c.a_inv)
         if what == "a_alpha":
             _laurent_table(report, ops, "alpha_a", alpha_a)
         else:
@@ -406,11 +394,10 @@ def cmd_compute(job: Job, args) -> int:
             report.add_computed(what, algebra.format_element(val))
         elif doc.sigma is not None:
             br, _ = braiding_from_matrix(algebra, doc.sigma)
-            cqt, _ = cqt_functionals(algebra, br)
-            fval = {"u": cqt.u, "v": cqt.v}.get(what)
-            if fval is None:
-                fval = algebra.convolve(cqt.u, cqt.v)
-            report.add_computed(what, algebra.format_functional(fval))
+            ops = algebra.basis_ops()
+            fns, _ = braided_functionals(ops, br)
+            fn = fns[what] if what in ("u", "v") else ops.convolve(fns["u"], fns["v"])
+            report.add_computed(what, _format_fn(algebra, fn))
         else:
             raise UsageError(f"{what} needs an R-matrix or a braiding")
     elif what in ("a_alpha", "b_alpha"):
@@ -438,17 +425,36 @@ def cmd_compute(job: Job, args) -> int:
 # check
 
 
-def _braided_carrier(algebra: FinHopfAlgebra, data: CoFrobeniusData,
-                     doc: AlgebraDocument, r: RMatrix | None, token: str,
-                     report: Report):
+def _finite_source(job: Job):
+    doc = job.doc
+    algebra = build_algebra(doc, check=True)
+    data = cofrobenius_data(algebra)
+    r = _r_matrix(algebra, doc) if doc.r_entries is not None else None
+    return doc, algebra, data, r
+
+
+def _theorem_carrier(job: Job, token: str,
+                     report: Report) -> tuple[Carrier, Braiding | None]:
+    """The carrier and braiding a theorem token runs on, after the source's
+    own conventions and computed lines; s4 needs no braiding."""
+    if job.kind == "laurent":
+        report.conventions.extend(laurent.FAMILY_CONVENTIONS)
+        if token != "s4":
+            report.conventions.extend(CQT_CONVENTIONS)
+        return laurent.family_data(laurent.basis_ops(job.window)), laurent.braiding()
+    doc, algebra, data, r = _finite_source(job)
+    if token == "s4":
+        report.add_computed("a", algebra.format_element(data.a))
+        report.add_computed("alpha", algebra.format_functional(data.alpha))
+        return data.carrier, None
+    report.conventions.extend(CQT_CONVENTIONS)
     if doc.sigma is not None:
-        br, _ = braiding_from_matrix(algebra, doc.sigma)
-        return algebra, data, br
+        return data.carrier, braiding_from_matrix(algebra, doc.sigma)[0]
     if r is not None:
         dual, br, bridge = dualize_qt(algebra, r)
         report.extend(bridge)
         report.add_computed("carrier", f"dual of {doc.name}")
-        return dual, cofrobenius_data(dual), br
+        return cofrobenius_data(dual).carrier, br
     raise UsageError(f"check {token} needs a braiding or an R-matrix")
 
 
@@ -463,104 +469,55 @@ def _require_qt(algebra: FinHopfAlgebra, r: RMatrix | None, token: str,
     return True
 
 
-def cmd_check_laurent(token: str, window: int, report: Report) -> None:
-    if token in ("uv", "factunim", "cor25", "minimal"):
+def _check_qt(job: Job, token: str, report: Report) -> None:
+    if job.kind == "laurent":
         raise UsageError(
             f"check {token} needs an R-matrix; the laurent family carries a braiding instead")
-    report.conventions.extend(laurent.FAMILY_CONVENTIONS)
-    ops = laurent.basis_ops(window)
-    lam = laurent.integral_value
-    a_lc, a_inv_lc, chi, alpha, alpha_inv = laurent.family_data(ops)
-    if token == "s4":
-        report.extend(radford_s4_checks(ops, a_lc, a_inv_lc, alpha, alpha_inv))
+    _, algebra, data, r = _finite_source(job)
+    report.conventions.extend(QT_CONVENTIONS)
+    if not _require_qt(algebra, r, token, report):
         return
-    report.conventions.extend(CQT_CONVENTIONS)
-    br = laurent.braiding()
-    fns, fn_checks = braided_functionals(ops, br)
-    report.extend(fn_checks)
-    if token == "main3":
-        report.extend(modular_convolution_checks(ops, br, fns, alpha,
-                                                 a_lc, a_inv_lc))
-    elif token == "cor3":
-        report.extend(braided_modular_corollary_checks(
-            ops, br, fns, alpha, alpha_inv, a_lc, a_inv_lc))
-    else:  # tangent
-        try:
-            rho2, tau2, twist_checks = integral_twist_from_coinner(
-                ops, lam, alpha, fns["u"], fns["u_inv"])
-            report.extend(twist_checks)
-            _, _, extract_checks = coinner_from_integral_twist(
-                ops, lam, a_inv_lc, alpha_inv, rho2, tau2)
-            report.extend(extract_checks)
-        except PreconditionError as exc:
-            report.add(failed("integral_twist.preconditions", str(exc)))
+    if token == "factunim":
+        report.extend(check_modular_grouplikes_equal(algebra, data, r))
+    elif token == "minimal":
+        sub = minimal_subhopf(algebra, r, data)
+        report.extend(sub.checks)
+        for n, v in sub.computed:
+            report.add_computed(n, v)
+    else:  # uv and cor25 start from the Drinfeld elements
+        qt, dr_checks = drinfeld_elements(algebra, r)
+        report.extend(dr_checks)
+        if token == "cor25":
+            report.extend(check_antipode_u_biconditional(algebra, data, r, qt))
+            return
+        report.extend(check_drinfeld_modular_product(algebra, data, r, qt))
+        report.add_computed("u", algebra.format_element(qt.u))
+        report.add_computed("v", algebra.format_element(qt.v))
+        report.add_computed("uv", algebra.format_element(algebra.mul(qt.u, qt.v)))
 
 
 def cmd_check(job: Job, args) -> int:
     token = args.theorem
     report = Report(title=f"check {job.label} {token}",
                     conventions=list(CONVENTIONS))
-    if job.kind == "laurent":
-        cmd_check_laurent(token, job.window, report)
+    if token in QT_TOKENS:
+        _check_qt(job, token, report)
         return _finish(report, args)
 
-    doc = job.doc
-    algebra = build_algebra(doc, check=True)
-    data = cofrobenius_data(algebra)
-    r = _r_matrix(algebra, doc) if doc.r_entries is not None else None
-
+    c, br = _theorem_carrier(job, token, report)
+    ops = c.ops
     if token == "s4":
-        report.extend(check_radford_s4(algebra, data))
-        report.add_computed("a", algebra.format_element(data.a))
-        report.add_computed("alpha", algebra.format_functional(data.alpha))
-    elif token == "uv":
-        report.conventions.extend(QT_CONVENTIONS)
-        if _require_qt(algebra, r, token, report):
-            qt, dr_checks = drinfeld_elements(algebra, r)
-            report.extend(dr_checks)
-            report.extend(check_drinfeld_modular_product(algebra, data, r, qt))
-            report.add_computed("u", algebra.format_element(qt.u))
-            report.add_computed("v", algebra.format_element(qt.v))
-            report.add_computed("uv",
-                                algebra.format_element(algebra.mul(qt.u, qt.v)))
-    elif token == "factunim":
-        report.conventions.extend(QT_CONVENTIONS)
-        if _require_qt(algebra, r, token, report):
-            report.extend(check_modular_grouplikes_equal(algebra, data, r))
-    elif token == "cor25":
-        report.conventions.extend(QT_CONVENTIONS)
-        if _require_qt(algebra, r, token, report):
-            qt, dr_checks = drinfeld_elements(algebra, r)
-            report.extend(dr_checks)
-            report.extend(check_antipode_u_biconditional(algebra, data, r, qt))
-    elif token == "minimal":
-        report.conventions.extend(QT_CONVENTIONS)
-        if _require_qt(algebra, r, token, report):
-            sub = minimal_subhopf(algebra, r, data)
-            report.extend(sub.checks)
-            for n, v in sub.computed:
-                report.add_computed(n, v)
-    else:  # main3 / cor3 / tangent run on a braided carrier
-        report.conventions.extend(CQT_CONVENTIONS)
-        carrier, cdata, br = _braided_carrier(algebra, data, doc, r, token, report)
-        cqt, fn_checks = cqt_functionals(carrier, br)
-        report.extend(fn_checks)
-        if token == "main3":
-            report.extend(check_modular_convolution_identity(carrier, cdata,
-                                                             br, cqt))
-        elif token == "cor3":
-            report.extend(check_braided_modular_corollary(carrier, cdata,
-                                                          br, cqt))
-        else:  # tangent
-            try:
-                rho, tau, twist_checks = integral_twist_from_coinner_findim(
-                    carrier, cdata, cqt.u_inv)
-                report.extend(twist_checks)
-                _, _, extract_checks = coinner_from_integral_twist_findim(
-                    carrier, cdata, rho, tau)
-                report.extend(extract_checks)
-            except PreconditionError as exc:
-                report.add(failed("integral_twist.preconditions", str(exc)))
+        report.extend(radford_s4_checks(ops, c.a, c.a_inv, c.alpha, c.alpha_inv))
+        return _finish(report, args)
+    fns, fn_checks = braided_functionals(ops, br)
+    report.extend(fn_checks)
+    if token == "main3":
+        report.extend(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))
+    elif token == "cor3":
+        report.extend(braided_modular_corollary_checks(ops, br, fns, c.alpha,
+                                                       c.alpha_inv, c.a, c.a_inv))
+    else:  # tangent
+        report.extend(twist_round_trip(c, fns["u"], fns["u_inv"]))
     return _finish(report, args)
 
 

@@ -253,55 +253,6 @@ class Tensor2:
         return f"<tensor2 {self.rows!r}>"
 
 
-class Functional2:
-    """A linear form on the tensor square, by its values on basis pairs."""
-
-    __slots__ = ("algebra", "rows")
-
-    def __init__(self, algebra: "FinHopfAlgebra", rows) -> None:
-        rows = tuple(tuple(r) for r in rows)
-        n = algebra.dim
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("tensor-square values must form an n-by-n matrix")
-        self.algebra = algebra
-        self.rows = rows
-
-    @classmethod
-    def outer(cls, f: Functional, g: Functional) -> "Functional2":
-        return cls(f.algebra, tuple(tuple(a * b for b in g.values) for a in f.values))
-
-    def value(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
-    def __call__(self, x: Element, y: Element) -> Scalar:
-        acc = self.algebra.field.zero
-        for i, ci in enumerate(x.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(y.coeffs):
-                if cj and self.rows[i][j]:
-                    acc = acc + ci * cj * self.rows[i][j]
-        return acc
-
-    def pair(self, t: Tensor2) -> Scalar:
-        """Full contraction against a tensor-square element."""
-        acc = self.algebra.field.zero
-        for r, s in zip(self.rows, t.rows):
-            for a, b in zip(r, s):
-                if a and b:
-                    acc = acc + a * b
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Functional2)
-            and other.algebra is self.algebra
-            and other.rows == self.rows
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-
 class FinHopfAlgebra:
     """A Hopf algebra given by structure constants over an exact field.
 
@@ -514,9 +465,8 @@ class FinHopfAlgebra:
             raise NotInvertibleError("functional is not convolution invertible")
         return Functional(self, sol.particular)
 
-    # Bimodule actions.  With f a functional and h an element:
+    # Hit actions of a functional f on an element h:
     #   hit_left(f, h)  = h1 f(h2)          hit_right(h, f) = f(h1) h2
-    #   act_left(h, f)  = (m -> f(m h))     act_right(f, l) = (m -> f(l m))
     def hit_left(self, f: Functional, h: Element) -> Element:
         zero = self.field.zero
         out = [zero] * self.dim
@@ -538,14 +488,6 @@ class FinHopfAlgebra:
                 if f.values[j]:
                     out[k] = out[k] + ci * c * f.values[j]
         return Element(self, out)
-
-    def act_left(self, h: Element, f: Functional) -> Functional:
-        return Functional(self, tuple(f(self.mul(self.basis_element(m), h))
-                                      for m in range(self.dim)))
-
-    def act_right(self, f: Functional, l: Element) -> Functional:
-        return Functional(self, tuple(f(self.mul(l, self.basis_element(m)))
-                                      for m in range(self.dim)))
 
     def is_grouplike(self, x: Element) -> bool:
         return self.eps(x) == self.field.one and self.delta(x) == Tensor2.outer(x, x)

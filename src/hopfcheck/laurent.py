@@ -11,13 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cofrobenius import (
-    coinner_from_integral_twist,
+    Carrier,
     integral_exchange_checks,
-    integral_twist_from_coinner,
     left_integral_law_check,
     modular_element_checks,
     nakayama_checks,
     radford_s4_checks,
+    twist_round_trip,
 )
 from .hopf import AxiomError
 from .coquasitriangular import (
@@ -172,14 +172,15 @@ def solve_nakayama(ops: BasisOps):
     return memo_fn(chi)
 
 
-def family_data(ops: BasisOps):
-    """Modular element, Nakayama map and modular functional, solved then
-    memoized; global verification is the caller's job."""
+def family_data(ops: BasisOps) -> Carrier:
+    """The family's carrier: the closed-form integral with the modular
+    element, Nakayama map and modular functional, solved then memoized;
+    global verification is the caller's job."""
     a_lc, a_inv_lc = solve_modular(ops)
     chi = solve_nakayama(ops)
     alpha = memo_fn(lambda k: ops.eps_lc(chi(k)))
     alpha_inv = memo_fn(ops.compose_s_power(alpha, 1))
-    return a_lc, a_inv_lc, chi, alpha, alpha_inv
+    return Carrier(ops, integral_value, a_lc, a_inv_lc, chi, alpha, alpha_inv)
 
 
 def window_suite(window: int) -> tuple[list[CheckResult], list[tuple[str, str]]]:
@@ -198,18 +199,16 @@ def window_suite(window: int) -> tuple[list[CheckResult], list[tuple[str, str]]]
         lambda k: lc_eq(ops.s_power(ops.single(k), 4), ops.single(k)),
         lambda k: f"at {ops.label(k)}"))
 
-    lam = integral_value
-    out.append(left_integral_law_check(ops, lam))
-
-    a_lc, a_inv_lc, chi, alpha, alpha_inv = family_data(ops)
-    out.extend(modular_element_checks(ops, lam, a_lc, a_inv_lc))
-    out.extend(integral_exchange_checks(ops, lam, a_inv_lc))
-    out.extend(nakayama_checks(ops, lam, chi, alpha, alpha_inv))
-    eq, where = ops.fn_eq_on_grid(alpha, alpha_closed_form)
+    c = family_data(ops)
+    out.append(left_integral_law_check(ops, c.lam))
+    out.extend(modular_element_checks(ops, c.lam, c.a, c.a_inv))
+    out.extend(integral_exchange_checks(ops, c.lam, c.a_inv))
+    out.extend(nakayama_checks(ops, c.lam, c.chi, c.alpha, c.alpha_inv))
+    eq, where = ops.fn_eq_on_grid(c.alpha, alpha_closed_form)
     out.append(check("family.alpha_matches_closed_form", eq,
                      None if eq else f"at {ops.label(where)}"))
 
-    out.extend(radford_s4_checks(ops, a_lc, a_inv_lc, alpha, alpha_inv))
+    out.extend(radford_s4_checks(ops, c.a, c.a_inv, c.alpha, c.alpha_inv))
 
     br = braiding()
     out.extend(braiding_axiom_checks(ops, br))
@@ -223,31 +222,26 @@ def window_suite(window: int) -> tuple[list[CheckResult], list[tuple[str, str]]]
         lambda k: fns["u"](k) == fns["u_inv"](k) == fns["v"](k) == fns["v_inv"](k),
         lambda k: f"at {ops.label(k)}"))
 
-    out.extend(modular_convolution_checks(ops, br, fns, alpha, a_lc, a_inv_lc))
-    out.extend(braided_modular_corollary_checks(ops, br, fns, alpha, alpha_inv,
-                                                a_lc, a_inv_lc))
-    _, beta_a = modular_characters(ops, br, a_lc, a_inv_lc)
+    out.extend(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))
+    out.extend(braided_modular_corollary_checks(ops, br, fns, c.alpha, c.alpha_inv,
+                                                c.a, c.a_inv))
+    _, beta_a = modular_characters(ops, br, c.a, c.a_inv)
     eq, where = ops.fn_eq_on_grid(beta_a, alpha_closed_form)
     out.append(check("family.beta_a_matches_closed_form", eq,
                      None if eq else f"at {ops.label(where)}"))
 
-    _, witness_checks = grouplike_witness_checks(ops, br, a_lc, a_inv_lc, name="a")
+    _, witness_checks = grouplike_witness_checks(ops, br, c.a, c.a_inv, name="a")
     out.extend(witness_checks)
 
-    _, flip_checks = flip_braiding_checks(ops, br, fns, a_lc, a_inv_lc)
+    _, flip_checks = flip_braiding_checks(ops, br, fns, c.a, c.a_inv)
     out.extend(flip_checks)
 
-    rho2, tau2, twist_checks = integral_twist_from_coinner(
-        ops, lam, alpha, fns["u"], fns["u_inv"])
-    out.extend(twist_checks)
-    _, _, extract_checks = coinner_from_integral_twist(
-        ops, lam, a_inv_lc, alpha_inv, rho2, tau2)
-    out.extend(extract_checks)
+    out.extend(twist_round_trip(c, fns["u"], fns["u_inv"]))
 
     computed = [
         ("window", f"|i| <= {window}, {len(ops.keys)} basis keys"),
         ("lambda", "lambda(g^i x^j) = delta(i, -1) delta(j, 1)"),
-        ("a", label_key(next(iter(a_lc)))),
+        ("a", label_key(next(iter(c.a)))),
         ("alpha", "alpha(g^i x^j) = delta(j, 0) (-1)^i"),
         ("chi", "chi(g^i x^j) = (-1)^(i + j) g^i x^j"),
         ("u", "u(g^i x^j) = delta(j, 0) (-1)^i; u = v = u^-1 = v^-1"),

@@ -15,31 +15,25 @@ from hopfcheck import laurent
 from hopfcheck.cli import main
 from hopfcheck.cofrobenius import (
     PreconditionError,
-    check_radford_s4,
     cofrobenius_data,
     coinner_from_integral_twist,
-    coinner_from_integral_twist_findim,
     integral_twist_from_coinner,
-    integral_twist_from_coinner_findim,
     left_integrals,
     modular_element_checks,
     radford_s4_checks,
 )
 from hopfcheck.coquasitriangular import (
     braided_functionals,
+    braided_modular_corollary_checks,
     braiding_axiom_checks,
     braiding_from_matrix,
-    check_braided_modular_corollary,
-    check_modular_convolution_identity,
-    cqt_functionals,
     dualize_qt,
     modular_characters,
-    verify_cqt,
+    modular_convolution_checks,
 )
 from hopfcheck.document import build_algebra
 from hopfcheck.hopf import (
     FinHopfAlgebra,
-    Functional2,
     compute_antipode,
     same_structure_constants,
     verify_hopf,
@@ -128,10 +122,8 @@ def test_criterion_03_integral_pipeline_values(sweedler, sweedler_data):
 
 
 def test_criterion_04_antipode_fourth_power_three_ways(sweedler, sweedler_data):
-    no_failures(check_radford_s4(sweedler, sweedler_data))
-    ops = laurent.basis_ops(5)
-    a_lc, a_inv_lc, chi, alpha, alpha_inv = laurent.family_data(ops)
-    no_failures(radford_s4_checks(ops, a_lc, a_inv_lc, alpha, alpha_inv))
+    for c in (sweedler_data.carrier, laurent.family_data(laurent.basis_ops(5))):
+        no_failures(radford_s4_checks(c.ops, c.a, c.a_inv, c.alpha, c.alpha_inv))
 
 
 def test_criterion_05_drinfeld_modular_factorization(c2, sweedler, sweedler_r,
@@ -198,20 +190,20 @@ def test_criterion_08_braidings_and_dual_bridge(c2, sweedler, sweedler_r,
                                                 sweedler_xi0, sweedler_xi0_r):
     doc = preset_document("group:C2")
     br, _ = braiding_from_matrix(c2, doc.sigma)
-    no_failures(verify_cqt(c2, br))
+    no_failures(braiding_axiom_checks(c2.basis_ops(), br))
 
     for algebra, r in ((sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r)):
         dual, dual_br, bridge = dualize_qt(algebra, r)
         no_failures(bridge)
-        no_failures(verify_cqt(dual, dual_br))
+        ops = dual.basis_ops()
+        no_failures(braiding_axiom_checks(ops, dual_br))
         # bridge identity valuewise: u_cqt evaluated at f equals f(u_qt)
         qt, _ = drinfeld_elements(algebra, r)
-        cqt, fn_checks = cqt_functionals(dual, dual_br)
+        fns, fn_checks = braided_functionals(ops, dual_br)
         no_failures(fn_checks)
-        for i in range(dual.dim):
-            f = dual.basis_element(i)
-            assert cqt.u(f) == qt.u.coeffs[i]
-            assert cqt.v(f) == qt.v.coeffs[i]
+        for i in ops.keys:
+            assert fns["u"](i) == qt.u.coeffs[i]
+            assert fns["v"](i) == qt.v.coeffs[i]
 
     no_failures(braiding_axiom_checks(laurent.basis_ops(5), laurent.braiding()))
 
@@ -220,13 +212,14 @@ def test_criterion_09_braided_modular_identities(sweedler, sweedler_r,
                                                  sweedler_xi0, sweedler_xi0_r):
     for algebra, r in ((sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r)):
         dual, br, _ = dualize_qt(algebra, r)
-        dd = cofrobenius_data(dual)
-        cqt, _ = cqt_functionals(dual, br)
-        no_failures(check_modular_convolution_identity(dual, dd, br, cqt))
-        no_failures(check_braided_modular_corollary(dual, dd, br, cqt))
+        c = cofrobenius_data(dual).carrier
+        fns, _ = braided_functionals(c.ops, br)
+        no_failures(modular_convolution_checks(c.ops, br, fns, c.alpha, c.a, c.a_inv))
+        no_failures(braided_modular_corollary_checks(c.ops, br, fns, c.alpha,
+                                                     c.alpha_inv, c.a, c.a_inv))
 
     ops = laurent.basis_ops(5)
-    a_lc, a_inv_lc, chi, alpha, alpha_inv = laurent.family_data(ops)
+    c = laurent.family_data(ops)
     br = laurent.braiding()
     fns, fn_checks = braided_functionals(ops, br)
     no_failures(fn_checks)
@@ -236,47 +229,34 @@ def test_criterion_09_braided_modular_identities(sweedler, sweedler_r,
         assert fns["u_inv"](k) == want
         assert fns["v"](k) == want
         assert fns["v_inv"](k) == want
-    _, beta_a = modular_characters(ops, br, a_lc, a_inv_lc)
+    _, beta_a = modular_characters(ops, br, c.a, c.a_inv)
     for k in ops.keys:
         assert beta_a(k) == laurent.alpha_closed_form(k)
 
 
 def test_criterion_10_integral_twist_roundtrip_and_refusal(sweedler, sweedler_r):
-    dual, br, _ = dualize_qt(sweedler, sweedler_r)
-    dd = cofrobenius_data(dual)
-    cqt, _ = cqt_functionals(dual, br)
-    rho, tau, forward = integral_twist_from_coinner_findim(dual, dd, cqt.u_inv)
-    no_failures(forward)
-    rho_p, tau_pp, backward = coinner_from_integral_twist_findim(dual, dd, rho, tau)
-    no_failures(backward)
-    assert dual.convolve(rho_p, tau_pp) == dual.counit_functional
-    rows = [list(r) for r in tau.rows]
-    rows[0][0] = rows[0][0] + ONE
-    with pytest.raises(PreconditionError, match="twisted product formula fails"):
-        coinner_from_integral_twist_findim(dual, dd, rho, Functional2(dual, rows))
+    dual, dual_br, _ = dualize_qt(sweedler, sweedler_r)
+    carriers = [(cofrobenius_data(dual).carrier, dual_br, (0, 0)),
+                (laurent.family_data(laurent.basis_ops(5)), laurent.braiding(),
+                 ((-1, 0), (0, 0)))]
+    for c, br, spot in carriers:
+        ops = c.ops
+        fns, _ = braided_functionals(ops, br)
+        rho2, tau2, forward = integral_twist_from_coinner(ops, c.lam, c.alpha,
+                                                          fns["u"], fns["u_inv"])
+        no_failures(forward)
+        rho_fn, tau_fn, backward = coinner_from_integral_twist(ops, c.lam, c.a_inv,
+                                                               c.alpha_inv, rho2, tau2)
+        no_failures(backward)
+        conv = ops.convolve(rho_fn, tau_fn)
+        for k in ops.keys:
+            assert conv(k) == ops.eps(k)
 
-    ops = laurent.basis_ops(5)
-    lam = laurent.integral_value
-    a_lc, a_inv_lc, chi, alpha, alpha_inv = laurent.family_data(ops)
-    fns, _ = braided_functionals(ops, laurent.braiding())
-    rho2, tau2, fchecks = integral_twist_from_coinner(ops, lam, alpha,
-                                                      fns["u"], fns["u_inv"])
-    no_failures(fchecks)
-    rho_fn, tau_fn, bchecks = coinner_from_integral_twist(ops, lam, a_inv_lc,
-                                                          alpha_inv, rho2, tau2)
-    no_failures(bchecks)
-    conv = ops.convolve(rho_fn, tau_fn)
-    for k in ops.keys:
-        assert conv(k) == ops.eps(k)
+        def perturbed(x, y, tau2=tau2, spot=spot):
+            return tau2(x, y) + (ONE if (x, y) == spot else ZERO)
 
-    def perturbed(x, y):
-        v = tau2(x, y)
-        if (x, y) == ((-1, 0), (0, 0)):
-            v = v + ONE
-        return v
-
-    with pytest.raises(PreconditionError, match="twisted product formula fails"):
-        coinner_from_integral_twist(ops, lam, a_inv_lc, alpha_inv, rho2, perturbed)
+        with pytest.raises(PreconditionError, match="twisted product formula fails"):
+            coinner_from_integral_twist(ops, c.lam, c.a_inv, c.alpha_inv, rho2, perturbed)
 
 
 def test_criterion_11_computed_antipode_matches_declared(c2, c4, sweedler, sweedler_xi0):

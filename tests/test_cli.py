@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from hopfcheck import cofrobenius
 from hopfcheck.cli import CHECK_TOKENS, main
-from hopfcheck.document import document_text, parse_document
+from hopfcheck.coquasitriangular import braided_functionals, dualize_qt
+from hopfcheck.document import build_algebra, document_text, load_document, parse_document
 from hopfcheck.presets import preset_document
+from hopfcheck.quasitriangular import RMatrix
 
 
 def run(capsys, *argv):
@@ -162,6 +165,33 @@ def test_verify_double_passes_dual_bridge_v(capsys, tmp_path):
     assert statuses["cqt.dual_bridge_v"] == "pass"
     assert "fail" not in statuses.values()
     assert rc == 0 and obj["result"] == "pass"
+
+
+def test_verify_twists_the_dual_integral_with_u(capsys, tmp_path, monkeypatch):
+    # S^-2(h) = omega^-1(h1) h2 omega(h3) needs omega = u; on the dual of
+    # D(kC3) the braided u differs from u^-1, so the orientation shows
+    seen = []
+    real = cofrobenius.integral_twist_from_coinner
+
+    def spy(ops, lam, alpha, omega, omega_inv):
+        seen.append((ops.keys, omega))
+        return real(ops, lam, alpha, omega, omega_inv)
+
+    monkeypatch.setattr(cofrobenius, "integral_twist_from_coinner", spy)
+    path = write_doc(tmp_path, permuted_double_c3_obj())
+    rc, _, _ = run(capsys, "verify", path)
+    assert rc == 0
+
+    doc = load_document(path)
+    algebra = build_algebra(doc)
+    dual, br, _ = dualize_qt(algebra, RMatrix.from_entries(algebra, doc.r_entries))
+    ops = dual.basis_ops()
+    fns, _ = braided_functionals(ops, br)
+    assert any(fns["u"](k) != fns["u_inv"](k) for k in ops.keys)
+    assert len(seen) == 1
+    keys, omega = seen[0]
+    assert keys == ops.keys
+    assert [omega(k) for k in keys] == [fns["u"](k) for k in keys]
 
 
 def test_compute_golden_lines(capsys):

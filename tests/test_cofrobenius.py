@@ -9,19 +9,16 @@ from hopfcheck import cofrobenius, laurent
 from hopfcheck.cofrobenius import (
     PreconditionError,
     _twisted_product_predicate,
-    check_radford_s4,
     check_s2_inner_witness,
     cofrobenius_checks,
     cofrobenius_data,
     coinner_from_integral_twist,
-    coinner_from_integral_twist_findim,
     integral_twist_from_coinner,
-    integral_twist_from_coinner_findim,
     left_integrals,
     modular_element_checks,
+    radford_s4_checks,
 )
-from hopfcheck.coquasitriangular import braided_functionals, cqt_functionals, dualize_qt
-from hopfcheck.hopf import Functional2
+from hopfcheck.coquasitriangular import braided_functionals, dualize_qt
 from hopfcheck.lincomb import _pair_label, _pairs
 from hopfcheck.linalg import Matrix
 from hopfcheck.scalars import QQ
@@ -68,7 +65,8 @@ def test_full_battery_passes(c2, sweedler, sweedler_data):
 
 
 def test_radford_s4_three_ways(sweedler, sweedler_data):
-    results = check_radford_s4(sweedler, sweedler_data)
+    c = sweedler_data.carrier
+    results = radford_s4_checks(c.ops, c.a, c.a_inv, c.alpha, c.alpha_inv)
     names = {r.name for r in results}
     assert names == {"radford.s4_matches_hit_form",
                      "radford.s4_matches_expanded_form",
@@ -114,31 +112,36 @@ def test_s2_witness_rejects_bad_candidates(sweedler, sweedler_data):
     assert not bad.ok and bad.witness == "at x"
 
 
-def test_integral_twist_roundtrip(sweedler, sweedler_data):
-    data = sweedler_data
-    rho, tau, forward = integral_twist_from_coinner_findim(sweedler, data, data.alpha)
+def alpha_twist(c):
+    """The twisting pair built from omega = alpha, the modular character."""
+    return integral_twist_from_coinner(c.ops, c.lam, c.alpha, c.alpha, c.alpha_inv)
+
+
+def test_integral_twist_roundtrip(sweedler_data):
+    c = sweedler_data.carrier
+    rho2, tau2, forward = alpha_twist(c)
     assert all(r.ok for r in forward)
-    rho_p, tau_pp, backward = coinner_from_integral_twist_findim(sweedler, data, rho, tau)
+    rho_p, tau_pp, backward = coinner_from_integral_twist(c.ops, c.lam, c.a_inv,
+                                                          c.alpha_inv, rho2, tau2)
     assert all(r.ok for r in backward)
     # both extracted functionals collapse to the modular character here
-    assert rho_p == data.alpha
-    assert tau_pp == data.alpha
+    for k in c.ops.keys:
+        assert rho_p(k) == tau_pp(k) == c.alpha(k)
 
 
-def test_integral_twist_rejects_non_coinner_omega(sweedler, sweedler_data):
+def test_integral_twist_rejects_non_coinner_omega(sweedler_data):
+    c = sweedler_data.carrier
     with pytest.raises(PreconditionError, match="does not realize"):
-        integral_twist_from_coinner_findim(sweedler, sweedler_data,
-                                           sweedler.counit_functional)
+        integral_twist_from_coinner(c.ops, c.lam, c.alpha, c.ops.eps, c.ops.eps)
 
 
-def test_extraction_refuses_perturbed_pair(sweedler, sweedler_data):
-    data = sweedler_data
-    rho, tau, _ = integral_twist_from_coinner_findim(sweedler, data, data.alpha)
-    rows = [list(r) for r in tau.rows]
-    rows[1][0] = rows[1][0] + ONE
+def test_extraction_refuses_perturbed_pair(sweedler_data):
+    c = sweedler_data.carrier
+    rho2, tau2, _ = alpha_twist(c)
+    bumped = lambda x, y: tau2(x, y) + (ONE if (x, y) == (1, 0) else ZERO)
     with pytest.raises(PreconditionError,
                        match=r"twisted product formula fails at \(g, x\)"):
-        coinner_from_integral_twist_findim(sweedler, data, rho, Functional2(sweedler, rows))
+        coinner_from_integral_twist(c.ops, c.lam, c.a_inv, c.alpha_inv, rho2, bumped)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +190,14 @@ def twist_carrier(request, sweedler, sweedler_data, sweedler_r, c4):
         return finite_twist(sweedler, sweedler_data.alpha)
     if request.param == "dual_sweedler":
         dual, br, _ = dualize_qt(sweedler, sweedler_r)
-        cqt, _ = cqt_functionals(dual, br)
-        return finite_twist(dual, cqt.u_inv)
+        fns, _ = braided_functionals(dual.basis_ops(), br)
+        return finite_twist(dual, dual.functional(map(fns["u"], range(dual.dim))))
     if request.param == "dual_c4":
         return dual_c4_twist(c4)
-    ops = laurent.basis_ops(3)
-    lam = laurent.integral_value
-    _, a_inv_lc, _, alpha, alpha_inv = laurent.family_data(ops)
-    fns, _ = braided_functionals(ops, laurent.braiding())
-    rho2, tau2, _ = integral_twist_from_coinner(ops, lam, alpha, fns["u"], fns["u_inv"])
-    return ops, lam, a_inv_lc, alpha_inv, rho2, tau2
+    c = laurent.family_data(laurent.basis_ops(3))
+    fns, _ = braided_functionals(c.ops, laurent.braiding())
+    rho2, tau2, _ = integral_twist_from_coinner(c.ops, c.lam, c.alpha, fns["u"], fns["u_inv"])
+    return c.ops, c.lam, c.a_inv, c.alpha_inv, rho2, tau2
 
 
 def test_twisted_product_predicate_matches_definition(twist_carrier):

@@ -4,15 +4,15 @@ import pytest
 
 from hopfcheck.cofrobenius import cofrobenius_data
 from hopfcheck.coquasitriangular import (
-    alpha_beta_g,
+    braided_functionals,
+    braided_modular_corollary_checks,
+    braiding_axiom_checks,
     braiding_from_matrix,
-    check_braided_modular_corollary,
-    check_modular_convolution_identity,
-    cqt_functionals,
     dualize_qt,
-    flip_inverse_braiding,
+    flip_braiding_checks,
     grouplike_homomorphism_checks,
-    verify_cqt,
+    grouplike_witness_checks,
+    modular_convolution_checks,
 )
 from hopfcheck.hopf import NotInvertibleError
 
@@ -23,71 +23,78 @@ def trivial_rows(n):
     return [[ONE] * n for _ in range(n)]
 
 
+def values(ops, fn):
+    return tuple(fn(k) for k in ops.keys)
+
+
+def modular_chain(c, br, fns):
+    return (modular_convolution_checks(c.ops, br, fns, c.alpha, c.a, c.a_inv)
+            + braided_modular_corollary_checks(c.ops, br, fns, c.alpha, c.alpha_inv,
+                                               c.a, c.a_inv))
+
+
 def test_trivial_braiding_on_group_algebra(c2):
     br, inv = braiding_from_matrix(c2, trivial_rows(2))
     assert inv.rows == ((ONE, ONE), (ONE, ONE))
-    for c in verify_cqt(c2, br):
-        assert c.ok, c
-    data, checks = cqt_functionals(c2, br)
-    assert all(c.ok for c in checks)
-    assert data.u == c2.counit_functional
-    assert data.v == c2.counit_functional
-    cd = cofrobenius_data(c2)
-    for c in check_modular_convolution_identity(c2, cd, br, data):
-        assert c.ok, c
-    results = check_braided_modular_corollary(c2, cd, br, data)
-    by_name = {c.name: c for c in results}
+    c = cofrobenius_data(c2).carrier
+    for r in braiding_axiom_checks(c.ops, br):
+        assert r.ok, r
+    fns, checks = braided_functionals(c.ops, br)
+    assert all(r.ok for r in checks)
+    assert values(c.ops, fns["u"]) == c2.counit_functional.values
+    assert values(c.ops, fns["v"]) == c2.counit_functional.values
+    results = modular_chain(c, br, fns)
+    by_name = {r.name: r for r in results}
     # the group algebra is unimodular, so the specialization actually runs
     assert by_name["braided_modular.unimodular_u_inv_v_eq_alpha"].status == "pass"
-    assert all(c.ok for c in results)
+    assert all(r.ok for r in results)
 
 
 def test_sign_braiding_on_group_algebra(c2):
     br, _ = braiding_from_matrix(c2, [[ONE, ONE], [ONE, -ONE]])
-    for c in verify_cqt(c2, br):
-        assert c.ok, c
-    data, checks = cqt_functionals(c2, br)
-    assert all(c.ok for c in checks)
-    assert data.u.values == (ONE, -ONE)
+    ops = c2.basis_ops()
+    for r in braiding_axiom_checks(ops, br):
+        assert r.ok, r
+    fns, checks = braided_functionals(ops, br)
+    assert all(r.ok for r in checks)
+    assert values(ops, fns["u"]) == (ONE, -ONE)
 
 
 def test_dualized_sweedler_bridge(sweedler, sweedler_r):
     dual, br, checks = dualize_qt(sweedler, sweedler_r)
-    assert all(c.ok for c in checks)
-    for c in verify_cqt(dual, br):
-        assert c.ok, c
-    data, fn_checks = cqt_functionals(dual, br)
-    assert all(c.ok for c in fn_checks)
+    assert all(r.ok for r in checks)
+    ops = dual.basis_ops()
+    for r in braiding_axiom_checks(ops, br):
+        assert r.ok, r
+    fns, fn_checks = braided_functionals(ops, br)
+    assert all(r.ok for r in fn_checks)
     # the braided functionals evaluate on the dual as the Drinfeld element g
-    assert data.u.values == (Fraction(0), ONE, Fraction(0), Fraction(0))
-    assert data.v.values == data.u.values
+    assert values(ops, fns["u"]) == (Fraction(0), ONE, Fraction(0), Fraction(0))
+    assert values(ops, fns["v"]) == values(ops, fns["u"])
 
 
 def test_dual_modular_chain(sweedler, sweedler_r):
     dual, br, _ = dualize_qt(sweedler, sweedler_r)
-    dd = cofrobenius_data(dual)
-    data, _ = cqt_functionals(dual, br)
-    for c in check_modular_convolution_identity(dual, dd, br, data):
-        assert c.ok, c
-    results = check_braided_modular_corollary(dual, dd, br, data)
-    by_name = {c.name: c for c in results}
+    c = cofrobenius_data(dual).carrier
+    fns, _ = braided_functionals(c.ops, br)
+    results = modular_chain(c, br, fns)
+    by_name = {r.name: r for r in results}
     assert by_name["braided_modular.unimodular_u_inv_v_eq_alpha"].status == "skipped"
-    assert all(c.ok for c in results)
-    flipped, flip_checks = flip_inverse_braiding(dual, dd, br, data)
-    assert all(c.ok for c in flip_checks)
+    assert all(r.ok for r in results)
+    flipped, flip_checks = flip_braiding_checks(c.ops, br, fns, c.a, c.a_inv)
+    assert all(r.ok for r in flip_checks)
 
 
 def test_grouplike_witnesses_on_dual(sweedler, sweedler_r):
     dual, br, _ = dualize_qt(sweedler, sweedler_r)
-    dd = cofrobenius_data(dual)
-    (alpha_a, beta_a), checks = alpha_beta_g(dual, br, dd.a, name="a")
-    assert all(c.ok for c in checks)
-    assert alpha_a == beta_a
-    ops = dual.basis_ops()
-    grouplikes = {"a": (dd.a.lc(), dd.a_inv.lc()),
-                  "e": (dual.unit_element.lc(), dual.unit_element.lc())}
-    for c in grouplike_homomorphism_checks(ops, br, grouplikes):
-        assert c.ok, c
+    c = cofrobenius_data(dual).carrier
+    (alpha_a, beta_a), checks = grouplike_witness_checks(c.ops, br, c.a, c.a_inv, name="a")
+    assert all(r.ok for r in checks)
+    assert values(c.ops, alpha_a) == values(c.ops, beta_a)
+    unit = dual.unit_element.lc()
+    grouplikes = {"a": (c.a, c.a_inv), "e": (unit, unit)}
+    for r in grouplike_homomorphism_checks(c.ops, br, grouplikes):
+        assert r.ok, r
 
 
 def test_braiding_matrix_without_inverse_is_rejected(c2):
@@ -97,7 +104,7 @@ def test_braiding_matrix_without_inverse_is_rejected(c2):
 
 def test_corrupted_braiding_fails_multiplicativity(c2):
     br, _ = braiding_from_matrix(c2, [[ONE, ONE], [ONE, Fraction(2)]])
-    results = {c.name: c for c in verify_cqt(c2, br)}
+    results = {r.name: r for r in braiding_axiom_checks(c2.basis_ops(), br)}
     bad = results["cqt.multiplicative_first_argument"]
     assert not bad.ok
     assert bad.witness == "at (g, g, g)"

@@ -110,11 +110,14 @@ def test_character_closed_forms():
 
 def test_family_data_matches_closed_forms():
     ops = basis_ops(3)
-    a_lc, a_inv_lc, chi, alpha, alpha_inv = family_data(ops)
-    assert a_lc == {(1, 0): ONE}
+    c = family_data(ops)
+    assert c.ops is ops and c.lam is integral_value
+    assert c.a == {(1, 0): ONE}
+    assert c.a_inv == {(-1, 0): ONE}
     for k in ops.keys:
-        assert alpha(k) == alpha_closed_form(k)
-        assert alpha_inv(k) == alpha_closed_form(k)
+        assert c.alpha(k) == alpha_closed_form(k)
+        assert c.alpha_inv(k) == alpha_closed_form(k)
+        assert c.chi(k) == {k: alpha_closed_form((k[0] + k[1], 0))}
 
 
 def test_braiding_is_self_inverse():
