@@ -296,8 +296,11 @@ def integral_twist_from_coinner(ops: BasisOps, lam, alpha, omega, omega_inv):
 
     omega_alpha = memo_fn(ops.convolve(omega, alpha))
     omega_inv = memo_fn(omega_inv)
-    rho2 = lambda x, y: omega_inv(x) * ops.eps(y)
-    tau2 = lambda x, y: omega_alpha(x) * ops.eps(y)
+    # the product formula grid and the extraction evaluate each pair many times
+    rho = memo_fn(lambda p: omega_inv(p[0]) * ops.eps(p[1]))
+    tau = memo_fn(lambda p: omega_alpha(p[0]) * ops.eps(p[1]))
+    rho2 = lambda x, y: rho((x, y))
+    tau2 = lambda x, y: tau((x, y))
 
     checks = [
         check("coinner.omega_invertible", True),
