@@ -51,7 +51,7 @@ class Carrier:
     lam, alpha and alpha_inv map a key to a scalar, chi maps a key to an LC,
     and a, a_inv are LCs.  Finite algebras solve for these once by linear
     algebra (CoFrobeniusData.carrier); the Laurent family gives closed forms
-    (laurent.family_data).  Every driver feeds the checkers from here.
+    (laurent.family_data).  The checkers read their data from here.
     """
 
     ops: BasisOps
