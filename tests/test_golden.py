@@ -3,8 +3,12 @@
 tests/golden/<case>.json holds the `verify --json` report of every preset
 (the runs of scripts/verify_presets.py) and of two small generated
 documents: H_4 over F_10007 with the antipode omitted, so that it is
-solved for, and the Drinfeld double D(kC2).  tests/golden/cli/<case>.json
-holds, for the same sources (the Laurent family at window 2), the exit
+solved for, and the Drinfeld double D(kC2).  It also holds the reports of
+the benchmark's input shapes: D(kC4) on a permuted basis (the only
+nontrivial R), kC8 with the sign character (a trivial R that still runs
+the character and witness checks) and H_10 over F_10007.
+tests/golden/cli/<case>.json holds, for the presets, H_4 and D(kC2)
+(the Laurent family at window 2), the exit
 code, stdout and stderr of the text `verify` report, of `check` for every
 theorem token and of `compute` for every target, usage errors included.
 A change that alters any of them fails here.  When output is meant to
@@ -32,14 +36,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 P = 10007
 
 
-def h4_prime_document() -> dict:
-    """H_4 = Laurent / (g^4 - 1) over F_10007, basis g^i x^j at index
+def laurent_quotient_document(n: int) -> dict:
+    """H_n = Laurent / (g^n - 1) over F_10007, basis g^i x^j at index
     2 i + j, with the braiding sigma and no antipode."""
-    n = 4
     idx = lambda i, j: 2 * (i % n) + j
     sign = lambda e: P - 1 if e % 2 else 1
     return {
-        "name": "H4",
+        "name": f"H{n}",
         "field": {"type": "prime", "p": P},
         "basis": [("" if i == 0 else "g" if i == 1 else f"g^{i}") + ("x" if j else "") or "1"
                   for i in range(n) for j in (0, 1)],
@@ -73,6 +76,49 @@ def double_c2_document() -> dict:
     }
 
 
+def double_c4_permuted_document() -> dict:
+    """D(kC4) with its canonical R = sum_g delta_g (x) g, the basis delta_a g^h
+    (index 4 a + h) relabelled by a fixed permutation, so that the unit is
+    not the first basis element."""
+    n = 4
+    perm = (5, 12, 0, 9, 14, 3, 7, 1, 10, 15, 2, 8, 13, 6, 11, 4)  # old index -> new
+    idx = lambda a, h: perm[n * (a % n) + h % n]
+    basis = [""] * n * n
+    for a in range(n):
+        for h in range(n):
+            basis[idx(a, h)] = f"d{a}" + ("" if h == 0 else "g" if h == 1 else f"g^{h}")
+    return {
+        "name": "D(kC4)",
+        "field": {"type": "rationals"},
+        "basis": basis,
+        "mult": sorted([idx(a, g), idx(a, h), idx(a, g + h), 1]
+                       for a in range(n) for g in range(n) for h in range(n)),
+        "comult": sorted([idx(a, g), idx(b, g), idx(a - b, g), 1]
+                         for a in range(n) for g in range(n) for b in range(n)),
+        "counit": sorted([idx(a, g), 1 if a == 0 else 0] for a in range(n) for g in range(n)),
+        "antipode": sorted([idx(-a, -g), idx(a, g), 1] for a in range(n) for g in range(n)),
+        "R": sorted([1, idx(g, 0), idx(a, g)] for g in range(n) for a in range(n)),
+    }
+
+
+def cyclic_group_document(n: int) -> dict:
+    """kC_n with R = 1 (x) 1, the all-ones braiding, the sign character and
+    the grouplike g."""
+    return {
+        "name": f"kC{n}",
+        "field": {"type": "rationals"},
+        "basis": ["1", "g"] + [f"g^{i}" for i in range(2, n)],
+        "mult": [[i, j, (i + j) % n, 1] for i in range(n) for j in range(n)],
+        "comult": [[i, i, i, 1] for i in range(n)],
+        "counit": [[i, 1] for i in range(n)],
+        "antipode": sorted([(-i) % n, i, 1] for i in range(n)),
+        "R": [[1, 0, 0]],
+        "sigma": [[1] * n for _ in range(n)],
+        "characters": {"sign": [(-1) ** i for i in range(n)]},
+        "grouplikes": {"g": [0, 1] + [0] * (n - 2)},
+    }
+
+
 PRESETS = {
     "group_c2": ["preset:group:C2"],
     "group_c4": ["preset:group:C4"],
@@ -81,15 +127,22 @@ PRESETS = {
     "laurent": ["preset:laurent", "--window", "5"],
 }
 CLI_PRESETS = {**PRESETS, "laurent": ["preset:laurent", "--window", "2"]}
-DOCUMENTS = {"h4_f10007": h4_prime_document, "double_c2": double_c2_document}
+DOCUMENTS = {"h4_f10007": lambda: laurent_quotient_document(4),
+             "double_c2": double_c2_document}
 CASES = sorted([*PRESETS, *DOCUMENTS])
+# the benchmark's input shapes, whose verify reports alone are frozen
+REPORT_DOCUMENTS = {"double_c4_permuted": double_c4_permuted_document,
+                    "group_c8": lambda: cyclic_group_document(8),
+                    "h10_f10007": lambda: laurent_quotient_document(10)}
+REPORT_CASES = sorted([*CASES, *REPORT_DOCUMENTS])
 
 
 def source(case: str, presets: dict, workdir: Path) -> list[str]:
     if case in presets:
         return presets[case]
     path = workdir / f"{case}.json"
-    path.write_text(json.dumps(DOCUMENTS[case]()), encoding="utf-8")
+    make = DOCUMENTS.get(case) or REPORT_DOCUMENTS[case]
+    path.write_text(json.dumps(make()), encoding="utf-8")
     return [str(path)]
 
 
@@ -122,7 +175,7 @@ def cli_transcript(case: str, workdir: Path) -> str:
     return json.dumps(runs, indent=1) + "\n"
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", REPORT_CASES)
 def test_report_matches_golden(case, tmp_path):
     expected = (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
     assert report(case, tmp_path) == expected
@@ -137,8 +190,9 @@ def test_cli_transcript_matches_golden(case, tmp_path):
 if __name__ == "__main__":
     (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
+        for case in REPORT_CASES:
             (GOLDEN / f"{case}.json").write_text(report(case, Path(tmp)), encoding="utf-8")
-            (GOLDEN / "cli" / f"{case}.json").write_text(cli_transcript(case, Path(tmp)),
-                                                         encoding="utf-8")
+            if case in CASES:
+                (GOLDEN / "cli" / f"{case}.json").write_text(cli_transcript(case, Path(tmp)),
+                                                             encoding="utf-8")
             print(f"wrote {case}", file=sys.stderr)
