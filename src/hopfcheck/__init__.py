@@ -6,16 +6,10 @@ family is built in through closed-form structure maps.  Everything is
 checked exactly, with a named witness on every failure.
 """
 
-from .cofrobenius import CoFrobeniusData, PreconditionError, cofrobenius_data
+from .cofrobenius import Carrier, CoFrobeniusData, PreconditionError, cofrobenius_data
 from .document import AlgebraDocument, DocumentError, build_algebra, load_document
-from .hopf import (
-    AxiomError,
-    Element,
-    FinHopfAlgebra,
-    Functional,
-    NotInvertibleError,
-    verify_hopf,
-)
+from .hopf import AxiomError, FinHopfAlgebra, NotInvertibleError, verify_hopf
+from .lincomb import LC, BasisOps
 from .presets import PRESET_NAMES, preset_document
 from .report import CheckResult, Report
 from .scalars import QQ, PrimeField, ScalarError
@@ -23,12 +17,13 @@ from .scalars import QQ, PrimeField, ScalarError
 __all__ = [
     "AlgebraDocument",
     "AxiomError",
+    "BasisOps",
+    "Carrier",
     "CheckResult",
     "CoFrobeniusData",
     "DocumentError",
-    "Element",
     "FinHopfAlgebra",
-    "Functional",
+    "LC",
     "NotInvertibleError",
     "PRESET_NAMES",
     "PreconditionError",

@@ -59,8 +59,10 @@ from .document import (
 )
 from .hopf import AxiomError, FinHopfAlgebra, NotInvertibleError, verify_hopf
 from .presets import preset_document
+from .lincomb import lc_canon
 from .quasitriangular import (
     QT_CONVENTIONS,
+    QTData,
     RMatrix,
     character_maps_checks,
     check_antipode_u_biconditional,
@@ -139,20 +141,19 @@ def _r_matrix(algebra: FinHopfAlgebra, doc: AlgebraDocument) -> RMatrix:
     return RMatrix.from_entries(algebra, doc.r_entries)
 
 
-def _chi_line(algebra: FinHopfAlgebra, data: CoFrobeniusData) -> str:
-    parts = []
-    for i in range(algebra.dim):
-        image = data.chi_of(algebra.basis_element(i))
-        parts.append(f"{algebra.labels[i]} -> {algebra.format_element(image)}")
-    return ", ".join(parts)
+def _chi_line(algebra: FinHopfAlgebra, c: Carrier) -> str:
+    return ", ".join(f"{algebra.labels[i]} -> {algebra.format_element(c.chi(i))}"
+                     for i in range(algebra.dim))
 
 
 def _qt_chain(algebra: FinHopfAlgebra, data: CoFrobeniusData, r: RMatrix,
-              characters: dict, report: Report) -> None:
+              characters: dict, report: Report) -> QTData | None:
+    """The R-matrix checks; returns the Drinfeld elements once the QT
+    axioms pass."""
     qt_checks = verify_qt(algebra, r)
     report.extend(qt_checks)
     if not all(c.ok for c in qt_checks):
-        return
+        return None
     qt, dr_checks = drinfeld_elements(algebra, r)
     report.extend(dr_checks)
     report.extend(verify_delta_u(algebra, r, qt))
@@ -161,8 +162,8 @@ def _qt_chain(algebra: FinHopfAlgebra, data: CoFrobeniusData, r: RMatrix,
     report.extend(check_antipode_u_biconditional(algebra, data, r, qt))
     report.extend(check_s2_inner_witness(algebra, data, qt.u))
 
-    chars = {"eps": algebra.counit_functional, "alpha": data.alpha,
-             "alpha_inv": data.alpha_inv}
+    c = data.carrier
+    chars = {"eps": c.ops.eps, "alpha": c.alpha, "alpha_inv": c.alpha_inv}
     chars.update(characters)
     report.extend(character_maps_checks(algebra, r, chars))
     for name in sorted(chars):
@@ -180,20 +181,20 @@ def _qt_chain(algebra: FinHopfAlgebra, data: CoFrobeniusData, r: RMatrix,
     except (AxiomError, NotInvertibleError) as exc:
         report.add(failed("subhopf.construction", str(exc)))
 
-    a_alpha, b_alpha = grouplike_from_character(algebra, r, data.alpha)
+    a_alpha, b_alpha = grouplike_from_character(algebra, r, c.alpha)
     report.add_computed("u", algebra.format_element(qt.u))
     report.add_computed("v", algebra.format_element(qt.v))
-    report.add_computed("uv", algebra.format_element(algebra.mul(qt.u, qt.v)))
+    report.add_computed("uv", algebra.format_element(c.ops.mul_lc(qt.u, qt.v)))
     report.add_computed("a_alpha", algebra.format_element(a_alpha))
     report.add_computed("b_alpha", algebra.format_element(b_alpha))
-
-
-def _format_fn(algebra: FinHopfAlgebra, fn) -> str:
-    return algebra.format_functional(algebra.functional(map(fn, range(algebra.dim))))
+    return qt
 
 
 def _cqt_chain(algebra: FinHopfAlgebra, c: Carrier, br: Braiding,
-               grouplikes: dict, report: Report, prefix: str = "") -> None:
+               grouplikes: dict, report: Report, prefix: str = "",
+               functionals: tuple | None = None) -> None:
+    """The braided checks; functionals are br's braided functionals with
+    their checks when the caller has computed them already."""
     def emit(checks) -> None:
         if prefix:
             checks = [CheckResult(prefix + x.name, x.status, x.witness)
@@ -205,14 +206,14 @@ def _cqt_chain(algebra: FinHopfAlgebra, c: Carrier, br: Braiding,
     emit(base)
     if not all(x.ok for x in base):
         return
-    fns, fn_checks = braided_functionals(ops, br)
+    fns, fn_checks = functionals or braided_functionals(ops, br)
     emit(fn_checks)
     emit(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))
     emit(braided_modular_corollary_checks(ops, br, fns, c.alpha, c.alpha_inv,
                                           c.a, c.a_inv))
 
     glikes = {"a": c.a}
-    glikes.update((name, g.lc()) for name, g in grouplikes.items())
+    glikes.update(grouplikes)
     # the inverse of a grouplike is its antipode
     pairs = {name: (g, ops.s_lc(g)) for name, g in glikes.items()}
     for name in sorted(pairs):
@@ -224,14 +225,16 @@ def _cqt_chain(algebra: FinHopfAlgebra, c: Carrier, br: Braiding,
     emit(flip_checks)
     emit(twist_round_trip(c, fns["u"], fns["u_inv"]))
 
-    report.add_computed(prefix + "u", _format_fn(algebra, fns["u"]))
-    report.add_computed(prefix + "v", _format_fn(algebra, fns["v"]))
+    report.add_computed(prefix + "u", algebra.format_functional(fns["u"]))
+    report.add_computed(prefix + "v", algebra.format_functional(fns["v"]))
 
 
-def _dual_chain(algebra: FinHopfAlgebra, r: RMatrix, characters: dict,
-                report: Report) -> None:
+def _dual_chain(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData | None,
+                characters: dict, report: Report) -> None:
     try:
-        dual, br, bridge = dualize_qt(algebra, r)
+        if qt is None:  # the QT axioms failed before the chain reached u and v
+            qt, _ = drinfeld_elements(algebra, r)
+        dual, br, functionals, bridge = dualize_qt(algebra, r, qt)
         dual_data = cofrobenius_data(dual)
     except (AxiomError, NotInvertibleError) as exc:
         report.add(failed("dual.construction", str(exc)))
@@ -242,8 +245,10 @@ def _dual_chain(algebra: FinHopfAlgebra, r: RMatrix, characters: dict,
     report.extend(CheckResult("dual." + c.name, c.status, c.witness)
                   for c in cofrobenius_checks(dual, dual_data))
     # characters of the algebra are grouplikes of its dual
-    glikes = {name: dual.element(f.values) for name, f in characters.items()}
-    _cqt_chain(dual, dual_data.carrier, br, glikes, report, prefix="dual.")
+    glikes = {name: lc_canon({k: f(k) for k in range(dual.dim)})
+              for name, f in characters.items()}
+    _cqt_chain(dual, dual_data.carrier, br, glikes, report, prefix="dual.",
+               functionals=functionals)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +284,11 @@ def cmd_verify(job: Job, args) -> int:
     if data is None:
         return _finish(report, args)
     report.extend(cofrobenius_checks(algebra, data))
-    report.add_computed("lambda", algebra.format_functional(data.lam))
-    report.add_computed("a", algebra.format_element(data.a))
-    report.add_computed("alpha", algebra.format_functional(data.alpha))
-    report.add_computed("chi", _chi_line(algebra, data))
+    c = data.carrier
+    report.add_computed("lambda", algebra.format_functional(c.lam))
+    report.add_computed("a", algebra.format_element(c.a))
+    report.add_computed("alpha", algebra.format_functional(c.alpha))
+    report.add_computed("chi", _chi_line(algebra, c))
 
     r = None
     if doc.r_entries is not None:
@@ -291,8 +297,9 @@ def cmd_verify(job: Job, args) -> int:
             r = _r_matrix(algebra, doc)
         except (AxiomError, NotInvertibleError) as exc:
             report.add(failed("qt.r_invertible", str(exc)))
+    qt = None
     if r is not None:
-        _qt_chain(algebra, data, r, characters, report)
+        qt = _qt_chain(algebra, data, r, characters, report)
 
     if doc.sigma is not None or r is not None:
         report.conventions.extend(CQT_CONVENTIONS)
@@ -305,7 +312,7 @@ def cmd_verify(job: Job, args) -> int:
         if br is not None:
             _cqt_chain(algebra, data.carrier, br, grouplikes, report)
     if r is not None:
-        _dual_chain(algebra, r, characters, report)
+        _dual_chain(algebra, r, qt, characters, report)
     return _finish(report, args)
 
 
@@ -370,40 +377,40 @@ def cmd_compute(job: Job, args) -> int:
         sys.stdout.write(document_text(doc))
         return 0
     data = cofrobenius_data(algebra)
+    c = data.carrier
+    ops = c.ops
     r = _r_matrix(algebra, doc) if doc.r_entries is not None else None
 
     if what == "lambda":
-        report.add_computed("lambda", algebra.format_functional(data.lam))
+        report.add_computed("lambda", algebra.format_functional(c.lam))
     elif what == "a":
-        report.add_computed("a", algebra.format_element(data.a))
-        report.add_computed("a^-1", algebra.format_element(data.a_inv))
+        report.add_computed("a", algebra.format_element(c.a))
+        report.add_computed("a^-1", algebra.format_element(c.a_inv))
     elif what == "alpha":
-        report.add_computed("alpha", algebra.format_functional(data.alpha))
-        report.add_computed("alpha^-1", algebra.format_functional(data.alpha_inv))
+        report.add_computed("alpha", algebra.format_functional(c.alpha))
+        report.add_computed("alpha^-1", algebra.format_functional(c.alpha_inv))
     elif what == "chi":
         for i in range(algebra.dim):
-            image = data.chi_of(algebra.basis_element(i))
             report.add_computed(f"chi({algebra.labels[i]})",
-                                algebra.format_element(image))
+                                algebra.format_element(c.chi(i)))
     elif what in ("u", "v", "uv"):
         if r is not None:
             qt, _ = drinfeld_elements(algebra, r)
             val = {"u": qt.u, "v": qt.v}.get(what)
             if val is None:
-                val = algebra.mul(qt.u, qt.v)
+                val = ops.mul_lc(qt.u, qt.v)
             report.add_computed(what, algebra.format_element(val))
         elif doc.sigma is not None:
             br, _ = braiding_from_matrix(algebra, doc.sigma)
-            ops = algebra.basis_ops()
             fns, _ = braided_functionals(ops, br)
             fn = fns[what] if what in ("u", "v") else ops.convolve(fns["u"], fns["v"])
-            report.add_computed(what, _format_fn(algebra, fn))
+            report.add_computed(what, algebra.format_functional(fn))
         else:
             raise UsageError(f"{what} needs an R-matrix or a braiding")
     elif what in ("a_alpha", "b_alpha"):
         if r is None:
             raise UsageError(f"{what} needs an R-matrix")
-        a_eta, b_eta = grouplike_from_character(algebra, r, data.alpha)
+        a_eta, b_eta = grouplike_from_character(algebra, r, c.alpha)
         chosen = a_eta if what == "a_alpha" else b_eta
         report.add_computed(what, algebra.format_element(chosen))
     else:  # minimal-subhopf
@@ -411,8 +418,7 @@ def cmd_compute(job: Job, args) -> int:
             raise UsageError("minimal-subhopf needs an R-matrix")
         sub = minimal_subhopf(algebra, r, data)
         if args.emit_document:
-            subdoc = document_from_algebra(sub.algebra,
-                                           r_rows=sub.r_sub.tensor.rows)
+            subdoc = document_from_algebra(sub.algebra, r_terms=sub.r_sub.tensor)
             sys.stdout.write(document_text(subdoc))
             return 0
         report.extend(sub.checks)
@@ -434,27 +440,32 @@ def _finite_source(job: Job):
 
 
 def _theorem_carrier(job: Job, token: str,
-                     report: Report) -> tuple[Carrier, Braiding | None]:
+                     report: Report) -> tuple[Carrier, Braiding | None, tuple | None]:
     """The carrier and braiding a theorem token runs on, after the source's
-    own conventions and computed lines; s4 needs no braiding."""
+    own conventions and computed lines; s4 needs no braiding.  The third
+    item holds the braided functionals with their checks when building the
+    carrier computed them already."""
     if job.kind == "laurent":
         report.conventions.extend(laurent.FAMILY_CONVENTIONS)
         if token != "s4":
             report.conventions.extend(CQT_CONVENTIONS)
-        return laurent.family_data(laurent.basis_ops(job.window)), laurent.braiding()
+        return (laurent.family_data(laurent.basis_ops(job.window)), laurent.braiding(),
+                None)
     doc, algebra, data, r = _finite_source(job)
+    c = data.carrier
     if token == "s4":
-        report.add_computed("a", algebra.format_element(data.a))
-        report.add_computed("alpha", algebra.format_functional(data.alpha))
-        return data.carrier, None
+        report.add_computed("a", algebra.format_element(c.a))
+        report.add_computed("alpha", algebra.format_functional(c.alpha))
+        return c, None, None
     report.conventions.extend(CQT_CONVENTIONS)
     if doc.sigma is not None:
-        return data.carrier, braiding_from_matrix(algebra, doc.sigma)[0]
+        return c, braiding_from_matrix(algebra, doc.sigma)[0], None
     if r is not None:
-        dual, br, bridge = dualize_qt(algebra, r)
+        qt, _ = drinfeld_elements(algebra, r)
+        dual, br, functionals, bridge = dualize_qt(algebra, r, qt)
         report.extend(bridge)
         report.add_computed("carrier", f"dual of {doc.name}")
-        return cofrobenius_data(dual).carrier, br
+        return cofrobenius_data(dual).carrier, br, functionals
     raise UsageError(f"check {token} needs a braiding or an R-matrix")
 
 
@@ -493,7 +504,8 @@ def _check_qt(job: Job, token: str, report: Report) -> None:
         report.extend(check_drinfeld_modular_product(algebra, data, r, qt))
         report.add_computed("u", algebra.format_element(qt.u))
         report.add_computed("v", algebra.format_element(qt.v))
-        report.add_computed("uv", algebra.format_element(algebra.mul(qt.u, qt.v)))
+        report.add_computed("uv", algebra.format_element(
+            data.carrier.ops.mul_lc(qt.u, qt.v)))
 
 
 def cmd_check(job: Job, args) -> int:
@@ -504,12 +516,12 @@ def cmd_check(job: Job, args) -> int:
         _check_qt(job, token, report)
         return _finish(report, args)
 
-    c, br = _theorem_carrier(job, token, report)
+    c, br, functionals = _theorem_carrier(job, token, report)
     ops = c.ops
     if token == "s4":
         report.extend(radford_s4_checks(ops, c.a, c.a_inv, c.alpha, c.alpha_inv))
         return _finish(report, args)
-    fns, fn_checks = braided_functionals(ops, br)
+    fns, fn_checks = functionals or braided_functionals(ops, br)
     report.extend(fn_checks)
     if token == "main3":
         report.extend(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .hopf import AxiomError, Element, FinHopfAlgebra, Functional, NotInvertibleError
+from .hopf import AxiomError, FinHopfAlgebra, NotInvertibleError
 from .lincomb import (
     LC,
     BasisOps,
@@ -24,6 +24,7 @@ from .lincomb import (
     is_character_fn,
     is_grouplike_lc,
     lc_add,
+    lc_canon,
     lc_eq,
     lc_scale,
     memo_fn,
@@ -398,25 +399,19 @@ coinner_from_integral_twist_findim = coinner_from_integral_twist
 @dataclass
 class CoFrobeniusData:
     """A chosen left integral and everything the identities derive from it,
-    dense for the QT side and for reports, and as a Carrier for the checkers.
-    pairing holds lambda(e_i e_j) at row i, column j."""
+    as a Carrier, plus the matrices the rank and invertibility checks read:
+    chi with column j holding chi(e_j), and pairing holding lambda(e_i e_j)
+    at row i, column j."""
 
     algebra: FinHopfAlgebra
-    lam: Functional
-    a: Element
-    a_inv: Element
     chi: Matrix
-    alpha: Functional
-    alpha_inv: Functional
     pairing: Matrix
     carrier: Carrier
 
-    def chi_of(self, x: Element) -> Element:
-        return Element(self.algebra, self.chi.apply(x.coeffs))
 
-
-def left_integrals(algebra: FinHopfAlgebra) -> list[Functional]:
-    """Basis of the space of left integrals on the algebra, normalized."""
+def left_integrals(algebra: FinHopfAlgebra) -> list[tuple]:
+    """Basis of the space of left integrals on the algebra, normalized, as
+    value vectors on the basis."""
     n = algebra.dim
     zero = algebra.field.zero
     rows = []
@@ -431,22 +426,21 @@ def left_integrals(algebra: FinHopfAlgebra) -> list[Functional]:
     out = []
     for vec in nullspace(Matrix.from_rows(algebra.field, rows)):
         lead = next(v for v in vec if v)
-        out.append(Functional(algebra, tuple(v / lead for v in vec)))
+        out.append(tuple(v / lead for v in vec))
     return out
 
 
-def _distinguished_pair(algebra: FinHopfAlgebra, lam: Functional) -> tuple[Element, Element]:
+def _distinguished_pair(algebra: FinHopfAlgebra, lam) -> tuple[LC, LC]:
     """a^-1 read off lambda(h1) h2 = lambda(h) a^-1 at the first basis
     element where lambda is nonzero, and its inverse a."""
-    pivot = next((i for i, v in enumerate(lam.values) if v), None)
+    pivot = next((i for i in range(algebra.dim) if lam(i)), None)
     if pivot is None:
         raise AxiomError("integral is zero; no modular element")
-    zero = algebra.field.zero
-    coeffs = [zero] * algebra.dim
+    a_inv: LC = {}
     for c, j, k in algebra.delta_basis(pivot):
-        if lam.values[j]:
-            coeffs[k] = coeffs[k] + c * lam.values[j] / lam.values[pivot]
-    a_inv = Element(algebra, coeffs)
+        if lam(j):
+            a_inv[k] = a_inv.get(k, algebra.field.zero) + c * lam(j) / lam(pivot)
+    a_inv = lc_canon(a_inv)
     return algebra.invert_element(a_inv), a_inv
 
 
@@ -458,32 +452,24 @@ def frobenius_chi(pairing: Matrix) -> Matrix:
         raise AxiomError("integral pairing is degenerate; no Nakayama map") from None
 
 
-def modular_alpha(algebra: FinHopfAlgebra, chi: Matrix) -> Functional:
-    """alpha = eps o chi."""
-    eps = algebra.counit_functional
-    return Functional(algebra, tuple(eps(Element(algebra, chi.col(j)))
-                                     for j in range(algebra.dim)))
-
-
 def cofrobenius_data(algebra: FinHopfAlgebra) -> CoFrobeniusData:
     integrals = left_integrals(algebra)
     if len(integrals) != 1:
         raise AxiomError(
             f"left integral space has dimension {len(integrals)}, expected 1")
-    lam = integrals[0]
+    lam = integrals[0].__getitem__
     ops = algebra.basis_ops()
-    lam_fn = lam.as_fn()
-    pairing = Matrix.from_rows(algebra.field, [[ops.eval_fn(lam_fn, ops.mul(i, j))
+    pairing = Matrix.from_rows(algebra.field, [[ops.eval_fn(lam, ops.mul(i, j))
                                                 for j in ops.keys] for i in ops.keys])
     a, a_inv = _distinguished_pair(algebra, lam)
-    chi = frobenius_chi(pairing)
-    alpha = modular_alpha(algebra, chi)
-    alpha_inv = algebra.conv_inverse(alpha)
-    chi_rows = chi.rows
-    carrier = Carrier(ops, lam_fn, a.lc(), a_inv.lc(),
-                      lambda j: {i: row[j] for i, row in enumerate(chi_rows) if row[j]},
-                      alpha.as_fn(), alpha_inv.as_fn())
-    return CoFrobeniusData(algebra, lam, a, a_inv, chi, alpha, alpha_inv, pairing, carrier)
+    chi_matrix = frobenius_chi(pairing)
+    chi_rows = chi_matrix.rows
+    chi = lambda j: {i: row[j] for i, row in enumerate(chi_rows) if row[j]}
+    # alpha = eps o chi is a character, so its convolution inverse is alpha o S
+    alpha = tuple(ops.eps_lc(chi(j)) for j in ops.keys).__getitem__
+    alpha_inv = tuple(ops.eval_fn(alpha, ops.antipode(j)) for j in ops.keys).__getitem__
+    carrier = Carrier(ops, lam, a, a_inv, chi, alpha, alpha_inv)
+    return CoFrobeniusData(algebra, chi_matrix, pairing, carrier)
 
 
 def cofrobenius_checks(algebra: FinHopfAlgebra, data: CoFrobeniusData) -> list[CheckResult]:
@@ -511,13 +497,15 @@ def cofrobenius_checks(algebra: FinHopfAlgebra, data: CoFrobeniusData) -> list[C
 
 
 def check_s2_inner_witness(algebra: FinHopfAlgebra, data: CoFrobeniusData,
-                           w: Element) -> list[CheckResult]:
+                           w: LC) -> list[CheckResult]:
     """An invertible w with S^2 = Inn_w links the Nakayama map to alpha.
 
     Verifies chi(w^-1) w = alpha(a^-1) 1 and chi(a^-1) a = alpha(a^-1) 1;
     the extra identity alpha(w^-1) = alpha(a^-1) only makes sense when
     eps(w) = 1 and is skipped otherwise.
     """
+    c = data.carrier
+    ops = c.ops
     out: list[CheckResult] = []
     try:
         w_inv = algebra.invert_element(w)
@@ -526,25 +514,24 @@ def check_s2_inner_witness(algebra: FinHopfAlgebra, data: CoFrobeniusData,
         return out
     out.append(check("s2_witness.invertible", True))
 
-    bad = next((i for i in range(algebra.dim)
-                if algebra.mul(algebra.antipode(algebra.antipode(
-                    algebra.basis_element(i))), w)
-                != algebra.mul(w, algebra.basis_element(i))), None)
+    bad = next((k for k in ops.keys
+                if not lc_eq(ops.mul_lc(ops.s_power(ops.single(k), 2), w),
+                             ops.mul_lc(w, ops.single(k)))), None)
     out.append(check("s2_witness.implements_s2", bad is None,
-                     None if bad is None else f"at {algebra.labels[bad]}"))
+                     None if bad is None else f"at {ops.label(bad)}"))
     if bad is not None:
         return out
 
-    scale = data.alpha(data.a_inv)
-    target = scale * algebra.unit_element
+    scale = ops.eval_fn(c.alpha, c.a_inv)
+    target = lc_scale(scale, ops.unit)
     out.append(check("s2_witness.nakayama_product",
-                     algebra.mul(data.chi_of(w_inv), w) == target))
+                     lc_eq(ops.mul_lc(ops.map_lc(c.chi, w_inv), w), target)))
     out.append(check("s2_witness.nakayama_modular_product",
-                     algebra.mul(data.chi_of(data.a_inv), data.a) == target))
-    eps_w = algebra.eps(w)
-    if eps_w == algebra.field.one:
+                     lc_eq(ops.mul_lc(ops.map_lc(c.chi, c.a_inv), c.a), target)))
+    eps_w = ops.eps_lc(w)
+    if eps_w == ops.one:
         out.append(check("s2_witness.modular_value_agreement",
-                         data.alpha(w_inv) == scale))
+                         ops.eval_fn(c.alpha, w_inv) == scale))
     else:
         out.append(skipped("s2_witness.modular_value_agreement",
                            f"eps(w) = {algebra.format_scalar(eps_w)}, not 1"))

@@ -521,30 +521,35 @@ def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, Matri
     return br, inv
 
 
-def dualize_qt(algebra: FinHopfAlgebra, r) -> tuple[FinHopfAlgebra, Braiding, list[CheckResult]]:
+def dualize_qt(algebra: FinHopfAlgebra, r, qt) -> tuple:
     """The dual Hopf algebra with sigma(f, g) = (f x g)(R).
 
-    The convolution-solved inverse must agree with the coefficient matrix of
-    R^-1, and the braided functionals must evaluate the Drinfeld elements:
-    u(f) = f(u), and v(f) = sigma(f1, S f2) = f(R^1 S(R^2)) = f(S(u)), which is
-    f(v^-1) since the QT side defines v = S(u)^-1.
+    Returns the dual, the braiding, its braided functionals with their
+    checks, and the bridge checks.  The convolution-solved inverse must agree
+    with the coefficient matrix of R^-1, and the braided functionals must
+    evaluate the Drinfeld elements qt of the algebra: u(f) = f(u), and
+    v(f) = sigma(f1, S f2) = f(R^1 S(R^2)) = f(S(u)), which is f(v^-1) since
+    the QT side defines v = S(u)^-1.
     """
-    from .quasitriangular import drinfeld_elements
-
     dual = algebra.dual()
-    br, inv = braiding_from_matrix(dual, r.tensor.rows)
-    out = [check("cqt.inverse_two_paths_agree",
-                 tuple(inv.rows) == tuple(tuple(row) for row in r.inverse.rows))]
+    n = algebra.dim
+    zero = algebra.field.zero
+    rows = [[zero] * n for _ in range(n)]
+    for (i, j), c in r.tensor.items():
+        rows[i][j] = c
+    br, inv = braiding_from_matrix(dual, rows)
+    inv_terms = {(i, j): v for i, row in enumerate(inv.rows) for j, v in enumerate(row) if v}
+    out = [check("cqt.inverse_two_paths_agree", inv_terms == r.inverse)]
 
-    qt, _ = drinfeld_elements(algebra, r)
     ops = dual.basis_ops()
-    fns, fn_checks = braided_functionals(ops, br)
+    functionals = braided_functionals(ops, br)
+    fns = functionals[0]
     out.append(grid_check(
         "cqt.dual_bridge_u", ops.keys,
-        lambda i: fns["u"](i) == qt.u.coeffs[i],
+        lambda i: fns["u"](i) == qt.u.get(i, zero),
         lambda i: f"at {dual.labels[i]}"))
     out.append(grid_check(
         "cqt.dual_bridge_v", ops.keys,
-        lambda i: fns["v"](i) == qt.v_inv.coeffs[i],
+        lambda i: fns["v"](i) == qt.v_inv.get(i, zero),
         lambda i: f"at {dual.labels[i]}"))
-    return dual, br, out
+    return dual, br, functionals, out

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dataclass_field
 
-from .hopf import Element, FinHopfAlgebra, Functional
+from .hopf import FinHopfAlgebra
+from .lincomb import is_character_fn, is_grouplike_lc, lc_canon
 from .linalg import Matrix
 from .scalars import Field, RationalField, Scalar, ScalarError, field_from_spec
 
@@ -212,20 +213,24 @@ def build_algebra(doc: AlgebraDocument, check: bool = True) -> FinHopfAlgebra:
 
 
 def document_characters(doc: AlgebraDocument, algebra: FinHopfAlgebra) -> dict:
+    """The named characters, each as a key -> scalar function."""
+    ops = algebra.basis_ops()
     out = {}
     for name in sorted(doc.characters):
-        f = Functional(algebra, doc.characters[name])
-        if not algebra.is_character(f):
+        f = doc.characters[name].__getitem__
+        if not is_character_fn(ops, f):
             raise DocumentError(f"characters: '{name}' is not an algebra character")
         out[name] = f
     return out
 
 
 def document_grouplikes(doc: AlgebraDocument, algebra: FinHopfAlgebra) -> dict:
+    """The named grouplikes, each as an LC."""
+    ops = algebra.basis_ops()
     out = {}
     for name in sorted(doc.grouplikes):
-        x = Element(algebra, doc.grouplikes[name])
-        if not algebra.is_grouplike(x):
+        x = lc_canon(dict(enumerate(doc.grouplikes[name])))
+        if not is_grouplike_lc(ops, x):
             raise DocumentError(f"grouplikes: '{name}' is not grouplike")
         out[name] = x
     return out
@@ -287,9 +292,10 @@ def document_text(doc: AlgebraDocument) -> str:
     return json.dumps(emit_document(doc), indent=2, sort_keys=True) + "\n"
 
 
-def document_from_algebra(algebra: FinHopfAlgebra, r_rows=None,
+def document_from_algebra(algebra: FinHopfAlgebra, r_terms: dict | None = None,
                           name: str | None = None) -> AlgebraDocument:
-    """Read the structure constants back out of a built algebra."""
+    """Read the structure constants back out of a built algebra, with an
+    R-matrix given as its leg-pair combination {(i, j): c}."""
     n = algebra.dim
     mult = tuple((i, j, k, c) for i in range(n) for j in range(n)
                  for k, c in sorted(algebra.mul_basis(i, j).items()))
@@ -299,9 +305,8 @@ def document_from_algebra(algebra: FinHopfAlgebra, r_rows=None,
                      for i in range(n) for j in range(n)
                      if algebra.antipode_matrix.rows[i][j])
     r_entries = None
-    if r_rows is not None:
-        r_entries = tuple((v, i, j) for i, row in enumerate(r_rows)
-                          for j, v in enumerate(row) if v)
+    if r_terms is not None:
+        r_entries = tuple((v, i, j) for (i, j), v in sorted(r_terms.items()) if v)
     return AlgebraDocument(
         name=name or algebra.name, field=algebra.field, basis=algebra.labels,
         mult=mult, comult=comult,

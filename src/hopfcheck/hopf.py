@@ -4,12 +4,15 @@ A FinHopfAlgebra holds a sparse multiplication table, a sparse coproduct,
 a counit vector and an antipode matrix over an exact field.  Construction
 validates every axiom eagerly unless asked not to (the unchecked path
 exists so that verify_hopf can report failures instead of raising).
+Elements are sparse LCs over the basis indices and functionals are key
+functions, both handled through basis_ops(); dense coefficient
+vectors appear only where a linear solve takes or returns them.
 """
 
 from __future__ import annotations
 
-from .lincomb import BasisOps, LC, lc_canon, lc_format
-from .linalg import Matrix, SingularMatrixError, invert_matrix, nullspace, rank, solve_linear
+from .lincomb import BasisOps, LC, lc_canon, lc_eq, lc_format, lc_outer, tensor2_mul
+from .linalg import Matrix, SingularMatrixError, invert_matrix, solve_linear
 from .report import CheckResult, check, failed, skipped
 from .scalars import Field, Scalar
 
@@ -22,235 +25,37 @@ class NotInvertibleError(ValueError):
     """An element or functional has no inverse of the required kind."""
 
 
-class Element:
-    """A vector of coefficients over the basis of its parent algebra."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: "FinHopfAlgebra", coeffs) -> None:
-        coeffs = tuple(coeffs)
-        if len(coeffs) != algebra.dim:
-            raise ValueError(f"expected {algebra.dim} coefficients, got {len(coeffs)}")
-        self.algebra = algebra
-        self.coeffs = coeffs
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check_parent(other)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check_parent(other)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return self.algebra.mul(self, other)
-        return self._scale(other)
-
-    def __rmul__(self, other):
-        return self._scale(other)
-
-    def _scale(self, scalar) -> "Element":
-        if isinstance(scalar, float):
-            raise TypeError("no floats in exact arithmetic")
-        return Element(self.algebra, tuple(scalar * a for a in self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Element)
-            and other.algebra is self.algebra
-            and other.coeffs == self.coeffs
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def lc(self) -> LC:
-        return {i: c for i, c in enumerate(self.coeffs) if c}
-
-    def __repr__(self) -> str:
-        return f"<{self.algebra.format_element(self)}>"
-
-    def _check_parent(self, other: "Element") -> None:
-        if other.algebra is not self.algebra:
-            raise ValueError("elements of different algebras")
-
-
-class Functional:
-    """A linear form on the algebra, stored by its values on the basis."""
-
-    __slots__ = ("algebra", "values")
-
-    def __init__(self, algebra: "FinHopfAlgebra", values) -> None:
-        values = tuple(values)
-        if len(values) != algebra.dim:
-            raise ValueError(f"expected {algebra.dim} values, got {len(values)}")
-        self.algebra = algebra
-        self.values = values
-
-    def __call__(self, x: Element) -> Scalar:
-        acc = self.algebra.field.zero
-        for v, c in zip(self.values, x.coeffs):
-            if v and c:
-                acc = acc + v * c
-        return acc
-
-    def __add__(self, other: "Functional") -> "Functional":
-        return Functional(self.algebra, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "Functional") -> "Functional":
-        return Functional(self.algebra, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self) -> "Functional":
-        return Functional(self.algebra, tuple(-a for a in self.values))
-
-    def __mul__(self, other):
-        if isinstance(other, Functional):
-            return self.algebra.convolve(self, other)
-        if isinstance(other, float):
-            raise TypeError("no floats in exact arithmetic")
-        return Functional(self.algebra, tuple(other * a for a in self.values))
-
-    def __rmul__(self, other):
-        if isinstance(other, float):
-            raise TypeError("no floats in exact arithmetic")
-        return Functional(self.algebra, tuple(other * a for a in self.values))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Functional)
-            and other.algebra is self.algebra
-            and other.values == self.values
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def as_fn(self):
-        values = self.values
-        return lambda k: values[k]
-
-    def __repr__(self) -> str:
-        return f"<functional {list(map(str, self.values))}>"
-
-
 class Tensor2:
-    """An element of the tensor square, stored as a coefficient matrix."""
+    """Elements of the tensor square are leg-pair combinations {(i, j): c}
+    (lincomb.tensor2_mul multiplies them); this namespace holds the one
+    operation on them that needs a linear solve."""
 
-    __slots__ = ("algebra", "rows")
-
-    def __init__(self, algebra: "FinHopfAlgebra", rows) -> None:
-        rows = tuple(tuple(r) for r in rows)
-        n = algebra.dim
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("tensor-square coefficients must form an n-by-n matrix")
-        self.algebra = algebra
-        self.rows = rows
-
-    @classmethod
-    def outer(cls, x: Element, y: Element) -> "Tensor2":
-        return cls(x.algebra, tuple(tuple(a * b for b in y.coeffs) for a in x.coeffs))
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        return Tensor2(self.algebra, tuple(tuple(a + b for a, b in zip(r, s))
-                                           for r, s in zip(self.rows, other.rows)))
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return Tensor2(self.algebra, tuple(tuple(a - b for a, b in zip(r, s))
-                                           for r, s in zip(self.rows, other.rows)))
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, float):
-            raise TypeError("no floats in exact arithmetic")
-        return Tensor2(self.algebra, tuple(tuple(scalar * a for a in r) for r in self.rows))
-
-    def __mul__(self, other):
-        if not isinstance(other, Tensor2):
-            return self.__rmul__(other)
-        A = self.algebra
-        zero = A.field.zero
-        n = A.dim
-        out = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                x = self.rows[i][j]
-                if not x:
-                    continue
-                for k in range(n):
-                    for l in range(n):
-                        y = other.rows[k][l]
-                        if not y:
-                            continue
-                        c = x * y
-                        left = A.mul_basis(i, k)
-                        right = A.mul_basis(j, l)
-                        for r, vr in left.items():
-                            for s, vs in right.items():
-                                out[r][s] = out[r][s] + c * vr * vs
-        return Tensor2(A, out)
-
-    def flip(self) -> "Tensor2":
-        return Tensor2(self.algebra, tuple(zip(*self.rows)))
-
-    def map_legs(self, m1: Matrix | None, m2: Matrix | None) -> "Tensor2":
-        """Apply linear maps (as matrices acting on coefficient columns) legwise."""
-        A = self.algebra
-        mat = Matrix.from_rows(A.field, self.rows)
-        if m1 is not None:
-            mat = m1 * mat
-        if m2 is not None:
-            mat = mat * m2.transpose()
-        return Tensor2(A, mat.rows)
-
-    def invert(self) -> "Tensor2":
+    @staticmethod
+    def invert(algebra: "FinHopfAlgebra", t: LC) -> LC:
         """Two-sided inverse in the tensor-square algebra, by a linear solve."""
-        A = self.algebra
-        n = A.dim
-        zero = A.field.zero
-        rows = []
-        for r in range(n):
-            for s in range(n):
-                row = [zero] * (n * n)
-                for i in range(n):
-                    for j in range(n):
-                        x = self.rows[i][j]
-                        if not x:
-                            continue
-                        for k in range(n):
-                            ck = A.mul_basis(i, k).get(r)
-                            if ck is None:
-                                continue
-                            for l in range(n):
-                                cl = A.mul_basis(j, l).get(s)
-                                if cl is None:
-                                    continue
-                                row[k * n + l] = row[k * n + l] + x * ck * cl
-                rows.append(row)
-        target = A.one_tensor()
-        rhs = tuple(target.rows[r][s] for r in range(n) for s in range(n))
-        sol = solve_linear(Matrix.from_rows(A.field, rows), rhs)
+        n = algebra.dim
+        zero = algebra.field.zero
+        # row (r, s), column (k, l): coefficient of e_r (x) e_s in t (e_k (x) e_l)
+        rows = [[zero] * (n * n) for _ in range(n * n)]
+        for (i, j), x in t.items():
+            for k in range(n):
+                left = algebra.mul_basis(i, k)
+                if not left:
+                    continue
+                for l in range(n):
+                    for r, cr in left.items():
+                        for s, cs in algebra.mul_basis(j, l).items():
+                            rows[r * n + s][k * n + l] += x * cr * cs
+        ops = algebra.basis_ops()
+        target = lc_outer(ops.unit, ops.unit)
+        rhs = tuple(target.get((r, s), zero) for r in range(n) for s in range(n))
+        sol = solve_linear(Matrix.from_rows(algebra.field, rows), rhs)
         if sol is None:
             raise NotInvertibleError("tensor-square element has no right inverse")
-        inv = Tensor2(A, tuple(tuple(sol.particular[r * n + s] for s in range(n)) for r in range(n)))
-        if inv * self != target:
+        inv = lc_canon({divmod(p, n): v for p, v in enumerate(sol.particular)})
+        if not lc_eq(tensor2_mul(ops, inv, t), target):
             raise NotInvertibleError("tensor-square element has no two-sided inverse")
         return inv
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor2)
-            and other.algebra is self.algebra
-            and other.rows == self.rows
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"<tensor2 {self.rows!r}>"
 
 
 class FinHopfAlgebra:
@@ -340,170 +145,23 @@ class FinHopfAlgebra:
             label=lambda k: self.labels[k],
         )
 
-    # -- constructors ----------------------------------------------------------
-
-    def element(self, coeffs) -> Element:
-        return Element(self, coeffs)
-
-    def from_lc(self, lc: LC) -> Element:
-        zero = self.field.zero
-        coeffs = [zero] * self.dim
-        for k, v in lc.items():
-            coeffs[k] = v
-        return Element(self, coeffs)
-
-    def basis_element(self, i: int) -> Element:
-        zero, one = self.field.zero, self.field.one
-        return Element(self, tuple(one if j == i else zero for j in range(self.dim)))
-
-    @property
-    def unit_element(self) -> Element:
-        return Element(self, self.unit_coeffs)
-
-    def functional(self, values) -> Functional:
-        return Functional(self, values)
-
-    @property
-    def counit_functional(self) -> Functional:
-        return Functional(self, self._counit)
-
-    def tensor(self, rows) -> Tensor2:
-        return Tensor2(self, rows)
-
-    def one_tensor(self) -> Tensor2:
-        return Tensor2.outer(self.unit_element, self.unit_element)
-
-    # -- operations ------------------------------------------------------------
-
-    def mul(self, x: Element, y: Element) -> Element:
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for i, ci in enumerate(x.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(y.coeffs):
-                if not cj:
-                    continue
-                c = ci * cj
-                for k, v in self.mul_basis(i, j).items():
-                    out[k] = out[k] + c * v
-        return Element(self, out)
-
-    def delta(self, x: Element) -> Tensor2:
-        zero = self.field.zero
-        n = self.dim
-        rows = [[zero] * n for _ in range(n)]
-        for i, ci in enumerate(x.coeffs):
-            if not ci:
-                continue
-            for c, j, k in self.delta_basis(i):
-                rows[j][k] = rows[j][k] + ci * c
-        return Tensor2(self, rows)
-
-    def eps(self, x: Element) -> Scalar:
-        return self.counit_functional(x)
-
-    def antipode(self, x: Element) -> Element:
-        return Element(self, self.antipode_matrix.apply(x.coeffs))
-
-    def antipode_inv(self, x: Element) -> Element:
-        return Element(self, self.antipode_inv_matrix.apply(x.coeffs))
-
-    def invert_element(self, x: Element) -> Element:
+    def invert_element(self, x: LC) -> LC:
         """Two-sided multiplicative inverse, found by a linear solve."""
         n = self.dim
         zero = self.field.zero
-        rows = []
-        for r in range(n):
-            row = [zero] * n
-            for i, ci in enumerate(x.coeffs):
-                if not ci:
-                    continue
-                for k in range(n):
-                    v = self.mul_basis(i, k).get(r)
-                    if v is not None:
-                        row[k] = row[k] + ci * v
-            rows.append(row)
+        rows = [[zero] * n for _ in range(n)]
+        for i, ci in x.items():
+            for k in range(n):
+                for r, v in self.mul_basis(i, k).items():
+                    rows[r][k] += ci * v
         sol = solve_linear(Matrix.from_rows(self.field, rows), self.unit_coeffs)
         if sol is None:
             raise NotInvertibleError(f"element {self.format_element(x)} has no right inverse")
-        y = Element(self, sol.particular)
-        if self.mul(y, x) != self.unit_element:
+        y = lc_canon(dict(enumerate(sol.particular)))
+        ops = self.basis_ops()
+        if not lc_eq(ops.mul_lc(y, x), ops.unit):
             raise NotInvertibleError(f"element {self.format_element(x)} has no two-sided inverse")
         return y
-
-    def convolve(self, f: Functional, g: Functional) -> Functional:
-        zero = self.field.zero
-        values = []
-        for i in range(self.dim):
-            acc = zero
-            for c, j, k in self.delta_basis(i):
-                if f.values[j] and g.values[k]:
-                    acc = acc + c * f.values[j] * g.values[k]
-            values.append(acc)
-        return Functional(self, values)
-
-    def conv_inverse(self, f: Functional) -> Functional:
-        """Two-sided convolution inverse, by a stacked linear solve."""
-        n = self.dim
-        zero = self.field.zero
-        rows = []
-        for i in range(n):
-            row = [zero] * n
-            for c, j, k in self.delta_basis(i):
-                if f.values[j]:
-                    row[k] = row[k] + c * f.values[j]
-            rows.append(row)
-        for i in range(n):
-            row = [zero] * n
-            for c, j, k in self.delta_basis(i):
-                if f.values[k]:
-                    row[j] = row[j] + c * f.values[k]
-            rows.append(row)
-        sol = solve_linear(Matrix.from_rows(self.field, rows), self._counit * 2)
-        if sol is None:
-            raise NotInvertibleError("functional is not convolution invertible")
-        return Functional(self, sol.particular)
-
-    # Hit actions of a functional f on an element h:
-    #   hit_left(f, h)  = h1 f(h2)          hit_right(h, f) = f(h1) h2
-    def hit_left(self, f: Functional, h: Element) -> Element:
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for i, ci in enumerate(h.coeffs):
-            if not ci:
-                continue
-            for c, j, k in self.delta_basis(i):
-                if f.values[k]:
-                    out[j] = out[j] + ci * c * f.values[k]
-        return Element(self, out)
-
-    def hit_right(self, h: Element, f: Functional) -> Element:
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for i, ci in enumerate(h.coeffs):
-            if not ci:
-                continue
-            for c, j, k in self.delta_basis(i):
-                if f.values[j]:
-                    out[k] = out[k] + ci * c * f.values[j]
-        return Element(self, out)
-
-    def is_grouplike(self, x: Element) -> bool:
-        return self.eps(x) == self.field.one and self.delta(x) == Tensor2.outer(x, x)
-
-    def is_character(self, f: Functional) -> bool:
-        if f(self.unit_element) != self.field.one:
-            return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                prod = self.field.zero
-                for k, v in self.mul_basis(i, j).items():
-                    if f.values[k]:
-                        prod = prod + v * f.values[k]
-                if prod != f.values[i] * f.values[j]:
-                    return False
-        return True
 
     # -- dualization -------------------------------------------------------------
 
@@ -586,11 +244,12 @@ class FinHopfAlgebra:
     def format_scalar(self, s: Scalar) -> str:
         return self.field.format(s)
 
-    def format_element(self, x: Element) -> str:
-        return lc_format(x.lc(), lambda k: self.labels[k], self.format_scalar)
+    def format_element(self, x: LC) -> str:
+        return lc_format(x, lambda k: self.labels[k], self.format_scalar)
 
-    def format_functional(self, f: Functional) -> str:
-        return "[" + ", ".join(self.format_scalar(v) for v in f.values) + "]"
+    def format_functional(self, f) -> str:
+        """A key -> scalar function as its list of values on the basis."""
+        return "[" + ", ".join(self.format_scalar(f(k)) for k in range(self.dim)) + "]"
 
 
 def compute_antipode(algebra: FinHopfAlgebra) -> Matrix:

@@ -229,8 +229,7 @@ def memo_fn(f):
 def is_grouplike_lc(ops: BasisOps, a: LC) -> bool:
     if ops.eps_lc(a) != ops.one:
         return False
-    outer = {(k1, k2): v1 * v2 for k1, v1 in a.items() for k2, v2 in a.items()}
-    return lc_eq(ops.delta_lc(a), lc_canon(outer))
+    return lc_eq(ops.delta_lc(a), lc_outer(a, a))
 
 
 def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar]) -> bool:
@@ -269,6 +268,28 @@ def _pairs(ops: BasisOps):
 
 def _triples(ops: BasisOps):
     return [(a, b, c) for a in ops.keys for b in ops.keys for c in ops.keys]
+
+
+def lc_outer(a: LC, b: LC) -> dict:
+    """a (x) b as a leg-pair combination {(key_a, key_b): coefficient}."""
+    return lc_canon({(ka, kb): va * vb for ka, va in a.items() for kb, vb in b.items()})
+
+
+def tensor2_flip(t: dict) -> dict:
+    return {(b, a): v for (a, b), v in t.items()}
+
+
+def tensor2_map(ops: BasisOps, t: dict, first=None, second=None) -> dict:
+    """Apply key -> LC maps to the legs of t; a missing map is the identity."""
+    first, second = first or ops.single, second or ops.single
+    out: dict = {}
+    for (a, b), v in t.items():
+        for ka, va in first(a).items():
+            for kb, vb in second(b).items():
+                key = (ka, kb)
+                prev = out.get(key)
+                out[key] = v * va * vb if prev is None else prev + v * va * vb
+    return lc_canon(out)
 
 
 def tensor2_mul(ops: BasisOps, t1: dict, t2: dict) -> dict:
@@ -346,9 +367,8 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
     out.append(grid_check("hopf.comultiplication_multiplicative", _pairs(ops),
                           delta_multiplicative, lambda p: f"at {_pair_label(ops, p)}"))
 
-    unit_outer = {(k1, k2): v1 * v2 for k1, v1 in ops.unit.items() for k2, v2 in ops.unit.items()}
     out.append(check("hopf.comultiplication_unital",
-                     lc_eq(ops.delta_lc(ops.unit), lc_canon(unit_outer))))
+                     lc_eq(ops.delta_lc(ops.unit), lc_outer(ops.unit, ops.unit))))
 
     out.append(grid_check(
         "hopf.counit_multiplicative", _pairs(ops),

@@ -11,7 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cofrobenius import CoFrobeniusData, PreconditionError, cofrobenius_data
-from .hopf import AxiomError, Element, FinHopfAlgebra, Functional, Tensor2
+from .hopf import AxiomError, FinHopfAlgebra, Tensor2
+from .lincomb import (
+    LC,
+    is_character_fn,
+    is_grouplike_lc,
+    lc_add,
+    lc_canon,
+    lc_eq,
+    lc_outer,
+    lc_scale,
+    memo_fn,
+    tensor2_flip,
+    tensor2_map,
+    tensor2_mul,
+)
 from .linalg import EchelonBasis, Matrix
 from .report import PASS, CheckResult, check, grid_check, skipped
 
@@ -23,37 +37,32 @@ QT_CONVENTIONS = (
 
 @dataclass(frozen=True)
 class RMatrix:
+    """R and its inverse as leg-pair combinations {(i, j): c}."""
+
     algebra: FinHopfAlgebra
-    tensor: Tensor2
-    inverse: Tensor2
+    tensor: dict
+    inverse: dict
 
     @classmethod
-    def build(cls, algebra: FinHopfAlgebra, rows) -> "RMatrix":
-        tensor = rows if isinstance(rows, Tensor2) else Tensor2(algebra, rows)
-        return cls(algebra, tensor, tensor.invert())
+    def build(cls, algebra: FinHopfAlgebra, terms: dict) -> "RMatrix":
+        tensor = lc_canon(terms)
+        return cls(algebra, tensor, Tensor2.invert(algebra, tensor))
 
     @classmethod
     def from_entries(cls, algebra: FinHopfAlgebra, entries) -> "RMatrix":
         """entries are (coefficient, i, j) triples, duplicates summed."""
-        zero = algebra.field.zero
-        rows = [[zero] * algebra.dim for _ in range(algebra.dim)]
+        terms: dict = {}
         for c, i, j in entries:
-            rows[i][j] = rows[i][j] + c
-        return cls.build(algebra, rows)
-
-    def entries(self):
-        for i, row in enumerate(self.tensor.rows):
-            for j, v in enumerate(row):
-                if v:
-                    yield i, j, v
+            terms[(i, j)] = terms.get((i, j), algebra.field.zero) + c
+        return cls.build(algebra, terms)
 
 
 @dataclass(frozen=True)
 class QTData:
-    u: Element
-    u_inv: Element
-    v: Element
-    v_inv: Element
+    u: LC
+    u_inv: LC
+    v: LC
+    v_inv: LC
 
 
 def _triple_diff(algebra: FinHopfAlgebra, lhs: dict, rhs: dict) -> str | None:
@@ -65,11 +74,14 @@ def _triple_diff(algebra: FinHopfAlgebra, lhs: dict, rhs: dict) -> str | None:
 
 
 def verify_almost_cocommutative(algebra: FinHopfAlgebra, r: RMatrix) -> CheckResult:
-    def holds(i: int) -> bool:
-        dh = algebra.delta(algebra.basis_element(i))
-        return dh.flip() * r.tensor == r.tensor * dh
+    ops = algebra.basis_ops()
 
-    return grid_check("qt.almost_cocommutative", range(algebra.dim), holds,
+    def holds(i: int) -> bool:
+        dh = ops.delta_lc(ops.single(i))
+        return lc_eq(tensor2_mul(ops, tensor2_flip(dh), r.tensor),
+                     tensor2_mul(ops, r.tensor, dh))
+
+    return grid_check("qt.almost_cocommutative", ops.keys, holds,
                       lambda i: f"at {algebra.labels[i]}")
 
 
@@ -77,8 +89,9 @@ def verify_qt(algebra: FinHopfAlgebra, r: RMatrix) -> list[CheckResult]:
     """Both hexagon identities, the counit conditions, almost-cocommutativity,
     and (once those pass) the antipode formulas for the inverse."""
     A = algebra
+    ops = A.basis_ops()
     zero = A.field.zero
-    entries = list(r.entries())
+    entries = [(i, j, v) for (i, j), v in r.tensor.items()]
     out: list[CheckResult] = []
 
     lhs: dict = {}
@@ -108,159 +121,147 @@ def verify_qt(algebra: FinHopfAlgebra, r: RMatrix) -> list[CheckResult]:
     diff = _triple_diff(A, lhs, rhs)
     out.append(check("qt.hexagon_comultiply_second_leg", diff is None, diff))
 
-    left = [zero] * A.dim
-    right = [zero] * A.dim
+    left: LC = {}
+    right: LC = {}
     for i, j, v in entries:
-        e_i, e_j = A.eps_basis(i), A.eps_basis(j)
-        if e_i:
-            left[j] = left[j] + v * e_i
-        if e_j:
-            right[i] = right[i] + v * e_j
-    out.append(check("qt.counit_first_leg", tuple(left) == A.unit_coeffs))
-    out.append(check("qt.counit_second_leg", tuple(right) == A.unit_coeffs))
+        left = lc_add(left, lc_scale(v * A.eps_basis(i), ops.single(j)))
+        right = lc_add(right, lc_scale(v * A.eps_basis(j), ops.single(i)))
+    out.append(check("qt.counit_first_leg", lc_eq(left, ops.unit)))
+    out.append(check("qt.counit_second_leg", lc_eq(right, ops.unit)))
     out.append(verify_almost_cocommutative(A, r))
 
     if all(c.status == PASS for c in out):
-        s_on_first = r.tensor.map_legs(A.antipode_matrix, None)
-        s_inv_on_second = r.tensor.map_legs(None, A.antipode_inv_matrix)
         out.append(check("qt.inverse_is_antipode_on_first_leg",
-                         s_on_first == r.inverse))
+                         lc_eq(tensor2_map(ops, r.tensor, ops.antipode), r.inverse)))
         out.append(check("qt.inverse_is_antipode_inv_on_second_leg",
-                         s_inv_on_second == r.inverse))
+                         lc_eq(tensor2_map(ops, r.tensor, None, ops.antipode_inv),
+                               r.inverse)))
         out.append(check("qt.antipode_square_invariance",
-                         r.tensor.map_legs(A.antipode_matrix, A.antipode_matrix)
-                         == r.tensor))
+                         lc_eq(tensor2_map(ops, r.tensor, ops.antipode, ops.antipode),
+                               r.tensor)))
     return out
 
 
 def drinfeld_elements(algebra: FinHopfAlgebra, r: RMatrix) -> tuple[QTData, list[CheckResult]]:
     """u = S(R^2) R^1 and v = S(u)^-1, with their conjugation laws."""
     A = algebra
-    zero = A.field.zero
-    coeffs = [zero] * A.dim
-    for i, j, val in r.entries():
-        s_j = A.antipode_basis(j)
-        for a, va in s_j.items():
-            for k, w in A.mul_basis(a, i).items():
-                coeffs[k] = coeffs[k] + val * va * w
-    u = Element(A, coeffs)
+    ops = A.basis_ops()
+    u: LC = {}
+    for (i, j), val in r.tensor.items():
+        u = lc_add(u, lc_scale(val, ops.mul_lc(ops.antipode(j), ops.single(i))))
     u_inv = A.invert_element(u)
-    v_inv = A.antipode(u)
+    v_inv = ops.s_lc(u)
     v = A.invert_element(v_inv)
     qt = QTData(u, u_inv, v, v_inv)
 
-    def s2_conj(w: Element):
+    def s2_conj(w: LC):
         def holds(i: int) -> bool:
-            h = A.basis_element(i)
-            return A.mul(A.antipode(A.antipode(h)), w) == A.mul(w, h)
+            return lc_eq(ops.mul_lc(ops.s_power(ops.single(i), 2), w),
+                         ops.mul_lc(w, ops.single(i)))
         return holds
 
     checks = [
-        grid_check("drinfeld.s2_conjugation_u", range(A.dim), s2_conj(u),
+        grid_check("drinfeld.s2_conjugation_u", ops.keys, s2_conj(u),
                    lambda i: f"at {A.labels[i]}"),
-        grid_check("drinfeld.s2_conjugation_v", range(A.dim), s2_conj(v),
+        grid_check("drinfeld.s2_conjugation_v", ops.keys, s2_conj(v),
                    lambda i: f"at {A.labels[i]}"),
-        check("drinfeld.u_v_commute", A.mul(u, v) == A.mul(v, u)),
+        check("drinfeld.u_v_commute", lc_eq(ops.mul_lc(u, v), ops.mul_lc(v, u))),
     ]
     return qt, checks
 
 
 def verify_delta_u(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData) -> list[CheckResult]:
-    A = algebra
-    braid = (r.tensor.flip() * r.tensor).invert()
-    uu = Tensor2.outer(qt.u, qt.u)
-    delta_u = A.delta(qt.u)
+    ops = algebra.basis_ops()
+    braid = Tensor2.invert(algebra, tensor2_mul(ops, tensor2_flip(r.tensor), r.tensor))
+    uu = lc_outer(qt.u, qt.u)
+    delta_u = ops.delta_lc(qt.u)
     return [
-        check("drinfeld.comultiplication_of_u_left", delta_u == uu * braid),
-        check("drinfeld.comultiplication_of_u_right", delta_u == braid * uu),
-        check("drinfeld.uv_grouplike", A.is_grouplike(A.mul(qt.u, qt.v))),
+        check("drinfeld.comultiplication_of_u_left",
+              lc_eq(delta_u, tensor2_mul(ops, uu, braid))),
+        check("drinfeld.comultiplication_of_u_right",
+              lc_eq(delta_u, tensor2_mul(ops, braid, uu))),
+        check("drinfeld.uv_grouplike", is_grouplike_lc(ops, ops.mul_lc(qt.u, qt.v))),
     ]
 
 
-def grouplike_from_character(algebra: FinHopfAlgebra, r: RMatrix,
-                             eta: Functional) -> tuple[Element, Element]:
+def grouplike_from_character(algebra: FinHopfAlgebra, r: RMatrix, eta) -> tuple[LC, LC]:
     """Contract a character against each tensor leg of R.
 
     Returns (a_eta, b_eta) with a_eta = eta(R^1) R^2 and b_eta computed from
-    the convolution inverse on the second leg, cross-checked against the
-    antipode form eta(S^-1(R^2)) R^1.
+    the convolution inverse eta o S on the second leg, cross-checked against
+    the antipode form eta(S^-1(R^2)) R^1.
     """
-    A = algebra
-    if not A.is_character(eta):
+    ops = algebra.basis_ops()
+    if not is_character_fn(ops, eta):
         raise PreconditionError("functional is not a character")
-    zero = A.field.zero
-    eta_inv = A.conv_inverse(eta)
-    a_coeffs = [zero] * A.dim
-    b_coeffs = [zero] * A.dim
-    b_alt = [zero] * A.dim
-    for i, j, val in r.entries():
-        if eta.values[i]:
-            a_coeffs[j] = a_coeffs[j] + val * eta.values[i]
-        if eta_inv.values[j]:
-            b_coeffs[i] = b_coeffs[i] + val * eta_inv.values[j]
-        s_inv_j = eta(A.antipode_inv(A.basis_element(j)))
-        if s_inv_j:
-            b_alt[i] = b_alt[i] + val * s_inv_j
-    if b_coeffs != b_alt:
+    eta_inv = ops.compose_s_power(eta, 1)
+    eta_s_inv = ops.compose_s_power(eta, -1)
+    a: LC = {}
+    b: LC = {}
+    b_alt: LC = {}
+    for (i, j), val in r.tensor.items():
+        a = lc_add(a, {j: val * eta(i)})
+        b = lc_add(b, {i: val * eta_inv(j)})
+        b_alt = lc_add(b_alt, {i: val * eta_s_inv(j)})
+    if b != b_alt:
         raise AxiomError("character inverse and antipode contraction disagree")
-    return Element(A, a_coeffs), Element(A, b_coeffs)
+    return a, b
 
 
 def character_maps_checks(algebra: FinHopfAlgebra, r: RMatrix,
-                          characters: dict[str, Functional]) -> list[CheckResult]:
-    """Grouplike images, multiplicativity in the character, and centrality."""
-    A = algebra
+                          characters: dict) -> list[CheckResult]:
+    """Grouplike images, multiplicativity in the character, and centrality.
+    characters maps a name to a key -> scalar function."""
+    ops = algebra.basis_ops()
     out: list[CheckResult] = []
     images = {}
     for name in sorted(characters):
-        a_eta, b_eta = grouplike_from_character(A, r, characters[name])
+        a_eta, b_eta = grouplike_from_character(algebra, r, characters[name])
         images[name] = (a_eta, b_eta)
         out.append(check(f"qt.character_image_grouplike[{name}]",
-                         A.is_grouplike(a_eta) and A.is_grouplike(b_eta)))
+                         is_grouplike_lc(ops, a_eta) and is_grouplike_lc(ops, b_eta)))
 
     names = sorted(characters)
     pairs = [(x, y) for x in names for y in names]
 
-    def mult_a(p) -> bool:
+    def image_of_product(p, leg: int) -> bool:
         x, y = p
-        prod = A.convolve(characters[x], characters[y])
-        a_prod, _ = grouplike_from_character(A, r, prod)
-        return a_prod == A.mul(images[x][0], images[y][0])
+        prod = memo_fn(ops.convolve(characters[x], characters[y]))
+        got = grouplike_from_character(algebra, r, prod)[leg]
+        return lc_eq(got, ops.mul_lc(images[x][leg], images[y][leg]))
 
-    def mult_b(p) -> bool:
-        x, y = p
-        prod = A.convolve(characters[x], characters[y])
-        _, b_prod = grouplike_from_character(A, r, prod)
-        return b_prod == A.mul(images[x][1], images[y][1])
-
-    out.append(grid_check("qt.character_map_multiplicative_a", pairs, mult_a,
+    out.append(grid_check("qt.character_map_multiplicative_a", pairs,
+                          lambda p: image_of_product(p, 0),
                           lambda p: f"at ({p[0]}, {p[1]})"))
-    out.append(grid_check("qt.character_map_multiplicative_b", pairs, mult_b,
+    out.append(grid_check("qt.character_map_multiplicative_b", pairs,
+                          lambda p: image_of_product(p, 1),
                           lambda p: f"at ({p[0]}, {p[1]})"))
 
     for name in names:
-        eta_inv = A.conv_inverse(characters[name])
-        _, b_inv = grouplike_from_character(A, r, eta_inv)
-        z = A.mul(images[name][0], b_inv)
+        eta_inv = ops.compose_s_power(characters[name], 1)
+        _, b_inv = grouplike_from_character(algebra, r, eta_inv)
+        z = ops.mul_lc(images[name][0], b_inv)
         out.append(grid_check(
-            f"qt.central_pairing[{name}]", range(A.dim),
-            lambda i, z=z: A.mul(z, A.basis_element(i)) == A.mul(A.basis_element(i), z),
-            lambda i: f"at {A.labels[i]}"))
+            f"qt.central_pairing[{name}]", ops.keys,
+            lambda i, z=z: lc_eq(ops.mul_lc(z, ops.single(i)), ops.mul_lc(ops.single(i), z)),
+            lambda i: f"at {algebra.labels[i]}"))
     return out
 
 
 def check_modular_grouplikes_equal(algebra: FinHopfAlgebra, data: CoFrobeniusData,
                                    r: RMatrix) -> list[CheckResult]:
     """Both contractions of the modular functional give the same grouplike."""
-    a_alpha, b_alpha = grouplike_from_character(algebra, r, data.alpha)
-    _, b_alpha_inv = grouplike_from_character(algebra, r, data.alpha_inv)
+    c = data.carrier
+    a_alpha, b_alpha = grouplike_from_character(algebra, r, c.alpha)
+    _, b_alpha_inv = grouplike_from_character(algebra, r, c.alpha_inv)
+    same = lc_eq(a_alpha, b_alpha)
     return [
-        check("qt.modular_grouplikes_equal", a_alpha == b_alpha,
-              None if a_alpha == b_alpha else
+        check("qt.modular_grouplikes_equal", same,
+              None if same else
               f"a_alpha = {algebra.format_element(a_alpha)}, "
               f"b_alpha = {algebra.format_element(b_alpha)}"),
         check("qt.modular_pairing_trivial",
-              algebra.mul(a_alpha, b_alpha_inv) == algebra.unit_element),
+              lc_eq(c.ops.mul_lc(a_alpha, b_alpha_inv), c.ops.unit)),
     ]
 
 
@@ -268,24 +269,25 @@ def check_drinfeld_modular_product(algebra: FinHopfAlgebra, data: CoFrobeniusDat
                                    r: RMatrix, qt: QTData) -> list[CheckResult]:
     """uv = vu = a b_alpha = a a_alpha, and S^4 as conjugation by uv."""
     A = algebra
-    a_alpha, b_alpha = grouplike_from_character(A, r, data.alpha)
-    uv = A.mul(qt.u, qt.v)
-    vu = A.mul(qt.v, qt.u)
-    ab = A.mul(data.a, b_alpha)
-    aa = A.mul(data.a, a_alpha)
+    c = data.carrier
+    ops = c.ops
+    a_alpha, b_alpha = grouplike_from_character(A, r, c.alpha)
+    uv = ops.mul_lc(qt.u, qt.v)
+    vu = ops.mul_lc(qt.v, qt.u)
+    ab = ops.mul_lc(c.a, b_alpha)
+    aa = ops.mul_lc(c.a, a_alpha)
 
     def s4_inner(i: int) -> bool:
-        h = A.basis_element(i)
-        s4 = A.antipode(A.antipode(A.antipode(A.antipode(h))))
-        return A.mul(s4, uv) == A.mul(uv, h)
+        return lc_eq(ops.mul_lc(ops.s_power(ops.single(i), 4), uv),
+                     ops.mul_lc(uv, ops.single(i)))
 
     return [
-        check("drinfeld.uv_eq_vu", uv == vu),
-        check("drinfeld.uv_eq_a_times_b_alpha", uv == ab,
-              None if uv == ab else f"uv = {A.format_element(uv)}, "
+        check("drinfeld.uv_eq_vu", lc_eq(uv, vu)),
+        check("drinfeld.uv_eq_a_times_b_alpha", lc_eq(uv, ab),
+              None if lc_eq(uv, ab) else f"uv = {A.format_element(uv)}, "
               f"a b_alpha = {A.format_element(ab)}"),
-        check("drinfeld.uv_eq_a_times_a_alpha", uv == aa),
-        grid_check("radford.s4_inner_by_uv", range(A.dim), s4_inner,
+        check("drinfeld.uv_eq_a_times_a_alpha", lc_eq(uv, aa)),
+        grid_check("radford.s4_inner_by_uv", ops.keys, s4_inner,
                    lambda i: f"at {A.labels[i]}"),
     ]
 
@@ -293,44 +295,38 @@ def check_drinfeld_modular_product(algebra: FinHopfAlgebra, data: CoFrobeniusDat
 def check_antipode_u_biconditional(algebra: FinHopfAlgebra, data: CoFrobeniusData,
                                    r: RMatrix, qt: QTData) -> list[CheckResult]:
     """S(u) = u exactly when a_alpha is the inverse of the modular element."""
-    A = algebra
+    c = data.carrier
+    ops = c.ops
     out: list[CheckResult] = []
-    if data.alpha == A.counit_functional:
+    if ops.fn_eq_on_grid(c.alpha, ops.eps)[0]:
         out.append(check("drinfeld.counit_modular_vu_eq_a",
-                         A.mul(qt.v, qt.u) == data.a))
+                         lc_eq(ops.mul_lc(qt.v, qt.u), c.a)))
     else:
         out.append(skipped("drinfeld.counit_modular_vu_eq_a",
                            "modular functional differs from the counit"))
-    a_alpha, _ = grouplike_from_character(A, r, data.alpha)
-    left = A.antipode(qt.u) == qt.u
-    right = a_alpha == data.a_inv
+    a_alpha, _ = grouplike_from_character(algebra, r, c.alpha)
+    left = lc_eq(ops.s_lc(qt.u), qt.u)
+    right = lc_eq(a_alpha, c.a_inv)
     out.append(check(
         "drinfeld.antipode_fixes_u_iff_modular_match", left == right,
         f"S(u)=u is {str(left).lower()}, a_alpha=a^-1 is {str(right).lower()}"))
     return out
 
 
-def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma: Functional,
-                          name: str = "gamma") -> tuple[list[Element], list[CheckResult]]:
+def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma,
+                          name: str = "gamma") -> tuple[list[LC], list[CheckResult]]:
     """The four character contractions of R and its inverse, each of which
     turns the gamma double-hit into conjugation."""
-    A = algebra
-    if not A.is_character(gamma):
+    ops = algebra.basis_ops()
+    if not is_character_fn(ops, gamma):
         raise PreconditionError("functional is not a character")
-    zero = A.field.zero
-    gamma_inv = A.conv_inverse(gamma)
+    gamma_inv = ops.compose_s_power(gamma, 1)
 
-    def contract(tensor: Tensor2, f: Functional, leg: int) -> Element:
-        coeffs = [zero] * A.dim
-        for i, row in enumerate(tensor.rows):
-            for j, val in enumerate(row):
-                if not val:
-                    continue
-                if leg == 0 and f.values[i]:
-                    coeffs[j] = coeffs[j] + val * f.values[i]
-                elif leg == 1 and f.values[j]:
-                    coeffs[i] = coeffs[i] + val * f.values[j]
-        return Element(A, coeffs)
+    def contract(tensor: dict, f, leg: int) -> LC:
+        out: LC = {}
+        for pair, val in tensor.items():
+            out = lc_add(out, {pair[1 - leg]: val * f(pair[leg])})
+        return out
 
     witnesses = [
         contract(r.inverse, gamma_inv, 0),
@@ -338,18 +334,23 @@ def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma: Functional
         contract(r.inverse, gamma, 1),
         contract(r.tensor, gamma_inv, 1),
     ]
+    # gamma^-1(h1) h2 gamma(h3), the gamma double-hit of each basis element
+    twisted = {}
+    for h in ops.keys:
+        hit: LC = {}
+        for coef, (h1, h2, h3) in ops.delta_n(h, 3):
+            hit = lc_add(hit, {h2: coef * gamma_inv(h1) * gamma(h3)})
+        twisted[h] = hit
     out: list[CheckResult] = []
     for idx, w in enumerate(witnesses, start=1):
         def holds(i: int, w=w) -> bool:
-            h = A.basis_element(i)
-            twisted = A.hit_left(gamma, A.hit_right(h, gamma_inv))
-            return A.mul(twisted, w) == A.mul(w, h)
+            return lc_eq(ops.mul_lc(twisted[i], w), ops.mul_lc(w, ops.single(i)))
 
         out.append(grid_check(f"qt.witness_conjugates[{name}:{idx}]",
-                              range(A.dim), holds, lambda i: f"at {A.labels[i]}"))
-    a_g, b_g = grouplike_from_character(A, r, gamma)
-    got = {w.coeffs for w in witnesses}
-    expected = {a_g.coeffs, b_g.coeffs}
+                              ops.keys, holds, lambda i: f"at {algebra.labels[i]}"))
+    a_g, b_g = grouplike_from_character(algebra, r, gamma)
+    got = {tuple(sorted(w.items())) for w in witnesses}
+    expected = {tuple(sorted(a_g.items())), tuple(sorted(b_g.items()))}
     out.append(check(f"qt.witness_set_matches[{name}]", got == expected,
                      None if got == expected else f"{len(got)} distinct values"))
     return witnesses, out
@@ -357,16 +358,17 @@ def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma: Functional
 
 def flip_inverse(algebra: FinHopfAlgebra, r: RMatrix) -> tuple[RMatrix, list[CheckResult]]:
     """The inverse of the flipped tensor, again an R-matrix."""
-    A = algebra
-    flipped = r.tensor.flip()
-    rt = RMatrix(A, flipped.invert(), flipped)
+    ops = algebra.basis_ops()
+    flipped = tensor2_flip(r.tensor)
+    rt = RMatrix(algebra, Tensor2.invert(algebra, flipped), flipped)
     out = [
         check("qt.flip_inverse_antipode_form",
-              rt.tensor == r.tensor.map_legs(A.antipode_matrix, None).flip()),
+              lc_eq(rt.tensor, tensor2_flip(tensor2_map(ops, r.tensor, ops.antipode)))),
         check("qt.flip_inverse_antipode_inv_form",
-              rt.tensor == r.tensor.map_legs(None, A.antipode_inv_matrix).flip()),
+              lc_eq(rt.tensor, tensor2_flip(tensor2_map(ops, r.tensor, None,
+                                                        ops.antipode_inv)))),
     ]
-    for result in verify_qt(A, rt):
+    for result in verify_qt(algebra, rt):
         out.append(CheckResult(f"flip_inverse.{result.name}", result.status,
                                result.witness))
     return rt, out
@@ -374,11 +376,11 @@ def flip_inverse(algebra: FinHopfAlgebra, r: RMatrix) -> tuple[RMatrix, list[Che
 
 @dataclass
 class MinimalSubHopf:
-    """The smallest subHopf algebra containing every tensor factor of R."""
+    """The smallest subHopf algebra containing every tensor factor of R;
+    basis element p of the subalgebra is the LC basis_in_parent[p]."""
 
     algebra: FinHopfAlgebra
     basis_in_parent: tuple
-    inclusion: Matrix
     r_sub: RMatrix
     data: CoFrobeniusData
     checks: list[CheckResult]
@@ -388,37 +390,43 @@ class MinimalSubHopf:
 def minimal_subhopf(algebra: FinHopfAlgebra, r: RMatrix,
                     parent_data: CoFrobeniusData | None = None) -> MinimalSubHopf:
     A = algebra
+    ops = A.basis_ops()
     field = A.field
     n = A.dim
     zero = field.zero
 
-    factor_rows = EchelonBasis(field, n)
-    for row in r.tensor.rows:
-        factor_rows.insert(row)
-    second_factors = list(factor_rows.vectors)
-    first_factors = []
-    for k in range(len(second_factors)):
-        vec = [zero] * n
-        for i, row in enumerate(r.tensor.rows):
-            coords = factor_rows.coords(row)
-            vec[i] = coords[k]
-        first_factors.append(tuple(vec))
+    # EchelonBasis spans dense coefficient vectors; everything else is an LC
+    def dense(x: LC) -> tuple:
+        return tuple(x.get(i, zero) for i in range(n))
 
-    recon = [[zero] * n for _ in range(n)]
-    for u_vec, v_vec in zip(first_factors, second_factors):
-        for i, cu in enumerate(u_vec):
-            if not cu:
-                continue
-            for j, cv in enumerate(v_vec):
-                recon[i][j] = recon[i][j] + cu * cv
-    factorization_ok = Tensor2(A, recon) == r.tensor
+    def sparse(vec) -> LC:
+        return {i: c for i, c in enumerate(vec) if c}
+
+    def expand(terms: dict, left, right) -> dict:
+        """sum of c left[p] (x) right[q] over the terms {(p, q): c}"""
+        out: dict = {}
+        for (p, q), c in terms.items():
+            for key, v in lc_outer(left[p], right[q]).items():
+                out[key] = out.get(key, zero) + c * v
+        return lc_canon(out)
+
+    # rank factorization R = sum_k first[k] (x) second[k] through the row space
+    rows = [[zero] * n for _ in range(n)]
+    for (i, j), c in r.tensor.items():
+        rows[i][j] = c
+    factor_rows = EchelonBasis(field, n)
+    for row in rows:
+        factor_rows.insert(row)
+    second = [sparse(v) for v in factor_rows.vectors]
+    row_coords = [factor_rows.coords(row) for row in rows]
+    first = [sparse(coords[k] for coords in row_coords) for k in range(len(second))]
+    factorization_ok = lc_eq(
+        expand({(k, k): field.one for k in range(len(second))}, first, second), r.tensor)
 
     span = EchelonBasis(field, n)
     span.insert(A.unit_coeffs)
-    for vec in first_factors:
-        span.insert(vec)
-    for vec in second_factors:
-        span.insert(vec)
+    for x in first + second:
+        span.insert(dense(x))
 
     passes = 0
     while True:
@@ -426,97 +434,69 @@ def minimal_subhopf(algebra: FinHopfAlgebra, r: RMatrix,
         if passes > n + 2:
             raise AxiomError("subHopf closure failed to stabilize")
         before = span.dim
-        current = list(span.vectors)
+        current = [sparse(v) for v in span.vectors]
         for x in current:
-            ex = Element(A, x)
             for y in current:
-                span.insert(A.mul(ex, Element(A, y)).coeffs)
-            span.insert(A.antipode(ex).coeffs)
-            dx = A.delta(ex)
-            for row in dx.rows:
-                span.insert(row)
-            for col in zip(*dx.rows):
-                span.insert(col)
+                span.insert(dense(ops.mul_lc(x, y)))
+            span.insert(dense(ops.s_lc(x)))
+            # every left-leg slice and every right-leg slice of Delta(x)
+            dx = ops.delta_lc(x)
+            for leg in (0, 1):
+                slices: dict = {}
+                for pair, c in dx.items():
+                    slices.setdefault(pair[leg], {})[pair[1 - leg]] = c
+                for part in slices.values():
+                    span.insert(dense(part))
         if span.dim == before:
             break
 
-    vectors = span.vectors
-    m = len(vectors)
+    basis = [sparse(v) for v in span.vectors]
+    m = len(basis)
     pivots = span.pivots
-    basis_elems = [Element(A, vec) for vec in vectors]
-    labels = tuple(A.format_element(b) for b in basis_elems)
+    labels = tuple(A.format_element(b) for b in basis)
 
-    def coords_of(x: Element) -> tuple:
-        c = span.coords(x.coeffs)
+    def coords_of(x: LC) -> tuple:
+        c = span.coords(dense(x))
         if c is None:
             raise AxiomError("closure is not closed under the structure maps")
         return c
 
-    mult = {}
-    for p in range(m):
-        for q in range(m):
-            vec = coords_of(A.mul(basis_elems[p], basis_elems[q]))
-            mult[(p, q)] = {k: v for k, v in enumerate(vec) if v}
+    def restrict(t: dict) -> dict:
+        """Coordinates of a tensor-square element of the closure, read off
+        at the pivot pairs."""
+        return lc_canon({(p, q): t.get((pivots[p], pivots[q]), zero)
+                         for p in range(m) for q in range(m)})
+
+    mult = {(p, q): sparse(coords_of(ops.mul_lc(basis[p], basis[q])))
+            for p in range(m) for q in range(m)}
     comult = {}
     for p in range(m):
-        dx = A.delta(basis_elems[p])
-        cand = [[dx.rows[pivots[rr]][pivots[ss]] for ss in range(m)] for rr in range(m)]
-        recon2 = [[zero] * n for _ in range(n)]
-        for rr in range(m):
-            for ss in range(m):
-                cv = cand[rr][ss]
-                if not cv:
-                    continue
-                for i, ci in enumerate(vectors[rr]):
-                    if not ci:
-                        continue
-                    for j, cj in enumerate(vectors[ss]):
-                        recon2[i][j] = recon2[i][j] + cv * ci * cj
-        if Tensor2(A, recon2) != dx:
+        dx = ops.delta_lc(basis[p])
+        cand = restrict(dx)
+        if not lc_eq(expand(cand, basis, basis), dx):
             raise AxiomError("comultiplication leaves the closure")
-        comult[p] = tuple((cand[rr][ss], rr, ss) for rr in range(m) for ss in range(m)
-                          if cand[rr][ss])
-    counit = tuple(A.eps(b) for b in basis_elems)
-    s_cols = [coords_of(A.antipode(b)) for b in basis_elems]
+        comult[p] = tuple((c, rr, ss) for (rr, ss), c in cand.items())
+    counit = tuple(ops.eps_lc(b) for b in basis)
+    s_cols = [coords_of(ops.s_lc(b)) for b in basis]
     antipode = Matrix.from_rows(field, [[s_cols[q][p] for q in range(m)] for p in range(m)])
-    unit_coords = coords_of(A.unit_element)
 
-    sub = FinHopfAlgebra(field, labels, mult, comult, counit, unit=unit_coords,
+    sub = FinHopfAlgebra(field, labels, mult, comult, counit, unit=coords_of(ops.unit),
                          antipode=antipode, check=True, name=f"{A.name}-minimal")
 
-    r_rows = [[r.tensor.rows[pivots[rr]][pivots[ss]] for ss in range(m)] for rr in range(m)]
-    recon3 = [[zero] * n for _ in range(n)]
-    for rr in range(m):
-        for ss in range(m):
-            cv = r_rows[rr][ss]
-            if not cv:
-                continue
-            for i, ci in enumerate(vectors[rr]):
-                if not ci:
-                    continue
-                for j, cj in enumerate(vectors[ss]):
-                    recon3[i][j] = recon3[i][j] + cv * ci * cj
-    if Tensor2(A, recon3) != r.tensor:
+    r_terms = restrict(r.tensor)
+    if not lc_eq(expand(r_terms, basis, basis), r.tensor):
         raise AxiomError("R does not lie in the tensor square of the closure")
-    r_sub = RMatrix.build(sub, r_rows)
+    r_sub = RMatrix.build(sub, r_terms)
 
     sub_data = cofrobenius_data(sub)
     top_data = parent_data if parent_data is not None else cofrobenius_data(A)
+    sub_c, top_c = sub_data.carrier, top_data.carrier
+    include = lambda x: ops.map_lc(basis.__getitem__, x)
 
-    def include(x: Element) -> Element:
-        coeffs = [zero] * n
-        for p, c in enumerate(x.coeffs):
-            if not c:
-                continue
-            for i, ci in enumerate(vectors[p]):
-                coeffs[i] = coeffs[i] + c * ci
-        return Element(A, coeffs)
-
-    a_eq = include(sub_data.a) == top_data.a
-    alpha_eq = all(sub_data.alpha.values[p] == top_data.alpha(basis_elems[p])
-                   for p in range(m))
-    chi_eq = all(include(sub_data.chi_of(sub.basis_element(p)))
-                 == top_data.chi_of(basis_elems[p]) for p in range(m))
+    a_eq = lc_eq(include(sub_c.a), top_c.a)
+    alpha_eq = all(sub_c.alpha(p) == ops.eval_fn(top_c.alpha, basis[p]) for p in range(m))
+    chi_eq = all(lc_eq(include(sub_c.chi(p)), ops.map_lc(top_c.chi, basis[p]))
+                 for p in range(m))
     flags = f"a: {a_eq}, alpha: {alpha_eq}, chi: {chi_eq}".lower()
 
     checks = [
@@ -528,12 +508,10 @@ def minimal_subhopf(algebra: FinHopfAlgebra, r: RMatrix,
     computed = [
         ("dim(L)", str(m)),
         ("basis(L)", ", ".join(labels)),
-        ("a_L", sub.format_element(sub_data.a)),
-        ("alpha_L", sub.format_functional(sub_data.alpha)),
+        ("a_L", sub.format_element(sub_c.a)),
+        ("alpha_L", sub.format_functional(sub_c.alpha)),
         ("a_L equals a_H", str(a_eq).lower()),
         ("alpha_L equals alpha_H restricted", str(alpha_eq).lower()),
         ("chi_L equals chi_H restricted", str(chi_eq).lower()),
     ]
-    inclusion = Matrix.from_rows(field, [[vectors[p][i] for p in range(m)]
-                                         for i in range(n)])
-    return MinimalSubHopf(sub, vectors, inclusion, r_sub, sub_data, checks, computed)
+    return MinimalSubHopf(sub, tuple(basis), r_sub, sub_data, checks, computed)

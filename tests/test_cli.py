@@ -2,12 +2,14 @@ import json
 
 import pytest
 
-from hopfcheck import cofrobenius
+import sys
+
+from hopfcheck import cofrobenius, linalg
 from hopfcheck.cli import CHECK_TOKENS, main
-from hopfcheck.coquasitriangular import braided_functionals, dualize_qt
+from hopfcheck.coquasitriangular import dualize_qt
 from hopfcheck.document import build_algebra, document_text, load_document, parse_document
 from hopfcheck.presets import preset_document
-from hopfcheck.quasitriangular import RMatrix
+from hopfcheck.quasitriangular import RMatrix, drinfeld_elements
 
 
 def run(capsys, *argv):
@@ -167,6 +169,28 @@ def test_verify_double_passes_dual_bridge_v(capsys, tmp_path):
     assert rc == 0 and obj["result"] == "pass"
 
 
+def test_verify_double_solve_count_is_bounded(capsys, tmp_path, monkeypatch):
+    # characters invert as eta o S without a solve, and one verify computes
+    # the Drinfeld elements once.  What is left: the unit, three integral
+    # nullspaces, a from a^-1 three times, u^-1 and v, the inverse of the
+    # S^2 witness, four tensor-square inverses and the braiding's inverse.
+    # Inverting characters by solves and u, v twice took 58.
+    calls = []
+    real = linalg.solve_linear
+
+    def spy(a, b):
+        calls.append(a.nrows)
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopfcheck") and getattr(module, "solve_linear", None) is real:
+            monkeypatch.setattr(module, "solve_linear", spy)
+    path = write_doc(tmp_path, permuted_double_c3_obj())
+    rc, _, _ = run(capsys, "verify", path, "--json")
+    assert rc == 0
+    assert len(calls) <= 15, len(calls)
+
+
 def test_verify_twists_the_dual_integral_with_u(capsys, tmp_path, monkeypatch):
     # S^-2(h) = omega^-1(h1) h2 omega(h3) needs omega = u; on the dual of
     # D(kC3) the braided u differs from u^-1, so the orientation shows
@@ -184,9 +208,9 @@ def test_verify_twists_the_dual_integral_with_u(capsys, tmp_path, monkeypatch):
 
     doc = load_document(path)
     algebra = build_algebra(doc)
-    dual, br, _ = dualize_qt(algebra, RMatrix.from_entries(algebra, doc.r_entries))
+    r = RMatrix.from_entries(algebra, doc.r_entries)
+    dual, br, (fns, _), _ = dualize_qt(algebra, r, drinfeld_elements(algebra, r)[0])
     ops = dual.basis_ops()
-    fns, _ = braided_functionals(ops, br)
     assert any(fns["u"](k) != fns["u_inv"](k) for k in ops.keys)
     assert len(seen) == 1
     keys, omega = seen[0]

@@ -19,6 +19,7 @@ from hopfcheck.cofrobenius import (
     radford_s4_checks,
 )
 from hopfcheck.coquasitriangular import braided_functionals, dualize_qt
+from hopfcheck.quasitriangular import drinfeld_elements
 from hopfcheck.lincomb import _pair_label, _pairs
 from hopfcheck.linalg import Matrix
 from hopfcheck.scalars import QQ
@@ -32,28 +33,32 @@ def test_integral_space_is_one_dimensional(c2, c4, sweedler):
         assert len(left_integrals(algebra)) == 1
 
 
+def values(ops, f) -> tuple:
+    return tuple(f(k) for k in ops.keys)
+
+
 def test_sweedler_integral_values(sweedler, sweedler_data):
     data = sweedler_data
-    assert data.lam.values == (ZERO, ZERO, ZERO, ONE)
-    assert data.a == sweedler.basis_element(1)
-    assert data.a_inv == data.a
-    assert data.alpha.values == (ONE, -ONE, ZERO, ZERO)
-    assert data.alpha_inv == data.alpha
+    c = data.carrier
+    assert values(c.ops, c.lam) == (ZERO, ZERO, ZERO, ONE)
+    assert c.a == c.ops.single(1)
+    assert c.a_inv == c.a
+    assert values(c.ops, c.alpha) == (ONE, -ONE, ZERO, ZERO)
+    assert values(c.ops, c.alpha_inv) == values(c.ops, c.alpha)
     # chi fixes 1 and gx, negates g and x
     assert data.chi.rows == Matrix.from_rows(
         QQ, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]).rows
-    x = sweedler.basis_element(2)
-    assert data.chi_of(x) == -x
+    assert c.chi(2) == {2: -ONE}
 
 
 def test_group_algebra_modular_data_is_trivial(c2, c4):
     for algebra in (c2, c4):
         data = cofrobenius_data(algebra)
+        c = data.carrier
         # the integral picks out the identity coefficient
-        assert data.lam.values[0] == ONE
-        assert all(v == ZERO for v in data.lam.values[1:])
-        assert data.a == algebra.unit_element
-        assert data.alpha == algebra.counit_functional
+        assert values(c.ops, c.lam) == (ONE,) + (ZERO,) * (algebra.dim - 1)
+        assert c.a == c.ops.unit
+        assert values(c.ops, c.alpha) == values(c.ops, c.ops.eps)
         assert data.chi == Matrix.identity(QQ, algebra.dim)
 
 
@@ -76,8 +81,7 @@ def test_radford_s4_three_ways(sweedler, sweedler_data):
 
 def test_wrong_modular_element_is_caught(sweedler, sweedler_data):
     ops = sweedler.basis_ops()
-    unit = sweedler.unit_element.lc()
-    results = modular_element_checks(ops, sweedler_data.lam.as_fn(), unit, unit)
+    results = modular_element_checks(ops, sweedler_data.carrier.lam, ops.unit, ops.unit)
     by_name = {r.name: r for r in results}
     law = by_name["integral.modular_element_law"]
     assert not law.ok and law.witness == "at gx"
@@ -89,7 +93,7 @@ def test_wrong_modular_element_is_caught(sweedler, sweedler_data):
 
 
 def test_s2_witness_with_modular_element(sweedler, sweedler_data):
-    results = check_s2_inner_witness(sweedler, sweedler_data, sweedler_data.a)
+    results = check_s2_inner_witness(sweedler, sweedler_data, sweedler_data.carrier.a)
     assert [r.name for r in results] == [
         "s2_witness.invertible",
         "s2_witness.implements_s2",
@@ -101,12 +105,12 @@ def test_s2_witness_with_modular_element(sweedler, sweedler_data):
 
 
 def test_s2_witness_rejects_bad_candidates(sweedler, sweedler_data):
-    x = sweedler.basis_element(2)
-    results = check_s2_inner_witness(sweedler, sweedler_data, x)
+    ops = sweedler.basis_ops()
+    results = check_s2_inner_witness(sweedler, sweedler_data, ops.single(2))
     assert len(results) == 1 and not results[0].ok
     assert results[0].name == "s2_witness.invertible"
     # the unit is invertible but does not conjugate to S^2
-    results = check_s2_inner_witness(sweedler, sweedler_data, sweedler.unit_element)
+    results = check_s2_inner_witness(sweedler, sweedler_data, ops.unit)
     by_name = {r.name: r for r in results}
     bad = by_name["s2_witness.implements_s2"]
     assert not bad.ok and bad.witness == "at x"
@@ -166,32 +170,37 @@ def naive_twisted_product_holds(ops, lam, rho2, tau2, h, l) -> bool:
     return lhs == rhs
 
 
-def finite_twist(algebra, omega):
-    """(ops, lam, a_inv, alpha_inv, rho2, tau2) for a co-inner omega."""
-    data = cofrobenius_data(algebra)
-    ops = algebra.basis_ops()
-    lam = data.lam.as_fn()
-    rho2, tau2, _ = integral_twist_from_coinner(
-        ops, lam, data.alpha.as_fn(), omega.as_fn(),
-        algebra.conv_inverse(omega).as_fn())
-    return ops, lam, data.a_inv.lc(), data.alpha_inv.as_fn(), rho2, tau2
+def finite_twist(algebra, omega, omega_inv):
+    """(ops, lam, a_inv, alpha_inv, rho2, tau2) for a co-inner omega with
+    convolution inverse omega_inv."""
+    c = cofrobenius_data(algebra).carrier
+    rho2, tau2, _ = integral_twist_from_coinner(c.ops, c.lam, c.alpha, omega, omega_inv)
+    return c.ops, c.lam, c.a_inv, c.alpha_inv, rho2, tau2
+
+
+def evaluation_at_generator(dual):
+    """Evaluation at g, a character of the dual of kC4, and its inverse
+    after the antipode."""
+    omega = (0, 1, 0, 0).__getitem__
+    return omega, dual.basis_ops().compose_s_power(omega, 1)
 
 
 def dual_c4_twist(c4):
     dual = c4.dual()
     # evaluation at the generator is grouplike in the commutative dual, so
     # it realizes S^-2 = id co-innerly and gives a nontrivial pair
-    return finite_twist(dual, dual.functional([0, 1, 0, 0]))
+    return finite_twist(dual, *evaluation_at_generator(dual))
 
 
 @pytest.fixture(scope="module", params=["sweedler", "dual_sweedler", "dual_c4", "laurent3"])
 def twist_carrier(request, sweedler, sweedler_data, sweedler_r, c4):
     if request.param == "sweedler":
-        return finite_twist(sweedler, sweedler_data.alpha)
+        c = sweedler_data.carrier
+        return finite_twist(sweedler, c.alpha, c.ops.compose_s_power(c.alpha, 1))
     if request.param == "dual_sweedler":
-        dual, br, _ = dualize_qt(sweedler, sweedler_r)
-        fns, _ = braided_functionals(dual.basis_ops(), br)
-        return finite_twist(dual, dual.functional(map(fns["u"], range(dual.dim))))
+        qt, _ = drinfeld_elements(sweedler, sweedler_r)
+        dual, _, (fns, _), _ = dualize_qt(sweedler, sweedler_r, qt)
+        return finite_twist(dual, fns["u"], fns["u_inv"])
     if request.param == "dual_c4":
         return dual_c4_twist(c4)
     c = laurent.family_data(laurent.basis_ops(3))
@@ -263,9 +272,7 @@ def test_product_formula_grid_builds_delta3_once_per_key(c4, monkeypatch):
 
     monkeypatch.setattr(cofrobenius, "grid_check", counting_grid_check)
     dual = c4.dual()
-    omega = dual.functional([0, 1, 0, 0])
     _, _, checks = integral_twist_from_coinner(
-        counted, lam, cofrobenius_data(dual).alpha.as_fn(), omega.as_fn(),
-        dual.conv_inverse(omega).as_fn())
+        counted, lam, cofrobenius_data(dual).carrier.alpha, *evaluation_at_generator(dual))
     assert all(c.ok for c in checks)
     assert spent["integral_twist.product_formula"] <= budget + len(ops.keys)

@@ -15,6 +15,7 @@ from hopfcheck.coquasitriangular import (
     modular_convolution_checks,
 )
 from hopfcheck.hopf import NotInvertibleError
+from hopfcheck.quasitriangular import drinfeld_elements
 
 ONE = Fraction(1)
 
@@ -25,6 +26,12 @@ def trivial_rows(n):
 
 def values(ops, fn):
     return tuple(fn(k) for k in ops.keys)
+
+
+def dualize(algebra, r):
+    """dualize_qt after the Drinfeld elements it bridges to."""
+    qt, _ = drinfeld_elements(algebra, r)
+    return dualize_qt(algebra, r, qt)
 
 
 def modular_chain(c, br, fns):
@@ -41,8 +48,8 @@ def test_trivial_braiding_on_group_algebra(c2):
         assert r.ok, r
     fns, checks = braided_functionals(c.ops, br)
     assert all(r.ok for r in checks)
-    assert values(c.ops, fns["u"]) == c2.counit_functional.values
-    assert values(c.ops, fns["v"]) == c2.counit_functional.values
+    assert values(c.ops, fns["u"]) == values(c.ops, c.ops.eps)
+    assert values(c.ops, fns["v"]) == values(c.ops, c.ops.eps)
     results = modular_chain(c, br, fns)
     by_name = {r.name: r for r in results}
     # the group algebra is unimodular, so the specialization actually runs
@@ -61,22 +68,21 @@ def test_sign_braiding_on_group_algebra(c2):
 
 
 def test_dualized_sweedler_bridge(sweedler, sweedler_r):
-    dual, br, checks = dualize_qt(sweedler, sweedler_r)
+    dual, br, (fns, fn_checks), checks = dualize(sweedler, sweedler_r)
     assert all(r.ok for r in checks)
     ops = dual.basis_ops()
     for r in braiding_axiom_checks(ops, br):
         assert r.ok, r
-    fns, fn_checks = braided_functionals(ops, br)
     assert all(r.ok for r in fn_checks)
+    assert values(ops, braided_functionals(ops, br)[0]["u"]) == values(ops, fns["u"])
     # the braided functionals evaluate on the dual as the Drinfeld element g
     assert values(ops, fns["u"]) == (Fraction(0), ONE, Fraction(0), Fraction(0))
     assert values(ops, fns["v"]) == values(ops, fns["u"])
 
 
 def test_dual_modular_chain(sweedler, sweedler_r):
-    dual, br, _ = dualize_qt(sweedler, sweedler_r)
+    dual, br, (fns, _), _ = dualize(sweedler, sweedler_r)
     c = cofrobenius_data(dual).carrier
-    fns, _ = braided_functionals(c.ops, br)
     results = modular_chain(c, br, fns)
     by_name = {r.name: r for r in results}
     assert by_name["braided_modular.unimodular_u_inv_v_eq_alpha"].status == "skipped"
@@ -86,13 +92,12 @@ def test_dual_modular_chain(sweedler, sweedler_r):
 
 
 def test_grouplike_witnesses_on_dual(sweedler, sweedler_r):
-    dual, br, _ = dualize_qt(sweedler, sweedler_r)
+    dual, br, _, _ = dualize(sweedler, sweedler_r)
     c = cofrobenius_data(dual).carrier
     (alpha_a, beta_a), checks = grouplike_witness_checks(c.ops, br, c.a, c.a_inv, name="a")
     assert all(r.ok for r in checks)
     assert values(c.ops, alpha_a) == values(c.ops, beta_a)
-    unit = dual.unit_element.lc()
-    grouplikes = {"a": (c.a, c.a_inv), "e": (unit, unit)}
+    grouplikes = {"a": (c.a, c.a_inv), "e": (c.ops.unit, c.ops.unit)}
     for r in grouplike_homomorphism_checks(c.ops, br, grouplikes):
         assert r.ok, r
 

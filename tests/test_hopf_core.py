@@ -12,6 +12,17 @@ from hopfcheck.hopf import (
     same_structure_constants,
     verify_hopf,
 )
+from hopfcheck.lincomb import (
+    conv_inverse_checks,
+    is_character_fn,
+    is_grouplike_lc,
+    lc_add,
+    lc_outer,
+    lc_scale,
+    tensor2_flip,
+    tensor2_map,
+    tensor2_mul,
+)
 from hopfcheck.presets import cyclic_group_document, preset_document
 from hopfcheck.scalars import QQ
 
@@ -25,30 +36,33 @@ def test_presets_satisfy_all_axioms(c2, c4, sweedler, sweedler_xi0):
 
 
 def test_sweedler_multiplication_relations(sweedler):
-    one, g, x, gx = (sweedler.basis_element(i) for i in range(4))
-    assert sweedler.mul(g, g) == one
-    assert sweedler.mul(x, x).is_zero()
-    assert sweedler.mul(x, g) == -sweedler.mul(g, x)
-    assert sweedler.mul(g, x) == gx
+    ops = sweedler.basis_ops()
+    one, g, x, gx = (ops.single(i) for i in range(4))
+    assert ops.mul_lc(g, g) == one
+    assert ops.mul_lc(x, x) == {}
+    assert ops.mul_lc(x, g) == lc_scale(-QQ.one, ops.mul_lc(g, x))
+    assert ops.mul_lc(g, x) == gx
 
 
 def test_sweedler_antipode_order_four(sweedler):
-    x = sweedler.basis_element(2)
-    s = sweedler.antipode
-    assert s(s(x)) == -x
+    ops = sweedler.basis_ops()
+    x = ops.single(2)
+    s = ops.s_lc
+    assert s(s(x)) == lc_scale(-QQ.one, x)
     assert s(s(s(s(x)))) == x
     # S^2 is conjugation by g
-    g = sweedler.basis_element(1)
+    g = ops.single(1)
     for i in range(4):
-        h = sweedler.basis_element(i)
-        assert s(s(h)) == sweedler.mul(sweedler.mul(g, h), g)
+        h = ops.single(i)
+        assert s(s(h)) == ops.mul_many(g, h, g)
 
 
 def test_antipode_inverse_consistent(sweedler):
+    ops = sweedler.basis_ops()
     for i in range(4):
-        h = sweedler.basis_element(i)
-        assert sweedler.antipode_inv(sweedler.antipode(h)) == h
-        assert sweedler.antipode(sweedler.antipode_inv(h)) == h
+        h = ops.single(i)
+        assert ops.s_inv_lc(ops.s_lc(h)) == h
+        assert ops.s_lc(ops.s_inv_lc(h)) == h
 
 
 def test_computed_antipode_matches_declared(c2, c4, sweedler):
@@ -74,56 +88,69 @@ def test_corrupted_mult_has_no_antipode():
 
 
 def test_grouplike_and_character_detection(sweedler):
-    g = sweedler.basis_element(1)
-    x = sweedler.basis_element(2)
-    assert sweedler.is_grouplike(g)
-    assert not sweedler.is_grouplike(x)
-    assert not sweedler.is_grouplike(2 * g)
-    sign = sweedler.functional([QQ.one, -QQ.one, QQ.zero, QQ.zero])
-    assert sweedler.is_character(sign)
-    assert sweedler.is_character(sweedler.counit_functional)
-    assert not sweedler.is_character(sweedler.functional([QQ.one] * 4))
+    ops = sweedler.basis_ops()
+    g = ops.single(1)
+    x = ops.single(2)
+    assert is_grouplike_lc(ops, g)
+    assert not is_grouplike_lc(ops, x)
+    assert not is_grouplike_lc(ops, lc_scale(Fraction(2), g))
+    sign = (QQ.one, -QQ.one, QQ.zero, QQ.zero).__getitem__
+    assert is_character_fn(ops, sign)
+    assert is_character_fn(ops, ops.eps)
+    assert not is_character_fn(ops, lambda k: QQ.one)
 
 
 def test_convolution_inverse(sweedler):
-    sign = sweedler.functional([QQ.one, -QQ.one, QQ.zero, QQ.zero])
-    inv = sweedler.conv_inverse(sign)
-    eps = sweedler.counit_functional
-    assert sweedler.convolve(sign, inv) == eps
-    assert sweedler.convolve(inv, sign) == eps
-    delta_x = sweedler.functional([QQ.zero, QQ.zero, QQ.one, QQ.zero])
-    with pytest.raises(NotInvertibleError):
-        sweedler.conv_inverse(delta_x)
+    # a character's convolution inverse is the character after the antipode
+    ops = sweedler.basis_ops()
+    sign = (QQ.one, -QQ.one, QQ.zero, QQ.zero).__getitem__
+    inv = ops.compose_s_power(sign, 1)
+    assert ops.fn_eq_on_grid(ops.convolve(sign, inv), ops.eps)[0]
+    assert ops.fn_eq_on_grid(ops.convolve(inv, sign), ops.eps)[0]
+    assert all(r.ok for r in conv_inverse_checks(ops, "sign", sign, inv))
+    # f(1) = 0 gives (f * g)(1) = f(1) g(1) = 0 for every g: no inverse
+    delta_x = (QQ.zero, QQ.zero, QQ.one, QQ.zero).__getitem__
+    checks = conv_inverse_checks(ops, "delta_x", delta_x, ops.compose_s_power(delta_x, 1))
+    assert [r.witness for r in checks] == ["at 1", "at 1"]
 
 
 def test_element_inverse(sweedler):
-    g = sweedler.basis_element(1)
+    ops = sweedler.basis_ops()
+    g = ops.single(1)
     assert sweedler.invert_element(g) == g
-    x = sweedler.basis_element(2)
+    x = ops.single(2)
     with pytest.raises(NotInvertibleError):
         sweedler.invert_element(x)
 
 
 def test_hit_actions_match_comments(sweedler):
-    # hit_left(f, h) = h1 f(h2) and hit_right(h, f) = f(h1) h2
-    x = sweedler.basis_element(2)
-    one, g = sweedler.basis_element(0), sweedler.basis_element(1)
-    f = sweedler.functional([QQ.one, QQ.zero, QQ.one, QQ.zero])
+    # the hits h1 f(h2) and f(h1) h2, as map_lc over the coproduct legs
+    ops = sweedler.basis_ops()
+    x = ops.single(2)
+    one, g = ops.single(0), ops.single(1)
+    f = (QQ.one, QQ.zero, QQ.one, QQ.zero).__getitem__
+    hit_left = lambda h: ops.map_lc(lambda k: {k1: c * f(k2) for c, k1, k2 in ops.delta(k)}, h)
+    hit_right = lambda h: ops.map_lc(lambda k: {k2: c * f(k1) for c, k1, k2 in ops.delta(k)}, h)
     # Delta(x) = x (x) 1 + g (x) x
-    assert sweedler.hit_left(f, x) == x + g
-    assert sweedler.hit_right(x, f) == one  # f(x) 1 + f(g) x = 1
+    assert hit_left(x) == lc_add(x, g)
+    assert hit_right(x) == one  # f(x) 1 + f(g) x = 1
+    assert ops.eval_fn(f, hit_right(x)) == f(0)
 
 
 def test_tensor_square_operations(sweedler):
-    g = sweedler.basis_element(1)
-    x = sweedler.basis_element(2)
-    t = Tensor2.outer(g, x)
-    assert t.flip() == Tensor2.outer(x, g)
-    mapped = t.map_legs(sweedler.antipode_matrix, None)
-    assert mapped == Tensor2.outer(sweedler.antipode(g), x)
+    ops = sweedler.basis_ops()
+    g = ops.single(1)
+    x = ops.single(2)
+    t = lc_outer(g, x)
+    assert tensor2_flip(t) == lc_outer(x, g)
+    assert tensor2_map(ops, t, ops.antipode) == lc_outer(ops.s_lc(g), x)
+    assert tensor2_map(ops, t, None, ops.antipode) == lc_outer(g, ops.s_lc(x))
+    assert tensor2_mul(ops, lc_outer(g, g), lc_outer(g, x)) == lc_outer(ops.unit, ops.mul_lc(g, x))
     with pytest.raises(NotInvertibleError):
-        t.invert()
-    assert sweedler.one_tensor().invert() == sweedler.one_tensor()
+        Tensor2.invert(sweedler, t)
+    one = lc_outer(ops.unit, ops.unit)
+    assert Tensor2.invert(sweedler, one) == one
+    assert Tensor2.invert(sweedler, lc_outer(g, g)) == lc_outer(g, g)
 
 
 def test_dual_of_dual_is_original(c2, c4, sweedler):
