@@ -466,8 +466,8 @@ def cofrobenius_data(algebra: FinHopfAlgebra) -> CoFrobeniusData:
     chi_rows = chi_matrix.rows
     chi = lambda j: {i: row[j] for i, row in enumerate(chi_rows) if row[j]}
     # alpha = eps o chi is a character, so its convolution inverse is alpha o S
-    alpha = tuple(ops.eps_lc(chi(j)) for j in ops.keys).__getitem__
-    alpha_inv = tuple(ops.eval_fn(alpha, ops.antipode(j)) for j in ops.keys).__getitem__
+    alpha = memo_fn(lambda j: ops.eps_lc(chi(j)))
+    alpha_inv = memo_fn(ops.compose_s_power(alpha, 1))
     carrier = Carrier(ops, lam, a, a_inv, chi, alpha, alpha_inv)
     return CoFrobeniusData(algebra, chi_matrix, pairing, carrier)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .lincomb import BasisOps, LC, lc_canon, lc_eq, lc_format, lc_outer, tensor2_mul
 from .linalg import Matrix, SingularMatrixError, invert_matrix, solve_linear
-from .report import CheckResult, check, failed, skipped
+from .report import CheckResult, check, failed
 from .scalars import Field, Scalar
 
 
