@@ -58,8 +58,8 @@ from .document import (
     load_document,
 )
 from .hopf import AxiomError, FinHopfAlgebra, NotInvertibleError, verify_hopf
-from .presets import preset_document
 from .lincomb import lc_canon
+from .presets import preset_document
 from .quasitriangular import (
     QT_CONVENTIONS,
     QTData,

@@ -24,6 +24,7 @@ from .lincomb import (
     lc_eq,
     memo_fn,
 )
+from .quasitriangular import QTData, RMatrix
 from .report import PASS, CheckResult, check, grid_check, skipped
 from .scalars import Scalar
 
@@ -521,7 +522,9 @@ def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, Matri
     return br, inv
 
 
-def dualize_qt(algebra: FinHopfAlgebra, r, qt) -> tuple:
+def dualize_qt(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData
+               ) -> tuple[FinHopfAlgebra, Braiding, tuple[dict, list[CheckResult]],
+                          list[CheckResult]]:
     """The dual Hopf algebra with sigma(f, g) = (f x g)(R).
 
     Returns the dual, the braiding, its braided functionals with their

@@ -124,8 +124,8 @@ def verify_qt(algebra: FinHopfAlgebra, r: RMatrix) -> list[CheckResult]:
     left: LC = {}
     right: LC = {}
     for i, j, v in entries:
-        left = lc_add(left, lc_scale(v * A.eps_basis(i), ops.single(j)))
-        right = lc_add(right, lc_scale(v * A.eps_basis(j), ops.single(i)))
+        left = lc_add(left, {j: v * A.eps_basis(i)})
+        right = lc_add(right, {i: v * A.eps_basis(j)})
     out.append(check("qt.counit_first_leg", lc_eq(left, ops.unit)))
     out.append(check("qt.counit_second_leg", lc_eq(right, ops.unit)))
     out.append(verify_almost_cocommutative(A, r))

@@ -1,8 +1,7 @@
 import json
+import sys
 
 import pytest
-
-import sys
 
 from hopfcheck import cofrobenius, linalg
 from hopfcheck.cli import CHECK_TOKENS, main
