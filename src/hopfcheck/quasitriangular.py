@@ -238,7 +238,7 @@ def character_maps_checks(algebra: FinHopfAlgebra, r: RMatrix,
                           lambda p: f"at ({p[0]}, {p[1]})"))
 
     for name in names:
-        eta_inv = ops.compose_s_power(characters[name], 1)
+        eta_inv = memo_fn(ops.compose_s_power(characters[name], 1))
         _, b_inv = grouplike_from_character(algebra, r, eta_inv)
         z = ops.mul_lc(images[name][0], b_inv)
         out.append(grid_check(
@@ -320,7 +320,7 @@ def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma,
     ops = algebra.basis_ops()
     if not is_character_fn(ops, gamma):
         raise PreconditionError("functional is not a character")
-    gamma_inv = ops.compose_s_power(gamma, 1)
+    gamma_inv = memo_fn(ops.compose_s_power(gamma, 1))
 
     def contract(tensor: dict, f, leg: int) -> LC:
         out: LC = {}
