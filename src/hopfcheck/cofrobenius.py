@@ -23,8 +23,6 @@ from .lincomb import (
     conv_inverse_checks,
     is_character_fn,
     is_grouplike_lc,
-    lc_add,
-    lc_canon,
     lc_eq,
     lc_scale,
     memo_fn,
@@ -69,31 +67,18 @@ class Carrier:
 
 
 def left_integral_law_check(ops: BasisOps, lam) -> CheckResult:
-    def holds(h) -> bool:
-        lhs: LC = {}
-        for c, h1, h2 in ops.delta(h):
-            lv = lam(h2)
-            if lv:
-                lhs[h1] = lhs.get(h1, ops.zero) + c * lv
-        return lc_eq(lhs, lc_scale(lam(h), ops.unit))
-
-    return grid_check("integral.left_law", ops.keys, holds,
-                      lambda h: f"at {ops.label(h)}")
+    return grid_check(
+        "integral.left_law", ops.keys,
+        lambda h: lc_eq(ops.hit_left(lam, h), lc_scale(lam(h), ops.unit)),
+        lambda h: f"at {ops.label(h)}")
 
 
 def modular_element_checks(ops: BasisOps, lam, a: LC, a_inv: LC) -> list[CheckResult]:
     out: list[CheckResult] = []
-
-    def law(h) -> bool:
-        lhs: LC = {}
-        for c, h1, h2 in ops.delta(h):
-            lv = lam(h1)
-            if lv:
-                lhs[h2] = lhs.get(h2, ops.zero) + c * lv
-        return lc_eq(lhs, lc_scale(lam(h), a_inv))
-
-    out.append(grid_check("integral.modular_element_law", ops.keys, law,
-                          lambda h: f"at {ops.label(h)}"))
+    out.append(grid_check(
+        "integral.modular_element_law", ops.keys,
+        lambda h: lc_eq(ops.hit_right(lam, h), lc_scale(lam(h), a_inv)),
+        lambda h: f"at {ops.label(h)}"))
     out.append(check("integral.modular_element_grouplike", is_grouplike_lc(ops, a)))
     out.append(check("integral.modular_element_inverse",
                      lc_eq(ops.mul_lc(a, a_inv), ops.unit)
@@ -110,36 +95,23 @@ def modular_element_checks(ops: BasisOps, lam, a: LC, a_inv: LC) -> list[CheckRe
 
 
 def integral_exchange_checks(ops: BasisOps, lam, a_inv: LC) -> list[CheckResult]:
-    """The two translation identities relating lambda, S and the modular element."""
+    """The two translation identities relating lambda, S and the modular element:
+    l1 lambda(h l2) = S(h1) lambda(h2 l) and lambda(h l1) l2 = lambda(h1 l)
+    S^-1(h2) a^-1."""
+    # both grids evaluate lambda(x y) on each key pair many times
+    lam_mul = memo_fn(lambda pair: ops.eval_fn(lam, ops.mul(*pair)))
 
     def with_antipode(pair) -> bool:
         h, l = pair
-        lhs: LC = {}
-        for c, l1, l2 in ops.delta(l):
-            lv = ops.eval_fn(lam, ops.mul(h, l2))
-            if lv:
-                lhs[l1] = lhs.get(l1, ops.zero) + c * lv
-        rhs: LC = {}
-        for c, h1, h2 in ops.delta(h):
-            lv = ops.eval_fn(lam, ops.mul(h2, l))
-            if lv:
-                rhs = lc_add(rhs, lc_scale(c * lv, ops.antipode(h1)))
+        lhs = ops.hit_left(lambda k: lam_mul((h, k)), l)
+        rhs = ops.s_lc(ops.hit_left(lambda k: lam_mul((k, l)), h))
         return lc_eq(lhs, rhs)
 
     def with_antipode_inv(pair) -> bool:
         h, l = pair
-        lhs: LC = {}
-        for c, l1, l2 in ops.delta(l):
-            lv = ops.eval_fn(lam, ops.mul(h, l1))
-            if lv:
-                lhs[l2] = lhs.get(l2, ops.zero) + c * lv
-        rhs: LC = {}
-        for c, h1, h2 in ops.delta(h):
-            lv = ops.eval_fn(lam, ops.mul(h1, l))
-            if lv:
-                term = ops.mul_lc(ops.antipode_inv(h2), a_inv)
-                rhs = lc_add(rhs, lc_scale(c * lv, term))
-        return lc_eq(lhs, rhs)
+        lhs = ops.hit_right(lambda k: lam_mul((h, k)), l)
+        rhs = ops.s_inv_lc(ops.hit_right(lambda k: lam_mul((k, l)), h))
+        return lc_eq(lhs, ops.mul_lc(rhs, a_inv))
 
     pairs = _pairs(ops)
     return [
@@ -174,16 +146,11 @@ def nakayama_checks(ops: BasisOps, lam, chi, alpha, alpha_inv) -> list[CheckResu
                      is_character_fn(ops, alpha)))
     out.extend(conv_inverse_checks(ops, "integral.modular_functional", alpha, alpha_inv))
 
-    def from_pair(h) -> bool:
-        rhs: LC = {}
-        for c, h1, h2 in ops.delta(h):
-            av = alpha(h2)
-            if av:
-                rhs = lc_add(rhs, lc_scale(c * av, ops.s_power(ops.single(h1), -2)))
-        return lc_eq(chi(h), rhs)
-
-    out.append(grid_check("integral.nakayama_from_modular_pair", ops.keys, from_pair,
-                          lambda h: f"at {ops.label(h)}"))
+    # chi(h) = S^-2(h1 alpha(h2))
+    out.append(grid_check(
+        "integral.nakayama_from_modular_pair", ops.keys,
+        lambda h: lc_eq(chi(h), ops.s_power(ops.hit_left(alpha, h), -2)),
+        lambda h: f"at {ops.label(h)}"))
     return out
 
 
@@ -191,26 +158,12 @@ def radford_s4_checks(ops: BasisOps, a: LC, a_inv: LC, alpha, alpha_inv) -> list
     """S^4 as conjugation by a composed with the alpha double-hit, three ways."""
 
     def hit_both(h) -> LC:
-        first: LC = {}
-        for c, h1, h2 in ops.delta(h):
-            av = alpha(h2)
-            if av:
-                first[h1] = first.get(h1, ops.zero) + c * av
-        second: LC = {}
-        for k, v in first.items():
-            for c, k1, k2 in ops.delta(k):
-                av = alpha_inv(k1)
-                if av:
-                    second[k2] = second.get(k2, ops.zero) + v * c * av
+        first = ops.hit_left(alpha, h)
+        second = ops.map_lc(lambda k: ops.hit_right(alpha_inv, k), first)
         return ops.mul_many(a, second, a_inv)
 
     def expanded(h) -> LC:
-        out: LC = {}
-        for c, (h1, h2, h3) in ops.delta_n(h, 3):
-            coef = c * alpha_inv(h1) * alpha(h3)
-            if coef:
-                out = lc_add(out, lc_scale(coef, ops.mul_many(a, ops.single(h2), a_inv)))
-        return out
+        return ops.mul_many(a, ops.coinner(alpha_inv, alpha, h), a_inv)
 
     s4 = lambda h: ops.s_power(ops.single(h), 4)
     return [
@@ -282,16 +235,9 @@ def integral_twist_from_coinner(ops: BasisOps, lam, alpha, omega, omega_inv):
         if left(k) != ops.eps(k) or right(k) != ops.eps(k):
             raise PreconditionError(f"omega is not convolution invertible at {ops.label(k)}")
 
-    def coinner(h) -> LC:
-        out: LC = {}
-        for c, (h1, h2, h3) in ops.delta_n(h, 3):
-            coef = c * omega_inv(h1) * omega(h3)
-            if coef:
-                out[h2] = out.get(h2, ops.zero) + coef
-        return out
-
     for k in ops.keys:
-        if not lc_eq(coinner(k), ops.s_power(ops.single(k), -2)):
+        if not lc_eq(ops.coinner(omega_inv, omega, k),
+                     ops.s_power(ops.single(k), -2)):
             raise PreconditionError(
                 f"omega does not realize S^-2 co-innerly at {ops.label(k)}")
 
@@ -352,12 +298,8 @@ def coinner_from_integral_twist(ops: BasisOps, lam, a_inv: LC, alpha_inv, rho2, 
     tau_second = memo_fn(ops.convolve(memo_fn(tau_prime_raw), alpha_inv))
 
     def realizes(h) -> bool:
-        out: LC = {}
-        for c, (h1, h2, h3) in ops.delta_n(h, 3):
-            coef = c * rho_prime(h1) * tau_second(h3)
-            if coef:
-                out[h2] = out.get(h2, ops.zero) + coef
-        return lc_eq(out, ops.s_power(ops.single(h), -2))
+        return lc_eq(ops.coinner(rho_prime, tau_second, h),
+                     ops.s_power(ops.single(h), -2))
 
     checks = list(conv_inverse_checks(ops, "coinner.extracted_pair", rho_prime, tau_second))
     ok, where = ops.fn_eq_on_grid(rho_prime, ops.compose_s_power(rho_prime, -2))
@@ -436,11 +378,8 @@ def _distinguished_pair(algebra: FinHopfAlgebra, lam) -> tuple[LC, LC]:
     pivot = next((i for i in range(algebra.dim) if lam(i)), None)
     if pivot is None:
         raise AxiomError("integral is zero; no modular element")
-    a_inv: LC = {}
-    for c, j, k in algebra.delta_basis(pivot):
-        if lam(j):
-            a_inv[k] = a_inv.get(k, algebra.field.zero) + c * lam(j) / lam(pivot)
-    a_inv = lc_canon(a_inv)
+    ops = algebra.basis_ops()
+    a_inv = {k: v / lam(pivot) for k, v in ops.hit_right(lam, pivot).items()}
     return algebra.invert_element(a_inv), a_inv
 
 

@@ -139,13 +139,8 @@ def solve_modular(ops: BasisOps) -> tuple[LC, LC]:
     lambda(h1) h2 = lambda(h) a^-1 with lambda(g^-1 x) = 1, so the left side
     evaluated there is a^-1 on the nose.
     """
-    witness = (-1, 1)
-    a_inv: LC = {}
-    for c, k1, k2 in ops.delta(witness):
-        lv = integral_value(k1)
-        if lv:
-            a_inv[k2] = a_inv.get(k2, ops.zero) + c * lv
-    items = [(k, v) for k, v in a_inv.items() if v]
+    a_inv = ops.hit_right(integral_value, (-1, 1))
+    items = list(a_inv.items())
     if len(items) != 1 or items[0][0][1] != 0 or items[0][1] != ops.one:
         raise AxiomError("modular witness did not produce a grouplike monomial")
     (i, _), _ = items[0]

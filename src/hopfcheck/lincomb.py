@@ -6,6 +6,16 @@ structure-constant algebra, whose keys are basis indices, and against the
 built-in infinite-dimensional family, whose keys are (exponent, degree)
 pairs.  A BasisOps key list bounds the grid of test points only;
 intermediate results may leave it freely.
+
+The identities are written with three actions of functionals on a basis
+key h, in Sweedler notation (BasisOps; map_lc extends them linearly):
+
+    hit_left(f, h)    = h1 f(h2)
+    hit_right(f, h)   = f(h1) h2
+    coinner(f, g, h)  = f(h1) h2 g(h3)
+
+so the co-inner action of omega in the CQT conventions, omega(h1) h2
+omega^-1(h3), is coinner(omega, omega_inv, h).
 """
 
 from __future__ import annotations
@@ -178,6 +188,45 @@ class BasisOps:
                     nxt.append((coef * c, (k1, k2) + keys[1:]))
             terms = nxt
         return terms
+
+    # -- hit and co-inner actions on a key (zero values of f and g skipped) -----
+
+    def hit_left(self, f: Callable[[Key], Scalar], key: Key) -> LC:
+        """h1 f(h2) for h = key."""
+        out: LC = {}
+        for c, k1, k2 in self.delta(key):
+            fv = f(k2)
+            if fv:
+                prev = out.get(k1)
+                out[k1] = c * fv if prev is None else prev + c * fv
+        return lc_canon(out)
+
+    def hit_right(self, f: Callable[[Key], Scalar], key: Key) -> LC:
+        """f(h1) h2 for h = key."""
+        out: LC = {}
+        for c, k1, k2 in self.delta(key):
+            fv = f(k1)
+            if fv:
+                prev = out.get(k2)
+                out[k2] = c * fv if prev is None else prev + c * fv
+        return lc_canon(out)
+
+    def coinner(self, f: Callable[[Key], Scalar], g: Callable[[Key], Scalar],
+                key: Key) -> LC:
+        """f(h1) h2 g(h3) for h = key, with Delta^3 expanded as delta_n does:
+        the first leg of Delta(h) is split again."""
+        out: LC = {}
+        for c, k12, k3 in self.delta(key):
+            gv = g(k3)
+            if not gv:
+                continue
+            for c2, k1, k2 in self.delta(k12):
+                fv = f(k1)
+                if fv:
+                    term = c * c2 * fv * gv
+                    prev = out.get(k2)
+                    out[k2] = term if prev is None else prev + term
+        return lc_canon(out)
 
     # -- convolution --------------------------------------------------------
 

@@ -27,14 +27,16 @@ def cyclic_group_document(order: int, field: Field = QQ) -> AlgebraDocument:
     comult = tuple((i, i, i, one) for i in range(order))
     counit = tuple(one for _ in range(order))
     antipode = tuple((( -i) % order, i, one) for i in range(order))
-    sign = tuple(field.parse((-1) ** i) for i in range(order))
+    # i -> (-1)^i respects (i + j) mod order only when the order is even
+    characters = ({"sign": tuple(field.parse((-1) ** i) for i in range(order))}
+                  if order % 2 == 0 else {})
     g_vec = tuple(one if i == 1 else field.zero for i in range(order))
     return AlgebraDocument(
         name=f"kC{order}", field=field, basis=labels, mult=mult, comult=comult,
         counit=counit, antipode=antipode,
         r_entries=((one, 0, 0),),
         sigma=tuple(tuple(one for _ in range(order)) for _ in range(order)),
-        characters={"sign": sign},
+        characters=characters,
         grouplikes={"g": g_vec},
     )
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cofrobenius import CoFrobeniusData, PreconditionError, cofrobenius_data
+from .cofrobenius import CoFrobeniusData, cofrobenius_data
 from .hopf import AxiomError, FinHopfAlgebra, Tensor2
 from .lincomb import (
     LC,
-    is_character_fn,
     is_grouplike_lc,
     lc_add,
     lc_canon,
@@ -189,11 +188,11 @@ def grouplike_from_character(algebra: FinHopfAlgebra, r: RMatrix, eta) -> tuple[
 
     Returns (a_eta, b_eta) with a_eta = eta(R^1) R^2 and b_eta computed from
     the convolution inverse eta o S on the second leg, cross-checked against
-    the antipode form eta(S^-1(R^2)) R^1.
+    the antipode form eta(S^-1(R^2)) R^1.  eta must be a character; callers
+    pass the counit, alpha, alpha^-1, validated document characters and
+    convolution products of these, which are characters by construction.
     """
     ops = algebra.basis_ops()
-    if not is_character_fn(ops, eta):
-        raise PreconditionError("functional is not a character")
     eta_inv = ops.compose_s_power(eta, 1)
     eta_s_inv = ops.compose_s_power(eta, -1)
     a: LC = {}
@@ -316,10 +315,9 @@ def check_antipode_u_biconditional(algebra: FinHopfAlgebra, data: CoFrobeniusDat
 def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma,
                           name: str = "gamma") -> tuple[list[LC], list[CheckResult]]:
     """The four character contractions of R and its inverse, each of which
-    turns the gamma double-hit into conjugation."""
+    turns the gamma double-hit into conjugation; gamma must be a character,
+    as for grouplike_from_character."""
     ops = algebra.basis_ops()
-    if not is_character_fn(ops, gamma):
-        raise PreconditionError("functional is not a character")
     gamma_inv = memo_fn(ops.compose_s_power(gamma, 1))
 
     def contract(tensor: dict, f, leg: int) -> LC:
@@ -335,12 +333,7 @@ def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma,
         contract(r.tensor, gamma_inv, 1),
     ]
     # gamma^-1(h1) h2 gamma(h3), the gamma double-hit of each basis element
-    twisted = {}
-    for h in ops.keys:
-        hit: LC = {}
-        for coef, (h1, h2, h3) in ops.delta_n(h, 3):
-            hit = lc_add(hit, {h2: coef * gamma_inv(h1) * gamma(h3)})
-        twisted[h] = hit
+    twisted = {h: ops.coinner(gamma_inv, gamma, h) for h in ops.keys}
     out: list[CheckResult] = []
     for idx, w in enumerate(witnesses, start=1):
         def holds(i: int, w=w) -> bool:

@@ -3,11 +3,11 @@ import sys
 
 import pytest
 
-from hopfcheck import cofrobenius, linalg
+from hopfcheck import cofrobenius, lincomb, linalg
 from hopfcheck.cli import CHECK_TOKENS, main
 from hopfcheck.coquasitriangular import dualize_qt
 from hopfcheck.document import build_algebra, document_text, load_document, parse_document
-from hopfcheck.presets import preset_document
+from hopfcheck.presets import cyclic_group_document, preset_document
 from hopfcheck.quasitriangular import RMatrix, drinfeld_elements
 
 
@@ -47,6 +47,17 @@ def test_verify_sweedler_computed_values(capsys):
     assert "  v = g" in out
     assert "  uv = 1" in out
     assert "  alpha = [1, -1, 0, 0]" in out
+    assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_verify_odd_cyclic_group_document(capsys, tmp_path, order):
+    # (-1)^i is a character of kC_n only for even n; odd orders ship none
+    path = tmp_path / "doc.json"
+    path.write_text(document_text(cyclic_group_document(order)), encoding="utf-8")
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 0, err
+    assert out.startswith(f"== verify kC{order} ==")
     assert "result: PASS" in out
 
 
@@ -188,6 +199,27 @@ def test_verify_double_solve_count_is_bounded(capsys, tmp_path, monkeypatch):
     rc, _, _ = run(capsys, "verify", path, "--json")
     assert rc == 0
     assert len(calls) <= 15, len(calls)
+
+
+def test_verify_double_validates_characters_only_in_named_checks(capsys, tmp_path,
+                                                                 monkeypatch):
+    # integral.modular_functional_character on the algebra and its dual, and
+    # the alpha_g, beta_g of dual.cqt.grouplike_characters[a]; the contractions
+    # of R trust their characters, which took 39 calls when they re-checked
+    calls = []
+    real = lincomb.is_character_fn
+
+    def spy(ops, f):
+        calls.append(1)
+        return real(ops, f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopfcheck") and getattr(module, "is_character_fn", None) is real:
+            monkeypatch.setattr(module, "is_character_fn", spy)
+    path = write_doc(tmp_path, permuted_double_c3_obj())
+    rc, _, _ = run(capsys, "verify", path, "--json")
+    assert rc == 0
+    assert len(calls) == 4, len(calls)
 
 
 def test_verify_twists_the_dual_integral_with_u(capsys, tmp_path, monkeypatch):

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfcheck import laurent
 from hopfcheck.document import build_algebra
 from hopfcheck.hopf import (
     AxiomError,
@@ -123,18 +127,46 @@ def test_element_inverse(sweedler):
         sweedler.invert_element(x)
 
 
-def test_hit_actions_match_comments(sweedler):
+def _summed(terms) -> dict:
+    return reduce(lc_add, terms, {})
+
+
+HIT_VALUES = st.lists(st.integers(-2, 2), min_size=14, max_size=14)
+
+
+@settings(max_examples=20, deadline=None)
+@given(f_vals=HIT_VALUES, g_vals=HIT_VALUES, h_vals=HIT_VALUES)
+def test_hit_actions_match_comments(sweedler, f_vals, g_vals, h_vals):
     # the hits h1 f(h2) and f(h1) h2, as map_lc over the coproduct legs
     ops = sweedler.basis_ops()
     x = ops.single(2)
     one, g = ops.single(0), ops.single(1)
     f = (QQ.one, QQ.zero, QQ.one, QQ.zero).__getitem__
-    hit_left = lambda h: ops.map_lc(lambda k: {k1: c * f(k2) for c, k1, k2 in ops.delta(k)}, h)
-    hit_right = lambda h: ops.map_lc(lambda k: {k2: c * f(k1) for c, k1, k2 in ops.delta(k)}, h)
+    hit_left = lambda ops, f, h: ops.map_lc(
+        lambda k: _summed({k1: c * f(k2)} for c, k1, k2 in ops.delta(k)), h)
+    hit_right = lambda ops, f, h: ops.map_lc(
+        lambda k: _summed({k2: c * f(k1)} for c, k1, k2 in ops.delta(k)), h)
     # Delta(x) = x (x) 1 + g (x) x
-    assert hit_left(x) == lc_add(x, g)
-    assert hit_right(x) == one  # f(x) 1 + f(g) x = 1
-    assert ops.eval_fn(f, hit_right(x)) == f(0)
+    assert ops.hit_left(f, 2) == hit_left(ops, f, x) == lc_add(x, g)
+    assert ops.hit_right(f, 2) == hit_right(ops, f, x) == one  # f(x) 1 + f(g) x = 1
+    assert ops.eval_fn(f, hit_right(ops, f, x)) == f(0)
+
+    # the co-inner action f(h1) h2 g(h3), as a sum over delta_n(h, 3)
+    coinner = lambda ops, f, g, h: ops.map_lc(
+        lambda k: _summed({k2: c * f(k1) * g(k3)} for c, (k1, k2, k3) in ops.delta_n(k, 3)), h)
+    for ops in (sweedler.basis_ops(), sweedler.dual().basis_ops(), laurent.basis_ops(3)):
+        # functionals given by their values on the key grid, zero off it
+        f = lambda k, v=dict(zip(ops.keys, map(Fraction, f_vals))): v.get(k, ops.zero)
+        g = lambda k, v=dict(zip(ops.keys, map(Fraction, g_vals))): v.get(k, ops.zero)
+        h = {k: Fraction(c) for k, c in zip(ops.keys, h_vals) if c}
+        extend = lambda action: ops.map_lc(action, h)
+        assert extend(lambda k: ops.hit_left(f, k)) == hit_left(ops, f, h)
+        assert extend(lambda k: ops.hit_right(f, k)) == hit_right(ops, f, h)
+        assert extend(lambda k: ops.coinner(f, g, k)) == coinner(ops, f, g, h)
+        for k in ops.keys:
+            assert ops.hit_left(f, k) == hit_left(ops, f, ops.single(k))
+            assert ops.hit_right(f, k) == hit_right(ops, f, ops.single(k))
+            assert ops.coinner(f, g, k) == coinner(ops, f, g, ops.single(k))
 
 
 def test_tensor_square_operations(sweedler):
