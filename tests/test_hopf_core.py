@@ -131,6 +131,7 @@ def _summed(terms) -> dict:
     return reduce(lc_add, terms, {})
 
 
+# one value per key of the largest grid below, Laurent at window 3
 HIT_VALUES = st.lists(st.integers(-2, 2), min_size=14, max_size=14)
 
 
