@@ -58,7 +58,7 @@ from .document import (
     load_document,
 )
 from .hopf import AxiomError, FinHopfAlgebra, NotInvertibleError, verify_hopf
-from .lincomb import lc_canon
+from .lincomb import lc_canon, lc_format
 from .presets import preset_document
 from .quasitriangular import (
     QT_CONVENTIONS,
@@ -77,7 +77,7 @@ from .quasitriangular import (
     verify_qt,
 )
 from .report import CheckResult, Report, failed
-from .scalars import PrimeField, ScalarError
+from .scalars import QQ, PrimeField, ScalarError
 
 COMPUTE_TARGETS = ("lambda", "a", "alpha", "chi", "u", "v", "uv",
                    "a_alpha", "b_alpha", "minimal-subhopf")
@@ -324,15 +324,14 @@ def _laurent_table(report: Report, ops, name: str, fn) -> None:
     nonzero = [(k, fn(k)) for k in ops.keys]
     nonzero = [(k, v) for k, v in nonzero if v]
     for k, v in nonzero:
-        report.add_computed(f"{name}({ops.label(k)})", str(v))
+        report.add_computed(f"{name}({ops.label(k)})", QQ.format(v))
     report.add_computed(
         f"{name} support",
         f"{len(nonzero)} of {len(ops.keys)} window keys; omitted keys are 0")
 
 
 def _laurent_lc(ops, lc) -> str:
-    from .lincomb import lc_format
-    return lc_format(lc, ops.label, str)
+    return lc_format(lc, ops.label, QQ.format)
 
 
 def cmd_compute_laurent(what: str, window: int, report: Report) -> None:

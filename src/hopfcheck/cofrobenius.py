@@ -29,7 +29,7 @@ from .lincomb import (
 )
 from .linalg import Matrix, SingularMatrixError, invert_matrix, nullspace, rank
 from .report import CheckResult, check, failed, grid_check, skipped
-from .scalars import Scalar
+from .scalars import Scalar, div
 
 CONVENTIONS = (
     "left integral: (f * lambda)(h) = f(1) lambda(h), equivalently h1 lambda(h2) = lambda(h) 1",
@@ -368,7 +368,7 @@ def left_integrals(algebra: FinHopfAlgebra) -> list[tuple]:
     out = []
     for vec in nullspace(Matrix.from_rows(algebra.field, rows)):
         lead = next(v for v in vec if v)
-        out.append(tuple(v / lead for v in vec))
+        out.append(tuple(div(v, lead) for v in vec))
     return out
 
 
@@ -379,7 +379,7 @@ def _distinguished_pair(algebra: FinHopfAlgebra, lam) -> tuple[LC, LC]:
     if pivot is None:
         raise AxiomError("integral is zero; no modular element")
     ops = algebra.basis_ops()
-    a_inv = {k: v / lam(pivot) for k, v in ops.hit_right(lam, pivot).items()}
+    a_inv = {k: div(v, lam(pivot)) for k, v in ops.hit_right(lam, pivot).items()}
     return algebra.invert_element(a_inv), a_inv
 
 

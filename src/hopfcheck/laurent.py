@@ -8,8 +8,6 @@ Z, so a window parameter only bounds the grid the identity suite runs on.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cofrobenius import (
     Carrier,
     integral_exchange_checks,
@@ -32,9 +30,10 @@ from .coquasitriangular import (
 )
 from .lincomb import BasisOps, LC, hopf_axiom_checks, lc_eq, memo_fn
 from .report import CheckResult, check, grid_check
+from .scalars import Scalar, div
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 FAMILY_CONVENTIONS = (
     "basis g^i x^j indexed by (i, j) with i in Z and j in {0, 1}",
@@ -43,7 +42,7 @@ FAMILY_CONVENTIONS = (
 )
 
 
-def _sign(k: int) -> Fraction:
+def _sign(k: int) -> Scalar:
     return ONE if k % 2 == 0 else -ONE
 
 
@@ -62,7 +61,7 @@ def delta_key(k):
     return ((ONE, (i, 1), (i, 0)), (ONE, (i + 1, 0), (i, 1)))
 
 
-def eps_key(k) -> Fraction:
+def eps_key(k) -> Scalar:
     return ONE if k[1] == 0 else ZERO
 
 
@@ -87,21 +86,21 @@ def label_key(k) -> str:
     return "x" if i == 0 else ("gx" if i == 1 else f"g^{i}x")
 
 
-def integral_value(k) -> Fraction:
+def integral_value(k) -> Scalar:
     return ONE if k == (-1, 1) else ZERO
 
 
-def alpha_closed_form(k) -> Fraction:
+def alpha_closed_form(k) -> Scalar:
     i, j = k
     return _sign(i) if j == 0 else ZERO
 
 
-def drinfeld_closed_form(k) -> Fraction:
+def drinfeld_closed_form(k) -> Scalar:
     i, j = k
     return _sign(i) if j == 0 else ZERO
 
 
-def sigma_value(k1, k2) -> Fraction:
+def sigma_value(k1, k2) -> Scalar:
     i, j = k1
     t, s = k2
     if j or s:
@@ -162,7 +161,7 @@ def solve_nakayama(ops: BasisOps):
         base = ops.eval_fn(integral_value, ops.mul(key, m))
         if not base:
             raise AxiomError(f"nakayama witness degenerate at {ops.label(key)}")
-        return {key: lhs / base}
+        return {key: div(lhs, base)}
 
     return memo_fn(chi)
 

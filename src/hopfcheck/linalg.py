@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, div
 
 Vector = tuple
 
@@ -130,7 +130,7 @@ def _rref(rows: list[list[Scalar]]) -> list[int]:
         prow = sparse[p]
         inv = prow[c]
         for j, x in prow.items():
-            prow[j] = x / inv
+            prow[j] = div(x, inv)
         for i in holders[c] - {p}:
             row = sparse[i]
             f = -row.pop(c)
@@ -259,7 +259,7 @@ class EchelonBasis:
         if pivot is None:
             return False
         inv = v[pivot]
-        v = [x / inv for x in v]
+        v = [div(x, inv) for x in v]
         self._rows = [
             tuple(a - row[pivot] * b for a, b in zip(row, v)) if row[pivot] else row
             for row in self._rows

@@ -9,10 +9,8 @@ the quasitriangular and braided suites have trivial positive cases.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .document import AlgebraDocument, DocumentError
-from .scalars import Field, QQ
+from .scalars import Field, QQ, div
 
 FINITE_PRESETS = ("group:C2", "group:C4", "sweedler4")
 PRESET_NAMES = FINITE_PRESETS + ("laurent",)
@@ -41,13 +39,13 @@ def cyclic_group_document(order: int, field: Field = QQ) -> AlgebraDocument:
     )
 
 
-def sweedler_document(xi=Fraction(1), field: Field = QQ) -> AlgebraDocument:
+def sweedler_document(xi=1, field: Field = QQ) -> AlgebraDocument:
     """Basis (1, g, x, gx) with g^2 = 1, x^2 = 0, gx = -xg, and the
     one-parameter family of R-matrices R = c + xi b."""
     one = field.one
     zero = field.zero
     xi = field.parse(xi)
-    half = one / field.parse(2)
+    half = div(one, field.parse(2))
     labels = ("1", "g", "x", "gx")
     mult = (
         (0, 0, 0, one), (0, 1, 1, one), (0, 2, 2, one), (0, 3, 3, one),
@@ -86,5 +84,5 @@ def preset_document(kind: str, xi=None, field: Field | None = None) -> AlgebraDo
     if kind == "group:C4":
         return cyclic_group_document(4, field)
     if kind == "sweedler4":
-        return sweedler_document(Fraction(1) if xi is None else xi, field)
+        return sweedler_document(1 if xi is None else xi, field)
     raise DocumentError(f"unknown preset '{kind}'")

@@ -1,8 +1,10 @@
 """Exact scalar fields: arbitrary-precision rationals and odd prime fields.
 
 Every computation in this package runs over one of these fields.  Floating
-point is never used; rationals stay canonical via fractions.Fraction and
-prime-field elements stay reduced mod p.
+point is never used.  A rational stays a plain int while it is integral and
+becomes a fractions.Fraction only when a division leaves a denominator;
+div() is the one division that keeps int / int exact.  Prime-field elements
+stay reduced mod p.
 """
 
 from __future__ import annotations
@@ -26,104 +28,152 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+def div(a, b):
+    """a / b, exact: int / int is an int when b divides a and a Fraction
+    otherwise, never a float; a Fraction quotient that is integral comes
+    back as an int."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    q = a / b
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
 class FpElement:
     """An element of the field with p elements, kept reduced mod p.
 
-    Supports mixed arithmetic with plain ints (lifted mod p) but refuses
-    floats and elements of a different prime field.
+    Immutable.  Supports mixed arithmetic with plain ints (lifted mod p)
+    but refuses floats, bools and elements of a different prime field.
     """
 
-    value: int
-    p: int
+    __slots__ = ("value", "p")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.p)
+    def __init__(self, value: int, p: int) -> None:
+        _set_value(self, value % p)
+        _set_p(self, p)
 
-    def _lift(self, other) -> "FpElement | None":
+    @staticmethod
+    def _reduced(value: int, p: int) -> "FpElement":
+        """Trusted constructor: value must already lie in range(p)."""
+        x = _new(FpElement)
+        _set_value(x, value)
+        _set_p(x, p)
+        return x
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _other(self, other) -> int | None:
+        """The int behind an operand of the same field, None for a foreign type."""
         if isinstance(other, FpElement):
             if other.p != self.p:
                 raise ScalarError(f"mixed prime fields: F_{self.p} and F_{other.p}")
-            return other
+            return other.value
         if isinstance(other, int) and not isinstance(other, bool):
-            return FpElement(other, self.p)
+            return other
         return None
 
     def __add__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(self.value + o.value, self.p)
+        o = self._other(other)
+        return NotImplemented if o is None else _reduced((self.value + o) % self.p, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(self.value - o.value, self.p)
+        o = self._other(other)
+        return NotImplemented if o is None else _reduced((self.value - o) % self.p, self.p)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(o.value - self.value, self.p)
+        o = self._other(other)
+        return NotImplemented if o is None else _reduced((o - self.value) % self.p, self.p)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(self.value * o.value, self.p)
+        o = self._other(other)
+        return NotImplemented if o is None else _reduced(self.value * o % self.p, self.p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = self._other(other)
         if o is None:
             return NotImplemented
-        if o.value == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return FpElement(self.value * pow(o.value, self.p - 2, self.p), self.p)
+        p = self.p
+        if o % p == 0:
+            raise ZeroDivisionError(f"division by zero in F_{p}")
+        return _reduced(self.value * pow(o, p - 2, p) % p, p)
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = self._other(other)
         if o is None:
             return NotImplemented
-        return o / self
+        p = self.p
+        if self.value == 0:
+            raise ZeroDivisionError(f"division by zero in F_{p}")
+        return _reduced(o * pow(self.value, p - 2, p) % p, p)
 
     def __neg__(self):
-        return FpElement(-self.value, self.p)
+        return _reduced(-self.value % self.p, self.p)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
+        p = self.p
         if n < 0:
             if self.value == 0:
-                raise ZeroDivisionError(f"zero has no negative power in F_{self.p}")
-            return FpElement(pow(self.value, -n * (self.p - 2), self.p), self.p)
-        return FpElement(pow(self.value, n, self.p), self.p)
+                raise ZeroDivisionError(f"zero has no negative power in F_{p}")
+            return _reduced(pow(self.value, -n * (p - 2), p), p)
+        return _reduced(pow(self.value, n, p), p)
 
     def __bool__(self) -> bool:
         return self.value != 0
+
+    def __eq__(self, other):
+        if other.__class__ is not FpElement:
+            return NotImplemented
+        return self.value == other.value and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.p))
+
+    def __repr__(self) -> str:
+        return f"FpElement(value={self.value!r}, p={self.p!r})"
 
     def __str__(self) -> str:
         return str(self.value)
 
 
+_new = object.__new__
+_set_value = FpElement.value.__set__
+_set_p = FpElement.p.__set__
+_reduced = FpElement._reduced
+
+
 class RationalField:
-    """The rationals; elements are fractions.Fraction."""
+    """The rationals; an element is an int while integral, else a
+    fractions.Fraction."""
 
     name = "rationals"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def parse(self, value) -> Fraction:
-        if isinstance(value, Fraction):
-            return value
+    def parse(self, value) -> int | Fraction:
         if isinstance(value, bool) or isinstance(value, float):
             raise ScalarError(f"exact rational expected, got {value!r}")
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value)
         if isinstance(value, str):
             try:
-                return Fraction(value.strip())
+                value = Fraction(value.strip())
             except (ValueError, ZeroDivisionError) as exc:
                 raise ScalarError(f"bad rational literal {value!r}") from exc
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
         raise ScalarError(f"exact rational expected, got {value!r}")
 
     def format(self, x) -> str:
@@ -190,7 +240,7 @@ class PrimeField:
 
 QQ = RationalField()
 
-Scalar = Fraction | FpElement
+Scalar = int | Fraction | FpElement
 Field = RationalField | PrimeField
 
 
