@@ -18,6 +18,7 @@ from .lincomb import (
     LC,
     BasisOps,
     Key,
+    PairTable,
     _pair_label,
     _pairs,
     conv_inverse_checks,
@@ -99,18 +100,18 @@ def integral_exchange_checks(ops: BasisOps, lam, a_inv: LC) -> list[CheckResult]
     l1 lambda(h l2) = S(h1) lambda(h2 l) and lambda(h l1) l2 = lambda(h1 l)
     S^-1(h2) a^-1."""
     # both grids evaluate lambda(x y) on each key pair many times
-    lam_mul = memo_fn(lambda pair: ops.eval_fn(lam, ops.mul(*pair)))
+    lam_mul = PairTable(lambda x, y: ops.eval_fn(lam, ops.mul(x, y)))
 
     def with_antipode(pair) -> bool:
         h, l = pair
-        lhs = ops.hit_left(lambda k: lam_mul((h, k)), l)
-        rhs = ops.s_lc(ops.hit_left(lambda k: lam_mul((k, l)), h))
+        lhs = ops.hit_left(lambda k: lam_mul(h, k), l)
+        rhs = ops.s_lc(ops.hit_left(lambda k: lam_mul(k, l), h))
         return lc_eq(lhs, rhs)
 
     def with_antipode_inv(pair) -> bool:
         h, l = pair
-        lhs = ops.hit_right(lambda k: lam_mul((h, k)), l)
-        rhs = ops.s_inv_lc(ops.hit_right(lambda k: lam_mul((k, l)), h))
+        lhs = ops.hit_right(lambda k: lam_mul(h, k), l)
+        rhs = ops.s_inv_lc(ops.hit_right(lambda k: lam_mul(k, l), h))
         return lc_eq(lhs, ops.mul_lc(rhs, a_inv))
 
     pairs = _pairs(ops)
@@ -198,7 +199,7 @@ def _twisted_product_predicate(ops: BasisOps, lam, rho2, tau2):
         return groups
 
     delta3 = memo_fn(grouped_delta3)
-    lam_mul = memo_fn(lambda pair: ops.eval_fn(lam, ops.mul(*pair)))
+    lam_mul = PairTable(lambda x, y: ops.eval_fn(lam, ops.mul(x, y)))
 
     def holds(pair) -> bool:
         h, l = pair
@@ -212,10 +213,10 @@ def _twisted_product_predicate(ops: BasisOps, lam, rho2, tau2):
                     for cl, l2, l3 in l_rest:
                         t = tau2(h3, l3)
                         if t:
-                            mid = lam_mul((h2, l2))
+                            mid = lam_mul(h2, l2)
                             if mid:
                                 rhs = rhs + ch * cl * r * mid * t
-        return lam_mul((l, h)) == rhs
+        return lam_mul(l, h) == rhs
 
     return holds
 
@@ -244,10 +245,8 @@ def integral_twist_from_coinner(ops: BasisOps, lam, alpha, omega, omega_inv):
     omega_alpha = memo_fn(ops.convolve(omega, alpha))
     omega_inv = memo_fn(omega_inv)
     # the product formula grid and the extraction evaluate each pair many times
-    rho = memo_fn(lambda p: omega_inv(p[0]) * ops.eps(p[1]))
-    tau = memo_fn(lambda p: omega_alpha(p[0]) * ops.eps(p[1]))
-    rho2 = lambda x, y: rho((x, y))
-    tau2 = lambda x, y: tau((x, y))
+    rho2 = PairTable(lambda x, y: omega_inv(x) * ops.eps(y))
+    tau2 = PairTable(lambda x, y: omega_alpha(x) * ops.eps(y))
 
     checks = [
         check("coinner.omega_invertible", True),

@@ -17,12 +17,15 @@ from .linalg import Matrix, solve_linear
 from .lincomb import (
     BasisOps,
     LC,
+    PairTable,
     _pair_label,
     _pairs,
     conv_inverse_checks,
     is_character_fn,
     lc_eq,
     memo_fn,
+    product_table,
+    triple_grid_check,
 )
 from .quasitriangular import QTData, RMatrix
 from .report import PASS, CheckResult, check, grid_check, skipped
@@ -54,49 +57,67 @@ def pair_eval(ops: BasisOps, fn, a: LC, b: LC) -> Scalar:
 
 def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
     """The four braiding axioms, the convolution-inverse laws, and (once
-    everything passes) the antipode formulas for the inverse."""
+    everything passes) the antipode formulas for the inverse.
+
+    sigma, its inverse and the products are tables filled on first lookup,
+    so each pair is evaluated once per call, and the two multiplicativity
+    grids over key triples run one (h, l) row at a time."""
     out: list[CheckResult] = []
-    triples = [(h, l, m) for h in ops.keys for l in ops.keys for m in ops.keys]
+    zero = ops.zero
+    sig = PairTable(br.value)
+    sig_inv = PairTable(br.inverse)
+    prod = product_table(ops)
+    delta = {k: tuple(ops.delta(k)) for k in ops.keys}
 
-    def mult_first(t) -> bool:
-        h, l, m = t
-        lhs = ops.zero
-        for k, c in ops.mul(h, l).items():
-            f = br.value(k, m)
-            if f:
-                lhs = lhs + c * f
-        rhs = ops.zero
-        for c, m1, m2 in ops.delta(m):
-            f = br.value(h, m1) * br.value(l, m2)
-            if f:
-                rhs = rhs + c * f
-        return lhs == rhs
+    def mult_first(h, l, ms):
+        """sigma(h l, m) = sigma(h, m1) sigma(l, m2)."""
+        hl = [(c, sig[k]) for k, c in prod[h][l]]
+        sig_h, sig_l = sig[h], sig[l]
+        for m in ms:
+            lhs = zero
+            for c, sig_k in hl:
+                f = sig_k[m]
+                if f:
+                    lhs = lhs + c * f
+            rhs = zero
+            for c, m1, m2 in delta[m]:
+                f = sig_h[m1] * sig_l[m2]
+                if f:
+                    rhs = rhs + c * f
+            if lhs != rhs:
+                return m
+        return None
 
-    out.append(grid_check(
-        "cqt.multiplicative_first_argument", triples, mult_first,
-        lambda t: f"at ({ops.label(t[0])}, {ops.label(t[1])}, {ops.label(t[2])})"))
+    out.append(triple_grid_check("cqt.multiplicative_first_argument", ops, mult_first))
 
-    def mult_second(t) -> bool:
-        h, l, m = t
-        lhs = ops.zero
-        for k, c in ops.mul(l, m).items():
-            f = br.value(h, k)
-            if f:
-                lhs = lhs + c * f
-        rhs = ops.zero
-        for c, h1, h2 in ops.delta(h):
-            f = br.value(h1, m) * br.value(h2, l)
-            if f:
-                rhs = rhs + c * f
-        return lhs == rhs
+    def mult_second(h, l, ms):
+        """sigma(h, l m) = sigma(h1, m) sigma(h2, l)."""
+        legs = []  # (c sigma(h2, l), the sigma row of h1) over Delta(h)
+        for c, h1, h2 in delta[h]:
+            w = c * sig[h2][l]
+            if w:
+                legs.append((w, sig[h1]))
+        sig_h, by_l = sig[h], prod[l]
+        for m in ms:
+            lhs = zero
+            for k, c in by_l[m]:
+                f = sig_h[k]
+                if f:
+                    lhs = lhs + c * f
+            rhs = zero
+            for w, sig_h1 in legs:
+                f = sig_h1[m]
+                if f:
+                    rhs = rhs + w * f
+            if lhs != rhs:
+                return m
+        return None
 
-    out.append(grid_check(
-        "cqt.multiplicative_second_argument", triples, mult_second,
-        lambda t: f"at ({ops.label(t[0])}, {ops.label(t[1])}, {ops.label(t[2])})"))
+    out.append(triple_grid_check("cqt.multiplicative_second_argument", ops, mult_second))
 
     def unit_pairing(h) -> bool:
-        right = pair_eval(ops, br.value, ops.single(h), ops.unit)
-        left = pair_eval(ops, br.value, ops.unit, ops.single(h))
+        right = pair_eval(ops, sig, ops.single(h), ops.unit)
+        left = pair_eval(ops, sig, ops.unit, ops.single(h))
         e = ops.eps(h)
         return right == e and left == e
 
@@ -107,17 +128,17 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
         h, l = p
         lhs: LC = {}
         rhs: LC = {}
-        for c1, h1, h2 in ops.delta(h):
-            for c2, l1, l2 in ops.delta(l):
+        for c1, h1, h2 in delta[h]:
+            for c2, l1, l2 in delta[l]:
                 c = c1 * c2
-                f = br.value(h2, l2)
+                f = sig[h2][l2]
                 if f:
-                    for k, w in ops.mul(l1, h1).items():
-                        lhs[k] = lhs.get(k, ops.zero) + c * f * w
-                f = br.value(h1, l1)
+                    for k, w in prod[l1][h1]:
+                        lhs[k] = lhs.get(k, zero) + c * f * w
+                f = sig[h1][l1]
                 if f:
-                    for k, w in ops.mul(h2, l2).items():
-                        rhs[k] = rhs.get(k, ops.zero) + c * f * w
+                    for k, w in prod[h2][l2]:
+                        rhs[k] = rhs.get(k, zero) + c * f * w
         return lc_eq(lhs, rhs)
 
     out.append(grid_check("cqt.commutation_relation", _pairs(ops), commutation,
@@ -126,13 +147,13 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
     def conv_pair(first, second):
         def value(p) -> bool:
             h, l = p
-            acc = ops.zero
-            for c1, h1, h2 in ops.delta(h):
-                for c2, l1, l2 in ops.delta(l):
-                    f = first(h1, l1)
+            acc = zero
+            for c1, h1, h2 in delta[h]:
+                for c2, l1, l2 in delta[l]:
+                    f = first[h1][l1]
                     if not f:
                         continue
-                    g = second(h2, l2)
+                    g = second[h2][l2]
                     if g:
                         acc = acc + c1 * c2 * f * g
             return acc == ops.eps(h) * ops.eps(l)
@@ -140,27 +161,27 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
         return value
 
     out.append(grid_check("cqt.convolution_inverse_left", _pairs(ops),
-                          conv_pair(br.value, br.inverse),
+                          conv_pair(sig, sig_inv),
                           lambda p: f"at {_pair_label(ops, p)}"))
     out.append(grid_check("cqt.convolution_inverse_right", _pairs(ops),
-                          conv_pair(br.inverse, br.value),
+                          conv_pair(sig_inv, sig),
                           lambda p: f"at {_pair_label(ops, p)}"))
 
     if all(c.status == PASS for c in out):
         out.append(grid_check(
             "cqt.inverse_is_antipode_first_argument", _pairs(ops),
-            lambda p: br.inverse(p[0], p[1])
-            == pair_eval(ops, br.value, ops.s_lc(ops.single(p[0])), ops.single(p[1])),
+            lambda p: sig_inv(*p)
+            == pair_eval(ops, sig, ops.s_lc(ops.single(p[0])), ops.single(p[1])),
             lambda p: f"at {_pair_label(ops, p)}"))
         out.append(grid_check(
             "cqt.inverse_is_antipode_inv_second_argument", _pairs(ops),
-            lambda p: br.inverse(p[0], p[1])
-            == pair_eval(ops, br.value, ops.single(p[0]), ops.s_inv_lc(ops.single(p[1]))),
+            lambda p: sig_inv(*p)
+            == pair_eval(ops, sig, ops.single(p[0]), ops.s_inv_lc(ops.single(p[1]))),
             lambda p: f"at {_pair_label(ops, p)}"))
         out.append(grid_check(
             "cqt.antipode_square_invariance", _pairs(ops),
-            lambda p: br.value(p[0], p[1])
-            == pair_eval(ops, br.value, ops.s_lc(ops.single(p[0])),
+            lambda p: sig(*p)
+            == pair_eval(ops, sig, ops.s_lc(ops.single(p[0])),
                          ops.s_lc(ops.single(p[1]))),
             lambda p: f"at {_pair_label(ops, p)}"))
     return out

@@ -11,6 +11,8 @@ vectors appear only where a linear solve takes or returns them.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .lincomb import BasisOps, LC, lc_canon, lc_format, lc_outer
 from .linalg import Matrix, SingularMatrixError, invert_matrix, solve_linear
 from .report import CheckResult, check, failed
@@ -57,6 +59,11 @@ class Tensor2:
         if sol is None:
             raise NotInvertibleError("tensor-square element has no right inverse")
         return lc_canon({divmod(p, n): v for p, v in enumerate(sol.particular)})
+
+
+def _sparse_columns(m: Matrix) -> tuple[LC, ...]:
+    return tuple({i: row[j] for i, row in enumerate(m.rows) if row[j]}
+                 for j in range(m.ncols))
 
 
 class FinHopfAlgebra:
@@ -112,12 +119,21 @@ class FinHopfAlgebra:
         return self._counit[i]
 
     def antipode_basis(self, j: int) -> LC:
-        m = self.antipode_matrix
-        return {i: m.rows[i][j] for i in range(self.dim) if m.rows[i][j]}
+        return self._antipode_columns[j]
 
     def antipode_inv_basis(self, j: int) -> LC:
-        m = self.antipode_inv_matrix
-        return {i: m.rows[i][j] for i in range(self.dim) if m.rows[i][j]}
+        return self._antipode_inv_columns[j]
+
+    # The matrices never change once set (the antipode is solved for at most
+    # once, while it is missing), so their sparse columns are built once.
+
+    @cached_property
+    def _antipode_columns(self) -> tuple[LC, ...]:
+        return _sparse_columns(self.antipode_matrix)
+
+    @cached_property
+    def _antipode_inv_columns(self) -> tuple[LC, ...]:
+        return _sparse_columns(self.antipode_inv_matrix)
 
     @property
     def antipode_matrix(self) -> Matrix:

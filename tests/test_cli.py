@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hopfcheck
 from hopfcheck import cofrobenius, lincomb, linalg
 from hopfcheck.cli import CHECK_TOKENS, main
 from hopfcheck.coquasitriangular import dualize_qt
@@ -83,6 +87,17 @@ def test_json_output_is_deterministic(capsys):
     obj = json.loads(out1)
     assert set(obj) == {"title", "conventions", "checks", "computed", "result"}
     assert obj["result"] == "pass"
+
+
+def test_module_entry_point_matches_main(capsys):
+    src = str(Path(hopfcheck.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hopfcheck", "verify", "preset:sweedler4"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    rc, out, _ = run(capsys, "verify", "preset:sweedler4")
+    assert proc.returncode == rc == 0, proc.stderr
+    assert proc.stdout == out
 
 
 def test_timestamps_flag(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcheck import laurent
-from hopfcheck.document import build_algebra
+from hopfcheck.document import build_algebra, parse_document
 from hopfcheck.hopf import (
     AxiomError,
     FinHopfAlgebra,
@@ -29,6 +29,7 @@ from hopfcheck.lincomb import (
 )
 from hopfcheck.presets import cyclic_group_document, preset_document
 from hopfcheck.scalars import QQ
+from test_golden import laurent_quotient_document
 
 
 def test_presets_satisfy_all_axioms(c2, c4, sweedler, sweedler_xi0):
@@ -67,6 +68,20 @@ def test_antipode_inverse_consistent(sweedler):
         h = ops.single(i)
         assert ops.s_inv_lc(ops.s_lc(h)) == h
         assert ops.s_lc(ops.s_inv_lc(h)) == h
+
+
+def test_antipode_columns_are_built_once():
+    # H_4 over F_10007 ships no antipode: it is solved for in verify_hopf
+    algebra = build_algebra(parse_document(laurent_quotient_document(4)), check=False)
+    with pytest.raises(AxiomError, match="not available"):
+        algebra.antipode_basis(0)
+    assert all(r.ok for r in verify_hopf(algebra))
+    n = algebra.dim
+    for j in range(n):
+        for column, m in ((algebra.antipode_basis, algebra.antipode_matrix),
+                          (algebra.antipode_inv_basis, algebra.antipode_inv_matrix)):
+            assert column(j) is column(j)
+            assert column(j) == {i: m.rows[i][j] for i in range(n) if m.rows[i][j]}
 
 
 def test_computed_antipode_matches_declared(c2, c4, sweedler):
