@@ -137,8 +137,8 @@ def carrier(name, sweedler=None, sweedler_r=None, c4=None):
     if name == "h4_f10007":
         doc, algebra = document_algebra(laurent_quotient_document(4))
         return algebra.basis_ops(), braiding_from_matrix(algebra, doc.sigma)[0]
-    if name == "laurent3":
-        return laurent.basis_ops(3), laurent.braiding()
+    if name.startswith("laurent"):  # laurent<window>
+        return laurent.basis_ops(int(name.removeprefix("laurent"))), laurent.braiding()
     raise ValueError(name)
 
 
@@ -216,10 +216,7 @@ def test_row_predicates_answer_triples_in_any_order(monkeypatch):
 
 @pytest.mark.parametrize("name", ["laurent4", "double_c2_dual"])
 def test_braiding_grids_evaluate_each_sigma_pair_once(name, monkeypatch):
-    if name == "laurent4":
-        ops, br = laurent.basis_ops(4), laurent.braiding()
-    else:
-        ops, br = carrier(name)
+    ops, br = carrier(name)
     calls = []
 
     def spy(x, y):
