@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from . import laurent
 from .cofrobenius import (
@@ -36,14 +38,11 @@ from .cofrobenius import (
 from .coquasitriangular import (
     CQT_CONVENTIONS,
     Braiding,
+    braided_chain,
     braided_functionals,
     braided_modular_corollary_checks,
-    braiding_axiom_checks,
     braiding_from_matrix,
     dualize_qt,
-    flip_braiding_checks,
-    grouplike_homomorphism_checks,
-    grouplike_witness_checks,
     modular_characters,
     modular_convolution_checks,
 )
@@ -134,16 +133,133 @@ def resolve_source(args) -> Job:
 
 
 # ---------------------------------------------------------------------------
-# shared pipeline pieces
+# verify: one driver for every carrier
 
 
-def _r_matrix(algebra: FinHopfAlgebra, doc: AlgebraDocument) -> RMatrix:
-    return RMatrix.from_entries(algebra, doc.r_entries)
+@dataclass
+class Source:
+    """What a carrier hands the verify driver once its structure battery
+    passes.  A build that raises AxiomError or NotInvertibleError becomes
+    one failed check.
+
+    data        builds the integral data; the tables and the pairing and
+                chi matrices are None on the infinite carrier
+    lines       the computed lines about the carrier
+    r           None, or builds the R-matrix
+    braiding    None, or builds (braiding, the named grouplikes, its braided
+                functionals with their checks when already computed)
+    closing     checks and computed lines from the braided functionals,
+                once the braided chain has them
+    characters  the named characters the R-matrix chains read
+    """
+
+    data: Callable[[], CoFrobeniusData]
+    lines: Callable[[Carrier], list[tuple[str, str]]]
+    r: Callable[[], RMatrix] | None
+    braiding: Callable[[], tuple[Braiding, dict, tuple | None]] | None
+    closing: Callable[[Carrier, Braiding, dict], tuple[list[CheckResult], list]]
+    characters: dict
 
 
-def _chi_line(algebra: FinHopfAlgebra, c: Carrier) -> str:
-    return ", ".join(f"{algebra.labels[i]} -> {algebra.format_element(c.chi(i))}"
-                     for i in range(algebra.dim))
+def _add(report: Report, checks, lines) -> None:
+    report.extend(checks)
+    for name, value in lines:
+        report.add_computed(name, value)
+
+
+def run_verify(report: Report, structure: list[CheckResult],
+               source: Callable[[], Source]) -> None:
+    """The verify pipeline of every carrier: the structure battery; once it
+    passes, the integral battery, the R-matrix chain when the source has an
+    R-matrix, the braided chain when it has a braiding, the source's
+    closing block, and last the same pipeline on the dual of an R-matrix."""
+    report.extend(structure)
+    if not all(x.ok for x in structure):
+        return
+    src = source()
+    try:
+        data = src.data()
+    except (AxiomError, NotInvertibleError) as exc:
+        report.add(failed("integral.data", str(exc)))
+        return
+    c = data.carrier
+    _add(report, cofrobenius_checks(c, data.pairing, data.chi), src.lines(c))
+
+    r = qt = None
+    if src.r is not None:
+        report.conventions.extend(QT_CONVENTIONS)
+        try:
+            r = src.r()
+        except (AxiomError, NotInvertibleError) as exc:
+            report.add(failed("qt.r_invertible", str(exc)))
+    if r is not None:
+        qt = _qt_chain(data.algebra, data, r, src.characters, report)
+
+    if src.braiding is not None or r is not None:
+        report.conventions.extend(CQT_CONVENTIONS)
+    if src.braiding is not None:
+        try:
+            br, grouplikes, functionals = src.braiding()
+        except (AxiomError, NotInvertibleError) as exc:
+            report.add(failed("cqt.braiding_invertible", str(exc)))
+        else:
+            fns, checks = braided_chain(c, br, grouplikes, functionals)
+            report.extend(checks)
+            if fns is not None:
+                _add(report, *src.closing(c, br, fns))
+    if r is not None:
+        _dual_chain(data.algebra, r, qt, src.characters, report)
+
+
+def _carrier_lines(algebra: FinHopfAlgebra, c: Carrier) -> list[tuple[str, str]]:
+    chi = ", ".join(f"{algebra.labels[i]} -> {algebra.format_element(c.chi(i))}"
+                    for i in range(algebra.dim))
+    return [("lambda", algebra.format_functional(c.lam)),
+            ("a", algebra.format_element(c.a)),
+            ("alpha", algebra.format_functional(c.alpha)),
+            ("chi", chi)]
+
+
+def _functional_lines(algebra: FinHopfAlgebra, c: Carrier, br: Braiding, fns: dict):
+    return [], [("u", algebra.format_functional(fns["u"])),
+                ("v", algebra.format_functional(fns["v"]))]
+
+
+def _document_source(job: Job):
+    """A document's carrier: the Hopf battery on its tables, integral data
+    by linear algebra, R and sigma as the document gives them."""
+    doc = job.doc
+    algebra = build_algebra(doc, check=False)
+
+    def source() -> Source:
+        characters = document_characters(doc, algebra)
+        grouplikes = document_grouplikes(doc, algebra)
+        r = braiding = None
+        if doc.r_entries is not None:
+            r = lambda: RMatrix.from_entries(algebra, doc.r_entries)
+        if doc.sigma is not None:
+            braiding = lambda: (braiding_from_matrix(algebra, doc.sigma)[0], grouplikes, None)
+        return Source(lambda: cofrobenius_data(algebra), partial(_carrier_lines, algebra),
+                      r, braiding, partial(_functional_lines, algebra), characters)
+
+    return (), verify_hopf(algebra), source
+
+
+def _laurent_source(job: Job):
+    """The Laurent family's carrier: its structure battery on the window,
+    closed-form integral data and braiding, no R-matrix, and the closed
+    forms checked after the braided chain."""
+    ops = laurent.basis_ops(job.window)
+    source = Source(lambda: CoFrobeniusData(None, None, None, laurent.family_data(ops)),
+                    partial(laurent.computed_lines, job.window), None,
+                    lambda: (laurent.braiding(), {}, None),
+                    lambda c, br, fns: (laurent.closed_form_checks(c, br, fns), []), {})
+    return laurent.FAMILY_CONVENTIONS, laurent.structure_checks(ops), lambda: source
+
+
+# each source kind gives its own conventions, its structure battery and a
+# callable building the rest of its Source once that battery passes
+VERIFY_SOURCES = {"findim": _document_source, "laurent": _laurent_source}
 
 
 def _qt_chain(algebra: FinHopfAlgebra, data: CoFrobeniusData, r: RMatrix,
@@ -190,47 +306,10 @@ def _qt_chain(algebra: FinHopfAlgebra, data: CoFrobeniusData, r: RMatrix,
     return qt
 
 
-def _cqt_chain(algebra: FinHopfAlgebra, c: Carrier, br: Braiding,
-               grouplikes: dict, report: Report, prefix: str = "",
-               functionals: tuple | None = None) -> None:
-    """The braided checks; functionals are br's braided functionals with
-    their checks when the caller has computed them already."""
-    def emit(checks) -> None:
-        if prefix:
-            checks = [CheckResult(prefix + x.name, x.status, x.witness)
-                      for x in checks]
-        report.extend(checks)
-
-    ops = c.ops
-    base = braiding_axiom_checks(ops, br)
-    emit(base)
-    if not all(x.ok for x in base):
-        return
-    fns, fn_checks = functionals or braided_functionals(ops, br)
-    emit(fn_checks)
-    emit(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))
-    emit(braided_modular_corollary_checks(ops, br, fns, c.alpha, c.alpha_inv,
-                                          c.a, c.a_inv))
-
-    glikes = {"a": c.a}
-    glikes.update(grouplikes)
-    # the inverse of a grouplike is its antipode
-    pairs = {name: (g, ops.s_lc(g)) for name, g in glikes.items()}
-    for name in sorted(pairs):
-        _, w_checks = grouplike_witness_checks(ops, br, *pairs[name], name=name)
-        emit(w_checks)
-    emit(grouplike_homomorphism_checks(ops, br, pairs))
-
-    _, flip_checks = flip_braiding_checks(ops, br, fns, c.a, c.a_inv)
-    emit(flip_checks)
-    emit(twist_round_trip(c, fns["u"], fns["u_inv"]))
-
-    report.add_computed(prefix + "u", algebra.format_functional(fns["u"]))
-    report.add_computed(prefix + "v", algebra.format_functional(fns["v"]))
-
-
 def _dual_chain(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData | None,
                 characters: dict, report: Report) -> None:
+    """The dual with sigma(f, g) = (f x g)(R): the bridge checks, then the
+    verify pipeline on the dual, its names prefixed with "dual."."""
     try:
         if qt is None:  # the QT axioms failed before the chain reached u and v
             qt, _ = drinfeld_elements(algebra, r)
@@ -240,79 +319,21 @@ def _dual_chain(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData | None,
         report.add(failed("dual.construction", str(exc)))
         return
     report.extend(bridge)
-    report.extend(CheckResult("dual." + c.name, c.status, c.witness)
-                  for c in verify_hopf(dual))
-    report.extend(CheckResult("dual." + c.name, c.status, c.witness)
-                  for c in cofrobenius_checks(dual, dual_data))
     # characters of the algebra are grouplikes of its dual
     glikes = {name: lc_canon({k: f(k) for k in range(dual.dim)})
               for name, f in characters.items()}
-    _cqt_chain(dual, dual_data.carrier, br, glikes, report, prefix="dual.",
-               functionals=functionals)
-
-
-# ---------------------------------------------------------------------------
-# verify
+    source = Source(lambda: dual_data, lambda c: [], None,
+                    lambda: (br, glikes, functionals), partial(_functional_lines, dual), {})
+    sub = Report(title="dual")
+    run_verify(sub, verify_hopf(dual), lambda: source)
+    _add(report, [CheckResult("dual." + x.name, x.status, x.witness) for x in sub.checks],
+         [("dual." + name, value) for name, value in sub.computed])
 
 
 def cmd_verify(job: Job, args) -> int:
-    report = Report(title=f"verify {job.label}", conventions=list(CONVENTIONS))
-    if job.kind == "laurent":
-        report.conventions.extend(laurent.FAMILY_CONVENTIONS)
-        report.conventions.extend(CQT_CONVENTIONS)
-        checks, computed = laurent.window_suite(job.window)
-        report.extend(checks)
-        for n, v in computed:
-            report.add_computed(n, v)
-        return _finish(report, args)
-
-    doc = job.doc
-    algebra = build_algebra(doc, check=False)
-    hopf_checks = verify_hopf(algebra)
-    report.extend(hopf_checks)
-    if not all(c.ok for c in hopf_checks):
-        return _finish(report, args)
-
-    characters = document_characters(doc, algebra)
-    grouplikes = document_grouplikes(doc, algebra)
-
-    data = None
-    try:
-        data = cofrobenius_data(algebra)
-    except (AxiomError, NotInvertibleError) as exc:
-        report.add(failed("integral.data", str(exc)))
-    if data is None:
-        return _finish(report, args)
-    report.extend(cofrobenius_checks(algebra, data))
-    c = data.carrier
-    report.add_computed("lambda", algebra.format_functional(c.lam))
-    report.add_computed("a", algebra.format_element(c.a))
-    report.add_computed("alpha", algebra.format_functional(c.alpha))
-    report.add_computed("chi", _chi_line(algebra, c))
-
-    r = None
-    if doc.r_entries is not None:
-        report.conventions.extend(QT_CONVENTIONS)
-        try:
-            r = _r_matrix(algebra, doc)
-        except (AxiomError, NotInvertibleError) as exc:
-            report.add(failed("qt.r_invertible", str(exc)))
-    qt = None
-    if r is not None:
-        qt = _qt_chain(algebra, data, r, characters, report)
-
-    if doc.sigma is not None or r is not None:
-        report.conventions.extend(CQT_CONVENTIONS)
-    if doc.sigma is not None:
-        try:
-            br, _ = braiding_from_matrix(algebra, doc.sigma)
-        except (AxiomError, NotInvertibleError) as exc:
-            br = None
-            report.add(failed("cqt.braiding_invertible", str(exc)))
-        if br is not None:
-            _cqt_chain(algebra, data.carrier, br, grouplikes, report)
-    if r is not None:
-        _dual_chain(algebra, r, qt, characters, report)
+    conventions, structure, source = VERIFY_SOURCES[job.kind](job)
+    report = Report(title=f"verify {job.label}", conventions=[*CONVENTIONS, *conventions])
+    run_verify(report, structure, source)
     return _finish(report, args)
 
 
@@ -378,7 +399,7 @@ def cmd_compute(job: Job, args) -> int:
     data = cofrobenius_data(algebra)
     c = data.carrier
     ops = c.ops
-    r = _r_matrix(algebra, doc) if doc.r_entries is not None else None
+    r = RMatrix.from_entries(algebra, doc.r_entries) if doc.r_entries is not None else None
 
     if what == "lambda":
         report.add_computed("lambda", algebra.format_functional(c.lam))
@@ -434,7 +455,7 @@ def _finite_source(job: Job):
     doc = job.doc
     algebra = build_algebra(doc, check=True)
     data = cofrobenius_data(algebra)
-    r = _r_matrix(algebra, doc) if doc.r_entries is not None else None
+    r = RMatrix.from_entries(algebra, doc.r_entries) if doc.r_entries is not None else None
     return doc, algebra, data, r
 
 

@@ -342,11 +342,12 @@ class CoFrobeniusData:
     """A chosen left integral and everything the identities derive from it,
     as a Carrier, plus the matrices the rank and invertibility checks read:
     chi with column j holding chi(e_j), and pairing holding lambda(e_i e_j)
-    at row i, column j."""
+    at row i, column j.  The infinite carrier has no algebra tables and no
+    matrices; those fields are None there."""
 
-    algebra: FinHopfAlgebra
-    chi: Matrix
-    pairing: Matrix
+    algebra: FinHopfAlgebra | None
+    chi: Matrix | None
+    pairing: Matrix | None
     carrier: Carrier
 
 
@@ -410,26 +411,34 @@ def cofrobenius_data(algebra: FinHopfAlgebra) -> CoFrobeniusData:
     return CoFrobeniusData(algebra, chi_matrix, pairing, carrier)
 
 
-def cofrobenius_checks(algebra: FinHopfAlgebra, data: CoFrobeniusData) -> list[CheckResult]:
-    """The full integral-and-modular-data battery for one algebra: integral
+def cofrobenius_checks(c: Carrier, pairing: Matrix | None,
+                       chi: Matrix | None) -> list[CheckResult]:
+    """The full integral-and-modular-data battery for one carrier: integral
     law, modular element, both exchange identities, pairing ranks, Nakayama
-    map and the three forms of S^4."""
-    c = data.carrier
+    map and the three forms of S^4.  The rank and invertibility lines read
+    the pairing and chi matrices; without them (the infinite carrier) they
+    are skipped."""
     ops = c.ops
     out = [left_integral_law_check(ops, c.lam)]
     out.extend(modular_element_checks(ops, c.lam, c.a, c.a_inv))
     out.extend(integral_exchange_checks(ops, c.lam, c.a_inv))
-    n = algebra.dim
-    for side, p in (("left", data.pairing), ("right", data.pairing.transpose())):
-        r = rank(p)
-        out.append(check(f"integral.pairing_full_rank_{side}", r == n,
-                         None if r == n else f"rank {r} of {n}"))
+    for side, p in (("left", pairing), ("right", pairing and pairing.transpose())):
+        name = f"integral.pairing_full_rank_{side}"
+        if p is None:
+            out.append(skipped(name, "infinite carrier: no pairing matrix"))
+            continue
+        n, r = p.nrows, rank(p)
+        out.append(check(name, r == n, None if r == n else f"rank {r} of {n}"))
     out.extend(nakayama_checks(ops, c.lam, c.chi, c.alpha, c.alpha_inv))
-    try:
-        invert_matrix(data.chi)
-        out.append(check("integral.nakayama_invertible", True))
-    except SingularMatrixError:
-        out.append(failed("integral.nakayama_invertible", "matrix is singular"))
+    if chi is None:
+        out.append(skipped("integral.nakayama_invertible",
+                           "infinite carrier: no Nakayama matrix"))
+    else:
+        try:
+            invert_matrix(chi)
+            out.append(check("integral.nakayama_invertible", True))
+        except SingularMatrixError:
+            out.append(failed("integral.nakayama_invertible", "matrix is singular"))
     out.extend(radford_s4_checks(ops, c.a, c.a_inv, c.alpha, c.alpha_inv))
     return out
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .cofrobenius import Carrier, twist_round_trip
 from .hopf import FinHopfAlgebra, NotInvertibleError
 from .linalg import Matrix, solve_linear
 from .lincomb import (
@@ -414,6 +415,34 @@ def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC,
         and twice.inverse(p[0], p[1]) == br.inverse(p[0], p[1]),
         lambda p: f"at {_pair_label(ops, p)}"))
     return flipped, out
+
+
+def braided_chain(c: Carrier, br: Braiding, grouplikes: dict,
+                  functionals: tuple | None) -> tuple[dict | None, list[CheckResult]]:
+    """Every braided check on a carrier: the braiding axioms and, once they
+    pass, the braided functionals, the modular identities, the witnesses of
+    a and of each named grouplike, the grouplike maps, the flipped braiding
+    and the integral-twist round trip.  functionals are br's braided
+    functionals with their checks when the caller has computed them
+    already.  Returns the functionals (None when an axiom fails) and the
+    checks."""
+    ops = c.ops
+    out = braiding_axiom_checks(ops, br)
+    if not all(x.ok for x in out):
+        return None, out
+    fns, fn_checks = functionals or braided_functionals(ops, br)
+    out.extend(fn_checks)
+    out.extend(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))
+    out.extend(braided_modular_corollary_checks(ops, br, fns, c.alpha, c.alpha_inv,
+                                                c.a, c.a_inv))
+    # the inverse of a grouplike is its antipode
+    pairs = {name: (g, ops.s_lc(g)) for name, g in {"a": c.a, **grouplikes}.items()}
+    for name in sorted(pairs):
+        out.extend(grouplike_witness_checks(ops, br, *pairs[name], name=name)[1])
+    out.extend(grouplike_homomorphism_checks(ops, br, pairs))
+    out.extend(flip_braiding_checks(ops, br, fns, c.a, c.a_inv)[1])
+    out.extend(twist_round_trip(c, fns["u"], fns["u_inv"]))
+    return fns, out
 
 
 # perfbench/spans.py traces these names too, so they stay bound to the

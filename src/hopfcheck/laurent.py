@@ -8,26 +8,9 @@ Z, so a window parameter only bounds the grid the identity suite runs on.
 
 from __future__ import annotations
 
-from .cofrobenius import (
-    Carrier,
-    integral_exchange_checks,
-    left_integral_law_check,
-    modular_element_checks,
-    nakayama_checks,
-    radford_s4_checks,
-    twist_round_trip,
-)
+from .cofrobenius import Carrier
+from .coquasitriangular import Braiding, modular_characters
 from .hopf import AxiomError
-from .coquasitriangular import (
-    Braiding,
-    braided_functionals,
-    braided_modular_corollary_checks,
-    braiding_axiom_checks,
-    flip_braiding_checks,
-    grouplike_witness_checks,
-    modular_characters,
-    modular_convolution_checks,
-)
 from .lincomb import BasisOps, LC, hopf_axiom_checks, lc_eq, memo_fn
 from .report import CheckResult, check, grid_check
 from .scalars import Scalar, div
@@ -177,12 +160,10 @@ def family_data(ops: BasisOps) -> Carrier:
     return Carrier(ops, integral_value, a_lc, a_inv_lc, chi, alpha, alpha_inv)
 
 
-def window_suite(window: int) -> tuple[list[CheckResult], list[tuple[str, str]]]:
-    """Every identity the suite knows, on the truncation |i| <= window."""
-    ops = basis_ops(window)
-    out: list[CheckResult] = []
-    out.extend(hopf_axiom_checks(ops))
-
+def structure_checks(ops: BasisOps) -> list[CheckResult]:
+    """The family's structure battery on the window: the Hopf axioms, then
+    the closed-form rules S^2 = sign and S^4 = id."""
+    out = hopf_axiom_checks(ops)
     out.append(grid_check(
         "family.antipode_square_sign_rule", ops.keys,
         lambda k: lc_eq(ops.s_power(ops.single(k), 2),
@@ -192,52 +173,37 @@ def window_suite(window: int) -> tuple[list[CheckResult], list[tuple[str, str]]]
         "family.antipode_fourth_power_identity", ops.keys,
         lambda k: lc_eq(ops.s_power(ops.single(k), 4), ops.single(k)),
         lambda k: f"at {ops.label(k)}"))
+    return out
 
-    c = family_data(ops)
-    out.append(left_integral_law_check(ops, c.lam))
-    out.extend(modular_element_checks(ops, c.lam, c.a, c.a_inv))
-    out.extend(integral_exchange_checks(ops, c.lam, c.a_inv))
-    out.extend(nakayama_checks(ops, c.lam, c.chi, c.alpha, c.alpha_inv))
-    eq, where = ops.fn_eq_on_grid(c.alpha, alpha_closed_form)
-    out.append(check("family.alpha_matches_closed_form", eq,
-                     None if eq else f"at {ops.label(where)}"))
 
-    out.extend(radford_s4_checks(ops, c.a, c.a_inv, c.alpha, c.alpha_inv))
-
-    br = braiding()
-    out.extend(braiding_axiom_checks(ops, br))
-    fns, fn_checks = braided_functionals(ops, br)
-    out.extend(fn_checks)
-    eq, where = ops.fn_eq_on_grid(fns["u"], drinfeld_closed_form)
-    out.append(check("family.u_matches_closed_form", eq,
-                     None if eq else f"at {ops.label(where)}"))
-    out.append(grid_check(
-        "family.u_v_and_inverses_coincide", ops.keys,
-        lambda k: fns["u"](k) == fns["u_inv"](k) == fns["v"](k) == fns["v_inv"](k),
-        lambda k: f"at {ops.label(k)}"))
-
-    out.extend(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))
-    out.extend(braided_modular_corollary_checks(ops, br, fns, c.alpha, c.alpha_inv,
-                                                c.a, c.a_inv))
-    _, beta_a = modular_characters(ops, br, c.a, c.a_inv)
-    eq, where = ops.fn_eq_on_grid(beta_a, alpha_closed_form)
-    out.append(check("family.beta_a_matches_closed_form", eq,
-                     None if eq else f"at {ops.label(where)}"))
-
-    _, witness_checks = grouplike_witness_checks(ops, br, c.a, c.a_inv, name="a")
-    out.extend(witness_checks)
-
-    _, flip_checks = flip_braiding_checks(ops, br, fns, c.a, c.a_inv)
-    out.extend(flip_checks)
-
-    out.extend(twist_round_trip(c, fns["u"], fns["u_inv"]))
-
-    computed = [
-        ("window", f"|i| <= {window}, {len(ops.keys)} basis keys"),
+def computed_lines(window: int, c: Carrier) -> list[tuple[str, str]]:
+    """The family's computed values, in closed form."""
+    return [
+        ("window", f"|i| <= {window}, {len(c.ops.keys)} basis keys"),
         ("lambda", "lambda(g^i x^j) = delta(i, -1) delta(j, 1)"),
         ("a", label_key(next(iter(c.a)))),
         ("alpha", "alpha(g^i x^j) = delta(j, 0) (-1)^i"),
         ("chi", "chi(g^i x^j) = (-1)^(i + j) g^i x^j"),
         ("u", "u(g^i x^j) = delta(j, 0) (-1)^i; u = v = u^-1 = v^-1"),
     ]
-    return out, computed
+
+
+def closed_form_checks(c: Carrier, br: Braiding, fns: dict) -> list[CheckResult]:
+    """alpha, u and beta_a as the shared checks computed them, against the
+    family's closed forms, and u = v = u^-1 = v^-1."""
+    ops = c.ops
+
+    def matches(name: str, fn, closed) -> CheckResult:
+        eq, where = ops.fn_eq_on_grid(fn, closed)
+        return check(f"family.{name}_matches_closed_form", eq,
+                     None if eq else f"at {ops.label(where)}")
+
+    u, u_inv, v, v_inv = fns["u"], fns["u_inv"], fns["v"], fns["v_inv"]
+    return [
+        matches("alpha", c.alpha, alpha_closed_form),
+        matches("u", u, drinfeld_closed_form),
+        grid_check("family.u_v_and_inverses_coincide", ops.keys,
+                   lambda k: u(k) == u_inv(k) == v(k) == v_inv(k),
+                   lambda k: f"at {ops.label(k)}"),
+        matches("beta_a", modular_characters(ops, br, c.a, c.a_inv)[1], alpha_closed_form),
+    ]

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
+from hopfcheck.cli import main
 from hopfcheck.coquasitriangular import Braiding, braiding_axiom_checks
 from hopfcheck.hopf import AxiomError
 from hopfcheck.laurent import (
@@ -21,23 +23,58 @@ from hopfcheck.laurent import (
     sigma_value,
     solve_modular,
     solve_nakayama,
-    window_suite,
 )
 
+from test_golden import laurent_quotient_document
+
 NEG = Fraction(-1)
+# the checks that read the pairing and chi matrices, which the infinite
+# carrier does not have
+MATRIX_CHECKS = ("integral.pairing_full_rank_left", "integral.pairing_full_rank_right",
+                 "integral.nakayama_invertible")
+
+
+def verify_json(capsys, *source) -> dict:
+    assert main(["verify", *source, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("window", [2, 3, 5])
-def test_window_suite_is_green(window):
-    checks, computed = window_suite(window)
-    fails = [c for c in checks if c.status == "fail"]
+def test_window_suite_is_green(window, capsys):
+    report = verify_json(capsys, "preset:laurent", "--window", str(window))
+    fails = [c for c in report["checks"] if c["status"] == "fail"]
     assert not fails, fails
-    skips = [c for c in checks if c.status == "skipped"]
-    assert [c.name for c in skips] == ["braided_modular.unimodular_u_inv_v_eq_alpha"]
-    assert skips[0].witness == "modular element is not the unit"
-    values = dict(computed)
+    skips = [(c["name"], c["witness"]) for c in report["checks"] if c["status"] == "skipped"]
+    assert skips == [
+        ("integral.pairing_full_rank_left", "infinite carrier: no pairing matrix"),
+        ("integral.pairing_full_rank_right", "infinite carrier: no pairing matrix"),
+        ("integral.nakayama_invertible", "infinite carrier: no Nakayama matrix"),
+        ("braided_modular.unimodular_u_inv_v_eq_alpha", "modular element is not the unit"),
+    ]
+    values = {c["name"]: c["value"] for c in report["computed"]}
     assert values["a"] == "g"
     assert values["window"].startswith(f"|i| <= {window}")
+
+
+def test_finite_quotient_and_laurent_window_run_one_check_sequence(capsys, tmp_path):
+    # H_4 over F_10007 is the Laurent family mod g^4 - 1; both go through the
+    # one verify driver, so only the family's own lines, the finite antipode
+    # inverse line and the matrix checks (PASS finite, SKIP infinite) differ
+    path = tmp_path / "h4.json"
+    path.write_text(json.dumps(laurent_quotient_document(4)), encoding="utf-8")
+
+    def sequence(*source):
+        return [(c["name"], c["status"]) for c in verify_json(capsys, *source)["checks"]
+                if not c["name"].startswith("family.")
+                and c["name"] != "hopf.antipode_invertible"]
+
+    finite = sequence(str(path))
+    family = sequence("preset:laurent", "--window", "2")
+    assert [name for name, _ in finite] == [name for name, _ in family]
+    assert [s for name, s in finite if name in MATRIX_CHECKS] == ["pass"] * 3
+    assert [s for name, s in family if name in MATRIX_CHECKS] == ["skipped"] * 3
+    assert ([x for x in finite if x[0] not in MATRIX_CHECKS]
+            == [x for x in family if x[0] not in MATRIX_CHECKS])
 
 
 def test_grid_size_tracks_window():
