@@ -154,7 +154,7 @@ def parse_document(obj) -> AlgebraDocument:
                         f"sigma: entry {pos} must be [i, j, value] or a dense matrix")
                 i = _index(entry[0], "sigma", pos, n)
                 j = _index(entry[1], "sigma", pos, n)
-                rows[i][j] = _scalar(field, entry[2], "sigma", pos)
+                rows[i][j] = rows[i][j] + _scalar(field, entry[2], "sigma", pos)
             sigma = tuple(tuple(row) for row in rows)
 
     def named_vectors(key: str) -> dict:

@@ -160,6 +160,16 @@ def test_sigma_dense_and_sparse_agree():
     assert a.sigma == b.sigma
 
 
+def test_sigma_sparse_duplicates_sum():
+    # repeated (i, j) entries add up, as mult, antipode and R entries do
+    sparse = c2_obj()
+    sparse["sigma"] = [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, -3], [1, 1, 2]]
+    dense = c2_obj()
+    dense["sigma"] = [[1, 1], [1, -1]]
+    assert parse_document(sparse).sigma == parse_document(dense).sigma
+    assert document_text(parse_document(sparse)) == document_text(parse_document(dense))
+
+
 def test_sigma_entry_shape():
     obj = c2_obj()
     obj["sigma"] = [[0, 0, 1], [0, 1]]
