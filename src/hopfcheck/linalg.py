@@ -57,12 +57,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else ())
 

@@ -34,22 +34,11 @@ def lc_canon(d: LC) -> LC:
     return {k: v for k, v in d.items() if v}
 
 
-def lc_single(key: Key, one: Scalar) -> LC:
-    return {key: one}
-
 def lc_add(a: LC, b: LC) -> LC:
     out = dict(a)
     for k, v in b.items():
         w = out.get(k)
         out[k] = v if w is None else w + v
-    return lc_canon(out)
-
-
-def lc_sub(a: LC, b: LC) -> LC:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        out[k] = -v if w is None else w - v
     return lc_canon(out)
 
 
@@ -61,10 +50,6 @@ def lc_scale(c: Scalar, a: LC) -> LC:
 
 def lc_eq(a: LC, b: LC) -> bool:
     return lc_canon(a) == lc_canon(b)
-
-
-def lc_is_zero(a: LC) -> bool:
-    return not lc_canon(a)
 
 
 def lc_format(a: LC, label: Callable[[Key], str], fmt: Callable[[Scalar], str]) -> str:
@@ -243,12 +228,6 @@ class BasisOps:
             return acc
 
         return conv
-
-    def convolve_many(self, *fns):
-        acc = self.eps
-        for f in fns:
-            acc = self.convolve(acc, f)
-        return acc
 
     def compose_s_power(self, f: Callable[[Key], Scalar], power: int):
         return lambda key: self.eval_fn(f, self.s_power(self.single(key), power))

@@ -1,15 +1,21 @@
-"""Every name a hopfcheck module imports is used there or re-exported.
+"""Every name a hopfcheck module imports is used there or re-exported, and
+every definition in the package is named somewhere besides its own.
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
 a name bound by an import must appear as a name (or as the root of an
 attribute chain) somewhere in the module, in a string annotation, or in
-the module's __all__.
+the module's __all__.  A top-level function or class, or a method whose
+name is not a dunder, must be named outside its own definition: in src/,
+tests/ or scripts/, or in a perfbench/spans.TRACE_POINTS path.  Methods
+count only when named as an attribute (obj.method) or in a trace path.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hopfcheck"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hopfcheck"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -70,3 +76,80 @@ def test_src_modules_have_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _definitions(tree: ast.Module):
+    """(display name, bare name, is a method, node) for each definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, False, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (sub.name.startswith("__") and sub.name.endswith("__"))):
+                    yield f"{node.name}.{sub.name}", sub.name, True, sub
+
+
+def _mentions(tree: ast.AST) -> tuple[Counter, Counter]:
+    """How often each identifier is named (as a name or an import) and how
+    often as an attribute, under tree."""
+    names, attrs = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+    return names, attrs
+
+
+def _trace_paths() -> set[tuple[str, str]]:
+    """(module, attribute path) of every perfbench/spans.TRACE_POINTS entry."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACE_POINTS" for t in node.targets)):
+            return {(module, path) for module, path, _ in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/spans.py has no TRACE_POINTS")
+
+
+def unused_definitions(modules, users, traced) -> list[str]:
+    """Definitions in modules never named in users (beyond their own
+    definition) nor among the traced (module, attribute path) pairs."""
+    names, attrs = Counter(), Counter()
+    for path in users:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        n, a = _mentions(tree)
+        names += n + Counter(_exported(tree))
+        attrs += a
+    out = []
+    for path in modules:
+        for shown, bare, method, node in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            own_names, own_attrs = _mentions(node)
+            used = attrs[bare] - own_attrs[bare]
+            if not method:
+                used += names[bare] - own_names[bare]
+            if used <= 0 and (path.stem, shown) not in traced:
+                out.append(f"{path.name}: {shown}")
+    return out
+
+
+def test_unused_definition_detector_flags_an_orphan(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def spin(n):\n    return spin(n - 1)\n\n"
+                   "def used():\n    return 1\n\n"
+                   "class Box:\n    def open(self):\n        return self.shut()\n\n"
+                   "    def shut(self):\n        return used()\n\n"
+                   "    def __len__(self):\n        return 0\n\n"
+                   "def traced():\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from mod import Box\n")
+    found = unused_definitions([mod], [mod, user], {("mod", "traced")})
+    assert found == ["mod.py: spin", "mod.py: Box.open"]
+
+
+def test_src_definitions_are_all_named():
+    users = [p for d in ("src", "tests", "scripts") for p in sorted((ROOT / d).rglob("*.py"))]
+    unused = unused_definitions(sorted(SRC.glob("*.py")), users, _trace_paths())
+    assert not unused, "definitions nothing names:\n" + "\n".join(unused)
