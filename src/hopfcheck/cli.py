@@ -5,9 +5,17 @@
     hopf check   SOURCE THEOREM    run a single theorem suite
 
 A source is a preset (preset:group:C2, preset:group:C4, preset:sweedler4,
-preset:laurent) or a path to a JSON definition document.  Reports render
-as text by default and as canonical JSON with --json; without --timestamps
-the output of a fixed command line is byte identical across runs.
+preset:laurent) or a path to a JSON definition document.  verify runs one
+driver, run_verify, on every carrier: the source supplies its structure
+battery, its Carrier, an optional R-matrix, an optional braiding and its
+computed lines, and the driver runs the integral battery, the R-matrix
+chain, the braided chain and, given an R-matrix, itself again on the dual.
+The infinite Laurent carrier has no pairing or chi matrix, so its rank and
+Nakayama-invertibility lines report SKIP.
+
+Reports render as text by default and as canonical JSON with --json;
+without --timestamps the output of a fixed command line is byte identical
+across runs.
 
 Exit codes: 0 every non-skipped check passed, 1 at least one check failed
 or a construction broke down, 2 bad input or usage.
@@ -139,19 +147,12 @@ def resolve_source(args) -> Job:
 @dataclass
 class Source:
     """What a carrier hands the verify driver once its structure battery
-    passes.  A build that raises AxiomError or NotInvertibleError becomes
-    one failed check.
-
-    data        builds the integral data; the tables and the pairing and
-                chi matrices are None on the infinite carrier
-    lines       the computed lines about the carrier
-    r           None, or builds the R-matrix
-    braiding    None, or builds (braiding, the named grouplikes, its braided
-                functionals with their checks when already computed)
-    closing     checks and computed lines from the braided functionals,
-                once the braided chain has them
-    characters  the named characters the R-matrix chains read
-    """
+    passes: data builds its integral data (tables and matrices None on the
+    infinite carrier), lines are its computed lines, r and braiding are
+    None or build its R-matrix and (braiding, named grouplikes, braided
+    functionals if already computed), and closing gives the checks and
+    lines that follow the braided chain.  The R-matrix chains read the
+    named characters."""
 
     data: Callable[[], CoFrobeniusData]
     lines: Callable[[Carrier], list[tuple[str, str]]]
@@ -170,9 +171,9 @@ def _add(report: Report, checks, lines) -> None:
 def run_verify(report: Report, structure: list[CheckResult],
                source: Callable[[], Source]) -> None:
     """The verify pipeline of every carrier: the structure battery; once it
-    passes, the integral battery, the R-matrix chain when the source has an
-    R-matrix, the braided chain when it has a braiding, the source's
-    closing block, and last the same pipeline on the dual of an R-matrix."""
+    passes, the integral battery, the R-matrix chain, the braided chain and
+    the source's closing block, then this pipeline on the dual of the
+    R-matrix.  A build that raises becomes one failed check."""
     report.extend(structure)
     if not all(x.ok for x in structure):
         return
@@ -193,7 +194,7 @@ def run_verify(report: Report, structure: list[CheckResult],
         except (AxiomError, NotInvertibleError) as exc:
             report.add(failed("qt.r_invertible", str(exc)))
     if r is not None:
-        qt = _qt_chain(data.algebra, data, r, src.characters, report)
+        qt = _qt_chain(data, r, src.characters, report)
 
     if src.braiding is not None or r is not None:
         report.conventions.extend(CQT_CONVENTIONS)
@@ -262,10 +263,11 @@ def _laurent_source(job: Job):
 VERIFY_SOURCES = {"findim": _document_source, "laurent": _laurent_source}
 
 
-def _qt_chain(algebra: FinHopfAlgebra, data: CoFrobeniusData, r: RMatrix,
-              characters: dict, report: Report) -> QTData | None:
+def _qt_chain(data: CoFrobeniusData, r: RMatrix, characters: dict,
+              report: Report) -> QTData | None:
     """The R-matrix checks; returns the Drinfeld elements once the QT
     axioms pass."""
+    algebra = data.algebra
     qt_checks = verify_qt(algebra, r)
     report.extend(qt_checks)
     if not all(c.ok for c in qt_checks):
@@ -279,21 +281,15 @@ def _qt_chain(algebra: FinHopfAlgebra, data: CoFrobeniusData, r: RMatrix,
     report.extend(check_s2_inner_witness(algebra, data, qt.u))
 
     c = data.carrier
-    chars = {"eps": c.ops.eps, "alpha": c.alpha, "alpha_inv": c.alpha_inv}
-    chars.update(characters)
+    chars = {"eps": c.ops.eps, "alpha": c.alpha, "alpha_inv": c.alpha_inv, **characters}
     report.extend(character_maps_checks(algebra, r, chars))
     for name in sorted(chars):
-        _, w_checks = conjugation_witnesses(algebra, r, chars[name], name=name)
-        report.extend(w_checks)
-
-    _, flip_checks = flip_inverse(algebra, r)
-    report.extend(flip_checks)
+        report.extend(conjugation_witnesses(algebra, r, chars[name], name=name)[1])
+    report.extend(flip_inverse(algebra, r)[1])
 
     try:
         sub = minimal_subhopf(algebra, r, data)
-        report.extend(sub.checks)
-        for n, v in sub.computed:
-            report.add_computed(f"minimal.{n}", v)
+        _add(report, sub.checks, [(f"minimal.{n}", v) for n, v in sub.computed])
     except (AxiomError, NotInvertibleError) as exc:
         report.add(failed("subhopf.construction", str(exc)))
 
@@ -441,9 +437,7 @@ def cmd_compute(job: Job, args) -> int:
             subdoc = document_from_algebra(sub.algebra, r_terms=sub.r_sub.tensor)
             sys.stdout.write(document_text(subdoc))
             return 0
-        report.extend(sub.checks)
-        for n, v in sub.computed:
-            report.add_computed(n, v)
+        _add(report, sub.checks, sub.computed)
     return _finish(report, args)
 
 
@@ -512,9 +506,7 @@ def _check_qt(job: Job, token: str, report: Report) -> None:
         report.extend(check_modular_grouplikes_equal(algebra, data, r))
     elif token == "minimal":
         sub = minimal_subhopf(algebra, r, data)
-        report.extend(sub.checks)
-        for n, v in sub.computed:
-            report.add_computed(n, v)
+        _add(report, sub.checks, sub.computed)
     else:  # uv and cor25 start from the Drinfeld elements
         qt, dr_checks = drinfeld_elements(algebra, r)
         report.extend(dr_checks)
