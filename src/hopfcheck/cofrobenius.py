@@ -422,13 +422,15 @@ def cofrobenius_checks(c: Carrier, pairing: Matrix | None,
     out = [left_integral_law_check(ops, c.lam)]
     out.extend(modular_element_checks(ops, c.lam, c.a, c.a_inv))
     out.extend(integral_exchange_checks(ops, c.lam, c.a_inv))
-    for side, p in (("left", pairing), ("right", pairing and pairing.transpose())):
-        name = f"integral.pairing_full_rank_{side}"
-        if p is None:
-            out.append(skipped(name, "infinite carrier: no pairing matrix"))
-            continue
-        n, r = p.nrows, rank(p)
-        out.append(check(name, r == n, None if r == n else f"rank {r} of {n}"))
+    if pairing is None:
+        out.extend(skipped(f"integral.pairing_full_rank_{side}",
+                           "infinite carrier: no pairing matrix") for side in ("left", "right"))
+    else:
+        n = pairing.nrows
+        for side, p in (("left", pairing), ("right", pairing.transpose())):
+            r = rank(p)
+            out.append(check(f"integral.pairing_full_rank_{side}", r == n,
+                             None if r == n else f"rank {r} of {n}"))
     out.extend(nakayama_checks(ops, c.lam, c.chi, c.alpha, c.alpha_inv))
     if chi is None:
         out.append(skipped("integral.nakayama_invertible",
