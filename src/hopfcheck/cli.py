@@ -6,12 +6,7 @@
 
 A source is a preset (preset:group:C2, preset:group:C4, preset:sweedler4,
 preset:laurent) or a path to a JSON definition document.  verify runs one
-driver, run_verify, on every carrier: the source supplies its structure
-battery, its Carrier, an optional R-matrix, an optional braiding and its
-computed lines, and the driver runs the integral battery, the R-matrix
-chain, the braided chain and, given an R-matrix, itself again on the dual.
-The infinite Laurent carrier has no pairing or chi matrix, so its rank and
-Nakayama-invertibility lines report SKIP.
+driver, run_verify, on every carrier; see Source for what a carrier hands it.
 
 Reports render as text by default and as canonical JSON with --json;
 without --timestamps the output of a fixed command line is byte identical
@@ -147,15 +142,15 @@ def resolve_source(args) -> Job:
 @dataclass
 class Source:
     """What a carrier hands the verify driver once its structure battery
-    passes: data builds its integral data (tables and matrices None on the
-    infinite carrier), lines are its computed lines, r and braiding are
-    None or build its R-matrix and (braiding, named grouplikes, braided
-    functionals if already computed), and closing gives the checks and
-    lines that follow the braided chain.  The R-matrix chains read the
-    named characters."""
+    passes: its integral data, whose tables and matrices are None on the
+    infinite carrier (so its rank and Nakayama-invertibility lines SKIP);
+    its computed lines; r and braiding, None or building the R-matrix and
+    (braiding, named grouplikes, braided functionals if already computed);
+    closing, giving the checks and lines after the braided chain; and the
+    named characters the R-matrix chains read."""
 
-    data: Callable[[], CoFrobeniusData]
-    lines: Callable[[Carrier], list[tuple[str, str]]]
+    data: CoFrobeniusData
+    lines: list[tuple[str, str]]
     r: Callable[[], RMatrix] | None
     braiding: Callable[[], tuple[Braiding, dict, tuple | None]] | None
     closing: Callable[[Carrier, Braiding, dict], tuple[list[CheckResult], list]]
@@ -177,14 +172,14 @@ def run_verify(report: Report, structure: list[CheckResult],
     report.extend(structure)
     if not all(x.ok for x in structure):
         return
-    src = source()
     try:
-        data = src.data()
+        src = source()
     except (AxiomError, NotInvertibleError) as exc:
         report.add(failed("integral.data", str(exc)))
         return
+    data = src.data
     c = data.carrier
-    _add(report, cofrobenius_checks(c, data.pairing, data.chi), src.lines(c))
+    _add(report, cofrobenius_checks(c, data.pairing, data.chi), src.lines)
 
     r = qt = None
     if src.r is not None:
@@ -240,8 +235,9 @@ def _document_source(job: Job):
             r = lambda: RMatrix.from_entries(algebra, doc.r_entries)
         if doc.sigma is not None:
             braiding = lambda: (braiding_from_matrix(algebra, doc.sigma)[0], grouplikes, None)
-        return Source(lambda: cofrobenius_data(algebra), partial(_carrier_lines, algebra),
-                      r, braiding, partial(_functional_lines, algebra), characters)
+        data = cofrobenius_data(algebra)
+        return Source(data, _carrier_lines(algebra, data.carrier), r, braiding,
+                      partial(_functional_lines, algebra), characters)
 
     return (), verify_hopf(algebra), source
 
@@ -251,11 +247,15 @@ def _laurent_source(job: Job):
     closed-form integral data and braiding, no R-matrix, and the closed
     forms checked after the braided chain."""
     ops = laurent.basis_ops(job.window)
-    source = Source(lambda: CoFrobeniusData(None, None, None, laurent.family_data(ops)),
-                    partial(laurent.computed_lines, job.window), None,
-                    lambda: (laurent.braiding(), {}, None),
-                    lambda c, br, fns: (laurent.closed_form_checks(c, br, fns), []), {})
-    return laurent.FAMILY_CONVENTIONS, laurent.structure_checks(ops), lambda: source
+
+    def source() -> Source:
+        carrier = laurent.family_data(ops)
+        return Source(CoFrobeniusData(None, None, None, carrier),
+                      laurent.computed_lines(job.window, carrier), None,
+                      lambda: (laurent.braiding(), {}, None),
+                      lambda c, br, fns: (laurent.closed_form_checks(c, br, fns), []), {})
+
+    return laurent.FAMILY_CONVENTIONS, laurent.structure_checks(ops), source
 
 
 # each source kind gives its own conventions, its structure battery and a
@@ -318,8 +318,8 @@ def _dual_chain(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData | None,
     # characters of the algebra are grouplikes of its dual
     glikes = {name: lc_canon({k: f(k) for k in range(dual.dim)})
               for name, f in characters.items()}
-    source = Source(lambda: dual_data, lambda c: [], None,
-                    lambda: (br, glikes, functionals), partial(_functional_lines, dual), {})
+    source = Source(dual_data, [], None, lambda: (br, glikes, functionals),
+                    partial(_functional_lines, dual), {})
     sub = Report(title="dual")
     run_verify(sub, verify_hopf(dual), lambda: source)
     _add(report, [CheckResult("dual." + x.name, x.status, x.witness) for x in sub.checks],

@@ -419,13 +419,9 @@ def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC,
 
 def braided_chain(c: Carrier, br: Braiding, grouplikes: dict,
                   functionals: tuple | None) -> tuple[dict | None, list[CheckResult]]:
-    """Every braided check on a carrier: the braiding axioms and, once they
-    pass, the braided functionals, the modular identities, the witnesses of
-    a and of each named grouplike, the grouplike maps, the flipped braiding
-    and the integral-twist round trip.  functionals are br's braided
-    functionals with their checks when the caller has computed them
-    already.  Returns the functionals (None when an axiom fails) and the
-    checks."""
+    """The braiding axioms, then (once they pass) the braided functionals,
+    unless given with their checks, and every check built on them; returns
+    the functionals, None when an axiom fails, and the checks."""
     ops = c.ops
     out = braiding_axiom_checks(ops, br)
     if not all(x.ok for x in out):

@@ -4,9 +4,8 @@ Generated by an invertible grouplike g and a skew-primitive x with
 gx = -xg and x^2 = 0.  Basis keys are pairs (i, j) for g^i x^j with i any
 integer and j in {0, 1}; every structure map is a closed form over all of
 Z, so a window parameter only bounds the grid the identity suite runs on.
-The shared verify driver runs the integral and braided checks; this module
-adds the family's structure battery, its computed lines and the closed
-forms checked after the braided chain.
+Beyond the shared verify driver, the family has its own structure battery,
+computed lines and closed forms.
 """
 
 from __future__ import annotations
