@@ -28,7 +28,7 @@ from .lincomb import (
     lc_scale,
     memo_fn,
 )
-from .linalg import Matrix, SingularMatrixError, invert_matrix, nullspace, rank
+from .linalg import Matrix, SingularMatrixError, SparseMatrix, invert_matrix, nullspace, rank
 from .report import CheckResult, check, failed, grid_check, skipped
 from .scalars import Scalar, div
 
@@ -355,18 +355,17 @@ def left_integrals(algebra: FinHopfAlgebra) -> list[tuple]:
     """Basis of the space of left integrals on the algebra, normalized, as
     value vectors on the basis."""
     n = algebra.dim
-    zero = algebra.field.zero
-    rows = []
+    # row (i, r), column k: the coefficient of lambda(e_k) in the e_r part of
+    # h1 lambda(h2) - lambda(h) 1 at h = e_i
+    eqs = SparseMatrix.zeros(algebra.field, n * n, n)
     for i in range(n):
-        for r in range(n):
-            row = [zero] * n
-            for c, j, k in algebra.delta_basis(i):
-                if j == r:
-                    row[k] = row[k] + c
-            row[i] = row[i] - algebra.unit_coeffs[r]
-            rows.append(row)
+        for c, j, k in algebra.delta_basis(i):
+            eqs.add(i * n + j, k, c)
+        for r, u in enumerate(algebra.unit_coeffs):
+            if u:
+                eqs.add(i * n + r, i, -u)
     out = []
-    for vec in nullspace(Matrix.from_rows(algebra.field, rows)):
+    for vec in nullspace(eqs):
         lead = next(v for v in vec if v)
         out.append(tuple(div(v, lead) for v in vec))
     return out
@@ -402,8 +401,7 @@ def cofrobenius_data(algebra: FinHopfAlgebra) -> CoFrobeniusData:
                                                 for j in ops.keys] for i in ops.keys])
     a, a_inv = _distinguished_pair(algebra, lam)
     chi_matrix = frobenius_chi(pairing)
-    chi_rows = chi_matrix.rows
-    chi = lambda j: {i: row[j] for i, row in enumerate(chi_rows) if row[j]}
+    chi = chi_matrix.sparse_columns().__getitem__
     # alpha = eps o chi is a character, so its convolution inverse is alpha o S
     alpha = memo_fn(lambda j: ops.eps_lc(chi(j)))
     alpha_inv = memo_fn(ops.compose_s_power(alpha, 1))

@@ -14,7 +14,7 @@ from typing import Callable
 
 from .cofrobenius import Carrier, twist_round_trip
 from .hopf import FinHopfAlgebra, NotInvertibleError
-from .linalg import Matrix, solve_linear
+from .linalg import Matrix, SparseMatrix, solve_linear
 from .lincomb import (
     BasisOps,
     LC,
@@ -459,25 +459,26 @@ def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, Matri
     still verify it as named checks."""
     n = algebra.dim
     field = algebra.field
-    zero = field.zero
     value = Matrix.from_rows(field, rows)
     if value.nrows != n or value.ncols != n:
         raise ValueError(f"braiding matrix must be {n}-by-{n}")
 
-    eqs = []
-    rhs = []
+    # row (i, j), column (k, l): sum of c1 c2 sigma(a, b) over the terms
+    # c1 e_a (x) e_k of Delta(e_i) and c2 e_b (x) e_l of Delta(e_j)
+    nonzero = value.sparse_rows()
+    eqs = SparseMatrix.zeros(field, n * n, n * n)
     for i in range(n):
-        di = algebra.delta_basis(i)
-        for j in range(n):
-            row = [zero] * (n * n)
-            for c1, a, k in di:
+        for c1, a, k in algebra.delta_basis(i):
+            sigma_a = nonzero[a]
+            if not sigma_a:
+                continue
+            for j in range(n):
                 for c2, b, l in algebra.delta_basis(j):
-                    s = value.rows[a][b]
-                    if s:
-                        row[k * n + l] = row[k * n + l] + c1 * c2 * s
-            eqs.append(row)
-            rhs.append(algebra.eps_basis(i) * algebra.eps_basis(j))
-    sol = solve_linear(Matrix.from_rows(field, eqs), tuple(rhs))
+                    s = sigma_a.get(b)
+                    if s is not None:
+                        eqs.add(i * n + j, k * n + l, c1 * c2 * s)
+    rhs = tuple(algebra.eps_basis(i) * algebra.eps_basis(j) for i in range(n) for j in range(n))
+    sol = solve_linear(eqs, rhs)
     if sol is None:
         raise NotInvertibleError("braiding has no convolution inverse")
     inv = Matrix.from_rows(field, [[sol.particular[k * n + l] for l in range(n)]

@@ -6,7 +6,7 @@ validates every axiom eagerly unless asked not to (the unchecked path
 exists so that verify_hopf can report failures instead of raising).
 Elements are sparse LCs over the basis indices and functionals are key
 functions, both handled through basis_ops(); dense coefficient
-vectors appear only where a linear solve takes or returns them.
+vectors appear only where a linear solve returns them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .lincomb import BasisOps, LC, lc_canon, lc_format, lc_outer
-from .linalg import Matrix, SingularMatrixError, invert_matrix, solve_linear
+from .linalg import Matrix, SingularMatrixError, SparseMatrix, invert_matrix, solve_linear
 from .report import CheckResult, check, failed
 from .scalars import Field, Scalar
 
@@ -42,28 +42,23 @@ class Tensor2:
         n = algebra.dim
         zero = algebra.field.zero
         # row (r, s), column (k, l): coefficient of e_r (x) e_s in t (e_k (x) e_l)
-        rows = [[zero] * (n * n) for _ in range(n * n)]
+        eqs = SparseMatrix.zeros(algebra.field, n * n, n * n)
         for (i, j), x in t.items():
+            rights = [(l, algebra.mul_basis(j, l)) for l in range(n)]
+            rights = [(l, right) for l, right in rights if right]
             for k in range(n):
-                left = algebra.mul_basis(i, k)
-                if not left:
-                    continue
-                for l in range(n):
-                    for r, cr in left.items():
-                        for s, cs in algebra.mul_basis(j, l).items():
-                            rows[r * n + s][k * n + l] += x * cr * cs
+                for r, cr in algebra.mul_basis(i, k).items():
+                    xcr = x * cr
+                    for l, right in rights:
+                        for s, cs in right.items():
+                            eqs.add(r * n + s, k * n + l, xcr * cs)
         ops = algebra.basis_ops()
         target = lc_outer(ops.unit, ops.unit)
         rhs = tuple(target.get((r, s), zero) for r in range(n) for s in range(n))
-        sol = solve_linear(Matrix.from_rows(algebra.field, rows), rhs)
+        sol = solve_linear(eqs, rhs)
         if sol is None:
             raise NotInvertibleError("tensor-square element has no right inverse")
         return lc_canon({divmod(p, n): v for p, v in enumerate(sol.particular)})
-
-
-def _sparse_columns(m: Matrix) -> tuple[LC, ...]:
-    return tuple({i: row[j] for i, row in enumerate(m.rows) if row[j]}
-                 for j in range(m.ncols))
 
 
 class FinHopfAlgebra:
@@ -129,11 +124,11 @@ class FinHopfAlgebra:
 
     @cached_property
     def _antipode_columns(self) -> tuple[LC, ...]:
-        return _sparse_columns(self.antipode_matrix)
+        return self.antipode_matrix.sparse_columns()
 
     @cached_property
     def _antipode_inv_columns(self) -> tuple[LC, ...]:
-        return _sparse_columns(self.antipode_inv_matrix)
+        return self.antipode_inv_matrix.sparse_columns()
 
     @property
     def antipode_matrix(self) -> Matrix:
@@ -170,13 +165,12 @@ class FinHopfAlgebra:
         injective, and x (y x) = x gives y x = 1), so no second check runs.
         """
         n = self.dim
-        zero = self.field.zero
-        rows = [[zero] * n for _ in range(n)]
+        eqs = SparseMatrix.zeros(self.field, n, n)  # row r, column k: e_r in x e_k
         for i, ci in x.items():
             for k in range(n):
                 for r, v in self.mul_basis(i, k).items():
-                    rows[r][k] += ci * v
-        sol = solve_linear(Matrix.from_rows(self.field, rows), self.unit_coeffs)
+                    eqs.add(r, k, ci * v)
+        sol = solve_linear(eqs, self.unit_coeffs)
         if sol is None:
             raise NotInvertibleError(f"element {self.format_element(x)} has no right inverse")
         return lc_canon(dict(enumerate(sol.particular)))
@@ -213,19 +207,17 @@ class FinHopfAlgebra:
     # -- validation ---------------------------------------------------------------
 
     def _solve_unit(self):
+        """Solve u e_j = e_j = e_j u for the unit coefficients u_i, one
+        equation per output key k of each side: rows (j, k, left/right)."""
         n = self.dim
         zero, one = self.field.zero, self.field.one
-        rows, rhs = [], []
-        for j in range(n):
-            for k in range(n):
-                left = [self.mul_basis(i, j).get(k, zero) for i in range(n)]
-                right = [self.mul_basis(j, i).get(k, zero) for i in range(n)]
-                target = one if j == k else zero
-                rows.append(left)
-                rhs.append(target)
-                rows.append(right)
-                rhs.append(target)
-        sol = solve_linear(Matrix.from_rows(self.field, rows), tuple(rhs))
+        eqs = SparseMatrix.zeros(self.field, 2 * n * n, n)
+        for (i, j), vec in self._mult.items():
+            for k, m in vec.items():
+                eqs.add(2 * (j * n + k), i, m)  # e_i e_j, unknown u_i on the left
+                eqs.add(2 * (i * n + k) + 1, j, m)  # e_i e_j, unknown u_j on the right
+        rhs = tuple(one if j == k else zero for j in range(n) for k in range(n) for _ in (0, 1))
+        sol = solve_linear(eqs, rhs)
         if sol is None:
             return None
         return sol.particular
@@ -278,26 +270,27 @@ def compute_antipode(algebra: FinHopfAlgebra) -> Matrix:
     two-sided convolution inverse of the identity.
     """
     n = algebra.dim
-    zero = algebra.field.zero
-    rows, rhs = [], []
+    # the nonzero table entries e_a e_b = ... + m e_r, indexed by one factor
+    # and r: as_right[b][r] lists (a, m), as_left[a][r] lists (b, m)
+    as_right: list[dict] = [{} for _ in range(n)]
+    as_left: list[dict] = [{} for _ in range(n)]
+    for (a, b), vec in algebra._mult.items():
+        for r, m in vec.items():
+            as_right[b].setdefault(r, []).append((a, m))
+            as_left[a].setdefault(r, []).append((b, m))
+    # rows (i, r, left/right): the coefficient of e_r in S(i1) i2, and in i1 S(i2)
+    eqs = SparseMatrix.zeros(algebra.field, 2 * n * n, n * n)
     for i in range(n):
-        for r in range(n):
-            left = [zero] * (n * n)
-            right = [zero] * (n * n)
-            for c, j, k in algebra.delta_basis(i):
-                for a in range(n):
-                    v = algebra.mul_basis(a, k).get(r)
-                    if v is not None:
-                        left[a * n + j] = left[a * n + j] + c * v
-                    w = algebra.mul_basis(j, a).get(r)
-                    if w is not None:
-                        right[a * n + k] = right[a * n + k] + c * w
-            target = algebra.eps_basis(i) * algebra.unit_coeffs[r]
-            rows.append(left)
-            rhs.append(target)
-            rows.append(right)
-            rhs.append(target)
-    sol = solve_linear(Matrix.from_rows(algebra.field, rows), tuple(rhs))
+        for c, j, k in algebra.delta_basis(i):
+            for r, hits in as_right[k].items():
+                for a, m in hits:
+                    eqs.add(2 * (i * n + r), a * n + j, c * m)
+            for r, hits in as_left[j].items():
+                for a, m in hits:
+                    eqs.add(2 * (i * n + r) + 1, a * n + k, c * m)
+    rhs = tuple(algebra.eps_basis(i) * algebra.unit_coeffs[r]
+                for i in range(n) for r in range(n) for _ in (0, 1))
+    sol = solve_linear(eqs, rhs)
     if sol is None:
         raise AxiomError("bialgebra admits no antipode")
     if not sol.unique:

@@ -29,7 +29,7 @@ from hopfcheck.lincomb import (
 )
 from hopfcheck.presets import cyclic_group_document, preset_document
 from hopfcheck.scalars import QQ
-from test_golden import laurent_quotient_document
+from test_golden import double_c2_document, laurent_quotient_document
 
 
 def test_presets_satisfy_all_axioms(c2, c4, sweedler, sweedler_xi0):
@@ -217,3 +217,49 @@ def test_cyclic_preset_over_prime_field():
     doc = cyclic_group_document(4, PrimeField(5))
     algebra = build_algebra(doc)
     assert all(r.ok for r in verify_hopf(algebra))
+
+
+# -- metamorphic: a basis permutation carries the solved antipode and unit ---
+
+
+def permuted_tables(doc: dict, perm: list[int]) -> dict:
+    """The tables of doc on the basis relabelled by perm (perm[old] = new),
+    with the antipode, R and sigma dropped, so that both the antipode and
+    the unit have to be solved for."""
+    basis = [None] * len(perm)
+    for old, label in enumerate(doc["basis"]):
+        basis[perm[old]] = label
+    return {
+        "name": doc["name"],
+        "field": doc["field"],
+        "basis": basis,
+        "mult": [[perm[i], perm[j], perm[k], c] for i, j, k, c in doc["mult"]],
+        "comult": [[perm[i], perm[j], perm[k], c] for i, j, k, c in doc["comult"]],
+        "counit": [[perm[i], c] for i, c in doc["counit"]],
+    }
+
+
+# H_4 over F_10007 ships no antipode, so its reference is the one solved on
+# the given basis; D(kC2) ships its own.  build_algebra validates both.
+METAMORPHIC_DOCUMENTS = {"h4_f10007": lambda: laurent_quotient_document(4),
+                         "double_c2": double_c2_document}
+
+
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_DOCUMENTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_antipode_and_unit_follow_a_basis_permutation(name, data):
+    doc = METAMORPHIC_DOCUMENTS[name]()
+    given_algebra = build_algebra(parse_document(doc))
+    n = given_algebra.dim
+    perm = data.draw(st.permutations(range(n)))
+    moved = build_algebra(parse_document(permuted_tables(doc, perm)), check=False)
+
+    antipode = [[None] * n for _ in range(n)]
+    unit = [None] * n
+    for a in range(n):
+        unit[perm[a]] = given_algebra.unit_coeffs[a]
+        for b in range(n):
+            antipode[perm[a]][perm[b]] = given_algebra.antipode_matrix.rows[a][b]
+    assert compute_antipode(moved).rows == tuple(map(tuple, antipode))
+    assert moved.unit_coeffs == tuple(unit)

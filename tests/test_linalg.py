@@ -54,6 +54,23 @@ def dense_rref(rows):
     return pivots
 
 
+def sparse_of(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense_rref_on_sparse(rows, ncols):
+    """dense_rref behind the kernel's interface: densify the {col: value}
+    rows, reduce them whole, and hand back the pivots and the nonzero
+    entries of the pivot rows, as _rref does."""
+    values = [x for row in rows for x in row.values()]
+    if not values:
+        return [], []
+    zero = values[0] - values[0]
+    dense = [[row.get(j, zero) for j in range(ncols)] for row in rows]
+    pivots = dense_rref(dense)
+    return pivots, sparse_of(dense[:len(pivots)])
+
+
 def naive_solve(rows, rhs):
     """Independent fraction-by-fraction elimination used as an oracle.
 
@@ -228,11 +245,15 @@ def result_scalars(results):
 
 
 def assert_matches_dense(field, rows):
-    sparse_rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    sparse_rows = sparse_of(rows)
     dense_rows = [list(r) for r in rows]
-    assert _rref(sparse_rows) == dense_rref(dense_rows)
-    assert sparse_rows == dense_rows
-    assert all(is_field_scalar(field, x) for row in sparse_rows for x in row)
+    pivots, pivot_rows = _rref(sparse_rows, ncols)
+    assert pivots == dense_rref(dense_rows)
+    assert pivot_rows == sparse_of(dense_rows[:len(pivots)])
+    assert not any(x for row in dense_rows[len(pivots):] for x in row)
+    assert sparse_rows == sparse_of(rows), "the input rows were modified"
+    assert all(is_field_scalar(field, x) for row in pivot_rows for x in row.values())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -254,7 +275,7 @@ def test_public_results_match_dense_reference(field, data):
                       max_size=a.ncols if consistent else a.nrows)
     b = a.apply(tuple(data.draw(vector))) if consistent else tuple(data.draw(vector))
     got = public_results(a, b)
-    with mock.patch.object(linalg, "_rref", dense_rref):
+    with mock.patch.object(linalg, "_rref", dense_rref_on_sparse):
         expected = public_results(a, b)
     assert got == expected
     if consistent:
@@ -315,9 +336,10 @@ FIELD_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 
 def test_antipode_solve_scalar_work_is_bounded(monkeypatch):
     """The antipode system of H_4 (dimension 8, 64 unknowns) is almost all
-    zeros: over F_10007, compute_antipode takes 655 field operations with the
-    sparse kernel and 30,804 with the dense loop.  The count is taken on
-    FpElement because over QQ the integral products are plain ints."""
+    zeros: over F_10007, compute_antipode takes 558 field operations with the
+    sparse kernel and 30,709 with the dense loop (655 and 30,804 when the
+    rows were built dense).  The count is taken on FpElement because over QQ
+    the integral products are plain ints."""
     doc = h_n_document(4, {"type": "prime", "p": 10007})
     algebra = build_algebra(parse_document(doc), check=False)
     count = [0]
@@ -332,7 +354,80 @@ def test_antipode_solve_scalar_work_is_bounded(monkeypatch):
         monkeypatch.setattr(FpElement, name, counted(getattr(FpElement, name)))
     antipode = compute_antipode(algebra)
     sparse_ops, count[0] = count[0], 0
-    with mock.patch.object(linalg, "_rref", dense_rref):
+    with mock.patch.object(linalg, "_rref", dense_rref_on_sparse):
         assert compute_antipode(algebra) == antipode
     dense_ops = count[0]
     assert sparse_ops <= 2000 < dense_ops
+
+
+def test_antipode_system_is_built_sparse(monkeypatch):
+    """compute_antipode on H_4 over F_10007 never visits the zero cells of
+    its 2 * 64 x 65 = 8,320-cell augmented system.  Counting truth tests of
+    an FpElement: 8,375 when the rows were built dense and turned into
+    dicts by the kernel, 351 with rows built from the table entries."""
+    doc = h_n_document(4, {"type": "prime", "p": 10007})
+    algebra = build_algebra(parse_document(doc), check=False)
+    count = [0]
+    real = FpElement.__bool__
+
+    def counted(x):
+        count[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(FpElement, "__bool__", counted)
+    compute_antipode(algebra)
+    assert count[0] <= 1000 < 2 * 64 * 65, count[0]
+
+
+class DenseEchelonBasis:
+    """The dense EchelonBasis that the sparse one replaced: whole-vector
+    reductions and row updates, kept as its reference."""
+
+    def __init__(self, ambient_dim):
+        self.rows, self.pivots = [], []
+
+    def reduce(self, vec):
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        inv = v[pivot]
+        v = [div(x, inv) for x in v]
+        self.rows = [tuple(a - row[pivot] * b for a, b in zip(row, v)) if row[pivot] else row
+                     for row in self.rows]
+        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        self.rows.insert(at, tuple(v))
+        self.pivots.insert(at, pivot)
+        return True
+
+    def coords(self, vec):
+        if any(self.reduce(vec)):
+            return None
+        return tuple(vec[p] for p in self.pivots)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_echelon_basis_matches_dense_reference(field, data):
+    dim = data.draw(st.integers(1, 7))
+    entry = st.one_of(*[st.just(field.zero)] * data.draw(st.integers(0, 4)),
+                      nonzero_scalars(field))
+    vector = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
+    span, reference = EchelonBasis(field, dim), DenseEchelonBasis(dim)
+    for vec in data.draw(st.lists(vector, max_size=8)):
+        assert span.insert(vec) == reference.insert(vec)
+        assert span.vectors == tuple(reference.rows)
+        assert span.pivots == tuple(reference.pivots)
+        assert all(is_field_scalar(field, x) for row in span.vectors for x in row)
+    for vec in data.draw(st.lists(vector, max_size=4)):
+        assert span.coords(vec) == reference.coords(vec)
+        assert span.contains(vec) == (reference.coords(vec) is not None)
