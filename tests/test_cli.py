@@ -357,3 +357,52 @@ def test_check_tokens_on_laurent(capsys, token):
     rc, out, _ = run(capsys, "check", "preset:laurent", token)
     assert rc == 0
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "lambda"),
+    ("compute", "a", "--emit-document"),
+    ("check", "s4"),
+    ("check", "main3"),
+])
+def test_corrupted_tables_exit_one_before_compute_and_check(capsys, tmp_path, argv):
+    path = write_doc(tmp_path, corrupted_c2_obj())
+    rc, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert rc == 1
+    assert out == ""
+    assert err == "error: hopf.antipode_exists fails (bialgebra admits no antipode)\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("compute", "lambda"), 1),
+    (("check", "s4"), 1),
+    (("check", "main3"), 1),
+    (("compute", "a", "--emit-document"), 0),
+])
+def test_singular_r_fails_compute_and_check(capsys, tmp_path, argv, code):
+    obj = json.loads(document_text(preset_document("sweedler4")))
+    obj["R"] = [[0, 0, 0]]
+    path = write_doc(tmp_path, obj)
+    rc, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert rc == code
+    if code:
+        assert out == ""
+        assert err == "error: tensor-square element has no right inverse\n"
+    else:
+        assert err == ""
+        assert json.loads(out)["name"] == "sweedler4[xi=1]"
+
+
+@pytest.mark.parametrize("token, code, message", [
+    ("main3", 2, "error: check main3 needs a braiding or an R-matrix\n"),
+    ("uv", 2, "error: check uv needs an R-matrix\n"),
+    ("s4", 0, ""),
+])
+def test_check_without_r_or_sigma(capsys, tmp_path, token, code, message):
+    obj = json.loads(document_text(preset_document("group:C2")))
+    del obj["R"]
+    del obj["sigma"]
+    path = write_doc(tmp_path, obj)
+    rc, _, err = run(capsys, "check", path, token)
+    assert rc == code
+    assert err == message
