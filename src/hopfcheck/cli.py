@@ -5,8 +5,9 @@
     hopf check   SOURCE THEOREM    run a single theorem suite
 
 A source is a preset (preset:group:C2, preset:group:C4, preset:sweedler4,
-preset:laurent) or a path to a JSON definition document.  verify runs one
-driver, run_verify, on every carrier; see Source for what a carrier hands it.
+preset:laurent) or a path to a JSON definition document.  Every command
+resolves it once, to a Resolved; verify runs one driver, run_verify, on
+every carrier; see Source for what a carrier hands the commands.
 
 Reports render as text by default and as canonical JSON with --json;
 without --timestamps the output of a fixed command line is byte identical
@@ -59,8 +60,8 @@ from .document import (
     document_text,
     load_document,
 )
-from .hopf import AxiomError, FinHopfAlgebra, NotInvertibleError, verify_hopf
-from .lincomb import lc_canon, lc_format
+from .hopf import AxiomError, FinHopfAlgebra, NotInvertibleError, require_passing, verify_hopf
+from .lincomb import LC, lc_canon, lc_format
 from .presets import preset_document
 from .quasitriangular import (
     QT_CONVENTIONS,
@@ -94,14 +95,41 @@ class UsageError(ValueError):
 
 
 @dataclass
-class Job:
-    kind: str  # "findim" or "laurent"
+class Source:
+    """What a carrier hands every command once its structure battery passes:
+    data, solving its integral data, whose tables and matrices are None on
+    the infinite carrier (so its rank and Nakayama-invertibility lines
+    SKIP); lines, its computed lines from the carrier; r and braiding, None
+    or building the R-matrix and (braiding, named grouplikes, braided
+    functionals if already computed); closing, giving the checks and lines
+    after the braided chain; the named characters the R-matrix chains read;
+    and how the carrier prints an element and a named functional."""
+
+    data: Callable[[], CoFrobeniusData]
+    lines: Callable[[Carrier], list[tuple[str, str]]]
+    r: Callable[[], RMatrix] | None
+    braiding: Callable[[], tuple[Braiding, dict, tuple | None]] | None
+    closing: Callable[[Carrier, Braiding, dict], tuple[list[CheckResult], list]]
+    characters: dict
+    format_element: Callable[[LC], str]
+    functional_lines: Callable[[str, Callable], list[tuple[str, str]]]
+
+
+@dataclass
+class Resolved:
+    """A source as every command receives it: its label, its own
+    conventions, its structure battery, build() giving its Source once that
+    battery passes, and the document a finite source was read from (None
+    for the Laurent family)."""
+
     label: str
-    doc: AlgebraDocument | None
-    window: int
+    conventions: tuple[str, ...]
+    structure: list[CheckResult]
+    build: Callable[[], Source]
+    document: AlgebraDocument | None
 
 
-def resolve_source(args) -> Job:
+def resolve_source(args) -> Resolved:
     src = args.source
     xi = None
     if args.xi is not None:
@@ -112,8 +140,8 @@ def resolve_source(args) -> Job:
     field = PrimeField(args.field) if args.field is not None else None
 
     if src.startswith("preset:"):
-        kind = src[len("preset:"):]
-        if kind == "laurent":
+        name = src[len("preset:"):]
+        if name == "laurent":
             if xi is not None:
                 raise UsageError("--xi applies only to preset:sweedler4")
             if field is not None:
@@ -121,40 +149,81 @@ def resolve_source(args) -> Job:
             window = DEFAULT_WINDOW if args.window is None else args.window
             if window < 2:
                 raise UsageError("--window must be at least 2")
-            return Job("laurent", f"laurent[window={window}]", None, window)
+            return _laurent_source(window)
         if args.window is not None:
             raise UsageError("--window applies only to preset:laurent")
-        if xi is not None and kind != "sweedler4":
+        if xi is not None and name != "sweedler4":
             raise UsageError("--xi applies only to preset:sweedler4")
-        doc = preset_document(kind, xi=xi, field=field)
-        return Job("findim", doc.name, doc, 0)
+        return _document_source(preset_document(name, xi=xi, field=field))
 
     if xi is not None or args.window is not None or field is not None:
         raise UsageError("--xi, --window and --field apply to presets only")
-    doc = load_document(src)
-    return Job("findim", doc.name, doc, 0)
+    return _document_source(load_document(src))
+
+
+def _carrier_lines(algebra: FinHopfAlgebra, c: Carrier) -> list[tuple[str, str]]:
+    chi = ", ".join(f"{algebra.labels[i]} -> {algebra.format_element(c.chi(i))}"
+                    for i in range(algebra.dim))
+    return [("lambda", algebra.format_functional(c.lam)),
+            ("a", algebra.format_element(c.a)),
+            ("alpha", algebra.format_functional(c.alpha)),
+            ("chi", chi)]
+
+
+def _table_source(algebra: FinHopfAlgebra, data, lines, r, braiding,
+                  characters: dict) -> Source:
+    """A Source on structure-constant tables: functionals print as their
+    values on the basis, and the braided chain closes with u and v."""
+
+    def functional_lines(name: str, f) -> list[tuple[str, str]]:
+        return [(name, algebra.format_functional(f))]
+
+    return Source(data, lines, r, braiding,
+                  lambda c, br, fns: ([], functional_lines("u", fns["u"])
+                                      + functional_lines("v", fns["v"])),
+                  characters, algebra.format_element, functional_lines)
+
+
+def _document_source(doc: AlgebraDocument) -> Resolved:
+    """A document's carrier: the Hopf battery on its tables, integral data
+    by linear algebra, R and sigma as the document gives them."""
+    algebra = build_algebra(doc, check=False)
+
+    def build() -> Source:
+        characters = document_characters(doc, algebra)
+        grouplikes = document_grouplikes(doc, algebra)
+        r = braiding = None
+        if doc.r_entries is not None:
+            r = lambda: RMatrix.from_entries(algebra, doc.r_entries)
+        if doc.sigma is not None:
+            braiding = lambda: (braiding_from_matrix(algebra, doc.sigma)[0], grouplikes, None)
+        return _table_source(algebra, lambda: cofrobenius_data(algebra),
+                             partial(_carrier_lines, algebra), r, braiding, characters)
+
+    return Resolved(doc.name, (), verify_hopf(algebra), build, doc)
+
+
+def _laurent_source(window: int) -> Resolved:
+    """The Laurent family's carrier: its structure battery on the window,
+    closed-form integral data and braiding, no R-matrix, the closed forms
+    checked after the braided chain, and functionals printed as tables over
+    the window."""
+    ops = laurent.basis_ops(window)
+
+    def build() -> Source:
+        return Source(lambda: CoFrobeniusData(None, None, None, laurent.family_data(ops)),
+                      partial(laurent.computed_lines, window), None,
+                      lambda: (laurent.braiding(), {}, None),
+                      lambda c, br, fns: (laurent.closed_form_checks(c, br, fns), []), {},
+                      lambda x: lc_format(x, ops.label, QQ.format),
+                      partial(laurent.window_table, ops))
+
+    return Resolved(f"laurent[window={window}]", laurent.FAMILY_CONVENTIONS,
+                    laurent.structure_checks(ops), build, None)
 
 
 # ---------------------------------------------------------------------------
 # verify: one driver for every carrier
-
-
-@dataclass
-class Source:
-    """What a carrier hands the verify driver once its structure battery
-    passes: its integral data, whose tables and matrices are None on the
-    infinite carrier (so its rank and Nakayama-invertibility lines SKIP);
-    its computed lines; r and braiding, None or building the R-matrix and
-    (braiding, named grouplikes, braided functionals if already computed);
-    closing, giving the checks and lines after the braided chain; and the
-    named characters the R-matrix chains read."""
-
-    data: CoFrobeniusData
-    lines: list[tuple[str, str]]
-    r: Callable[[], RMatrix] | None
-    braiding: Callable[[], tuple[Braiding, dict, tuple | None]] | None
-    closing: Callable[[Carrier, Braiding, dict], tuple[list[CheckResult], list]]
-    characters: dict
 
 
 def _add(report: Report, checks, lines) -> None:
@@ -174,12 +243,12 @@ def run_verify(report: Report, structure: list[CheckResult],
         return
     try:
         src = source()
+        data = src.data()
     except (AxiomError, NotInvertibleError) as exc:
         report.add(failed("integral.data", str(exc)))
         return
-    data = src.data
     c = data.carrier
-    _add(report, cofrobenius_checks(c, data.pairing, data.chi), src.lines)
+    _add(report, cofrobenius_checks(c, data.pairing, data.chi), src.lines(c))
 
     r = qt = None
     if src.r is not None:
@@ -204,63 +273,7 @@ def run_verify(report: Report, structure: list[CheckResult],
             if fns is not None:
                 _add(report, *src.closing(c, br, fns))
     if r is not None:
-        _dual_chain(data.algebra, r, qt, src.characters, report)
-
-
-def _carrier_lines(algebra: FinHopfAlgebra, c: Carrier) -> list[tuple[str, str]]:
-    chi = ", ".join(f"{algebra.labels[i]} -> {algebra.format_element(c.chi(i))}"
-                    for i in range(algebra.dim))
-    return [("lambda", algebra.format_functional(c.lam)),
-            ("a", algebra.format_element(c.a)),
-            ("alpha", algebra.format_functional(c.alpha)),
-            ("chi", chi)]
-
-
-def _functional_lines(algebra: FinHopfAlgebra, c: Carrier, br: Braiding, fns: dict):
-    return [], [("u", algebra.format_functional(fns["u"])),
-                ("v", algebra.format_functional(fns["v"]))]
-
-
-def _document_source(job: Job):
-    """A document's carrier: the Hopf battery on its tables, integral data
-    by linear algebra, R and sigma as the document gives them."""
-    doc = job.doc
-    algebra = build_algebra(doc, check=False)
-
-    def source() -> Source:
-        characters = document_characters(doc, algebra)
-        grouplikes = document_grouplikes(doc, algebra)
-        r = braiding = None
-        if doc.r_entries is not None:
-            r = lambda: RMatrix.from_entries(algebra, doc.r_entries)
-        if doc.sigma is not None:
-            braiding = lambda: (braiding_from_matrix(algebra, doc.sigma)[0], grouplikes, None)
-        data = cofrobenius_data(algebra)
-        return Source(data, _carrier_lines(algebra, data.carrier), r, braiding,
-                      partial(_functional_lines, algebra), characters)
-
-    return (), verify_hopf(algebra), source
-
-
-def _laurent_source(job: Job):
-    """The Laurent family's carrier: its structure battery on the window,
-    closed-form integral data and braiding, no R-matrix, and the closed
-    forms checked after the braided chain."""
-    ops = laurent.basis_ops(job.window)
-
-    def source() -> Source:
-        carrier = laurent.family_data(ops)
-        return Source(CoFrobeniusData(None, None, None, carrier),
-                      laurent.computed_lines(job.window, carrier), None,
-                      lambda: (laurent.braiding(), {}, None),
-                      lambda c, br, fns: (laurent.closed_form_checks(c, br, fns), []), {})
-
-    return laurent.FAMILY_CONVENTIONS, laurent.structure_checks(ops), source
-
-
-# each source kind gives its own conventions, its structure battery and a
-# callable building the rest of its Source once that battery passes
-VERIFY_SOURCES = {"findim": _document_source, "laurent": _laurent_source}
+        _dual_chain(r, qt, src.characters, report)
 
 
 def _qt_chain(data: CoFrobeniusData, r: RMatrix, characters: dict,
@@ -302,205 +315,143 @@ def _qt_chain(data: CoFrobeniusData, r: RMatrix, characters: dict,
     return qt
 
 
-def _dual_chain(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData | None,
-                characters: dict, report: Report) -> None:
-    """The dual with sigma(f, g) = (f x g)(R): the bridge checks, then the
-    verify pipeline on the dual, its names prefixed with "dual."."""
+def _dual_source(r: RMatrix, qt: QTData | None,
+                 characters: dict) -> tuple[list[CheckResult], FinHopfAlgebra, Source]:
+    """The bridge checks and the dual with sigma(f, g) = (f x g)(R) as a
+    Source; the algebra's named characters become grouplikes of the dual."""
+    algebra = r.algebra
+    if qt is None:  # the caller has not reached u and v
+        qt, _ = drinfeld_elements(algebra, r)
+    dual, br, functionals, bridge = dualize_qt(algebra, r, qt)
+    dual_data = cofrobenius_data(dual)
+    glikes = {name: lc_canon({k: f(k) for k in range(dual.dim)})
+              for name, f in characters.items()}
+    return bridge, dual, _table_source(dual, lambda: dual_data, lambda c: [], None,
+                                       lambda: (br, glikes, functionals), {})
+
+
+def _dual_chain(r: RMatrix, qt: QTData | None, characters: dict, report: Report) -> None:
+    """The bridge checks, then the verify pipeline on the dual, its names
+    prefixed with "dual."."""
     try:
-        if qt is None:  # the QT axioms failed before the chain reached u and v
-            qt, _ = drinfeld_elements(algebra, r)
-        dual, br, functionals, bridge = dualize_qt(algebra, r, qt)
-        dual_data = cofrobenius_data(dual)
+        bridge, dual, source = _dual_source(r, qt, characters)
     except (AxiomError, NotInvertibleError) as exc:
         report.add(failed("dual.construction", str(exc)))
         return
     report.extend(bridge)
-    # characters of the algebra are grouplikes of its dual
-    glikes = {name: lc_canon({k: f(k) for k in range(dual.dim)})
-              for name, f in characters.items()}
-    source = Source(dual_data, [], None, lambda: (br, glikes, functionals),
-                    partial(_functional_lines, dual), {})
     sub = Report(title="dual")
     run_verify(sub, verify_hopf(dual), lambda: source)
     _add(report, [CheckResult("dual." + x.name, x.status, x.witness) for x in sub.checks],
          [("dual." + name, value) for name, value in sub.computed])
 
 
-def cmd_verify(job: Job, args) -> int:
-    conventions, structure, source = VERIFY_SOURCES[job.kind](job)
-    report = Report(title=f"verify {job.label}", conventions=[*CONVENTIONS, *conventions])
-    run_verify(report, structure, source)
+def cmd_verify(res: Resolved, args) -> int:
+    report = Report(title=f"verify {res.label}", conventions=[*CONVENTIONS, *res.conventions])
+    run_verify(report, res.structure, res.build)
     return _finish(report, args)
 
 
 # ---------------------------------------------------------------------------
-# compute
+# compute and check: the structure battery must pass before the source is
+# built.  The Laurent family (data.algebra None) has no R-matrix, and it
+# prints no alpha^-1 under compute alpha and no computed lines under s4.
 
 
-def _laurent_table(report: Report, ops, name: str, fn) -> None:
-    nonzero = [(k, fn(k)) for k in ops.keys]
-    nonzero = [(k, v) for k, v in nonzero if v]
-    for k, v in nonzero:
-        report.add_computed(f"{name}({ops.label(k)})", QQ.format(v))
-    report.add_computed(
-        f"{name} support",
-        f"{len(nonzero)} of {len(ops.keys)} window keys; omitted keys are 0")
-
-
-def _laurent_lc(ops, lc) -> str:
-    return lc_format(lc, ops.label, QQ.format)
-
-
-def cmd_compute_laurent(what: str, window: int, report: Report) -> None:
-    if what == "minimal-subhopf":
-        raise UsageError("minimal-subhopf needs a finite-dimensional R-matrix source")
-    c = laurent.family_data(laurent.basis_ops(window))
-    ops = c.ops
-    if what == "lambda":
-        _laurent_table(report, ops, "lambda", c.lam)
-    elif what == "a":
-        report.add_computed("a", _laurent_lc(ops, c.a))
-        report.add_computed("a^-1", _laurent_lc(ops, c.a_inv))
-    elif what == "chi":
-        for k in ops.keys:
-            report.add_computed(f"chi({ops.label(k)})", _laurent_lc(ops, c.chi(k)))
-    elif what == "alpha":
-        _laurent_table(report, ops, "alpha", c.alpha)
-    elif what in ("u", "v", "uv"):
-        fns, _ = braided_functionals(ops, laurent.braiding())
-        fn = fns[what] if what in ("u", "v") else ops.convolve(fns["u"], fns["v"])
-        _laurent_table(report, ops, what, fn)
-    else:  # a_alpha / b_alpha
-        alpha_a, beta_a = modular_characters(ops, laurent.braiding(), c.a, c.a_inv)
-        if what == "a_alpha":
-            _laurent_table(report, ops, "alpha_a", alpha_a)
-        else:
-            _laurent_table(report, ops, "beta_a", beta_a)
-
-
-def cmd_compute(job: Job, args) -> int:
+def cmd_compute(res: Resolved, args) -> int:
     what = args.what
-    report = Report(title=f"compute {job.label} {what}")
-    if job.kind == "laurent":
-        if args.emit_document:
+    report = Report(title=f"compute {res.label} {what}")
+    require_passing(res.structure)
+    src = res.build()
+    if args.emit_document:
+        if res.document is None:
             raise UsageError("--emit-document needs a finite-dimensional source")
-        cmd_compute_laurent(what, job.window, report)
-        return _finish(report, args)
-
-    doc = job.doc
-    algebra = build_algebra(doc, check=True)
-    if args.emit_document and what != "minimal-subhopf":
-        sys.stdout.write(document_text(doc))
-        return 0
-    data = cofrobenius_data(algebra)
+        if what != "minimal-subhopf":
+            sys.stdout.write(document_text(res.document))
+            return 0
+    r = src.r() if src.r is not None else None
+    data = src.data()
     c = data.carrier
     ops = c.ops
-    r = RMatrix.from_entries(algebra, doc.r_entries) if doc.r_entries is not None else None
+    element, functional = src.format_element, src.functional_lines
 
     if what == "lambda":
-        report.add_computed("lambda", algebra.format_functional(c.lam))
+        lines = functional("lambda", c.lam)
     elif what == "a":
-        report.add_computed("a", algebra.format_element(c.a))
-        report.add_computed("a^-1", algebra.format_element(c.a_inv))
+        lines = [("a", element(c.a)), ("a^-1", element(c.a_inv))]
     elif what == "alpha":
-        report.add_computed("alpha", algebra.format_functional(c.alpha))
-        report.add_computed("alpha^-1", algebra.format_functional(c.alpha_inv))
+        lines = functional("alpha", c.alpha)
+        if data.algebra is not None:
+            lines += functional("alpha^-1", c.alpha_inv)
     elif what == "chi":
-        for i in range(algebra.dim):
-            report.add_computed(f"chi({algebra.labels[i]})",
-                                algebra.format_element(c.chi(i)))
+        lines = [(f"chi({ops.label(k)})", element(c.chi(k))) for k in ops.keys]
     elif what in ("u", "v", "uv"):
         if r is not None:
-            qt, _ = drinfeld_elements(algebra, r)
-            val = {"u": qt.u, "v": qt.v}.get(what)
-            if val is None:
-                val = ops.mul_lc(qt.u, qt.v)
-            report.add_computed(what, algebra.format_element(val))
-        elif doc.sigma is not None:
-            br, _ = braiding_from_matrix(algebra, doc.sigma)
-            fns, _ = braided_functionals(ops, br)
-            fn = fns[what] if what in ("u", "v") else ops.convolve(fns["u"], fns["v"])
-            report.add_computed(what, algebra.format_functional(fn))
+            qt, _ = drinfeld_elements(r.algebra, r)
+            values = {"u": qt.u, "v": qt.v, "uv": ops.mul_lc(qt.u, qt.v)}
+            lines = [(what, element(values[what]))]
+        elif src.braiding is not None:
+            fns, _ = braided_functionals(ops, src.braiding()[0])
+            lines = functional(what, fns[what] if what != "uv"
+                               else ops.convolve(fns["u"], fns["v"]))
         else:
             raise UsageError(f"{what} needs an R-matrix or a braiding")
     elif what in ("a_alpha", "b_alpha"):
-        if r is None:
+        second = what == "b_alpha"
+        if r is not None:
+            lines = [(what, element(grouplike_from_character(r.algebra, r, c.alpha)[second]))]
+        elif data.algebra is None:
+            images = modular_characters(ops, src.braiding()[0], c.a, c.a_inv)
+            lines = functional(("alpha_a", "beta_a")[second], images[second])
+        else:
             raise UsageError(f"{what} needs an R-matrix")
-        a_eta, b_eta = grouplike_from_character(algebra, r, c.alpha)
-        chosen = a_eta if what == "a_alpha" else b_eta
-        report.add_computed(what, algebra.format_element(chosen))
     else:  # minimal-subhopf
         if r is None:
-            raise UsageError("minimal-subhopf needs an R-matrix")
-        sub = minimal_subhopf(algebra, r, data)
+            raise UsageError("minimal-subhopf needs " + (
+                "an R-matrix" if data.algebra is not None
+                else "a finite-dimensional R-matrix source"))
+        sub = minimal_subhopf(r.algebra, r, data)
         if args.emit_document:
             subdoc = document_from_algebra(sub.algebra, r_terms=sub.r_sub.tensor)
             sys.stdout.write(document_text(subdoc))
             return 0
-        _add(report, sub.checks, sub.computed)
+        report.extend(sub.checks)
+        lines = sub.computed
+    _add(report, [], lines)
     return _finish(report, args)
 
 
-# ---------------------------------------------------------------------------
-# check
+def cmd_check(res: Resolved, args) -> int:
+    token = args.theorem
+    report = Report(title=f"check {res.label} {token}",
+                    conventions=[*CONVENTIONS, *res.conventions])
+    require_passing(res.structure)
+    src = res.build()
+    r = src.r() if src.r is not None else None
+    if token in QT_TOKENS:
+        _check_qt(src, r, token, report)
+    elif token == "s4":
+        data = src.data()
+        c = data.carrier
+        if data.algebra is not None:
+            _add(report, [], [("a", src.format_element(c.a)),
+                              *src.functional_lines("alpha", c.alpha)])
+        report.extend(radford_s4_checks(c.ops, c.a, c.a_inv, c.alpha, c.alpha_inv))
+    else:
+        _check_braided(res.label, src, r, token, report)
+    return _finish(report, args)
 
 
-def _finite_source(job: Job):
-    doc = job.doc
-    algebra = build_algebra(doc, check=True)
-    data = cofrobenius_data(algebra)
-    r = RMatrix.from_entries(algebra, doc.r_entries) if doc.r_entries is not None else None
-    return doc, algebra, data, r
-
-
-def _theorem_carrier(job: Job, token: str,
-                     report: Report) -> tuple[Carrier, Braiding | None, tuple | None]:
-    """The carrier and braiding a theorem token runs on, after the source's
-    own conventions and computed lines; s4 needs no braiding.  The third
-    item holds the braided functionals with their checks when building the
-    carrier computed them already."""
-    if job.kind == "laurent":
-        report.conventions.extend(laurent.FAMILY_CONVENTIONS)
-        if token != "s4":
-            report.conventions.extend(CQT_CONVENTIONS)
-        return (laurent.family_data(laurent.basis_ops(job.window)), laurent.braiding(),
-                None)
-    doc, algebra, data, r = _finite_source(job)
-    c = data.carrier
-    if token == "s4":
-        report.add_computed("a", algebra.format_element(c.a))
-        report.add_computed("alpha", algebra.format_functional(c.alpha))
-        return c, None, None
-    report.conventions.extend(CQT_CONVENTIONS)
-    if doc.sigma is not None:
-        return c, braiding_from_matrix(algebra, doc.sigma)[0], None
-    if r is not None:
-        qt, _ = drinfeld_elements(algebra, r)
-        dual, br, functionals, bridge = dualize_qt(algebra, r, qt)
-        report.extend(bridge)
-        report.add_computed("carrier", f"dual of {doc.name}")
-        return cofrobenius_data(dual).carrier, br, functionals
-    raise UsageError(f"check {token} needs a braiding or an R-matrix")
-
-
-def _require_qt(algebra: FinHopfAlgebra, r: RMatrix | None, token: str,
-                report: Report) -> bool:
+def _check_qt(src: Source, r: RMatrix | None, token: str, report: Report) -> None:
+    data = src.data()
     if r is None:
-        raise UsageError(f"check {token} needs an R-matrix")
-    bad = next((c for c in verify_qt(algebra, r) if not c.ok), None)
+        raise UsageError(f"check {token} needs an R-matrix" + (
+            "" if data.algebra is not None
+            else "; the laurent family carries a braiding instead"))
+    algebra = data.algebra
+    report.conventions.extend(QT_CONVENTIONS)
+    bad = next((x for x in verify_qt(algebra, r) if not x.ok), None)
     if bad is not None:
         report.add(bad)
-        return False
-    return True
-
-
-def _check_qt(job: Job, token: str, report: Report) -> None:
-    if job.kind == "laurent":
-        raise UsageError(
-            f"check {token} needs an R-matrix; the laurent family carries a braiding instead")
-    _, algebra, data, r = _finite_source(job)
-    report.conventions.extend(QT_CONVENTIONS)
-    if not _require_qt(algebra, r, token, report):
         return
     if token == "factunim":
         report.extend(check_modular_grouplikes_equal(algebra, data, r))
@@ -520,19 +471,23 @@ def _check_qt(job: Job, token: str, report: Report) -> None:
             data.carrier.ops.mul_lc(qt.u, qt.v)))
 
 
-def cmd_check(job: Job, args) -> int:
-    token = args.theorem
-    report = Report(title=f"check {job.label} {token}",
-                    conventions=list(CONVENTIONS))
-    if token in QT_TOKENS:
-        _check_qt(job, token, report)
-        return _finish(report, args)
-
-    c, br, functionals = _theorem_carrier(job, token, report)
+def _check_braided(label: str, src: Source, r: RMatrix | None, token: str,
+                   report: Report) -> None:
+    """main3, cor3 and tangent on the source's braiding, or without one on
+    the dual of its R-matrix."""
+    report.conventions.extend(CQT_CONVENTIONS)
+    if src.braiding is not None:
+        c = src.data().carrier
+        br, _, functionals = src.braiding()
+    elif r is not None:
+        bridge, _, dual = _dual_source(r, None, {})
+        report.extend(bridge)
+        report.add_computed("carrier", f"dual of {label}")
+        c = dual.data().carrier
+        br, _, functionals = dual.braiding()
+    else:
+        raise UsageError(f"check {token} needs a braiding or an R-matrix")
     ops = c.ops
-    if token == "s4":
-        report.extend(radford_s4_checks(ops, c.a, c.a_inv, c.alpha, c.alpha_inv))
-        return _finish(report, args)
     fns, fn_checks = functionals or braided_functionals(ops, br)
     report.extend(fn_checks)
     if token == "main3":
@@ -542,7 +497,6 @@ def cmd_check(job: Job, args) -> int:
                                                        c.alpha_inv, c.a, c.a_inv))
     else:  # tangent
         report.extend(twist_round_trip(c, fns["u"], fns["u_inv"]))
-    return _finish(report, args)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "structure-constant documents.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p) -> None:
+    def common(p, run) -> None:
+        p.set_defaults(run=run)
         p.add_argument("--xi", metavar="Q",
                        help="parameter of preset:sweedler4, a rational (default 1)")
         p.add_argument("--window", type=int, metavar="N",
@@ -582,19 +537,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run every applicable identity check")
     pv.add_argument("source", help="preset:NAME or a path to a JSON document")
-    common(pv)
+    common(pv, cmd_verify)
 
     pc = sub.add_parser("compute", help="print one derived quantity")
     pc.add_argument("source", help="preset:NAME or a path to a JSON document")
     pc.add_argument("what", choices=COMPUTE_TARGETS)
-    common(pc)
+    common(pc, cmd_compute)
     pc.add_argument("--emit-document", action="store_true",
                     help="print the algebra as a JSON document instead of a report")
 
     pk = sub.add_parser("check", help="run a single theorem suite")
     pk.add_argument("source", help="preset:NAME or a path to a JSON document")
     pk.add_argument("theorem", choices=CHECK_TOKENS)
-    common(pk)
+    common(pk, cmd_check)
     return parser
 
 
@@ -605,12 +560,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        job = resolve_source(args)
-        if args.command == "verify":
-            return cmd_verify(job, args)
-        if args.command == "compute":
-            return cmd_compute(job, args)
-        return cmd_check(job, args)
+        return args.run(resolve_source(args), args)
     except (UsageError, DocumentError, ScalarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

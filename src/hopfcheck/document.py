@@ -84,6 +84,10 @@ def parse_document(obj) -> AlgebraDocument:
     if (not isinstance(basis, list) or not basis
             or any(not isinstance(b, str) or not b for b in basis)):
         raise DocumentError("basis: expected a non-empty list of labels")
+    for pos, label in enumerate(basis):
+        if basis.index(label) < pos:
+            raise DocumentError(
+                f"basis: label '{label}' repeats at entries {basis.index(label)} and {pos}")
     n = len(basis)
 
     def triples(key: str, coeff_first: bool):

@@ -96,7 +96,7 @@ class FinHopfAlgebra:
         self._antipode = antipode
         self._antipode_inv: Matrix | None = None
         if check:
-            self.validate()
+            require_passing(self._axiom_results())
 
     # -- table access --------------------------------------------------------
 
@@ -222,13 +222,6 @@ class FinHopfAlgebra:
             return None
         return sol.particular
 
-    def validate(self) -> None:
-        """Raise AxiomError on the first violated axiom."""
-        for result in self._axiom_results():
-            if not result.ok:
-                where = f" ({result.witness})" if result.witness else ""
-                raise AxiomError(f"{result.name} fails{where}")
-
     def _axiom_results(self) -> list[CheckResult]:
         from .lincomb import hopf_axiom_checks
 
@@ -260,6 +253,14 @@ class FinHopfAlgebra:
     def format_functional(self, f) -> str:
         """A key -> scalar function as its list of values on the basis."""
         return "[" + ", ".join(self.format_scalar(f(k)) for k in range(self.dim)) + "]"
+
+
+def require_passing(results: list[CheckResult]) -> None:
+    """Raise AxiomError naming the first failed check of a battery."""
+    bad = next((x for x in results if not x.ok), None)
+    if bad is not None:
+        where = f" ({bad.witness})" if bad.witness else ""
+        raise AxiomError(f"{bad.name} fails{where}")
 
 
 def compute_antipode(algebra: FinHopfAlgebra) -> Matrix:

@@ -15,7 +15,7 @@ from .coquasitriangular import Braiding, modular_characters
 from .hopf import AxiomError
 from .lincomb import BasisOps, LC, hopf_axiom_checks, lc_eq, memo_fn
 from .report import CheckResult, check, grid_check
-from .scalars import Scalar, div
+from .scalars import QQ, Scalar, div
 
 ZERO = 0
 ONE = 1
@@ -188,6 +188,14 @@ def computed_lines(window: int, c: Carrier) -> list[tuple[str, str]]:
         ("chi", "chi(g^i x^j) = (-1)^(i + j) g^i x^j"),
         ("u", "u(g^i x^j) = delta(j, 0) (-1)^i; u = v = u^-1 = v^-1"),
     ]
+
+
+def window_table(ops: BasisOps, name: str, fn) -> list[tuple[str, str]]:
+    """A functional as its nonzero values on the window and a support line."""
+    nonzero = [(k, v) for k, v in ((k, fn(k)) for k in ops.keys) if v]
+    return [*((f"{name}({ops.label(k)})", QQ.format(v)) for k, v in nonzero),
+            (f"{name} support",
+             f"{len(nonzero)} of {len(ops.keys)} window keys; omitted keys are 0")]
 
 
 def closed_form_checks(c: Carrier, br: Braiding, fns: dict) -> list[CheckResult]:

@@ -184,6 +184,14 @@ def verify_delta_u(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData) -> list[Chec
     ]
 
 
+def _contract_leg(tensor: dict, f, leg: int) -> LC:
+    """f applied to one leg of a leg-pair combination, leaving the other."""
+    out: LC = {}
+    for pair, val in tensor.items():
+        out = lc_add(out, {pair[1 - leg]: val * f(pair[leg])})
+    return out
+
+
 def grouplike_from_character(algebra: FinHopfAlgebra, r: RMatrix, eta) -> tuple[LC, LC]:
     """Contract a character against each tensor leg of R.
 
@@ -194,14 +202,8 @@ def grouplike_from_character(algebra: FinHopfAlgebra, r: RMatrix, eta) -> tuple[
     callers pass the counit, alpha, alpha^-1, validated document characters
     and convolution products of these, which are characters by construction.
     """
-    ops = algebra.basis_ops()
-    eta_inv = ops.compose_s_power(eta, 1)
-    a: LC = {}
-    b: LC = {}
-    for (i, j), val in r.tensor.items():
-        a = lc_add(a, {j: val * eta(i)})
-        b = lc_add(b, {i: val * eta_inv(j)})
-    return a, b
+    eta_inv = algebra.basis_ops().compose_s_power(eta, 1)
+    return _contract_leg(r.tensor, eta, 0), _contract_leg(r.tensor, eta_inv, 1)
 
 
 def character_maps_checks(algebra: FinHopfAlgebra, r: RMatrix,
@@ -317,17 +319,11 @@ def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma,
     ops = algebra.basis_ops()
     gamma_inv = memo_fn(ops.compose_s_power(gamma, 1))
 
-    def contract(tensor: dict, f, leg: int) -> LC:
-        out: LC = {}
-        for pair, val in tensor.items():
-            out = lc_add(out, {pair[1 - leg]: val * f(pair[leg])})
-        return out
-
     witnesses = [
-        contract(r.inverse, gamma_inv, 0),
-        contract(r.tensor, gamma, 0),
-        contract(r.inverse, gamma, 1),
-        contract(r.tensor, gamma_inv, 1),
+        _contract_leg(r.inverse, gamma_inv, 0),
+        _contract_leg(r.tensor, gamma, 0),
+        _contract_leg(r.inverse, gamma, 1),
+        _contract_leg(r.tensor, gamma_inv, 1),
     ]
     # gamma^-1(h1) h2 gamma(h3), the gamma double-hit of each basis element
     twisted = {h: ops.coinner(gamma_inv, gamma, h) for h in ops.keys}

@@ -406,3 +406,43 @@ def test_check_without_r_or_sigma(capsys, tmp_path, token, code, message):
     rc, _, err = run(capsys, "check", path, token)
     assert rc == code
     assert err == message
+
+
+@pytest.mark.parametrize("key, message", [
+    ("characters", "error: characters: 'bad' is not an algebra character\n"),
+    ("grouplikes", "error: grouplikes: 'bad' is not grouplike\n"),
+])
+@pytest.mark.parametrize("argv", [
+    ("verify",),
+    ("compute", "lambda"),
+    ("compute", "a", "--emit-document"),
+    ("check", "s4"),
+    ("check", "main3"),
+])
+def test_invalid_named_vectors_exit_two_on_every_command(capsys, tmp_path, key, message,
+                                                        argv):
+    obj = json.loads(document_text(preset_document("group:C2")))
+    obj[key] = {"bad": [1, 2]}
+    path = write_doc(tmp_path, obj)
+    rc, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert rc == 2
+    assert out == ""
+    assert err == message
+
+
+def test_check_on_the_dual_solves_integral_data_once(capsys, monkeypatch):
+    # sweedler4 has R and no sigma, so main3 runs on the dual carrier only
+    seen = []
+    real = cofrobenius.cofrobenius_data
+
+    def spy(algebra):
+        seen.append(algebra.name)
+        return real(algebra)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopfcheck") and getattr(module, "cofrobenius_data", None) is real:
+            monkeypatch.setattr(module, "cofrobenius_data", spy)
+    rc, out, _ = run(capsys, "check", "preset:sweedler4", "main3")
+    assert rc == 0
+    assert "carrier = dual of sweedler4[xi=1]" in out
+    assert seen == ["sweedler4[xi=1]^*"]

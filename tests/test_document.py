@@ -68,6 +68,14 @@ def test_duplicate_counit_index():
         parse_document(obj)
 
 
+def test_repeated_basis_label():
+    obj = c2_obj()
+    obj["basis"] = ["g", "g"]
+    with pytest.raises(DocumentError,
+                       match="basis: label 'g' repeats at entries 0 and 1"):
+        parse_document(obj)
+
+
 def test_counit_entry_shape():
     obj = c2_obj()
     obj["counit"] = [[0, 1, 2], [1, 1]]
