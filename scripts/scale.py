@@ -56,17 +56,22 @@ def verify(path: Path) -> tuple[int, float, str]:
     return code, seconds, hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def verify_input(make, directory: Path) -> tuple[int, int, float, str]:
+    """Dimension, then verify's results, for one input written to directory
+    on its permuted basis."""
+    doc = permute_basis(make(), SEED)
+    path = directory / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return (len(doc["basis"]), *verify(path))
+
+
 def main() -> int:
     print(f"{'input':<14} {'dim':>4} {'exit':>4} {'verify_s':>9}  report sha256")
     worst = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, make in INPUTS:
-            doc = permute_basis(make(), SEED)
-            path = Path(tmp) / "doc.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            code, seconds, digest = verify(path)
-            print(f"{name:<14} {len(doc['basis']):>4} {code:>4} {seconds:>9.2f}  {digest}",
-                  flush=True)
+            dim, code, seconds, digest = verify_input(make, Path(tmp))
+            print(f"{name:<14} {dim:>4} {code:>4} {seconds:>9.2f}  {digest}", flush=True)
             worst = max(worst, code)
     return worst
 

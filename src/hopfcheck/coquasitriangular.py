@@ -18,6 +18,7 @@ from .linalg import Matrix, SparseMatrix, solve_linear
 from .lincomb import (
     BasisOps,
     LC,
+    LoweredTables,
     PairTable,
     _pair_label,
     _pairs,
@@ -25,7 +26,6 @@ from .lincomb import (
     is_character_fn,
     lc_eq,
     memo_fn,
-    product_table,
     triple_grid_check,
 )
 from .quasitriangular import QTData, RMatrix
@@ -57,35 +57,35 @@ def pair_eval(ops: BasisOps, fn, a: LC, b: LC) -> Scalar:
 
 
 def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
-    """The four braiding axioms, the convolution-inverse laws, and (once
-    everything passes) the antipode formulas for the inverse.
+    """The four braiding axioms, the convolution-inverse laws, and the
+    antipode formulas for the inverse, which are SKIPs unless everything
+    before them passes.
 
-    sigma, its inverse and the products are tables filled on first lookup,
-    so each pair is evaluated once per call, and the two multiplicativity
-    grids over key triples run one (h, l) row at a time."""
+    sigma and its inverse are tables filled on first lookup, so each pair is
+    evaluated once per call; every grid reads them, the products and the
+    coproducts through LoweredTables, and the two multiplicativity grids
+    over key triples run one (h, l) row at a time."""
     out: list[CheckResult] = []
-    zero = ops.zero
-    sig = PairTable(br.value)
-    sig_inv = PairTable(br.inverse)
-    prod = product_table(ops)
-    delta = {k: tuple(ops.delta(k)) for k in ops.keys}
+    raw = LoweredTables(ops, PairTable(br.value), PairTable(br.inverse))
+    sig, sig_inv = raw.pairs
+    prod, delta, eps, residue = raw.prod, raw.delta, raw.eps, raw.residue
+    at_pair = lambda p: f"at {_pair_label(ops, p)}"
 
     def mult_first(h, l, ms):
         """sigma(h l, m) = sigma(h, m1) sigma(l, m2)."""
         hl = [(c, sig[k]) for k, c in prod[h][l]]
         sig_h, sig_l = sig[h], sig[l]
         for m in ms:
-            lhs = zero
+            acc = 0
             for c, sig_k in hl:
                 f = sig_k[m]
                 if f:
-                    lhs = lhs + c * f
-            rhs = zero
+                    acc += c * f
             for c, m1, m2 in delta[m]:
                 f = sig_h[m1] * sig_l[m2]
                 if f:
-                    rhs = rhs + c * f
-            if lhs != rhs:
+                    acc -= c * f
+            if residue(acc):
                 return m
         return None
 
@@ -100,91 +100,85 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
                 legs.append((w, sig[h1]))
         sig_h, by_l = sig[h], prod[l]
         for m in ms:
-            lhs = zero
+            acc = 0
             for k, c in by_l[m]:
                 f = sig_h[k]
                 if f:
-                    lhs = lhs + c * f
-            rhs = zero
+                    acc += c * f
             for w, sig_h1 in legs:
                 f = sig_h1[m]
                 if f:
-                    rhs = rhs + w * f
-            if lhs != rhs:
+                    acc -= w * f
+            if residue(acc):
                 return m
         return None
 
     out.append(triple_grid_check("cqt.multiplicative_second_argument", ops, mult_second))
 
     def unit_pairing(h) -> bool:
-        right = pair_eval(ops, sig, ops.single(h), ops.unit)
-        left = pair_eval(ops, sig, ops.unit, ops.single(h))
-        e = ops.eps(h)
-        return right == e and left == e
+        """sigma(h, 1) = eps(h) = sigma(1, h)."""
+        e = eps[h]
+        return not (residue(sum(c * sig[h][u] for u, c in raw.unit) - e)
+                    or residue(sum(c * sig[u][h] for u, c in raw.unit) - e))
 
     out.append(grid_check("cqt.unit_pairing", ops.keys, unit_pairing,
                           lambda h: f"at {ops.label(h)}"))
 
     def commutation(p) -> bool:
+        """l1 h1 sigma(h2, l2) = sigma(h1, l1) h2 l2."""
         h, l = p
-        lhs: LC = {}
-        rhs: LC = {}
+        diff: LC = {}
         for c1, h1, h2 in delta[h]:
             for c2, l1, l2 in delta[l]:
                 c = c1 * c2
                 f = sig[h2][l2]
                 if f:
                     for k, w in prod[l1][h1]:
-                        lhs[k] = lhs.get(k, zero) + c * f * w
+                        diff[k] = diff.get(k, 0) + c * f * w
                 f = sig[h1][l1]
                 if f:
                     for k, w in prod[h2][l2]:
-                        rhs[k] = rhs.get(k, zero) + c * f * w
-        return lc_eq(lhs, rhs)
+                        diff[k] = diff.get(k, 0) - c * f * w
+        return not any(map(residue, diff.values()))
 
-    out.append(grid_check("cqt.commutation_relation", _pairs(ops), commutation,
-                          lambda p: f"at {_pair_label(ops, p)}"))
+    out.append(grid_check("cqt.commutation_relation", _pairs(ops), commutation, at_pair))
 
     def conv_pair(first, second):
-        def value(p) -> bool:
+        def holds(p) -> bool:
+            """first(h1, l1) second(h2, l2) = eps(h) eps(l)."""
             h, l = p
-            acc = zero
+            acc = -eps[h] * eps[l]
             for c1, h1, h2 in delta[h]:
                 for c2, l1, l2 in delta[l]:
                     f = first[h1][l1]
-                    if not f:
-                        continue
-                    g = second[h2][l2]
-                    if g:
-                        acc = acc + c1 * c2 * f * g
-            return acc == ops.eps(h) * ops.eps(l)
+                    if f:
+                        acc += c1 * c2 * f * second[h2][l2]
+            return not residue(acc)
 
-        return value
+        return holds
 
     out.append(grid_check("cqt.convolution_inverse_left", _pairs(ops),
-                          conv_pair(sig, sig_inv),
-                          lambda p: f"at {_pair_label(ops, p)}"))
+                          conv_pair(sig, sig_inv), at_pair))
     out.append(grid_check("cqt.convolution_inverse_right", _pairs(ops),
-                          conv_pair(sig_inv, sig),
-                          lambda p: f"at {_pair_label(ops, p)}"))
+                          conv_pair(sig_inv, sig), at_pair))
 
-    if all(c.status == PASS for c in out):
-        out.append(grid_check(
-            "cqt.inverse_is_antipode_first_argument", _pairs(ops),
-            lambda p: sig_inv(*p)
-            == pair_eval(ops, sig, ops.s_lc(ops.single(p[0])), ops.single(p[1])),
-            lambda p: f"at {_pair_label(ops, p)}"))
-        out.append(grid_check(
-            "cqt.inverse_is_antipode_inv_second_argument", _pairs(ops),
-            lambda p: sig_inv(*p)
-            == pair_eval(ops, sig, ops.single(p[0]), ops.s_inv_lc(ops.single(p[1]))),
-            lambda p: f"at {_pair_label(ops, p)}"))
-        out.append(grid_check(
-            "cqt.antipode_square_invariance", _pairs(ops),
-            lambda p: sig(*p)
-            == pair_eval(ops, sig, ops.s_lc(ops.single(p[0])),
-                         ops.s_lc(ops.single(p[1]))),
-            lambda p: f"at {_pair_label(ops, p)}"))
+    s, s_inv = raw.s, raw.s_inv
+    gaps = {  # each formula as (its left side) - (its right side) at (h, l)
+        # sigma^-1(h, l) = sigma(S h, l)
+        "cqt.inverse_is_antipode_first_argument":
+            lambda h, l: sig_inv[h][l] - sum(c * sig[k][l] for k, c in s[h]),
+        # sigma^-1(h, l) = sigma(h, S^-1 l)
+        "cqt.inverse_is_antipode_inv_second_argument":
+            lambda h, l: sig_inv[h][l] - sum(c * sig[h][k] for k, c in s_inv[l]),
+        # sigma(h, l) = sigma(S h, S l)
+        "cqt.antipode_square_invariance":
+            lambda h, l: sig[h][l] - sum(c * d * sig[k][k2] for k, c in s[h] for k2, d in s[l]),
+    }
+    gate_open = all(c.status == PASS for c in out)
+    for name, gap in gaps.items():
+        out.append(grid_check(name, _pairs(ops), lambda p, gap=gap: not residue(gap(*p)),
+                              at_pair)
+                   if gate_open else skipped(name, "a braiding axiom above fails"))
     return out
 
 

@@ -279,8 +279,9 @@ def emit_document(doc: AlgebraDocument) -> dict:
         acc = {}
         for c, i, j in doc.r_entries:
             acc[(i, j)] = acc.get((i, j), field.zero) + c
+        # R = 0 keeps one explicit zero entry, since "R" never parses empty
         obj["R"] = [[_scalar_to_json(field, c), i, j]
-                    for (i, j), c in sorted(acc.items()) if c]
+                    for (i, j), c in sorted(acc.items()) if c] or [[0, 0, 0]]
     if doc.sigma is not None:
         obj["sigma"] = [[_scalar_to_json(field, v) for v in row] for row in doc.sigma]
     if doc.characters:

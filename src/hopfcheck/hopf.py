@@ -152,8 +152,7 @@ class FinHopfAlgebra:
             eps=self.eps_basis,
             antipode=self.antipode_basis if has_s else None,
             antipode_inv=self.antipode_inv_basis if has_s else None,
-            zero=self.field.zero,
-            one=self.field.one,
+            field=self.field,
             label=lambda k: self.labels[k],
         )
 

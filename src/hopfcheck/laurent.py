@@ -111,8 +111,7 @@ def basis_ops(window: int) -> BasisOps:
         eps=eps_key,
         antipode=antipode_key,
         antipode_inv=antipode_inv_key,
-        zero=ZERO,
-        one=ONE,
+        field=QQ,
         label=label_key,
     )
 

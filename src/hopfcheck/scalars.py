@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 
 class ScalarError(ValueError):
@@ -68,6 +69,8 @@ class FpElement:
 
     def _other(self, other) -> int | None:
         """The int behind an operand of the same field, None for a foreign type."""
+        if type(other) is FpElement and other.p == self.p:
+            return other.value
         if isinstance(other, FpElement):
             if other.p != self.p:
                 raise ScalarError(f"mixed prime fields: F_{self.p} and F_{other.p}")
@@ -158,6 +161,10 @@ class RationalField:
     name = "rationals"
     zero = 0
     one = 1
+    # values are exact as they are: nothing to lower (see PrimeField.lower),
+    # and a sum is decided by its truth value
+    lower = None
+    residue = bool
 
     def from_int(self, n: int) -> int:
         return n
@@ -202,6 +209,10 @@ class PrimeField:
 
     p: int
 
+    # The axiom-grid kernels add raw values and decide a cell once:
+    # lower(x) is the int in range(p) behind x, residue(n) is n mod p.
+    lower = attrgetter("value")
+
     def __post_init__(self) -> None:
         if not _is_odd_prime(self.p):
             raise ScalarError(f"prime field: p must be an odd prime, got {self.p}")
@@ -209,6 +220,10 @@ class PrimeField:
     @property
     def name(self) -> str:
         return f"prime field F_{self.p}"
+
+    @property
+    def residue(self):
+        return self.p.__rmod__
 
     @property
     def zero(self) -> FpElement:

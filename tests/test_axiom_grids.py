@@ -1,12 +1,15 @@
-"""The key-triple axiom grids against their per-triple definitions.
+"""The key grids of the axiom batteries against their per-cell definitions.
 
 hopf.associativity and the two multiplicativity laws of a braiding are
-grids over all K^3 key triples.  hopf_axiom_checks and
-braiding_axiom_checks evaluate them one (h, l) row at a time over product
-and sigma tables filled once per call.  The naive predicates below are the
-per-triple definitions those rows replaced; the planned grids must report
-the same status and witness, also on perturbed carriers, and must evaluate
-sigma far less often.
+grids over all K^3 key triples; the multiplicativity of Delta, the
+commutation relation and the two convolution-inverse laws are grids over
+the K^2 key pairs.  hopf_axiom_checks and braiding_axiom_checks evaluate
+them over product, coproduct and sigma tables filled once per call, in raw
+field values (lincomb.LoweredTables), and run the triple grids one (h, l)
+row at a time.  The naive predicates below are the per-cell definitions
+those kernels replaced, in field arithmetic; the kernels must report the
+same status and witness, also on perturbed carriers, must evaluate sigma
+far less often, and must leave no field arithmetic per cell.
 """
 
 import dataclasses
@@ -24,13 +27,24 @@ from hopfcheck.coquasitriangular import (
     dualize_qt,
 )
 from hopfcheck.document import build_algebra, parse_document
-from hopfcheck.lincomb import _triple_label, hopf_axiom_checks, lc_eq
+from hopfcheck.lincomb import (
+    _pair_label,
+    _pairs,
+    _triple_label,
+    hopf_axiom_checks,
+    lc_eq,
+    tensor2_mul,
+)
+from hopfcheck.presets import cyclic_group_document
 from hopfcheck.quasitriangular import RMatrix, drinfeld_elements
-from hopfcheck.report import grid_check
+from hopfcheck.report import PASS, grid_check
+from hopfcheck.scalars import FpElement, PrimeField
 from test_golden import double_c2_document, laurent_quotient_document
 
 TRIPLE_CHECKS = ("hopf.associativity", "cqt.multiplicative_first_argument",
                  "cqt.multiplicative_second_argument")
+PAIR_CHECKS = ("hopf.comultiplication_multiplicative", "cqt.commutation_relation",
+               "cqt.convolution_inverse_left", "cqt.convolution_inverse_right")
 
 
 # -- the per-triple definitions ---------------------------------------------------
@@ -77,6 +91,54 @@ def naive_mult_second(ops, br):
     return holds
 
 
+def naive_delta_multiplicative(ops):
+    def holds(pair) -> bool:
+        a, b = pair
+        lhs = ops.delta_lc(ops.mul(a, b))
+        rhs = tensor2_mul(ops, dict(ops.delta_lc(ops.single(a))),
+                          dict(ops.delta_lc(ops.single(b))))
+        return lc_eq(lhs, rhs)
+
+    return holds
+
+
+def naive_commutation(ops, br):
+    def holds(pair) -> bool:
+        h, l = pair
+        lhs, rhs = {}, {}
+        for c1, h1, h2 in ops.delta(h):
+            for c2, l1, l2 in ops.delta(l):
+                c = c1 * c2
+                f = br.value(h2, l2)
+                if f:
+                    for k, w in ops.mul(l1, h1).items():
+                        lhs[k] = lhs.get(k, ops.zero) + c * f * w
+                f = br.value(h1, l1)
+                if f:
+                    for k, w in ops.mul(h2, l2).items():
+                        rhs[k] = rhs.get(k, ops.zero) + c * f * w
+        return lc_eq(lhs, rhs)
+
+    return holds
+
+
+def naive_conv_pair(ops, first, second):
+    def holds(pair) -> bool:
+        h, l = pair
+        acc = ops.zero
+        for c1, h1, h2 in ops.delta(h):
+            for c2, l1, l2 in ops.delta(l):
+                f = first(h1, l1)
+                if not f:
+                    continue
+                g = second(h2, l2)
+                if g:
+                    acc = acc + c1 * c2 * f * g
+        return acc == ops.eps(h) * ops.eps(l)
+
+    return holds
+
+
 def triples(ops):
     return [(h, l, m) for h in ops.keys for l in ops.keys for m in ops.keys]
 
@@ -86,15 +148,24 @@ def naive_predicates(ops, br) -> dict:
                                     naive_mult_second(ops, br))))
 
 
+def naive_pair_predicates(ops, br) -> dict:
+    return dict(zip(PAIR_CHECKS, (naive_delta_multiplicative(ops), naive_commutation(ops, br),
+                                  naive_conv_pair(ops, br.value, br.inverse),
+                                  naive_conv_pair(ops, br.inverse, br.value))))
+
+
 def naive_results(ops, br) -> dict:
-    grid = triples(ops)
-    return {name: grid_check(name, grid, holds, lambda t: f"at {_triple_label(ops, t)}")
-            for name, holds in naive_predicates(ops, br).items()}
+    grid, pairs = triples(ops), _pairs(ops)
+    out = {name: grid_check(name, grid, holds, lambda t: f"at {_triple_label(ops, t)}")
+           for name, holds in naive_predicates(ops, br).items()}
+    out.update({name: grid_check(name, pairs, holds, lambda p: f"at {_pair_label(ops, p)}")
+                for name, holds in naive_pair_predicates(ops, br).items()})
+    return out
 
 
 def planned_results(ops, br) -> dict:
     results = hopf_axiom_checks(ops) + braiding_axiom_checks(ops, br)
-    return {r.name: r for r in results if r.name in TRIPLE_CHECKS}
+    return {r.name: r for r in results if r.name in TRIPLE_CHECKS + PAIR_CHECKS}
 
 
 # -- carriers ---------------------------------------------------------------------
@@ -199,7 +270,7 @@ def test_row_predicates_answer_triples_in_any_order(monkeypatch):
 
     monkeypatch.setattr(lincomb, "grid_check", capturing_grid_check)
     planned = planned_results(ops, br)
-    assert not any(r.ok for r in planned.values())
+    assert not any(planned[name].ok for name in TRIPLE_CHECKS)
     # rows in random order, and the m of each row in random order, so that a
     # row is asked again after its first failure and before its start
     rng = random.Random(5)
@@ -256,3 +327,61 @@ def test_braiding_grids_evaluate_each_sigma_pair_once(name, monkeypatch):
         holds = naive_predicates(ops, counted_br)[check_name]
         assert all(holds(t) for t in triples(ops))
     assert naive_calls[0] > 10 * len(calls)
+
+
+def test_raw_sums_that_agree_mod_p_pass(monkeypatch):
+    """Over F_7 the braiding (-1)^(ij) of kC4 lowers -1 to 6, so at (g, g, g)
+    the first multiplicativity law adds sigma(g^2, g) = 1 on one side and
+    sigma(g, g) sigma(g, g) = 36 on the other: the raw sums differ by a
+    multiple of 7, and the cell holds.  The kernels reduce once per cell
+    and must PASS wherever the definitions in F_7 do."""
+    f7 = PrimeField(7)
+    algebra = build_algebra(cyclic_group_document(4, f7))
+    rows = [[f7.from_int((-1) ** (i * j)) for j in range(4)] for i in range(4)]
+    ops, br = algebra.basis_ops(), braiding_from_matrix(algebra, rows)[0]
+    sums = []
+    residue = PrimeField.residue.fget
+    monkeypatch.setattr(PrimeField, "residue", property(
+        lambda field: lambda n: sums.append(n) or residue(field)(n)))
+    planned = planned_results(ops, br)
+    assert planned == naive_results(ops, br)
+    assert all(r.status == PASS for r in planned.values())
+    assert any(n and n % 7 == 0 for n in sums)
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__neg__", "__pow__")
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_axiom_batteries_do_no_field_arithmetic_per_cell(n, monkeypatch):
+    """On H_n over F_10007 (K = 2n keys) the key grids run on raw ints, so
+    the FpElement arithmetic left in both batteries is the per-key checks'
+    (unit, counit, coassociativity and antipode laws, unit pairing): at
+    most 40 K operations, linear in K.  Field arithmetic per grid cell
+    would be at least K^3; per-cell kernels made 4,496 operations at n = 4
+    and 26,684 at n = 8.  Lowering sigma still evaluates it once per pair."""
+    doc, algebra = document_algebra(laurent_quotient_document(n))
+    ops, br = algebra.basis_ops(), braiding_from_matrix(algebra, doc.sigma)[0]
+    sigma_calls, value = [], br.value
+
+    def spy(x, y):
+        sigma_calls.append((x, y))
+        return value(x, y)
+
+    br = dataclasses.replace(br, value=spy)
+    count = [0]
+
+    def counted(real):
+        def op(*args):
+            count[0] += 1
+            return real(*args)
+        return op
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(FpElement, name, counted(FpElement.__dict__[name]))
+    results = hopf_axiom_checks(ops) + braiding_axiom_checks(ops, br)
+    assert all(r.status == PASS for r in results), [r for r in results if not r.ok]
+    assert 0 < count[0] <= 40 * len(ops.keys)
+    # the lowered sigma table reads the shared one: one value per pair
+    assert len(sigma_calls) == len(set(sigma_calls))

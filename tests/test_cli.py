@@ -393,6 +393,24 @@ def test_singular_r_fails_compute_and_check(capsys, tmp_path, argv, code):
         assert json.loads(out)["name"] == "sweedler4[xi=1]"
 
 
+def test_zero_r_document_round_trips(capsys, tmp_path):
+    """An R whose entries sum to zero is emitted as one explicit zero entry,
+    so the emitted document parses and every command exits on it as on its
+    input."""
+    obj = json.loads(document_text(preset_document("sweedler4")))
+    obj["R"] = [[0, 0, 0]]
+    path = write_doc(tmp_path, obj)
+    rc, out, err = run(capsys, "compute", path, "a", "--emit-document")
+    assert (rc, err) == (0, "")
+    emitted = json.loads(out)
+    assert emitted["R"] == [[0, 0, 0]]
+    assert parse_document(emitted).r_entries == parse_document(obj).r_entries
+    again = write_doc(tmp_path, emitted, "emitted.json")
+    for argv in (("compute", "lambda"), ("check", "s4"), ("check", "main3"),
+                 ("compute", "a", "--emit-document")):
+        assert run(capsys, argv[0], again, *argv[1:]) == run(capsys, argv[0], path, *argv[1:])
+
+
 @pytest.mark.parametrize("token, code, message", [
     ("main3", 2, "error: check main3 needs a braiding or an R-matrix\n"),
     ("uv", 2, "error: check uv needs an R-matrix\n"),

@@ -14,8 +14,11 @@ from hopfcheck.coquasitriangular import (
     grouplike_witness_checks,
     modular_convolution_checks,
 )
+from hopfcheck.document import build_algebra, parse_document
 from hopfcheck.hopf import NotInvertibleError
 from hopfcheck.quasitriangular import drinfeld_elements
+from hopfcheck.report import FAIL, PASS, SKIP
+from test_golden import laurent_quotient_document
 
 ONE = Fraction(1)
 
@@ -113,3 +116,31 @@ def test_corrupted_braiding_fails_multiplicativity(c2):
     bad = results["cqt.multiplicative_first_argument"]
     assert not bad.ok
     assert bad.witness == "at (g, g, g)"
+
+
+ANTIPODE_FORMULAS = ("cqt.inverse_is_antipode_first_argument",
+                     "cqt.inverse_is_antipode_inv_second_argument",
+                     "cqt.antipode_square_invariance")
+
+
+def test_closed_antipode_gate_reports_skips():
+    """With sigma(g, g) bumped on H_4 over F_10007 a braiding axiom fails,
+    and the three antipode formulas behind the gate are reported as SKIP
+    with a reason, so the battery names the same checks as on the intact
+    braiding."""
+    batteries = {}
+    for bumped in (False, True):
+        obj = laurent_quotient_document(4)
+        if bumped:
+            obj["sigma"][2][2] = 5
+        doc = parse_document(obj)
+        algebra = build_algebra(doc)
+        ops, br = algebra.basis_ops(), braiding_from_matrix(algebra, doc.sigma)[0]
+        batteries[bumped] = braiding_axiom_checks(ops, br)
+    intact, bumped = batteries[False], batteries[True]
+    assert [r.name for r in bumped] == [r.name for r in intact]
+    assert all(r.status == PASS for r in intact)
+    assert any(r.status == FAIL for r in bumped)
+    gated = [r for r in bumped if r.name in ANTIPODE_FORMULAS]
+    assert [(r.name, r.status) for r in gated] == [(name, SKIP) for name in ANTIPODE_FORMULAS]
+    assert all(r.witness == "a braiding axiom above fails" for r in gated)

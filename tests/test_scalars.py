@@ -125,6 +125,36 @@ class TestPrimeField:
         if x % p:
             assert a ** -2 == FpElement(pow(x, 2 * (p - 2), p), p)
 
+    def test_operand_paths(self):
+        """Each kind of operand takes its own path through every binary
+        dunder: an element of the same field is read directly, one of
+        another prime raises ScalarError, a bool or a float is refused, a
+        plain int is lifted mod p on either side, and any other type gets
+        NotImplemented."""
+        a, b = FpElement(3, 7), FpElement(5, 7)
+        binary = (operator.add, operator.sub, operator.mul, operator.truediv)
+        expected = (1, 5, 1, 2)  # 3 + 5, 3 - 5, 3 * 5, 3 / 5 = 3 * 3 in F_7
+        for op, value in zip(binary, expected):
+            got = op(a, b)
+            assert type(got) is FpElement and (got.value, got.p) == (value, 7)
+            assert op(a, 12) == op(a, FpElement(12, 7))
+            assert op(-9, b) == op(FpElement(-9, 7), b)
+            for foreign in (FpElement(1, 5), FpElement(3, 11)):
+                with pytest.raises(ScalarError, match="mixed prime fields"):
+                    op(a, foreign)
+                with pytest.raises(ScalarError, match="mixed prime fields"):
+                    op(foreign, a)
+            for refused in (True, False, 0.5, "3", Fraction(1, 2), None):
+                with pytest.raises(TypeError):
+                    op(a, refused)
+                with pytest.raises(TypeError):
+                    op(refused, a)
+        reflected = ("__radd__", "__rsub__", "__rmul__", "__rtruediv__")
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", *reflected):
+            for refused in (True, 0.5, Fraction(1, 2), object()):
+                assert getattr(a, name)(refused) is NotImplemented
+        assert (a.__rsub__(10).value, a.__rtruediv__(1).value) == (0, 5)
+
     def test_slot_element_keeps_its_surface(self):
         a = FpElement(-2, 5)
         assert (a.value, a.p, str(a), repr(a)) == (3, 5, "3", "FpElement(value=3, p=5)")

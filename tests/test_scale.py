@@ -1,0 +1,29 @@
+"""scripts/scale.py's reports stay byte-identical: the sha256 of the
+`verify --json` report on three of its inputs is pinned (the two larger
+inputs take seconds and are left to the script)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scale.py"
+PINNED = {
+    "kC16": "c648559ddd271e048af2338f4f99c8b51eca2686a1e41a1e09b7e777c622e840",
+    "D(kC5)": "ebb7404ca47eb28adf981b6e272a77211e280afc15cb53dce4d05e52799212da",
+    "H_16/F_10007": "467d9d28db4829cc3ba959514bfb7f73246660942789a0df25ac64b8b5ddc54d",
+}
+
+
+@pytest.fixture(scope="module")
+def scale():
+    spec = importlib.util.spec_from_file_location("scale_script", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_scale_report_hash_is_pinned(scale, name, tmp_path):
+    _, code, _, digest = scale.verify_input(dict(scale.INPUTS)[name], tmp_path)
+    assert (code, digest) == (0, PINNED[name])
