@@ -69,9 +69,7 @@ class FpElement:
 
     def _other(self, other) -> int | None:
         """The int behind an operand of the same field, None for a foreign type."""
-        if type(other) is FpElement and other.p == self.p:
-            return other.value
-        if isinstance(other, FpElement):
+        if type(other) is FpElement:
             if other.p != self.p:
                 raise ScalarError(f"mixed prime fields: F_{self.p} and F_{other.p}")
             return other.value
