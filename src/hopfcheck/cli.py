@@ -32,7 +32,6 @@ from .cofrobenius import (
     CONVENTIONS,
     Carrier,
     CoFrobeniusData,
-    PreconditionError,
     check_s2_inner_witness,
     cofrobenius_checks,
     cofrobenius_data,
@@ -187,7 +186,7 @@ def _table_source(algebra: FinHopfAlgebra, data, lines, r, braiding,
 def _document_source(doc: AlgebraDocument) -> Resolved:
     """A document's carrier: the Hopf battery on its tables, integral data
     by linear algebra, R and sigma as the document gives them."""
-    algebra = build_algebra(doc, check=False)
+    algebra = build_algebra(doc)
 
     def build() -> Source:
         characters = document_characters(doc, algebra)
@@ -564,7 +563,7 @@ def main(argv=None) -> int:
     except (UsageError, DocumentError, ScalarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AxiomError, NotInvertibleError, PreconditionError) as exc:
+    except (AxiomError, NotInvertibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

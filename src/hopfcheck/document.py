@@ -195,7 +195,7 @@ def load_document(path: str) -> AlgebraDocument:
     return parse_document(obj)
 
 
-def build_algebra(doc: AlgebraDocument, check: bool = True) -> FinHopfAlgebra:
+def build_algebra(doc: AlgebraDocument) -> FinHopfAlgebra:
     n = doc.dim
     mult: dict = {}
     for i, j, k, c in doc.mult:
@@ -212,8 +212,7 @@ def build_algebra(doc: AlgebraDocument, check: bool = True) -> FinHopfAlgebra:
         antipode = Matrix.from_rows(doc.field, rows)
     return FinHopfAlgebra(doc.field, doc.basis, mult,
                           {i: tuple(ts) for i, ts in comult.items()},
-                          doc.counit, antipode=antipode, check=check,
-                          name=doc.name)
+                          doc.counit, antipode=antipode, name=doc.name)
 
 
 def document_characters(doc: AlgebraDocument, algebra: FinHopfAlgebra) -> dict:

@@ -2,8 +2,9 @@
 
 A FinHopfAlgebra holds a sparse multiplication table, a sparse coproduct,
 a counit vector and an antipode matrix over an exact field.  Construction
-validates every axiom eagerly unless asked not to (the unchecked path
-exists so that verify_hopf can report failures instead of raising).
+only stores the tables and solves for a missing unit; verify_hopf reports
+every axiom, solving for a missing antipode on the way, and
+require_passing turns its first failure into an AxiomError.
 Elements are sparse LCs over the basis indices and functionals are key
 functions, both handled through basis_ops(); dense coefficient
 vectors appear only where a linear solve returns them.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .lincomb import BasisOps, LC, lc_canon, lc_format, lc_outer
+from .lincomb import BasisOps, LC, hopf_axiom_checks, lc_canon, lc_format, lc_outer
 from .linalg import Matrix, SingularMatrixError, SparseMatrix, invert_matrix, solve_linear
 from .report import CheckResult, check, failed
 from .scalars import Field, Scalar
@@ -71,7 +72,7 @@ class FinHopfAlgebra:
     """
 
     def __init__(self, field: Field, labels, mult, comult, counit,
-                 unit=None, antipode: Matrix | None = None, check: bool = True,
+                 unit=None, antipode: Matrix | None = None,
                  name: str | None = None) -> None:
         self.field = field
         self.labels = tuple(labels)
@@ -95,8 +96,6 @@ class FinHopfAlgebra:
         self.unit_coeffs = tuple(unit) if unit is not None else self._solve_unit()
         self._antipode = antipode
         self._antipode_inv: Matrix | None = None
-        if check:
-            require_passing(self._axiom_results())
 
     # -- table access --------------------------------------------------------
 
@@ -199,7 +198,6 @@ class FinHopfAlgebra:
             counit,
             unit=unit,
             antipode=antipode,
-            check=False,
             name=f"{self.name}^*",
         )
 
@@ -220,26 +218,6 @@ class FinHopfAlgebra:
         if sol is None:
             return None
         return sol.particular
-
-    def _axiom_results(self) -> list[CheckResult]:
-        from .lincomb import hopf_axiom_checks
-
-        if self.unit_coeffs is None:
-            return [failed("hopf.unit_exists", "no two-sided unit solves the tables")]
-        out: list[CheckResult] = []
-        if self._antipode is None:
-            try:
-                self._antipode = compute_antipode(self)
-            except AxiomError as exc:
-                bialgebra = hopf_axiom_checks(self.basis_ops())
-                return bialgebra + [failed("hopf.antipode_exists", str(exc))]
-        out.extend(hopf_axiom_checks(self.basis_ops()))
-        try:
-            self.antipode_inv_matrix
-            out.append(check("hopf.antipode_invertible", True))
-        except SingularMatrixError:
-            out.append(failed("hopf.antipode_invertible", "antipode matrix is singular"))
-        return out
 
     # -- formatting -----------------------------------------------------------------
 
@@ -300,8 +278,23 @@ def compute_antipode(algebra: FinHopfAlgebra) -> Matrix:
 
 
 def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
-    """Report every Hopf axiom instead of raising; safe on broken tables."""
-    return algebra._axiom_results()
+    """Report every Hopf axiom instead of raising; safe on broken tables.
+    A missing antipode is solved for here and kept by the algebra."""
+    if algebra.unit_coeffs is None:
+        return [failed("hopf.unit_exists", "no two-sided unit solves the tables")]
+    if algebra._antipode is None:
+        try:
+            algebra._antipode = compute_antipode(algebra)
+        except AxiomError as exc:
+            bialgebra = hopf_axiom_checks(algebra.basis_ops())
+            return bialgebra + [failed("hopf.antipode_exists", str(exc))]
+    out = hopf_axiom_checks(algebra.basis_ops())
+    try:
+        algebra.antipode_inv_matrix
+        out.append(check("hopf.antipode_invertible", True))
+    except SingularMatrixError:
+        out.append(failed("hopf.antipode_invertible", "antipode matrix is singular"))
+    return out
 
 
 def same_structure_constants(a: FinHopfAlgebra, b: FinHopfAlgebra) -> bool:

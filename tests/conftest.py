@@ -4,6 +4,7 @@ import pytest
 
 from hopfcheck.cofrobenius import cofrobenius_data
 from hopfcheck.document import build_algebra
+from hopfcheck.hopf import require_passing, verify_hopf
 from hopfcheck.presets import preset_document
 from hopfcheck.quasitriangular import RMatrix
 
@@ -17,19 +18,26 @@ def pytest_runtest_logreport(report):
     print(f"\nACCEPTANCE {name}: {status}", flush=True)
 
 
+def verified(doc):
+    """The algebra of doc, after its Hopf axiom battery has passed."""
+    algebra = build_algebra(doc)
+    require_passing(verify_hopf(algebra))
+    return algebra
+
+
 @pytest.fixture(scope="session")
 def c2():
-    return build_algebra(preset_document("group:C2"))
+    return verified(preset_document("group:C2"))
 
 
 @pytest.fixture(scope="session")
 def c4():
-    return build_algebra(preset_document("group:C4"))
+    return verified(preset_document("group:C4"))
 
 
 @pytest.fixture(scope="session")
 def sweedler():
-    return build_algebra(preset_document("sweedler4"))
+    return verified(preset_document("sweedler4"))
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +57,7 @@ def sweedler_r(sweedler, sweedler_doc):
 
 @pytest.fixture(scope="session")
 def sweedler_xi0():
-    return build_algebra(preset_document("sweedler4", xi=0))
+    return verified(preset_document("sweedler4", xi=0))
 
 
 @pytest.fixture(scope="session")

@@ -14,12 +14,12 @@ import pytest
 from hopfcheck import laurent
 from hopfcheck.cli import main
 from hopfcheck.cofrobenius import (
-    PreconditionError,
     cofrobenius_data,
     coinner_from_integral_twist,
     integral_twist_from_coinner,
     left_integrals,
     modular_element_checks,
+    product_formula_check,
     radford_s4_checks,
 )
 from hopfcheck.coquasitriangular import (
@@ -72,7 +72,7 @@ def test_criterion_01_axiom_suite_and_negative_control(c2, c4, sweedler, sweedle
     broken = FinHopfAlgebra(
         QQ, doc.basis, mult,
         {i: ((c, j, k),) for i, j, k, c in doc.comult},
-        doc.counit, check=False)
+        doc.counit)
     failures = [c for c in verify_hopf(broken) if not c.ok]
     assert failures
     assert failures[0].name == "hopf.antipode_exists"
@@ -239,17 +239,17 @@ def test_criterion_09_braided_modular_identities(sweedler, sweedler_r,
 def test_criterion_10_integral_twist_roundtrip_and_refusal(sweedler, sweedler_r):
     dual, dual_br, _, _ = dualize_qt(sweedler, sweedler_r,
                                      drinfeld_elements(sweedler, sweedler_r)[0])
-    carriers = [(cofrobenius_data(dual).carrier, dual_br, (0, 0)),
+    carriers = [(cofrobenius_data(dual).carrier, dual_br, (0, 0), "at (1*, x*)"),
                 (laurent.family_data(laurent.basis_ops(5)), laurent.braiding(),
-                 ((-1, 0), (0, 0)))]
-    for c, br, spot in carriers:
+                 ((-1, 0), (0, 0)), "at (g^-1, x)")]
+    for c, br, spot, witness in carriers:
         ops = c.ops
         fns, _ = braided_functionals(ops, br)
         rho2, tau2, forward = integral_twist_from_coinner(ops, c.lam, c.alpha,
                                                           fns["u"], fns["u_inv"])
         no_failures(forward)
-        rho_fn, tau_fn, backward = coinner_from_integral_twist(ops, c.lam, c.a_inv,
-                                                               c.alpha_inv, rho2, tau2)
+        rho_fn, tau_fn, backward = coinner_from_integral_twist(ops, c.a_inv, c.alpha_inv,
+                                                               rho2, tau2)
         no_failures(backward)
         conv = ops.convolve(rho_fn, tau_fn)
         for k in ops.keys:
@@ -258,8 +258,9 @@ def test_criterion_10_integral_twist_roundtrip_and_refusal(sweedler, sweedler_r)
         def perturbed(x, y, tau2=tau2, spot=spot):
             return tau2(x, y) + (ONE if (x, y) == spot else ZERO)
 
-        with pytest.raises(PreconditionError, match="twisted product formula fails"):
-            coinner_from_integral_twist(ops, c.lam, c.a_inv, c.alpha_inv, rho2, perturbed)
+        refused = product_formula_check(ops, c.lam, rho2, perturbed)
+        assert refused.name == "integral_twist.product_formula"
+        assert not refused.ok and refused.witness == witness
 
 
 def test_criterion_11_computed_antipode_matches_declared(c2, c4, sweedler, sweedler_xi0):

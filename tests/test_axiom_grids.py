@@ -27,6 +27,7 @@ from hopfcheck.coquasitriangular import (
     dualize_qt,
 )
 from hopfcheck.document import build_algebra, parse_document
+from hopfcheck.hopf import require_passing, verify_hopf
 from hopfcheck.lincomb import (
     _pair_label,
     _pairs,
@@ -173,7 +174,9 @@ def planned_results(ops, br) -> dict:
 
 def document_algebra(obj):
     doc = parse_document(obj)
-    return doc, build_algebra(doc)
+    algebra = build_algebra(doc)
+    require_passing(verify_hopf(algebra))
+    return doc, algebra
 
 
 def dual_braiding(algebra, r):
@@ -337,6 +340,7 @@ def test_raw_sums_that_agree_mod_p_pass(monkeypatch):
     and must PASS wherever the definitions in F_7 do."""
     f7 = PrimeField(7)
     algebra = build_algebra(cyclic_group_document(4, f7))
+    require_passing(verify_hopf(algebra))
     rows = [[f7.from_int((-1) ** (i * j)) for j in range(4)] for i in range(4)]
     ops, br = algebra.basis_ops(), braiding_from_matrix(algebra, rows)[0]
     sums = []

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hopfcheck import cofrobenius, laurent
 from hopfcheck.cofrobenius import (
-    PreconditionError,
     _twisted_product_predicate,
     check_s2_inner_witness,
     cofrobenius_checks,
@@ -16,11 +15,13 @@ from hopfcheck.cofrobenius import (
     integral_twist_from_coinner,
     left_integrals,
     modular_element_checks,
+    product_formula_check,
     radford_s4_checks,
+    twist_round_trip,
 )
 from hopfcheck.coquasitriangular import braided_functionals, dualize_qt
 from hopfcheck.quasitriangular import drinfeld_elements
-from hopfcheck.lincomb import _pair_label, _pairs
+from hopfcheck.lincomb import PairTable, _pair_label, _pairs, pair_convolve
 from hopfcheck.linalg import Matrix
 from hopfcheck.scalars import QQ
 
@@ -124,36 +125,77 @@ def test_integral_twist_roundtrip(sweedler_data):
     c = sweedler_data.carrier
     rho2, tau2, forward = alpha_twist(c)
     assert all(r.ok for r in forward)
-    rho_p, tau_pp, backward = coinner_from_integral_twist(c.ops, c.lam, c.a_inv,
-                                                          c.alpha_inv, rho2, tau2)
+    rho_p, tau_pp, backward = coinner_from_integral_twist(c.ops, c.a_inv, c.alpha_inv,
+                                                          rho2, tau2)
     assert all(r.ok for r in backward)
     # both extracted functionals collapse to the modular character here
     for k in c.ops.keys:
         assert rho_p(k) == tau_pp(k) == c.alpha(k)
 
 
+TWIST_LINES = ["coinner.omega_invertible",
+               "coinner.omega_implements_s_inverse_squared",
+               "integral_twist.product_formula",
+               "coinner.extracted_pair.convolution_inverse_left",
+               "coinner.extracted_pair.convolution_inverse_right",
+               "coinner.first_factor_s2_stable",
+               "coinner.second_factor_s2_stable",
+               "coinner.extracted_implements_s_inverse_squared"]
+
+
 def test_integral_twist_rejects_non_coinner_omega(sweedler_data):
+    # eps is its own convolution inverse, but its co-inner action is the
+    # identity while S^-2(x) = -x
     c = sweedler_data.carrier
-    with pytest.raises(PreconditionError, match="does not realize"):
-        integral_twist_from_coinner(c.ops, c.lam, c.alpha, c.ops.eps, c.ops.eps)
+    _, _, checks = integral_twist_from_coinner(c.ops, c.lam, c.alpha, c.ops.eps, c.ops.eps)
+    by_name = {r.name: r for r in checks}
+    assert by_name["coinner.omega_invertible"].ok
+    refused = by_name["coinner.omega_implements_s_inverse_squared"]
+    assert not refused.ok and refused.witness == "at x"
+
+
+def test_round_trip_reports_every_line_when_omega_fails(sweedler_data):
+    c = sweedler_data.carrier
+    results = twist_round_trip(c, c.ops.eps, c.ops.eps)
+    assert [r.name for r in results] == TWIST_LINES
+    refused = results[1]
+    assert refused.status == "fail" and refused.witness == "at x"
+    assert [r.name for r in twist_round_trip(c, c.alpha, c.alpha_inv)] == TWIST_LINES
+
+
+def test_round_trip_evaluates_the_product_formula_once(sweedler_data, monkeypatch):
+    calls = []
+    real = cofrobenius._twisted_product_predicate
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cofrobenius, "_twisted_product_predicate", spy)
+    c = sweedler_data.carrier
+    assert all(r.ok for r in twist_round_trip(c, c.alpha, c.alpha_inv))
+    assert len(calls) == 1
 
 
 def test_extraction_refuses_perturbed_pair(sweedler_data):
     c = sweedler_data.carrier
     rho2, tau2, _ = alpha_twist(c)
     bumped = lambda x, y: tau2(x, y) + (ONE if (x, y) == (1, 0) else ZERO)
-    with pytest.raises(PreconditionError,
-                       match=r"twisted product formula fails at \(g, x\)"):
-        coinner_from_integral_twist(c.ops, c.lam, c.a_inv, c.alpha_inv, rho2, bumped)
+    refused = product_formula_check(c.ops, c.lam, rho2, bumped)
+    assert refused.name == "integral_twist.product_formula"
+    assert not refused.ok and refused.witness == "at (g, x)"
+    # the extraction still reports on the perturbed pair
+    _, _, backward = coinner_from_integral_twist(c.ops, c.a_inv, c.alpha_inv, rho2, bumped)
+    assert [r.name for r in backward] == TWIST_LINES[3:]
 
 
 # ---------------------------------------------------------------------------
 # the planned twisted-product predicate against the per-pair definition
 
 
-def naive_twisted_product_holds(ops, lam, rho2, tau2, h, l) -> bool:
-    """lambda(l h) = rho(h1, l1) lambda(h2 l2) tau(h3, l3), summed term by term."""
-    lhs = ops.eval_fn(lam, ops.mul(l, h))
+def naive_twisted_product_rhs(ops, lam, rho2, tau2, h, l):
+    """rho(h1, l1) lambda(h2 l2) tau(h3, l3), summed term by term over
+    Delta^3(h) x Delta^3(l)."""
     rhs = ops.zero
     for ch, (h1, h2, h3) in ops.delta_n(h, 3):
         for cl, (l1, l2, l3) in ops.delta_n(l, 3):
@@ -166,7 +208,13 @@ def naive_twisted_product_holds(ops, lam, rho2, tau2, h, l) -> bool:
             mid = ops.eval_fn(lam, ops.mul(h2, l2))
             if mid:
                 rhs = rhs + ch * cl * r * mid * t
-    return lhs == rhs
+    return rhs
+
+
+def naive_twisted_product_holds(ops, lam, rho2, tau2, h, l) -> bool:
+    """lambda(l h) = rho(h1, l1) lambda(h2 l2) tau(h3, l3), summed term by term."""
+    return ops.eval_fn(lam, ops.mul(l, h)) == naive_twisted_product_rhs(ops, lam, rho2,
+                                                                         tau2, h, l)
 
 
 def finite_twist(algebra, omega, omega_inv):
@@ -216,31 +264,48 @@ def test_twisted_product_predicate_matches_definition(twist_carrier):
         assert holds((h, l))
 
 
+def bumped_pair(ops, rho2, tau2, which, i, j, bump):
+    """rho2 and tau2, with bump added to the one named by which at the key
+    pair indexed by (i, j)."""
+    spot = (ops.keys[i % len(ops.keys)], ops.keys[j % len(ops.keys)])
+    base = rho2 if which == "rho" else tau2
+    bumped = lambda x, y: base(x, y) + bump if (x, y) == spot else base(x, y)
+    return (bumped, tau2) if which == "rho" else (rho2, bumped)
+
+
 @settings(max_examples=15, deadline=None)
 @given(which=st.sampled_from(["rho", "tau"]), i=st.integers(0, 63), j=st.integers(0, 63),
        bump=st.sampled_from([-2, -1, 1, 3]))
 def test_perturbed_pair_is_refused_at_the_same_pair(twist_carrier, which, i, j, bump):
     ops, lam, a_inv, alpha_inv, rho2, tau2 = twist_carrier
-    spot = (ops.keys[i % len(ops.keys)], ops.keys[j % len(ops.keys)])
-    base = rho2 if which == "rho" else tau2
-    bumped = lambda x, y: base(x, y) + bump if (x, y) == spot else base(x, y)
-    if which == "rho":
-        rho2 = bumped
-    else:
-        tau2 = bumped
-
+    rho2, tau2 = bumped_pair(ops, rho2, tau2, which, i, j, bump)
     holds = _twisted_product_predicate(ops, lam, rho2, tau2)
     pairs = _pairs(ops)
     verdicts = [holds(p) for p in pairs]
     assert verdicts == [naive_twisted_product_holds(ops, lam, rho2, tau2, *p) for p in pairs]
     bad = next((p for p, ok in zip(pairs, verdicts) if not ok), None)
+    grid = product_formula_check(ops, lam, rho2, tau2)
     if bad is None:
-        coinner_from_integral_twist(ops, lam, a_inv, alpha_inv, rho2, tau2)
-        return
-    with pytest.raises(PreconditionError) as refused:
-        coinner_from_integral_twist(ops, lam, a_inv, alpha_inv, rho2, tau2)
-    assert str(refused.value) == (
-        f"twisted product formula fails at {_pair_label(ops, bad)}; extraction refused")
+        assert grid.ok
+    else:
+        assert not grid.ok and grid.witness == f"at {_pair_label(ops, bad)}"
+    # the extraction reports on the pair whether or not the formula holds
+    _, _, backward = coinner_from_integral_twist(ops, a_inv, alpha_inv, rho2, tau2)
+    assert [r.name for r in backward] == TWIST_LINES[3:]
+
+
+@settings(max_examples=12, deadline=None)
+@given(which=st.sampled_from(["rho", "tau"]), i=st.integers(0, 63), j=st.integers(0, 63),
+       bump=st.sampled_from([0, -1, 1, 3]))
+def test_pair_convolution_matches_the_term_by_term_sum(twist_carrier, which, i, j, bump):
+    """((rho * lambda o m) * tau)(h, l) equals the sum over Delta^3(h) x
+    Delta^3(l) as a value at every pair, also under a bumped rho or tau."""
+    ops, lam, _, _, rho2, tau2 = twist_carrier
+    rho2, tau2 = bumped_pair(ops, rho2, tau2, which, i, j, bump)
+    lam_mul = PairTable(lambda x, y: ops.eval_fn(lam, ops.mul(x, y)))
+    rhs = pair_convolve(ops, pair_convolve(ops, rho2, lam_mul), tau2)
+    for h, l in _pairs(ops):
+        assert rhs(h, l) == naive_twisted_product_rhs(ops, lam, rho2, tau2, h, l)
 
 
 def test_product_formula_grid_builds_delta3_once_per_key(c4, monkeypatch):

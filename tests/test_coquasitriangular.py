@@ -15,7 +15,7 @@ from hopfcheck.coquasitriangular import (
     modular_convolution_checks,
 )
 from hopfcheck.document import build_algebra, parse_document
-from hopfcheck.hopf import NotInvertibleError
+from hopfcheck.hopf import NotInvertibleError, require_passing, verify_hopf
 from hopfcheck.quasitriangular import drinfeld_elements
 from hopfcheck.report import FAIL, PASS, SKIP
 from test_golden import laurent_quotient_document
@@ -135,6 +135,7 @@ def test_closed_antipode_gate_reports_skips():
             obj["sigma"][2][2] = 5
         doc = parse_document(obj)
         algebra = build_algebra(doc)
+        require_passing(verify_hopf(algebra))
         ops, br = algebra.basis_ops(), braiding_from_matrix(algebra, doc.sigma)[0]
         batteries[bumped] = braiding_axiom_checks(ops, br)
     intact, bumped = batteries[False], batteries[True]

@@ -13,7 +13,7 @@ from hopfcheck.document import (
     load_document,
     parse_document,
 )
-from hopfcheck.hopf import same_structure_constants, verify_hopf
+from hopfcheck.hopf import require_passing, same_structure_constants, verify_hopf
 from hopfcheck.presets import FINITE_PRESETS, preset_document
 
 
@@ -38,6 +38,7 @@ def test_parse_build_verify():
 def test_structure_round_trip():
     doc = parse_document(c2_obj())
     first = build_algebra(doc)
+    require_passing(verify_hopf(first))
     again = build_algebra(parse_document(emit_document(document_from_algebra(first))))
     assert same_structure_constants(first, again)
 
@@ -208,6 +209,7 @@ def test_character_and_grouplike_validation():
     obj["grouplikes"] = {"g": [0, 1]}
     doc = parse_document(obj)
     algebra = build_algebra(doc)
+    require_passing(verify_hopf(algebra))
     chars = document_characters(doc, algebra)
     assert set(chars) == {"sign"}
     groups = document_grouplikes(doc, algebra)

@@ -11,6 +11,9 @@ tests/golden/cli/<case>.json holds, for the presets, H_4 and D(kC2)
 (the Laurent family at window 2), the exit
 code, stdout and stderr of the text `verify` report, of `check` for every
 theorem token and of `compute` for every target, usage errors included.
+It holds the same transcript for one failing run: H_4 with sigma(g, g)
+bumped, whose braiding axioms fail, so that the SKIP lines and the
+integral-twist lines of a failing braided run are frozen too.
 A change that alters any of them fails here.  When output is meant to
 change, regenerate every file with
 
@@ -101,6 +104,13 @@ def double_c4_permuted_document() -> dict:
     }
 
 
+def bumped_sigma_document() -> dict:
+    """H_4 over F_10007 with sigma(g, g) = 5 instead of 1."""
+    doc = laurent_quotient_document(4)
+    doc["sigma"][2][2] = 5
+    return doc
+
+
 def cyclic_group_document(n: int) -> dict:
     """kC_n with R = 1 (x) 1, the all-ones braiding, the sign character and
     the grouplike g."""
@@ -130,6 +140,9 @@ CLI_PRESETS = {**PRESETS, "laurent": ["preset:laurent", "--window", "2"]}
 DOCUMENTS = {"h4_f10007": lambda: laurent_quotient_document(4),
              "double_c2": double_c2_document}
 CASES = sorted([*PRESETS, *DOCUMENTS])
+# failing runs, whose CLI transcripts alone are frozen
+FAILING_DOCUMENTS = {"h4_f10007_bumped_sigma": bumped_sigma_document}
+CLI_CASES = sorted([*CASES, *FAILING_DOCUMENTS])
 # the benchmark's input shapes, whose verify reports alone are frozen
 REPORT_DOCUMENTS = {"double_c4_permuted": double_c4_permuted_document,
                     "group_c8": lambda: cyclic_group_document(8),
@@ -141,7 +154,7 @@ def source(case: str, presets: dict, workdir: Path) -> list[str]:
     if case in presets:
         return presets[case]
     path = workdir / f"{case}.json"
-    make = DOCUMENTS.get(case) or REPORT_DOCUMENTS[case]
+    make = {**DOCUMENTS, **REPORT_DOCUMENTS, **FAILING_DOCUMENTS}[case]
     path.write_text(json.dumps(make()), encoding="utf-8")
     return [str(path)]
 
@@ -170,7 +183,8 @@ def cli_transcript(case: str, workdir: Path) -> str:
     runs = []
     for argv in lines:
         code, out, err = run(argv)
-        shown = [Path(a).name if a == where and case in DOCUMENTS else a for a in argv]
+        shown = [Path(a).name if a == where and case not in CLI_PRESETS else a
+                 for a in argv]
         runs.append({"argv": shown, "exit": code, "stdout": out, "stderr": err})
     return json.dumps(runs, indent=1) + "\n"
 
@@ -181,7 +195,7 @@ def test_report_matches_golden(case, tmp_path):
     assert report(case, tmp_path) == expected
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", CLI_CASES)
 def test_cli_transcript_matches_golden(case, tmp_path):
     expected = (GOLDEN / "cli" / f"{case}.json").read_text(encoding="utf-8")
     assert cli_transcript(case, tmp_path) == expected
@@ -192,7 +206,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in REPORT_CASES:
             (GOLDEN / f"{case}.json").write_text(report(case, Path(tmp)), encoding="utf-8")
-            if case in CASES:
-                (GOLDEN / "cli" / f"{case}.json").write_text(cli_transcript(case, Path(tmp)),
-                                                             encoding="utf-8")
             print(f"wrote {case}", file=sys.stderr)
+        for case in CLI_CASES:
+            (GOLDEN / "cli" / f"{case}.json").write_text(cli_transcript(case, Path(tmp)),
+                                                         encoding="utf-8")
+            print(f"wrote cli/{case}", file=sys.stderr)

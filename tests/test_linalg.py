@@ -341,7 +341,7 @@ def test_antipode_solve_scalar_work_is_bounded(monkeypatch):
     rows were built dense).  The count is taken on FpElement because over QQ
     the integral products are plain ints."""
     doc = h_n_document(4, {"type": "prime", "p": 10007})
-    algebra = build_algebra(parse_document(doc), check=False)
+    algebra = build_algebra(parse_document(doc))
     count = [0]
 
     def counted(op):
@@ -366,7 +366,7 @@ def test_antipode_system_is_built_sparse(monkeypatch):
     an FpElement: 8,375 when the rows were built dense and turned into
     dicts by the kernel, 351 with rows built from the table entries."""
     doc = h_n_document(4, {"type": "prime", "p": 10007})
-    algebra = build_algebra(parse_document(doc), check=False)
+    algebra = build_algebra(parse_document(doc))
     count = [0]
     real = FpElement.__bool__
 

@@ -156,3 +156,23 @@ def test_corrupted_r_fails_hexagon_with_witness(sweedler, sweedler_r):
     second = results["qt.hexagon_comultiply_second_leg"]
     assert not second.ok
     assert second.witness == "at (x, 1, x)"
+
+
+QT_ANTIPODE_FORMULAS = ["qt.inverse_is_antipode_on_first_leg",
+                        "qt.inverse_is_antipode_inv_on_second_leg",
+                        "qt.antipode_square_invariance"]
+
+
+def test_corrupted_r_skips_the_antipode_formulas(sweedler, sweedler_r):
+    """Behind a failing R-matrix axiom the three antipode formulas are
+    reported as SKIP with a reason, so the battery names the same checks
+    as on the intact R."""
+    entries = [(v, i, j) for (i, j), v in sweedler_r.tensor.items()]
+    bad = [(-v if (i, j) == (2, 2) else v, i, j) for v, i, j in entries]
+    intact = verify_qt(sweedler, sweedler_r)
+    corrupted = verify_qt(sweedler, RMatrix.from_entries(sweedler, bad))
+    assert [c.name for c in corrupted] == [c.name for c in intact]
+    assert [(c.name, c.status) for c in intact[-3:]] == [
+        (name, "pass") for name in QT_ANTIPODE_FORMULAS]
+    assert [(c.name, c.status, c.witness) for c in corrupted[-3:]] == [
+        (name, "skipped", "an R-matrix axiom above fails") for name in QT_ANTIPODE_FORMULAS]
