@@ -44,6 +44,7 @@ from .coquasitriangular import (
     braided_chain,
     braided_functionals,
     braided_modular_corollary_checks,
+    braiding_axiom_checks,
     braiding_from_matrix,
     dualize_qt,
     modular_characters,
@@ -473,7 +474,8 @@ def _check_qt(src: Source, r: RMatrix | None, token: str, report: Report) -> Non
 def _check_braided(label: str, src: Source, r: RMatrix | None, token: str,
                    report: Report) -> None:
     """main3, cor3 and tangent on the source's braiding, or without one on
-    the dual of its R-matrix."""
+    the dual of its R-matrix.  A failing braiding axiom is reported by its
+    first FAIL line, ahead of the theorem's checks."""
     report.conventions.extend(CQT_CONVENTIONS)
     if src.braiding is not None:
         c = src.data().carrier
@@ -487,6 +489,9 @@ def _check_braided(label: str, src: Source, r: RMatrix | None, token: str,
     else:
         raise UsageError(f"check {token} needs a braiding or an R-matrix")
     ops = c.ops
+    bad = next((x for x in braiding_axiom_checks(ops, br) if not x.ok), None)
+    if bad is not None:
+        report.add(bad)
     fns, fn_checks = functionals or braided_functionals(ops, br)
     report.extend(fn_checks)
     if token == "main3":

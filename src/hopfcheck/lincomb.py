@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain, product, repeat
+from operator import itemgetter
 from typing import Callable, Hashable, Sequence
 
 from .report import CheckResult, check, grid_check, skipped
@@ -388,29 +390,28 @@ def triple_grid_check(name: str, ops: BasisOps, first_failure) -> CheckResult:
     evaluated one (h, l) row at a time.
 
     first_failure(h, l, ms) returns the first m in ms at which the identity
-    fails, or None.  The predicate grid_check sees answers the triples of a
-    row from one such call, so grid_check still calls it once per triple up
-    to the first failure and names the same witness as a per-triple
-    predicate would; a triple asked out of order restarts the row at its m.
+    fails, or None; it is called once per row, on all keys.  grid_check
+    reads (triple, verdict) cells built by C iterators: a passing row is its
+    triples zipped with True, and the failing row ends the stream with the
+    cells before its witness and then (witness, False).  So grid_check
+    still sees one item per triple up to the first failure, and no Python
+    code runs per triple outside the row kernel.
     """
     keys = ops.keys
-    index = {k: i for i, k in enumerate(keys)}
-    row_h = row_l = start = bad = None
 
-    def holds(t) -> bool:
-        nonlocal row_h, row_l, start, bad
-        h, l, m = t
-        i = index[m]
-        # the stream below hands out the keys themselves, so identity
-        # decides the row; an equal key that is another object restarts it
-        if h is not row_h or l is not row_l or not start <= i <= bad:
-            row_h, row_l, start = h, l, i
-            found = first_failure(h, l, keys[i:])
-            bad = len(keys) if found is None else index[found]
-        return i != bad
+    def rows():
+        for h in keys:
+            for l in keys:
+                bad = first_failure(h, l, keys)
+                if bad is None:
+                    yield zip(product((h,), (l,), keys), repeat(True))
+                else:
+                    yield zip(product((h,), (l,), keys[:keys.index(bad)]), repeat(True))
+                    yield (((h, l, bad), False),)
+                    return
 
-    triples = ((h, l, m) for h in keys for l in keys for m in keys)
-    return grid_check(name, triples, holds, lambda t: f"at {_triple_label(ops, t)}")
+    return grid_check(name, chain.from_iterable(rows()), itemgetter(1),
+                      lambda cell: f"at {_triple_label(ops, cell[0])}")
 
 
 def lc_outer(a: LC, b: LC) -> dict:

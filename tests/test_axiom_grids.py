@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcheck import laurent, lincomb
+from hopfcheck import coquasitriangular, laurent, lincomb
 from hopfcheck.coquasitriangular import (
     Braiding,
     braiding_axiom_checks,
@@ -221,6 +221,38 @@ def grid_carrier(request, sweedler, sweedler_r, c4):
     return carrier(request.param, sweedler, sweedler_r, c4)
 
 
+def spy_triple_grids(monkeypatch) -> tuple[dict, dict, dict]:
+    """Record, per triple grid, its row kernel (first_failure), the calls
+    of that kernel and the calls of its grid_check predicate (one call per
+    point, as the trace counts them)."""
+    kernels, rows, points = {}, {}, {}
+    real_triple_grid_check = lincomb.triple_grid_check
+    real_grid_check = lincomb.grid_check
+
+    def counting_triple_grid_check(name, ops, first_failure):
+        kernels[name], rows[name] = first_failure, 0
+
+        def counted(*args):
+            rows[name] += 1
+            return first_failure(*args)
+
+        return real_triple_grid_check(name, ops, counted)
+
+    def counting_grid_check(name, items, predicate, describe):
+        points[name] = 0
+
+        def counted(item):
+            points[name] += 1
+            return predicate(item)
+
+        return real_grid_check(name, items, counted, describe)
+
+    monkeypatch.setattr(lincomb, "triple_grid_check", counting_triple_grid_check)
+    monkeypatch.setattr(coquasitriangular, "triple_grid_check", counting_triple_grid_check)
+    monkeypatch.setattr(lincomb, "grid_check", counting_grid_check)
+    return kernels, rows, points
+
+
 # -- the planned grids report what the definitions report ------------------------------
 
 
@@ -253,9 +285,11 @@ def test_perturbed_carrier_fails_at_the_same_triple(grid_carrier, which, i, j, b
     assert planned_results(ops, br) == naive_results(ops, br)
 
 
-def test_row_predicates_answer_triples_in_any_order(monkeypatch):
-    """Asked out of grid order, a row predicate restarts its row and still
-    agrees with the definition on every triple."""
+def test_row_kernels_find_the_first_failure_from_any_start(monkeypatch):
+    """Asked for the suffix keys[i:] of a row, in any order of rows and of
+    starts i, a row kernel names the first m at or after i at which the
+    per-triple definition fails, so every triple's verdict is compared
+    with its definition."""
     ops = laurent.basis_ops(2)
     value = laurent.sigma_value
     spots = {((0, 0), (1, 0)), ((-1, 0), (2, 0)), ((1, 1), (0, 0))}
@@ -264,25 +298,23 @@ def test_row_predicates_answer_triples_in_any_order(monkeypatch):
     mul = ops.mul
     ops = dataclasses.replace(
         ops, mul=lambda x, y: {(0, 0): 1} if (x, y) == ((1, 0), (-1, 1)) else mul(x, y))
-    captured = {}
-    real_grid_check = lincomb.grid_check
-
-    def capturing_grid_check(name, items, predicate, describe):
-        captured[name] = predicate
-        return real_grid_check(name, items, predicate, describe)
-
-    monkeypatch.setattr(lincomb, "grid_check", capturing_grid_check)
+    kernels, _, _ = spy_triple_grids(monkeypatch)
     planned = planned_results(ops, br)
     assert not any(planned[name].ok for name in TRIPLE_CHECKS)
-    # rows in random order, and the m of each row in random order, so that a
-    # row is asked again after its first failure and before its start
+    keys = ops.keys
     rng = random.Random(5)
-    rows = [(h, l) for h in ops.keys for l in ops.keys]
-    rng.shuffle(rows)
-    grid = [(h, l, m) for h, l in rows for m in rng.sample(ops.keys, len(ops.keys))]
+    rows = [(h, l) for h in keys for l in keys]
     for name, naive in naive_predicates(ops, br).items():
-        verdicts = [captured[name](t) for t in grid]
-        assert verdicts == [naive(t) for t in grid], name
+        first_failure = kernels[name]
+        rng.shuffle(rows)
+        repeated = 0  # rows that fail again after their first failure
+        for h, l in rows:
+            bad = [i for i, m in enumerate(keys) if not naive((h, l, m))]
+            repeated += len(bad) > 1
+            for i in rng.sample(range(len(keys)), len(keys)):
+                expected = next((keys[j] for j in bad if j >= i), None)
+                assert first_failure(h, l, keys[i:]) == expected, (name, h, l, i)
+        assert repeated, name
 
 
 # -- work count ------------------------------------------------------------------
@@ -297,25 +329,15 @@ def test_braiding_grids_evaluate_each_sigma_pair_once(name, monkeypatch):
         calls.append((x, y))
         return br.value(x, y)
 
-    points = {}
-    real_grid_check = lincomb.grid_check
-
-    def counting_grid_check(check_name, items, predicate, describe):
-        points[check_name] = 0
-
-        def counted(item):
-            points[check_name] += 1
-            return predicate(item)
-
-        return real_grid_check(check_name, items, counted, describe)
-
-    monkeypatch.setattr(lincomb, "grid_check", counting_grid_check)
+    _, rows, points = spy_triple_grids(monkeypatch)
     results = hopf_axiom_checks(ops) + braiding_axiom_checks(
         ops, dataclasses.replace(br, value=spy))
     assert all(r.ok for r in results), [r for r in results if not r.ok]
-    # the traced points keep their meaning: one predicate call per triple
-    k3 = len(ops.keys) ** 3
-    assert {n: points[n] for n in TRIPLE_CHECKS} == dict.fromkeys(TRIPLE_CHECKS, k3)
+    # one row kernel call per (h, l), and the traced points keep their
+    # meaning: one predicate call per triple
+    k = len(ops.keys)
+    assert rows == dict.fromkeys(TRIPLE_CHECKS, k ** 2)
+    assert {n: points[n] for n in TRIPLE_CHECKS} == dict.fromkeys(TRIPLE_CHECKS, k ** 3)
     assert len(calls) == len(set(calls))
 
     # the per-triple definitions evaluate sigma on every term of every triple
@@ -330,6 +352,37 @@ def test_braiding_grids_evaluate_each_sigma_pair_once(name, monkeypatch):
         holds = naive_predicates(ops, counted_br)[check_name]
         assert all(holds(t) for t in triples(ops))
     assert naive_calls[0] > 10 * len(calls)
+
+
+@pytest.mark.parametrize("name", ["laurent4", "double_c2_dual"])
+def test_failing_triple_grid_counts_points_up_to_its_witness(name, monkeypatch):
+    """Perturbed at one product and one sigma value, each triple grid
+    fails at the first triple whose definition fails: its predicate is
+    called once per triple up to and including that one, and its row
+    kernel once per row up to that triple's row."""
+    ops, br = carrier(name)
+    keys = ops.keys
+    spot = (keys[len(keys) // 2], keys[len(keys) // 3])
+    value, mul = br.value, ops.mul
+    br = dataclasses.replace(
+        br, value=lambda x, y: value(x, y) + 1 if (x, y) == spot else value(x, y))
+
+    def bumped(x, y):
+        out = dict(mul(x, y))
+        if (x, y) == spot:
+            k = next(iter(out), x)
+            out[k] = out.get(k, ops.zero) + 1
+        return out
+
+    ops = dataclasses.replace(ops, mul=bumped)
+    grid = triples(ops)
+    _, rows, points = spy_triple_grids(monkeypatch)
+    planned = planned_results(ops, br)
+    for check_name, naive in naive_predicates(ops, br).items():
+        position = next(i for i, t in enumerate(grid) if not naive(t))
+        assert planned[check_name].witness == f"at {_triple_label(ops, grid[position])}"
+        assert points[check_name] == position + 1, check_name
+        assert rows[check_name] == position // len(keys) + 1, check_name
 
 
 def test_raw_sums_that_agree_mod_p_pass(monkeypatch):

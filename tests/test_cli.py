@@ -13,6 +13,7 @@ from hopfcheck.coquasitriangular import dualize_qt
 from hopfcheck.document import build_algebra, document_text, load_document, parse_document
 from hopfcheck.presets import cyclic_group_document, preset_document
 from hopfcheck.quasitriangular import RMatrix, drinfeld_elements
+from test_golden import bumped_sigma_document, laurent_quotient_document
 
 
 def run(capsys, *argv):
@@ -357,6 +358,20 @@ def test_check_tokens_on_laurent(capsys, token):
     rc, out, _ = run(capsys, "check", "preset:laurent", token)
     assert rc == 0
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("token", ["main3", "cor3", "tangent"])
+def test_braided_check_names_a_broken_braiding_axiom(capsys, tmp_path, token):
+    """The first failing braiding axiom heads the theorem's checks; a
+    braiding whose axioms pass adds no axiom line."""
+    bumped = write_doc(tmp_path, bumped_sigma_document(), "bumped.json")
+    rc, out, _ = run(capsys, "check", bumped, token)
+    assert rc == 1
+    first = out.split("checks:\n", 1)[1].splitlines()[0]
+    assert first == "  [FAIL] cqt.multiplicative_first_argument  :: at (g, g, g)"
+    rc, out, _ = run(capsys, "check", write_doc(tmp_path, laurent_quotient_document(4)), token)
+    assert rc == 0
+    assert "cqt.multiplicative" not in out
 
 
 @pytest.mark.parametrize("argv", [
