@@ -23,18 +23,19 @@ from .lincomb import (
     BasisOps,
     Key,
     PairTable,
-    _pair_label,
-    _pairs,
     conv_inverse_checks,
+    inner_law,
     is_character_fn,
     is_grouplike_lc,
+    key_check,
     lc_eq,
     lc_scale,
     memo_fn,
+    pair_check,
     pair_convolve,
 )
 from .linalg import Matrix, SingularMatrixError, SparseMatrix, invert_matrix, nullspace, rank
-from .report import CheckResult, check, failed, grid_check, skipped
+from .report import CheckResult, check, failed, skipped
 from .scalars import Scalar, div
 
 CONVENTIONS = (
@@ -69,18 +70,16 @@ class Carrier:
 
 
 def left_integral_law_check(ops: BasisOps, lam) -> CheckResult:
-    return grid_check(
-        "integral.left_law", ops.keys,
-        lambda h: lc_eq(ops.hit_left(lam, h), lc_scale(lam(h), ops.unit)),
-        lambda h: f"at {ops.label(h)}")
+    return key_check(
+        "integral.left_law", ops,
+        lambda h: lc_eq(ops.hit_left(lam, h), lc_scale(lam(h), ops.unit)))
 
 
 def modular_element_checks(ops: BasisOps, lam, a: LC, a_inv: LC) -> list[CheckResult]:
     out: list[CheckResult] = []
-    out.append(grid_check(
-        "integral.modular_element_law", ops.keys,
-        lambda h: lc_eq(ops.hit_right(lam, h), lc_scale(lam(h), a_inv)),
-        lambda h: f"at {ops.label(h)}"))
+    out.append(key_check(
+        "integral.modular_element_law", ops,
+        lambda h: lc_eq(ops.hit_right(lam, h), lc_scale(lam(h), a_inv))))
     out.append(check("integral.modular_element_grouplike", is_grouplike_lc(ops, a)))
     out.append(check("integral.modular_element_inverse",
                      lc_eq(ops.mul_lc(a, a_inv), ops.unit)
@@ -91,8 +90,7 @@ def modular_element_checks(ops: BasisOps, lam, a: LC, a_inv: LC) -> list[CheckRe
         rhs = ops.eval_fn(lam, ops.mul_many(a, ops.single(m), a_inv))
         return lhs == rhs
 
-    out.append(grid_check("integral.s2_twist_law", ops.keys, twist,
-                          lambda m: f"at {ops.label(m)}"))
+    out.append(key_check("integral.s2_twist_law", ops, twist))
     return out
 
 
@@ -115,12 +113,9 @@ def integral_exchange_checks(ops: BasisOps, lam, a_inv: LC) -> list[CheckResult]
         rhs = ops.s_inv_lc(ops.hit_right(lambda k: lam_mul(k, l), h))
         return lc_eq(lhs, ops.mul_lc(rhs, a_inv))
 
-    pairs = _pairs(ops)
     return [
-        grid_check("integral.exchange_antipode", pairs, with_antipode,
-                   lambda p: f"at {_pair_label(ops, p)}"),
-        grid_check("integral.exchange_antipode_inverse", pairs, with_antipode_inv,
-                   lambda p: f"at {_pair_label(ops, p)}"),
+        pair_check("integral.exchange_antipode", ops, with_antipode),
+        pair_check("integral.exchange_antipode_inverse", ops, with_antipode_inv),
     ]
 
 
@@ -134,14 +129,11 @@ def nakayama_checks(ops: BasisOps, lam, chi, alpha, alpha_inv) -> list[CheckResu
         rhs = ops.eval_fn(lam, ops.mul_lc(chi(h), ops.single(m)))
         return lhs == rhs
 
-    pairs = _pairs(ops)
-    out.append(grid_check("integral.nakayama_law", pairs, shift_law,
-                          lambda p: f"at {_pair_label(ops, p)}"))
-    out.append(grid_check(
-        "integral.nakayama_multiplicative", pairs,
+    out.append(pair_check("integral.nakayama_law", ops, shift_law))
+    out.append(pair_check(
+        "integral.nakayama_multiplicative", ops,
         lambda p: lc_eq(ops.map_lc(chi, ops.mul(p[0], p[1])),
-                        ops.mul_lc(chi(p[0]), chi(p[1]))),
-        lambda p: f"at {_pair_label(ops, p)}"))
+                        ops.mul_lc(chi(p[0]), chi(p[1])))))
     out.append(check("integral.nakayama_unital",
                      lc_eq(ops.map_lc(chi, ops.unit), ops.unit)))
     out.append(check("integral.modular_functional_character",
@@ -149,10 +141,9 @@ def nakayama_checks(ops: BasisOps, lam, chi, alpha, alpha_inv) -> list[CheckResu
     out.extend(conv_inverse_checks(ops, "integral.modular_functional", alpha, alpha_inv))
 
     # chi(h) = S^-2(h1 alpha(h2))
-    out.append(grid_check(
-        "integral.nakayama_from_modular_pair", ops.keys,
-        lambda h: lc_eq(chi(h), ops.s_power(ops.hit_left(alpha, h), -2)),
-        lambda h: f"at {ops.label(h)}"))
+    out.append(key_check(
+        "integral.nakayama_from_modular_pair", ops,
+        lambda h: lc_eq(chi(h), ops.s_power(ops.hit_left(alpha, h), -2))))
     return out
 
 
@@ -169,15 +160,11 @@ def radford_s4_checks(ops: BasisOps, a: LC, a_inv: LC, alpha, alpha_inv) -> list
 
     s4 = lambda h: ops.s_power(ops.single(h), 4)
     return [
-        grid_check("radford.s4_matches_hit_form", ops.keys,
-                   lambda h: lc_eq(s4(h), hit_both(h)),
-                   lambda h: f"at {ops.label(h)}"),
-        grid_check("radford.s4_matches_expanded_form", ops.keys,
-                   lambda h: lc_eq(s4(h), expanded(h)),
-                   lambda h: f"at {ops.label(h)}"),
-        grid_check("radford.inner_forms_agree", ops.keys,
-                   lambda h: lc_eq(hit_both(h), expanded(h)),
-                   lambda h: f"at {ops.label(h)}"),
+        key_check("radford.s4_matches_hit_form", ops, lambda h: lc_eq(s4(h), hit_both(h))),
+        key_check("radford.s4_matches_expanded_form", ops,
+                  lambda h: lc_eq(s4(h), expanded(h))),
+        key_check("radford.inner_forms_agree", ops,
+                  lambda h: lc_eq(hit_both(h), expanded(h))),
     ]
 
 
@@ -202,9 +189,8 @@ def _twisted_product_predicate(ops: BasisOps, lam, rho2, tau2):
 def product_formula_check(ops: BasisOps, lam, rho2, tau2) -> CheckResult:
     """The twisted product formula on every key pair, with the first failing
     pair as its witness."""
-    return grid_check("integral_twist.product_formula", _pairs(ops),
-                      _twisted_product_predicate(ops, lam, rho2, tau2),
-                      lambda p: f"at {_pair_label(ops, p)}")
+    return pair_check("integral_twist.product_formula", ops,
+                      _twisted_product_predicate(ops, lam, rho2, tau2))
 
 
 def integral_twist_from_coinner(ops: BasisOps, lam, alpha, omega, omega_inv):
@@ -225,14 +211,13 @@ def integral_twist_from_coinner(ops: BasisOps, lam, alpha, omega, omega_inv):
     # the product formula grid and the extraction evaluate each pair many times
     rho2 = PairTable(lambda x, y: omega_inv(x) * ops.eps(y))
     tau2 = PairTable(lambda x, y: omega_alpha(x) * ops.eps(y))
-    at = lambda k: f"at {ops.label(k)}"
 
     checks = [
-        grid_check("coinner.omega_invertible", ops.keys,
-                   lambda k: left(k) == ops.eps(k) and right(k) == ops.eps(k), at),
-        grid_check("coinner.omega_implements_s_inverse_squared", ops.keys,
-                   lambda k: lc_eq(ops.coinner(omega_inv, omega, k),
-                                   ops.s_power(ops.single(k), -2)), at),
+        key_check("coinner.omega_invertible", ops,
+                  lambda k: left(k) == ops.eps(k) and right(k) == ops.eps(k)),
+        key_check("coinner.omega_implements_s_inverse_squared", ops,
+                  lambda k: lc_eq(ops.coinner(omega_inv, omega, k),
+                                  ops.s_power(ops.single(k), -2))),
         product_formula_check(ops, lam, rho2, tau2),
     ]
     return rho2, tau2, checks
@@ -259,14 +244,13 @@ def coinner_from_integral_twist(ops: BasisOps, a_inv: LC, alpha_inv, rho2, tau2)
                                ops.s_power(ops.single(h), -2))
 
     checks = list(conv_inverse_checks(ops, "coinner.extracted_pair", rho_prime, tau_second))
-    ok, where = ops.fn_eq_on_grid(rho_prime, ops.compose_s_power(rho_prime, -2))
-    checks.append(check("coinner.first_factor_s2_stable", ok,
-                        None if ok else f"at {ops.label(where)}"))
-    ok, where = ops.fn_eq_on_grid(tau_second, ops.compose_s_power(tau_second, -2))
-    checks.append(check("coinner.second_factor_s2_stable", ok,
-                        None if ok else f"at {ops.label(where)}"))
-    checks.append(grid_check("coinner.extracted_implements_s_inverse_squared",
-                             ops.keys, realizes, lambda h: f"at {ops.label(h)}"))
+    rho_s2 = ops.compose_s_power(rho_prime, -2)
+    tau_s2 = ops.compose_s_power(tau_second, -2)
+    checks.append(key_check("coinner.first_factor_s2_stable", ops,
+                            lambda h: rho_prime(h) == rho_s2(h)))
+    checks.append(key_check("coinner.second_factor_s2_stable", ops,
+                            lambda h: tau_second(h) == tau_s2(h)))
+    checks.append(key_check("coinner.extracted_implements_s_inverse_squared", ops, realizes))
     return rho_prime, tau_second, checks
 
 
@@ -412,12 +396,8 @@ def check_s2_inner_witness(algebra: FinHopfAlgebra, data: CoFrobeniusData,
         return out
     out.append(check("s2_witness.invertible", True))
 
-    bad = next((k for k in ops.keys
-                if not lc_eq(ops.mul_lc(ops.s_power(ops.single(k), 2), w),
-                             ops.mul_lc(w, ops.single(k)))), None)
-    out.append(check("s2_witness.implements_s2", bad is None,
-                     None if bad is None else f"at {ops.label(bad)}"))
-    if bad is not None:
+    out.append(key_check("s2_witness.implements_s2", ops, inner_law(ops, 2, w)))
+    if not out[-1].ok:
         return out
 
     scale = ops.eval_fn(c.alpha, c.a_inv)

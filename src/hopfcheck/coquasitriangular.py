@@ -20,12 +20,12 @@ from .lincomb import (
     LC,
     LoweredTables,
     PairTable,
-    _pair_label,
-    _pairs,
     conv_inverse_checks,
     is_character_fn,
+    key_check,
     lc_eq,
     memo_fn,
+    pair_check,
     triple_grid_check,
 )
 from .quasitriangular import QTData, RMatrix
@@ -69,7 +69,6 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
     raw = LoweredTables(ops, PairTable(br.value), PairTable(br.inverse))
     sig, sig_inv = raw.pairs
     prod, delta, eps, residue = raw.prod, raw.delta, raw.eps, raw.residue
-    at_pair = lambda p: f"at {_pair_label(ops, p)}"
 
     def mult_first(h, l, ms):
         """sigma(h l, m) = sigma(h, m1) sigma(l, m2)."""
@@ -121,8 +120,7 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
         return not (residue(sum(c * sig[h][u] for u, c in raw.unit) - e)
                     or residue(sum(c * sig[u][h] for u, c in raw.unit) - e))
 
-    out.append(grid_check("cqt.unit_pairing", ops.keys, unit_pairing,
-                          lambda h: f"at {ops.label(h)}"))
+    out.append(key_check("cqt.unit_pairing", ops, unit_pairing))
 
     def commutation(p) -> bool:
         """l1 h1 sigma(h2, l2) = sigma(h1, l1) h2 l2."""
@@ -141,7 +139,7 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
                         diff[k] = diff.get(k, 0) - c * f * w
         return not any(map(residue, diff.values()))
 
-    out.append(grid_check("cqt.commutation_relation", _pairs(ops), commutation, at_pair))
+    out.append(pair_check("cqt.commutation_relation", ops, commutation))
 
     def conv_pair(first, second):
         def holds(p) -> bool:
@@ -157,10 +155,8 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
 
         return holds
 
-    out.append(grid_check("cqt.convolution_inverse_left", _pairs(ops),
-                          conv_pair(sig, sig_inv), at_pair))
-    out.append(grid_check("cqt.convolution_inverse_right", _pairs(ops),
-                          conv_pair(sig_inv, sig), at_pair))
+    out.append(pair_check("cqt.convolution_inverse_left", ops, conv_pair(sig, sig_inv)))
+    out.append(pair_check("cqt.convolution_inverse_right", ops, conv_pair(sig_inv, sig)))
 
     s, s_inv = raw.s, raw.s_inv
     gaps = {  # each formula as (its left side) - (its right side) at (h, l)
@@ -176,8 +172,7 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
     }
     gate_open = all(c.status == PASS for c in out)
     for name, gap in gaps.items():
-        out.append(grid_check(name, _pairs(ops), lambda p, gap=gap: not residue(gap(*p)),
-                              at_pair)
+        out.append(pair_check(name, ops, lambda p, gap=gap: not residue(gap(*p)))
                    if gate_open else skipped(name, "a braiding axiom above fails"))
     return out
 
@@ -209,25 +204,19 @@ def braided_functionals(ops: BasisOps, br: Braiding) -> tuple[dict, list[CheckRe
     out.extend(conv_inverse_checks(ops, "cqt.u", fns["u"], fns["u_inv"]))
     out.extend(conv_inverse_checks(ops, "cqt.v", fns["v"], fns["v_inv"]))
 
-    eq, where = ops.fn_eq_on_grid(fns["v"], ops.compose_s_power(fns["u"], 1))
-    out.append(check("cqt.v_is_u_after_antipode", eq,
-                     None if eq else f"at {ops.label(where)}"))
+    u_s = ops.compose_s_power(fns["u"], 1)
+    out.append(key_check("cqt.v_is_u_after_antipode", ops, lambda h: fns["v"](h) == u_s(h)))
 
     def coinner(first, last):
         return lambda h: lc_eq(ops.coinner(first, last, h),
                                ops.s_power(ops.single(h), 2))
 
-    out.append(grid_check("cqt.s2_coinner_u", ops.keys,
-                          coinner(fns["u"], fns["u_inv"]),
-                          lambda h: f"at {ops.label(h)}"))
-    out.append(grid_check("cqt.s2_coinner_v", ops.keys,
-                          coinner(fns["v_inv"], fns["v"]),
-                          lambda h: f"at {ops.label(h)}"))
+    out.append(key_check("cqt.s2_coinner_u", ops, coinner(fns["u"], fns["u_inv"])))
+    out.append(key_check("cqt.s2_coinner_v", ops, coinner(fns["v_inv"], fns["v"])))
 
-    eq, where = ops.fn_eq_on_grid(ops.convolve(fns["u"], fns["v_inv"]),
-                                  ops.convolve(fns["v_inv"], fns["u"]))
-    out.append(check("cqt.u_v_inverse_commute", eq,
-                     None if eq else f"at {ops.label(where)}"))
+    u_v_inv = ops.convolve(fns["u"], fns["v_inv"])
+    v_inv_u = ops.convolve(fns["v_inv"], fns["u"])
+    out.append(key_check("cqt.u_v_inverse_commute", ops, lambda h: u_v_inv(h) == v_inv_u(h)))
     return fns, out
 
 
@@ -256,11 +245,7 @@ def modular_convolution_checks(ops: BasisOps, br: Braiding, fns: dict,
         ("braided_modular.u_inv_v_eq_alpha_conv_beta_a", ops.convolve(alpha, beta_a)),
         ("braided_modular.u_inv_v_eq_alpha_conv_alpha_a", ops.convolve(alpha, alpha_a)),
     ]
-    out: list[CheckResult] = []
-    for name, fn in others:
-        eq, where = ops.fn_eq_on_grid(base, fn)
-        out.append(check(name, eq, None if eq else f"at {ops.label(where)}"))
-    return out
+    return [key_check(name, ops, lambda h, fn=fn: base(h) == fn(h)) for name, fn in others]
 
 
 def braided_modular_corollary_checks(ops: BasisOps, br: Braiding, fns: dict,
@@ -271,20 +256,20 @@ def braided_modular_corollary_checks(ops: BasisOps, br: Braiding, fns: dict,
     alpha_a, beta_a = modular_characters(ops, br, a_lc, a_inv_lc)
     out: list[CheckResult] = []
 
-    eq, where = ops.fn_eq_on_grid(alpha_a, beta_a)
-    out.append(check("braided_modular.alpha_a_eq_beta_a", eq,
-                     None if eq else f"at {ops.label(where)}"))
+    out.append(key_check("braided_modular.alpha_a_eq_beta_a", ops,
+                         lambda h: alpha_a(h) == beta_a(h)))
 
     if lc_eq(a_lc, ops.unit):
-        eq, where = ops.fn_eq_on_grid(ops.convolve(fns["u_inv"], fns["v"]), alpha)
-        out.append(check("braided_modular.unimodular_u_inv_v_eq_alpha", eq,
-                         None if eq else f"at {ops.label(where)}"))
+        u_inv_v = ops.convolve(fns["u_inv"], fns["v"])
+        out.append(key_check("braided_modular.unimodular_u_inv_v_eq_alpha", ops,
+                             lambda h: u_inv_v(h) == alpha(h)))
     else:
         out.append(skipped("braided_modular.unimodular_u_inv_v_eq_alpha",
                            "modular element is not the unit"))
 
-    left = ops.fn_eq_on_grid(ops.compose_s_power(fns["u"], 1), fns["u"])[0]
-    right = ops.fn_eq_on_grid(alpha_a, alpha_inv)[0]
+    u_s = ops.compose_s_power(fns["u"], 1)
+    left = all(u_s(h) == fns["u"](h) for h in ops.keys)
+    right = all(alpha_a(h) == alpha_inv(h) for h in ops.keys)
     out.append(check(
         "braided_modular.u_antipode_fixed_iff_alpha_a_inverse", left == right,
         f"u o S = u is {str(left).lower()}, alpha_a = alpha^-1 is {str(right).lower()}"))
@@ -314,10 +299,9 @@ def grouplike_witness_checks(ops: BasisOps, br: Braiding, g_lc: LC, g_inv_lc: LC
     conjugated = {h: ops.mul_many(g_lc, ops.single(h), g_inv_lc) for h in ops.keys}
     for idx, (w, w_inv) in enumerate(witnesses, start=1):
         out.extend(conv_inverse_checks(ops, f"cqt.witness[{name}:{idx}]", w, w_inv))
-        out.append(grid_check(
-            f"cqt.witness_conjugates[{name}:{idx}]", ops.keys,
-            lambda h, w=w, w_inv=w_inv: lc_eq(ops.coinner(w, w_inv, h), conjugated[h]),
-            lambda h: f"at {ops.label(h)}"))
+        out.append(key_check(
+            f"cqt.witness_conjugates[{name}:{idx}]", ops,
+            lambda h, w=w, w_inv=w_inv: lc_eq(ops.coinner(w, w_inv, h), conjugated[h])))
 
     got = {tuple(w(h) for h in ops.keys) for w, _ in witnesses}
     expected = {tuple(alpha_g(h) for h in ops.keys),
@@ -344,23 +328,17 @@ def grouplike_homomorphism_checks(ops: BasisOps, br: Braiding,
         prod_inv = ops.mul_lc(gy_inv, gx_inv)
         return modular_characters(ops, br, prod, prod_inv)
 
-    def alpha_hom(p) -> bool:
+    def image_of_product(p, leg: int) -> bool:
         x, y = p
-        lhs = product_pair(x, y)[0]
-        rhs = ops.convolve(cache[x][0], cache[y][0])
-        return ops.fn_eq_on_grid(lhs, rhs)[0]
-
-    def beta_hom(p) -> bool:
-        x, y = p
-        lhs = product_pair(x, y)[1]
-        rhs = ops.convolve(cache[x][1], cache[y][1])
-        return ops.fn_eq_on_grid(lhs, rhs)[0]
+        lhs = product_pair(x, y)[leg]
+        rhs = ops.convolve(cache[x][leg], cache[y][leg])
+        return all(lhs(h) == rhs(h) for h in ops.keys)
 
     return [
-        grid_check("cqt.grouplike_map_multiplicative_alpha", pairs, alpha_hom,
-                   lambda p: f"at ({p[0]}, {p[1]})"),
-        grid_check("cqt.grouplike_map_multiplicative_beta", pairs, beta_hom,
-                   lambda p: f"at ({p[0]}, {p[1]})"),
+        grid_check("cqt.grouplike_map_multiplicative_alpha", pairs,
+                   lambda p: image_of_product(p, 0), lambda p: f"at ({p[0]}, {p[1]})"),
+        grid_check("cqt.grouplike_map_multiplicative_beta", pairs,
+                   lambda p: image_of_product(p, 1), lambda p: f"at ({p[0]}, {p[1]})"),
     ]
 
 
@@ -385,29 +363,22 @@ def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC,
         out.append(CheckResult(f"flip_braiding.{result.name}", result.status,
                                result.witness))
 
+    alpha_a, beta_a = modular_characters(ops, br, a_lc, a_inv_lc)
+    alpha_a_t, beta_a_t = modular_characters(ops, flipped, a_lc, a_inv_lc)
     swaps = [
         ("flip_braiding.u_swaps_to_v_inverse", flip_fns["u"], fns["v_inv"]),
         ("flip_braiding.v_swaps_to_u_inverse", flip_fns["v"], fns["u_inv"]),
+        ("flip_braiding.alpha_a_swaps_to_beta_a", alpha_a_t, beta_a),
+        ("flip_braiding.beta_a_swaps_to_alpha_a", beta_a_t, alpha_a),
     ]
-    for name, lhs, rhs in swaps:
-        eq, where = ops.fn_eq_on_grid(lhs, rhs)
-        out.append(check(name, eq, None if eq else f"at {ops.label(where)}"))
-
-    alpha_a, beta_a = modular_characters(ops, br, a_lc, a_inv_lc)
-    alpha_a_t, beta_a_t = modular_characters(ops, flipped, a_lc, a_inv_lc)
-    eq, where = ops.fn_eq_on_grid(alpha_a_t, beta_a)
-    out.append(check("flip_braiding.alpha_a_swaps_to_beta_a", eq,
-                     None if eq else f"at {ops.label(where)}"))
-    eq, where = ops.fn_eq_on_grid(beta_a_t, alpha_a)
-    out.append(check("flip_braiding.beta_a_swaps_to_alpha_a", eq,
-                     None if eq else f"at {ops.label(where)}"))
+    out.extend(key_check(name, ops, lambda h, lhs=lhs, rhs=rhs: lhs(h) == rhs(h))
+               for name, lhs, rhs in swaps)
 
     twice = flip_braiding(flipped)
-    out.append(grid_check(
-        "flip_braiding.involution", _pairs(ops),
+    out.append(pair_check(
+        "flip_braiding.involution", ops,
         lambda p: twice.value(p[0], p[1]) == br.value(p[0], p[1])
-        and twice.inverse(p[0], p[1]) == br.inverse(p[0], p[1]),
-        lambda p: f"at {_pair_label(ops, p)}"))
+        and twice.inverse(p[0], p[1]) == br.inverse(p[0], p[1])))
     return flipped, out
 
 
@@ -507,12 +478,7 @@ def dualize_qt(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData
     ops = dual.basis_ops()
     functionals = braided_functionals(ops, br)
     fns = functionals[0]
-    out.append(grid_check(
-        "cqt.dual_bridge_u", ops.keys,
-        lambda i: fns["u"](i) == qt.u.get(i, zero),
-        lambda i: f"at {dual.labels[i]}"))
-    out.append(grid_check(
-        "cqt.dual_bridge_v", ops.keys,
-        lambda i: fns["v"](i) == qt.v_inv.get(i, zero),
-        lambda i: f"at {dual.labels[i]}"))
+    out.append(key_check("cqt.dual_bridge_u", ops, lambda i: fns["u"](i) == qt.u.get(i, zero)))
+    out.append(key_check("cqt.dual_bridge_v", ops,
+                         lambda i: fns["v"](i) == qt.v_inv.get(i, zero)))
     return dual, br, functionals, out

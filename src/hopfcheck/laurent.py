@@ -13,8 +13,8 @@ from __future__ import annotations
 from .cofrobenius import Carrier
 from .coquasitriangular import Braiding, modular_characters
 from .hopf import AxiomError
-from .lincomb import BasisOps, LC, hopf_axiom_checks, lc_eq, memo_fn
-from .report import CheckResult, check, grid_check
+from .lincomb import BasisOps, LC, hopf_axiom_checks, key_check, lc_eq, memo_fn
+from .report import CheckResult
 from .scalars import QQ, Scalar, div
 
 ZERO = 0
@@ -165,15 +165,12 @@ def structure_checks(ops: BasisOps) -> list[CheckResult]:
     """The family's structure battery on the window: the Hopf axioms, then
     the closed-form rules S^2 = sign and S^4 = id."""
     out = hopf_axiom_checks(ops)
-    out.append(grid_check(
-        "family.antipode_square_sign_rule", ops.keys,
-        lambda k: lc_eq(ops.s_power(ops.single(k), 2),
-                        {k: _sign(k[1])}),
-        lambda k: f"at {ops.label(k)}"))
-    out.append(grid_check(
-        "family.antipode_fourth_power_identity", ops.keys,
-        lambda k: lc_eq(ops.s_power(ops.single(k), 4), ops.single(k)),
-        lambda k: f"at {ops.label(k)}"))
+    out.append(key_check(
+        "family.antipode_square_sign_rule", ops,
+        lambda k: lc_eq(ops.s_power(ops.single(k), 2), {k: _sign(k[1])})))
+    out.append(key_check(
+        "family.antipode_fourth_power_identity", ops,
+        lambda k: lc_eq(ops.s_power(ops.single(k), 4), ops.single(k))))
     return out
 
 
@@ -203,16 +200,14 @@ def closed_form_checks(c: Carrier, br: Braiding, fns: dict) -> list[CheckResult]
     ops = c.ops
 
     def matches(name: str, fn, closed) -> CheckResult:
-        eq, where = ops.fn_eq_on_grid(fn, closed)
-        return check(f"family.{name}_matches_closed_form", eq,
-                     None if eq else f"at {ops.label(where)}")
+        return key_check(f"family.{name}_matches_closed_form", ops,
+                         lambda k: fn(k) == closed(k))
 
     u, u_inv, v, v_inv = fns["u"], fns["u_inv"], fns["v"], fns["v_inv"]
     return [
         matches("alpha", c.alpha, alpha_closed_form),
         matches("u", u, drinfeld_closed_form),
-        grid_check("family.u_v_and_inverses_coincide", ops.keys,
-                   lambda k: u(k) == u_inv(k) == v(k) == v_inv(k),
-                   lambda k: f"at {ops.label(k)}"),
+        key_check("family.u_v_and_inverses_coincide", ops,
+                  lambda k: u(k) == u_inv(k) == v(k) == v_inv(k)),
         matches("beta_a", modular_characters(ops, br, c.a, c.a_inv)[1], alpha_closed_form),
     ]

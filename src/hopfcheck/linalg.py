@@ -70,14 +70,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else ())
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.field, tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.field, tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -93,10 +85,6 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ValueError(f"vector of length {len(vec)} against {self.nrows}x{self.ncols}")
         return tuple(_dot(r, vec, self.field.zero) for r in self.rows)
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
 
 
 @dataclass

@@ -17,6 +17,13 @@ key h, in Sweedler notation (BasisOps; map_lc extends them linearly):
 so the co-inner action of omega in the CQT conventions, omega(h1) h2
 omega^-1(h3), is coinner(omega, omega_inv, h).  Functions of a key pair
 convolve as (f * g)(h, l) = f(h1, l1) g(h2, l2) (pair_convolve).
+
+Every named check over the keys, the key pairs or the key triples runs
+the one loop report.grid_check, entered through key_check, pair_check or
+triple_grid_check.  These fix the order of the points (ops.keys, then
+lexicographic) and the witness of the first failing one: "at <h>",
+"at (<h>, <l>)" or "at (<h>, <l>, <m>)".  A check module passes only its
+predicate, so a traced run sees each grid and counts its points.
 """
 
 from __future__ import annotations
@@ -244,12 +251,6 @@ class BasisOps:
     def compose_s_power(self, f: Callable[[Key], Scalar], power: int):
         return lambda key: self.eval_fn(f, self.s_power(self.single(key), power))
 
-    def fn_eq_on_grid(self, f, g) -> tuple[bool, Key | None]:
-        for k in self.keys:
-            if f(k) != g(k):
-                return False, k
-        return True, None
-
 
 def memo_fn(f):
     """Cache a one-argument function of hashable keys (a KeyTable lookup)."""
@@ -277,11 +278,15 @@ def conv_inverse_checks(ops: BasisOps, name: str, f, f_inv) -> list[CheckResult]
     left = ops.convolve(f, f_inv)
     right = ops.convolve(f_inv, f)
     return [
-        grid_check(f"{name}.convolution_inverse_left", ops.keys,
-                   lambda k: left(k) == eps(k), lambda k: f"at {ops.label(k)}"),
-        grid_check(f"{name}.convolution_inverse_right", ops.keys,
-                   lambda k: right(k) == eps(k), lambda k: f"at {ops.label(k)}"),
+        key_check(f"{name}.convolution_inverse_left", ops, lambda k: left(k) == eps(k)),
+        key_check(f"{name}.convolution_inverse_right", ops, lambda k: right(k) == eps(k)),
     ]
+
+
+def inner_law(ops: BasisOps, power: int, w: LC):
+    """The key predicate S^power(h) w = w h: S^power is conjugation by w."""
+    return lambda h: lc_eq(ops.mul_lc(ops.s_power(ops.single(h), power), w),
+                           ops.mul_lc(w, ops.single(h)))
 
 
 def _pair_label(ops: BasisOps, pair) -> str:
@@ -383,6 +388,17 @@ class LoweredTables:
         self.s = KeyTable(lambda k: items(s(k)))
         self.s_inv = KeyTable(lambda k: items(s_inv(k)))
         self.unit = items(ops.unit)
+
+
+def key_check(name: str, ops: BasisOps, holds) -> CheckResult:
+    """grid_check of holds(h) over the keys, with witness "at <h>"."""
+    return grid_check(name, ops.keys, holds, lambda h: f"at {ops.label(h)}")
+
+
+def pair_check(name: str, ops: BasisOps, holds) -> CheckResult:
+    """grid_check of holds((h, l)) over the key pairs in lexicographic
+    order, with witness "at (<h>, <l>)"."""
+    return grid_check(name, _pairs(ops), holds, lambda p: f"at {_pair_label(ops, p)}")
 
 
 def triple_grid_check(name: str, ops: BasisOps, first_failure) -> CheckResult:
@@ -487,11 +503,10 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
 
     out.append(triple_grid_check("hopf.associativity", ops, associativity))
 
-    out.append(grid_check(
-        "hopf.unit_laws", ops.keys,
+    out.append(key_check(
+        "hopf.unit_laws", ops,
         lambda k: lc_eq(ops.mul_lc(ops.unit, ops.single(k)), ops.single(k))
-        and lc_eq(ops.mul_lc(ops.single(k), ops.unit), ops.single(k)),
-        lambda k: f"at {ops.label(k)}"))
+        and lc_eq(ops.mul_lc(ops.single(k), ops.unit), ops.single(k))))
 
     def coassoc(k) -> bool:
         left: dict = {}
@@ -505,8 +520,7 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
                 right[key] = right.get(key, ops.zero) + c * c2
         return lc_canon(left) == lc_canon(right)
 
-    out.append(grid_check("hopf.coassociativity", ops.keys, coassoc,
-                          lambda k: f"at {ops.label(k)}"))
+    out.append(key_check("hopf.coassociativity", ops, coassoc))
 
     def counit_laws(k) -> bool:
         left: LC = {}
@@ -520,8 +534,7 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
         single = ops.single(k)
         return lc_eq(left, single) and lc_eq(right, single)
 
-    out.append(grid_check("hopf.counit_laws", ops.keys, counit_laws,
-                          lambda k: f"at {ops.label(k)}"))
+    out.append(key_check("hopf.counit_laws", ops, counit_laws))
 
     def delta_multiplicative(pair) -> bool:
         """Delta(a b) = Delta(a) Delta(b)."""
@@ -538,17 +551,15 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
                         diff[k1, k2] = diff.get((k1, k2), 0) - c * w1 * w2
         return not any(map(residue, diff.values()))
 
-    out.append(grid_check("hopf.comultiplication_multiplicative", _pairs(ops),
-                          delta_multiplicative, lambda p: f"at {_pair_label(ops, p)}"))
+    out.append(pair_check("hopf.comultiplication_multiplicative", ops, delta_multiplicative))
 
     out.append(check("hopf.comultiplication_unital",
                      lc_eq(ops.delta_lc(ops.unit), lc_outer(ops.unit, ops.unit))))
 
-    out.append(grid_check(
-        "hopf.counit_multiplicative", _pairs(ops),
+    out.append(pair_check(
+        "hopf.counit_multiplicative", ops,
         lambda p: not residue(sum(c * eps[k] for k, c in prod[p[0]][p[1]])
-                              - eps[p[0]] * eps[p[1]]),
-        lambda p: f"at {_pair_label(ops, p)}"))
+                              - eps[p[0]] * eps[p[1]])))
 
     out.append(check("hopf.counit_unital", ops.eps_lc(ops.unit) == ops.one))
 
@@ -565,13 +576,11 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
         target = lc_scale(ops.eps(k), ops.unit)
         return lc_eq(left, target) and lc_eq(right, target)
 
-    out.append(grid_check("hopf.antipode_laws", ops.keys, antipode_laws,
-                          lambda k: f"at {ops.label(k)}"))
+    out.append(key_check("hopf.antipode_laws", ops, antipode_laws))
 
     if ops.antipode_inv is not None:
-        out.append(grid_check(
-            "hopf.antipode_bijective", ops.keys,
+        out.append(key_check(
+            "hopf.antipode_bijective", ops,
             lambda k: lc_eq(ops.s_inv_lc(ops.antipode(k)), ops.single(k))
-            and lc_eq(ops.s_lc(ops.antipode_inv(k)), ops.single(k)),
-            lambda k: f"at {ops.label(k)}"))
+            and lc_eq(ops.s_lc(ops.antipode_inv(k)), ops.single(k))))
     return out

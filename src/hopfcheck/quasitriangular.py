@@ -15,7 +15,9 @@ from .cofrobenius import CoFrobeniusData, cofrobenius_data
 from .hopf import AxiomError, FinHopfAlgebra, Tensor2, require_passing, verify_hopf
 from .lincomb import (
     LC,
+    inner_law,
     is_grouplike_lc,
+    key_check,
     lc_add,
     lc_canon,
     lc_eq,
@@ -81,8 +83,7 @@ def verify_almost_cocommutative(algebra: FinHopfAlgebra, r: RMatrix) -> CheckRes
         return lc_eq(tensor2_mul(ops, tensor2_flip(dh), r.tensor),
                      tensor2_mul(ops, r.tensor, dh))
 
-    return grid_check("qt.almost_cocommutative", ops.keys, holds,
-                      lambda i: f"at {algebra.labels[i]}")
+    return key_check("qt.almost_cocommutative", ops, holds)
 
 
 def verify_qt(algebra: FinHopfAlgebra, r: RMatrix) -> list[CheckResult]:
@@ -153,18 +154,9 @@ def drinfeld_elements(algebra: FinHopfAlgebra, r: RMatrix) -> tuple[QTData, list
     v_inv = ops.s_lc(u)
     v = A.invert_element(v_inv)
     qt = QTData(u, u_inv, v, v_inv)
-
-    def s2_conj(w: LC):
-        def holds(i: int) -> bool:
-            return lc_eq(ops.mul_lc(ops.s_power(ops.single(i), 2), w),
-                         ops.mul_lc(w, ops.single(i)))
-        return holds
-
     checks = [
-        grid_check("drinfeld.s2_conjugation_u", ops.keys, s2_conj(u),
-                   lambda i: f"at {A.labels[i]}"),
-        grid_check("drinfeld.s2_conjugation_v", ops.keys, s2_conj(v),
-                   lambda i: f"at {A.labels[i]}"),
+        key_check("drinfeld.s2_conjugation_u", ops, inner_law(ops, 2, u)),
+        key_check("drinfeld.s2_conjugation_v", ops, inner_law(ops, 2, v)),
         check("drinfeld.u_v_commute", lc_eq(ops.mul_lc(u, v), ops.mul_lc(v, u))),
     ]
     return qt, checks
@@ -239,10 +231,9 @@ def character_maps_checks(algebra: FinHopfAlgebra, r: RMatrix,
         eta_inv = memo_fn(ops.compose_s_power(characters[name], 1))
         _, b_inv = grouplike_from_character(algebra, r, eta_inv)
         z = ops.mul_lc(images[name][0], b_inv)
-        out.append(grid_check(
-            f"qt.central_pairing[{name}]", ops.keys,
-            lambda i, z=z: lc_eq(ops.mul_lc(z, ops.single(i)), ops.mul_lc(ops.single(i), z)),
-            lambda i: f"at {algebra.labels[i]}"))
+        out.append(key_check(
+            f"qt.central_pairing[{name}]", ops,
+            lambda i, z=z: lc_eq(ops.mul_lc(z, ops.single(i)), ops.mul_lc(ops.single(i), z))))
     return out
 
 
@@ -274,19 +265,13 @@ def check_drinfeld_modular_product(algebra: FinHopfAlgebra, data: CoFrobeniusDat
     vu = ops.mul_lc(qt.v, qt.u)
     ab = ops.mul_lc(c.a, b_alpha)
     aa = ops.mul_lc(c.a, a_alpha)
-
-    def s4_inner(i: int) -> bool:
-        return lc_eq(ops.mul_lc(ops.s_power(ops.single(i), 4), uv),
-                     ops.mul_lc(uv, ops.single(i)))
-
     return [
         check("drinfeld.uv_eq_vu", lc_eq(uv, vu)),
         check("drinfeld.uv_eq_a_times_b_alpha", lc_eq(uv, ab),
               None if lc_eq(uv, ab) else f"uv = {A.format_element(uv)}, "
               f"a b_alpha = {A.format_element(ab)}"),
         check("drinfeld.uv_eq_a_times_a_alpha", lc_eq(uv, aa)),
-        grid_check("radford.s4_inner_by_uv", ops.keys, s4_inner,
-                   lambda i: f"at {A.labels[i]}"),
+        key_check("radford.s4_inner_by_uv", ops, inner_law(ops, 4, uv)),
     ]
 
 
@@ -296,7 +281,7 @@ def check_antipode_u_biconditional(algebra: FinHopfAlgebra, data: CoFrobeniusDat
     c = data.carrier
     ops = c.ops
     out: list[CheckResult] = []
-    if ops.fn_eq_on_grid(c.alpha, ops.eps)[0]:
+    if all(c.alpha(k) == ops.eps(k) for k in ops.keys):
         out.append(check("drinfeld.counit_modular_vu_eq_a",
                          lc_eq(ops.mul_lc(qt.v, qt.u), c.a)))
     else:
@@ -332,8 +317,7 @@ def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma,
         def holds(i: int, w=w) -> bool:
             return lc_eq(ops.mul_lc(twisted[i], w), ops.mul_lc(w, ops.single(i)))
 
-        out.append(grid_check(f"qt.witness_conjugates[{name}:{idx}]",
-                              ops.keys, holds, lambda i: f"at {algebra.labels[i]}"))
+        out.append(key_check(f"qt.witness_conjugates[{name}:{idx}]", ops, holds))
     a_g, b_g = grouplike_from_character(algebra, r, gamma)
     got = {tuple(sorted(w.items())) for w in witnesses}
     expected = {tuple(sorted(a_g.items())), tuple(sorted(b_g.items()))}

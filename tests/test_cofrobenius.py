@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcheck import cofrobenius, laurent
+from hopfcheck import cofrobenius, laurent, lincomb
 from hopfcheck.cofrobenius import (
     _twisted_product_predicate,
     check_s2_inner_witness,
@@ -326,7 +326,7 @@ def test_product_formula_grid_builds_delta3_once_per_key(c4, monkeypatch):
     # the same bound holds for the grid the twist construction runs, up to
     # its memoized omega * alpha convolution (one delta call per key)
     spent = {}
-    real_grid_check = cofrobenius.grid_check
+    real_grid_check = lincomb.grid_check
 
     def counting_grid_check(name, items, predicate, describe):
         before = len(calls)
@@ -334,7 +334,7 @@ def test_product_formula_grid_builds_delta3_once_per_key(c4, monkeypatch):
         spent[name] = len(calls) - before
         return result
 
-    monkeypatch.setattr(cofrobenius, "grid_check", counting_grid_check)
+    monkeypatch.setattr(lincomb, "grid_check", counting_grid_check)
     dual = c4.dual()
     _, _, checks = integral_twist_from_coinner(
         counted, lam, cofrobenius_data(dual).carrier.alpha, *evaluation_at_generator(dual))

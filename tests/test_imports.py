@@ -8,6 +8,8 @@ the module's __all__.  A top-level function or class, or a method whose
 name is not a dunder, must be named outside its own definition: in src/,
 tests/ or scripts/, or in a perfbench/spans.TRACE_POINTS path.  Methods
 count only when named as an attribute (obj.method) or in a trace path.
+A key or pair grid outside lincomb must go through lincomb.key_check or
+pair_check, which enumerate its points and name its witness.
 """
 
 import ast
@@ -153,3 +155,56 @@ def test_src_definitions_are_all_named():
     users = [p for d in ("src", "tests", "scripts") for p in sorted((ROOT / d).rglob("*.py"))]
     unused = unused_definitions(sorted(SRC.glob("*.py")), users, _trace_paths())
     assert not unused, "definitions nothing names:\n" + "\n".join(unused)
+
+
+def _callee(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def witness_loops(path: Path) -> list[str]:
+    """Key and pair grids that decide their own witness outside lincomb.
+
+    lincomb.key_check and pair_check are the one place that enumerates the
+    keys or key pairs of a grid and names a failing one.  Flags, outside
+    lincomb, a grid_check whose items are <x>.keys or _pairs(...) and any
+    other _pairs call; flags fn_eq_on_grid, the deleted second grid loop,
+    anywhere.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    outside = path.stem != "lincomb"
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "fn_eq_on_grid"
+                or isinstance(node, ast.Attribute) and node.attr == "fn_eq_on_grid"
+                or isinstance(node, ast.Name) and node.id == "fn_eq_on_grid"):
+            out.append(f"{path.name}:{node.lineno}: fn_eq_on_grid")
+        elif outside and isinstance(node, ast.Call) and _callee(node) == "_pairs":
+            out.append(f"{path.name}:{node.lineno}: _pairs")
+        elif outside and isinstance(node, ast.Call) and _callee(node) == "grid_check":
+            items = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "items"), None)
+            if isinstance(items, ast.Attribute) and items.attr == "keys":
+                out.append(f"{path.name}:{node.lineno}: grid_check over keys")
+    return sorted(out)
+
+
+def test_witness_loop_detector_flags_each_form(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(ops, name, ok):\n"
+                   "    grid_check(name, ops.keys, ok, lambda k: f'at {k}')\n"
+                   "    report.grid_check(name, _pairs(ops), ok, str)\n"
+                   "    grid_check(name, items=ops.keys, predicate=ok, describe=str)\n"
+                   "    grid_check(name, ['x', 'y'], ok, str)\n"
+                   "    return ops.fn_eq_on_grid(ok, ok)\n")
+    assert witness_loops(mod) == ["mod.py:2: grid_check over keys", "mod.py:3: _pairs",
+                                  "mod.py:4: grid_check over keys", "mod.py:6: fn_eq_on_grid"]
+    lincomb = tmp_path / "lincomb.py"
+    lincomb.write_text("def key_check(name, ops, holds):\n"
+                       "    return grid_check(name, ops.keys, holds, str)\n")
+    assert witness_loops(lincomb) == []
+
+
+def test_key_and_pair_witnesses_are_decided_in_lincomb():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in witness_loops(path)]
+    assert not found, "key or pair grids outside lincomb.key_check/pair_check:\n" + "\n".join(found)
