@@ -23,6 +23,7 @@ from .lincomb import (
     BasisOps,
     Key,
     PairTable,
+    coinner_law,
     conv_inverse_checks,
     inner_law,
     is_character_fn,
@@ -216,8 +217,7 @@ def integral_twist_from_coinner(ops: BasisOps, lam, alpha, omega, omega_inv):
         key_check("coinner.omega_invertible", ops,
                   lambda k: left(k) == ops.eps(k) and right(k) == ops.eps(k)),
         key_check("coinner.omega_implements_s_inverse_squared", ops,
-                  lambda k: lc_eq(ops.coinner(omega_inv, omega, k),
-                                  ops.s_power(ops.single(k), -2))),
+                  coinner_law(ops, -2, omega_inv, omega)),
         product_formula_check(ops, lam, rho2, tau2),
     ]
     return rho2, tau2, checks
@@ -240,8 +240,6 @@ def coinner_from_integral_twist(ops: BasisOps, a_inv: LC, alpha_inv, rho2, tau2)
         (c * ops.eval_fn(partial(tau2, h2), ops.mul_lc(ops.antipode_inv(h1), a_inv))
          for c, h1, h2 in ops.delta(h)), ops.zero))
     tau_second = memo_fn(ops.convolve(tau_prime, alpha_inv))
-    realizes = lambda h: lc_eq(ops.coinner(rho_prime, tau_second, h),
-                               ops.s_power(ops.single(h), -2))
 
     checks = list(conv_inverse_checks(ops, "coinner.extracted_pair", rho_prime, tau_second))
     rho_s2 = ops.compose_s_power(rho_prime, -2)
@@ -250,7 +248,8 @@ def coinner_from_integral_twist(ops: BasisOps, a_inv: LC, alpha_inv, rho2, tau2)
                             lambda h: rho_prime(h) == rho_s2(h)))
     checks.append(key_check("coinner.second_factor_s2_stable", ops,
                             lambda h: tau_second(h) == tau_s2(h)))
-    checks.append(key_check("coinner.extracted_implements_s_inverse_squared", ops, realizes))
+    checks.append(key_check("coinner.extracted_implements_s_inverse_squared", ops,
+                            coinner_law(ops, -2, rho_prime, tau_second)))
     return rho_prime, tau_second, checks
 
 

@@ -20,6 +20,7 @@ from .lincomb import (
     LC,
     LoweredTables,
     PairTable,
+    coinner_law,
     conv_inverse_checks,
     is_character_fn,
     key_check,
@@ -207,12 +208,8 @@ def braided_functionals(ops: BasisOps, br: Braiding) -> tuple[dict, list[CheckRe
     u_s = ops.compose_s_power(fns["u"], 1)
     out.append(key_check("cqt.v_is_u_after_antipode", ops, lambda h: fns["v"](h) == u_s(h)))
 
-    def coinner(first, last):
-        return lambda h: lc_eq(ops.coinner(first, last, h),
-                               ops.s_power(ops.single(h), 2))
-
-    out.append(key_check("cqt.s2_coinner_u", ops, coinner(fns["u"], fns["u_inv"])))
-    out.append(key_check("cqt.s2_coinner_v", ops, coinner(fns["v_inv"], fns["v"])))
+    out.append(key_check("cqt.s2_coinner_u", ops, coinner_law(ops, 2, fns["u"], fns["u_inv"])))
+    out.append(key_check("cqt.s2_coinner_v", ops, coinner_law(ops, 2, fns["v_inv"], fns["v"])))
 
     u_v_inv = ops.convolve(fns["u"], fns["v_inv"])
     v_inv_u = ops.convolve(fns["v_inv"], fns["u"])
@@ -348,20 +345,34 @@ def flip_braiding(br: Braiding) -> Braiding:
                     inverse=lambda x, y: br.value(y, x))
 
 
-def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC,
-                         a_inv_lc: LC) -> tuple[Braiding, list[CheckResult]]:
+def flip_agrees(read: Braiding, flipped: Braiding) -> bool:
+    """flipped equals read's evaluators on every pair filled in their tables."""
+    return all(fn(x, y) == v for table, fn in ((read.value, flipped.value),
+                                               (read.inverse, flipped.inverse))
+               for x, row in table.items() for y, v in row.items())
+
+
+def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC, a_inv_lc: LC,
+                         battery: tuple | None = None) -> tuple[Braiding, list[CheckResult]]:
     """The flipped braiding passes every axiom; its functionals swap with the
     originals (u~ = v^-1, v~ = u^-1, alpha~_a = beta_a, beta~_a = alpha_a);
-    flipping twice restores the original values."""
+    flipping twice restores the original values.
+
+    battery, when given, is (the braiding sigma's axiom battery ran on, with
+    PairTables over br.value and br.inverse; its lines).  The battery is
+    deterministic in ops and in the values it reads: the next pair it reads,
+    and each verdict and witness, depend on nothing else.  So where the flip
+    equals sigma and sigma^-1 on every pair filled in those tables
+    (flip_agrees; a cotriangular sigma is its own flip), its battery would
+    make the same reads in the same order and return the same lines; they
+    are taken, renamed.  Otherwise, and without a battery, it runs."""
     flipped = flip_braiding(br)
-    out: list[CheckResult] = []
-    for result in braiding_axiom_checks(ops, flipped):
-        out.append(CheckResult(f"flip_braiding.{result.name}", result.status,
-                               result.witness))
+    read, axioms = battery or (None, None)
+    if read is None or not flip_agrees(read, flipped):
+        axioms = braiding_axiom_checks(ops, flipped)
     flip_fns, fn_checks = braided_functionals(ops, flipped)
-    for result in fn_checks:
-        out.append(CheckResult(f"flip_braiding.{result.name}", result.status,
-                               result.witness))
+    out = [CheckResult(f"flip_braiding.{result.name}", result.status, result.witness)
+           for result in axioms + fn_checks]
 
     alpha_a, beta_a = modular_characters(ops, br, a_lc, a_inv_lc)
     alpha_a_t, beta_a_t = modular_characters(ops, flipped, a_lc, a_inv_lc)
@@ -386,11 +397,18 @@ def braided_chain(c: Carrier, br: Braiding, grouplikes: dict,
                   functionals: tuple | None) -> tuple[dict | None, list[CheckResult]]:
     """The braiding axioms, then (once they pass) the braided functionals,
     unless given with their checks, and every check built on them; returns
-    the functionals, None when an axiom fails, and the checks."""
+    the functionals, None when an axiom fails, and the checks.
+
+    The battery reads sigma through PairTables, which then hold the pairs it
+    read, product keys outside a window included; flip_braiding_checks
+    reuses its lines where the flip agrees on them, since there the flip's
+    battery would make the same reads and return the same lines."""
     ops = c.ops
-    out = braiding_axiom_checks(ops, br)
-    if not all(x.ok for x in out):
-        return None, out
+    read = Braiding(PairTable(br.value), PairTable(br.inverse))
+    axioms = braiding_axiom_checks(ops, read)
+    if not all(x.ok for x in axioms):
+        return None, axioms
+    out = list(axioms)  # the flip checks read axioms after out has grown
     fns, fn_checks = functionals or braided_functionals(ops, br)
     out.extend(fn_checks)
     out.extend(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))
@@ -401,7 +419,7 @@ def braided_chain(c: Carrier, br: Braiding, grouplikes: dict,
     for name in sorted(pairs):
         out.extend(grouplike_witness_checks(ops, br, *pairs[name], name=name)[1])
     out.extend(grouplike_homomorphism_checks(ops, br, pairs))
-    out.extend(flip_braiding_checks(ops, br, fns, c.a, c.a_inv)[1])
+    out.extend(flip_braiding_checks(ops, br, fns, c.a, c.a_inv, (read, axioms))[1])
     out.extend(twist_round_trip(c, fns["u"], fns["u_inv"]))
     return fns, out
 

@@ -264,13 +264,8 @@ def is_grouplike_lc(ops: BasisOps, a: LC) -> bool:
 
 
 def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar]) -> bool:
-    if ops.eval_fn(f, ops.unit) != ops.one:
-        return False
-    for k1 in ops.keys:
-        for k2 in ops.keys:
-            if ops.eval_fn(f, ops.mul(k1, k2)) != f(k1) * f(k2):
-                return False
-    return True
+    return ops.eval_fn(f, ops.unit) == ops.one and all(
+        ops.eval_fn(f, ops.mul(k1, k2)) == f(k1) * f(k2) for k1, k2 in _pairs(ops))
 
 
 def conv_inverse_checks(ops: BasisOps, name: str, f, f_inv) -> list[CheckResult]:
@@ -287,6 +282,12 @@ def inner_law(ops: BasisOps, power: int, w: LC):
     """The key predicate S^power(h) w = w h: S^power is conjugation by w."""
     return lambda h: lc_eq(ops.mul_lc(ops.s_power(ops.single(h), power), w),
                            ops.mul_lc(w, ops.single(h)))
+
+
+def coinner_law(ops: BasisOps, power: int, f, g):
+    """The key predicate f(h1) h2 g(h3) = S^power(h): S^power is co-inner,
+    by f and g."""
+    return lambda h: lc_eq(ops.coinner(f, g, h), ops.s_power(ops.single(h), power))
 
 
 def _pair_label(ops: BasisOps, pair) -> str:

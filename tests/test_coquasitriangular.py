@@ -1,14 +1,20 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from hopfcheck import coquasitriangular, laurent
+from hopfcheck.cli import main
 from hopfcheck.cofrobenius import cofrobenius_data
 from hopfcheck.coquasitriangular import (
+    Braiding,
+    braided_chain,
     braided_functionals,
     braided_modular_corollary_checks,
     braiding_axiom_checks,
     braiding_from_matrix,
     dualize_qt,
+    flip_braiding,
     flip_braiding_checks,
     grouplike_homomorphism_checks,
     grouplike_witness_checks,
@@ -16,9 +22,16 @@ from hopfcheck.coquasitriangular import (
 )
 from hopfcheck.document import build_algebra, parse_document
 from hopfcheck.hopf import NotInvertibleError, require_passing, verify_hopf
-from hopfcheck.quasitriangular import drinfeld_elements
-from hopfcheck.report import FAIL, PASS, SKIP
-from test_golden import laurent_quotient_document
+from hopfcheck.laurent import family_data
+from hopfcheck.lincomb import PairTable
+from hopfcheck.presets import cyclic_group_document, sweedler_document
+from hopfcheck.quasitriangular import RMatrix, drinfeld_elements
+from hopfcheck.report import FAIL, PASS, SKIP, CheckResult
+from test_golden import (
+    double_c2_document,
+    double_c4_permuted_document,
+    laurent_quotient_document,
+)
 
 ONE = Fraction(1)
 
@@ -145,3 +158,117 @@ def test_closed_antipode_gate_reports_skips():
     gated = [r for r in bumped if r.name in ANTIPODE_FORMULAS]
     assert [(r.name, r.status) for r in gated] == [(name, SKIP) for name in ANTIPODE_FORMULAS]
     assert all(r.witness == "a braiding axiom above fails" for r in gated)
+
+
+# -- the flip battery read off sigma's battery ---------------------------------------
+
+
+def braided_carrier(name):
+    """(carrier, braiding) of a named input: the sign bicharacter on kC_n,
+    the braiding of H_n over F_10007, the Laurent family on a window, or
+    the dual braiding of an R-matrix: Sweedler's (xi = 1), which is
+    cotriangular, or a Drinfeld double's D(kC_n), which is not."""
+    if name.startswith("kC"):
+        algebra = build_algebra(cyclic_group_document(int(name[2:])))
+        rows = [[(-1) ** (i * j) for j in range(algebra.dim)] for i in range(algebra.dim)]
+        return cofrobenius_data(algebra).carrier, braiding_from_matrix(algebra, rows)[0]
+    if name.startswith("H"):  # the antipode is omitted, so verify_hopf solves it
+        doc = parse_document(laurent_quotient_document(int(name[1:])))
+        algebra = build_algebra(doc)
+        require_passing(verify_hopf(algebra))
+        return cofrobenius_data(algebra).carrier, braiding_from_matrix(algebra, doc.sigma)[0]
+    if name.startswith("laurent"):
+        return family_data(laurent.basis_ops(int(name[7:]))), laurent.braiding()
+    doc = {"sweedler4": sweedler_document,
+           "D(kC2)": lambda: parse_document(double_c2_document()),
+           "D(kC4)": lambda: parse_document(double_c4_permuted_document())}[name]()
+    algebra = build_algebra(doc)
+    dual, br, _, _ = dualize(algebra, RMatrix.from_entries(algebra, doc.r_entries))
+    return cofrobenius_data(dual).carrier, br
+
+
+def spy_batteries(monkeypatch) -> list:
+    """Record every call of braiding_axiom_checks that reaches the module."""
+    calls = []
+    real = coquasitriangular.braiding_axiom_checks
+
+    def spy(ops, br):
+        calls.append(br)
+        return real(ops, br)
+
+    monkeypatch.setattr(coquasitriangular, "braiding_axiom_checks", spy)
+    return calls
+
+
+def renamed(results):
+    return [CheckResult(f"flip_braiding.{r.name}", r.status, r.witness) for r in results]
+
+
+COTRIANGULAR = ("sweedler4", "kC2", "kC4", "kC8", "H4", "H10",
+                "laurent2", "laurent3", "laurent4", "laurent5")
+
+
+@pytest.mark.parametrize("name", COTRIANGULAR + ("D(kC2)", "D(kC4)"))
+def test_flip_battery_is_read_off_a_cotriangular_braiding(name, monkeypatch):
+    """On a cotriangular braiding the chain runs one axiom battery and its
+    flip_braiding.* axiom lines are the lines of a full battery on the
+    flipped braiding, renamed; on a double's dual braiding the flip's
+    battery runs.  Either way the chain reports what it reports when the
+    flip's battery is forced to run."""
+    c, br = braided_carrier(name)
+    full = renamed(braiding_axiom_checks(c.ops, flip_braiding(br)))
+    calls = spy_batteries(monkeypatch)
+    fns, out = braided_chain(c, br, {}, None)
+    assert fns is not None
+    assert len(calls) == (1 if name in COTRIANGULAR else 2), name
+    start = next(i for i, r in enumerate(out) if r.name.startswith("flip_braiding."))
+    assert out[start:start + len(full)] == full
+    assert out[start + len(full)].name == "flip_braiding.cqt.u.convolution_inverse_left"
+
+    monkeypatch.setattr(coquasitriangular, "flip_agrees", lambda read, flipped: False)
+    calls.clear()
+    assert braided_chain(c, br, {}, None)[1] == out
+    assert len(calls) == 2
+
+
+def test_flip_agreement_covers_read_pairs_outside_the_window(monkeypatch):
+    """Bump sigma^-1 at (y, x), where (x, y) is a pair sigma's battery read
+    outside the Laurent window and sigma's battery never reads sigma^-1 at
+    (y, x): sigma's battery is unchanged, but the flip differs from sigma
+    at (x, y), so the flip's battery runs and fails there."""
+    ops, br = laurent.basis_ops(2), laurent.braiding()
+    read = Braiding(PairTable(br.value), PairTable(br.inverse))
+    intact = braiding_axiom_checks(ops, read)
+    read_inverse = {(x, y) for x, row in read.inverse.items() for y in row}
+    x, y = next((x, y) for x, row in read.value.items() for y in row
+                if not {x, y} <= set(ops.keys) and (y, x) not in read_inverse)
+    bumped = Braiding(br.value,
+                      lambda s, t: br.inverse(s, t) + (ONE if (s, t) == (y, x) else 0))
+    flipped = flip_braiding(bumped)
+    # on the key grid alone the flip still agrees with sigma
+    assert all(flipped.value(h, l) == br.value(h, l) and flipped.inverse(h, l) == br.inverse(h, l)
+               for h in ops.keys for l in ops.keys)
+    calls = spy_batteries(monkeypatch)
+    _, out = braided_chain(family_data(ops), bumped, {}, None)
+    assert len(calls) == 2
+    assert out[:len(intact)] == intact
+    by_name = {r.name: r for r in out}
+    assert by_name["flip_braiding.cqt.multiplicative_first_argument"].status == FAIL
+
+
+@pytest.mark.parametrize("source, batteries", [("laurent", 1), ("double", 2)])
+def test_verify_runs_the_axiom_battery_once_per_cotriangular_chain(source, batteries,
+                                                                   monkeypatch, tmp_path,
+                                                                   capsys):
+    """preset:laurent has one braided chain, which is cotriangular; the
+    benchmark's D(kC4) has one, on its dual, which is not."""
+    if source == "laurent":
+        argv = ["verify", "preset:laurent", "--json"]
+    else:
+        path = tmp_path / "double.json"
+        path.write_text(json.dumps(double_c4_permuted_document()), encoding="utf-8")
+        argv = ["verify", str(path), "--json"]
+    calls = spy_batteries(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == batteries
