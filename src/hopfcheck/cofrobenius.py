@@ -7,8 +7,8 @@ compute; the named checks are where each identity is verified.  The
 checkers are written against BasisOps and read their data from a Carrier,
 so the infinite-dimensional family reuses them with closed-form data.
 The integral-twist round trip builds its pair functionals whether or not
-omega qualifies and reports every line; its product formula is one pair
-convolution, evaluated once.
+omega qualifies and reports every line; its product formula is evaluated in
+factored form, as lambda(h' l) with one co-inner hit h' per key.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .lincomb import (
     lc_scale,
     memo_fn,
     pair_check,
-    pair_convolve,
 )
 from .linalg import Matrix, SingularMatrixError, SparseMatrix, invert_matrix, nullspace, rank
 from .report import CheckResult, check, failed, skipped
@@ -52,18 +51,25 @@ class Carrier:
     """BasisOps with a left integral and the modular data derived from it.
 
     lam, alpha and alpha_inv map a key to a scalar, chi maps a key to an LC,
-    and a, a_inv are LCs.  Finite algebras solve for these once by linear
-    algebra (CoFrobeniusData.carrier); the Laurent family gives closed forms
-    (laurent.family_data).  The checkers read their data from here.
+    and a, a_inv are LCs; lam_mul(x, y) = lam(x y) is the one table of lambda
+    on products that every check reads.  Finite algebras solve for these once
+    by linear algebra (CoFrobeniusData.carrier); the Laurent family gives
+    closed forms (laurent.family_data).  The checkers read their data here.
     """
 
     ops: BasisOps
     lam: Callable[[Key], Scalar]
+    lam_mul: PairTable
     a: LC
     a_inv: LC
     chi: Callable[[Key], LC]
     alpha: Callable[[Key], Scalar]
     alpha_inv: Callable[[Key], Scalar]
+
+
+def lam_mul_table(ops: BasisOps, lam) -> PairTable:
+    """lambda(x y) for keys x, y, each pair evaluated on its first lookup."""
+    return PairTable(lambda x, y: ops.eval_fn(lam, ops.mul(x, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +101,10 @@ def modular_element_checks(ops: BasisOps, lam, a: LC, a_inv: LC) -> list[CheckRe
     return out
 
 
-def integral_exchange_checks(ops: BasisOps, lam, a_inv: LC) -> list[CheckResult]:
+def integral_exchange_checks(ops: BasisOps, lam_mul, a_inv: LC) -> list[CheckResult]:
     """The two translation identities relating lambda, S and the modular element:
     l1 lambda(h l2) = S(h1) lambda(h2 l) and lambda(h l1) l2 = lambda(h1 l)
-    S^-1(h2) a^-1."""
-    # both grids evaluate lambda(x y) on each key pair many times
-    lam_mul = PairTable(lambda x, y: ops.eval_fn(lam, ops.mul(x, y)))
+    S^-1(h2) a^-1, with lam_mul(x, y) = lambda(x y)."""
 
     def with_antipode(pair) -> bool:
         h, l = pair
@@ -120,15 +124,14 @@ def integral_exchange_checks(ops: BasisOps, lam, a_inv: LC) -> list[CheckResult]
     ]
 
 
-def nakayama_checks(ops: BasisOps, lam, chi, alpha, alpha_inv) -> list[CheckResult]:
-    """chi shifts lambda across products; alpha = eps(chi(-)) is a character."""
+def nakayama_checks(ops: BasisOps, lam_mul, chi, alpha, alpha_inv) -> list[CheckResult]:
+    """chi shifts lambda across products, lambda(m h) = lambda(chi(h) m) with
+    lam_mul(x, y) = lambda(x y); alpha = eps(chi(-)) is a character."""
     out: list[CheckResult] = []
 
     def shift_law(pair) -> bool:
         m, h = pair
-        lhs = ops.eval_fn(lam, ops.mul(m, h))
-        rhs = ops.eval_fn(lam, ops.mul_lc(chi(h), ops.single(m)))
-        return lhs == rhs
+        return lam_mul(m, h) == ops.eval_fn(lambda k: lam_mul(k, m), chi(h))
 
     out.append(pair_check("integral.nakayama_law", ops, shift_law))
     out.append(pair_check(
@@ -173,71 +176,81 @@ def radford_s4_checks(ops: BasisOps, a: LC, a_inv: LC, alpha, alpha_inv) -> list
 # the twisted product formula for lambda and its extraction (both directions)
 
 
-def _twisted_product_predicate(ops: BasisOps, lam, rho2, tau2):
-    """Pair predicate for lambda(l h) = rho(h1, l1) lambda(h2 l2) tau(h3, l3).
+def _twisted_product_predicate(ops: BasisOps, lam_mul, rho1, tau1):
+    """Pair predicate for lambda(l h) = rho(h1, l1) lambda(h2 l2) tau(h3, l3)
+    on the pair rho(x, y) = rho1(x) eps(y), tau(x, y) = tau1(x) eps(y).
 
-    The right-hand side is the pair convolution ((rho * lambda o m) * tau)(h, l).
-    delta_n expands Delta^3 as (Delta (x) id) Delta, so this is the same sum
-    regrouped: rho * lambda o m is a table over pairs of first legs, and
-    lambda(x y) is cached per key pair.  The caches live in the returned
-    closure only.
+    The counit law, eps(l1) l2 eps(l3) = l, and the linearity of lambda
+    regroup the sum over Delta^3(h) x Delta^3(l) into the same field value
+    lambda(h' l), h' = rho1(h1) h2 tau1(h3) = ops.coinner(rho1, tau1, h).  h'
+    is computed once per key, and lam_mul(x, y) = lambda(x y) is read
+    K^2 + sum_h |h'| K times over the grid.
     """
-    lam_mul = PairTable(lambda x, y: ops.eval_fn(lam, ops.mul(x, y)))
-    rhs = pair_convolve(ops, pair_convolve(ops, rho2, lam_mul), tau2)
-    return lambda pair: lam_mul(pair[1], pair[0]) == rhs(*pair)
+    h_prime = memo_fn(partial(ops.coinner, rho1, tau1))
+
+    def holds(pair) -> bool:
+        h, l = pair
+        return lam_mul(l, h) == sum((c * lam_mul(k, l) for k, c in h_prime(h).items()),
+                                    ops.zero)
+
+    return holds
 
 
-def product_formula_check(ops: BasisOps, lam, rho2, tau2) -> CheckResult:
+def product_formula_check(ops: BasisOps, lam_mul, rho1, tau1) -> CheckResult:
     """The twisted product formula on every key pair, with the first failing
-    pair as its witness."""
+    pair as its witness; rho1 and tau1 are the first-leg factors of the pair."""
     return pair_check("integral_twist.product_formula", ops,
-                      _twisted_product_predicate(ops, lam, rho2, tau2))
+                      _twisted_product_predicate(ops, lam_mul, rho1, tau1))
 
 
-def integral_twist_from_coinner(ops: BasisOps, lam, alpha, omega, omega_inv):
+def integral_twist_from_coinner(ops: BasisOps, lam_mul, alpha, omega, omega_inv):
     """Build the pair functionals twisting lambda across products.
 
-    rho(x, y) = omega^-1(x) eps(y) and tau(x, y) = (omega * alpha)(x) eps(y).
-    The checks say whether omega is convolution invertible, whether it
-    realizes S^-2 co-innerly, S^-2(h) = omega^-1(h1) h2 omega(h3), and
-    whether lambda(l h) = rho(h1, l1) lambda(h2 l2) tau(h3, l3) holds; the
-    pair is returned either way.  On a braided carrier omega is u, the
-    braided Drinfeld functional: u(h1) h2 u^-1(h3) = S^2(h)
-    (cqt.s2_coinner_u) gives S^-2(h) = u^-1(h1) h2 u(h3).
+    rho(x, y) = omega^-1(x) eps(y) and tau(x, y) = (omega * alpha)(x) eps(y),
+    returned as their first-leg factors (rho1, tau1) = (omega^-1,
+    omega * alpha).  The checks say whether omega is convolution invertible,
+    whether it realizes S^-2 co-innerly, S^-2(h) = omega^-1(h1) h2 omega(h3),
+    and whether lambda(l h) = rho(h1, l1) lambda(h2 l2) tau(h3, l3) holds,
+    read off lam_mul(x, y) = lambda(x y); the pair is returned either way.
+    On a braided carrier omega is u, the braided Drinfeld functional:
+    u(h1) h2 u^-1(h3) = S^2(h) (cqt.s2_coinner_u) gives
+    S^-2(h) = u^-1(h1) h2 u(h3).
     """
     left = ops.convolve(omega, omega_inv)
     right = ops.convolve(omega_inv, omega)
-    omega_alpha = memo_fn(ops.convolve(omega, alpha))
-    omega_inv = memo_fn(omega_inv)
-    # the product formula grid and the extraction evaluate each pair many times
-    rho2 = PairTable(lambda x, y: omega_inv(x) * ops.eps(y))
-    tau2 = PairTable(lambda x, y: omega_alpha(x) * ops.eps(y))
+    rho1 = memo_fn(omega_inv)
+    tau1 = memo_fn(ops.convolve(omega, alpha))
 
     checks = [
         key_check("coinner.omega_invertible", ops,
                   lambda k: left(k) == ops.eps(k) and right(k) == ops.eps(k)),
         key_check("coinner.omega_implements_s_inverse_squared", ops,
-                  coinner_law(ops, -2, omega_inv, omega)),
-        product_formula_check(ops, lam, rho2, tau2),
+                  coinner_law(ops, -2, rho1, omega)),
+        product_formula_check(ops, lam_mul, rho1, tau1),
     ]
-    return rho2, tau2, checks
+    return rho1, tau1, checks
 
 
-def coinner_from_integral_twist(ops: BasisOps, a_inv: LC, alpha_inv, rho2, tau2):
+def coinner_from_integral_twist(ops: BasisOps, a_inv: LC, alpha_inv, rho1, tau1):
     """Recover a co-inner realization of S^-2 from a twisting pair.
 
-    The pair is the one integral_twist_from_coinner builds, on a braided
-    carrier from omega = u; that function reports whether it satisfies the
-    twisted product formula.  The returned functionals come with checks
-    that they are convolution inverse to each other, stable under S^-2,
-    and realize S^-2.
+    The pair is rho(x, y) = rho1(x) eps(y), tau(x, y) = tau1(x) eps(y), the
+    one integral_twist_from_coinner builds, on a braided carrier from
+    omega = u; that function reports whether it satisfies the twisted
+    product formula.  The returned functionals come with checks that they
+    are convolution inverse to each other, stable under S^-2, and realize
+    S^-2.  On such a pair rho' = omega^-1 and tau'' = omega * alpha *
+    alpha^-1 = omega hold algebraically (eps(a^-1) = 1), so three of the five
+    lines restate the coinner.omega_* lines; all are still evaluated.
     """
+    rho = lambda x, y: rho1(x) * ops.eps(y)
+    tau = lambda x, y: tau1(x) * ops.eps(y)
     # rho'(h) = rho(h1, S h2), tau'(h) = tau(h2, S^-1(h1) a^-1), tau'' = tau' * alpha^-1
     rho_prime = memo_fn(lambda h: sum(
-        (c * ops.eval_fn(partial(rho2, h1), ops.antipode(h2)) for c, h1, h2 in ops.delta(h)),
+        (c * ops.eval_fn(partial(rho, h1), ops.antipode(h2)) for c, h1, h2 in ops.delta(h)),
         ops.zero))
     tau_prime = memo_fn(lambda h: sum(
-        (c * ops.eval_fn(partial(tau2, h2), ops.mul_lc(ops.antipode_inv(h1), a_inv))
+        (c * ops.eval_fn(partial(tau, h2), ops.mul_lc(ops.antipode_inv(h1), a_inv))
          for c, h1, h2 in ops.delta(h)), ops.zero))
     tau_second = memo_fn(ops.convolve(tau_prime, alpha_inv))
 
@@ -256,8 +269,9 @@ def coinner_from_integral_twist(ops: BasisOps, a_inv: LC, alpha_inv, rho2, tau2)
 def twist_round_trip(c: Carrier, omega, omega_inv) -> list[CheckResult]:
     """The integral twist built from omega, then the co-inner pair extracted
     back from it; every line is evaluated, whichever of them fails."""
-    rho2, tau2, forward = integral_twist_from_coinner(c.ops, c.lam, c.alpha, omega, omega_inv)
-    return forward + coinner_from_integral_twist(c.ops, c.a_inv, c.alpha_inv, rho2, tau2)[2]
+    rho1, tau1, forward = integral_twist_from_coinner(c.ops, c.lam_mul, c.alpha,
+                                                      omega, omega_inv)
+    return forward + coinner_from_integral_twist(c.ops, c.a_inv, c.alpha_inv, rho1, tau1)[2]
 
 
 # perfbench/spans.py traces these names too, so they stay bound to the
@@ -331,15 +345,16 @@ def cofrobenius_data(algebra: FinHopfAlgebra) -> CoFrobeniusData:
             f"left integral space has dimension {len(integrals)}, expected 1")
     lam = integrals[0].__getitem__
     ops = algebra.basis_ops()
-    pairing = Matrix.from_rows(algebra.field, [[ops.eval_fn(lam, ops.mul(i, j))
-                                                for j in ops.keys] for i in ops.keys])
+    lam_mul = lam_mul_table(ops, lam)
+    pairing = Matrix.from_rows(algebra.field, [[lam_mul(i, j) for j in ops.keys]
+                                               for i in ops.keys])
     a, a_inv = _distinguished_pair(algebra, lam)
     chi_matrix = frobenius_chi(pairing)
     chi = chi_matrix.sparse_columns().__getitem__
     # alpha = eps o chi is a character, so its convolution inverse is alpha o S
     alpha = memo_fn(lambda j: ops.eps_lc(chi(j)))
     alpha_inv = memo_fn(ops.compose_s_power(alpha, 1))
-    carrier = Carrier(ops, lam, a, a_inv, chi, alpha, alpha_inv)
+    carrier = Carrier(ops, lam, lam_mul, a, a_inv, chi, alpha, alpha_inv)
     return CoFrobeniusData(algebra, chi_matrix, pairing, carrier)
 
 
@@ -353,7 +368,7 @@ def cofrobenius_checks(c: Carrier, pairing: Matrix | None,
     ops = c.ops
     out = [left_integral_law_check(ops, c.lam)]
     out.extend(modular_element_checks(ops, c.lam, c.a, c.a_inv))
-    out.extend(integral_exchange_checks(ops, c.lam, c.a_inv))
+    out.extend(integral_exchange_checks(ops, c.lam_mul, c.a_inv))
     if pairing is None:
         out.extend(skipped(f"integral.pairing_full_rank_{side}",
                            "infinite carrier: no pairing matrix") for side in ("left", "right"))
@@ -363,7 +378,7 @@ def cofrobenius_checks(c: Carrier, pairing: Matrix | None,
             r = rank(p)
             out.append(check(f"integral.pairing_full_rank_{side}", r == n,
                              None if r == n else f"rank {r} of {n}"))
-    out.extend(nakayama_checks(ops, c.lam, c.chi, c.alpha, c.alpha_inv))
+    out.extend(nakayama_checks(ops, c.lam_mul, c.chi, c.alpha, c.alpha_inv))
     if chi is None:
         out.append(skipped("integral.nakayama_invertible",
                            "infinite carrier: no Nakayama matrix"))

@@ -10,7 +10,7 @@ computed lines and closed forms.
 
 from __future__ import annotations
 
-from .cofrobenius import Carrier
+from .cofrobenius import Carrier, lam_mul_table
 from .coquasitriangular import Braiding, modular_characters
 from .hopf import AxiomError
 from .lincomb import BasisOps, LC, hopf_axiom_checks, key_check, lc_eq, memo_fn
@@ -158,7 +158,8 @@ def family_data(ops: BasisOps) -> Carrier:
     chi = solve_nakayama(ops)
     alpha = memo_fn(lambda k: ops.eps_lc(chi(k)))
     alpha_inv = memo_fn(ops.compose_s_power(alpha, 1))
-    return Carrier(ops, integral_value, a_lc, a_inv_lc, chi, alpha, alpha_inv)
+    return Carrier(ops, integral_value, lam_mul_table(ops, integral_value), a_lc, a_inv_lc,
+                   chi, alpha, alpha_inv)
 
 
 def structure_checks(ops: BasisOps) -> list[CheckResult]:

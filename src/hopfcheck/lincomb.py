@@ -15,8 +15,7 @@ key h, in Sweedler notation (BasisOps; map_lc extends them linearly):
     coinner(f, g, h)  = f(h1) h2 g(h3)
 
 so the co-inner action of omega in the CQT conventions, omega(h1) h2
-omega^-1(h3), is coinner(omega, omega_inv, h).  Functions of a key pair
-convolve as (f * g)(h, l) = f(h1, l1) g(h2, l2) (pair_convolve).
+omega^-1(h3), is coinner(omega, omega_inv, h).
 
 Every named check over the keys, the key pairs or the key triples runs
 the one loop report.grid_check, entered through key_check, pair_check or
@@ -334,26 +333,6 @@ class PairTable(dict):
 
     def __call__(self, x, y):
         return self[x][y]
-
-
-def pair_convolve(ops: BasisOps, f, g) -> PairTable:
-    """(f * g)(h, l) = f(h1, l1) g(h2, l2) for functions f, g of a key pair,
-    as a PairTable.  Delta is taken once per key, and a zero value of f
-    skips g."""
-    delta = KeyTable(lambda k: tuple(ops.delta(k)))
-
-    def conv(h, l) -> Scalar:
-        acc = ops.zero
-        for ch, h1, h2 in delta[h]:
-            for cl, l1, l2 in delta[l]:
-                fv = f(h1, l1)
-                if fv:
-                    gv = g(h2, l2)
-                    if gv:
-                        acc = acc + ch * cl * fv * gv
-        return acc
-
-    return PairTable(conv)
 
 
 class LoweredTables:

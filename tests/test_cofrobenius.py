@@ -21,7 +21,7 @@ from hopfcheck.cofrobenius import (
 )
 from hopfcheck.coquasitriangular import braided_functionals, dualize_qt
 from hopfcheck.quasitriangular import drinfeld_elements
-from hopfcheck.lincomb import PairTable, _pair_label, _pairs, pair_convolve
+from hopfcheck.lincomb import _pair_label, _pairs
 from hopfcheck.linalg import Matrix
 from hopfcheck.scalars import QQ
 
@@ -118,15 +118,15 @@ def test_s2_witness_rejects_bad_candidates(sweedler, sweedler_data):
 
 def alpha_twist(c):
     """The twisting pair built from omega = alpha, the modular character."""
-    return integral_twist_from_coinner(c.ops, c.lam, c.alpha, c.alpha, c.alpha_inv)
+    return integral_twist_from_coinner(c.ops, c.lam_mul, c.alpha, c.alpha, c.alpha_inv)
 
 
 def test_integral_twist_roundtrip(sweedler_data):
     c = sweedler_data.carrier
-    rho2, tau2, forward = alpha_twist(c)
+    rho1, tau1, forward = alpha_twist(c)
     assert all(r.ok for r in forward)
     rho_p, tau_pp, backward = coinner_from_integral_twist(c.ops, c.a_inv, c.alpha_inv,
-                                                          rho2, tau2)
+                                                          rho1, tau1)
     assert all(r.ok for r in backward)
     # both extracted functionals collapse to the modular character here
     for k in c.ops.keys:
@@ -147,7 +147,8 @@ def test_integral_twist_rejects_non_coinner_omega(sweedler_data):
     # eps is its own convolution inverse, but its co-inner action is the
     # identity while S^-2(x) = -x
     c = sweedler_data.carrier
-    _, _, checks = integral_twist_from_coinner(c.ops, c.lam, c.alpha, c.ops.eps, c.ops.eps)
+    _, _, checks = integral_twist_from_coinner(c.ops, c.lam_mul, c.alpha,
+                                               c.ops.eps, c.ops.eps)
     by_name = {r.name: r for r in checks}
     assert by_name["coinner.omega_invertible"].ok
     refused = by_name["coinner.omega_implements_s_inverse_squared"]
@@ -179,30 +180,33 @@ def test_round_trip_evaluates_the_product_formula_once(sweedler_data, monkeypatc
 
 def test_extraction_refuses_perturbed_pair(sweedler_data):
     c = sweedler_data.carrier
-    rho2, tau2, _ = alpha_twist(c)
-    bumped = lambda x, y: tau2(x, y) + (ONE if (x, y) == (1, 0) else ZERO)
-    refused = product_formula_check(c.ops, c.lam, rho2, bumped)
+    rho1, tau1, _ = alpha_twist(c)
+    bumped = lambda x: tau1(x) + (ONE if x == 1 else ZERO)
+    refused = product_formula_check(c.ops, c.lam_mul, rho1, bumped)
     assert refused.name == "integral_twist.product_formula"
     assert not refused.ok and refused.witness == "at (g, x)"
+    first = naive_first_failure(c, rho1, bumped)
+    assert refused.witness == f"at {_pair_label(c.ops, first)}"
     # the extraction still reports on the perturbed pair
-    _, _, backward = coinner_from_integral_twist(c.ops, c.a_inv, c.alpha_inv, rho2, bumped)
+    _, _, backward = coinner_from_integral_twist(c.ops, c.a_inv, c.alpha_inv, rho1, bumped)
     assert [r.name for r in backward] == TWIST_LINES[3:]
 
 
 # ---------------------------------------------------------------------------
-# the planned twisted-product predicate against the per-pair definition
+# the factored twisted-product predicate against the per-pair definition
 
 
-def naive_twisted_product_rhs(ops, lam, rho2, tau2, h, l):
-    """rho(h1, l1) lambda(h2 l2) tau(h3, l3), summed term by term over
+def naive_twisted_product_rhs(ops, lam, rho1, tau1, h, l):
+    """rho(h1, l1) lambda(h2 l2) tau(h3, l3) with rho(x, y) = rho1(x) eps(y)
+    and tau(x, y) = tau1(x) eps(y), summed term by term over
     Delta^3(h) x Delta^3(l)."""
     rhs = ops.zero
     for ch, (h1, h2, h3) in ops.delta_n(h, 3):
         for cl, (l1, l2, l3) in ops.delta_n(l, 3):
-            r = rho2(h1, l1)
+            r = rho1(h1) * ops.eps(l1)
             if not r:
                 continue
-            t = tau2(h3, l3)
+            t = tau1(h3) * ops.eps(l3)
             if not t:
                 continue
             mid = ops.eval_fn(lam, ops.mul(h2, l2))
@@ -211,18 +215,25 @@ def naive_twisted_product_rhs(ops, lam, rho2, tau2, h, l):
     return rhs
 
 
-def naive_twisted_product_holds(ops, lam, rho2, tau2, h, l) -> bool:
+def naive_twisted_product_holds(c, rho1, tau1, h, l) -> bool:
     """lambda(l h) = rho(h1, l1) lambda(h2 l2) tau(h3, l3), summed term by term."""
-    return ops.eval_fn(lam, ops.mul(l, h)) == naive_twisted_product_rhs(ops, lam, rho2,
-                                                                         tau2, h, l)
+    ops = c.ops
+    return ops.eval_fn(c.lam, ops.mul(l, h)) == naive_twisted_product_rhs(ops, c.lam, rho1,
+                                                                           tau1, h, l)
+
+
+def naive_first_failure(c, rho1, tau1):
+    """The first key pair, in grid order, where the term-by-term formula fails."""
+    return next((p for p in _pairs(c.ops)
+                 if not naive_twisted_product_holds(c, rho1, tau1, *p)), None)
 
 
 def finite_twist(algebra, omega, omega_inv):
-    """(ops, lam, a_inv, alpha_inv, rho2, tau2) for a co-inner omega with
-    convolution inverse omega_inv."""
+    """(carrier, rho1, tau1) for a co-inner omega with convolution inverse
+    omega_inv."""
     c = cofrobenius_data(algebra).carrier
-    rho2, tau2, _ = integral_twist_from_coinner(c.ops, c.lam, c.alpha, omega, omega_inv)
-    return c.ops, c.lam, c.a_inv, c.alpha_inv, rho2, tau2
+    rho1, tau1, _ = integral_twist_from_coinner(c.ops, c.lam_mul, c.alpha, omega, omega_inv)
+    return c, rho1, tau1
 
 
 def evaluation_at_generator(dual):
@@ -252,91 +263,120 @@ def twist_carrier(request, sweedler, sweedler_data, sweedler_r, c4):
         return dual_c4_twist(c4)
     c = laurent.family_data(laurent.basis_ops(3))
     fns, _ = braided_functionals(c.ops, laurent.braiding())
-    rho2, tau2, _ = integral_twist_from_coinner(c.ops, c.lam, c.alpha, fns["u"], fns["u_inv"])
-    return c.ops, c.lam, c.a_inv, c.alpha_inv, rho2, tau2
+    rho1, tau1, _ = integral_twist_from_coinner(c.ops, c.lam_mul, c.alpha,
+                                                fns["u"], fns["u_inv"])
+    return c, rho1, tau1
 
 
 def test_twisted_product_predicate_matches_definition(twist_carrier):
-    ops, lam, _, _, rho2, tau2 = twist_carrier
-    holds = _twisted_product_predicate(ops, lam, rho2, tau2)
-    for h, l in _pairs(ops):
-        assert naive_twisted_product_holds(ops, lam, rho2, tau2, h, l)
+    c, rho1, tau1 = twist_carrier
+    holds = _twisted_product_predicate(c.ops, c.lam_mul, rho1, tau1)
+    for h, l in _pairs(c.ops):
+        assert naive_twisted_product_holds(c, rho1, tau1, h, l)
         assert holds((h, l))
 
 
-def bumped_pair(ops, rho2, tau2, which, i, j, bump):
-    """rho2 and tau2, with bump added to the one named by which at the key
-    pair indexed by (i, j)."""
-    spot = (ops.keys[i % len(ops.keys)], ops.keys[j % len(ops.keys)])
-    base = rho2 if which == "rho" else tau2
-    bumped = lambda x, y: base(x, y) + bump if (x, y) == spot else base(x, y)
-    return (bumped, tau2) if which == "rho" else (rho2, bumped)
+def bumped_factors(ops, rho1, tau1, which, i, bump):
+    """rho1 and tau1, with bump added to the one named by which at the key
+    indexed by i."""
+    spot = ops.keys[i % len(ops.keys)]
+    base = rho1 if which == "rho" else tau1
+    bumped = lambda x: base(x) + bump if x == spot else base(x)
+    return (bumped, tau1) if which == "rho" else (rho1, bumped)
 
 
 @settings(max_examples=15, deadline=None)
-@given(which=st.sampled_from(["rho", "tau"]), i=st.integers(0, 63), j=st.integers(0, 63),
+@given(which=st.sampled_from(["rho", "tau"]), i=st.integers(0, 63),
        bump=st.sampled_from([-2, -1, 1, 3]))
-def test_perturbed_pair_is_refused_at_the_same_pair(twist_carrier, which, i, j, bump):
-    ops, lam, a_inv, alpha_inv, rho2, tau2 = twist_carrier
-    rho2, tau2 = bumped_pair(ops, rho2, tau2, which, i, j, bump)
-    holds = _twisted_product_predicate(ops, lam, rho2, tau2)
+def test_perturbed_pair_is_refused_at_the_same_pair(twist_carrier, which, i, bump):
+    c, rho1, tau1 = twist_carrier
+    ops = c.ops
+    rho1, tau1 = bumped_factors(ops, rho1, tau1, which, i, bump)
+    holds = _twisted_product_predicate(ops, c.lam_mul, rho1, tau1)
     pairs = _pairs(ops)
     verdicts = [holds(p) for p in pairs]
-    assert verdicts == [naive_twisted_product_holds(ops, lam, rho2, tau2, *p) for p in pairs]
-    bad = next((p for p, ok in zip(pairs, verdicts) if not ok), None)
-    grid = product_formula_check(ops, lam, rho2, tau2)
+    assert verdicts == [naive_twisted_product_holds(c, rho1, tau1, *p) for p in pairs]
+    bad = naive_first_failure(c, rho1, tau1)
+    grid = product_formula_check(ops, c.lam_mul, rho1, tau1)
     if bad is None:
         assert grid.ok
     else:
         assert not grid.ok and grid.witness == f"at {_pair_label(ops, bad)}"
     # the extraction reports on the pair whether or not the formula holds
-    _, _, backward = coinner_from_integral_twist(ops, a_inv, alpha_inv, rho2, tau2)
+    _, _, backward = coinner_from_integral_twist(ops, c.a_inv, c.alpha_inv, rho1, tau1)
     assert [r.name for r in backward] == TWIST_LINES[3:]
 
 
 @settings(max_examples=12, deadline=None)
-@given(which=st.sampled_from(["rho", "tau"]), i=st.integers(0, 63), j=st.integers(0, 63),
+@given(which=st.sampled_from(["rho", "tau"]), i=st.integers(0, 63),
        bump=st.sampled_from([0, -1, 1, 3]))
-def test_pair_convolution_matches_the_term_by_term_sum(twist_carrier, which, i, j, bump):
-    """((rho * lambda o m) * tau)(h, l) equals the sum over Delta^3(h) x
-    Delta^3(l) as a value at every pair, also under a bumped rho or tau."""
-    ops, lam, _, _, rho2, tau2 = twist_carrier
-    rho2, tau2 = bumped_pair(ops, rho2, tau2, which, i, j, bump)
-    lam_mul = PairTable(lambda x, y: ops.eval_fn(lam, ops.mul(x, y)))
-    rhs = pair_convolve(ops, pair_convolve(ops, rho2, lam_mul), tau2)
-    for h, l in _pairs(ops):
-        assert rhs(h, l) == naive_twisted_product_rhs(ops, lam, rho2, tau2, h, l)
+def test_pair_convolution_matches_the_term_by_term_sum(twist_carrier, which, i, bump):
+    """The pair convolution ((rho * lambda o m) * tau)(h, l), in its factored
+    form lambda(h' l) with h' = rho1(h1) h2 tau1(h3), equals the sum over
+    Delta^3(h) x Delta^3(l) as a value at every pair, also under a bumped
+    rho1 or tau1."""
+    c, rho1, tau1 = twist_carrier
+    ops = c.ops
+    rho1, tau1 = bumped_factors(ops, rho1, tau1, which, i, bump)
+    for h in ops.keys:
+        h_prime = ops.coinner(rho1, tau1, h)
+        for l in ops.keys:
+            factored = ops.eval_fn(lambda k: c.lam_mul(k, l), h_prime)
+            assert factored == naive_twisted_product_rhs(ops, c.lam, rho1, tau1, h, l)
 
 
 def test_product_formula_grid_builds_delta3_once_per_key(c4, monkeypatch):
-    ops, lam, _, _, rho2, tau2 = dual_c4_twist(c4)
-    calls = []
+    """The factored grid splits Delta^3 once per key, reads rho1 and tau1
+    only while doing so, and looks lambda o m up at most K^2 + sum_h |h'| K
+    times.  A per-pair Delta(h) x Delta(l) contraction breaks the first two
+    budgets, the second also with Delta cached: on dual_c4 its sparse
+    factors would keep it within the lookup budget."""
+    c, rho1, tau1 = dual_c4_twist(c4)
+    ops = c.ops
+    calls, lookups, factor_reads = [], [], []
 
     def counting_delta(k):
         calls.append(k)
         return ops.delta(k)
 
+    def counting_lam_mul(x, y):
+        lookups.append((x, y))
+        return c.lam_mul(x, y)
+
+    def counting(f):
+        return lambda k: factor_reads.append(k) or f(k)
+
     counted = dataclasses.replace(ops, delta=counting_delta)
-    holds = _twisted_product_predicate(counted, lam, rho2, tau2)
+    holds = _twisted_product_predicate(counted, counting_lam_mul,
+                                       counting(rho1), counting(tau1))
     assert all(holds(p) for p in _pairs(ops))
     # Delta^3 of k costs one delta call on k and one on each left leg
     budget = sum(1 + len(ops.delta(k)) for k in ops.keys)
     assert len(calls) <= budget
+    assert len(factor_reads) <= sum(len(ops.delta(k)) + len(ops.delta_n(k, 3))
+                                    for k in ops.keys)
+    n = len(ops.keys)
+    lookup_budget = n * n + sum(len(ops.coinner(rho1, tau1, h)) for h in ops.keys) * n
+    assert len(lookups) <= lookup_budget
 
-    # the same bound holds for the grid the twist construction runs, up to
-    # its memoized omega * alpha convolution (one delta call per key)
+    # the delta and lookup bounds hold for the grid the twist construction
+    # runs, up to its memoized omega * alpha convolution (one delta call per
+    # key)
     spent = {}
     real_grid_check = lincomb.grid_check
 
     def counting_grid_check(name, items, predicate, describe):
-        before = len(calls)
+        before = len(calls), len(lookups)
         result = real_grid_check(name, items, predicate, describe)
-        spent[name] = len(calls) - before
+        spent[name] = len(calls) - before[0], len(lookups) - before[1]
         return result
 
     monkeypatch.setattr(lincomb, "grid_check", counting_grid_check)
     dual = c4.dual()
     _, _, checks = integral_twist_from_coinner(
-        counted, lam, cofrobenius_data(dual).carrier.alpha, *evaluation_at_generator(dual))
-    assert all(c.ok for c in checks)
-    assert spent["integral_twist.product_formula"] <= budget + len(ops.keys)
+        counted, counting_lam_mul, cofrobenius_data(dual).carrier.alpha,
+        *evaluation_at_generator(dual))
+    assert all(r.ok for r in checks)
+    delta_spent, lookups_spent = spent["integral_twist.product_formula"]
+    assert delta_spent <= budget + n
+    assert lookups_spent <= lookup_budget
