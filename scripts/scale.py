@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Time one `hopf verify --json` on each of the larger inputs.
+"""Time `hopf verify --json` on each of the larger inputs.
 
 The inputs are kC16, D(kC5), D(kC6), H_16 and H_32 over F_10007 (the last
 two with the antipode omitted, so that it is solved for), each on a basis
 permuted by a fixed seed, and the Laurent family at window 20.  The
 generators are the benchmark's own, in perfbench/workloads.py; the Laurent
 family is the preset, given by its argv.  Every verify runs in this
-process, one after the other; for each input the script prints its
-dimension (for the infinite-dimensional Laurent family, the number of
-basis keys in its window), the wall seconds of the verify and the sha256
-of the JSON report, so that two checkouts can be compared on speed and on
-output at once:
+process, REPEATS times per input, one after the other; for each input the
+script prints its dimension (for the infinite-dimensional Laurent family,
+the number of basis keys in its window), the median and the min-max wall
+seconds of the verifies and the sha256 of the JSON report, so that two
+checkouts can be compared on speed and on output at once.  It exits 1 if
+an input's report differs between repeats:
 
     python3 scripts/scale.py
 """
@@ -21,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -41,6 +43,7 @@ from workloads import (  # noqa: E402
 )
 
 SEED = 1
+REPEATS = 3
 # a generator of a document, or the argv of a Laurent family preset
 INPUTS = (
     ("kC16", lambda: cyclic_group(16)),
@@ -76,13 +79,21 @@ def verify_input(make, directory: Path) -> tuple[int, int, float, str]:
 
 
 def main() -> int:
-    print(f"{'input':<14} {'dim':>4} {'exit':>4} {'verify_s':>9}  report sha256")
+    print(f"{'input':<14} {'dim':>4} {'exit':>4} {'median_s':>9} {'min-max_s':>11}"
+          "  report sha256")
     worst = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, make in INPUTS:
-            dim, code, seconds, digest = verify_input(make, Path(tmp))
-            print(f"{name:<14} {dim:>4} {code:>4} {seconds:>9.2f}  {digest}", flush=True)
+            runs = [verify_input(make, Path(tmp)) for _ in range(REPEATS)]
+            dim, code, _, digest = runs[0]
+            seconds = [run[2] for run in runs]
+            spread = f"{min(seconds):.2f}-{max(seconds):.2f}"
+            print(f"{name:<14} {dim:>4} {code:>4} {statistics.median(seconds):>9.2f}"
+                  f" {spread:>11}  {digest}", flush=True)
             worst = max(worst, code)
+            if len({(run[1], run[3]) for run in runs}) > 1:
+                print(f"{name}: the report differs between repeats", file=sys.stderr)
+                worst = max(worst, 1)
     return worst
 
 

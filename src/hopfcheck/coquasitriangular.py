@@ -20,6 +20,7 @@ from .lincomb import (
     LC,
     LoweredTables,
     PairTable,
+    braiding_generators,
     coinner_law,
     conv_inverse_checks,
     is_character_fn,
@@ -65,11 +66,13 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
     sigma and its inverse are tables filled on first lookup, so each pair is
     evaluated once per call; every grid reads them, the products and the
     coproducts through LoweredTables, and the two multiplicativity grids
-    over key triples run one (h, l) row at a time."""
+    over key triples run one (h, l) row at a time, on the generator rows
+    when braiding_generators establishes their premises."""
     out: list[CheckResult] = []
     raw = LoweredTables(ops, PairTable(br.value), PairTable(br.inverse))
     sig, sig_inv = raw.pairs
     prod, delta, eps, residue = raw.prod, raw.delta, raw.eps, raw.residue
+    gens = braiding_generators(ops, raw)
 
     def mult_first(h, l, ms):
         """sigma(h l, m) = sigma(h, m1) sigma(l, m2)."""
@@ -89,7 +92,7 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
                 return m
         return None
 
-    out.append(triple_grid_check("cqt.multiplicative_first_argument", ops, mult_first))
+    out.append(triple_grid_check("cqt.multiplicative_first_argument", ops, mult_first, gens))
 
     def mult_second(h, l, ms):
         """sigma(h, l m) = sigma(h1, m) sigma(h2, l)."""
@@ -113,7 +116,8 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
                 return m
         return None
 
-    out.append(triple_grid_check("cqt.multiplicative_second_argument", ops, mult_second))
+    out.append(triple_grid_check("cqt.multiplicative_second_argument", ops, mult_second,
+                                 gens, second=True))
 
     def unit_pairing(h) -> bool:
         """sigma(h, 1) = eps(h) = sigma(1, h)."""

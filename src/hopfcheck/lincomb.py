@@ -23,6 +23,16 @@ triple_grid_check.  These fix the order of the points (ops.keys, then
 lexicographic) and the witness of the first failing one: "at <h>",
 "at (<h>, <l>)" or "at (<h>, <l>, <m>)".  A check module passes only its
 predicate, so a traced run sees each grid and counts its points.
+
+On a finite algebra a law that is linear in one argument h and closed
+under h -> s h is decided by the rows of a generating set S of keys
+(generators): associativity, Delta and eps multiplicativity and sigma's
+first law in (s, l), sigma's second law in (h, s).  Delta and eps need
+associativity for the closure, each sigma law associativity on the S-rows
+and coassociativity (braiding_generators).  The S-rows run first and a
+pass decides; a fail reruns every row for the first witness, so reports
+are unchanged.  A Laurent window is not closed under products and runs
+exhaustively.
 """
 
 from __future__ import annotations
@@ -263,8 +273,9 @@ def is_grouplike_lc(ops: BasisOps, a: LC) -> bool:
 
 
 def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar]) -> bool:
-    return ops.eval_fn(f, ops.unit) == ops.one and all(
-        ops.eval_fn(f, ops.mul(k1, k2)) == f(k1) * f(k2) for k1, k2 in _pairs(ops))
+    return ops.eval_fn(f, ops.unit) == ops.one and pair_check(
+        "lincomb.is_character", ops,
+        lambda p: ops.eval_fn(f, ops.mul(*p)) == f(p[0]) * f(p[1])).ok
 
 
 def conv_inverse_checks(ops: BasisOps, name: str, f, f_inv) -> list[CheckResult]:
@@ -375,15 +386,30 @@ def key_check(name: str, ops: BasisOps, holds) -> CheckResult:
     return grid_check(name, ops.keys, holds, lambda h: f"at {ops.label(h)}")
 
 
-def pair_check(name: str, ops: BasisOps, holds) -> CheckResult:
+def _decided(grid, reduced, full) -> CheckResult:
+    """grid(reduced) when reduced is given and passes, else grid(full): the
+    reduced cells are among the full ones, so only a full grid fails."""
+    if reduced is not None:
+        result = grid(reduced)
+        if result.ok:
+            return result
+    return grid(full)
+
+
+def pair_check(name: str, ops: BasisOps, holds, gens=None) -> CheckResult:
     """grid_check of holds((h, l)) over the key pairs in lexicographic
-    order, with witness "at (<h>, <l>)"."""
-    return grid_check(name, _pairs(ops), holds, lambda p: f"at {_pair_label(ops, p)}")
+    order, with witness "at (<h>, <l>)"; with generators, the pairs (s, l)
+    for s in gens decide a pass."""
+    return _decided(
+        lambda pairs: grid_check(name, pairs, holds, lambda p: f"at {_pair_label(ops, p)}"),
+        gens and product(gens, ops.keys), _pairs(ops))
 
 
-def triple_grid_check(name: str, ops: BasisOps, first_failure) -> CheckResult:
+def triple_grid_check(name: str, ops: BasisOps, first_failure, gens=None,
+                      second=False) -> CheckResult:
     """grid_check over the key triples (h, l, m) in lexicographic order,
-    evaluated one (h, l) row at a time.
+    evaluated one (h, l) row at a time; with generators, the rows (s, l),
+    or (h, s) when second, for s in gens decide a pass.
 
     first_failure(h, l, ms) returns the first m in ms at which the identity
     fails, or None; it is called once per row, on all keys.  grid_check
@@ -395,19 +421,100 @@ def triple_grid_check(name: str, ops: BasisOps, first_failure) -> CheckResult:
     """
     keys = ops.keys
 
-    def rows():
-        for h in keys:
-            for l in keys:
-                bad = first_failure(h, l, keys)
-                if bad is None:
-                    yield zip(product((h,), (l,), keys), repeat(True))
-                else:
-                    yield zip(product((h,), (l,), keys[:keys.index(bad)]), repeat(True))
-                    yield (((h, l, bad), False),)
-                    return
+    def cells(rows):
+        for h, l in rows:
+            bad = first_failure(h, l, keys)
+            if bad is None:
+                yield zip(product((h,), (l,), keys), repeat(True))
+            else:
+                yield zip(product((h,), (l,), keys[:keys.index(bad)]), repeat(True))
+                yield (((h, l, bad), False),)
+                return
 
-    return grid_check(name, chain.from_iterable(rows()), itemgetter(1),
-                      lambda cell: f"at {_triple_label(ops, cell[0])}")
+    return _decided(
+        lambda rows: grid_check(name, chain.from_iterable(cells(rows)), itemgetter(1),
+                                lambda cell: f"at {_triple_label(ops, cell[0])}"),
+        gens and (product(keys, gens) if second else product(gens, keys)),
+        product(keys, keys))
+
+
+def generators(ops: BasisOps, raw: LoweredTables) -> tuple | None:
+    """Keys S whose left products reach every key, read off raw.prod: in
+    key order, a key not yet reached joins S, and s h' = c k with c nonzero,
+    s in S and h' reached, reaches k.  None when a product of two keys
+    leaves the keys (a Laurent window) or S is every key."""
+    keys, prod, residue = ops.keys, raw.prod, raw.residue
+    index = set(keys)
+    if any(k not in index for h in keys for l in keys for k, _ in prod[h][l]):
+        return None
+    gens, reached, todo = [], set(), []  # todo: the pairs (s, h') not yet read
+
+    def reach(k) -> None:
+        reached.add(k)
+        todo.extend((s, k) for s in gens)
+
+    for key in keys:
+        if key not in reached:
+            gens.append(key)
+            todo.extend((key, h) for h in reached)
+            reach(key)
+        while todo:
+            s, h = todo.pop()
+            terms = [k for k, c in prod[s][h] if residue(c)]
+            if len(terms) == 1 and terms[0] not in reached:
+                reach(terms[0])
+    return None if len(gens) == len(keys) else tuple(gens)
+
+
+def braiding_generators(ops: BasisOps, raw: LoweredTables) -> tuple | None:
+    """generators(ops, raw) once associativity holds on their rows and
+    coassociativity on the keys, the premises of sigma's two laws; else None."""
+    gens, keys, assoc = generators(ops, raw), ops.keys, associativity_rows(raw)
+    premises = gens and all(assoc(s, l, keys) is None for s in gens for l in keys) and all(
+        map(coassociative(raw), keys))
+    return gens if premises else None
+
+
+def associativity_rows(raw: LoweredTables):
+    """The row kernel of (h l) m = h (l m)."""
+    prod, residue = raw.prod, raw.residue
+
+    def associativity(h, l, ms):
+        hl = [(c, prod[k]) for k, c in prod[h][l]]
+        by_h, by_l = prod[h], prod[l]
+        for m in ms:
+            left: LC = {}
+            for c, by_k in hl:
+                for k2, w in by_k[m]:
+                    left[k2] = left.get(k2, 0) + c * w
+            right: LC = {}
+            for k, c in by_l[m]:
+                for k2, w in by_h[k]:
+                    right[k2] = right.get(k2, 0) + c * w
+            if left != right:  # raw sums may still agree in the field
+                for k2, w in right.items():
+                    left[k2] = left.get(k2, 0) - w
+                if any(map(residue, left.values())):
+                    return m
+        return None
+
+    return associativity
+
+
+def coassociative(raw: LoweredTables):
+    """The key predicate (Delta (x) id) Delta(k) = (id (x) Delta) Delta(k)."""
+    delta, residue = raw.delta, raw.residue
+
+    def holds(k) -> bool:
+        diff: dict = {}
+        for c, k1, k2 in delta[k]:
+            for c2, a, b in delta[k1]:
+                diff[a, b, k2] = diff.get((a, b, k2), 0) + c * c2
+            for c2, a, b in delta[k2]:
+                diff[k1, a, b] = diff.get((k1, a, b), 0) - c * c2
+        return not any(map(residue, diff.values()))
+
+    return holds
 
 
 def lc_outer(a: LC, b: LC) -> dict:
@@ -456,51 +563,21 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
 
     Associativity runs over key triples one (h, l) row at a time; it and
     the multiplicativity of Delta read LoweredTables, so each product and
-    coproduct is computed once per call and each cell is reduced once."""
+    coproduct is computed once per call and each cell is reduced once.
+    Associativity, and then Delta and eps multiplicativity, are decided on
+    the generator rows of that product table when it has generators."""
     out: list[CheckResult] = []
     raw = LoweredTables(ops)
     prod, delta, eps, residue = raw.prod, raw.delta, raw.eps, raw.residue
-
-    def associativity(h, l, ms):
-        """(h l) m = h (l m)."""
-        hl = [(c, prod[k]) for k, c in prod[h][l]]
-        by_h, by_l = prod[h], prod[l]
-        for m in ms:
-            left: LC = {}
-            for c, by_k in hl:
-                for k2, w in by_k[m]:
-                    left[k2] = left.get(k2, 0) + c * w
-            right: LC = {}
-            for k, c in by_l[m]:
-                for k2, w in by_h[k]:
-                    right[k2] = right.get(k2, 0) + c * w
-            if left != right:  # raw sums may still agree in the field
-                for k2, w in right.items():
-                    left[k2] = left.get(k2, 0) - w
-                if any(map(residue, left.values())):
-                    return m
-        return None
-
-    out.append(triple_grid_check("hopf.associativity", ops, associativity))
+    gens = generators(ops, raw)
+    out.append(triple_grid_check("hopf.associativity", ops, associativity_rows(raw), gens))
+    gens = gens if out[0].ok else None  # Delta and eps close on an associative product
 
     out.append(key_check(
         "hopf.unit_laws", ops,
         lambda k: lc_eq(ops.mul_lc(ops.unit, ops.single(k)), ops.single(k))
         and lc_eq(ops.mul_lc(ops.single(k), ops.unit), ops.single(k))))
-
-    def coassoc(k) -> bool:
-        left: dict = {}
-        right: dict = {}
-        for c, k1, k2 in ops.delta(k):
-            for c2, a, b in ops.delta(k1):
-                key = (a, b, k2)
-                left[key] = left.get(key, ops.zero) + c * c2
-            for c2, a, b in ops.delta(k2):
-                key = (k1, a, b)
-                right[key] = right.get(key, ops.zero) + c * c2
-        return lc_canon(left) == lc_canon(right)
-
-    out.append(key_check("hopf.coassociativity", ops, coassoc))
+    out.append(key_check("hopf.coassociativity", ops, coassociative(raw)))
 
     def counit_laws(k) -> bool:
         left: LC = {}
@@ -531,7 +608,8 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
                         diff[k1, k2] = diff.get((k1, k2), 0) - c * w1 * w2
         return not any(map(residue, diff.values()))
 
-    out.append(pair_check("hopf.comultiplication_multiplicative", ops, delta_multiplicative))
+    out.append(pair_check("hopf.comultiplication_multiplicative", ops, delta_multiplicative,
+                          gens))
 
     out.append(check("hopf.comultiplication_unital",
                      lc_eq(ops.delta_lc(ops.unit), lc_outer(ops.unit, ops.unit))))
@@ -539,7 +617,7 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
     out.append(pair_check(
         "hopf.counit_multiplicative", ops,
         lambda p: not residue(sum(c * eps[k] for k, c in prod[p[0]][p[1]])
-                              - eps[p[0]] * eps[p[1]])))
+                              - eps[p[0]] * eps[p[1]]), gens))
 
     out.append(check("hopf.counit_unital", ops.eps_lc(ops.unit) == ops.one))
 

@@ -1,19 +1,33 @@
 """The key grids of the axiom batteries against their per-cell definitions.
 
 hopf.associativity and the two multiplicativity laws of a braiding are
-grids over all K^3 key triples; the multiplicativity of Delta, the
-commutation relation and the two convolution-inverse laws are grids over
-the K^2 key pairs.  hopf_axiom_checks and braiding_axiom_checks evaluate
+grids over all K^3 key triples; the multiplicativity of Delta and eps,
+the commutation relation and the two convolution-inverse laws are grids
+over the K^2 key pairs.  hopf_axiom_checks and braiding_axiom_checks evaluate
 them over product, coproduct and sigma tables filled once per call, in raw
 field values (lincomb.LoweredTables), and run the triple grids one (h, l)
 row at a time.  The naive predicates below are the per-cell definitions
 those kernels replaced, in field arithmetic; the kernels must report the
 same status and witness, also on perturbed carriers, must evaluate sigma
 far less often, and must leave no field arithmetic per cell.
+
+On a finite algebra the three triple grids and the Delta and eps
+multiplicativity grids first run only the rows of a generating set S of
+keys (lincomb.generators), read off the product the battery reads: (s, l)
+rows, and (h, s) rows for sigma's second law.  sigma's laws reduce only
+when associativity holds on the S-rows and coassociativity on the keys
+(lincomb.braiding_generators).  A pass on the S-rows is the verdict; a
+fail reruns every row, so the witness is the exhaustive one.  A Laurent
+window, whose products leave it, keeps its K^2 rows and K^3 points.  The
+differential over CARRIERS includes H_10 over F_10007 (S = 3 of 20 keys)
+and a permuted D(kC4) (6 of 16), and the hypothesis perturbations run on
+every carrier, so a reduced verdict is compared with the per-cell one
+also where the premises fail.
 """
 
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -40,12 +54,17 @@ from hopfcheck.presets import cyclic_group_document
 from hopfcheck.quasitriangular import RMatrix, drinfeld_elements
 from hopfcheck.report import PASS, grid_check
 from hopfcheck.scalars import FpElement, PrimeField
-from test_golden import double_c2_document, laurent_quotient_document
+from test_golden import (
+    double_c2_document,
+    double_c4_permuted_document,
+    laurent_quotient_document,
+)
 
 TRIPLE_CHECKS = ("hopf.associativity", "cqt.multiplicative_first_argument",
                  "cqt.multiplicative_second_argument")
-PAIR_CHECKS = ("hopf.comultiplication_multiplicative", "cqt.commutation_relation",
-               "cqt.convolution_inverse_left", "cqt.convolution_inverse_right")
+PAIR_CHECKS = ("hopf.comultiplication_multiplicative", "hopf.counit_multiplicative",
+               "cqt.commutation_relation", "cqt.convolution_inverse_left",
+               "cqt.convolution_inverse_right")
 
 
 # -- the per-triple definitions ---------------------------------------------------
@@ -103,6 +122,10 @@ def naive_delta_multiplicative(ops):
     return holds
 
 
+def naive_counit_multiplicative(ops):
+    return lambda pair: ops.eps_lc(ops.mul(*pair)) == ops.eps(pair[0]) * ops.eps(pair[1])
+
+
 def naive_commutation(ops, br):
     def holds(pair) -> bool:
         h, l = pair
@@ -150,7 +173,8 @@ def naive_predicates(ops, br) -> dict:
 
 
 def naive_pair_predicates(ops, br) -> dict:
-    return dict(zip(PAIR_CHECKS, (naive_delta_multiplicative(ops), naive_commutation(ops, br),
+    return dict(zip(PAIR_CHECKS, (naive_delta_multiplicative(ops),
+                                  naive_counit_multiplicative(ops), naive_commutation(ops, br),
                                   naive_conv_pair(ops, br.value, br.inverse),
                                   naive_conv_pair(ops, br.inverse, br.value))))
 
@@ -187,7 +211,7 @@ def dual_braiding(algebra, r):
 
 
 CARRIERS = ("sweedler", "dual_sweedler", "c4", "double_c2", "double_c2_dual",
-            "h4_f10007", "laurent3")
+            "h4_f10007", "laurent3", "h10_f10007", "double_c4")
 
 
 def carrier(name, sweedler=None, sweedler_r=None, c4=None):
@@ -201,15 +225,17 @@ def carrier(name, sweedler=None, sweedler_r=None, c4=None):
     if name == "c4":
         rows = [[(-1) ** (i * j) for j in range(4)] for i in range(4)]
         return c4.basis_ops(), braiding_from_matrix(c4, rows)[0]
-    if name == "double_c2":
-        _, double = document_algebra(double_c2_document())
-        rows = [[double.eps_basis(i) * double.eps_basis(j) for j in range(4)] for i in range(4)]
+    if name in ("double_c2", "double_c4"):  # sigma = eps (x) eps, D(kC_n) is commutative
+        _, double = document_algebra(double_c2_document() if name == "double_c2"
+                                     else double_c4_permuted_document())
+        rows = [[double.eps_basis(i) * double.eps_basis(j) for j in range(double.dim)]
+                for i in range(double.dim)]
         return double.basis_ops(), braiding_from_matrix(double, rows)[0]
     if name == "double_c2_dual":
         doc, double = document_algebra(double_c2_document())
         return dual_braiding(double, RMatrix.from_entries(double, doc.r_entries))
-    if name == "h4_f10007":
-        doc, algebra = document_algebra(laurent_quotient_document(4))
+    if name.endswith("_f10007"):  # h<n>_f10007
+        doc, algebra = document_algebra(laurent_quotient_document(int(name[1:-7])))
         return algebra.basis_ops(), braiding_from_matrix(algebra, doc.sigma)[0]
     if name.startswith("laurent"):  # laurent<window>
         return laurent.basis_ops(int(name.removeprefix("laurent"))), laurent.braiding()
@@ -222,27 +248,30 @@ def grid_carrier(request, sweedler, sweedler_r, c4):
 
 
 def spy_triple_grids(monkeypatch) -> tuple[dict, dict, dict]:
-    """Record, per triple grid, its row kernel (first_failure), the calls
-    of that kernel and the calls of its grid_check predicate (one call per
-    point, as the trace counts them)."""
+    """Record, per triple grid, its row kernel (first_failure) and, for each
+    grid_check it runs (the generator rows, then every row when they
+    fail), the calls of that kernel and of its grid_check predicate (one
+    call per point, as the trace counts them)."""
     kernels, rows, points = {}, {}, {}
     real_triple_grid_check = lincomb.triple_grid_check
     real_grid_check = lincomb.grid_check
 
-    def counting_triple_grid_check(name, ops, first_failure):
-        kernels[name], rows[name] = first_failure, 0
+    def counting_triple_grid_check(name, ops, first_failure, *args, **kwargs):
+        kernels[name], rows[name], points[name] = first_failure, [], []
 
         def counted(*args):
-            rows[name] += 1
+            rows[name][-1] += 1
             return first_failure(*args)
 
-        return real_triple_grid_check(name, ops, counted)
+        return real_triple_grid_check(name, ops, counted, *args, **kwargs)
 
     def counting_grid_check(name, items, predicate, describe):
-        points[name] = 0
+        points.setdefault(name, []).append(0)
+        if name in rows:
+            rows[name].append(0)
 
         def counted(item):
-            points[name] += 1
+            points[name][-1] += 1
             return predicate(item)
 
         return real_grid_check(name, items, counted, describe)
@@ -251,6 +280,20 @@ def spy_triple_grids(monkeypatch) -> tuple[dict, dict, dict]:
     monkeypatch.setattr(coquasitriangular, "triple_grid_check", counting_triple_grid_check)
     monkeypatch.setattr(lincomb, "grid_check", counting_grid_check)
     return kernels, rows, points
+
+
+def generator_rows(ops, name):
+    """The (h, l) rows a triple grid of the batteries runs first on ops, or
+    None when it runs every row: (s, l), or (h, s) for sigma's second law,
+    over generators read off the product table ops.mul gives."""
+    raw = lincomb.LoweredTables(ops)
+    gens = (lincomb.generators if name == "hopf.associativity"
+            else lincomb.braiding_generators)(ops, raw)
+    if gens is None:
+        return None
+    if name == "cqt.multiplicative_second_argument":
+        return list(product(ops.keys, gens))
+    return list(product(gens, ops.keys))
 
 
 # -- the planned grids report what the definitions report ------------------------------
@@ -320,7 +363,7 @@ def test_row_kernels_find_the_first_failure_from_any_start(monkeypatch):
 # -- work count ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["laurent4", "double_c2_dual"])
+@pytest.mark.parametrize("name", ["laurent4", "double_c2_dual", "h4_f10007"])
 def test_braiding_grids_evaluate_each_sigma_pair_once(name, monkeypatch):
     ops, br = carrier(name)
     calls = []
@@ -333,11 +376,17 @@ def test_braiding_grids_evaluate_each_sigma_pair_once(name, monkeypatch):
     results = hopf_axiom_checks(ops) + braiding_axiom_checks(
         ops, dataclasses.replace(br, value=spy))
     assert all(r.ok for r in results), [r for r in results if not r.ok]
-    # one row kernel call per (h, l), and the traced points keep their
-    # meaning: one predicate call per triple
+    # one row kernel call per (h, l) row it runs, and the traced points
+    # keep their meaning: one predicate call per triple.  The window runs
+    # all K^2 rows; the finite carrier's generator rows decide the pass.
     k = len(ops.keys)
-    assert rows == dict.fromkeys(TRIPLE_CHECKS, k ** 2)
-    assert {n: points[n] for n in TRIPLE_CHECKS} == dict.fromkeys(TRIPLE_CHECKS, k ** 3)
+    for check_name in TRIPLE_CHECKS:
+        reduced = generator_rows(ops, check_name)
+        # products leave laurent4's window; double_c2_dual needs every key
+        assert (reduced is None) == (name != "h4_f10007"), check_name
+        n = k ** 2 if reduced is None else len(reduced)
+        assert rows[check_name] == [n], check_name
+        assert points[check_name] == [n * k], check_name
     assert len(calls) == len(set(calls))
 
     # the per-triple definitions evaluate sigma on every term of every triple
@@ -354,7 +403,7 @@ def test_braiding_grids_evaluate_each_sigma_pair_once(name, monkeypatch):
     assert naive_calls[0] > 10 * len(calls)
 
 
-@pytest.mark.parametrize("name", ["laurent4", "double_c2_dual"])
+@pytest.mark.parametrize("name", ["laurent4", "double_c2_dual", "h4_f10007", "double_c4"])
 def test_failing_triple_grid_counts_points_up_to_its_witness(name, monkeypatch):
     """Perturbed at one product and one sigma value, each triple grid
     fails at the first triple whose definition fails: its predicate is
@@ -381,8 +430,51 @@ def test_failing_triple_grid_counts_points_up_to_its_witness(name, monkeypatch):
     for check_name, naive in naive_predicates(ops, br).items():
         position = next(i for i, t in enumerate(grid) if not naive(t))
         assert planned[check_name].witness == f"at {_triple_label(ops, grid[position])}"
-        assert points[check_name] == position + 1, check_name
-        assert rows[check_name] == position // len(keys) + 1, check_name
+        # the generator rows, when there are any, fail first, and then every
+        # row runs up to the witness
+        reduced = generator_rows(ops, check_name)
+        first = [] if reduced is None else [next(
+            i for i, t in enumerate((h, l, m) for h, l in reduced for m in keys)
+            if not naive(t))]
+        assert points[check_name] == [i + 1 for i in first + [position]], check_name
+        assert rows[check_name] == [i // len(keys) + 1 for i in first + [position]], check_name
+
+
+def test_generators_are_read_off_the_product_the_battery_reads(c4, monkeypatch):
+    """Each battery call derives S from the product table it reads.  On kC4
+    S is (1, g); a copy of its BasisOps whose g g has coefficient 0 no
+    longer reaches g^2 from g, so there g^2 joins S, and the verdicts
+    still match the definitions."""
+    seen, real = [], lincomb.generators
+    monkeypatch.setattr(lincomb, "generators",
+                        lambda ops, raw: seen.append(real(ops, raw)) or seen[-1])
+    ops, br = carrier("c4", c4=c4)
+    g, g2 = ops.keys[1:3]
+    planned_results(ops, br)
+    mul = ops.mul
+    zeroed = dataclasses.replace(
+        ops, mul=lambda x, y: {g2: ops.zero} if (x, y) == (g, g) else mul(x, y))
+    assert planned_results(zeroed, br) == naive_results(zeroed, br)
+    assert seen == [ops.keys[:2]] * 2 + [ops.keys[:3]] * 2
+
+
+def test_braiding_laws_reduce_only_under_their_premises(c4):
+    """Bumping g^3 1 to 2 g^3 on kC4 keeps S = (1, g) but breaks
+    associativity on a generator row, at (g, g^2, 1).  Both sigma laws then
+    pass on the generator rows while their definitions fail, so the grids
+    must run every row: braiding_generators declines to reduce."""
+    ops, br = carrier("c4", c4=c4)
+    one, g3 = ops.keys[0], ops.keys[3]
+    mul = ops.mul
+    ops = dataclasses.replace(
+        ops, mul=lambda x, y: {g3: ops.one + ops.one} if (x, y) == (g3, one) else mul(x, y))
+    raw = lincomb.LoweredTables(ops)
+    assert lincomb.generators(ops, raw) == ops.keys[:2]
+    assert lincomb.braiding_generators(ops, raw) is None
+    planned = planned_results(ops, br)
+    assert planned == naive_results(ops, br)
+    assert planned["cqt.multiplicative_first_argument"].witness == "at (g^3, 1, 1)"
+    assert planned["cqt.multiplicative_second_argument"].witness == "at (1, g^3, 1)"
 
 
 def test_raw_sums_that_agree_mod_p_pass(monkeypatch):

@@ -1,7 +1,8 @@
 """scripts/scale.py's reports stay byte-identical: the sha256 of the
-`verify --json` report on four of its inputs is pinned (the two larger
-inputs take seconds and are left to the script).  D(kC6) is the largest
-double whose dual chain runs the integral twist."""
+`verify --json` report on five of its inputs is pinned (laurent/w20 takes
+seconds and is left to the script).  D(kC6) is the largest double whose
+dual chain runs the integral twist; H_32 is the input whose axiom grids
+the generator rows cut the most."""
 
 import importlib.util
 from pathlib import Path
@@ -14,6 +15,7 @@ PINNED = {
     "D(kC5)": "ebb7404ca47eb28adf981b6e272a77211e280afc15cb53dce4d05e52799212da",
     "D(kC6)": "482a93266359b50761f538fa7aca06794fdfece7c1a14843d815a5c106e63103",
     "H_16/F_10007": "467d9d28db4829cc3ba959514bfb7f73246660942789a0df25ac64b8b5ddc54d",
+    "H_32/F_10007": "9b7b93693c94d97895d55f35be97e17211d21712891476eb24ffa788613ebfc8",
 }
 
 
