@@ -6,7 +6,7 @@ family is built in through closed-form structure maps.  Everything is
 checked exactly, with a named witness on every failure.
 """
 
-from .cofrobenius import Carrier, CoFrobeniusData, cofrobenius_data
+from .cofrobenius import Carrier, cofrobenius_data
 from .document import AlgebraDocument, DocumentError, build_algebra, load_document
 from .hopf import AxiomError, FinHopfAlgebra, NotInvertibleError, verify_hopf
 from .lincomb import LC, BasisOps
@@ -20,7 +20,6 @@ __all__ = [
     "BasisOps",
     "Carrier",
     "CheckResult",
-    "CoFrobeniusData",
     "DocumentError",
     "FinHopfAlgebra",
     "LC",

@@ -31,7 +31,6 @@ from . import laurent
 from .cofrobenius import (
     CONVENTIONS,
     Carrier,
-    CoFrobeniusData,
     check_s2_inner_witness,
     cofrobenius_checks,
     cofrobenius_data,
@@ -61,7 +60,7 @@ from .document import (
     load_document,
 )
 from .hopf import AxiomError, FinHopfAlgebra, NotInvertibleError, require_passing, verify_hopf
-from .lincomb import LC, lc_canon, lc_format
+from .lincomb import LC, BasisOps, lc_canon, lc_format
 from .presets import preset_document
 from .quasitriangular import (
     QT_CONVENTIONS,
@@ -80,7 +79,7 @@ from .quasitriangular import (
     verify_qt,
 )
 from .report import CheckResult, Report, failed
-from .scalars import QQ, PrimeField, ScalarError
+from .scalars import PrimeField, ScalarError
 
 COMPUTE_TARGETS = ("lambda", "a", "alpha", "chi", "u", "v", "uv",
                    "a_alpha", "b_alpha", "minimal-subhopf")
@@ -96,22 +95,20 @@ class UsageError(ValueError):
 
 @dataclass
 class Source:
-    """What a carrier hands every command once its structure battery passes:
-    data, solving its integral data, whose tables and matrices are None on
-    the infinite carrier (so its rank and Nakayama-invertibility lines
-    SKIP); lines, its computed lines from the carrier; r and braiding, None
-    or building the R-matrix and (braiding, named grouplikes, braided
-    functionals if already computed); closing, giving the checks and lines
-    after the braided chain; the named characters the R-matrix chains read;
-    and how the carrier prints an element and a named functional."""
+    """What a source hands every command once its structure battery passes:
+    data, solving its Carrier; lines, its computed lines from the carrier;
+    r and braiding, None or building the R-matrix and (braiding, named
+    grouplikes, braided functionals if already computed); closing, giving
+    the checks and lines after the braided chain; the named characters the
+    R-matrix chains read; and how a named functional prints.  Every carrier
+    prints an element the same way, see _element."""
 
-    data: Callable[[], CoFrobeniusData]
+    data: Callable[[], Carrier]
     lines: Callable[[Carrier], list[tuple[str, str]]]
     r: Callable[[], RMatrix] | None
     braiding: Callable[[], tuple[Braiding, dict, tuple | None]] | None
     closing: Callable[[Carrier, Braiding, dict], tuple[list[CheckResult], list]]
     characters: dict
-    format_element: Callable[[LC], str]
     functional_lines: Callable[[str, Callable], list[tuple[str, str]]]
 
 
@@ -161,6 +158,10 @@ def resolve_source(args) -> Resolved:
     return _document_source(load_document(src))
 
 
+def _element(ops: BasisOps, x: LC) -> str:
+    return lc_format(x, ops.label, ops.field.format)
+
+
 def _carrier_lines(algebra: FinHopfAlgebra, c: Carrier) -> list[tuple[str, str]]:
     chi = ", ".join(f"{algebra.labels[i]} -> {algebra.format_element(c.chi(i))}"
                     for i in range(algebra.dim))
@@ -181,7 +182,7 @@ def _table_source(algebra: FinHopfAlgebra, data, lines, r, braiding,
     return Source(data, lines, r, braiding,
                   lambda c, br, fns: ([], functional_lines("u", fns["u"])
                                       + functional_lines("v", fns["v"])),
-                  characters, algebra.format_element, functional_lines)
+                  characters, functional_lines)
 
 
 def _document_source(doc: AlgebraDocument) -> Resolved:
@@ -211,11 +212,10 @@ def _laurent_source(window: int) -> Resolved:
     ops = laurent.basis_ops(window)
 
     def build() -> Source:
-        return Source(lambda: CoFrobeniusData(None, None, None, laurent.family_data(ops)),
+        return Source(partial(laurent.family_data, ops),
                       partial(laurent.computed_lines, window), None,
                       lambda: (laurent.braiding(), {}, None),
                       lambda c, br, fns: (laurent.closed_form_checks(c, br, fns), []), {},
-                      lambda x: lc_format(x, ops.label, QQ.format),
                       partial(laurent.window_table, ops))
 
     return Resolved(f"laurent[window={window}]", laurent.FAMILY_CONVENTIONS,
@@ -243,12 +243,11 @@ def run_verify(report: Report, structure: list[CheckResult],
         return
     try:
         src = source()
-        data = src.data()
+        c = src.data()
     except (AxiomError, NotInvertibleError) as exc:
         report.add(failed("integral.data", str(exc)))
         return
-    c = data.carrier
-    _add(report, cofrobenius_checks(c, data.pairing, data.chi), src.lines(c))
+    _add(report, cofrobenius_checks(c), src.lines(c))
 
     r = qt = None
     if src.r is not None:
@@ -258,7 +257,7 @@ def run_verify(report: Report, structure: list[CheckResult],
         except (AxiomError, NotInvertibleError) as exc:
             report.add(failed("qt.r_invertible", str(exc)))
     if r is not None:
-        qt = _qt_chain(data, r, src.characters, report)
+        qt = _qt_chain(c, r, src.characters, report)
 
     if src.braiding is not None or r is not None:
         report.conventions.extend(CQT_CONVENTIONS)
@@ -276,53 +275,52 @@ def run_verify(report: Report, structure: list[CheckResult],
         _dual_chain(r, qt, src.characters, report)
 
 
-def _qt_chain(data: CoFrobeniusData, r: RMatrix, characters: dict,
-              report: Report) -> QTData | None:
+def _qt_chain(c: Carrier, r: RMatrix, characters: dict, report: Report) -> QTData | None:
     """The R-matrix checks; returns the Drinfeld elements once the QT
     axioms pass."""
-    algebra = data.algebra
-    qt_checks = verify_qt(algebra, r)
+    qt_checks = verify_qt(r)
     report.extend(qt_checks)
-    if not all(c.ok for c in qt_checks):
+    if not all(x.ok for x in qt_checks):
         return None
-    qt, dr_checks = drinfeld_elements(algebra, r)
+    qt, dr_checks = drinfeld_elements(r)
     report.extend(dr_checks)
-    report.extend(verify_delta_u(algebra, r, qt))
-    report.extend(check_modular_grouplikes_equal(algebra, data, r))
-    report.extend(check_drinfeld_modular_product(algebra, data, r, qt))
-    report.extend(check_antipode_u_biconditional(algebra, data, r, qt))
-    report.extend(check_s2_inner_witness(algebra, data, qt.u))
+    report.extend(verify_delta_u(r, qt))
+    report.extend(check_modular_grouplikes_equal(c, r))
+    report.extend(check_drinfeld_modular_product(c, r, qt))
+    report.extend(check_antipode_u_biconditional(c, r, qt))
+    report.extend(check_s2_inner_witness(r.algebra, c, qt.u))
 
-    c = data.carrier
     chars = {"eps": c.ops.eps, "alpha": c.alpha, "alpha_inv": c.alpha_inv, **characters}
-    report.extend(character_maps_checks(algebra, r, chars))
+    report.extend(character_maps_checks(r, chars))
     for name in sorted(chars):
-        report.extend(conjugation_witnesses(algebra, r, chars[name], name=name)[1])
-    report.extend(flip_inverse(algebra, r)[1])
+        report.extend(conjugation_witnesses(r, chars[name], name=name)[1])
+    report.extend(flip_inverse(r)[1])
 
     try:
-        sub = minimal_subhopf(algebra, r, data)
+        sub = minimal_subhopf(r, c)
         _add(report, sub.checks, [(f"minimal.{n}", v) for n, v in sub.computed])
     except (AxiomError, NotInvertibleError) as exc:
         report.add(failed("subhopf.construction", str(exc)))
 
-    a_alpha, b_alpha = grouplike_from_character(algebra, r, c.alpha)
-    report.add_computed("u", algebra.format_element(qt.u))
-    report.add_computed("v", algebra.format_element(qt.v))
-    report.add_computed("uv", algebra.format_element(c.ops.mul_lc(qt.u, qt.v)))
-    report.add_computed("a_alpha", algebra.format_element(a_alpha))
-    report.add_computed("b_alpha", algebra.format_element(b_alpha))
+    a_alpha, b_alpha = grouplike_from_character(r, c.alpha)
+    _add(report, [], [*_drinfeld_lines(c.ops, qt), ("a_alpha", _element(c.ops, a_alpha)),
+                      ("b_alpha", _element(c.ops, b_alpha))])
     return qt
+
+
+def _drinfeld_lines(ops: BasisOps, qt: QTData) -> list[tuple[str, str]]:
+    """The computed lines u, v and uv."""
+    return [(name, _element(ops, x))
+            for name, x in (("u", qt.u), ("v", qt.v), ("uv", ops.mul_lc(qt.u, qt.v)))]
 
 
 def _dual_source(r: RMatrix, qt: QTData | None,
                  characters: dict) -> tuple[list[CheckResult], FinHopfAlgebra, Source]:
     """The bridge checks and the dual with sigma(f, g) = (f x g)(R) as a
     Source; the algebra's named characters become grouplikes of the dual."""
-    algebra = r.algebra
     if qt is None:  # the caller has not reached u and v
-        qt, _ = drinfeld_elements(algebra, r)
-    dual, br, functionals, bridge = dualize_qt(algebra, r, qt)
+        qt, _ = drinfeld_elements(r)
+    dual, br, functionals, bridge = dualize_qt(r, qt)
     dual_data = cofrobenius_data(dual)
     glikes = {name: lc_canon({k: f(k) for k in range(dual.dim)})
               for name, f in characters.items()}
@@ -353,8 +351,20 @@ def cmd_verify(res: Resolved, args) -> int:
 
 # ---------------------------------------------------------------------------
 # compute and check: the structure battery must pass before the source is
-# built.  The Laurent family (data.algebra None) has no R-matrix, and it
-# prints no alpha^-1 under compute alpha and no computed lines under s4.
+# built.  Every target is answered by what the source has, never by which
+# kind of carrier it is: the integral data always; u, v, uv, a_alpha and
+# b_alpha from an R-matrix, else from a braiding; the minimal subHopf
+# algebra and the QT tokens from an R-matrix only; main3, cor3 and tangent
+# from a braiding, else from the dual of an R-matrix.  R is built only for
+# a target that reads it.
+
+
+def _r_matrix(src: Source, what: str) -> RMatrix:
+    """The R-matrix of a source, for a target that only an R-matrix serves."""
+    if src.r is None:
+        raise UsageError(f"{what} needs an R-matrix" + (
+            "" if src.braiding is None else "; this source carries a braiding instead"))
+    return src.r()
 
 
 def cmd_compute(res: Resolved, args) -> int:
@@ -368,54 +378,45 @@ def cmd_compute(res: Resolved, args) -> int:
         if what != "minimal-subhopf":
             sys.stdout.write(document_text(res.document))
             return 0
-    r = src.r() if src.r is not None else None
-    data = src.data()
-    c = data.carrier
+    c = src.data()
     ops = c.ops
-    element, functional = src.format_element, src.functional_lines
+    element, functional = partial(_element, ops), src.functional_lines
+    second = what == "b_alpha"
 
     if what == "lambda":
         lines = functional("lambda", c.lam)
     elif what == "a":
         lines = [("a", element(c.a)), ("a^-1", element(c.a_inv))]
     elif what == "alpha":
-        lines = functional("alpha", c.alpha)
-        if data.algebra is not None:
-            lines += functional("alpha^-1", c.alpha_inv)
+        lines = functional("alpha", c.alpha) + functional("alpha^-1", c.alpha_inv)
     elif what == "chi":
         lines = [(f"chi({ops.label(k)})", element(c.chi(k))) for k in ops.keys]
-    elif what in ("u", "v", "uv"):
-        if r is not None:
-            qt, _ = drinfeld_elements(r.algebra, r)
-            values = {"u": qt.u, "v": qt.v, "uv": ops.mul_lc(qt.u, qt.v)}
-            lines = [(what, element(values[what]))]
-        elif src.braiding is not None:
-            fns, _ = braided_functionals(ops, src.braiding()[0])
-            lines = functional(what, fns[what] if what != "uv"
-                               else ops.convolve(fns["u"], fns["v"]))
-        else:
-            raise UsageError(f"{what} needs an R-matrix or a braiding")
-    elif what in ("a_alpha", "b_alpha"):
-        second = what == "b_alpha"
-        if r is not None:
-            lines = [(what, element(grouplike_from_character(r.algebra, r, c.alpha)[second]))]
-        elif data.algebra is None:
-            images = modular_characters(ops, src.braiding()[0], c.a, c.a_inv)
-            lines = functional(("alpha_a", "beta_a")[second], images[second])
-        else:
-            raise UsageError(f"{what} needs an R-matrix")
-    else:  # minimal-subhopf
-        if r is None:
-            raise UsageError("minimal-subhopf needs " + (
-                "an R-matrix" if data.algebra is not None
-                else "a finite-dimensional R-matrix source"))
-        sub = minimal_subhopf(r.algebra, r, data)
+    elif what == "minimal-subhopf":
+        r = _r_matrix(src, what)
+        sub = minimal_subhopf(r, c)
         if args.emit_document:
             subdoc = document_from_algebra(sub.algebra, r_terms=sub.r_sub.tensor)
             sys.stdout.write(document_text(subdoc))
             return 0
         report.extend(sub.checks)
         lines = sub.computed
+    elif src.r is not None:  # u, v, uv, a_alpha, b_alpha as elements
+        r = src.r()
+        if what in ("a_alpha", "b_alpha"):
+            lines = [(what, element(grouplike_from_character(r, c.alpha)[second]))]
+        else:
+            lines = [x for x in _drinfeld_lines(ops, drinfeld_elements(r)[0]) if x[0] == what]
+    elif src.braiding is not None:  # the same targets as functionals
+        br = src.braiding()[0]
+        if what in ("a_alpha", "b_alpha"):
+            images = modular_characters(ops, br, c.a, c.a_inv)
+            lines = functional(("alpha_a", "beta_a")[second], images[second])
+        else:
+            fns, _ = braided_functionals(ops, br)
+            lines = functional(what, fns[what] if what != "uv"
+                               else ops.convolve(fns["u"], fns["v"]))
+    else:
+        raise UsageError(f"{what} needs an R-matrix or a braiding")
     _add(report, [], lines)
     return _finish(report, args)
 
@@ -426,65 +427,52 @@ def cmd_check(res: Resolved, args) -> int:
                     conventions=[*CONVENTIONS, *res.conventions])
     require_passing(res.structure)
     src = res.build()
-    r = src.r() if src.r is not None else None
     if token in QT_TOKENS:
-        _check_qt(src, r, token, report)
+        _check_qt(src, token, report)
     elif token == "s4":
-        data = src.data()
-        c = data.carrier
-        if data.algebra is not None:
-            _add(report, [], [("a", src.format_element(c.a)),
-                              *src.functional_lines("alpha", c.alpha)])
+        c = src.data()
+        _add(report, [], [("a", _element(c.ops, c.a)), *src.functional_lines("alpha", c.alpha)])
         report.extend(radford_s4_checks(c.ops, c.a, c.a_inv, c.alpha, c.alpha_inv))
     else:
-        _check_braided(res.label, src, r, token, report)
+        _check_braided(res.label, src, token, report)
     return _finish(report, args)
 
 
-def _check_qt(src: Source, r: RMatrix | None, token: str, report: Report) -> None:
-    data = src.data()
-    if r is None:
-        raise UsageError(f"check {token} needs an R-matrix" + (
-            "" if data.algebra is not None
-            else "; the laurent family carries a braiding instead"))
-    algebra = data.algebra
+def _check_qt(src: Source, token: str, report: Report) -> None:
+    c = src.data()
+    r = _r_matrix(src, f"check {token}")
     report.conventions.extend(QT_CONVENTIONS)
-    bad = next((x for x in verify_qt(algebra, r) if not x.ok), None)
+    bad = next((x for x in verify_qt(r) if not x.ok), None)
     if bad is not None:
         report.add(bad)
         return
     if token == "factunim":
-        report.extend(check_modular_grouplikes_equal(algebra, data, r))
+        report.extend(check_modular_grouplikes_equal(c, r))
     elif token == "minimal":
-        sub = minimal_subhopf(algebra, r, data)
+        sub = minimal_subhopf(r, c)
         _add(report, sub.checks, sub.computed)
     else:  # uv and cor25 start from the Drinfeld elements
-        qt, dr_checks = drinfeld_elements(algebra, r)
+        qt, dr_checks = drinfeld_elements(r)
         report.extend(dr_checks)
         if token == "cor25":
-            report.extend(check_antipode_u_biconditional(algebra, data, r, qt))
+            report.extend(check_antipode_u_biconditional(c, r, qt))
             return
-        report.extend(check_drinfeld_modular_product(algebra, data, r, qt))
-        report.add_computed("u", algebra.format_element(qt.u))
-        report.add_computed("v", algebra.format_element(qt.v))
-        report.add_computed("uv", algebra.format_element(
-            data.carrier.ops.mul_lc(qt.u, qt.v)))
+        _add(report, check_drinfeld_modular_product(c, r, qt), _drinfeld_lines(c.ops, qt))
 
 
-def _check_braided(label: str, src: Source, r: RMatrix | None, token: str,
-                   report: Report) -> None:
+def _check_braided(label: str, src: Source, token: str, report: Report) -> None:
     """main3, cor3 and tangent on the source's braiding, or without one on
     the dual of its R-matrix.  A failing braiding axiom is reported by its
     first FAIL line, ahead of the theorem's checks."""
     report.conventions.extend(CQT_CONVENTIONS)
     if src.braiding is not None:
-        c = src.data().carrier
+        c = src.data()
         br, _, functionals = src.braiding()
-    elif r is not None:
-        bridge, _, dual = _dual_source(r, None, {})
+    elif src.r is not None:
+        bridge, _, dual = _dual_source(src.r(), None, {})
         report.extend(bridge)
         report.add_computed("carrier", f"dual of {label}")
-        c = dual.data().carrier
+        c = dual.data()
         br, _, functionals = dual.braiding()
     else:
         raise UsageError(f"check {token} needs a braiding or an R-matrix")

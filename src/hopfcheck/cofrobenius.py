@@ -1,14 +1,15 @@
 """Integrals on the dual, modular data, and the identities tying them together.
 
-The finite-dimensional entry points compute everything by linear algebra:
-the integral as a nullspace, the modular element from its defining law at
-one basis element, the Nakayama automorphism column-by-column.  They only
-compute; the named checks are where each identity is verified.  The
-checkers are written against BasisOps and read their data from a Carrier,
-so the infinite-dimensional family reuses them with closed-form data.
-The integral-twist round trip builds its pair functionals whether or not
-omega qualifies and reports every line; its product formula is evaluated in
-factored form, as lambda(h' l) with one co-inner hit h' per key.
+Every source resolves to one Carrier: BasisOps with a left integral and
+the modular data derived from it.  A finite algebra solves for that data
+by linear algebra (cofrobenius_data): the integral as a nullspace, the
+modular element from its defining law at one basis element, the Nakayama
+automorphism column-by-column; the Laurent family gives closed forms
+(laurent.family_data).  Construction only computes; the named checkers,
+written against BasisOps, verify each identity on either carrier.  The
+integral-twist round trip builds its pair functionals whether or not
+omega qualifies and reports every line; its product formula is evaluated
+in factored form, as lambda(h' l) with one co-inner hit h' per key.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ class Carrier:
 
     lam, alpha and alpha_inv map a key to a scalar, chi maps a key to an LC,
     and a, a_inv are LCs; lam_mul(x, y) = lam(x y) is the one table of lambda
-    on products that every check reads.  Finite algebras solve for these once
-    by linear algebra (CoFrobeniusData.carrier); the Laurent family gives
-    closed forms (laurent.family_data).  The checkers read their data here.
+    on products that every check reads.  pairing (lambda(e_i e_j) at row i,
+    column j) and nakayama (column j holding chi(e_j)) are the matrices the
+    rank and invertibility checks read; a finite algebra has them, and they
+    are None on the Laurent family, where those lines SKIP.
     """
 
     ops: BasisOps
@@ -65,6 +67,8 @@ class Carrier:
     chi: Callable[[Key], LC]
     alpha: Callable[[Key], Scalar]
     alpha_inv: Callable[[Key], Scalar]
+    pairing: Matrix | None = None
+    nakayama: Matrix | None = None
 
 
 def lam_mul_table(ops: BasisOps, lam) -> PairTable:
@@ -285,20 +289,6 @@ coinner_from_integral_twist_findim = coinner_from_integral_twist
 # finite-dimensional pipeline: construction computes, the named checks verify
 
 
-@dataclass
-class CoFrobeniusData:
-    """A chosen left integral and everything the identities derive from it,
-    as a Carrier, plus the matrices the rank and invertibility checks read:
-    chi with column j holding chi(e_j), and pairing holding lambda(e_i e_j)
-    at row i, column j.  The infinite carrier has no algebra tables and no
-    matrices; those fields are None there."""
-
-    algebra: FinHopfAlgebra | None
-    chi: Matrix | None
-    pairing: Matrix | None
-    carrier: Carrier
-
-
 def left_integrals(algebra: FinHopfAlgebra) -> list[tuple]:
     """Basis of the space of left integrals on the algebra, normalized, as
     value vectors on the basis."""
@@ -338,7 +328,8 @@ def frobenius_chi(pairing: Matrix) -> Matrix:
         raise AxiomError("integral pairing is degenerate; no Nakayama map") from None
 
 
-def cofrobenius_data(algebra: FinHopfAlgebra) -> CoFrobeniusData:
+def cofrobenius_data(algebra: FinHopfAlgebra) -> Carrier:
+    """The algebra's Carrier, solved by linear algebra, with its matrices."""
     integrals = left_integrals(algebra)
     if len(integrals) != 1:
         raise AxiomError(
@@ -354,18 +345,16 @@ def cofrobenius_data(algebra: FinHopfAlgebra) -> CoFrobeniusData:
     # alpha = eps o chi is a character, so its convolution inverse is alpha o S
     alpha = memo_fn(lambda j: ops.eps_lc(chi(j)))
     alpha_inv = memo_fn(ops.compose_s_power(alpha, 1))
-    carrier = Carrier(ops, lam, lam_mul, a, a_inv, chi, alpha, alpha_inv)
-    return CoFrobeniusData(algebra, chi_matrix, pairing, carrier)
+    return Carrier(ops, lam, lam_mul, a, a_inv, chi, alpha, alpha_inv, pairing, chi_matrix)
 
 
-def cofrobenius_checks(c: Carrier, pairing: Matrix | None,
-                       chi: Matrix | None) -> list[CheckResult]:
+def cofrobenius_checks(c: Carrier) -> list[CheckResult]:
     """The full integral-and-modular-data battery for one carrier: integral
     law, modular element, both exchange identities, pairing ranks, Nakayama
     map and the three forms of S^4.  The rank and invertibility lines read
-    the pairing and chi matrices; without them (the infinite carrier) they
-    are skipped."""
-    ops = c.ops
+    the carrier's pairing and Nakayama matrices; without them (the infinite
+    carrier) they are skipped."""
+    ops, pairing = c.ops, c.pairing
     out = [left_integral_law_check(ops, c.lam)]
     out.extend(modular_element_checks(ops, c.lam, c.a, c.a_inv))
     out.extend(integral_exchange_checks(ops, c.lam_mul, c.a_inv))
@@ -379,12 +368,12 @@ def cofrobenius_checks(c: Carrier, pairing: Matrix | None,
             out.append(check(f"integral.pairing_full_rank_{side}", r == n,
                              None if r == n else f"rank {r} of {n}"))
     out.extend(nakayama_checks(ops, c.lam_mul, c.chi, c.alpha, c.alpha_inv))
-    if chi is None:
+    if c.nakayama is None:
         out.append(skipped("integral.nakayama_invertible",
                            "infinite carrier: no Nakayama matrix"))
     else:
         try:
-            invert_matrix(chi)
+            invert_matrix(c.nakayama)
             out.append(check("integral.nakayama_invertible", True))
         except SingularMatrixError:
             out.append(failed("integral.nakayama_invertible", "matrix is singular"))
@@ -392,27 +381,26 @@ def cofrobenius_checks(c: Carrier, pairing: Matrix | None,
     return out
 
 
-def check_s2_inner_witness(algebra: FinHopfAlgebra, data: CoFrobeniusData,
-                           w: LC) -> list[CheckResult]:
+def check_s2_inner_witness(algebra: FinHopfAlgebra, c: Carrier, w: LC) -> list[CheckResult]:
     """An invertible w with S^2 = Inn_w links the Nakayama map to alpha.
 
     Verifies chi(w^-1) w = alpha(a^-1) 1 and chi(a^-1) a = alpha(a^-1) 1;
     the extra identity alpha(w^-1) = alpha(a^-1) only makes sense when
-    eps(w) = 1 and is skipped otherwise.
+    eps(w) = 1 and is skipped otherwise.  When w has no inverse, or does
+    not implement S^2, the lines after that one are skipped.
     """
-    c = data.carrier
     ops = c.ops
-    out: list[CheckResult] = []
+    later = ("s2_witness.implements_s2", "s2_witness.nakayama_product",
+             "s2_witness.nakayama_modular_product", "s2_witness.modular_value_agreement")
     try:
         w_inv = algebra.invert_element(w)
     except NotInvertibleError:
-        out.append(failed("s2_witness.invertible", "w has no two-sided inverse"))
-        return out
-    out.append(check("s2_witness.invertible", True))
-
-    out.append(key_check("s2_witness.implements_s2", ops, inner_law(ops, 2, w)))
+        return [failed("s2_witness.invertible", "w has no two-sided inverse"),
+                *(skipped(name, "w is not invertible") for name in later)]
+    out = [check("s2_witness.invertible", True),
+           key_check("s2_witness.implements_s2", ops, inner_law(ops, 2, w))]
     if not out[-1].ok:
-        return out
+        return out + [skipped(name, "w does not implement S^2") for name in later[1:]]
 
     scale = ops.eval_fn(c.alpha, c.a_inv)
     target = lc_scale(scale, ops.unit)

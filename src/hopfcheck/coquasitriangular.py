@@ -475,9 +475,9 @@ def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, Matri
     return br, inv
 
 
-def dualize_qt(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData
-               ) -> tuple[FinHopfAlgebra, Braiding, tuple[dict, list[CheckResult]],
-                          list[CheckResult]]:
+def dualize_qt(r: RMatrix, qt: QTData) -> tuple[FinHopfAlgebra, Braiding,
+                                                tuple[dict, list[CheckResult]],
+                                                list[CheckResult]]:
     """The dual Hopf algebra with sigma(f, g) = (f x g)(R).
 
     Returns the dual, the braiding, its braided functionals with their
@@ -487,6 +487,7 @@ def dualize_qt(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData
     v(f) = sigma(f1, S f2) = f(R^1 S(R^2)) = f(S(u)), which is f(v^-1) since
     the QT side defines v = S(u)^-1.
     """
+    algebra = r.algebra
     dual = algebra.dual()
     n = algebra.dim
     zero = algebra.field.zero

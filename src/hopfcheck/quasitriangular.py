@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, replace
 
-from .cofrobenius import CoFrobeniusData, cofrobenius_data
+from .cofrobenius import Carrier, cofrobenius_data
 from .hopf import AxiomError, FinHopfAlgebra, Tensor2, require_passing, verify_hopf
 from .lincomb import (
     LC,
@@ -75,8 +75,8 @@ def _triple_diff(algebra: FinHopfAlgebra, lhs: dict, rhs: dict) -> str | None:
     return None
 
 
-def verify_almost_cocommutative(algebra: FinHopfAlgebra, r: RMatrix) -> CheckResult:
-    ops = algebra.basis_ops()
+def verify_almost_cocommutative(r: RMatrix) -> CheckResult:
+    ops = r.algebra.basis_ops()
 
     def holds(i: int) -> bool:
         dh = ops.delta_lc(ops.single(i))
@@ -86,11 +86,11 @@ def verify_almost_cocommutative(algebra: FinHopfAlgebra, r: RMatrix) -> CheckRes
     return key_check("qt.almost_cocommutative", ops, holds)
 
 
-def verify_qt(algebra: FinHopfAlgebra, r: RMatrix) -> list[CheckResult]:
+def verify_qt(r: RMatrix) -> list[CheckResult]:
     """Both hexagon identities, the counit conditions, almost-cocommutativity,
     and the antipode formulas for the inverse, which are reported as SKIP
     unless all of those pass."""
-    A = algebra
+    A = r.algebra
     ops = A.basis_ops()
     zero = A.field.zero
     entries = [(i, j, v) for (i, j), v in r.tensor.items()]
@@ -130,7 +130,7 @@ def verify_qt(algebra: FinHopfAlgebra, r: RMatrix) -> list[CheckResult]:
         right = lc_add(right, {i: v * A.eps_basis(j)})
     out.append(check("qt.counit_first_leg", lc_eq(left, ops.unit)))
     out.append(check("qt.counit_second_leg", lc_eq(right, ops.unit)))
-    out.append(verify_almost_cocommutative(A, r))
+    out.append(verify_almost_cocommutative(r))
 
     gate_open = all(c.status == PASS for c in out)
     # each formula maps the legs of R and compares the result with a target
@@ -143,9 +143,9 @@ def verify_qt(algebra: FinHopfAlgebra, r: RMatrix) -> list[CheckResult]:
     return out
 
 
-def drinfeld_elements(algebra: FinHopfAlgebra, r: RMatrix) -> tuple[QTData, list[CheckResult]]:
+def drinfeld_elements(r: RMatrix) -> tuple[QTData, list[CheckResult]]:
     """u = S(R^2) R^1 and v = S(u)^-1, with their conjugation laws."""
-    A = algebra
+    A = r.algebra
     ops = A.basis_ops()
     u: LC = {}
     for (i, j), val in r.tensor.items():
@@ -162,9 +162,9 @@ def drinfeld_elements(algebra: FinHopfAlgebra, r: RMatrix) -> tuple[QTData, list
     return qt, checks
 
 
-def verify_delta_u(algebra: FinHopfAlgebra, r: RMatrix, qt: QTData) -> list[CheckResult]:
-    ops = algebra.basis_ops()
-    braid = Tensor2.invert(algebra, tensor2_mul(ops, tensor2_flip(r.tensor), r.tensor))
+def verify_delta_u(r: RMatrix, qt: QTData) -> list[CheckResult]:
+    ops = r.algebra.basis_ops()
+    braid = Tensor2.invert(r.algebra, tensor2_mul(ops, tensor2_flip(r.tensor), r.tensor))
     uu = lc_outer(qt.u, qt.u)
     delta_u = ops.delta_lc(qt.u)
     return [
@@ -184,7 +184,7 @@ def _contract_leg(tensor: dict, f, leg: int) -> LC:
     return out
 
 
-def grouplike_from_character(algebra: FinHopfAlgebra, r: RMatrix, eta) -> tuple[LC, LC]:
+def grouplike_from_character(r: RMatrix, eta) -> tuple[LC, LC]:
     """Contract a character against each tensor leg of R.
 
     Returns (a_eta, b_eta) with a_eta = eta(R^1) R^2 and b_eta =
@@ -194,19 +194,18 @@ def grouplike_from_character(algebra: FinHopfAlgebra, r: RMatrix, eta) -> tuple[
     callers pass the counit, alpha, alpha^-1, validated document characters
     and convolution products of these, which are characters by construction.
     """
-    eta_inv = algebra.basis_ops().compose_s_power(eta, 1)
+    eta_inv = r.algebra.basis_ops().compose_s_power(eta, 1)
     return _contract_leg(r.tensor, eta, 0), _contract_leg(r.tensor, eta_inv, 1)
 
 
-def character_maps_checks(algebra: FinHopfAlgebra, r: RMatrix,
-                          characters: dict) -> list[CheckResult]:
+def character_maps_checks(r: RMatrix, characters: dict) -> list[CheckResult]:
     """Grouplike images, multiplicativity in the character, and centrality.
     characters maps a name to a key -> scalar function."""
-    ops = algebra.basis_ops()
+    ops = r.algebra.basis_ops()
     out: list[CheckResult] = []
     images = {}
     for name in sorted(characters):
-        a_eta, b_eta = grouplike_from_character(algebra, r, characters[name])
+        a_eta, b_eta = grouplike_from_character(r, characters[name])
         images[name] = (a_eta, b_eta)
         out.append(check(f"qt.character_image_grouplike[{name}]",
                          is_grouplike_lc(ops, a_eta) and is_grouplike_lc(ops, b_eta)))
@@ -217,7 +216,7 @@ def character_maps_checks(algebra: FinHopfAlgebra, r: RMatrix,
     def image_of_product(p, leg: int) -> bool:
         x, y = p
         prod = memo_fn(ops.convolve(characters[x], characters[y]))
-        got = grouplike_from_character(algebra, r, prod)[leg]
+        got = grouplike_from_character(r, prod)[leg]
         return lc_eq(got, ops.mul_lc(images[x][leg], images[y][leg]))
 
     out.append(grid_check("qt.character_map_multiplicative_a", pairs,
@@ -229,7 +228,7 @@ def character_maps_checks(algebra: FinHopfAlgebra, r: RMatrix,
 
     for name in names:
         eta_inv = memo_fn(ops.compose_s_power(characters[name], 1))
-        _, b_inv = grouplike_from_character(algebra, r, eta_inv)
+        _, b_inv = grouplike_from_character(r, eta_inv)
         z = ops.mul_lc(images[name][0], b_inv)
         out.append(key_check(
             f"qt.central_pairing[{name}]", ops,
@@ -237,12 +236,11 @@ def character_maps_checks(algebra: FinHopfAlgebra, r: RMatrix,
     return out
 
 
-def check_modular_grouplikes_equal(algebra: FinHopfAlgebra, data: CoFrobeniusData,
-                                   r: RMatrix) -> list[CheckResult]:
+def check_modular_grouplikes_equal(c: Carrier, r: RMatrix) -> list[CheckResult]:
     """Both contractions of the modular functional give the same grouplike."""
-    c = data.carrier
-    a_alpha, b_alpha = grouplike_from_character(algebra, r, c.alpha)
-    _, b_alpha_inv = grouplike_from_character(algebra, r, c.alpha_inv)
+    algebra = r.algebra
+    a_alpha, b_alpha = grouplike_from_character(r, c.alpha)
+    _, b_alpha_inv = grouplike_from_character(r, c.alpha_inv)
     same = lc_eq(a_alpha, b_alpha)
     return [
         check("qt.modular_grouplikes_equal", same,
@@ -254,13 +252,11 @@ def check_modular_grouplikes_equal(algebra: FinHopfAlgebra, data: CoFrobeniusDat
     ]
 
 
-def check_drinfeld_modular_product(algebra: FinHopfAlgebra, data: CoFrobeniusData,
-                                   r: RMatrix, qt: QTData) -> list[CheckResult]:
+def check_drinfeld_modular_product(c: Carrier, r: RMatrix, qt: QTData) -> list[CheckResult]:
     """uv = vu = a b_alpha = a a_alpha, and S^4 as conjugation by uv."""
-    A = algebra
-    c = data.carrier
+    A = r.algebra
     ops = c.ops
-    a_alpha, b_alpha = grouplike_from_character(A, r, c.alpha)
+    a_alpha, b_alpha = grouplike_from_character(r, c.alpha)
     uv = ops.mul_lc(qt.u, qt.v)
     vu = ops.mul_lc(qt.v, qt.u)
     ab = ops.mul_lc(c.a, b_alpha)
@@ -275,10 +271,8 @@ def check_drinfeld_modular_product(algebra: FinHopfAlgebra, data: CoFrobeniusDat
     ]
 
 
-def check_antipode_u_biconditional(algebra: FinHopfAlgebra, data: CoFrobeniusData,
-                                   r: RMatrix, qt: QTData) -> list[CheckResult]:
+def check_antipode_u_biconditional(c: Carrier, r: RMatrix, qt: QTData) -> list[CheckResult]:
     """S(u) = u exactly when a_alpha is the inverse of the modular element."""
-    c = data.carrier
     ops = c.ops
     out: list[CheckResult] = []
     if all(c.alpha(k) == ops.eps(k) for k in ops.keys):
@@ -287,7 +281,7 @@ def check_antipode_u_biconditional(algebra: FinHopfAlgebra, data: CoFrobeniusDat
     else:
         out.append(skipped("drinfeld.counit_modular_vu_eq_a",
                            "modular functional differs from the counit"))
-    a_alpha, _ = grouplike_from_character(algebra, r, c.alpha)
+    a_alpha, _ = grouplike_from_character(r, c.alpha)
     left = lc_eq(ops.s_lc(qt.u), qt.u)
     right = lc_eq(a_alpha, c.a_inv)
     out.append(check(
@@ -296,12 +290,12 @@ def check_antipode_u_biconditional(algebra: FinHopfAlgebra, data: CoFrobeniusDat
     return out
 
 
-def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma,
+def conjugation_witnesses(r: RMatrix, gamma,
                           name: str = "gamma") -> tuple[list[LC], list[CheckResult]]:
     """The four character contractions of R and its inverse, each of which
     turns the gamma double-hit into conjugation; gamma must be a character,
     as for grouplike_from_character."""
-    ops = algebra.basis_ops()
+    ops = r.algebra.basis_ops()
     gamma_inv = memo_fn(ops.compose_s_power(gamma, 1))
 
     witnesses = [
@@ -318,7 +312,7 @@ def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma,
             return lc_eq(ops.mul_lc(twisted[i], w), ops.mul_lc(w, ops.single(i)))
 
         out.append(key_check(f"qt.witness_conjugates[{name}:{idx}]", ops, holds))
-    a_g, b_g = grouplike_from_character(algebra, r, gamma)
+    a_g, b_g = grouplike_from_character(r, gamma)
     got = {tuple(sorted(w.items())) for w in witnesses}
     expected = {tuple(sorted(a_g.items())), tuple(sorted(b_g.items()))}
     out.append(check(f"qt.witness_set_matches[{name}]", got == expected,
@@ -326,8 +320,9 @@ def conjugation_witnesses(algebra: FinHopfAlgebra, r: RMatrix, gamma,
     return witnesses, out
 
 
-def flip_inverse(algebra: FinHopfAlgebra, r: RMatrix) -> tuple[RMatrix, list[CheckResult]]:
+def flip_inverse(r: RMatrix) -> tuple[RMatrix, list[CheckResult]]:
     """The inverse of the flipped tensor, again an R-matrix."""
+    algebra = r.algebra
     ops = algebra.basis_ops()
     flipped = tensor2_flip(r.tensor)
     rt = RMatrix(algebra, Tensor2.invert(algebra, flipped), flipped)
@@ -338,7 +333,7 @@ def flip_inverse(algebra: FinHopfAlgebra, r: RMatrix) -> tuple[RMatrix, list[Che
               lc_eq(rt.tensor, tensor2_flip(tensor2_map(ops, r.tensor, None,
                                                         ops.antipode_inv)))),
     ]
-    for result in verify_qt(algebra, rt):
+    for result in verify_qt(rt):
         out.append(CheckResult(f"flip_inverse.{result.name}", result.status,
                                result.witness))
     return rt, out
@@ -352,14 +347,15 @@ class MinimalSubHopf:
     algebra: FinHopfAlgebra
     basis_in_parent: tuple
     r_sub: RMatrix
-    data: CoFrobeniusData
+    carrier: Carrier
     checks: list[CheckResult]
     computed: list[tuple[str, str]]
 
 
-def minimal_subhopf(algebra: FinHopfAlgebra, r: RMatrix,
-                    parent_data: CoFrobeniusData | None = None) -> MinimalSubHopf:
-    A = algebra
+def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
+    """The closure of R's tensor factors under the structure maps, with its
+    integral data compared against parent, the carrier of r.algebra."""
+    A = r.algebra
     ops = A.basis_ops()
     field = A.field
     n = A.dim
@@ -424,7 +420,6 @@ def minimal_subhopf(algebra: FinHopfAlgebra, r: RMatrix,
     m = len(basis)
     pivots = span.pivots
     labels = tuple(A.format_element(b) for b in basis)
-    top_data = parent_data if parent_data is not None else cofrobenius_data(A)
 
     if pivots == tuple(range(n)):
         # L = H, in H's own basis.  Every caller has passed A through the
@@ -433,7 +428,7 @@ def minimal_subhopf(algebra: FinHopfAlgebra, r: RMatrix,
         sub = copy.copy(A)
         sub.name = f"{A.name}-minimal"
         r_sub = replace(r, algebra=sub)
-        sub_data = replace(top_data, algebra=sub)
+        sub_c = parent
     else:
         def coords_of(x: LC) -> tuple:
             c = span.coords(dense(x))
@@ -469,13 +464,12 @@ def minimal_subhopf(algebra: FinHopfAlgebra, r: RMatrix,
         if not lc_eq(expand(r_terms, basis, basis), r.tensor):
             raise AxiomError("R does not lie in the tensor square of the closure")
         r_sub = RMatrix.build(sub, r_terms)
-        sub_data = cofrobenius_data(sub)
-    sub_c, top_c = sub_data.carrier, top_data.carrier
+        sub_c = cofrobenius_data(sub)
     include = lambda x: ops.map_lc(basis.__getitem__, x)
 
-    a_eq = lc_eq(include(sub_c.a), top_c.a)
-    alpha_eq = all(sub_c.alpha(p) == ops.eval_fn(top_c.alpha, basis[p]) for p in range(m))
-    chi_eq = all(lc_eq(include(sub_c.chi(p)), ops.map_lc(top_c.chi, basis[p]))
+    a_eq = lc_eq(include(sub_c.a), parent.a)
+    alpha_eq = all(sub_c.alpha(p) == ops.eval_fn(parent.alpha, basis[p]) for p in range(m))
+    chi_eq = all(lc_eq(include(sub_c.chi(p)), ops.map_lc(parent.chi, basis[p]))
                  for p in range(m))
     flags = f"a: {a_eq}, alpha: {alpha_eq}, chi: {chi_eq}".lower()
 
@@ -494,4 +488,4 @@ def minimal_subhopf(algebra: FinHopfAlgebra, r: RMatrix,
         ("alpha_L equals alpha_H restricted", str(alpha_eq).lower()),
         ("chi_L equals chi_H restricted", str(chi_eq).lower()),
     ]
-    return MinimalSubHopf(sub, tuple(basis), r_sub, sub_data, checks, computed)
+    return MinimalSubHopf(sub, tuple(basis), r_sub, sub_c, checks, computed)

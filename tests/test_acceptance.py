@@ -82,7 +82,7 @@ def test_criterion_01_axiom_suite_and_negative_control(c2, c4, sweedler, sweedle
 def test_criterion_02_hexagons_verified_on_every_triple(sweedler, sweedler_r,
                                                         sweedler_xi0, sweedler_xi0_r):
     for algebra, r in ((sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r)):
-        no_failures(verify_qt(algebra, r))
+        no_failures(verify_qt(r))
         # independent recomputation compared on the full triple grid
         zero = algebra.field.zero
         entries = [(i, j, v) for (i, j), v in r.tensor.items()]
@@ -108,7 +108,7 @@ def test_criterion_02_hexagons_verified_on_every_triple(sweedler, sweedler_r,
 def test_criterion_03_integral_pipeline_values(sweedler, sweedler_data):
     assert len(left_integrals(sweedler)) == 1
     data = sweedler_data
-    c = data.carrier
+    c = data
     ops = c.ops
     assert tuple(map(c.lam, ops.keys)) == (ZERO, ZERO, ZERO, ONE)
     assert is_grouplike_lc(ops, c.a)
@@ -118,11 +118,11 @@ def test_criterion_03_integral_pipeline_values(sweedler, sweedler_data):
     assert tuple(map(c.alpha, ops.keys)) == (ONE, -ONE, ZERO, ZERO)
     closed = Matrix.from_rows(QQ, [[1, 0, 0, 0], [0, -1, 0, 0],
                                    [0, 0, -1, 0], [0, 0, 0, 1]])
-    assert data.chi == closed
+    assert data.nakayama == closed
 
 
 def test_criterion_04_antipode_fourth_power_three_ways(sweedler, sweedler_data):
-    for c in (sweedler_data.carrier, laurent.family_data(laurent.basis_ops(5))):
+    for c in (sweedler_data, laurent.family_data(laurent.basis_ops(5))):
         no_failures(radford_s4_checks(c.ops, c.a, c.a_inv, c.alpha, c.alpha_inv))
 
 
@@ -132,12 +132,12 @@ def test_criterion_05_drinfeld_modular_factorization(c2, sweedler, sweedler_r,
              (c2, RMatrix.from_entries(c2, [(ONE, 0, 0)]))]
     for algebra, r in cases:
         data = cofrobenius_data(algebra)
-        c = data.carrier
+        c = data
         ops = c.ops
-        qt, dr_checks = drinfeld_elements(algebra, r)
+        qt, dr_checks = drinfeld_elements(r)
         no_failures(dr_checks)
-        no_failures(check_drinfeld_modular_product(algebra, data, r, qt))
-        a_alpha, _ = grouplike_from_character(algebra, r, c.alpha)
+        no_failures(check_drinfeld_modular_product(data, r, qt))
+        a_alpha, _ = grouplike_from_character(r, c.alpha)
         if algebra.dim == 4:
             g = ops.single(1)
             assert qt.u == g and qt.v == g
@@ -154,24 +154,24 @@ def test_criterion_06_antipode_fixes_u_biconditional(c2, c4, sweedler, sweedler_
              (c2, unit_r(c2)), (c4, unit_r(c4))]
     for algebra, r in cases:
         data = cofrobenius_data(algebra)
-        qt, _ = drinfeld_elements(algebra, r)
-        results = check_antipode_u_biconditional(algebra, data, r, qt)
+        qt, _ = drinfeld_elements(r)
+        results = check_antipode_u_biconditional(data, r, qt)
         by_name = {c.name: c for c in results}
         assert by_name["drinfeld.antipode_fixes_u_iff_modular_match"].ok
         branch = by_name["drinfeld.counit_modular_vu_eq_a"]
-        ops = data.carrier.ops
-        if all(data.carrier.alpha(k) == ops.eps(k) for k in ops.keys):
+        ops = data.ops
+        if all(data.alpha(k) == ops.eps(k) for k in ops.keys):
             assert branch.status == "pass"
         else:
             assert branch.status == "skipped"
 
 
-def test_criterion_07_minimal_subhopf_both_parameters(sweedler, sweedler_r,
+def test_criterion_07_minimal_subhopf_both_parameters(sweedler, sweedler_r, sweedler_data,
                                                       sweedler_xi0, sweedler_xi0_r):
-    sub0 = minimal_subhopf(sweedler_xi0, sweedler_xi0_r)
+    sub0 = minimal_subhopf(sweedler_xi0_r, cofrobenius_data(sweedler_xi0))
     assert sub0.algebra.dim == 2
     assert sub0.algebra.labels == ("1", "g")
-    c0 = sub0.data.carrier
+    c0 = sub0.carrier
     assert c0.a == c0.ops.unit
     assert tuple(map(c0.alpha, c0.ops.keys)) == tuple(map(c0.ops.eps, c0.ops.keys))
     no_failures(sub0.checks)
@@ -180,7 +180,7 @@ def test_criterion_07_minimal_subhopf_both_parameters(sweedler, sweedler_r,
     assert flags0["alpha_L equals alpha_H restricted"] == "false"
     assert flags0["chi_L equals chi_H restricted"] == "false"
 
-    sub1 = minimal_subhopf(sweedler, sweedler_r)
+    sub1 = minimal_subhopf(sweedler_r, sweedler_data)
     assert sub1.algebra.dim == 4
     assert same_structure_constants(sub1.algebra, sweedler)
     no_failures(sub1.checks)
@@ -197,8 +197,8 @@ def test_criterion_08_braidings_and_dual_bridge(c2, sweedler, sweedler_r,
     no_failures(braiding_axiom_checks(c2.basis_ops(), br))
 
     for algebra, r in ((sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r)):
-        qt, _ = drinfeld_elements(algebra, r)
-        dual, dual_br, (fns, fn_checks), bridge = dualize_qt(algebra, r, qt)
+        qt, _ = drinfeld_elements(r)
+        dual, dual_br, (fns, fn_checks), bridge = dualize_qt(r, qt)
         no_failures(bridge)
         ops = dual.basis_ops()
         no_failures(braiding_axiom_checks(ops, dual_br))
@@ -214,8 +214,8 @@ def test_criterion_08_braidings_and_dual_bridge(c2, sweedler, sweedler_r,
 def test_criterion_09_braided_modular_identities(sweedler, sweedler_r,
                                                  sweedler_xi0, sweedler_xi0_r):
     for algebra, r in ((sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r)):
-        dual, br, (fns, _), _ = dualize_qt(algebra, r, drinfeld_elements(algebra, r)[0])
-        c = cofrobenius_data(dual).carrier
+        dual, br, (fns, _), _ = dualize_qt(r, drinfeld_elements(r)[0])
+        c = cofrobenius_data(dual)
         no_failures(modular_convolution_checks(c.ops, br, fns, c.alpha, c.a, c.a_inv))
         no_failures(braided_modular_corollary_checks(c.ops, br, fns, c.alpha,
                                                      c.alpha_inv, c.a, c.a_inv))
@@ -237,9 +237,8 @@ def test_criterion_09_braided_modular_identities(sweedler, sweedler_r,
 
 
 def test_criterion_10_integral_twist_roundtrip_and_refusal(sweedler, sweedler_r):
-    dual, dual_br, _, _ = dualize_qt(sweedler, sweedler_r,
-                                     drinfeld_elements(sweedler, sweedler_r)[0])
-    carriers = [(cofrobenius_data(dual).carrier, dual_br, 0, "at (1*, x*)"),
+    dual, dual_br, _, _ = dualize_qt(sweedler_r, drinfeld_elements(sweedler_r)[0])
+    carriers = [(cofrobenius_data(dual), dual_br, 0, "at (1*, x*)"),
                 (laurent.family_data(laurent.basis_ops(5)), laurent.braiding(),
                  (-1, 0), "at (g^-1, x)")]
     for c, br, spot, witness in carriers:

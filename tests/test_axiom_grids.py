@@ -205,8 +205,8 @@ def document_algebra(obj):
 
 def dual_braiding(algebra, r):
     """The dual of algebra with sigma(f, g) = (f x g)(R)."""
-    qt, _ = drinfeld_elements(algebra, r)
-    dual, br, _, _ = dualize_qt(algebra, r, qt)
+    qt, _ = drinfeld_elements(r)
+    dual, br, _, _ = dualize_qt(r, qt)
     return dual.basis_ops(), br
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import hopfcheck
 from hopfcheck import cofrobenius, lincomb, linalg
-from hopfcheck.cli import CHECK_TOKENS, main
+from hopfcheck.cli import CHECK_TOKENS, COMPUTE_TARGETS, main
 from hopfcheck.coquasitriangular import dualize_qt
 from hopfcheck.document import build_algebra, document_text, load_document, parse_document
 from hopfcheck.presets import cyclic_group_document, preset_document
@@ -256,7 +256,7 @@ def test_verify_twists_the_dual_integral_with_u(capsys, tmp_path, monkeypatch):
     doc = load_document(path)
     algebra = build_algebra(doc)
     r = RMatrix.from_entries(algebra, doc.r_entries)
-    dual, br, (fns, _), _ = dualize_qt(algebra, r, drinfeld_elements(algebra, r)[0])
+    dual, br, (fns, _), _ = dualize_qt(r, drinfeld_elements(r)[0])
     ops = dual.basis_ops()
     assert any(fns["u"](k) != fns["u_inv"](k) for k in ops.keys)
     assert len(seen) == 1
@@ -287,9 +287,13 @@ def test_compute_with_braiding_only_source(capsys, tmp_path):
     rc, out, _ = run(capsys, "compute", path, "u")
     assert rc == 0
     assert "  u = [1, 1]" in out
-    rc, _, err = run(capsys, "compute", path, "a_alpha")
+    rc, out, _ = run(capsys, "compute", path, "a_alpha")
+    assert rc == 0
+    assert "  alpha_a = [1, 1]" in out
+    rc, _, err = run(capsys, "compute", path, "minimal-subhopf")
     assert rc == 2
-    assert "needs an R-matrix" in err
+    assert err == ("error: minimal-subhopf needs an R-matrix; "
+                   "this source carries a braiding instead\n")
 
 
 def test_compute_without_r_or_sigma_exits_two(capsys, tmp_path):
@@ -389,9 +393,9 @@ def test_corrupted_tables_exit_one_before_compute_and_check(capsys, tmp_path, ar
 
 
 @pytest.mark.parametrize("argv, code", [
-    (("compute", "lambda"), 1),
-    (("check", "s4"), 1),
-    (("check", "main3"), 1),
+    (("compute", "u"), 1),
+    (("check", "uv"), 1),
+    (("check", "main3"), 1),  # sweedler4 has no sigma, so main3 dualizes R
     (("compute", "a", "--emit-document"), 0),
 ])
 def test_singular_r_fails_compute_and_check(capsys, tmp_path, argv, code):
@@ -406,6 +410,22 @@ def test_singular_r_fails_compute_and_check(capsys, tmp_path, argv, code):
     else:
         assert err == ""
         assert json.loads(out)["name"] == "sweedler4[xi=1]"
+
+
+def test_singular_r_is_built_only_for_targets_that_read_it(capsys, tmp_path):
+    """kC2 with R = 0 and its all-ones braiding: targets that never read R
+    exit 0, and a target answered from R fails on its inverse."""
+    obj = json.loads(document_text(preset_document("group:C2")))
+    obj["R"] = [[0, 0, 0]]
+    path = write_doc(tmp_path, obj)
+    for argv in (("compute", "lambda"), ("compute", "alpha"), ("check", "s4"),
+                 ("check", "main3")):
+        rc, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (rc, err) == (0, ""), argv
+        assert "result: PASS" in out
+    rc, out, err = run(capsys, "compute", path, "u")
+    assert (rc, out) == (1, "")
+    assert err == "error: tensor-square element has no right inverse\n"
 
 
 def test_zero_r_document_round_trips(capsys, tmp_path):
@@ -461,6 +481,17 @@ def test_invalid_named_vectors_exit_two_on_every_command(capsys, tmp_path, key, 
     assert rc == 2
     assert out == ""
     assert err == message
+
+
+def test_laurent_and_its_quotient_answer_every_request_alike(capsys, tmp_path):
+    """The Laurent family and H_4, both carrying a braiding and no R, give
+    the same exit code and stderr for every compute target and check token."""
+    h4 = write_doc(tmp_path, laurent_quotient_document(4))
+    requests = [("compute", what) for what in COMPUTE_TARGETS]
+    requests += [("check", token) for token in CHECK_TOKENS]
+    for command, what in requests:
+        rc, _, err = run(capsys, command, "preset:laurent", what, "--window", "2")
+        assert run(capsys, command, h4, what)[::2] == (rc, err), (command, what)
 
 
 def test_check_on_the_dual_solves_integral_data_once(capsys, monkeypatch):

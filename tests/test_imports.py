@@ -9,7 +9,9 @@ name is not a dunder, must be named outside its own definition: in src/,
 tests/ or scripts/, or in a perfbench/spans.TRACE_POINTS path.  Methods
 count only when named as an attribute (obj.method) or in a trace path.
 A key or pair grid outside lincomb must go through lincomb.key_check or
-pair_check, which enumerate its points and name its witness.
+pair_check, which enumerate its points and name its witness.  No module
+branches on whether a carrier has an algebra: a source is served by what
+it has, an R-matrix or a braiding.
 """
 
 import ast
@@ -208,3 +210,37 @@ def test_witness_loop_detector_flags_each_form(tmp_path):
 def test_key_and_pair_witnesses_are_decided_in_lincomb():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in witness_loops(path)]
     assert not found, "key or pair grids outside lincomb.key_check/pair_check:\n" + "\n".join(found)
+
+
+def carrier_kind_forks(path: Path) -> list[str]:
+    """`<x>.algebra is None` and `<x>.algebra is not None` comparisons, which
+    decide by the kind of carrier instead of by what the source has."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and all(isinstance(op, (ast.Is, ast.IsNot))
+                                                 for op in node.ops):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(x, ast.Attribute) and x.attr == "algebra" for x in operands)
+                    and any(isinstance(x, ast.Constant) and x.value is None for x in operands)):
+                out.append(f"{path.name}:{node.lineno}: .algebra compared with None")
+    return sorted(out)
+
+
+def test_carrier_kind_fork_detector_flags_each_form(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(data, src, r):\n"
+                   "    if data.algebra is None:\n"
+                   "        return src.r is None\n"
+                   "    ok = data.algebra is not None\n"
+                   "    if None is r.algebra:\n"
+                   "        return r.algebra.dim\n"
+                   "    return data.algebra == r.algebra\n")
+    assert carrier_kind_forks(mod) == ["mod.py:2: .algebra compared with None",
+                                       "mod.py:4: .algebra compared with None",
+                                       "mod.py:5: .algebra compared with None"]
+
+
+def test_no_module_forks_on_carrier_kind():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in carrier_kind_forks(path)]
+    assert not found, "carrier-kind forks:\n" + "\n".join(found)

@@ -26,7 +26,7 @@ ONE = Fraction(1)
 def test_verify_qt_passes_for_both_parameters(sweedler, sweedler_r,
                                               sweedler_xi0, sweedler_xi0_r):
     for algebra, r in ((sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r)):
-        results = verify_qt(algebra, r)
+        results = verify_qt(r)
         names = {c.name for c in results}
         assert "qt.hexagon_comultiply_first_leg" in names
         assert "qt.hexagon_comultiply_second_leg" in names
@@ -36,8 +36,8 @@ def test_verify_qt_passes_for_both_parameters(sweedler, sweedler_r,
 
 def test_unit_r_matrix_on_group_algebra(c2):
     r = RMatrix.from_entries(c2, [(ONE, 0, 0)])
-    assert all(c.ok for c in verify_qt(c2, r))
-    qt, checks = drinfeld_elements(c2, r)
+    assert all(c.ok for c in verify_qt(r))
+    qt, checks = drinfeld_elements(r)
     assert all(c.ok for c in checks)
     unit = c2.basis_ops().unit
     assert qt.u == unit
@@ -47,7 +47,7 @@ def test_unit_r_matrix_on_group_algebra(c2):
 def test_drinfeld_elements_on_sweedler(sweedler, sweedler_r,
                                        sweedler_xi0, sweedler_xi0_r):
     for algebra, r in ((sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r)):
-        qt, checks = drinfeld_elements(algebra, r)
+        qt, checks = drinfeld_elements(r)
         assert all(c.ok for c in checks)
         ops = algebra.basis_ops()
         g = ops.single(1)
@@ -56,22 +56,21 @@ def test_drinfeld_elements_on_sweedler(sweedler, sweedler_r,
         assert qt.u_inv == g
         assert qt.v_inv == g
         assert ops.mul_lc(qt.u, qt.v) == ops.unit
-        assert all(c.ok for c in verify_delta_u(algebra, r, qt))
+        assert all(c.ok for c in verify_delta_u(r, qt))
 
 
 def test_modular_grouplike_contractions(sweedler, sweedler_r, sweedler_data):
-    a_alpha, b_alpha = grouplike_from_character(sweedler, sweedler_r,
-                                                sweedler_data.carrier.alpha)
+    a_alpha, b_alpha = grouplike_from_character(sweedler_r, sweedler_data.alpha)
     g = sweedler.basis_ops().single(1)
     assert a_alpha == g
     assert b_alpha == g
-    for c in check_modular_grouplikes_equal(sweedler, sweedler_data, sweedler_r):
+    for c in check_modular_grouplikes_equal(sweedler_data, sweedler_r):
         assert c.ok, c
 
 
 def test_drinfeld_modular_product_chain(sweedler, sweedler_r, sweedler_data):
-    qt, _ = drinfeld_elements(sweedler, sweedler_r)
-    results = check_drinfeld_modular_product(sweedler, sweedler_data, sweedler_r, qt)
+    qt, _ = drinfeld_elements(sweedler_r)
+    results = check_drinfeld_modular_product(sweedler_data, sweedler_r, qt)
     names = [c.name for c in results]
     assert "drinfeld.uv_eq_a_times_b_alpha" in names
     assert "radford.s4_inner_by_uv" in names
@@ -79,31 +78,30 @@ def test_drinfeld_modular_product_chain(sweedler, sweedler_r, sweedler_data):
 
 
 def test_antipode_u_biconditional(sweedler, sweedler_r, sweedler_data, c2):
-    qt, _ = drinfeld_elements(sweedler, sweedler_r)
-    results = check_antipode_u_biconditional(sweedler, sweedler_data, sweedler_r, qt)
+    qt, _ = drinfeld_elements(sweedler_r)
+    results = check_antipode_u_biconditional(sweedler_data, sweedler_r, qt)
     by_name = {c.name: c for c in results}
     # alpha is not the counit here, so the vu = a specialization is skipped
     assert by_name["drinfeld.counit_modular_vu_eq_a"].status == "skipped"
     assert by_name["drinfeld.antipode_fixes_u_iff_modular_match"].ok
 
     r = RMatrix.from_entries(c2, [(ONE, 0, 0)])
-    qt2, _ = drinfeld_elements(c2, r)
-    results = check_antipode_u_biconditional(c2, cofrobenius_data(c2), r, qt2)
+    qt2, _ = drinfeld_elements(r)
+    results = check_antipode_u_biconditional(cofrobenius_data(c2), r, qt2)
     by_name = {c.name: c for c in results}
     assert by_name["drinfeld.counit_modular_vu_eq_a"].ok
     assert by_name["drinfeld.counit_modular_vu_eq_a"].status == "pass"
 
 
 def test_character_maps(sweedler, sweedler_r, sweedler_data):
-    c = sweedler_data.carrier
+    c = sweedler_data
     chars = {"eps": c.ops.eps, "alpha": c.alpha}
-    for c in character_maps_checks(sweedler, sweedler_r, chars):
+    for c in character_maps_checks(sweedler_r, chars):
         assert c.ok, c
 
 
 def test_conjugation_witnesses(sweedler, sweedler_r, sweedler_data):
-    witnesses, results = conjugation_witnesses(sweedler, sweedler_r,
-                                               sweedler_data.carrier.alpha, name="alpha")
+    witnesses, results = conjugation_witnesses(sweedler_r, sweedler_data.alpha, name="alpha")
     assert len(witnesses) == 4
     g = sweedler.basis_ops().single(1)
     assert g in witnesses
@@ -111,22 +109,22 @@ def test_conjugation_witnesses(sweedler, sweedler_r, sweedler_data):
 
 
 def test_flip_inverse_is_again_qt(sweedler, sweedler_r):
-    rt, results = flip_inverse(sweedler, sweedler_r)
+    rt, results = flip_inverse(sweedler_r)
     assert all(c.ok for c in results)
     # flipping twice returns to the inverse of the original
     assert tensor2_flip(rt.tensor) == sweedler_r.inverse
 
 
 def test_minimal_subhopf_degenerate_parameter(sweedler_xi0, sweedler_xi0_r):
-    sub = minimal_subhopf(sweedler_xi0, sweedler_xi0_r)
+    sub = minimal_subhopf(sweedler_xi0_r, cofrobenius_data(sweedler_xi0))
     assert sub.algebra.dim == 2
     assert sub.algebra.labels == ("1", "g")
-    c = sub.data.carrier
+    c = sub.carrier
     assert c.a == c.ops.unit
     assert all(c.alpha(k) == c.ops.eps(k) for k in c.ops.keys)
     assert all(c.ok for c in sub.checks)
     assert all(c.ok for c in verify_hopf(sub.algebra))
-    assert all(c.ok for c in verify_qt(sub.algebra, sub.r_sub))
+    assert all(c.ok for c in verify_qt(sub.r_sub))
     flags = dict(sub.computed)
     assert flags["dim(L)"] == "2"
     assert flags["a_L equals a_H"] == "false"
@@ -135,7 +133,7 @@ def test_minimal_subhopf_degenerate_parameter(sweedler_xi0, sweedler_xi0_r):
 
 
 def test_minimal_subhopf_full_parameter(sweedler, sweedler_r, sweedler_data):
-    sub = minimal_subhopf(sweedler, sweedler_r, sweedler_data)
+    sub = minimal_subhopf(sweedler_r, sweedler_data)
     assert sub.algebra.dim == 4
     assert all(c.ok for c in sub.checks)
     flags = dict(sub.computed)
@@ -149,7 +147,7 @@ def test_corrupted_r_fails_hexagon_with_witness(sweedler, sweedler_r):
     entries = [(v, i, j) for (i, j), v in sweedler_r.tensor.items()]
     bad = [(-v if (i, j) == (2, 2) else v, i, j) for v, i, j in entries]
     r = RMatrix.from_entries(sweedler, bad)
-    results = {c.name: c for c in verify_qt(sweedler, r)}
+    results = {c.name: c for c in verify_qt(r)}
     first = results["qt.hexagon_comultiply_first_leg"]
     assert not first.ok
     assert first.witness == "at (1, x, x)"
@@ -169,8 +167,8 @@ def test_corrupted_r_skips_the_antipode_formulas(sweedler, sweedler_r):
     as on the intact R."""
     entries = [(v, i, j) for (i, j), v in sweedler_r.tensor.items()]
     bad = [(-v if (i, j) == (2, 2) else v, i, j) for v, i, j in entries]
-    intact = verify_qt(sweedler, sweedler_r)
-    corrupted = verify_qt(sweedler, RMatrix.from_entries(sweedler, bad))
+    intact = verify_qt(sweedler_r)
+    corrupted = verify_qt(RMatrix.from_entries(sweedler, bad))
     assert [c.name for c in corrupted] == [c.name for c in intact]
     assert [(c.name, c.status) for c in intact[-3:]] == [
         (name, "pass") for name in QT_ANTIPODE_FORMULAS]
