@@ -60,7 +60,7 @@ from .document import (
     load_document,
 )
 from .hopf import AxiomError, FinHopfAlgebra, NotInvertibleError, require_passing, verify_hopf
-from .lincomb import LC, BasisOps, lc_canon, lc_format
+from .lincomb import BasisOps, lc_canon
 from .presets import preset_document
 from .quasitriangular import (
     QT_CONVENTIONS,
@@ -101,7 +101,7 @@ class Source:
     grouplikes, braided functionals if already computed); closing, giving
     the checks and lines after the braided chain; the named characters the
     R-matrix chains read; and how a named functional prints.  Every carrier
-    prints an element the same way, see _element."""
+    prints an element the same way, by its ops.format."""
 
     data: Callable[[], Carrier]
     lines: Callable[[Carrier], list[tuple[str, str]]]
@@ -158,26 +158,19 @@ def resolve_source(args) -> Resolved:
     return _document_source(load_document(src))
 
 
-def _element(ops: BasisOps, x: LC) -> str:
-    return lc_format(x, ops.label, ops.field.format)
+def _carrier_lines(c: Carrier) -> list[tuple[str, str]]:
+    ops = c.ops
+    chi = ", ".join(f"{ops.label(i)} -> {ops.format(c.chi(i))}" for i in ops.keys)
+    return [("lambda", ops.format_values(c.lam)), ("a", ops.format(c.a)),
+            ("alpha", ops.format_values(c.alpha)), ("chi", chi)]
 
 
-def _carrier_lines(algebra: FinHopfAlgebra, c: Carrier) -> list[tuple[str, str]]:
-    chi = ", ".join(f"{algebra.labels[i]} -> {algebra.format_element(c.chi(i))}"
-                    for i in range(algebra.dim))
-    return [("lambda", algebra.format_functional(c.lam)),
-            ("a", algebra.format_element(c.a)),
-            ("alpha", algebra.format_functional(c.alpha)),
-            ("chi", chi)]
-
-
-def _table_source(algebra: FinHopfAlgebra, data, lines, r, braiding,
-                  characters: dict) -> Source:
+def _table_source(ops: BasisOps, data, lines, r, braiding, characters: dict) -> Source:
     """A Source on structure-constant tables: functionals print as their
     values on the basis, and the braided chain closes with u and v."""
 
     def functional_lines(name: str, f) -> list[tuple[str, str]]:
-        return [(name, algebra.format_functional(f))]
+        return [(name, ops.format_values(f))]
 
     return Source(data, lines, r, braiding,
                   lambda c, br, fns: ([], functional_lines("u", fns["u"])
@@ -198,8 +191,8 @@ def _document_source(doc: AlgebraDocument) -> Resolved:
             r = lambda: RMatrix.from_entries(algebra, doc.r_entries)
         if doc.sigma is not None:
             braiding = lambda: (braiding_from_matrix(algebra, doc.sigma)[0], grouplikes, None)
-        return _table_source(algebra, lambda: cofrobenius_data(algebra),
-                             partial(_carrier_lines, algebra), r, braiding, characters)
+        return _table_source(algebra.ops, lambda: cofrobenius_data(algebra), _carrier_lines,
+                             r, braiding, characters)
 
     return Resolved(doc.name, (), verify_hopf(algebra), build, doc)
 
@@ -303,14 +296,14 @@ def _qt_chain(c: Carrier, r: RMatrix, characters: dict, report: Report) -> QTDat
         report.add(failed("subhopf.construction", str(exc)))
 
     a_alpha, b_alpha = grouplike_from_character(r, c.alpha)
-    _add(report, [], [*_drinfeld_lines(c.ops, qt), ("a_alpha", _element(c.ops, a_alpha)),
-                      ("b_alpha", _element(c.ops, b_alpha))])
+    _add(report, [], [*_drinfeld_lines(c.ops, qt), ("a_alpha", c.ops.format(a_alpha)),
+                      ("b_alpha", c.ops.format(b_alpha))])
     return qt
 
 
 def _drinfeld_lines(ops: BasisOps, qt: QTData) -> list[tuple[str, str]]:
     """The computed lines u, v and uv."""
-    return [(name, _element(ops, x))
+    return [(name, ops.format(x))
             for name, x in (("u", qt.u), ("v", qt.v), ("uv", ops.mul_lc(qt.u, qt.v)))]
 
 
@@ -324,7 +317,7 @@ def _dual_source(r: RMatrix, qt: QTData | None,
     dual_data = cofrobenius_data(dual)
     glikes = {name: lc_canon({k: f(k) for k in range(dual.dim)})
               for name, f in characters.items()}
-    return bridge, dual, _table_source(dual, lambda: dual_data, lambda c: [], None,
+    return bridge, dual, _table_source(dual.ops, lambda: dual_data, lambda c: [], None,
                                        lambda: (br, glikes, functionals), {})
 
 
@@ -367,6 +360,11 @@ def _r_matrix(src: Source, what: str) -> RMatrix:
     return src.r()
 
 
+def _first_failure(battery: list[CheckResult]) -> list[CheckResult]:
+    """The first FAIL line of a battery, or none when every line passes."""
+    return next(([x] for x in battery if not x.ok), [])
+
+
 def cmd_compute(res: Resolved, args) -> int:
     what = args.what
     report = Report(title=f"compute {res.label} {what}")
@@ -380,7 +378,7 @@ def cmd_compute(res: Resolved, args) -> int:
             return 0
     c = src.data()
     ops = c.ops
-    element, functional = partial(_element, ops), src.functional_lines
+    element, functional = ops.format, src.functional_lines
     second = what == "b_alpha"
 
     if what == "lambda":
@@ -402,12 +400,14 @@ def cmd_compute(res: Resolved, args) -> int:
         lines = sub.computed
     elif src.r is not None:  # u, v, uv, a_alpha, b_alpha as elements
         r = src.r()
+        report.extend(_first_failure(verify_qt(r)))
         if what in ("a_alpha", "b_alpha"):
             lines = [(what, element(grouplike_from_character(r, c.alpha)[second]))]
         else:
             lines = [x for x in _drinfeld_lines(ops, drinfeld_elements(r)[0]) if x[0] == what]
     elif src.braiding is not None:  # the same targets as functionals
         br = src.braiding()[0]
+        report.extend(_first_failure(braiding_axiom_checks(ops, br)))
         if what in ("a_alpha", "b_alpha"):
             images = modular_characters(ops, br, c.a, c.a_inv)
             lines = functional(("alpha_a", "beta_a")[second], images[second])
@@ -431,7 +431,7 @@ def cmd_check(res: Resolved, args) -> int:
         _check_qt(src, token, report)
     elif token == "s4":
         c = src.data()
-        _add(report, [], [("a", _element(c.ops, c.a)), *src.functional_lines("alpha", c.alpha)])
+        _add(report, [], [("a", c.ops.format(c.a)), *src.functional_lines("alpha", c.alpha)])
         report.extend(radford_s4_checks(c.ops, c.a, c.a_inv, c.alpha, c.alpha_inv))
     else:
         _check_braided(res.label, src, token, report)
@@ -442,9 +442,9 @@ def _check_qt(src: Source, token: str, report: Report) -> None:
     c = src.data()
     r = _r_matrix(src, f"check {token}")
     report.conventions.extend(QT_CONVENTIONS)
-    bad = next((x for x in verify_qt(r) if not x.ok), None)
-    if bad is not None:
-        report.add(bad)
+    bad = _first_failure(verify_qt(r))
+    report.extend(bad)
+    if bad:
         return
     if token == "factunim":
         report.extend(check_modular_grouplikes_equal(c, r))
@@ -477,9 +477,7 @@ def _check_braided(label: str, src: Source, token: str, report: Report) -> None:
     else:
         raise UsageError(f"check {token} needs a braiding or an R-matrix")
     ops = c.ops
-    bad = next((x for x in braiding_axiom_checks(ops, br) if not x.ok), None)
-    if bad is not None:
-        report.add(bad)
+    report.extend(_first_failure(braiding_axiom_checks(ops, br)))
     fns, fn_checks = functionals or braided_functionals(ops, br)
     report.extend(fn_checks)
     if token == "main3":

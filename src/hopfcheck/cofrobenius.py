@@ -292,12 +292,12 @@ coinner_from_integral_twist_findim = coinner_from_integral_twist
 def left_integrals(algebra: FinHopfAlgebra) -> list[tuple]:
     """Basis of the space of left integrals on the algebra, normalized, as
     value vectors on the basis."""
-    n = algebra.dim
+    n, ops = algebra.dim, algebra.ops
     # row (i, r), column k: the coefficient of lambda(e_k) in the e_r part of
     # h1 lambda(h2) - lambda(h) 1 at h = e_i
     eqs = SparseMatrix.zeros(algebra.field, n * n, n)
     for i in range(n):
-        for c, j, k in algebra.delta_basis(i):
+        for c, j, k in ops.delta(i):
             eqs.add(i * n + j, k, c)
         for r, u in enumerate(algebra.unit_coeffs):
             if u:
@@ -315,7 +315,7 @@ def _distinguished_pair(algebra: FinHopfAlgebra, lam) -> tuple[LC, LC]:
     pivot = next((i for i in range(algebra.dim) if lam(i)), None)
     if pivot is None:
         raise AxiomError("integral is zero; no modular element")
-    ops = algebra.basis_ops()
+    ops = algebra.ops
     a_inv = {k: div(v, lam(pivot)) for k, v in ops.hit_right(lam, pivot).items()}
     return algebra.invert_element(a_inv), a_inv
 
@@ -335,7 +335,7 @@ def cofrobenius_data(algebra: FinHopfAlgebra) -> Carrier:
         raise AxiomError(
             f"left integral space has dimension {len(integrals)}, expected 1")
     lam = integrals[0].__getitem__
-    ops = algebra.basis_ops()
+    ops = algebra.ops
     lam_mul = lam_mul_table(ops, lam)
     pairing = Matrix.from_rows(algebra.field, [[lam_mul(i, j) for j in ops.keys]
                                                for i in ops.keys])
@@ -414,5 +414,5 @@ def check_s2_inner_witness(algebra: FinHopfAlgebra, c: Carrier, w: LC) -> list[C
                          ops.eval_fn(c.alpha, w_inv) == scale))
     else:
         out.append(skipped("s2_witness.modular_value_agreement",
-                           f"eps(w) = {algebra.format_scalar(eps_w)}, not 1"))
+                           f"eps(w) = {ops.field.format(eps_w)}, not 1"))
     return out

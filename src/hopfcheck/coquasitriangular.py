@@ -444,7 +444,7 @@ def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, Matri
     convolution algebra of H (x) H, which is finite-dimensional and
     associative, so it is two-sided; cqt.convolution_inverse_left/right
     still verify it as named checks."""
-    n = algebra.dim
+    n, ops = algebra.dim, algebra.ops
     field = algebra.field
     value = Matrix.from_rows(field, rows)
     if value.nrows != n or value.ncols != n:
@@ -455,16 +455,16 @@ def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, Matri
     nonzero = value.sparse_rows()
     eqs = SparseMatrix.zeros(field, n * n, n * n)
     for i in range(n):
-        for c1, a, k in algebra.delta_basis(i):
+        for c1, a, k in ops.delta(i):
             sigma_a = nonzero[a]
             if not sigma_a:
                 continue
             for j in range(n):
-                for c2, b, l in algebra.delta_basis(j):
+                for c2, b, l in ops.delta(j):
                     s = sigma_a.get(b)
                     if s is not None:
                         eqs.add(i * n + j, k * n + l, c1 * c2 * s)
-    rhs = tuple(algebra.eps_basis(i) * algebra.eps_basis(j) for i in range(n) for j in range(n))
+    rhs = tuple(ops.eps(i) * ops.eps(j) for i in range(n) for j in range(n))
     sol = solve_linear(eqs, rhs)
     if sol is None:
         raise NotInvertibleError("braiding has no convolution inverse")
@@ -498,7 +498,7 @@ def dualize_qt(r: RMatrix, qt: QTData) -> tuple[FinHopfAlgebra, Braiding,
     inv_terms = {(i, j): v for i, row in enumerate(inv.rows) for j, v in enumerate(row) if v}
     out = [check("cqt.inverse_two_paths_agree", inv_terms == r.inverse)]
 
-    ops = dual.basis_ops()
+    ops = dual.ops
     functionals = braided_functionals(ops, br)
     fns = functionals[0]
     out.append(key_check("cqt.dual_bridge_u", ops, lambda i: fns["u"](i) == qt.u.get(i, zero)))

@@ -217,7 +217,7 @@ def build_algebra(doc: AlgebraDocument) -> FinHopfAlgebra:
 
 def document_characters(doc: AlgebraDocument, algebra: FinHopfAlgebra) -> dict:
     """The named characters, each as a key -> scalar function."""
-    ops = algebra.basis_ops()
+    ops = algebra.ops
     out = {}
     for name in sorted(doc.characters):
         f = doc.characters[name].__getitem__
@@ -229,7 +229,7 @@ def document_characters(doc: AlgebraDocument, algebra: FinHopfAlgebra) -> dict:
 
 def document_grouplikes(doc: AlgebraDocument, algebra: FinHopfAlgebra) -> dict:
     """The named grouplikes, each as an LC."""
-    ops = algebra.basis_ops()
+    ops = algebra.ops
     out = {}
     for name in sorted(doc.grouplikes):
         x = lc_canon(dict(enumerate(doc.grouplikes[name])))
@@ -300,11 +300,10 @@ def document_from_algebra(algebra: FinHopfAlgebra, r_terms: dict | None = None,
                           name: str | None = None) -> AlgebraDocument:
     """Read the structure constants back out of a built algebra, with an
     R-matrix given as its leg-pair combination {(i, j): c}."""
-    n = algebra.dim
+    n, ops = algebra.dim, algebra.ops
     mult = tuple((i, j, k, c) for i in range(n) for j in range(n)
-                 for k, c in sorted(algebra.mul_basis(i, j).items()))
-    comult = tuple((i, j, k, c) for i in range(n)
-                   for c, j, k in algebra.delta_basis(i))
+                 for k, c in sorted(ops.mul(i, j).items()))
+    comult = tuple((i, j, k, c) for i in range(n) for c, j, k in ops.delta(i))
     antipode = tuple((i, j, algebra.antipode_matrix.rows[i][j])
                      for i in range(n) for j in range(n)
                      if algebra.antipode_matrix.rows[i][j])
@@ -314,6 +313,6 @@ def document_from_algebra(algebra: FinHopfAlgebra, r_terms: dict | None = None,
     return AlgebraDocument(
         name=name or algebra.name, field=algebra.field, basis=algebra.labels,
         mult=mult, comult=comult,
-        counit=tuple(algebra.eps_basis(i) for i in range(n)),
+        counit=tuple(map(ops.eps, ops.keys)),
         antipode=antipode, r_entries=r_entries,
     )

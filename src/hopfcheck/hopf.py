@@ -6,18 +6,19 @@ only stores the tables and solves for a missing unit; verify_hopf reports
 every axiom, solving for a missing antipode on the way, and
 require_passing turns its first failure into an AxiomError.
 Elements are sparse LCs over the basis indices and functionals are key
-functions, both handled through basis_ops(); dense coefficient
-vectors appear only where a linear solve returns them.
+functions, both handled through the algebra's one BasisOps, its ops;
+dense coefficient vectors appear only where a linear solve returns them.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 
-from .lincomb import BasisOps, LC, hopf_axiom_checks, lc_canon, lc_format, lc_outer
+from .lincomb import BasisOps, LC, hopf_axiom_checks, lc_canon, lc_outer
 from .linalg import Matrix, SingularMatrixError, SparseMatrix, invert_matrix, solve_linear
 from .report import CheckResult, check, failed
-from .scalars import Field, Scalar
+from .scalars import Field
 
 
 class AxiomError(ValueError):
@@ -40,20 +41,19 @@ class Tensor2:
         The tensor square of a finite-dimensional algebra is again one, and
         there a right inverse is two-sided, so the solve alone decides.
         """
-        n = algebra.dim
-        zero = algebra.field.zero
+        n, ops = algebra.dim, algebra.ops
+        zero = ops.zero
         # row (r, s), column (k, l): coefficient of e_r (x) e_s in t (e_k (x) e_l)
         eqs = SparseMatrix.zeros(algebra.field, n * n, n * n)
         for (i, j), x in t.items():
-            rights = [(l, algebra.mul_basis(j, l)) for l in range(n)]
+            rights = [(l, ops.mul(j, l)) for l in range(n)]
             rights = [(l, right) for l, right in rights if right]
             for k in range(n):
-                for r, cr in algebra.mul_basis(i, k).items():
+                for r, cr in ops.mul(i, k).items():
                     xcr = x * cr
                     for l, right in rights:
                         for s, cs in right.items():
                             eqs.add(r * n + s, k * n + l, xcr * cs)
-        ops = algebra.basis_ops()
         target = lc_outer(ops.unit, ops.unit)
         rhs = tuple(target.get((r, s), zero) for r in range(n) for s in range(n))
         sol = solve_linear(eqs, rhs)
@@ -97,26 +97,27 @@ class FinHopfAlgebra:
         self._antipode = antipode
         self._antipode_inv: Matrix | None = None
 
-    # -- table access --------------------------------------------------------
-
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def mul_basis(self, i: int, j: int) -> LC:
-        return self._mult.get((i, j), {})
-
-    def delta_basis(self, i: int):
-        return self._comult.get(i, ())
-
-    def eps_basis(self, i: int) -> Scalar:
-        return self._counit[i]
-
-    def antipode_basis(self, j: int) -> LC:
-        return self._antipode_columns[j]
-
-    def antipode_inv_basis(self, j: int) -> LC:
-        return self._antipode_inv_columns[j]
+    @cached_property
+    def ops(self) -> BasisOps:
+        """The structure maps on the basis indices, built once.  The antipode
+        columns are read on first use, so an antipode that verify_hopf solves
+        for after this is built is still the one read."""
+        mult, comult = self._mult, self._comult
+        return BasisOps(
+            keys=tuple(range(self.dim)),
+            unit={i: c for i, c in enumerate(self.unit_coeffs) if c},
+            mul=lambda i, j: mult.get((i, j), {}),
+            delta=lambda i: comult.get(i, ()),
+            eps=self._counit.__getitem__,
+            antipode=lambda j: self._antipode_columns[j],
+            antipode_inv=lambda j: self._antipode_inv_columns[j],
+            field=self.field,
+            label=self.labels.__getitem__,
+        )
 
     # The matrices never change once set (the antipode is solved for at most
     # once, while it is missing), so their sparse columns are built once.
@@ -141,20 +142,6 @@ class FinHopfAlgebra:
             self._antipode_inv = invert_matrix(self.antipode_matrix)
         return self._antipode_inv
 
-    def basis_ops(self) -> BasisOps:
-        has_s = self._antipode is not None
-        return BasisOps(
-            keys=tuple(range(self.dim)),
-            unit={i: c for i, c in enumerate(self.unit_coeffs) if c},
-            mul=self.mul_basis,
-            delta=self.delta_basis,
-            eps=self.eps_basis,
-            antipode=self.antipode_basis if has_s else None,
-            antipode_inv=self.antipode_inv_basis if has_s else None,
-            field=self.field,
-            label=lambda k: self.labels[k],
-        )
-
     def invert_element(self, x: LC) -> LC:
         """Multiplicative inverse, solved for as a right inverse x y = 1.
 
@@ -162,15 +149,15 @@ class FinHopfAlgebra:
         two-sided (x y = 1 makes left multiplication by x onto, hence
         injective, and x (y x) = x gives y x = 1), so no second check runs.
         """
-        n = self.dim
+        n, ops = self.dim, self.ops
         eqs = SparseMatrix.zeros(self.field, n, n)  # row r, column k: e_r in x e_k
         for i, ci in x.items():
             for k in range(n):
-                for r, v in self.mul_basis(i, k).items():
+                for r, v in ops.mul(i, k).items():
                     eqs.add(r, k, ci * v)
         sol = solve_linear(eqs, self.unit_coeffs)
         if sol is None:
-            raise NotInvertibleError(f"element {self.format_element(x)} has no right inverse")
+            raise NotInvertibleError(f"element {ops.format(x)} has no right inverse")
         return lc_canon(dict(enumerate(sol.particular)))
 
     # -- dualization -------------------------------------------------------------
@@ -180,7 +167,7 @@ class FinHopfAlgebra:
         n = self.dim
         mult: dict = {}
         for k in range(n):
-            for c, i, j in self.delta_basis(k):
+            for c, i, j in self.ops.delta(k):
                 vec = mult.setdefault((i, j), {})
                 vec[k] = vec.get(k, self.field.zero) + c
         comult: dict = {}
@@ -219,18 +206,6 @@ class FinHopfAlgebra:
             return None
         return sol.particular
 
-    # -- formatting -----------------------------------------------------------------
-
-    def format_scalar(self, s: Scalar) -> str:
-        return self.field.format(s)
-
-    def format_element(self, x: LC) -> str:
-        return lc_format(x, lambda k: self.labels[k], self.format_scalar)
-
-    def format_functional(self, f) -> str:
-        """A key -> scalar function as its list of values on the basis."""
-        return "[" + ", ".join(self.format_scalar(f(k)) for k in range(self.dim)) + "]"
-
 
 def require_passing(results: list[CheckResult]) -> None:
     """Raise AxiomError naming the first failed check of a battery."""
@@ -247,7 +222,7 @@ def compute_antipode(algebra: FinHopfAlgebra) -> Matrix:
     left and the right antipode law are imposed, which forces the unique
     two-sided convolution inverse of the identity.
     """
-    n = algebra.dim
+    n, ops = algebra.dim, algebra.ops
     # the nonzero table entries e_a e_b = ... + m e_r, indexed by one factor
     # and r: as_right[b][r] lists (a, m), as_left[a][r] lists (b, m)
     as_right: list[dict] = [{} for _ in range(n)]
@@ -259,14 +234,14 @@ def compute_antipode(algebra: FinHopfAlgebra) -> Matrix:
     # rows (i, r, left/right): the coefficient of e_r in S(i1) i2, and in i1 S(i2)
     eqs = SparseMatrix.zeros(algebra.field, 2 * n * n, n * n)
     for i in range(n):
-        for c, j, k in algebra.delta_basis(i):
+        for c, j, k in ops.delta(i):
             for r, hits in as_right[k].items():
                 for a, m in hits:
                     eqs.add(2 * (i * n + r), a * n + j, c * m)
             for r, hits in as_left[j].items():
                 for a, m in hits:
                     eqs.add(2 * (i * n + r) + 1, a * n + k, c * m)
-    rhs = tuple(algebra.eps_basis(i) * algebra.unit_coeffs[r]
+    rhs = tuple(ops.eps(i) * algebra.unit_coeffs[r]
                 for i in range(n) for r in range(n) for _ in (0, 1))
     sol = solve_linear(eqs, rhs)
     if sol is None:
@@ -286,9 +261,9 @@ def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
         try:
             algebra._antipode = compute_antipode(algebra)
         except AxiomError as exc:
-            bialgebra = hopf_axiom_checks(algebra.basis_ops())
-            return bialgebra + [failed("hopf.antipode_exists", str(exc))]
-    out = hopf_axiom_checks(algebra.basis_ops())
+            bialgebra = replace(algebra.ops, antipode=None, antipode_inv=None)
+            return hopf_axiom_checks(bialgebra) + [failed("hopf.antipode_exists", str(exc))]
+    out = hopf_axiom_checks(algebra.ops)
     try:
         algebra.antipode_inv_matrix
         out.append(check("hopf.antipode_invertible", True))
@@ -307,7 +282,7 @@ def same_structure_constants(a: FinHopfAlgebra, b: FinHopfAlgebra) -> bool:
         return False
     norm = lambda tr: sorted((j, k, c) for c, j, k in tr)
     for i in range(a.dim):
-        if norm(a.delta_basis(i)) != norm(b.delta_basis(i)):
+        if norm(a.ops.delta(i)) != norm(b.ops.delta(i)):
             return False
     sa = a._antipode.rows if a._antipode is not None else None
     sb = b._antipode.rows if b._antipode is not None else None

@@ -260,6 +260,15 @@ class BasisOps:
     def compose_s_power(self, f: Callable[[Key], Scalar], power: int):
         return lambda key: self.eval_fn(f, self.s_power(self.single(key), power))
 
+    # -- printing -----------------------------------------------------------
+
+    def format(self, a: LC) -> str:
+        return lc_format(a, self.label, self.field.format)
+
+    def format_values(self, f: Callable[[Key], Scalar]) -> str:
+        """A functional as its list of values on the keys."""
+        return "[" + ", ".join(self.field.format(f(k)) for k in self.keys) + "]"
+
 
 def memo_fn(f):
     """Cache a one-argument function of hashable keys (a KeyTable lookup)."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from .cofrobenius import Carrier, cofrobenius_data
 from .hopf import AxiomError, FinHopfAlgebra, Tensor2, require_passing, verify_hopf
 from .lincomb import (
+    BasisOps,
     LC,
     inner_law,
     is_grouplike_lc,
@@ -67,16 +68,15 @@ class QTData:
     v_inv: LC
 
 
-def _triple_diff(algebra: FinHopfAlgebra, lhs: dict, rhs: dict) -> str | None:
+def _triple_diff(ops: BasisOps, lhs: dict, rhs: dict) -> str | None:
     for key in sorted(set(lhs) | set(rhs)):
-        if lhs.get(key, algebra.field.zero) != rhs.get(key, algebra.field.zero):
-            a, b, c = key
-            return (f"at ({algebra.labels[a]}, {algebra.labels[b]}, {algebra.labels[c]})")
+        if lhs.get(key, ops.zero) != rhs.get(key, ops.zero):
+            return f"at ({', '.join(map(ops.label, key))})"
     return None
 
 
 def verify_almost_cocommutative(r: RMatrix) -> CheckResult:
-    ops = r.algebra.basis_ops()
+    ops = r.algebra.ops
 
     def holds(i: int) -> bool:
         dh = ops.delta_lc(ops.single(i))
@@ -90,44 +90,43 @@ def verify_qt(r: RMatrix) -> list[CheckResult]:
     """Both hexagon identities, the counit conditions, almost-cocommutativity,
     and the antipode formulas for the inverse, which are reported as SKIP
     unless all of those pass."""
-    A = r.algebra
-    ops = A.basis_ops()
-    zero = A.field.zero
+    ops = r.algebra.ops
+    zero = ops.zero
     entries = [(i, j, v) for (i, j), v in r.tensor.items()]
     out: list[CheckResult] = []
 
     lhs: dict = {}
     rhs: dict = {}
     for i, j, v in entries:
-        for c, a, b in A.delta_basis(i):
+        for c, a, b in ops.delta(i):
             key = (a, b, j)
             lhs[key] = lhs.get(key, zero) + v * c
     for i, j, v1 in entries:
         for k, l, v2 in entries:
-            for m, w in A.mul_basis(j, l).items():
+            for m, w in ops.mul(j, l).items():
                 key = (i, k, m)
                 rhs[key] = rhs.get(key, zero) + v1 * v2 * w
-    diff = _triple_diff(A, lhs, rhs)
+    diff = _triple_diff(ops, lhs, rhs)
     out.append(check("qt.hexagon_comultiply_first_leg", diff is None, diff))
 
     lhs, rhs = {}, {}
     for i, j, v in entries:
-        for c, a, b in A.delta_basis(j):
+        for c, a, b in ops.delta(j):
             key = (i, a, b)
             lhs[key] = lhs.get(key, zero) + v * c
     for i, j, v1 in entries:
         for k, l, v2 in entries:
-            for m, w in A.mul_basis(i, k).items():
+            for m, w in ops.mul(i, k).items():
                 key = (m, l, j)
                 rhs[key] = rhs.get(key, zero) + v1 * v2 * w
-    diff = _triple_diff(A, lhs, rhs)
+    diff = _triple_diff(ops, lhs, rhs)
     out.append(check("qt.hexagon_comultiply_second_leg", diff is None, diff))
 
     left: LC = {}
     right: LC = {}
     for i, j, v in entries:
-        left = lc_add(left, {j: v * A.eps_basis(i)})
-        right = lc_add(right, {i: v * A.eps_basis(j)})
+        left = lc_add(left, {j: v * ops.eps(i)})
+        right = lc_add(right, {i: v * ops.eps(j)})
     out.append(check("qt.counit_first_leg", lc_eq(left, ops.unit)))
     out.append(check("qt.counit_second_leg", lc_eq(right, ops.unit)))
     out.append(verify_almost_cocommutative(r))
@@ -146,7 +145,7 @@ def verify_qt(r: RMatrix) -> list[CheckResult]:
 def drinfeld_elements(r: RMatrix) -> tuple[QTData, list[CheckResult]]:
     """u = S(R^2) R^1 and v = S(u)^-1, with their conjugation laws."""
     A = r.algebra
-    ops = A.basis_ops()
+    ops = A.ops
     u: LC = {}
     for (i, j), val in r.tensor.items():
         u = lc_add(u, lc_scale(val, ops.mul_lc(ops.antipode(j), ops.single(i))))
@@ -163,7 +162,7 @@ def drinfeld_elements(r: RMatrix) -> tuple[QTData, list[CheckResult]]:
 
 
 def verify_delta_u(r: RMatrix, qt: QTData) -> list[CheckResult]:
-    ops = r.algebra.basis_ops()
+    ops = r.algebra.ops
     braid = Tensor2.invert(r.algebra, tensor2_mul(ops, tensor2_flip(r.tensor), r.tensor))
     uu = lc_outer(qt.u, qt.u)
     delta_u = ops.delta_lc(qt.u)
@@ -194,14 +193,14 @@ def grouplike_from_character(r: RMatrix, eta) -> tuple[LC, LC]:
     callers pass the counit, alpha, alpha^-1, validated document characters
     and convolution products of these, which are characters by construction.
     """
-    eta_inv = r.algebra.basis_ops().compose_s_power(eta, 1)
+    eta_inv = r.algebra.ops.compose_s_power(eta, 1)
     return _contract_leg(r.tensor, eta, 0), _contract_leg(r.tensor, eta_inv, 1)
 
 
 def character_maps_checks(r: RMatrix, characters: dict) -> list[CheckResult]:
     """Grouplike images, multiplicativity in the character, and centrality.
     characters maps a name to a key -> scalar function."""
-    ops = r.algebra.basis_ops()
+    ops = r.algebra.ops
     out: list[CheckResult] = []
     images = {}
     for name in sorted(characters):
@@ -238,15 +237,13 @@ def character_maps_checks(r: RMatrix, characters: dict) -> list[CheckResult]:
 
 def check_modular_grouplikes_equal(c: Carrier, r: RMatrix) -> list[CheckResult]:
     """Both contractions of the modular functional give the same grouplike."""
-    algebra = r.algebra
     a_alpha, b_alpha = grouplike_from_character(r, c.alpha)
     _, b_alpha_inv = grouplike_from_character(r, c.alpha_inv)
     same = lc_eq(a_alpha, b_alpha)
     return [
         check("qt.modular_grouplikes_equal", same,
               None if same else
-              f"a_alpha = {algebra.format_element(a_alpha)}, "
-              f"b_alpha = {algebra.format_element(b_alpha)}"),
+              f"a_alpha = {c.ops.format(a_alpha)}, b_alpha = {c.ops.format(b_alpha)}"),
         check("qt.modular_pairing_trivial",
               lc_eq(c.ops.mul_lc(a_alpha, b_alpha_inv), c.ops.unit)),
     ]
@@ -254,7 +251,6 @@ def check_modular_grouplikes_equal(c: Carrier, r: RMatrix) -> list[CheckResult]:
 
 def check_drinfeld_modular_product(c: Carrier, r: RMatrix, qt: QTData) -> list[CheckResult]:
     """uv = vu = a b_alpha = a a_alpha, and S^4 as conjugation by uv."""
-    A = r.algebra
     ops = c.ops
     a_alpha, b_alpha = grouplike_from_character(r, c.alpha)
     uv = ops.mul_lc(qt.u, qt.v)
@@ -264,8 +260,7 @@ def check_drinfeld_modular_product(c: Carrier, r: RMatrix, qt: QTData) -> list[C
     return [
         check("drinfeld.uv_eq_vu", lc_eq(uv, vu)),
         check("drinfeld.uv_eq_a_times_b_alpha", lc_eq(uv, ab),
-              None if lc_eq(uv, ab) else f"uv = {A.format_element(uv)}, "
-              f"a b_alpha = {A.format_element(ab)}"),
+              None if lc_eq(uv, ab) else f"uv = {ops.format(uv)}, a b_alpha = {ops.format(ab)}"),
         check("drinfeld.uv_eq_a_times_a_alpha", lc_eq(uv, aa)),
         key_check("radford.s4_inner_by_uv", ops, inner_law(ops, 4, uv)),
     ]
@@ -295,7 +290,7 @@ def conjugation_witnesses(r: RMatrix, gamma,
     """The four character contractions of R and its inverse, each of which
     turns the gamma double-hit into conjugation; gamma must be a character,
     as for grouplike_from_character."""
-    ops = r.algebra.basis_ops()
+    ops = r.algebra.ops
     gamma_inv = memo_fn(ops.compose_s_power(gamma, 1))
 
     witnesses = [
@@ -323,7 +318,7 @@ def conjugation_witnesses(r: RMatrix, gamma,
 def flip_inverse(r: RMatrix) -> tuple[RMatrix, list[CheckResult]]:
     """The inverse of the flipped tensor, again an R-matrix."""
     algebra = r.algebra
-    ops = algebra.basis_ops()
+    ops = algebra.ops
     flipped = tensor2_flip(r.tensor)
     rt = RMatrix(algebra, Tensor2.invert(algebra, flipped), flipped)
     out = [
@@ -356,7 +351,7 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
     """The closure of R's tensor factors under the structure maps, with its
     integral data compared against parent, the carrier of r.algebra."""
     A = r.algebra
-    ops = A.basis_ops()
+    ops = A.ops
     field = A.field
     n = A.dim
     zero = field.zero
@@ -419,7 +414,7 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
     basis = [sparse(v) for v in span.vectors]
     m = len(basis)
     pivots = span.pivots
-    labels = tuple(A.format_element(b) for b in basis)
+    labels = tuple(map(ops.format, basis))
 
     if pivots == tuple(range(n)):
         # L = H, in H's own basis.  Every caller has passed A through the
@@ -482,8 +477,8 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
     computed = [
         ("dim(L)", str(m)),
         ("basis(L)", ", ".join(labels)),
-        ("a_L", sub.format_element(sub_c.a)),
-        ("alpha_L", sub.format_functional(sub_c.alpha)),
+        ("a_L", sub.ops.format(sub_c.a)),
+        ("alpha_L", sub.ops.format_values(sub_c.alpha)),
         ("a_L equals a_H", str(a_eq).lower()),
         ("alpha_L equals alpha_H restricted", str(alpha_eq).lower()),
         ("chi_L equals chi_H restricted", str(chi_eq).lower()),

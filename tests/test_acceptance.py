@@ -88,15 +88,15 @@ def test_criterion_02_hexagons_verified_on_every_triple(sweedler, sweedler_r,
         entries = [(i, j, v) for (i, j), v in r.tensor.items()]
         lhs1, rhs1, lhs2, rhs2 = {}, {}, {}, {}
         for i, j, v in entries:
-            for c, a, b in algebra.delta_basis(i):
+            for c, a, b in algebra.ops.delta(i):
                 lhs1[(a, b, j)] = lhs1.get((a, b, j), zero) + v * c
-            for c, a, b in algebra.delta_basis(j):
+            for c, a, b in algebra.ops.delta(j):
                 lhs2[(i, a, b)] = lhs2.get((i, a, b), zero) + v * c
         for i, j, v in entries:
             for k, l, w in entries:
-                for m, c in algebra.mul_basis(j, l).items():
+                for m, c in algebra.ops.mul(j, l).items():
                     rhs1[(i, k, m)] = rhs1.get((i, k, m), zero) + v * w * c
-                for m, c in algebra.mul_basis(i, k).items():
+                for m, c in algebra.ops.mul(i, k).items():
                     rhs2[(m, l, j)] = rhs2.get((m, l, j), zero) + v * w * c
         triples = list(itertools.product(range(algebra.dim), repeat=3))
         assert len(triples) == 64
@@ -194,13 +194,13 @@ def test_criterion_08_braidings_and_dual_bridge(c2, sweedler, sweedler_r,
                                                 sweedler_xi0, sweedler_xi0_r):
     doc = preset_document("group:C2")
     br, _ = braiding_from_matrix(c2, doc.sigma)
-    no_failures(braiding_axiom_checks(c2.basis_ops(), br))
+    no_failures(braiding_axiom_checks(c2.ops, br))
 
     for algebra, r in ((sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r)):
         qt, _ = drinfeld_elements(r)
         dual, dual_br, (fns, fn_checks), bridge = dualize_qt(r, qt)
         no_failures(bridge)
-        ops = dual.basis_ops()
+        ops = dual.ops
         no_failures(braiding_axiom_checks(ops, dual_br))
         # bridge identity valuewise: u_cqt evaluated at f equals f(u_qt)
         no_failures(fn_checks)

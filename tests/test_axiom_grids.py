@@ -207,7 +207,7 @@ def dual_braiding(algebra, r):
     """The dual of algebra with sigma(f, g) = (f x g)(R)."""
     qt, _ = drinfeld_elements(r)
     dual, br, _, _ = dualize_qt(r, qt)
-    return dual.basis_ops(), br
+    return dual.ops, br
 
 
 CARRIERS = ("sweedler", "dual_sweedler", "c4", "double_c2", "double_c2_dual",
@@ -219,24 +219,24 @@ def carrier(name, sweedler=None, sweedler_r=None, c4=None):
     if name == "sweedler":
         # the Laurent family's sigma on its quotient g^2 = 1
         rows = [[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-        return sweedler.basis_ops(), braiding_from_matrix(sweedler, rows)[0]
+        return sweedler.ops, braiding_from_matrix(sweedler, rows)[0]
     if name == "dual_sweedler":
         return dual_braiding(sweedler, sweedler_r)
     if name == "c4":
         rows = [[(-1) ** (i * j) for j in range(4)] for i in range(4)]
-        return c4.basis_ops(), braiding_from_matrix(c4, rows)[0]
+        return c4.ops, braiding_from_matrix(c4, rows)[0]
     if name in ("double_c2", "double_c4"):  # sigma = eps (x) eps, D(kC_n) is commutative
         _, double = document_algebra(double_c2_document() if name == "double_c2"
                                      else double_c4_permuted_document())
-        rows = [[double.eps_basis(i) * double.eps_basis(j) for j in range(double.dim)]
+        rows = [[double.ops.eps(i) * double.ops.eps(j) for j in range(double.dim)]
                 for i in range(double.dim)]
-        return double.basis_ops(), braiding_from_matrix(double, rows)[0]
+        return double.ops, braiding_from_matrix(double, rows)[0]
     if name == "double_c2_dual":
         doc, double = document_algebra(double_c2_document())
         return dual_braiding(double, RMatrix.from_entries(double, doc.r_entries))
     if name.endswith("_f10007"):  # h<n>_f10007
         doc, algebra = document_algebra(laurent_quotient_document(int(name[1:-7])))
-        return algebra.basis_ops(), braiding_from_matrix(algebra, doc.sigma)[0]
+        return algebra.ops, braiding_from_matrix(algebra, doc.sigma)[0]
     if name.startswith("laurent"):  # laurent<window>
         return laurent.basis_ops(int(name.removeprefix("laurent"))), laurent.braiding()
     raise ValueError(name)
@@ -487,7 +487,7 @@ def test_raw_sums_that_agree_mod_p_pass(monkeypatch):
     algebra = build_algebra(cyclic_group_document(4, f7))
     require_passing(verify_hopf(algebra))
     rows = [[f7.from_int((-1) ** (i * j)) for j in range(4)] for i in range(4)]
-    ops, br = algebra.basis_ops(), braiding_from_matrix(algebra, rows)[0]
+    ops, br = algebra.ops, braiding_from_matrix(algebra, rows)[0]
     sums = []
     residue = PrimeField.residue.fget
     monkeypatch.setattr(PrimeField, "residue", property(
@@ -511,7 +511,7 @@ def test_axiom_batteries_do_no_field_arithmetic_per_cell(n, monkeypatch):
     would be at least K^3; per-cell kernels made 4,496 operations at n = 4
     and 26,684 at n = 8.  Lowering sigma still evaluates it once per pair."""
     doc, algebra = document_algebra(laurent_quotient_document(n))
-    ops, br = algebra.basis_ops(), braiding_from_matrix(algebra, doc.sigma)[0]
+    ops, br = algebra.ops, braiding_from_matrix(algebra, doc.sigma)[0]
     sigma_calls, value = [], br.value
 
     def spy(x, y):

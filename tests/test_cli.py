@@ -13,7 +13,12 @@ from hopfcheck.coquasitriangular import dualize_qt
 from hopfcheck.document import build_algebra, document_text, load_document, parse_document
 from hopfcheck.presets import cyclic_group_document, preset_document
 from hopfcheck.quasitriangular import RMatrix, drinfeld_elements
-from test_golden import bumped_sigma_document, laurent_quotient_document
+from test_golden import (
+    bumped_sigma_document,
+    double_c2_document,
+    double_c4_permuted_document,
+    laurent_quotient_document,
+)
 
 
 def run(capsys, *argv):
@@ -257,12 +262,26 @@ def test_verify_twists_the_dual_integral_with_u(capsys, tmp_path, monkeypatch):
     algebra = build_algebra(doc)
     r = RMatrix.from_entries(algebra, doc.r_entries)
     dual, br, (fns, _), _ = dualize_qt(r, drinfeld_elements(r)[0])
-    ops = dual.basis_ops()
+    ops = dual.ops
     assert any(fns["u"](k) != fns["u_inv"](k) for k in ops.keys)
     assert len(seen) == 1
     keys, omega = seen[0]
     assert keys == ops.keys
     assert [omega(k) for k in keys] == [fns["u"](k) for k in keys]
+
+
+def test_one_verify_builds_one_basis_ops_per_algebra(capsys, tmp_path, monkeypatch):
+    # D(kC4) and its dual: every reader of an algebra shares its ops
+    built = []
+    init = lincomb.BasisOps.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lincomb.BasisOps, "__init__", spy)
+    run(capsys, "verify", write_doc(tmp_path, double_c4_permuted_document()))
+    assert len(built) == 2
 
 
 def test_compute_golden_lines(capsys):
@@ -304,6 +323,24 @@ def test_compute_without_r_or_sigma_exits_two(capsys, tmp_path):
     rc, _, err = run(capsys, "compute", path, "u")
     assert rc == 2
     assert "needs an R-matrix or a braiding" in err
+
+
+def test_compute_reports_the_first_failure_of_a_failing_r_or_sigma(capsys, tmp_path):
+    obj = double_c2_document()
+    obj["R"][0][0] = 2  # the first R coefficient doubled
+    failing_r = write_doc(tmp_path, obj, "double.json")
+    bumped = write_doc(tmp_path, bumped_sigma_document(), "bumped.json")
+    for path, fail, names in (
+            (failing_r, "qt.hexagon_comultiply_first_leg  :: at (d0, d0, d0)",
+             ("u", "v", "uv", "a_alpha", "b_alpha")),
+            (bumped, "cqt.multiplicative_first_argument  :: at (g, g, g)",
+             ("u", "v", "uv", "alpha_a", "beta_a"))):
+        for what, name in zip(("u", "v", "uv", "a_alpha", "b_alpha"), names):
+            rc, out, _ = run(capsys, "compute", path, what)
+            assert rc == 1, what
+            assert out.split("checks:\n", 1)[1].splitlines()[0] == f"  [FAIL] {fail}"
+            assert f"\n  {name} = " in out
+            assert "result: FAIL (0 passed, 1 failed, 0 skipped)" in out
 
 
 def test_compute_laurent_tables(capsys):

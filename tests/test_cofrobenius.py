@@ -80,7 +80,7 @@ def test_radford_s4_three_ways(sweedler, sweedler_data):
 
 
 def test_wrong_modular_element_is_caught(sweedler, sweedler_data):
-    ops = sweedler.basis_ops()
+    ops = sweedler.ops
     results = modular_element_checks(ops, sweedler_data.lam, ops.unit, ops.unit)
     by_name = {r.name: r for r in results}
     law = by_name["integral.modular_element_law"]
@@ -105,7 +105,7 @@ def test_s2_witness_with_modular_element(sweedler, sweedler_data):
 
 
 def test_s2_witness_rejects_bad_candidates(sweedler, sweedler_data):
-    ops = sweedler.basis_ops()
+    ops = sweedler.ops
     later = ["s2_witness.nakayama_product", "s2_witness.nakayama_modular_product",
              "s2_witness.modular_value_agreement"]
     results = check_s2_inner_witness(sweedler, sweedler_data, ops.single(2))
@@ -246,7 +246,7 @@ def evaluation_at_generator(dual):
     """Evaluation at g, a character of the dual of kC4, and its inverse
     after the antipode."""
     omega = (0, 1, 0, 0).__getitem__
-    return omega, dual.basis_ops().compose_s_power(omega, 1)
+    return omega, dual.ops.compose_s_power(omega, 1)
 
 
 def dual_c4_twist(c4):

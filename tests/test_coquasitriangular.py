@@ -75,7 +75,7 @@ def test_trivial_braiding_on_group_algebra(c2):
 
 def test_sign_braiding_on_group_algebra(c2):
     br, _ = braiding_from_matrix(c2, [[ONE, ONE], [ONE, -ONE]])
-    ops = c2.basis_ops()
+    ops = c2.ops
     for r in braiding_axiom_checks(ops, br):
         assert r.ok, r
     fns, checks = braided_functionals(ops, br)
@@ -86,7 +86,7 @@ def test_sign_braiding_on_group_algebra(c2):
 def test_dualized_sweedler_bridge(sweedler, sweedler_r):
     dual, br, (fns, fn_checks), checks = dualize(sweedler, sweedler_r)
     assert all(r.ok for r in checks)
-    ops = dual.basis_ops()
+    ops = dual.ops
     for r in braiding_axiom_checks(ops, br):
         assert r.ok, r
     assert all(r.ok for r in fn_checks)
@@ -125,7 +125,7 @@ def test_braiding_matrix_without_inverse_is_rejected(c2):
 
 def test_corrupted_braiding_fails_multiplicativity(c2):
     br, _ = braiding_from_matrix(c2, [[ONE, ONE], [ONE, Fraction(2)]])
-    results = {r.name: r for r in braiding_axiom_checks(c2.basis_ops(), br)}
+    results = {r.name: r for r in braiding_axiom_checks(c2.ops, br)}
     bad = results["cqt.multiplicative_first_argument"]
     assert not bad.ok
     assert bad.witness == "at (g, g, g)"
@@ -149,7 +149,7 @@ def test_closed_antipode_gate_reports_skips():
         doc = parse_document(obj)
         algebra = build_algebra(doc)
         require_passing(verify_hopf(algebra))
-        ops, br = algebra.basis_ops(), braiding_from_matrix(algebra, doc.sigma)[0]
+        ops, br = algebra.ops, braiding_from_matrix(algebra, doc.sigma)[0]
         batteries[bumped] = braiding_axiom_checks(ops, br)
     intact, bumped = batteries[False], batteries[True]
     assert [r.name for r in bumped] == [r.name for r in intact]

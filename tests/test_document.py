@@ -213,7 +213,7 @@ def test_character_and_grouplike_validation():
     chars = document_characters(doc, algebra)
     assert set(chars) == {"sign"}
     groups = document_grouplikes(doc, algebra)
-    assert groups["g"] == algebra.basis_ops().single(1)
+    assert groups["g"] == algebra.ops.single(1)
     assert [chars["sign"](k) for k in range(2)] == [1, -1]
 
     obj["characters"] = {"bad": [1, 2]}

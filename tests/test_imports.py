@@ -11,7 +11,9 @@ count only when named as an attribute (obj.method) or in a trace path.
 A key or pair grid outside lincomb must go through lincomb.key_check or
 pair_check, which enumerate its points and name its witness.  No module
 branches on whether a carrier has an algebra: a source is served by what
-it has, an R-matrix or a braiding.
+it has, an R-matrix or a braiding.  A finite algebra's structure maps live
+in its one ops: FinHopfAlgebra defines no basis_ops, *_basis or format_*
+method, and no module calls .basis_ops().
 """
 
 import ast
@@ -244,3 +246,49 @@ def test_carrier_kind_fork_detector_flags_each_form(tmp_path):
 def test_no_module_forks_on_carrier_kind():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in carrier_kind_forks(path)]
     assert not found, "carrier-kind forks:\n" + "\n".join(found)
+
+
+def structure_map_twins(path: Path) -> list[str]:
+    """Second copies of a finite algebra's structure maps beside its ops: a
+    FinHopfAlgebra method named basis_ops, *_basis or format_*, and any
+    argument-free .basis_ops() call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "FinHopfAlgebra":
+            out.extend(f"{path.name}:{item.lineno}: FinHopfAlgebra.{item.name}"
+                       for item in node.body
+                       if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and (item.name == "basis_ops" or item.name.endswith("_basis")
+                            or item.name.startswith("format_")))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "basis_ops" and not node.args and not node.keywords):
+            out.append(f"{path.name}:{node.lineno}: .basis_ops()")
+    return sorted(out)
+
+
+def test_structure_map_twin_detector_flags_each_form(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("class FinHopfAlgebra:\n"
+                   "    def basis_ops(self):\n"
+                   "        return self\n\n"
+                   "    def mul_basis(self, i, j):\n"
+                   "        return {}\n\n"
+                   "    def format_element(self, x):\n"
+                   "        return str(x)\n\n"
+                   "    def invert_element(self, x):\n"
+                   "        return x\n\n"
+                   "class Other:\n"
+                   "    def format_row(self):\n"
+                   "        return algebra.basis_ops().unit\n\n"
+                   "def f(window):\n"
+                   "    return laurent.basis_ops(window)\n")
+    assert structure_map_twins(mod) == ["mod.py:16: .basis_ops()",
+                                        "mod.py:2: FinHopfAlgebra.basis_ops",
+                                        "mod.py:5: FinHopfAlgebra.mul_basis",
+                                        "mod.py:8: FinHopfAlgebra.format_element"]
+
+
+def test_finite_algebras_have_one_structure_map_object():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in structure_map_twins(path)]
+    assert not found, "structure maps outside FinHopfAlgebra.ops:\n" + "\n".join(found)

@@ -39,7 +39,7 @@ def test_unit_r_matrix_on_group_algebra(c2):
     assert all(c.ok for c in verify_qt(r))
     qt, checks = drinfeld_elements(r)
     assert all(c.ok for c in checks)
-    unit = c2.basis_ops().unit
+    unit = c2.ops.unit
     assert qt.u == unit
     assert qt.v == unit
 
@@ -49,7 +49,7 @@ def test_drinfeld_elements_on_sweedler(sweedler, sweedler_r,
     for algebra, r in ((sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r)):
         qt, checks = drinfeld_elements(r)
         assert all(c.ok for c in checks)
-        ops = algebra.basis_ops()
+        ops = algebra.ops
         g = ops.single(1)
         assert qt.u == g
         assert qt.v == g
@@ -61,7 +61,7 @@ def test_drinfeld_elements_on_sweedler(sweedler, sweedler_r,
 
 def test_modular_grouplike_contractions(sweedler, sweedler_r, sweedler_data):
     a_alpha, b_alpha = grouplike_from_character(sweedler_r, sweedler_data.alpha)
-    g = sweedler.basis_ops().single(1)
+    g = sweedler.ops.single(1)
     assert a_alpha == g
     assert b_alpha == g
     for c in check_modular_grouplikes_equal(sweedler_data, sweedler_r):
@@ -103,7 +103,7 @@ def test_character_maps(sweedler, sweedler_r, sweedler_data):
 def test_conjugation_witnesses(sweedler, sweedler_r, sweedler_data):
     witnesses, results = conjugation_witnesses(sweedler_r, sweedler_data.alpha, name="alpha")
     assert len(witnesses) == 4
-    g = sweedler.basis_ops().single(1)
+    g = sweedler.ops.single(1)
     assert g in witnesses
     assert all(c.ok for c in results)
 
