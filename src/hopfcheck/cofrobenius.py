@@ -4,7 +4,8 @@ Every source resolves to one Carrier: BasisOps with a left integral and
 the modular data derived from it.  A finite algebra solves for that data
 by linear algebra (cofrobenius_data): the integral as a nullspace, the
 modular element from its defining law at one basis element, the Nakayama
-automorphism column-by-column; the Laurent family gives closed forms
+map by one elimination over [P^T | P] for the integral pairing P, a
+SparseMatrix; the Laurent family gives closed forms
 (laurent.family_data).  Construction only computes; the named checkers,
 written against BasisOps, verify each identity on either carrier.  The
 integral-twist round trip builds its pair functionals whether or not
@@ -30,12 +31,13 @@ from .lincomb import (
     is_character_fn,
     is_grouplike_lc,
     key_check,
+    lc_canon,
     lc_eq,
     lc_scale,
     memo_fn,
     pair_check,
 )
-from .linalg import Matrix, SingularMatrixError, SparseMatrix, invert_matrix, nullspace, rank
+from .linalg import SingularMatrixError, SparseMatrix, invert_matrix, nullspace, rank
 from .report import CheckResult, check, failed, skipped
 from .scalars import Scalar, div
 
@@ -54,9 +56,9 @@ class Carrier:
     lam, alpha and alpha_inv map a key to a scalar, chi maps a key to an LC,
     and a, a_inv are LCs; lam_mul(x, y) = lam(x y) is the one table of lambda
     on products that every check reads.  pairing (lambda(e_i e_j) at row i,
-    column j) and nakayama (column j holding chi(e_j)) are the matrices the
-    rank and invertibility checks read; a finite algebra has them, and they
-    are None on the Laurent family, where those lines SKIP.
+    column j) and nakayama (column j holding chi(e_j)) are the SparseMatrix
+    pair the rank and invertibility checks read; a finite algebra has them,
+    and they are None on the Laurent family, where those lines SKIP.
     """
 
     ops: BasisOps
@@ -67,8 +69,8 @@ class Carrier:
     chi: Callable[[Key], LC]
     alpha: Callable[[Key], Scalar]
     alpha_inv: Callable[[Key], Scalar]
-    pairing: Matrix | None = None
-    nakayama: Matrix | None = None
+    pairing: SparseMatrix | None = None
+    nakayama: SparseMatrix | None = None
 
 
 def lam_mul_table(ops: BasisOps, lam) -> PairTable:
@@ -320,10 +322,11 @@ def _distinguished_pair(algebra: FinHopfAlgebra, lam) -> tuple[LC, LC]:
     return algebra.invert_element(a_inv), a_inv
 
 
-def frobenius_chi(pairing: Matrix) -> Matrix:
-    """Solve lambda(m h) = lambda(chi(h) m) for chi, one column per basis h."""
+def frobenius_chi(pairing: SparseMatrix) -> SparseMatrix:
+    """Solve lambda(m h) = lambda(chi(h) m) for chi, one column per basis h:
+    P^T X = P for the pairing P, by one elimination over [P^T | P]."""
     try:
-        return invert_matrix(pairing.transpose()) * pairing
+        return invert_matrix(pairing.transpose(), pairing)
     except SingularMatrixError:
         raise AxiomError("integral pairing is degenerate; no Nakayama map") from None
 
@@ -337,11 +340,11 @@ def cofrobenius_data(algebra: FinHopfAlgebra) -> Carrier:
     lam = integrals[0].__getitem__
     ops = algebra.ops
     lam_mul = lam_mul_table(ops, lam)
-    pairing = Matrix.from_rows(algebra.field, [[lam_mul(i, j) for j in ops.keys]
-                                               for i in ops.keys])
+    pairing = SparseMatrix(algebra.field, [lc_canon({j: lam_mul(i, j) for j in ops.keys})
+                                           for i in ops.keys], algebra.dim)
     a, a_inv = _distinguished_pair(algebra, lam)
     chi_matrix = frobenius_chi(pairing)
-    chi = chi_matrix.sparse_columns().__getitem__
+    chi = chi_matrix.transpose().rows.__getitem__
     # alpha = eps o chi is a character, so its convolution inverse is alpha o S
     alpha = memo_fn(lambda j: ops.eps_lc(chi(j)))
     alpha_inv = memo_fn(ops.compose_s_power(alpha, 1))

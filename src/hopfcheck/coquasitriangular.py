@@ -1,7 +1,7 @@
 """Braidings: bilinear forms on a Hopf algebra making it coquasitriangular.
 
 A Braiding is a pair of evaluators on basis-key pairs.  Finite-dimensional
-carriers wrap a dense matrix whose inverse comes from a convolution solve;
+carriers wrap n-by-n value rows whose inverse comes from a convolution solve;
 the built-in infinite family supplies closed forms.  Every theorem checker
 below is written against the evaluator interface so both carriers share
 one code path.
@@ -14,7 +14,7 @@ from typing import Callable
 
 from .cofrobenius import Carrier, twist_round_trip
 from .hopf import FinHopfAlgebra, NotInvertibleError
-from .linalg import Matrix, SparseMatrix, solve_linear
+from .linalg import SparseMatrix, solve_linear
 from .lincomb import (
     BasisOps,
     LC,
@@ -438,22 +438,21 @@ flip_inverse_braiding = flip_braiding_checks
 # -- finite-dimensional carriers ------------------------------------------------
 
 
-def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, Matrix]:
-    """Wrap a dense value matrix; the inverse comes from a convolution solve
+def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, tuple]:
+    """Wrap n-by-n value rows, sigma(e_x, e_y) at rows[x][y]; the inverse,
+    returned as rows of the same shape, comes from a convolution solve
     over the tensor square.  The solve gives a right inverse in the
     convolution algebra of H (x) H, which is finite-dimensional and
     associative, so it is two-sided; cqt.convolution_inverse_left/right
     still verify it as named checks."""
     n, ops = algebra.dim, algebra.ops
-    field = algebra.field
-    value = Matrix.from_rows(field, rows)
-    if value.nrows != n or value.ncols != n:
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"braiding matrix must be {n}-by-{n}")
 
     # row (i, j), column (k, l): sum of c1 c2 sigma(a, b) over the terms
     # c1 e_a (x) e_k of Delta(e_i) and c2 e_b (x) e_l of Delta(e_j)
-    nonzero = value.sparse_rows()
-    eqs = SparseMatrix.zeros(field, n * n, n * n)
+    nonzero = [{y: s for y, s in enumerate(row) if s} for row in rows]
+    eqs = SparseMatrix.zeros(algebra.field, n * n, n * n)
     for i in range(n):
         for c1, a, k in ops.delta(i):
             sigma_a = nonzero[a]
@@ -468,10 +467,8 @@ def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, Matri
     sol = solve_linear(eqs, rhs)
     if sol is None:
         raise NotInvertibleError("braiding has no convolution inverse")
-    inv = Matrix.from_rows(field, [[sol.particular[k * n + l] for l in range(n)]
-                                   for k in range(n)])
-    br = Braiding(value=lambda x, y: value.rows[x][y],
-                  inverse=lambda x, y: inv.rows[x][y])
+    inv = tuple(sol.particular[k * n:(k + 1) * n] for k in range(n))
+    br = Braiding(value=lambda x, y: rows[x][y], inverse=lambda x, y: inv[x][y])
     return br, inv
 
 
@@ -495,7 +492,7 @@ def dualize_qt(r: RMatrix, qt: QTData) -> tuple[FinHopfAlgebra, Braiding,
     for (i, j), c in r.tensor.items():
         rows[i][j] = c
     br, inv = braiding_from_matrix(dual, rows)
-    inv_terms = {(i, j): v for i, row in enumerate(inv.rows) for j, v in enumerate(row) if v}
+    inv_terms = {(i, j): v for i, row in enumerate(inv) for j, v in enumerate(row) if v}
     out = [check("cqt.inverse_two_paths_agree", inv_terms == r.inverse)]
 
     ops = dual.ops

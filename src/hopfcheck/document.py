@@ -13,7 +13,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .hopf import FinHopfAlgebra
 from .lincomb import is_character_fn, is_grouplike_lc, lc_canon
-from .linalg import Matrix
 from .scalars import Field, RationalField, Scalar, ScalarError, field_from_spec
 
 
@@ -205,11 +204,11 @@ def build_algebra(doc: AlgebraDocument) -> FinHopfAlgebra:
     for i, j, k, c in doc.comult:
         comult.setdefault(i, []).append((c, j, k))
     antipode = None
-    if doc.antipode is not None:
-        rows = [[doc.field.zero] * n for _ in range(n)]
+    if doc.antipode is not None:  # entry [i, j, c]: c e_i in S(e_j), column j
+        columns: list[dict] = [{} for _ in range(n)]
         for i, j, c in doc.antipode:
-            rows[i][j] = rows[i][j] + c
-        antipode = Matrix.from_rows(doc.field, rows)
+            columns[j][i] = columns[j].get(i, doc.field.zero) + c
+        antipode = tuple(map(lc_canon, columns))
     return FinHopfAlgebra(doc.field, doc.basis, mult,
                           {i: tuple(ts) for i, ts in comult.items()},
                           doc.counit, antipode=antipode, name=doc.name)
@@ -304,9 +303,8 @@ def document_from_algebra(algebra: FinHopfAlgebra, r_terms: dict | None = None,
     mult = tuple((i, j, k, c) for i in range(n) for j in range(n)
                  for k, c in sorted(ops.mul(i, j).items()))
     comult = tuple((i, j, k, c) for i in range(n) for c, j, k in ops.delta(i))
-    antipode = tuple((i, j, algebra.antipode_matrix.rows[i][j])
-                     for i in range(n) for j in range(n)
-                     if algebra.antipode_matrix.rows[i][j])
+    antipode = tuple(sorted((i, j, c) for j, column in enumerate(algebra.antipode)
+                            for i, c in column.items()))
     r_entries = None
     if r_terms is not None:
         r_entries = tuple((v, i, j) for (i, j), v in sorted(r_terms.items()) if v)

@@ -1,13 +1,15 @@
 """Finite-dimensional Hopf algebras presented by structure constants.
 
 A FinHopfAlgebra holds a sparse multiplication table, a sparse coproduct,
-a counit vector and an antipode matrix over an exact field.  Construction
-only stores the tables and solves for a missing unit; verify_hopf reports
+a counit vector and the antipode over an exact field.  Construction only
+stores the tables and solves for a missing unit; verify_hopf reports
 every axiom, solving for a missing antipode on the way, and
 require_passing turns its first failure into an AxiomError.
 Elements are sparse LCs over the basis indices and functionals are key
-functions, both handled through the algebra's one BasisOps, its ops;
-dense coefficient vectors appear only where a linear solve returns them.
+functions, both handled through the algebra's one BasisOps, its ops.
+The antipode is kept as its columns S(e_j), each an LC; its inverse is
+solved for once, as the rows of (S^T)^-1, which are the columns of S^-1.
+Dense coefficient vectors appear only where a linear solve returns them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import replace
 from functools import cached_property
 
 from .lincomb import BasisOps, LC, hopf_axiom_checks, lc_canon, lc_outer
-from .linalg import Matrix, SingularMatrixError, SparseMatrix, invert_matrix, solve_linear
+from .linalg import SingularMatrixError, SparseMatrix, invert_matrix, solve_linear
 from .report import CheckResult, check, failed
 from .scalars import Field
 
@@ -67,12 +69,13 @@ class FinHopfAlgebra:
 
     mult maps a pair of basis indices to a sparse product vector, comult
     maps a basis index to sparse (coefficient, left, right) triples, counit
-    is a value vector, and the antipode is a matrix whose column j holds
-    the coefficients of S(e_j).  The unit is solved for when not supplied.
+    is a value vector, and antipode is a tuple whose entry j is S(e_j) as
+    an LC, or None until verify_hopf solves for it.  The unit is solved for
+    when not supplied.
     """
 
     def __init__(self, field: Field, labels, mult, comult, counit,
-                 unit=None, antipode: Matrix | None = None,
+                 unit=None, antipode: tuple[LC, ...] | None = None,
                  name: str | None = None) -> None:
         self.field = field
         self.labels = tuple(labels)
@@ -94,8 +97,7 @@ class FinHopfAlgebra:
         if len(self._counit) != n:
             raise AxiomError("counit: wrong length")
         self.unit_coeffs = tuple(unit) if unit is not None else self._solve_unit()
-        self._antipode = antipode
-        self._antipode_inv: Matrix | None = None
+        self.antipode = antipode
 
     @property
     def dim(self) -> int:
@@ -104,7 +106,7 @@ class FinHopfAlgebra:
     @cached_property
     def ops(self) -> BasisOps:
         """The structure maps on the basis indices, built once.  The antipode
-        columns are read on first use, so an antipode that verify_hopf solves
+        columns are read on each use, so an antipode that verify_hopf solves
         for after this is built is still the one read."""
         mult, comult = self._mult, self._comult
         return BasisOps(
@@ -113,34 +115,18 @@ class FinHopfAlgebra:
             mul=lambda i, j: mult.get((i, j), {}),
             delta=lambda i: comult.get(i, ()),
             eps=self._counit.__getitem__,
-            antipode=lambda j: self._antipode_columns[j],
-            antipode_inv=lambda j: self._antipode_inv_columns[j],
+            antipode=lambda j: self.antipode[j],
+            antipode_inv=lambda j: self.antipode_inv[j],
             field=self.field,
             label=self.labels.__getitem__,
         )
 
-    # The matrices never change once set (the antipode is solved for at most
-    # once, while it is missing), so their sparse columns are built once.
-
     @cached_property
-    def _antipode_columns(self) -> tuple[LC, ...]:
-        return self.antipode_matrix.sparse_columns()
-
-    @cached_property
-    def _antipode_inv_columns(self) -> tuple[LC, ...]:
-        return self.antipode_inv_matrix.sparse_columns()
-
-    @property
-    def antipode_matrix(self) -> Matrix:
-        if self._antipode is None:
+    def antipode_inv(self) -> tuple[LC, ...]:
+        """The columns of S^-1, read as the rows of (S^T)^-1."""
+        if self.antipode is None:
             raise AxiomError("antipode: not available on this algebra")
-        return self._antipode
-
-    @property
-    def antipode_inv_matrix(self) -> Matrix:
-        if self._antipode_inv is None:
-            self._antipode_inv = invert_matrix(self.antipode_matrix)
-        return self._antipode_inv
+        return tuple(invert_matrix(SparseMatrix(self.field, list(self.antipode), self.dim)).rows)
 
     def invert_element(self, x: LC) -> LC:
         """Multiplicative inverse, solved for as a right inverse x y = 1.
@@ -176,7 +162,9 @@ class FinHopfAlgebra:
                 comult.setdefault(i, []).append((c, j, k))
         counit = self.unit_coeffs
         unit = self._counit
-        antipode = self.antipode_matrix.transpose() if self._antipode is not None else None
+        antipode = None
+        if self.antipode is not None:  # S^* has the columns of S^T, the rows of S
+            antipode = tuple(SparseMatrix(self.field, list(self.antipode), n).transpose().rows)
         return FinHopfAlgebra(
             self.field,
             tuple(f"{lbl}*" for lbl in self.labels),
@@ -215,12 +203,13 @@ def require_passing(results: list[CheckResult]) -> None:
         raise AxiomError(f"{bad.name} fails{where}")
 
 
-def compute_antipode(algebra: FinHopfAlgebra) -> Matrix:
+def compute_antipode(algebra: FinHopfAlgebra) -> tuple[LC, ...]:
     """Solve the antipode equations of a bialgebra; raise when none exists.
 
-    Unknown s[a][b] is the coefficient of basis a in S(basis b); both the
-    left and the right antipode law are imposed, which forces the unique
-    two-sided convolution inverse of the identity.
+    Unknown s[a][b] is the coefficient of basis a in S(basis b), and the
+    result is the columns S(e_b) as LCs.  Both the left and the right
+    antipode law are imposed, which forces the unique two-sided
+    convolution inverse of the identity.
     """
     n, ops = algebra.dim, algebra.ops
     # the nonzero table entries e_a e_b = ... + m e_r, indexed by one factor
@@ -249,7 +238,7 @@ def compute_antipode(algebra: FinHopfAlgebra) -> Matrix:
     if not sol.unique:
         raise AxiomError("antipode equations are degenerate; tables are not a bialgebra")
     x = sol.particular
-    return Matrix.from_rows(algebra.field, [[x[a * n + b] for b in range(n)] for a in range(n)])
+    return tuple(lc_canon({a: x[a * n + b] for a in range(n)}) for b in range(n))
 
 
 def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
@@ -257,15 +246,15 @@ def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
     A missing antipode is solved for here and kept by the algebra."""
     if algebra.unit_coeffs is None:
         return [failed("hopf.unit_exists", "no two-sided unit solves the tables")]
-    if algebra._antipode is None:
+    if algebra.antipode is None:
         try:
-            algebra._antipode = compute_antipode(algebra)
+            algebra.antipode = compute_antipode(algebra)
         except AxiomError as exc:
             bialgebra = replace(algebra.ops, antipode=None, antipode_inv=None)
             return hopf_axiom_checks(bialgebra) + [failed("hopf.antipode_exists", str(exc))]
     out = hopf_axiom_checks(algebra.ops)
     try:
-        algebra.antipode_inv_matrix
+        algebra.antipode_inv
         out.append(check("hopf.antipode_invertible", True))
     except SingularMatrixError:
         out.append(failed("hopf.antipode_invertible", "antipode matrix is singular"))
@@ -284,6 +273,4 @@ def same_structure_constants(a: FinHopfAlgebra, b: FinHopfAlgebra) -> bool:
     for i in range(a.dim):
         if norm(a.ops.delta(i)) != norm(b.ops.delta(i)):
             return False
-    sa = a._antipode.rows if a._antipode is not None else None
-    sb = b._antipode.rows if b._antipode is not None else None
-    return sa == sb
+    return a.antipode == b.antipode

@@ -1,16 +1,17 @@
 """Exact linear algebra: solving, nullspaces, inverses, echelon bases.
 
 Everything works over the fields from hopfcheck.scalars with exact
-division.  A linear system is sparse from the start: the package builds
-the systems it solves as SparseMatrix rows, {column: value} dicts holding
-only the nonzero coefficients, and a dense Matrix (the antipode, the
-integral pairing, the Nakayama matrix) hands the solver the same rows
-through sparse_rows().  Gauss-Jordan elimination keeps them sparse until
-the solution comes out: a column -> rows index means only the rows that
-hold the pivot column get visited, and among the rows that can pivot a
-column the sparsest is taken, to limit fill-in.  The pivot choice cannot
-change any result: the reduced row echelon form of a matrix is unique, so
-every pivot order gives the same rows.
+division.  SparseMatrix is the one matrix type: its rows are {column:
+value} dicts holding only the nonzero coefficients, and every linear
+system, the integral pairing and the Nakayama matrix are built as one.
+Gauss-Jordan elimination keeps the rows sparse until the solution comes
+out: a column -> rows index means only the rows that hold the pivot
+column get visited, and among the rows that can pivot a column the
+sparsest is taken, to limit fill-in.  The pivot choice cannot change any
+result: the reduced row echelon form of a matrix is unique, so every
+pivot order gives the same rows.  invert_matrix(a, b) reduces [A | B]
+once and reads A^-1 B off the right block, so no product with an inverse
+is ever formed.
 """
 
 from __future__ import annotations
@@ -24,67 +25,6 @@ Vector = tuple
 
 class SingularMatrixError(ValueError):
     """The matrix has no inverse."""
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """An immutable dense matrix over an exact field."""
-
-    field: Field
-    rows: tuple[tuple[Scalar, ...], ...]
-
-    def __post_init__(self) -> None:
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-
-    @classmethod
-    def from_rows(cls, field: Field, rows) -> "Matrix":
-        return cls(field, tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, tuple((z,) * ncols for _ in range(nrows)))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def sparse_rows(self) -> list[dict]:
-        return [{j: x for j, x in enumerate(row) if x} for row in self.rows]
-
-    def sparse_columns(self) -> tuple[dict, ...]:
-        return tuple({i: row[j] for i, row in enumerate(self.rows) if row[j]}
-                     for j in range(self.ncols))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else ())
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        cols = other.transpose().rows
-        return Matrix(
-            self.field,
-            tuple(tuple(_dot(r, c, self.field.zero) for c in cols) for r in self.rows),
-        )
-
-    def apply(self, vec: Vector) -> Vector:
-        if len(vec) != self.ncols:
-            raise ValueError(f"vector of length {len(vec)} against {self.nrows}x{self.ncols}")
-        return tuple(_dot(r, vec, self.field.zero) for r in self.rows)
 
 
 @dataclass
@@ -111,16 +51,12 @@ class SparseMatrix:
         row = self.rows[i]
         row[j] = row[j] + v if j in row else v
 
-    def sparse_rows(self) -> list[dict]:
-        return self.rows
-
-
-def _dot(u, v, zero: Scalar) -> Scalar:
-    acc = zero
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
+    def transpose(self) -> "SparseMatrix":
+        out = SparseMatrix.zeros(self.field, self.ncols, self.nrows)
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                out.rows[j][i] = x
+        return out
 
 
 def _rref(rows, ncols: int) -> tuple[list[int], list[dict]]:
@@ -179,7 +115,7 @@ class LinearSolution:
         return not self.homogeneous
 
 
-def solve_linear(a: Matrix | SparseMatrix, b: Vector) -> LinearSolution | None:
+def solve_linear(a: SparseMatrix, b: Vector) -> LinearSolution | None:
     """Solve A x = b exactly; None means the system is inconsistent.
 
     The solution vectors are dense.
@@ -188,7 +124,7 @@ def solve_linear(a: Matrix | SparseMatrix, b: Vector) -> LinearSolution | None:
         raise ValueError(f"right-hand side of length {len(b)} against {a.nrows} rows")
     zero, one = a.field.zero, a.field.one
     n = a.ncols
-    aug = [{**row, n: rhs} if rhs else row for row, rhs in zip(a.sparse_rows(), b)]
+    aug = [{**row, n: rhs} if rhs else row for row, rhs in zip(a.rows, b)]
     pivots, pivot_rows = _rref(aug, n + 1)
     if pivots and pivots[-1] == n:
         return None
@@ -208,28 +144,32 @@ def solve_linear(a: Matrix | SparseMatrix, b: Vector) -> LinearSolution | None:
     return LinearSolution(tuple(particular), tuple(tuple(v) for v in homogeneous.values()))
 
 
-def nullspace(a: Matrix | SparseMatrix) -> tuple[Vector, ...]:
+def nullspace(a: SparseMatrix) -> tuple[Vector, ...]:
     """A basis of {x : A x = 0}, in free-column order."""
     sol = solve_linear(a, (a.field.zero,) * a.nrows)
     assert sol is not None
     return sol.homogeneous
 
 
-def rank(a: Matrix | SparseMatrix) -> int:
-    return len(_rref(a.sparse_rows(), a.ncols)[0])
+def rank(a: SparseMatrix) -> int:
+    return len(_rref(a.rows, a.ncols)[0])
 
 
-def invert_matrix(a: Matrix) -> Matrix:
+def invert_matrix(a: SparseMatrix, b: SparseMatrix | None = None) -> SparseMatrix:
+    """A^-1 B, or A^-1 when b is None, by one elimination over [A | B]."""
     if a.nrows != a.ncols:
         raise SingularMatrixError(f"non-square {a.nrows}x{a.ncols} matrix")
     n = a.nrows
-    zero, one = a.field.zero, a.field.one
-    aug = [{**row, n + i: one} for i, row in enumerate(a.sparse_rows())]
-    pivots, pivot_rows = _rref(aug, 2 * n)
-    if pivots != list(range(n)):
+    if b is None:
+        b = SparseMatrix(a.field, [{i: a.field.one} for i in range(n)], n)
+    elif b.nrows != n:
+        raise ValueError(f"{b.nrows} right-hand rows against {n}")
+    aug = [{**row, **{n + j: x for j, x in rhs.items()}} for row, rhs in zip(a.rows, b.rows)]
+    pivots, pivot_rows = _rref(aug, n + b.ncols)
+    if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix(a.field, tuple(tuple(prow.get(j, zero) for j in range(n, 2 * n))
-                                 for prow in pivot_rows))
+    return SparseMatrix(a.field, [{j - n: x for j, x in prow.items() if j >= n}
+                                  for prow in pivot_rows], b.ncols)
 
 
 class EchelonBasis:
@@ -237,13 +177,11 @@ class EchelonBasis:
 
     Used for closure computations: insert vectors one at a time, read off
     dimension, and compute coordinates of members relative to the basis.
-    Vectors go in and come out dense; the basis rows are kept as
-    {column: value} dicts, so reducing and inserting touch only nonzeros.
+    Vectors go in and come out as {column: value} dicts, so reducing and
+    inserting touch only nonzeros.
     """
 
-    def __init__(self, field: Field, ambient_dim: int) -> None:
-        self.field = field
-        self.ambient_dim = ambient_dim
+    def __init__(self) -> None:
         self._rows: list[dict] = []
         self._pivots: list[int] = []
 
@@ -252,32 +190,29 @@ class EchelonBasis:
         return len(self._rows)
 
     @property
-    def vectors(self) -> tuple[Vector, ...]:
-        zero = self.field.zero
-        return tuple(tuple(row.get(j, zero) for j in range(self.ambient_dim))
-                     for row in self._rows)
+    def vectors(self) -> tuple[dict, ...]:
+        """Copies of the basis rows, in pivot order."""
+        return tuple(dict(row) for row in self._rows)
 
     @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(self._pivots)
 
-    def reduce(self, vec: Vector) -> dict:
+    def reduce(self, vec: dict) -> dict:
         """The nonzero entries of vec minus its projection on the basis.
 
         Each basis row is zero at every other row's pivot, so the row of a
         pivot is subtracted with vec's own entry there, in any order.
         """
-        v = {j: x for j, x in enumerate(vec) if x}
+        v = {j: x for j, x in vec.items() if x}
         for row, p in zip(self._rows, self._pivots):
             f = v.get(p)
             if f is not None:
                 _axpy(v, -f, row)
         return v
 
-    def insert(self, vec: Vector) -> bool:
+    def insert(self, vec: dict) -> bool:
         """Add a vector; returns True when it enlarges the span."""
-        if len(vec) != self.ambient_dim:
-            raise ValueError("wrong ambient dimension")
         v = self.reduce(vec)
         if not v:
             return False
@@ -293,14 +228,15 @@ class EchelonBasis:
         self._pivots.insert(at, pivot)
         return True
 
-    def contains(self, vec: Vector) -> bool:
+    def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-    def coords(self, vec: Vector) -> Vector | None:
-        """Coordinates of vec in this basis, or None when outside the span."""
+    def coords(self, vec: dict) -> dict | None:
+        """Coordinates of vec in this basis as {basis index: value}, or None
+        when vec is outside the span."""
         if not self.contains(vec):
             return None
-        return tuple(vec[p] for p in self._pivots)
+        return {k: vec[p] for k, p in enumerate(self._pivots) if vec.get(p)}
 
 
 def _axpy(row: dict, f: Scalar, other: dict) -> None:

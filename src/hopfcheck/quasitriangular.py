@@ -19,17 +19,15 @@ from .lincomb import (
     inner_law,
     is_grouplike_lc,
     key_check,
-    lc_add,
     lc_canon,
     lc_eq,
     lc_outer,
-    lc_scale,
     memo_fn,
     tensor2_flip,
     tensor2_map,
     tensor2_mul,
 )
-from .linalg import EchelonBasis, Matrix
+from .linalg import EchelonBasis
 from .report import PASS, CheckResult, check, grid_check, skipped
 
 QT_CONVENTIONS = (
@@ -86,49 +84,38 @@ def verify_almost_cocommutative(r: RMatrix) -> CheckResult:
     return key_check("qt.almost_cocommutative", ops, holds)
 
 
+def _hexagon_diff(ops: BasisOps, tensor: dict, leg: int) -> str | None:
+    """The first triple where R with leg 0 or 1 comultiplied differs from
+    R13 R23 (leg 0) or R13 R12 (leg 1), or None."""
+    zero = ops.zero
+    entries = [(i, j, v) for (i, j), v in tensor.items()]
+    lhs: dict = {}
+    rhs: dict = {}
+    for i, j, v in entries:
+        for c, a, b in ops.delta(j if leg else i):
+            key = (i, a, b) if leg else (a, b, j)
+            lhs[key] = lhs.get(key, zero) + v * c
+    for i, j, v1 in entries:
+        for k, l, v2 in entries:
+            for m, w in (ops.mul(i, k) if leg else ops.mul(j, l)).items():
+                key = (m, l, j) if leg else (i, k, m)
+                rhs[key] = rhs.get(key, zero) + v1 * v2 * w
+    return _triple_diff(ops, lhs, rhs)
+
+
 def verify_qt(r: RMatrix) -> list[CheckResult]:
     """Both hexagon identities, the counit conditions, almost-cocommutativity,
     and the antipode formulas for the inverse, which are reported as SKIP
     unless all of those pass."""
     ops = r.algebra.ops
-    zero = ops.zero
-    entries = [(i, j, v) for (i, j), v in r.tensor.items()]
     out: list[CheckResult] = []
-
-    lhs: dict = {}
-    rhs: dict = {}
-    for i, j, v in entries:
-        for c, a, b in ops.delta(i):
-            key = (a, b, j)
-            lhs[key] = lhs.get(key, zero) + v * c
-    for i, j, v1 in entries:
-        for k, l, v2 in entries:
-            for m, w in ops.mul(j, l).items():
-                key = (i, k, m)
-                rhs[key] = rhs.get(key, zero) + v1 * v2 * w
-    diff = _triple_diff(ops, lhs, rhs)
-    out.append(check("qt.hexagon_comultiply_first_leg", diff is None, diff))
-
-    lhs, rhs = {}, {}
-    for i, j, v in entries:
-        for c, a, b in ops.delta(j):
-            key = (i, a, b)
-            lhs[key] = lhs.get(key, zero) + v * c
-    for i, j, v1 in entries:
-        for k, l, v2 in entries:
-            for m, w in ops.mul(i, k).items():
-                key = (m, l, j)
-                rhs[key] = rhs.get(key, zero) + v1 * v2 * w
-    diff = _triple_diff(ops, lhs, rhs)
-    out.append(check("qt.hexagon_comultiply_second_leg", diff is None, diff))
-
-    left: LC = {}
-    right: LC = {}
-    for i, j, v in entries:
-        left = lc_add(left, {j: v * ops.eps(i)})
-        right = lc_add(right, {i: v * ops.eps(j)})
-    out.append(check("qt.counit_first_leg", lc_eq(left, ops.unit)))
-    out.append(check("qt.counit_second_leg", lc_eq(right, ops.unit)))
+    sides = tuple(enumerate(("first", "second")))
+    for leg, side in sides:
+        diff = _hexagon_diff(ops, r.tensor, leg)
+        out.append(check(f"qt.hexagon_comultiply_{side}_leg", diff is None, diff))
+    for leg, side in sides:
+        counit = _contract_leg(r.tensor, ops.eps, leg)
+        out.append(check(f"qt.counit_{side}_leg", lc_eq(counit, ops.unit)))
     out.append(verify_almost_cocommutative(r))
 
     gate_open = all(c.status == PASS for c in out)
@@ -146,9 +133,7 @@ def drinfeld_elements(r: RMatrix) -> tuple[QTData, list[CheckResult]]:
     """u = S(R^2) R^1 and v = S(u)^-1, with their conjugation laws."""
     A = r.algebra
     ops = A.ops
-    u: LC = {}
-    for (i, j), val in r.tensor.items():
-        u = lc_add(u, lc_scale(val, ops.mul_lc(ops.antipode(j), ops.single(i))))
+    u = ops.map_lc(lambda p: ops.mul_lc(ops.antipode(p[1]), ops.single(p[0])), r.tensor)
     u_inv = A.invert_element(u)
     v_inv = ops.s_lc(u)
     v = A.invert_element(v_inv)
@@ -179,8 +164,9 @@ def _contract_leg(tensor: dict, f, leg: int) -> LC:
     """f applied to one leg of a leg-pair combination, leaving the other."""
     out: LC = {}
     for pair, val in tensor.items():
-        out = lc_add(out, {pair[1 - leg]: val * f(pair[leg])})
-    return out
+        k, x = pair[1 - leg], val * f(pair[leg])
+        out[k] = out[k] + x if k in out else x
+    return lc_canon(out)
 
 
 def grouplike_from_character(r: RMatrix, eta) -> tuple[LC, LC]:
@@ -356,13 +342,6 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
     n = A.dim
     zero = field.zero
 
-    # EchelonBasis spans dense coefficient vectors; everything else is an LC
-    def dense(x: LC) -> tuple:
-        return tuple(x.get(i, zero) for i in range(n))
-
-    def sparse(vec) -> LC:
-        return {i: c for i, c in enumerate(vec) if c}
-
     def expand(terms: dict, left, right) -> dict:
         """sum of c left[p] (x) right[q] over the terms {(p, q): c}"""
         out: dict = {}
@@ -371,23 +350,25 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
                 out[key] = out.get(key, zero) + c * v
         return lc_canon(out)
 
-    # rank factorization R = sum_k first[k] (x) second[k] through the row space
-    rows = [[zero] * n for _ in range(n)]
+    # rank factorization R = sum_k first[k] (x) second[k] through the row
+    # space: R's row i is the LC whose coefficient at j is that of e_i (x) e_j
+    rows: dict = {}
     for (i, j), c in r.tensor.items():
-        rows[i][j] = c
-    factor_rows = EchelonBasis(field, n)
-    for row in rows:
+        rows.setdefault(i, {})[j] = c
+    factor_rows = EchelonBasis()
+    for row in rows.values():
         factor_rows.insert(row)
-    second = [sparse(v) for v in factor_rows.vectors]
-    row_coords = [factor_rows.coords(row) for row in rows]
-    first = [sparse(coords[k] for coords in row_coords) for k in range(len(second))]
+    second = list(factor_rows.vectors)
+    first: list[LC] = [{} for _ in second]
+    for i, row in rows.items():
+        for k, c in factor_rows.coords(row).items():
+            first[k][i] = c
     factorization_ok = lc_eq(
         expand({(k, k): field.one for k in range(len(second))}, first, second), r.tensor)
 
-    span = EchelonBasis(field, n)
-    span.insert(A.unit_coeffs)
-    for x in first + second:
-        span.insert(dense(x))
+    span = EchelonBasis()
+    for x in [ops.unit] + first + second:
+        span.insert(x)
 
     passes = 0
     while True:
@@ -395,11 +376,11 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
         if passes > n + 2:
             raise AxiomError("subHopf closure failed to stabilize")
         before = span.dim
-        current = [sparse(v) for v in span.vectors]
+        current = span.vectors
         for x in current:
             for y in current:
-                span.insert(dense(ops.mul_lc(x, y)))
-            span.insert(dense(ops.s_lc(x)))
+                span.insert(ops.mul_lc(x, y))
+            span.insert(ops.s_lc(x))
             # every left-leg slice and every right-leg slice of Delta(x)
             dx = ops.delta_lc(x)
             for leg in (0, 1):
@@ -407,11 +388,11 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
                 for pair, c in dx.items():
                     slices.setdefault(pair[leg], {})[pair[1 - leg]] = c
                 for part in slices.values():
-                    span.insert(dense(part))
+                    span.insert(part)
         if span.dim == before:
             break
 
-    basis = [sparse(v) for v in span.vectors]
+    basis = list(span.vectors)
     m = len(basis)
     pivots = span.pivots
     labels = tuple(map(ops.format, basis))
@@ -425,8 +406,8 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
         r_sub = replace(r, algebra=sub)
         sub_c = parent
     else:
-        def coords_of(x: LC) -> tuple:
-            c = span.coords(dense(x))
+        def coords_of(x: LC) -> LC:
+            c = span.coords(x)
             if c is None:
                 raise AxiomError("closure is not closed under the structure maps")
             return c
@@ -437,7 +418,7 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
             return lc_canon({(p, q): t.get((pivots[p], pivots[q]), zero)
                              for p in range(m) for q in range(m)})
 
-        mult = {(p, q): sparse(coords_of(ops.mul_lc(basis[p], basis[q])))
+        mult = {(p, q): coords_of(ops.mul_lc(basis[p], basis[q]))
                 for p in range(m) for q in range(m)}
         comult = {}
         for p in range(m):
@@ -447,11 +428,10 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
                 raise AxiomError("comultiplication leaves the closure")
             comult[p] = tuple((c, rr, ss) for (rr, ss), c in cand.items())
         counit = tuple(ops.eps_lc(b) for b in basis)
-        s_cols = [coords_of(ops.s_lc(b)) for b in basis]
-        antipode = Matrix.from_rows(field, [[s_cols[q][p] for q in range(m)]
-                                            for p in range(m)])
-
-        sub = FinHopfAlgebra(field, labels, mult, comult, counit, unit=coords_of(ops.unit),
+        antipode = tuple(coords_of(ops.s_lc(b)) for b in basis)
+        unit = coords_of(ops.unit)
+        sub = FinHopfAlgebra(field, labels, mult, comult, counit,
+                             unit=tuple(unit.get(p, zero) for p in range(m)),
                              antipode=antipode, name=f"{A.name}-minimal")
         require_passing(verify_hopf(sub))
 

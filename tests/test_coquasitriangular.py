@@ -58,7 +58,7 @@ def modular_chain(c, br, fns):
 
 def test_trivial_braiding_on_group_algebra(c2):
     br, inv = braiding_from_matrix(c2, trivial_rows(2))
-    assert inv.rows == ((ONE, ONE), (ONE, ONE))
+    assert inv == ((ONE, ONE), (ONE, ONE))
     c = cofrobenius_data(c2)
     for r in braiding_axiom_checks(c.ops, br):
         assert r.ok, r

@@ -77,21 +77,23 @@ def test_antipode_columns_are_built_once():
     # after the algebra's ops are built, and those ops read it
     algebra = build_algebra(parse_document(laurent_quotient_document(4)))
     ops = algebra.ops
+    assert algebra.antipode is None
     with pytest.raises(AxiomError, match="not available"):
-        ops.antipode(0)
+        ops.antipode_inv(0)
     assert all(r.ok for r in verify_hopf(algebra))
     assert algebra.ops is ops
-    n = algebra.dim
-    for j in range(n):
-        for column, m in ((ops.antipode, algebra.antipode_matrix),
-                          (ops.antipode_inv, algebra.antipode_inv_matrix)):
-            assert column(j) is column(j)
-            assert column(j) == {i: m.rows[i][j] for i in range(n) if m.rows[i][j]}
+    s, s_inv = algebra.antipode, algebra.antipode_inv
+    assert s_inv is algebra.antipode_inv
+    for j in ops.keys:
+        for column, cols in ((ops.antipode, s), (ops.antipode_inv, s_inv)):
+            assert column(j) is column(j) is cols[j]
+        # S^-1 S e_j = e_j = S S^-1 e_j, column by column
+        assert ops.s_inv_lc(s[j]) == ops.single(j) == ops.s_lc(s_inv[j])
 
 
 def test_computed_antipode_matches_declared(c2, c4, sweedler):
     for algebra in (c2, c4, sweedler):
-        assert compute_antipode(algebra) == algebra.antipode_matrix
+        assert compute_antipode(algebra) == algebra.antipode
 
 
 def test_corrupted_mult_has_no_antipode():
@@ -263,11 +265,10 @@ def test_antipode_and_unit_follow_a_basis_permutation(name, data):
     perm = data.draw(st.permutations(range(n)))
     moved = build_algebra(parse_document(permuted_tables(doc, perm)))
 
-    antipode = [[None] * n for _ in range(n)]
+    antipode = [None] * n
     unit = [None] * n
-    for a in range(n):
-        unit[perm[a]] = given_algebra.unit_coeffs[a]
-        for b in range(n):
-            antipode[perm[a]][perm[b]] = given_algebra.antipode_matrix.rows[a][b]
-    assert compute_antipode(moved).rows == tuple(map(tuple, antipode))
+    for b in range(n):
+        unit[perm[b]] = given_algebra.unit_coeffs[b]
+        antipode[perm[b]] = {perm[a]: c for a, c in given_algebra.antipode[b].items()}
+    assert compute_antipode(moved) == tuple(antipode)
     assert moved.unit_coeffs == tuple(unit)

@@ -13,7 +13,9 @@ pair_check, which enumerate its points and name its witness.  No module
 branches on whether a carrier has an algebra: a source is served by what
 it has, an R-matrix or a braiding.  A finite algebra's structure maps live
 in its one ops: FinHopfAlgebra defines no basis_ops, *_basis or format_*
-method, and no module calls .basis_ops().
+method, and no module calls .basis_ops().  linalg.SparseMatrix is the one
+matrix type: no other class defines both nrows and ncols, and the antipode
+is read as FinHopfAlgebra.antipode columns, never as a matrix.
 """
 
 import ast
@@ -292,3 +294,67 @@ def test_structure_map_twin_detector_flags_each_form(tmp_path):
 def test_finite_algebras_have_one_structure_map_object():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in structure_map_twins(path)]
     assert not found, "structure maps outside FinHopfAlgebra.ops:\n" + "\n".join(found)
+
+
+MATRIX_READS = ("antipode_matrix", "antipode_inv_matrix", "_antipode")
+
+
+def matrix_twins(path: Path) -> list[str]:
+    """A second matrix type beside linalg.SparseMatrix, and reads of the
+    antipode as a matrix: a class, other than SparseMatrix in linalg, that
+    defines both nrows and ncols (as a method, property or annotated field),
+    and any .antipode_matrix, .antipode_inv_matrix or ._antipode."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and (path.stem, node.name) != ("linalg", "SparseMatrix"):
+            defined = {item.name for item in node.body
+                       if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            defined |= {item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+            if {"nrows", "ncols"} <= defined:
+                out.append(f"{path.name}:{node.lineno}: matrix class {node.name}")
+        elif isinstance(node, ast.Attribute) and node.attr in MATRIX_READS:
+            out.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    return sorted(out)
+
+
+def test_matrix_twin_detector_flags_each_form(tmp_path):
+    # the dense Matrix and the antipode reads that SparseMatrix replaced
+    linalg = tmp_path / "linalg.py"
+    linalg.write_text("class Matrix:\n"
+                      "    rows: tuple\n\n"
+                      "    @property\n"
+                      "    def nrows(self):\n"
+                      "        return len(self.rows)\n\n"
+                      "    @property\n"
+                      "    def ncols(self):\n"
+                      "        return len(self.rows[0])\n\n"
+                      "class Grid:\n"
+                      "    nrows: int\n"
+                      "    ncols: int\n\n"
+                      "class SparseMatrix:\n"
+                      "    ncols: int\n\n"
+                      "    @property\n"
+                      "    def nrows(self):\n"
+                      "        return 0\n")
+    hopf = tmp_path / "hopf.py"
+    hopf.write_text("class SparseMatrix:\n"
+                    "    nrows: int\n"
+                    "    ncols: int\n\n"
+                    "def f(algebra, m):\n"
+                    "    s = algebra.antipode_matrix.rows\n"
+                    "    t = algebra.antipode_inv_matrix\n"
+                    "    if algebra._antipode is None:\n"
+                    "        return m.nrows, algebra.antipode[0]\n")
+    assert matrix_twins(linalg) == ["linalg.py:12: matrix class Grid",
+                                    "linalg.py:1: matrix class Matrix"]
+    assert matrix_twins(hopf) == ["hopf.py:1: matrix class SparseMatrix",
+                                  "hopf.py:6: .antipode_matrix",
+                                  "hopf.py:7: .antipode_inv_matrix",
+                                  "hopf.py:8: ._antipode"]
+
+
+def test_sparse_matrix_is_the_one_matrix_type():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in matrix_twins(path)]
+    assert not found, "matrix types or antipode matrices besides SparseMatrix:\n" + "\n".join(found)

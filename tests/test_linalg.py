@@ -10,8 +10,8 @@ from hopfcheck.document import build_algebra, parse_document
 from hopfcheck.hopf import compute_antipode
 from hopfcheck.linalg import (
     EchelonBasis,
-    Matrix,
     SingularMatrixError,
+    SparseMatrix,
     _rref,
     invert_matrix,
     nullspace,
@@ -21,8 +21,42 @@ from hopfcheck.linalg import (
 from hopfcheck.scalars import FpElement, PrimeField, QQ, div
 
 
+def sparse_vector(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def sparse_of(rows):
+    return [sparse_vector(row) for row in rows]
+
+
+def sparse_matrix(field, rows):
+    """The SparseMatrix of dense rows."""
+    return SparseMatrix(field, sparse_of(rows), len(rows[0]) if rows else 0)
+
+
 def mat(rows):
-    return Matrix.from_rows(QQ, [[Fraction(x) for x in row] for row in rows])
+    return sparse_matrix(QQ, [[Fraction(x) for x in row] for row in rows])
+
+
+def dense(a):
+    return [[row.get(j, a.field.zero) for j in range(a.ncols)] for row in a.rows]
+
+
+def apply(a, vec):
+    """A vec, by the dense definition."""
+    zero = a.field.zero
+    return tuple(sum((x * v for x, v in zip(row, vec)), zero) for row in dense(a))
+
+
+def matmul(a, b):
+    """The dense product of two SparseMatrix, by the definition."""
+    zero = a.field.zero
+    cols = list(zip(*dense(b))) if b.rows else [()] * b.ncols
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in cols] for row in dense(a)]
+
+
+def identity(field, n):
+    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
 def dense_rref(rows):
@@ -52,10 +86,6 @@ def dense_rref(rows):
         if r == nrows:
             break
     return pivots
-
-
-def sparse_of(rows):
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def dense_rref_on_sparse(rows, ncols):
@@ -112,9 +142,9 @@ def test_solver_agrees_with_oracle(sys_pair):
     else:
         assert got is not None
         a = mat(rows)
-        assert list(a.apply(got.particular)) == rhs
+        assert list(apply(a, got.particular)) == rhs
         for h in got.homogeneous:
-            assert all(v == 0 for v in a.apply(h))
+            assert all(v == 0 for v in apply(a, h))
 
 
 def test_solve_shapes():
@@ -137,62 +167,67 @@ def test_nullspace_and_rank():
     basis = nullspace(a)
     assert len(basis) == 2
     for v in basis:
-        assert all(x == 0 for x in a.apply(v))
+        assert all(x == 0 for x in apply(a, v))
 
 
 def test_invert_matrix():
     a = mat([[2, 1], [1, 1]])
     b = invert_matrix(a)
-    assert a * b == Matrix.identity(QQ, 2)
-    assert b * a == Matrix.identity(QQ, 2)
+    assert matmul(a, b) == identity(QQ, 2)
+    assert matmul(b, a) == identity(QQ, 2)
     with pytest.raises(SingularMatrixError):
         invert_matrix(mat([[1, 2], [2, 4]]))
     with pytest.raises(SingularMatrixError):
         invert_matrix(mat([[1, 2, 3]]))
+    with pytest.raises(ValueError, match="right-hand rows"):
+        invert_matrix(a, mat([[1, 2, 3]]))
 
 
 def test_matrix_arithmetic_prime_field():
     f5 = PrimeField(5)
-    a = Matrix.from_rows(f5, [[f5.parse(2), f5.parse(3)],
-                              [f5.parse(1), f5.parse(3)]])
+    a = sparse_matrix(f5, [[f5.parse(2), f5.parse(3)],
+                           [f5.parse(1), f5.parse(3)]])
     inv = invert_matrix(a)
-    assert a * inv == Matrix.identity(f5, 2)
+    assert matmul(a, inv) == identity(f5, 2)
 
 
 class TestEchelonBasis:
     def test_insert_and_coords(self):
-        span = EchelonBasis(QQ, 3)
-        v1 = (Fraction(1), Fraction(2), Fraction(0))
-        v2 = (Fraction(0), Fraction(1), Fraction(1))
+        span = EchelonBasis()
+        v1 = {0: Fraction(1), 1: Fraction(2)}
+        v2 = {1: Fraction(1), 2: Fraction(1)}
         assert span.insert(v1)
         assert span.insert(v2)
-        assert not span.insert((Fraction(1), Fraction(3), Fraction(1)))
+        assert not span.insert({0: Fraction(1), 1: Fraction(3), 2: Fraction(1)})
         assert span.dim == 2
-        combo = tuple(2 * a + 3 * b for a, b in zip(v1, v2))
+        combo = {j: 2 * v1.get(j, 0) + 3 * v2.get(j, 0) for j in range(3)}
         coords = span.coords(combo)
         assert coords is not None
-        rebuilt = [Fraction(0)] * 3
-        for c, vec in zip(coords, span.vectors):
-            rebuilt = [r + c * x for r, x in zip(rebuilt, vec)]
-        assert tuple(rebuilt) == combo
-        assert span.coords((Fraction(0), Fraction(0), Fraction(1))) is None
+        rebuilt = {}
+        for k, c in coords.items():
+            for j, x in span.vectors[k].items():
+                rebuilt[j] = rebuilt.get(j, 0) + c * x
+        assert rebuilt == combo
+        assert span.coords({2: Fraction(1)}) is None
+        span.vectors[0].clear()  # the rows handed out are copies
+        assert span.vectors[0]
 
     def test_contains(self):
-        span = EchelonBasis(QQ, 2)
-        span.insert((Fraction(1), Fraction(1)))
-        assert span.contains((Fraction(2), Fraction(2)))
-        assert not span.contains((Fraction(1), Fraction(0)))
+        span = EchelonBasis()
+        span.insert({0: Fraction(1), 1: Fraction(1)})
+        assert span.contains({0: Fraction(2), 1: Fraction(2)})
+        assert not span.contains({0: Fraction(1)})
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(small, small, small), max_size=6))
     def test_dim_matches_rank(self, vecs):
-        span = EchelonBasis(QQ, 3)
+        span = EchelonBasis()
         for v in vecs:
-            span.insert(tuple(Fraction(x) for x in v))
+            span.insert(sparse_vector(map(Fraction, v)))
         expected = rank(mat(vecs)) if vecs else 0
         assert span.dim == expected
         for v in vecs:
-            assert span.contains(tuple(Fraction(x) for x in v))
+            assert span.contains(sparse_vector(map(Fraction, v)))
 
 
 # -- the sparse elimination kernel against the dense definition --------------
@@ -220,7 +255,7 @@ def sparse_matrices(draw, field, max_dim=10):
     ncols = draw(st.integers(0, max_dim)) if nrows else 0
     zero_weight = draw(st.integers(0, 6))
     entry = st.one_of(*[st.just(field.zero)] * zero_weight, nonzero_scalars(field))
-    return Matrix.from_rows(field, [[draw(entry) for _ in range(ncols)] for _ in range(nrows)])
+    return sparse_matrix(field, [[draw(entry) for _ in range(ncols)] for _ in range(nrows)])
 
 
 def try_invert(a):
@@ -239,8 +274,8 @@ def result_scalars(results):
     vectors = list(null)
     if sol is not None:
         vectors += [sol.particular, *sol.homogeneous]
-    if isinstance(inv, Matrix):
-        vectors += inv.rows
+    if isinstance(inv, SparseMatrix):
+        vectors += [row.values() for row in inv.rows]
     return [x for v in vectors for x in v]
 
 
@@ -261,7 +296,8 @@ def assert_matches_dense(field, rows):
 @given(data=st.data())
 def test_rref_matches_dense_reference(field, data):
     a = data.draw(sparse_matrices(field))
-    assert_matches_dense(field, a.rows)
+    assert_matches_dense(field, dense(a))
+    assert dense(a.transpose()) == [list(col) for col in zip(*dense(a))]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -273,7 +309,7 @@ def test_public_results_match_dense_reference(field, data):
     vector = st.lists(st.one_of(st.just(field.zero), nonzero_scalars(field)),
                       min_size=a.ncols if consistent else a.nrows,
                       max_size=a.ncols if consistent else a.nrows)
-    b = a.apply(tuple(data.draw(vector))) if consistent else tuple(data.draw(vector))
+    b = apply(a, tuple(data.draw(vector))) if consistent else tuple(data.draw(vector))
     got = public_results(a, b)
     with mock.patch.object(linalg, "_rref", dense_rref_on_sparse):
         expected = public_results(a, b)
@@ -286,27 +322,27 @@ def test_public_results_match_dense_reference(field, data):
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_kernel_edge_cases(field):
     zero, one = field.zero, field.one
-    no_cols = Matrix.from_rows(field, [[], [], []])
+    no_cols = SparseMatrix(field, [{}, {}, {}], 0)
     assert rank(no_cols) == 0
     assert nullspace(no_cols) == ()
     assert solve_linear(no_cols, (zero,) * 3) == linalg.LinearSolution((), ())
     assert solve_linear(no_cols, (one, zero, zero)) is None
 
-    zeros = Matrix.zeros(field, 3, 4)
+    zeros = SparseMatrix.zeros(field, 3, 4)
     assert rank(zeros) == 0
-    assert nullspace(zeros) == Matrix.identity(field, 4).rows
+    assert nullspace(zeros) == tuple(map(tuple, identity(field, 4)))
     assert solve_linear(zeros, (zero, one, zero)) is None
-    assert_matches_dense(field, zeros.rows)
+    assert_matches_dense(field, dense(zeros))
 
-    assert invert_matrix(Matrix(field, ())) == Matrix(field, ())
+    assert invert_matrix(SparseMatrix(field, [], 0)) == SparseMatrix(field, [], 0)
 
     ints = lambda rows: [[field.from_int(x) for x in row] for row in rows]
-    for dense in ([[1, 2], [3, 4]], [[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6]], [[5]]):
-        rows = ints(dense)
+    for given in ([[1, 2], [3, 4]], [[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6]], [[5]]):
+        rows = ints(given)
         assert all(x for row in rows for x in row), "no zero entry to reuse"
         assert_matches_dense(field, rows)
-    inverse = invert_matrix(Matrix.from_rows(field, ints([[1, 2], [3, 4]])))
-    assert all(is_field_scalar(field, x) for row in inverse.rows for x in row)
+    inverse = invert_matrix(sparse_matrix(field, ints([[1, 2], [3, 4]])))
+    assert all(is_field_scalar(field, x) for row in inverse.rows for x in row.values())
     assert inverse.rows[0][0] == field.from_int(-2)
 
 
@@ -379,6 +415,36 @@ def test_antipode_system_is_built_sparse(monkeypatch):
     assert count[0] <= 1000 < 2 * 64 * 65, count[0]
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_invert_matrix_solves_column_by_column(field, data):
+    """invert_matrix(a, b) is A^-1 B: its column j is the unique solution of
+    A x = b_j that solve_linear finds.  It raises SingularMatrixError exactly
+    when rank(a) < a.nrows, and with b omitted it is A^-1 B at B = I."""
+    n, m = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 4))
+    entry = st.one_of(*[st.just(field.zero)] * data.draw(st.integers(0, 4)),
+                      nonzero_scalars(field))
+    draw_rows = lambda ncols: [[data.draw(entry) for _ in range(ncols)] for _ in range(n)]
+    a = SparseMatrix(field, sparse_of(draw_rows(n)), n)
+    b = SparseMatrix(field, sparse_of(draw_rows(m)), m)
+    singular = rank(a) < a.nrows
+    try:
+        x = invert_matrix(a, b)
+    except SingularMatrixError:
+        assert singular
+        return
+    assert not singular
+    assert (x.nrows, x.ncols) == (n, m)
+    column = lambda rows, j: tuple(row.get(j, field.zero) for row in rows)
+    for j in range(m):
+        sol = solve_linear(a, column(b.rows, j))
+        assert sol is not None and sol.unique
+        assert column(x.rows, j) == sol.particular
+    assert all(v and is_field_scalar(field, v) for row in x.rows for v in row.values())
+    assert invert_matrix(a) == invert_matrix(a, sparse_matrix(field, identity(field, n)))
+
+
 class DenseEchelonBasis:
     """The dense EchelonBasis that the sparse one replaced: whole-vector
     reductions and row updates, kept as its reference."""
@@ -422,12 +488,15 @@ def test_echelon_basis_matches_dense_reference(field, data):
     entry = st.one_of(*[st.just(field.zero)] * data.draw(st.integers(0, 4)),
                       nonzero_scalars(field))
     vector = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
-    span, reference = EchelonBasis(field, dim), DenseEchelonBasis(dim)
+    span, reference = EchelonBasis(), DenseEchelonBasis(dim)
     for vec in data.draw(st.lists(vector, max_size=8)):
-        assert span.insert(vec) == reference.insert(vec)
-        assert span.vectors == tuple(reference.rows)
+        assert span.insert(sparse_vector(vec)) == reference.insert(vec)
+        assert span.vectors == tuple(sparse_of(reference.rows))
         assert span.pivots == tuple(reference.pivots)
-        assert all(is_field_scalar(field, x) for row in span.vectors for x in row)
+        assert all(is_field_scalar(field, x) for row in span.vectors for x in row.values())
     for vec in data.draw(st.lists(vector, max_size=4)):
-        assert span.coords(vec) == reference.coords(vec)
-        assert span.contains(vec) == (reference.coords(vec) is not None)
+        expected = reference.coords(vec)
+        if expected is not None:
+            expected = sparse_vector(expected)
+        assert span.coords(sparse_vector(vec)) == expected
+        assert span.contains(sparse_vector(vec)) == (expected is not None)
