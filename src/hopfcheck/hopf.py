@@ -115,18 +115,23 @@ class FinHopfAlgebra:
             mul=lambda i, j: mult.get((i, j), {}),
             delta=lambda i: comult.get(i, ()),
             eps=self._counit.__getitem__,
-            antipode=lambda j: self.antipode[j],
+            antipode=lambda j: self._s_transpose.rows[j],
             antipode_inv=lambda j: self.antipode_inv[j],
             field=self.field,
             label=self.labels.__getitem__,
         )
 
     @cached_property
-    def antipode_inv(self) -> tuple[LC, ...]:
-        """The columns of S^-1, read as the rows of (S^T)^-1."""
+    def _s_transpose(self) -> SparseMatrix:
+        """S^T: its row j is the column S(e_j), the dict the antipode holds."""
         if self.antipode is None:
             raise AxiomError("antipode: not available on this algebra")
-        return tuple(invert_matrix(SparseMatrix(self.field, list(self.antipode), self.dim)).rows)
+        return SparseMatrix(self.field, list(self.antipode), self.dim)
+
+    @cached_property
+    def antipode_inv(self) -> tuple[LC, ...]:
+        """The columns of S^-1, read as the rows of (S^T)^-1."""
+        return tuple(invert_matrix(self._s_transpose).rows)
 
     def invert_element(self, x: LC) -> LC:
         """Multiplicative inverse, solved for as a right inverse x y = 1.
@@ -164,7 +169,7 @@ class FinHopfAlgebra:
         unit = self._counit
         antipode = None
         if self.antipode is not None:  # S^* has the columns of S^T, the rows of S
-            antipode = tuple(SparseMatrix(self.field, list(self.antipode), n).transpose().rows)
+            antipode = tuple(self._s_transpose.transpose().rows)
         return FinHopfAlgebra(
             self.field,
             tuple(f"{lbl}*" for lbl in self.labels),

@@ -86,19 +86,27 @@ def verify_almost_cocommutative(r: RMatrix) -> CheckResult:
 
 def _hexagon_diff(ops: BasisOps, tensor: dict, leg: int) -> str | None:
     """The first triple where R with leg 0 or 1 comultiplied differs from
-    R13 R23 (leg 0) or R13 R12 (leg 1), or None."""
+    R13 R23 (leg 0) or R13 R12 (leg 1), or None.  Each term of R is read as
+    (s, t): s the leg comultiplied, t the leg the product multiplies."""
     zero = ops.zero
-    entries = [(i, j, v) for (i, j), v in tensor.items()]
+    if leg:  # (id ⊗ Δ)R = R13 R12
+        entries = [(j, i, v) for (i, j), v in tensor.items()]
+        lhs_key = lambda a, b, t: (t, a, b)
+        rhs_key = lambda s1, s2, m: (m, s2, s1)
+    else:  # (Δ ⊗ id)R = R13 R23
+        entries = [(i, j, v) for (i, j), v in tensor.items()]
+        lhs_key = lambda a, b, t: (a, b, t)
+        rhs_key = lambda s1, s2, m: (s1, s2, m)
     lhs: dict = {}
     rhs: dict = {}
-    for i, j, v in entries:
-        for c, a, b in ops.delta(j if leg else i):
-            key = (i, a, b) if leg else (a, b, j)
+    for s, t, v in entries:
+        for c, a, b in ops.delta(s):
+            key = lhs_key(a, b, t)
             lhs[key] = lhs.get(key, zero) + v * c
-    for i, j, v1 in entries:
-        for k, l, v2 in entries:
-            for m, w in (ops.mul(i, k) if leg else ops.mul(j, l)).items():
-                key = (m, l, j) if leg else (i, k, m)
+    for s1, t1, v1 in entries:
+        for s2, t2, v2 in entries:
+            for m, w in ops.mul(t1, t2).items():
+                key = rhs_key(s1, s2, m)
                 rhs[key] = rhs.get(key, zero) + v1 * v2 * w
     return _triple_diff(ops, lhs, rhs)
 
