@@ -1,16 +1,18 @@
 """Integrals on the dual, modular data, and the identities tying them together.
 
 Every source resolves to one Carrier: BasisOps with a left integral and
-the modular data derived from it.  A finite algebra solves for that data
-by linear algebra (cofrobenius_data): the integral as a nullspace, the
-modular element from its defining law at one basis element, the Nakayama
-map by one elimination over [P^T | P] for the integral pairing P, a
-SparseMatrix; the Laurent family gives closed forms
-(laurent.family_data).  Construction only computes; the named checkers,
-written against BasisOps, verify each identity on either carrier.  The
-integral-twist round trip builds its pair functionals whether or not
-omega qualifies and reports every line; its product formula is evaluated
-in factored form, as lambda(h' l) with one co-inner hit h' per key.
+the modular data derived from it.  A finite algebra solves for lambda and
+the Nakayama map chi by linear algebra (cofrobenius_data): lambda as a
+nullspace, chi by one elimination over [P^T | P] for the integral pairing
+P, a SparseMatrix; the Laurent family gives both in closed form
+(laurent.family_data).  Both return through derive_carrier, which reads
+a^-1 off lambda(h1) h2 = lambda(h) a^-1 at one key, a = S(a^-1),
+alpha = eps o chi and alpha^-1 = alpha o S.  Construction only computes;
+the named checkers, written against BasisOps, verify each identity on
+either carrier.  The integral-twist round trip builds its pair
+functionals whether or not omega qualifies and reports every line; its
+product formula is evaluated in factored form, as lambda(h' l) with one
+co-inner hit h' per key.
 """
 
 from __future__ import annotations
@@ -76,6 +78,22 @@ class Carrier:
 def lam_mul_table(ops: BasisOps, lam) -> PairTable:
     """lambda(x y) for keys x, y, each pair evaluated on its first lookup."""
     return PairTable(lambda x, y: ops.eval_fn(lam, ops.mul(x, y)))
+
+
+def derive_carrier(ops: BasisOps, lam, lam_mul: PairTable, chi,
+                   pairing: SparseMatrix | None = None,
+                   nakayama: SparseMatrix | None = None) -> Carrier:
+    """The carrier of lambda and chi, each further value read off the
+    identity that fixes it: a^-1 from lambda(h1) h2 = lambda(h) a^-1 at the
+    first key where lambda is nonzero, a = S(a^-1) (a^-1 is grouplike),
+    alpha = eps o chi and alpha^-1 = alpha o S (alpha is a character)."""
+    pivot = next((k for k in ops.keys if lam(k)), None)
+    if pivot is None:
+        raise AxiomError("integral is zero; no modular element")
+    a_inv = {k: div(v, lam(pivot)) for k, v in ops.hit_right(lam, pivot).items()}
+    alpha = memo_fn(lambda k: ops.eps_lc(chi(k)))
+    return Carrier(ops, lam, lam_mul, ops.s_lc(a_inv), a_inv, chi, alpha,
+                   memo_fn(ops.compose_s_power(alpha, 1)), pairing, nakayama)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +329,6 @@ def left_integrals(algebra: FinHopfAlgebra) -> list[tuple]:
     return out
 
 
-def _distinguished_pair(algebra: FinHopfAlgebra, lam) -> tuple[LC, LC]:
-    """a^-1 read off lambda(h1) h2 = lambda(h) a^-1 at the first basis
-    element where lambda is nonzero, and its inverse a."""
-    pivot = next((i for i in range(algebra.dim) if lam(i)), None)
-    if pivot is None:
-        raise AxiomError("integral is zero; no modular element")
-    ops = algebra.ops
-    a_inv = {k: div(v, lam(pivot)) for k, v in ops.hit_right(lam, pivot).items()}
-    return algebra.invert_element(a_inv), a_inv
-
-
 def frobenius_chi(pairing: SparseMatrix) -> SparseMatrix:
     """Solve lambda(m h) = lambda(chi(h) m) for chi, one column per basis h:
     P^T X = P for the pairing P, by one elimination over [P^T | P]."""
@@ -342,13 +349,9 @@ def cofrobenius_data(algebra: FinHopfAlgebra) -> Carrier:
     lam_mul = lam_mul_table(ops, lam)
     pairing = SparseMatrix(algebra.field, [lc_canon({j: lam_mul(i, j) for j in ops.keys})
                                            for i in ops.keys], algebra.dim)
-    a, a_inv = _distinguished_pair(algebra, lam)
     chi_matrix = frobenius_chi(pairing)
-    chi = chi_matrix.transpose().rows.__getitem__
-    # alpha = eps o chi is a character, so its convolution inverse is alpha o S
-    alpha = memo_fn(lambda j: ops.eps_lc(chi(j)))
-    alpha_inv = memo_fn(ops.compose_s_power(alpha, 1))
-    return Carrier(ops, lam, lam_mul, a, a_inv, chi, alpha, alpha_inv, pairing, chi_matrix)
+    return derive_carrier(ops, lam, lam_mul, chi_matrix.transpose().rows.__getitem__,
+                          pairing, chi_matrix)
 
 
 def cofrobenius_checks(c: Carrier) -> list[CheckResult]:

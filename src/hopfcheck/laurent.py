@@ -4,13 +4,15 @@ Generated by an invertible grouplike g and a skew-primitive x with
 gx = -xg and x^2 = 0.  Basis keys are pairs (i, j) for g^i x^j with i any
 integer and j in {0, 1}; every structure map is a closed form over all of
 Z, so a window parameter only bounds the grid the identity suite runs on.
-Beyond the shared verify driver, the family has its own structure battery,
-computed lines and closed forms.
+The carrier (family_data) gives lambda and chi in closed form; a = S(a^-1),
+a^-1, alpha and alpha^-1 are read off them by cofrobenius.derive_carrier,
+as on a finite algebra.  Beyond the shared verify driver, the family has
+its own structure battery, computed lines and closed forms.
 """
 
 from __future__ import annotations
 
-from .cofrobenius import Carrier, lam_mul_table
+from .cofrobenius import Carrier, derive_carrier, lam_mul_table
 from .coquasitriangular import Braiding, modular_characters
 from .hopf import AxiomError
 from .lincomb import BasisOps, LC, hopf_axiom_checks, key_check, lc_eq, memo_fn
@@ -116,20 +118,6 @@ def basis_ops(window: int) -> BasisOps:
     )
 
 
-def solve_modular(ops: BasisOps) -> tuple[LC, LC]:
-    """Read a^-1 off the integral law at the witness g^-1 x, then invert.
-
-    lambda(h1) h2 = lambda(h) a^-1 with lambda(g^-1 x) = 1, so the left side
-    evaluated there is a^-1 on the nose.
-    """
-    a_inv = ops.hit_right(integral_value, (-1, 1))
-    items = list(a_inv.items())
-    if len(items) != 1 or items[0][0][1] != 0 or items[0][1] != ops.one:
-        raise AxiomError("modular witness did not produce a grouplike monomial")
-    (i, _), _ = items[0]
-    return {(-i, 0): ONE}, a_inv
-
-
 def solve_nakayama(ops: BasisOps):
     """Solve lambda(m h) = lambda(chi(h) m) for chi with a diagonal ansatz.
 
@@ -151,15 +139,11 @@ def solve_nakayama(ops: BasisOps):
 
 
 def family_data(ops: BasisOps) -> Carrier:
-    """The family's carrier: the closed-form integral with the modular
-    element, Nakayama map and modular functional, solved then memoized;
-    global verification is the caller's job."""
-    a_lc, a_inv_lc = solve_modular(ops)
-    chi = solve_nakayama(ops)
-    alpha = memo_fn(lambda k: ops.eps_lc(chi(k)))
-    alpha_inv = memo_fn(ops.compose_s_power(alpha, 1))
-    return Carrier(ops, integral_value, lam_mul_table(ops, integral_value), a_lc, a_inv_lc,
-                   chi, alpha, alpha_inv)
+    """The family's carrier: the closed-form integral and the diagonal
+    Nakayama map, with a, a^-1, alpha and alpha^-1 derived from them by
+    cofrobenius.derive_carrier; global verification is the caller's job."""
+    return derive_carrier(ops, integral_value, lam_mul_table(ops, integral_value),
+                          solve_nakayama(ops))
 
 
 def structure_checks(ops: BasisOps) -> list[CheckResult]:

@@ -638,8 +638,10 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
         left: LC = {}
         right: LC = {}
         for c, k1, k2 in ops.delta(k):
-            left = lc_add(left, lc_scale(c, ops.mul_lc(ops.antipode(k1), ops.single(k2))))
-            right = lc_add(right, lc_scale(c, ops.mul_lc(ops.single(k1), ops.antipode(k2))))
+            for side, x in ((left, ops.mul_lc(ops.antipode(k1), ops.single(k2))),
+                            (right, ops.mul_lc(ops.single(k1), ops.antipode(k2)))):
+                for m, v in x.items():
+                    side[m] = side.get(m, ops.zero) + c * v
         target = lc_scale(ops.eps(k), ops.unit)
         return lc_eq(left, target) and lc_eq(right, target)
 

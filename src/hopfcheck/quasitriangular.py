@@ -3,7 +3,11 @@
 An RMatrix pairs the tensor with its two-sided inverse, found by a linear
 solve so that almost-cocommutative but non-quasitriangular inputs still
 work; the antipode formulas for the inverse are asserted only once the
-full axiom set has passed, and reported as SKIP otherwise.
+full axiom set has passed, and reported as SKIP otherwise.  Every other
+inverse is read off R^-1 or u^-1, the flip being an algebra map and S an
+anti-automorphism: (R21)^-1 = (R^-1)21, (R21 R)^-1 = R^-1 (R^-1)21,
+v = S(u)^-1 = S(u^-1), and R^-1 on the minimal subHopf algebra L is R^-1
+restricted to L (x) L, a finite-dimensional subalgebra that holds R.
 """
 
 from __future__ import annotations
@@ -138,14 +142,12 @@ def verify_qt(r: RMatrix) -> list[CheckResult]:
 
 
 def drinfeld_elements(r: RMatrix) -> tuple[QTData, list[CheckResult]]:
-    """u = S(R^2) R^1 and v = S(u)^-1, with their conjugation laws."""
-    A = r.algebra
-    ops = A.ops
+    """u = S(R^2) R^1 and v = S(u)^-1 = S(u^-1), with their conjugation laws."""
+    ops = r.algebra.ops
     u = ops.map_lc(lambda p: ops.mul_lc(ops.antipode(p[1]), ops.single(p[0])), r.tensor)
-    u_inv = A.invert_element(u)
-    v_inv = ops.s_lc(u)
-    v = A.invert_element(v_inv)
-    qt = QTData(u, u_inv, v, v_inv)
+    u_inv = r.algebra.invert_element(u)
+    v = ops.s_lc(u_inv)
+    qt = QTData(u, u_inv, v, ops.s_lc(u))
     checks = [
         key_check("drinfeld.s2_conjugation_u", ops, inner_law(ops, 2, u)),
         key_check("drinfeld.s2_conjugation_v", ops, inner_law(ops, 2, v)),
@@ -156,7 +158,8 @@ def drinfeld_elements(r: RMatrix) -> tuple[QTData, list[CheckResult]]:
 
 def verify_delta_u(r: RMatrix, qt: QTData) -> list[CheckResult]:
     ops = r.algebra.ops
-    braid = Tensor2.invert(r.algebra, tensor2_mul(ops, tensor2_flip(r.tensor), r.tensor))
+    # (R21 R)^-1 = R^-1 (R^-1)21
+    braid = tensor2_mul(ops, r.inverse, tensor2_flip(r.inverse))
     uu = lc_outer(qt.u, qt.u)
     delta_u = ops.delta_lc(qt.u)
     return [
@@ -310,11 +313,9 @@ def conjugation_witnesses(r: RMatrix, gamma,
 
 
 def flip_inverse(r: RMatrix) -> tuple[RMatrix, list[CheckResult]]:
-    """The inverse of the flipped tensor, again an R-matrix."""
-    algebra = r.algebra
-    ops = algebra.ops
-    flipped = tensor2_flip(r.tensor)
-    rt = RMatrix(algebra, Tensor2.invert(algebra, flipped), flipped)
+    """The inverse of the flipped tensor, (R^-1)21, again an R-matrix."""
+    ops = r.algebra.ops
+    rt = RMatrix(r.algebra, tensor2_flip(r.inverse), tensor2_flip(r.tensor))
     out = [
         check("qt.flip_inverse_antipode_form",
               lc_eq(rt.tensor, tensor2_flip(tensor2_map(ops, r.tensor, ops.antipode)))),
@@ -446,7 +447,7 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
         r_terms = restrict(r.tensor)
         if not lc_eq(expand(r_terms, basis, basis), r.tensor):
             raise AxiomError("R does not lie in the tensor square of the closure")
-        r_sub = RMatrix.build(sub, r_terms)
+        r_sub = RMatrix(sub, r_terms, restrict(r.inverse))
         sub_c = cofrobenius_data(sub)
     include = lambda x: ops.map_lc(basis.__getitem__, x)
 

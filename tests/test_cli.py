@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hopfcheck
-from hopfcheck import cofrobenius, lincomb, linalg
+from hopfcheck import cofrobenius, hopf, lincomb, linalg
 from hopfcheck.cli import CHECK_TOKENS, COMPUTE_TARGETS, main
 from hopfcheck.coquasitriangular import dualize_qt
 from hopfcheck.document import build_algebra, document_text, load_document, parse_document
@@ -282,6 +282,28 @@ def test_one_verify_builds_one_basis_ops_per_algebra(capsys, tmp_path, monkeypat
     monkeypatch.setattr(lincomb.BasisOps, "__init__", spy)
     run(capsys, "verify", write_doc(tmp_path, double_c4_permuted_document()))
     assert len(built) == 2
+
+
+def test_one_verify_solves_only_for_r_inverse_and_u_inverse(capsys, tmp_path, monkeypatch):
+    # R^-1 and u^-1 are solved for, and check_s2_inner_witness solves for
+    # the inverse of its w; every other inverse is read off these
+    calls = []
+    invert, invert_element = hopf.Tensor2.invert, hopf.FinHopfAlgebra.invert_element
+
+    def tensor_spy(algebra, t):
+        calls.append("Tensor2.invert")
+        return invert(algebra, t)
+
+    def element_spy(self, x):
+        calls.append("invert_element")
+        return invert_element(self, x)
+
+    monkeypatch.setattr(hopf.Tensor2, "invert", staticmethod(tensor_spy))
+    monkeypatch.setattr(hopf.FinHopfAlgebra, "invert_element", element_spy)
+    for source in (write_doc(tmp_path, double_c4_permuted_document()), "preset:group:C4"):
+        calls.clear()
+        assert run(capsys, "verify", source)[0] in (0, 1)
+        assert (calls.count("Tensor2.invert"), calls.count("invert_element")) == (1, 2)
 
 
 def test_compute_golden_lines(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck.cli import main
+from hopfcheck.cofrobenius import modular_element_checks
 from hopfcheck.coquasitriangular import Braiding, braiding_axiom_checks
 from hopfcheck.hopf import AxiomError
 from hopfcheck.laurent import (
@@ -21,9 +22,9 @@ from hopfcheck.laurent import (
     label_key,
     mul_key,
     sigma_value,
-    solve_modular,
     solve_nakayama,
 )
+from hopfcheck.report import FAIL
 
 from test_golden import laurent_quotient_document
 
@@ -125,9 +126,9 @@ def test_integral_is_a_point_mass():
 
 
 def test_modular_element_solves_to_g():
-    a_lc, a_inv_lc = solve_modular(basis_ops(3))
-    assert a_lc == {(1, 0): ONE}
-    assert a_inv_lc == {(-1, 0): ONE}
+    c = family_data(basis_ops(3))
+    assert c.a == {(1, 0): ONE}
+    assert c.a_inv == {(-1, 0): ONE}
 
 
 def test_nakayama_diagonal_signs():
@@ -181,8 +182,9 @@ def test_sign_flipped_braiding_is_detected():
 def test_solver_witness_errors():
     ops = basis_ops(2)
     flat = dataclasses.replace(ops, delta=lambda k: ((ONE, k, k),))
-    with pytest.raises(AxiomError, match="did not produce a grouplike monomial"):
-        solve_modular(flat)
+    c = family_data(flat)  # construction only computes; the check reports it
+    results = {r.name: r for r in modular_element_checks(flat, c.lam, c.a, c.a_inv)}
+    assert results["integral.modular_element_grouplike"].status == FAIL
     dead = dataclasses.replace(ops, mul=lambda k1, k2: {})
     chi = solve_nakayama(dead)
     with pytest.raises(AxiomError, match="nakayama witness degenerate at x"):

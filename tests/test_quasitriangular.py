@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck.cofrobenius import cofrobenius_data
-from hopfcheck.hopf import verify_hopf
-from hopfcheck.lincomb import tensor2_flip
+from hopfcheck.document import build_algebra, parse_document
+from hopfcheck.hopf import Tensor2, require_passing, verify_hopf
+from hopfcheck.lincomb import lc_eq, tensor2_flip, tensor2_mul
+from hopfcheck.presets import cyclic_group_document, preset_document
 from hopfcheck.quasitriangular import (
     RMatrix,
     character_maps_checks,
@@ -19,6 +21,9 @@ from hopfcheck.quasitriangular import (
     verify_delta_u,
     verify_qt,
 )
+from hopfcheck.scalars import PrimeField
+
+from test_golden import double_c4_permuted_document
 
 ONE = Fraction(1)
 
@@ -174,3 +179,44 @@ def test_corrupted_r_skips_the_antipode_formulas(sweedler, sweedler_r):
         (name, "pass") for name in QT_ANTIPODE_FORMULAS]
     assert [(c.name, c.status, c.witness) for c in corrupted[-3:]] == [
         (name, "skipped", "an R-matrix axiom above fails") for name in QT_ANTIPODE_FORMULAS]
+
+
+def test_read_off_inverses_equal_the_solves_they_replace(sweedler, sweedler_r, sweedler_xi0,
+                                                        sweedler_xi0_r, c4):
+    """(R21)^-1 = (R^-1)21, (R21 R)^-1 = R^-1 (R^-1)21, S(u)^-1 = S(u^-1),
+    a = S(a^-1) and R^-1 restricted to L (x) L are the inverses a linear
+    solve finds."""
+    doc = parse_document(double_c4_permuted_document())
+    double = build_algebra(doc)
+    require_passing(verify_hopf(double))
+    # kC8 over F_5 with the R-matrix of its subgroup <g^2> = C4 at the
+    # primitive fourth root 2: L = kC4 is proper and R^-1 differs from R
+    f5 = PrimeField(5)
+    c8 = build_algebra(cyclic_group_document(8, f5))
+    require_passing(verify_hopf(c8))
+    r8 = RMatrix.from_entries(c8, [(f5.parse(4) * f5.parse(2) ** (-x * y % 4), 2 * x, 2 * y)
+                                   for x in range(4) for y in range(4)])
+    assert all(c.ok for c in verify_qt(r8)) and not lc_eq(r8.inverse, r8.tensor)
+    cases = [(sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r),
+             (c4, RMatrix.from_entries(c4, preset_document("group:C4").r_entries)),
+             (double, RMatrix.from_entries(double, doc.r_entries)), (c8, r8)]
+    restricted = 0
+    for algebra, r in cases:
+        ops = algebra.ops
+        flipped, inverse_flipped = tensor2_flip(r.tensor), tensor2_flip(r.inverse)
+        rt, _ = flip_inverse(r)
+        assert lc_eq(Tensor2.invert(algebra, flipped), rt.tensor)
+        assert lc_eq(rt.tensor, inverse_flipped)
+        assert lc_eq(Tensor2.invert(algebra, tensor2_mul(ops, flipped, r.tensor)),
+                     tensor2_mul(ops, r.inverse, inverse_flipped))
+        qt, _ = drinfeld_elements(r)
+        assert lc_eq(algebra.invert_element(ops.s_lc(qt.u)), ops.s_lc(qt.u_inv))
+        assert lc_eq(qt.v, ops.s_lc(qt.u_inv))
+        for side in (algebra, algebra.dual()):
+            c = cofrobenius_data(side)
+            assert lc_eq(side.invert_element(c.a_inv), c.a)
+        sub = minimal_subhopf(r, cofrobenius_data(algebra))
+        if sub.algebra.dim < algebra.dim:
+            restricted += 1
+            assert lc_eq(Tensor2.invert(sub.algebra, sub.r_sub.tensor), sub.r_sub.inverse)
+    assert restricted == 3
