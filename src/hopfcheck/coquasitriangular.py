@@ -58,7 +58,7 @@ def pair_eval(ops: BasisOps, fn, a: LC, b: LC) -> Scalar:
     return acc
 
 
-def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
+def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[CheckResult]:
     """The four braiding axioms, the convolution-inverse laws, and the
     antipode formulas for the inverse, which are SKIPs unless everything
     before them passes.
@@ -67,12 +67,16 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
     evaluated once per call; every grid reads them, the products and the
     coproducts through LoweredTables, and the two multiplicativity grids
     over key triples run one (h, l) row at a time, on the generator rows
-    when braiding_generators establishes their premises."""
+    when braiding_generators establishes their premises.  proven is the S
+    a Hopf battery of ops kept on passing in full (Carrier.generators):
+    then S is not derived again, and once sigma's first law passes the
+    commutation relation and antipode_square_invariance run on the rows
+    (s, l) first (lincomb).  Without it both run every row."""
     out: list[CheckResult] = []
     raw = LoweredTables(ops, PairTable(br.value), PairTable(br.inverse))
     sig, sig_inv = raw.pairs
     prod, delta, eps, residue = raw.prod, raw.delta, raw.eps, raw.residue
-    gens = braiding_generators(ops, raw)
+    gens = braiding_generators(ops, raw, proven)
 
     def mult_first(h, l, ms):
         """sigma(h l, m) = sigma(h, m1) sigma(l, m2)."""
@@ -93,6 +97,8 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
         return None
 
     out.append(triple_grid_check("cqt.multiplicative_first_argument", ops, mult_first, gens))
+    # sigma(h k, m) = sigma(h, m1) sigma(k, m2) closes two pair laws below under h -> s h
+    pair_gens = proven if out[0].status == PASS else None
 
     def mult_second(h, l, ms):
         """sigma(h, l m) = sigma(h1, m) sigma(h2, l)."""
@@ -144,7 +150,7 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
                         diff[k] = diff.get(k, 0) - c * f * w
         return not any(map(residue, diff.values()))
 
-    out.append(pair_check("cqt.commutation_relation", ops, commutation))
+    out.append(pair_check("cqt.commutation_relation", ops, commutation, pair_gens))
 
     def conv_pair(first, second):
         def holds(p) -> bool:
@@ -164,20 +170,21 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
     out.append(pair_check("cqt.convolution_inverse_right", ops, conv_pair(sig_inv, sig)))
 
     s, s_inv = raw.s, raw.s_inv
-    gaps = {  # each formula as (its left side) - (its right side) at (h, l)
+    gaps = {  # each formula as (its left side) - (its right side) at (h, l), with its generators
         # sigma^-1(h, l) = sigma(S h, l)
-        "cqt.inverse_is_antipode_first_argument":
-            lambda h, l: sig_inv[h][l] - sum(c * sig[k][l] for k, c in s[h]),
+        "cqt.inverse_is_antipode_first_argument": (
+            lambda h, l: sig_inv[h][l] - sum(c * sig[k][l] for k, c in s[h]), None),
         # sigma^-1(h, l) = sigma(h, S^-1 l)
-        "cqt.inverse_is_antipode_inv_second_argument":
-            lambda h, l: sig_inv[h][l] - sum(c * sig[h][k] for k, c in s_inv[l]),
-        # sigma(h, l) = sigma(S h, S l)
-        "cqt.antipode_square_invariance":
+        "cqt.inverse_is_antipode_inv_second_argument": (
+            lambda h, l: sig_inv[h][l] - sum(c * sig[h][k] for k, c in s_inv[l]), None),
+        # sigma(h, l) = sigma(S h, S l); sigma(S(s h), S l) = sigma(S h, S l2) sigma(S s, S l1)
+        "cqt.antipode_square_invariance": (
             lambda h, l: sig[h][l] - sum(c * d * sig[k][k2] for k, c in s[h] for k2, d in s[l]),
+            pair_gens),
     }
     gate_open = all(c.status == PASS for c in out)
-    for name, gap in gaps.items():
-        out.append(pair_check(name, ops, lambda p, gap=gap: not residue(gap(*p)))
+    for name, (gap, rows) in gaps.items():
+        out.append(pair_check(name, ops, lambda p, gap=gap: not residue(gap(*p)), rows)
                    if gate_open else skipped(name, "a braiding axiom above fails"))
     return out
 
@@ -278,17 +285,18 @@ def braided_modular_corollary_checks(ops: BasisOps, br: Braiding, fns: dict,
 
 
 def grouplike_witness_checks(ops: BasisOps, br: Braiding, g_lc: LC, g_inv_lc: LC,
-                             name: str = "g") -> tuple[tuple, list[CheckResult]]:
+                             name: str = "g", gens=None) -> tuple[tuple, list[CheckResult]]:
     """alpha_g, beta_g, and the four sigma contractions that conjugate by g.
 
     Each witness omega satisfies omega(h1) h2 omega^-1(h3) = g h g^-1; the
     convolution inverses are the displayed closed forms, and the witness
-    value set matches {alpha_g, beta_g}.
+    value set matches {alpha_g, beta_g}.  gens, given on an associative
+    product, decide the two character checks on their rows.
     """
     alpha_g, beta_g = modular_characters(ops, br, g_lc, g_inv_lc)
     out: list[CheckResult] = []
     out.append(check(f"cqt.grouplike_characters[{name}]",
-                     is_character_fn(ops, alpha_g) and is_character_fn(ops, beta_g)))
+                     is_character_fn(ops, alpha_g, gens) and is_character_fn(ops, beta_g, gens)))
 
     val, inv = br.value, br.inverse
     witnesses = [
@@ -357,7 +365,8 @@ def flip_agrees(read: Braiding, flipped: Braiding) -> bool:
 
 
 def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC, a_inv_lc: LC,
-                         battery: tuple | None = None) -> tuple[Braiding, list[CheckResult]]:
+                         battery: tuple | None = None,
+                         proven=None) -> tuple[Braiding, list[CheckResult]]:
     """The flipped braiding passes every axiom; its functionals swap with the
     originals (u~ = v^-1, v~ = u^-1, alpha~_a = beta_a, beta~_a = alpha_a);
     flipping twice restores the original values.
@@ -369,11 +378,12 @@ def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC, a_inv
     equals sigma and sigma^-1 on every pair filled in those tables
     (flip_agrees; a cotriangular sigma is its own flip), its battery would
     make the same reads in the same order and return the same lines; they
-    are taken, renamed.  Otherwise, and without a battery, it runs."""
+    are taken, renamed.  Otherwise, and without a battery, it runs, handed
+    proven as sigma's battery was (braiding_axiom_checks)."""
     flipped = flip_braiding(br)
     read, axioms = battery or (None, None)
     if read is None or not flip_agrees(read, flipped):
-        axioms = braiding_axiom_checks(ops, flipped)
+        axioms = braiding_axiom_checks(ops, flipped, proven)
     flip_fns, fn_checks = braided_functionals(ops, flipped)
     out = [CheckResult(f"flip_braiding.{result.name}", result.status, result.witness)
            for result in axioms + fn_checks]
@@ -407,9 +417,9 @@ def braided_chain(c: Carrier, br: Braiding, grouplikes: dict,
     read, product keys outside a window included; flip_braiding_checks
     reuses its lines where the flip agrees on them, since there the flip's
     battery would make the same reads and return the same lines."""
-    ops = c.ops
+    ops, gens = c.ops, c.generators
     read = Braiding(PairTable(br.value), PairTable(br.inverse))
-    axioms = braiding_axiom_checks(ops, read)
+    axioms = braiding_axiom_checks(ops, read, gens)
     if not all(x.ok for x in axioms):
         return None, axioms
     out = list(axioms)  # the flip checks read axioms after out has grown
@@ -421,9 +431,9 @@ def braided_chain(c: Carrier, br: Braiding, grouplikes: dict,
     # the inverse of a grouplike is its antipode
     pairs = {name: (g, ops.s_lc(g)) for name, g in {"a": c.a, **grouplikes}.items()}
     for name in sorted(pairs):
-        out.extend(grouplike_witness_checks(ops, br, *pairs[name], name=name)[1])
+        out.extend(grouplike_witness_checks(ops, br, *pairs[name], name=name, gens=gens)[1])
     out.extend(grouplike_homomorphism_checks(ops, br, pairs))
-    out.extend(flip_braiding_checks(ops, br, fns, c.a, c.a_inv, (read, axioms))[1])
+    out.extend(flip_braiding_checks(ops, br, fns, c.a, c.a_inv, (read, axioms), gens)[1])
     out.extend(twist_round_trip(c, fns["u"], fns["u_inv"]))
     return fns, out
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import cached_property
 
-from .lincomb import BasisOps, LC, hopf_axiom_checks, lc_canon, lc_outer
+from .lincomb import (BasisOps, LC, LoweredTables, generators, hopf_axiom_checks, lc_canon,
+                      lc_outer)
 from .linalg import SingularMatrixError, SparseMatrix, invert_matrix, solve_linear
-from .report import CheckResult, check, failed
+from .report import PASS, CheckResult, check, failed
 from .scalars import Field
 
 
@@ -71,7 +72,8 @@ class FinHopfAlgebra:
     maps a basis index to sparse (coefficient, left, right) triples, counit
     is a value vector, and antipode is a tuple whose entry j is S(e_j) as
     an LC, or None until verify_hopf solves for it.  The unit is solved for
-    when not supplied.
+    when not supplied.  generators is None until verify_hopf passes in full
+    and keeps the generators S its battery read off the product.
     """
 
     def __init__(self, field: Field, labels, mult, comult, counit,
@@ -98,6 +100,7 @@ class FinHopfAlgebra:
             raise AxiomError("counit: wrong length")
         self.unit_coeffs = tuple(unit) if unit is not None else self._solve_unit()
         self.antipode = antipode
+        self.generators: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -248,7 +251,9 @@ def compute_antipode(algebra: FinHopfAlgebra) -> tuple[LC, ...]:
 
 def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
     """Report every Hopf axiom instead of raising; safe on broken tables.
-    A missing antipode is solved for here and kept by the algebra."""
+    A missing antipode is solved for here and kept by the algebra, and so,
+    once every line passes, are the generators S of its product
+    (lincomb.generators): the proof the later grids reduce on."""
     if algebra.unit_coeffs is None:
         return [failed("hopf.unit_exists", "no two-sided unit solves the tables")]
     if algebra.antipode is None:
@@ -257,12 +262,15 @@ def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
         except AxiomError as exc:
             bialgebra = replace(algebra.ops, antipode=None, antipode_inv=None)
             return hopf_axiom_checks(bialgebra) + [failed("hopf.antipode_exists", str(exc))]
-    out = hopf_axiom_checks(algebra.ops)
+    ops = algebra.ops
+    raw = LoweredTables(ops)
+    out = hopf_axiom_checks(ops, raw)
     try:
         algebra.antipode_inv
         out.append(check("hopf.antipode_invertible", True))
     except SingularMatrixError:
         out.append(failed("hopf.antipode_invertible", "antipode matrix is singular"))
+    algebra.generators = generators(ops, raw) if all(x.status == PASS for x in out) else None
     return out
 
 

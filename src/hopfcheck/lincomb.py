@@ -26,11 +26,17 @@ predicate, so a traced run sees each grid and counts its points.
 
 On a finite algebra a law that is linear in one argument h and closed
 under h -> s h is decided by the rows of a generating set S of keys
-(generators): associativity, Delta and eps multiplicativity and sigma's
-first law in (s, l), sigma's second law in (h, s).  Delta and eps need
-associativity for the closure, each sigma law associativity on the S-rows
-and coassociativity (braiding_generators).  The S-rows run first and a
-pass decides; a fail reruns every row for the first witness, so reports
+(generators), once its premise [in brackets] has passed in the same run.
+(s, l) rows: hopf.associativity; Delta and eps multiplicativity,
+  lincomb.is_character, integral.nakayama_multiplicative [associativity];
+  sigma's first law [braiding_generators]; integral.exchange_antipode and
+  its inverse form [the Hopf battery, S bijective];
+  cqt.commutation_relation, cqt.antipode_square_invariance [sigma's first law].
+(h, s) rows: sigma's second law [braiding_generators];
+  integral.nakayama_law [integral.nakayama_multiplicative].
+The laws after sigma's two reduce only on the S that a Hopf battery passing
+in full keeps (verify_hopf, Carrier.generators).  The S-rows run first and
+a pass decides; a fail reruns every row for the first witness, so reports
 are unchanged.  A Laurent window is not closed under products and runs
 exhaustively.
 """
@@ -281,10 +287,11 @@ def is_grouplike_lc(ops: BasisOps, a: LC) -> bool:
     return lc_eq(ops.delta_lc(a), lc_outer(a, a))
 
 
-def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar]) -> bool:
+def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar], gens=None) -> bool:
+    """f(1) = 1 and f(h l) = f(h) f(l), as f(s h l) = f(s) f(h l) with gens."""
     return ops.eval_fn(f, ops.unit) == ops.one and pair_check(
         "lincomb.is_character", ops,
-        lambda p: ops.eval_fn(f, ops.mul(*p)) == f(p[0]) * f(p[1])).ok
+        lambda p: ops.eval_fn(f, ops.mul(*p)) == f(p[0]) * f(p[1]), gens).ok
 
 
 def conv_inverse_checks(ops: BasisOps, name: str, f, f_inv) -> list[CheckResult]:
@@ -395,23 +402,24 @@ def key_check(name: str, ops: BasisOps, holds) -> CheckResult:
     return grid_check(name, ops.keys, holds, lambda h: f"at {ops.label(h)}")
 
 
-def _decided(grid, reduced, full) -> CheckResult:
-    """grid(reduced) when reduced is given and passes, else grid(full): the
+def _decided(grid, keys, gens, second, full) -> CheckResult:
+    """grid of the generator rows, (s, l) or (h, s) when second for s in
+    gens, when gens are given and those rows pass, else grid(full): the
     reduced cells are among the full ones, so only a full grid fails."""
-    if reduced is not None:
-        result = grid(reduced)
+    if gens:
+        result = grid(product(keys, gens) if second else product(gens, keys))
         if result.ok:
             return result
     return grid(full)
 
 
-def pair_check(name: str, ops: BasisOps, holds, gens=None) -> CheckResult:
+def pair_check(name: str, ops: BasisOps, holds, gens=None, second=False) -> CheckResult:
     """grid_check of holds((h, l)) over the key pairs in lexicographic
-    order, with witness "at (<h>, <l>)"; with generators, the pairs (s, l)
-    for s in gens decide a pass."""
+    order, with witness "at (<h>, <l>)"; with generators, the pairs (s, l),
+    or (h, s) when second, for s in gens decide a pass."""
     return _decided(
         lambda pairs: grid_check(name, pairs, holds, lambda p: f"at {_pair_label(ops, p)}"),
-        gens and product(gens, ops.keys), _pairs(ops))
+        ops.keys, gens, second, _pairs(ops))
 
 
 def triple_grid_check(name: str, ops: BasisOps, first_failure, gens=None,
@@ -443,8 +451,7 @@ def triple_grid_check(name: str, ops: BasisOps, first_failure, gens=None,
     return _decided(
         lambda rows: grid_check(name, chain.from_iterable(cells(rows)), itemgetter(1),
                                 lambda cell: f"at {_triple_label(ops, cell[0])}"),
-        gens and (product(keys, gens) if second else product(gens, keys)),
-        product(keys, keys))
+        keys, gens, second, product(keys, keys))
 
 
 def generators(ops: BasisOps, raw: LoweredTables) -> tuple | None:
@@ -475,9 +482,12 @@ def generators(ops: BasisOps, raw: LoweredTables) -> tuple | None:
     return None if len(gens) == len(keys) else tuple(gens)
 
 
-def braiding_generators(ops: BasisOps, raw: LoweredTables) -> tuple | None:
+def braiding_generators(ops: BasisOps, raw: LoweredTables, proven=None) -> tuple | None:
     """generators(ops, raw) once associativity holds on their rows and
-    coassociativity on the keys, the premises of sigma's two laws; else None."""
+    coassociativity on the keys, the premises of sigma's two laws, else
+    None; proven S, kept by a Hopf battery passing in full, is taken as is."""
+    if proven:
+        return proven
     gens, keys, assoc = generators(ops, raw), ops.keys, associativity_rows(raw)
     premises = gens and all(assoc(s, l, keys) is None for s in gens for l in keys) and all(
         map(coassociative(raw), keys))
@@ -567,16 +577,12 @@ def tensor2_mul(ops: BasisOps, t1: dict, t2: dict) -> dict:
     return lc_canon(out)
 
 
-def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
-    """The full axiom battery on the key grid, in a fixed order.
-
-    Associativity runs over key triples one (h, l) row at a time; it and
-    the multiplicativity of Delta read LoweredTables, so each product and
-    coproduct is computed once per call and each cell is reduced once.
-    Associativity, and then Delta and eps multiplicativity, are decided on
-    the generator rows of that product table when it has generators."""
+def hopf_axiom_checks(ops: BasisOps, raw: LoweredTables | None = None) -> list[CheckResult]:
+    """The full axiom battery on the key grid, in a fixed order.  The grids
+    read LoweredTables (raw, when given), so each product and coproduct is
+    computed once and each cell is reduced once."""
     out: list[CheckResult] = []
-    raw = LoweredTables(ops)
+    raw = raw or LoweredTables(ops)
     prod, delta, eps, residue = raw.prod, raw.delta, raw.eps, raw.residue
     gens = generators(ops, raw)
     out.append(triple_grid_check("hopf.associativity", ops, associativity_rows(raw), gens))
@@ -588,19 +594,20 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
         and lc_eq(ops.mul_lc(ops.single(k), ops.unit), ops.single(k))))
     out.append(key_check("hopf.coassociativity", ops, coassociative(raw)))
 
-    def counit_laws(k) -> bool:
-        left: LC = {}
-        right: LC = {}
-        for c, k1, k2 in ops.delta(k):
-            e1, e2 = ops.eps(k1), ops.eps(k2)
-            if e1:
-                left[k2] = left.get(k2, ops.zero) + c * e1
-            if e2:
-                right[k1] = right.get(k1, ops.zero) + c * e2
-        single = ops.single(k)
-        return lc_eq(left, single) and lc_eq(right, single)
+    def two_sided(left, right, target):
+        """Sums of c left(k1, k2) and of c right(k1, k2) over Delta(k) = target(k)."""
+        def holds(k) -> bool:
+            sums, goal = ({}, {}), target(k)
+            for c, k1, k2 in ops.delta(k):
+                for acc, side in zip(sums, (left, right)):
+                    for m, v in side(k1, k2).items():
+                        acc[m] = acc.get(m, ops.zero) + c * v
+            return all(lc_eq(acc, goal) for acc in sums)
 
-    out.append(key_check("hopf.counit_laws", ops, counit_laws))
+        return holds
+
+    out.append(key_check("hopf.counit_laws", ops, two_sided(
+        lambda k1, k2: {k2: ops.eps(k1)}, lambda k1, k2: {k1: ops.eps(k2)}, ops.single)))
 
     def delta_multiplicative(pair) -> bool:
         """Delta(a b) = Delta(a) Delta(b)."""
@@ -634,18 +641,10 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
         out.append(skipped("hopf.antipode_laws", "no antipode available"))
         return out
 
-    def antipode_laws(k) -> bool:
-        left: LC = {}
-        right: LC = {}
-        for c, k1, k2 in ops.delta(k):
-            for side, x in ((left, ops.mul_lc(ops.antipode(k1), ops.single(k2))),
-                            (right, ops.mul_lc(ops.single(k1), ops.antipode(k2)))):
-                for m, v in x.items():
-                    side[m] = side.get(m, ops.zero) + c * v
-        target = lc_scale(ops.eps(k), ops.unit)
-        return lc_eq(left, target) and lc_eq(right, target)
-
-    out.append(key_check("hopf.antipode_laws", ops, antipode_laws))
+    out.append(key_check("hopf.antipode_laws", ops, two_sided(
+        lambda k1, k2: ops.mul_lc(ops.antipode(k1), ops.single(k2)),
+        lambda k1, k2: ops.mul_lc(ops.single(k1), ops.antipode(k2)),
+        lambda k: lc_scale(ops.eps(k), ops.unit))))
 
     if ops.antipode_inv is not None:
         out.append(key_check(

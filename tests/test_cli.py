@@ -230,9 +230,9 @@ def test_verify_double_validates_characters_only_in_named_checks(capsys, tmp_pat
     calls = []
     real = lincomb.is_character_fn
 
-    def spy(ops, f):
+    def spy(ops, f, gens=None):
         calls.append(1)
-        return real(ops, f)
+        return real(ops, f, gens)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("hopfcheck") and getattr(module, "is_character_fn", None) is real:
@@ -285,8 +285,8 @@ def test_one_verify_builds_one_basis_ops_per_algebra(capsys, tmp_path, monkeypat
 
 
 def test_one_verify_solves_only_for_r_inverse_and_u_inverse(capsys, tmp_path, monkeypatch):
-    # R^-1 and u^-1 are solved for, and check_s2_inner_witness solves for
-    # the inverse of its w; every other inverse is read off these
+    # R^-1 and u^-1 are solved for, and check_s2_inner_witness takes u^-1
+    # once two products check it; every other inverse is read off these
     calls = []
     invert, invert_element = hopf.Tensor2.invert, hopf.FinHopfAlgebra.invert_element
 
@@ -303,7 +303,21 @@ def test_one_verify_solves_only_for_r_inverse_and_u_inverse(capsys, tmp_path, mo
     for source in (write_doc(tmp_path, double_c4_permuted_document()), "preset:group:C4"):
         calls.clear()
         assert run(capsys, "verify", source)[0] in (0, 1)
-        assert (calls.count("Tensor2.invert"), calls.count("invert_element")) == (1, 2)
+        assert (calls.count("Tensor2.invert"), calls.count("invert_element")) == (1, 1)
+
+
+def test_degenerate_pairing_fails_integral_data(capsys, monkeypatch):
+    # lambda(e_i e_j) vanishes on the rows of x and gx when lambda is the
+    # coefficient of 1 on sweedler4, so the [P^T | P] elimination finds P
+    # singular: no Carrier is built, and no rank or invertibility line runs
+    monkeypatch.setattr(cofrobenius, "left_integrals",
+                        lambda algebra: [(1, 0, 0, 0)])
+    rc, out, _ = run(capsys, "verify", "preset:sweedler4", "--json")
+    assert rc == 1
+    checks = json.loads(out)["checks"]
+    assert checks[-1] == {"name": "integral.data", "status": "fail",
+                          "witness": "integral pairing is degenerate; no Nakayama map"}
+    assert not any(c["name"].startswith("integral.") for c in checks[:-1])
 
 
 def test_compute_golden_lines(capsys):

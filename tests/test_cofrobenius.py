@@ -20,6 +20,7 @@ from hopfcheck.cofrobenius import (
     twist_round_trip,
 )
 from hopfcheck.coquasitriangular import braided_functionals, dualize_qt
+from hopfcheck.hopf import FinHopfAlgebra
 from hopfcheck.quasitriangular import drinfeld_elements
 from hopfcheck.lincomb import _pair_label, _pairs
 from hopfcheck.linalg import SparseMatrix
@@ -120,6 +121,24 @@ def test_s2_witness_rejects_bad_candidates(sweedler, sweedler_data):
         *((name, "skipped") for name in later)]
     assert results[1].witness == "at x"
     assert {r.witness for r in results[2:]} == {"w does not implement S^2"}
+
+
+def test_s2_witness_takes_a_checked_inverse(sweedler, sweedler_data, monkeypatch):
+    """A w^-1 handed in spares the solve once w w^-1 = 1 = w^-1 w; one that
+    fails those products is replaced by the solved inverse, and the lines
+    are the same either way."""
+    c = sweedler_data
+    solved = check_s2_inner_witness(sweedler, c, c.a)
+    calls, real = [], FinHopfAlgebra.invert_element
+    monkeypatch.setattr(FinHopfAlgebra, "invert_element",
+                        lambda self, x: calls.append(x) or real(self, x))
+    assert check_s2_inner_witness(sweedler, c, c.a, c.a_inv) == solved
+    assert calls == []
+    assert check_s2_inner_witness(sweedler, c, c.a, c.ops.unit) == solved  # g 1 is not 1
+    assert calls == [c.a]
+    rejected = check_s2_inner_witness(sweedler, c, c.ops.single(2), c.ops.unit)
+    assert rejected == check_s2_inner_witness(sweedler, c, c.ops.single(2))
+    assert rejected[0].status == "fail"
 
 
 def alpha_twist(c):

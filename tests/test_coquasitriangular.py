@@ -192,9 +192,9 @@ def spy_batteries(monkeypatch) -> list:
     calls = []
     real = coquasitriangular.braiding_axiom_checks
 
-    def spy(ops, br):
+    def spy(ops, br, *proven):
         calls.append(br)
-        return real(ops, br)
+        return real(ops, br, *proven)
 
     monkeypatch.setattr(coquasitriangular, "braiding_axiom_checks", spy)
     return calls
