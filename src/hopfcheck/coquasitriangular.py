@@ -1,10 +1,11 @@
 """Braidings: bilinear forms on a Hopf algebra making it coquasitriangular.
 
 A Braiding is a pair of evaluators on basis-key pairs.  Finite-dimensional
-carriers wrap n-by-n value rows whose inverse comes from a convolution solve;
-the built-in infinite family supplies closed forms.  Every theorem checker
-below is written against the evaluator interface so both carriers share
-one code path.
+carriers wrap n-by-n value rows, whose convolution inverse is an inverse
+in the tensor square of the dual (hopf.Tensor2.invert); the built-in
+infinite family supplies closed forms.  Every theorem checker below is
+written against the evaluator interface so both carriers share one code
+path.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cofrobenius import Carrier, twist_round_trip
-from .hopf import FinHopfAlgebra, NotInvertibleError
-from .linalg import SparseMatrix, solve_linear
+from .hopf import FinHopfAlgebra, NotInvertibleError, Tensor2
 from .lincomb import (
     BasisOps,
     LC,
@@ -448,37 +448,23 @@ flip_inverse_braiding = flip_braiding_checks
 # -- finite-dimensional carriers ------------------------------------------------
 
 
-def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, tuple]:
-    """Wrap n-by-n value rows, sigma(e_x, e_y) at rows[x][y]; the inverse,
-    returned as rows of the same shape, comes from a convolution solve
-    over the tensor square.  The solve gives a right inverse in the
-    convolution algebra of H (x) H, which is finite-dimensional and
-    associative, so it is two-sided; cqt.convolution_inverse_left/right
-    still verify it as named checks."""
-    n, ops = algebra.dim, algebra.ops
+def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, LC]:
+    """Wrap n-by-n value rows, sigma(e_x, e_y) at rows[x][y], with the
+    convolution inverse as a leg-pair LC {(x, y): sigma^-1(e_x, e_y)}.
+
+    A bilinear form on H is an element of (H (x) H)* = H* (x) H*, and the
+    convolution product of forms is the product of that tensor square, so
+    sigma^-1 is Tensor2.invert on the dual; cqt.convolution_inverse_left
+    and right still verify it as named checks."""
+    n, zero = algebra.dim, algebra.field.zero
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"braiding matrix must be {n}-by-{n}")
-
-    # row (i, j), column (k, l): sum of c1 c2 sigma(a, b) over the terms
-    # c1 e_a (x) e_k of Delta(e_i) and c2 e_b (x) e_l of Delta(e_j)
-    nonzero = [{y: s for y, s in enumerate(row) if s} for row in rows]
-    eqs = SparseMatrix.zeros(algebra.field, n * n, n * n)
-    for i in range(n):
-        for c1, a, k in ops.delta(i):
-            sigma_a = nonzero[a]
-            if not sigma_a:
-                continue
-            for j in range(n):
-                for c2, b, l in ops.delta(j):
-                    s = sigma_a.get(b)
-                    if s is not None:
-                        eqs.add(i * n + j, k * n + l, c1 * c2 * s)
-    rhs = tuple(ops.eps(i) * ops.eps(j) for i in range(n) for j in range(n))
-    sol = solve_linear(eqs, rhs)
-    if sol is None:
-        raise NotInvertibleError("braiding has no convolution inverse")
-    inv = tuple(sol.particular[k * n:(k + 1) * n] for k in range(n))
-    br = Braiding(value=lambda x, y: rows[x][y], inverse=lambda x, y: inv[x][y])
+    sigma = {(x, y): v for x, row in enumerate(rows) for y, v in enumerate(row) if v}
+    try:
+        inv = Tensor2.invert(algebra.dual(), sigma)
+    except NotInvertibleError:
+        raise NotInvertibleError("braiding has no convolution inverse") from None
+    br = Braiding(value=lambda x, y: rows[x][y], inverse=lambda x, y: inv.get((x, y), zero))
     return br, inv
 
 
@@ -488,22 +474,18 @@ def dualize_qt(r: RMatrix, qt: QTData) -> tuple[FinHopfAlgebra, Braiding,
     """The dual Hopf algebra with sigma(f, g) = (f x g)(R).
 
     Returns the dual, the braiding, its braided functionals with their
-    checks, and the bridge checks.  The convolution-solved inverse must agree
-    with the coefficient matrix of R^-1, and the braided functionals must
+    checks, and the bridge checks.  sigma^-1, solved for in the tensor
+    square of dual.dual(), must equal R^-1 solved for on the algebra: the
+    two are separate solves on equal tables.  The braided functionals must
     evaluate the Drinfeld elements qt of the algebra: u(f) = f(u), and
     v(f) = sigma(f1, S f2) = f(R^1 S(R^2)) = f(S(u)), which is f(v^-1) since
     the QT side defines v = S(u)^-1.
     """
-    algebra = r.algebra
-    dual = algebra.dual()
-    n = algebra.dim
-    zero = algebra.field.zero
-    rows = [[zero] * n for _ in range(n)]
-    for (i, j), c in r.tensor.items():
-        rows[i][j] = c
+    algebra, zero = r.algebra, r.algebra.field.zero
+    dual, keys = algebra.dual(), range(algebra.dim)
+    rows = [[r.tensor.get((i, j), zero) for j in keys] for i in keys]
     br, inv = braiding_from_matrix(dual, rows)
-    inv_terms = {(i, j): v for i, row in enumerate(inv) for j, v in enumerate(row) if v}
-    out = [check("cqt.inverse_two_paths_agree", inv_terms == r.inverse)]
+    out = [check("cqt.inverse_two_paths_agree", inv == r.inverse)]
 
     ops = dual.ops
     functionals = braided_functionals(ops, br)

@@ -9,16 +9,19 @@ Elements are sparse LCs over the basis indices and functionals are key
 functions, both handled through the algebra's one BasisOps, its ops.
 The antipode is kept as its columns S(e_j), each an LC; its inverse is
 solved for once, as the rows of (S^T)^-1, which are the columns of S^-1.
-Dense coefficient vectors appear only where a linear solve returns them.
+Every other inverse solved for, R^-1 and u^-1 on H and a braiding's
+convolution inverse on H*, is a right inverse in H or its tensor square
+(_right_inverse).  Dense coefficient vectors appear only where a linear
+solve returns them.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import cached_property
+from typing import Callable
 
-from .lincomb import (BasisOps, LC, LoweredTables, generators, hopf_axiom_checks, lc_canon,
-                      lc_outer)
+from .lincomb import BasisOps, LC, LoweredTables, hopf_axiom_checks, lc_canon
 from .linalg import SingularMatrixError, SparseMatrix, invert_matrix, solve_linear
 from .report import PASS, CheckResult, check, failed
 from .scalars import Field
@@ -39,30 +42,8 @@ class Tensor2:
 
     @staticmethod
     def invert(algebra: "FinHopfAlgebra", t: LC) -> LC:
-        """Inverse in the tensor-square algebra, solved for as a right inverse.
-
-        The tensor square of a finite-dimensional algebra is again one, and
-        there a right inverse is two-sided, so the solve alone decides.
-        """
-        n, ops = algebra.dim, algebra.ops
-        zero = ops.zero
-        # row (r, s), column (k, l): coefficient of e_r (x) e_s in t (e_k (x) e_l)
-        eqs = SparseMatrix.zeros(algebra.field, n * n, n * n)
-        for (i, j), x in t.items():
-            rights = [(l, ops.mul(j, l)) for l in range(n)]
-            rights = [(l, right) for l, right in rights if right]
-            for k in range(n):
-                for r, cr in ops.mul(i, k).items():
-                    xcr = x * cr
-                    for l, right in rights:
-                        for s, cs in right.items():
-                            eqs.add(r * n + s, k * n + l, xcr * cs)
-        target = lc_outer(ops.unit, ops.unit)
-        rhs = tuple(target.get((r, s), zero) for r in range(n) for s in range(n))
-        sol = solve_linear(eqs, rhs)
-        if sol is None:
-            raise NotInvertibleError("tensor-square element has no right inverse")
-        return lc_canon({divmod(p, n): v for p, v in enumerate(sol.particular)})
+        """Inverse in the tensor square of algebra (_right_inverse)."""
+        return _right_inverse(algebra, t, 2, lambda: "tensor-square element")
 
 
 class FinHopfAlgebra:
@@ -137,22 +118,8 @@ class FinHopfAlgebra:
         return tuple(invert_matrix(self._s_transpose).rows)
 
     def invert_element(self, x: LC) -> LC:
-        """Multiplicative inverse, solved for as a right inverse x y = 1.
-
-        In a finite-dimensional associative algebra a right inverse is
-        two-sided (x y = 1 makes left multiplication by x onto, hence
-        injective, and x (y x) = x gives y x = 1), so no second check runs.
-        """
-        n, ops = self.dim, self.ops
-        eqs = SparseMatrix.zeros(self.field, n, n)  # row r, column k: e_r in x e_k
-        for i, ci in x.items():
-            for k in range(n):
-                for r, v in ops.mul(i, k).items():
-                    eqs.add(r, k, ci * v)
-        sol = solve_linear(eqs, self.unit_coeffs)
-        if sol is None:
-            raise NotInvertibleError(f"element {ops.format(x)} has no right inverse")
-        return lc_canon(dict(enumerate(sol.particular)))
+        """Multiplicative inverse in the algebra (_right_inverse)."""
+        return _right_inverse(self, x, 1, lambda: f"element {self.ops.format(x)}")
 
     # -- dualization -------------------------------------------------------------
 
@@ -201,6 +168,45 @@ class FinHopfAlgebra:
         if sol is None:
             return None
         return sol.particular
+
+
+def _right_inverse(algebra: FinHopfAlgebra, x: LC, power: int, what: Callable[[], str]) -> LC:
+    """The y with x y = 1 in the tensor power 1 or 2 of algebra, whose keys
+    are basis indices or leg pairs; when there is none, NotInvertibleError
+    names x as what() describes it.
+
+    A tensor power of a finite-dimensional associative algebra is again
+    one, and there a right inverse is two-sided: x y = 1 makes left
+    multiplication by x onto, hence injective, and x (y x) = x gives
+    y x = 1.  So the solve alone decides, and no second check runs.  This
+    serves R^-1 in H (x) H, u^-1 in H and, read in H* (x) H*, the
+    convolution inverse of a braiding.  The product table is read once, as
+    the nonzero terms w e_r of e_i e_k for each left factor i, and not
+    through ops, so a transient algebra builds no BasisOps.
+    """
+    n, field = algebra.dim, algebra.field
+    left: list[list] = [[] for _ in range(n)]  # left[i]: (k, r, w) for w e_r in e_i e_k
+    for (i, k), vec in algebra._mult.items():
+        left[i].extend((k, r, w) for r, w in vec.items())
+    # row r, column k: the coefficient of e_r in x e_k, a leg pair (r, s) at r n + s
+    eqs = SparseMatrix.zeros(field, n ** power, n ** power)
+    for key, c in x.items():
+        if power == 1:
+            for k, r, w in left[key]:
+                eqs.add(r, k, c * w)
+            continue
+        i, j = key
+        for k, r, w in left[i]:
+            cw, row, col = c * w, r * n, k * n
+            for l, s, w2 in left[j]:
+                eqs.add(row + s, col + l, cw * w2)
+    unit = [(r, w) for r, w in enumerate(algebra.unit_coeffs) if w]
+    rhs = dict(unit) if power == 1 else {r * n + s: v * w for r, v in unit for s, w in unit}
+    zero = field.zero
+    sol = solve_linear(eqs, tuple(rhs.get(p, zero) for p in range(n ** power)))
+    if sol is None:
+        raise NotInvertibleError(f"{what()} has no right inverse")
+    return lc_canon({divmod(p, n) if power == 2 else p: v for p, v in enumerate(sol.particular)})
 
 
 def require_passing(results: list[CheckResult]) -> None:
@@ -252,8 +258,8 @@ def compute_antipode(algebra: FinHopfAlgebra) -> tuple[LC, ...]:
 def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
     """Report every Hopf axiom instead of raising; safe on broken tables.
     A missing antipode is solved for here and kept by the algebra, and so,
-    once every line passes, are the generators S of its product
-    (lincomb.generators): the proof the later grids reduce on."""
+    once every line passes, are the generators S the battery derived from
+    its product (LoweredTables.gens): the proof the later grids reduce on."""
     if algebra.unit_coeffs is None:
         return [failed("hopf.unit_exists", "no two-sided unit solves the tables")]
     if algebra.antipode is None:
@@ -270,7 +276,7 @@ def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
         out.append(check("hopf.antipode_invertible", True))
     except SingularMatrixError:
         out.append(failed("hopf.antipode_invertible", "antipode matrix is singular"))
-    algebra.generators = generators(ops, raw) if all(x.status == PASS for x in out) else None
+    algebra.generators = raw.gens if all(x.status == PASS for x in out) else None
     return out
 
 

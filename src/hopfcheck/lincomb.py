@@ -37,7 +37,7 @@ under h -> s h is decided by the rows of a generating set S of keys
 The laws after sigma's two reduce only on the S that a Hopf battery passing
 in full keeps (verify_hopf, Carrier.generators).  The S-rows run first and
 a pass decides; a fail reruns every row for the first witness, so reports
-are unchanged.  A Laurent window is not closed under products and runs
+are unchanged.  is_character names no witness, so there a fail decides too.  A Laurent window is not closed under products and runs
 exhaustively.
 """
 
@@ -288,10 +288,13 @@ def is_grouplike_lc(ops: BasisOps, a: LC) -> bool:
 
 
 def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar], gens=None) -> bool:
-    """f(1) = 1 and f(h l) = f(h) f(l), as f(s h l) = f(s) f(h l) with gens."""
-    return ops.eval_fn(f, ops.unit) == ops.one and pair_check(
-        "lincomb.is_character", ops,
-        lambda p: ops.eval_fn(f, ops.mul(*p)) == f(p[0]) * f(p[1]), gens).ok
+    """f(1) = 1 and f(h l) = f(h) f(l), as f(s h l) = f(s) f(h l) with gens.
+    The rows (s, l) are among the pairs and no caller reads a witness, so
+    with gens they decide a fail too: no grid runs twice."""
+    return ops.eval_fn(f, ops.unit) == ops.one and grid_check(
+        "lincomb.is_character", product(gens, ops.keys) if gens else _pairs(ops),
+        lambda p: ops.eval_fn(f, ops.mul(*p)) == f(p[0]) * f(p[1]),
+        lambda p: f"at {_pair_label(ops, p)}").ok
 
 
 def conv_inverse_checks(ops: BasisOps, name: str, f, f_inv) -> list[CheckResult]:
@@ -375,6 +378,8 @@ class LoweredTables:
     (sigma and its inverse) in the same order.  Every table is filled on
     first lookup, also for keys outside the grid, and a lowered pair table
     reads the table it lowers, so its fn is still evaluated once per pair.
+    gens is None until hopf_axiom_checks reads these tables; it then keeps
+    the generators S read off prod, when associativity holds on their rows.
     """
 
     def __init__(self, ops: BasisOps, *pairs: PairTable) -> None:
@@ -395,6 +400,7 @@ class LoweredTables:
         self.s = KeyTable(lambda k: items(s(k)))
         self.s_inv = KeyTable(lambda k: items(s_inv(k)))
         self.unit = items(ops.unit)
+        self.gens: tuple | None = None
 
 
 def key_check(name: str, ops: BasisOps, holds) -> CheckResult:
@@ -586,7 +592,8 @@ def hopf_axiom_checks(ops: BasisOps, raw: LoweredTables | None = None) -> list[C
     prod, delta, eps, residue = raw.prod, raw.delta, raw.eps, raw.residue
     gens = generators(ops, raw)
     out.append(triple_grid_check("hopf.associativity", ops, associativity_rows(raw), gens))
-    gens = gens if out[0].ok else None  # Delta and eps close on an associative product
+    # Delta and eps close on an associative product; raw keeps the S proved here
+    gens = raw.gens = gens if out[0].ok else None
 
     out.append(key_check(
         "hopf.unit_laws", ops,

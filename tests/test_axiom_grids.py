@@ -210,11 +210,10 @@ def naive_results(ops, br) -> dict:
 
 def hopf_battery(ops) -> tuple[list, tuple | None]:
     """The Hopf battery on ops, and the generators S that verify_hopf keeps
-    once it passes in full, read off the tables it read; else None."""
+    once it passes in full, the ones the battery derived; else None."""
     raw = lincomb.LoweredTables(ops)
     results = hopf_axiom_checks(ops, raw)
-    passing = all(r.status == PASS for r in results)
-    return results, lincomb.generators(ops, raw) if passing else None
+    return results, raw.gens if all(r.status == PASS for r in results) else None
 
 
 def planned_results(ops, br) -> dict:
@@ -486,9 +485,9 @@ def test_failing_triple_grid_counts_points_up_to_its_witness(name, monkeypatch):
 
 
 def test_generators_are_read_off_the_product_the_battery_reads(c4, monkeypatch):
-    """The Hopf battery derives S from the product table it reads, and
-    verify_hopf reads S off that table again once the battery passes in
-    full; the braiding battery handed that S derives none.  On kC4 S is
+    """The Hopf battery derives S from the product table it reads, once,
+    and verify_hopf keeps that S once the battery passes in full; the
+    braiding battery handed that S derives none.  On kC4 S is
     (1, g).  A copy of its BasisOps whose g g has coefficient 0 no longer
     reaches g^2 from g, so there g^2 joins S; that copy fails the Hopf
     battery, so no S is handed over, the braiding battery derives its own,
@@ -499,9 +498,9 @@ def test_generators_are_read_off_the_product_the_battery_reads(c4, monkeypatch):
     ops, br = carrier("c4", c4=c4)
     g, g2 = ops.keys[1:3]
     _, gens = hopf_battery(ops)
-    assert gens == ops.keys[:2] and seen == [gens] * 2
+    assert gens == ops.keys[:2] and seen == [gens]
     braiding_axiom_checks(ops, br, gens)
-    assert seen == [gens] * 2
+    assert seen == [gens]
     seen.clear()
     mul = ops.mul
     zeroed = dataclasses.replace(
@@ -679,8 +678,10 @@ def law_grids(c, br, gens, character=None) -> dict:
 
 
 def verdicts(grids: dict) -> dict:
-    """Each law's reported line: the result of its last grid."""
-    return {name: runs[-1][1] for name, runs in grids.items()}
+    """Each law's reported line: the result of its last grid.  is_character
+    reports no line, and its callers read only whether it passed."""
+    return {name: runs[-1][1].ok if name == "lincomb.is_character" else runs[-1][1]
+            for name, runs in grids.items()}
 
 
 def test_reduced_pair_laws_match_exhaustive(law_carrier):
@@ -731,6 +732,23 @@ def test_pair_laws_run_only_their_s_rows_on_a_passing_carrier(name, sweedler, sw
     assert set(grids) == set(LAWS)
     cells = len(c.generators) * len(c.ops.keys)
     assert all(runs == [(cells, runs[0][1])] and runs[0][1].ok for runs in grids.values())
+
+
+def test_a_failing_character_row_decides_in_one_grid(sweedler, monkeypatch):
+    """1 on 1 and gx, 0 on g and x, is no character: f(g g) = 1, f(g)^2 = 0.
+    (g, g) is a row of S = (1, g, x), so with S handed in is_character
+    runs that one grid and says False, as the exhaustive grid does."""
+    ops, gens = sweedler.ops, sweedler.generators
+    one, gx = ops.keys[0], ops.keys[3]
+    f = lambda k: ops.one if k in (one, gx) else ops.zero
+    seen, real = [], lincomb.grid_check
+    monkeypatch.setattr(lincomb, "grid_check",
+                        lambda name, *args: seen.append(name) or real(name, *args))
+    assert gens == ops.keys[:3]
+    assert not is_character_fn(ops, f, gens)
+    assert seen == ["lincomb.is_character"]
+    assert not is_character_fn(ops, f)
+    assert seen == ["lincomb.is_character"] * 2
 
 
 def shift_law_holds(c, m, h) -> bool:

@@ -285,25 +285,31 @@ def test_one_verify_builds_one_basis_ops_per_algebra(capsys, tmp_path, monkeypat
 
 
 def test_one_verify_solves_only_for_r_inverse_and_u_inverse(capsys, tmp_path, monkeypatch):
-    # R^-1 and u^-1 are solved for, and check_s2_inner_witness takes u^-1
-    # once two products check it; every other inverse is read off these
+    # R^-1 and u^-1 are solved for on H; the inverse of a document's sigma
+    # (the group preset has one) in the tensor square of H*; and the inverse
+    # of sigma(f, g) = (f x g)(R) in dualize_qt, in the tensor square of the
+    # dual's dual.  check_s2_inner_witness takes u^-1 once two products
+    # check it, and every other inverse is read off these
     calls = []
     invert, invert_element = hopf.Tensor2.invert, hopf.FinHopfAlgebra.invert_element
 
     def tensor_spy(algebra, t):
-        calls.append("Tensor2.invert")
+        calls.append(("Tensor2.invert", algebra.name))
         return invert(algebra, t)
 
     def element_spy(self, x):
-        calls.append("invert_element")
+        calls.append(("invert_element", self.name))
         return invert_element(self, x)
 
     monkeypatch.setattr(hopf.Tensor2, "invert", staticmethod(tensor_spy))
     monkeypatch.setattr(hopf.FinHopfAlgebra, "invert_element", element_spy)
-    for source in (write_doc(tmp_path, double_c4_permuted_document()), "preset:group:C4"):
-        calls.clear()
-        assert run(capsys, "verify", source)[0] in (0, 1)
-        assert (calls.count("Tensor2.invert"), calls.count("invert_element")) == (1, 1)
+    assert run(capsys, "verify", write_doc(tmp_path, double_c4_permuted_document()))[0] in (0, 1)
+    assert calls == [("Tensor2.invert", "D(kC4)"), ("invert_element", "D(kC4)"),
+                     ("Tensor2.invert", "D(kC4)^*^*")]
+    calls.clear()
+    assert run(capsys, "verify", "preset:group:C4")[0] in (0, 1)
+    assert calls == [("Tensor2.invert", "kC4"), ("invert_element", "kC4"),
+                     ("Tensor2.invert", "kC4^*"), ("Tensor2.invert", "kC4^*^*")]
 
 
 def test_degenerate_pairing_fails_integral_data(capsys, monkeypatch):

@@ -58,7 +58,7 @@ def modular_chain(c, br, fns):
 
 def test_trivial_braiding_on_group_algebra(c2):
     br, inv = braiding_from_matrix(c2, trivial_rows(2))
-    assert inv == ((ONE, ONE), (ONE, ONE))
+    assert inv == {(0, 0): ONE, (0, 1): ONE, (1, 0): ONE, (1, 1): ONE}
     c = cofrobenius_data(c2)
     for r in braiding_axiom_checks(c.ops, br):
         assert r.ok, r
@@ -121,6 +121,27 @@ def test_grouplike_witnesses_on_dual(sweedler, sweedler_r):
 def test_braiding_matrix_without_inverse_is_rejected(c2):
     with pytest.raises(NotInvertibleError, match="no convolution inverse"):
         braiding_from_matrix(c2, [[ONE, Fraction(0)], [Fraction(0), ONE]])
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_braiding_inverse_over_fp_is_field_valued(n):
+    """sigma^-1 of H_n over F_10007, solved for in the tensor square of H*:
+    off its support the evaluator returns the field's zero, an FpElement
+    as the lowered tables need, and both convolution laws pass.  With the
+    row sigma(1, -) zeroed no inverse exists: sigma(1, 1) tau(1, 1) = 0."""
+    doc = parse_document(laurent_quotient_document(n))
+    algebra = build_algebra(doc)
+    require_passing(verify_hopf(algebra))
+    br, inv = braiding_from_matrix(algebra, doc.sigma)
+    zero, keys = algebra.field.zero, range(algebra.dim)
+    off = [br.inverse(x, y) for x in keys for y in keys if (x, y) not in inv]
+    assert off and all(type(v) is type(zero) and v == zero for v in off)
+    lines = [r.status for r in braiding_axiom_checks(algebra.ops, br, algebra.generators)
+             if r.name.startswith("cqt.convolution_inverse_")]
+    assert lines == [PASS, PASS]
+    singular = [[zero] * algebra.dim, *doc.sigma[1:]]
+    with pytest.raises(NotInvertibleError, match="braiding has no convolution inverse"):
+        braiding_from_matrix(algebra, singular)
 
 
 def test_corrupted_braiding_fails_multiplicativity(c2):

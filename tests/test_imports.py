@@ -15,7 +15,9 @@ it has, an R-matrix or a braiding.  A finite algebra's structure maps live
 in its one ops: FinHopfAlgebra defines no basis_ops, *_basis or format_*
 method, and no module calls .basis_ops().  linalg.SparseMatrix is the one
 matrix type: no other class defines both nrows and ncols, and the antipode
-is read as FinHopfAlgebra.antipode columns, never as a matrix.
+is read as FinHopfAlgebra.antipode columns, never as a matrix.  Only the
+unit solve, compute_antipode, hopf._right_inverse and linalg.nullspace
+read linalg.solve_linear, so every inverse goes through the one solver.
 """
 
 import ast
@@ -358,3 +360,57 @@ def test_matrix_twin_detector_flags_each_form(tmp_path):
 def test_sparse_matrix_is_the_one_matrix_type():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in matrix_twins(path)]
     assert not found, "matrix types or antipode matrices besides SparseMatrix:\n" + "\n".join(found)
+
+
+# the functions that may solve a linear system, by module: the unit, the
+# antipode, the one right-inverse solver (R^-1, u^-1, sigma^-1) and nullspaces
+SOLVERS = {"hopf": {"_solve_unit", "compute_antipode", "_right_inverse"},
+           "linalg": {"nullspace"}}
+
+
+def stray_solves(path: Path) -> list[str]:
+    """Each read of solve_linear, as a name or an attribute, whose innermost
+    enclosing function is not one of SOLVERS for its module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = SOLVERS.get(path.stem, set())
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if ((isinstance(child, ast.Name) and child.id == "solve_linear"
+                 or isinstance(child, ast.Attribute) and child.attr == "solve_linear")
+                    and owner not in allowed):
+                out.append(f"{path.name}:{child.lineno}: solve_linear in {owner or 'module'}")
+            visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_stray_solve_detector_flags_each_form(tmp_path):
+    hopf = tmp_path / "hopf.py"
+    hopf.write_text("def _solve_unit(a, b):\n"
+                    "    return solve_linear(a, b)\n\n"
+                    "class FinHopfAlgebra:\n"
+                    "    def invert_element(self, x):\n"
+                    "        return linalg.solve_linear(x, x)\n\n"
+                    "def compute_antipode(a):\n"
+                    "    def inner():\n"
+                    "        return solve_linear(a, a)\n"
+                    "    return inner\n\n"
+                    "solver = solve_linear\n")
+    assert stray_solves(hopf) == ["hopf.py:6: solve_linear in invert_element",
+                                  "hopf.py:10: solve_linear in inner",
+                                  "hopf.py:13: solve_linear in module"]
+    cq = tmp_path / "coquasitriangular.py"
+    cq.write_text("def _right_inverse(a, b):\n"
+                  "    return solve_linear(a, b)\n")
+    assert stray_solves(cq) == ["coquasitriangular.py:2: solve_linear in _right_inverse"]
+
+
+def test_only_the_named_solvers_solve():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in stray_solves(path)]
+    assert not found, "linear solves outside the named solvers:\n" + "\n".join(found)
