@@ -13,15 +13,22 @@ seconds of the verifies and the sha256 of the JSON report, so that two
 checkouts can be compared on speed and on output at once.  It exits 1 if
 an input's report differs between repeats:
 
-    python3 scripts/scale.py
+    python3 scripts/scale.py [--json PATH]
+
+With --json it also writes those figures, with the repeat count and the
+Python version, to PATH, together with a host calibration: the seconds of
+perfbench/speed.py's probe, timed before and after the inputs, beside the
+probe time that speed.py takes as its nominal machine.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import platform
 import statistics
 import sys
 import tempfile
@@ -32,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import speed  # noqa: E402
 from hopfcheck import laurent  # noqa: E402
 from hopfcheck.cli import build_parser, main as hopf_main  # noqa: E402
 from workloads import (  # noqa: E402
@@ -78,10 +86,23 @@ def verify_input(make, directory: Path) -> tuple[int, int, float, str]:
     return (len(doc["basis"]), *verify([str(path)]))
 
 
-def main() -> int:
+def calibrate(seconds: float = 0.5) -> dict:
+    """The probe of perfbench/speed.py, timed on entry, on exit and every
+    PROBE_INTERVAL_S while this process idles for the given seconds."""
+    with speed.SpeedProbe() as probe:
+        time.sleep(seconds)
+    return {"probe_s_median": statistics.median(probe.probes), "probe_s_min": min(probe.probes),
+            "probe_s_max": max(probe.probes), "probes": len(probe.probes)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Time verify on the larger inputs.")
+    parser.add_argument("--json", metavar="PATH", help="also write the figures to PATH as JSON")
+    args = parser.parse_args(argv)
+    before = calibrate() if args.json else None
     print(f"{'input':<14} {'dim':>4} {'exit':>4} {'median_s':>9} {'min-max_s':>11}"
           "  report sha256")
-    worst = 0
+    worst, rows = 0, []
     with tempfile.TemporaryDirectory() as tmp:
         for name, make in INPUTS:
             runs = [verify_input(make, Path(tmp)) for _ in range(REPEATS)]
@@ -90,10 +111,18 @@ def main() -> int:
             spread = f"{min(seconds):.2f}-{max(seconds):.2f}"
             print(f"{name:<14} {dim:>4} {code:>4} {statistics.median(seconds):>9.2f}"
                   f" {spread:>11}  {digest}", flush=True)
+            rows.append({"input": name, "dim": dim, "exit": code,
+                         "median_s": statistics.median(seconds), "min_s": min(seconds),
+                         "max_s": max(seconds), "repeats": REPEATS, "sha256": digest})
             worst = max(worst, code)
             if len({(run[1], run[3]) for run in runs}) > 1:
                 print(f"{name}: the report differs between repeats", file=sys.stderr)
                 worst = max(worst, 1)
+    if args.json:
+        host = {"python": platform.python_version(), "nominal_probe_s": speed.NOMINAL_PROBE_S,
+                "calibration_before": before, "calibration_after": calibrate()}
+        Path(args.json).write_text(json.dumps({"host": host, "inputs": rows}, indent=2) + "\n",
+                                   encoding="utf-8")
     return worst
 
 

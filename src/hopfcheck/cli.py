@@ -498,13 +498,8 @@ def _check_braided(label: str, src: Source, token: str, report: Report) -> None:
 
 
 def _finish(report: Report, args) -> int:
-    timestamp = None
-    if args.timestamps:
-        timestamp = datetime.now(timezone.utc).isoformat()
-    if args.json:
-        text = report.render_json(timestamp)
-    else:
-        text = report.render_text(timestamp)
+    timestamp = datetime.now(timezone.utc).isoformat() if args.timestamps else None
+    text = report.render_json(timestamp) if args.json else report.render_text(timestamp)
     sys.stdout.write(text + "\n")
     return 0 if report.ok else 1
 

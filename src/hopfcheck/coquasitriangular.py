@@ -17,12 +17,16 @@ from .cofrobenius import Carrier, twist_round_trip
 from .hopf import FinHopfAlgebra, NotInvertibleError, Tensor2
 from .lincomb import (
     BasisOps,
+    KeyTable,
     LC,
     LoweredTables,
     PairTable,
     braiding_generators,
     coinner_law,
+    combine,
     conv_inverse_checks,
+    first_gap,
+    group,
     is_character_fn,
     key_check,
     lc_eq,
@@ -78,49 +82,42 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
     prod, delta, eps, residue = raw.prod, raw.delta, raw.eps, raw.residue
     gens = braiding_generators(ops, raw, proven)
 
+    differs = lambda a, b: residue(a - b)
+    # the coproduct terms (c, m, m2) of the columns, by first leg m1
+    legs = group((m1, (c, m, m2)) for m in ops.keys for c, m1, m2 in delta[m])
+
+    def nonzero(over) -> KeyTable:
+        """k -> {m: sigma(k, m)} over the keys m in over, nonzero values only."""
+        return KeyTable(lambda k: {m: v for m, v in zip(over, map(sig[k].__getitem__, over)) if v})
+
+    seconds = dict.fromkeys(m2 for terms in legs.values() for _, _, m2 in terms)
+    cols, firsts, seconds = nonzero(ops.keys), nonzero(legs), nonzero(seconds)
+
     def mult_first(h, l, ms):
-        """sigma(h l, m) = sigma(h, m1) sigma(l, m2)."""
-        hl = [(c, sig[k]) for k, c in prod[h][l]]
-        sig_h, sig_l = sig[h], sig[l]
-        for m in ms:
-            acc = 0
-            for c, sig_k in hl:
-                f = sig_k[m]
-                if f:
-                    acc += c * f
-            for c, m1, m2 in delta[m]:
-                f = sig_h[m1] * sig_l[m2]
-                if f:
-                    acc -= c * f
-            if residue(acc):
-                return m
-        return None
+        """sigma(h l, m) = sigma(h, m1) sigma(l, m2), each side {m: value}."""
+        left, right, sig_l = combine(prod[h][l], cols), {}, seconds[l]
+        if sig_l:  # else sigma(l, m2) = 0 on every second leg
+            for m1, a in firsts[h].items():
+                for c, m, m2 in legs[m1]:
+                    b = sig_l.get(m2)
+                    if b:
+                        right[m] = right.get(m, 0) + c * a * b
+        return first_gap(left, right, ms, differs)
 
     out.append(triple_grid_check("cqt.multiplicative_first_argument", ops, mult_first, gens))
     # sigma(h k, m) = sigma(h, m1) sigma(k, m2) closes two pair laws below under h -> s h
     pair_gens = proven if out[0].status == PASS else None
 
     def mult_second(h, l, ms):
-        """sigma(h, l m) = sigma(h1, m) sigma(h2, l)."""
-        legs = []  # (c sigma(h2, l), the sigma row of h1) over Delta(h)
-        for c, h1, h2 in delta[h]:
-            w = c * sig[h2][l]
-            if w:
-                legs.append((w, sig[h1]))
-        sig_h, by_l = sig[h], prod[l]
-        for m in ms:
-            acc = 0
-            for k, c in by_l[m]:
+        """sigma(h, l m) = sigma(h1, m) sigma(h2, l), each side {m: value}."""
+        left, sig_h = {}, sig[h]
+        for m, lm in zip(ops.keys, raw.line[l]):
+            for k, c in lm:
                 f = sig_h[k]
                 if f:
-                    acc += c * f
-            for w, sig_h1 in legs:
-                f = sig_h1[m]
-                if f:
-                    acc -= w * f
-            if residue(acc):
-                return m
-        return None
+                    left[m] = left.get(m, 0) + c * f
+        terms = [(h1, w) for c, h1, h2 in delta[h] if (w := c * sig[h2][l])]
+        return first_gap(left, combine(terms, cols), ms, differs)
 
     out.append(triple_grid_check("cqt.multiplicative_second_argument", ops, mult_second,
                                  gens, second=True))

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 
 from .hopf import FinHopfAlgebra
-from .lincomb import is_character_fn, is_grouplike_lc, lc_canon
+from .lincomb import group, is_character_fn, is_grouplike_lc, lc_canon
 from .scalars import Field, RationalField, Scalar, ScalarError, field_from_spec
 
 
@@ -200,9 +200,7 @@ def build_algebra(doc: AlgebraDocument) -> FinHopfAlgebra:
     for i, j, k, c in doc.mult:
         row = mult.setdefault((i, j), {})
         row[k] = row.get(k, doc.field.zero) + c
-    comult: dict = {}
-    for i, j, k, c in doc.comult:
-        comult.setdefault(i, []).append((c, j, k))
+    comult = group((i, (c, j, k)) for i, j, k, c in doc.comult)
     antipode = None
     if doc.antipode is not None:  # entry [i, j, c]: c e_i in S(e_j), column j
         columns: list[dict] = [{} for _ in range(n)]

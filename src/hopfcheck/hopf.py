@@ -21,7 +21,7 @@ from dataclasses import replace
 from functools import cached_property
 from typing import Callable
 
-from .lincomb import BasisOps, LC, LoweredTables, hopf_axiom_checks, lc_canon
+from .lincomb import BasisOps, LC, LoweredTables, group, hopf_axiom_checks, lc_canon
 from .linalg import SingularMatrixError, SparseMatrix, invert_matrix, solve_linear
 from .report import PASS, CheckResult, check, failed
 from .scalars import Field
@@ -54,7 +54,7 @@ class FinHopfAlgebra:
     is a value vector, and antipode is a tuple whose entry j is S(e_j) as
     an LC, or None until verify_hopf solves for it.  The unit is solved for
     when not supplied.  generators is None until verify_hopf passes in full
-    and keeps the generators S its battery read off the product.
+    and keeps the S its battery read off the product, () for none.
     """
 
     def __init__(self, field: Field, labels, mult, comult, counit,
@@ -125,28 +125,21 @@ class FinHopfAlgebra:
 
     def dual(self) -> "FinHopfAlgebra":
         """The dual Hopf algebra on the dual basis."""
-        n = self.dim
         mult: dict = {}
-        for k in range(n):
+        for k in range(self.dim):
             for c, i, j in self.ops.delta(k):
                 vec = mult.setdefault((i, j), {})
                 vec[k] = vec.get(k, self.field.zero) + c
-        comult: dict = {}
-        for (j, k), vec in self._mult.items():
-            for i, c in vec.items():
-                comult.setdefault(i, []).append((c, j, k))
-        counit = self.unit_coeffs
-        unit = self._counit
-        antipode = None
-        if self.antipode is not None:  # S^* has the columns of S^T, the rows of S
-            antipode = tuple(self._s_transpose.transpose().rows)
+        comult = group((i, (c, j, k)) for (j, k), vec in self._mult.items() for i, c in vec.items())
+        # S^* has the columns of S^T, the rows of S
+        antipode = None if self.antipode is None else tuple(self._s_transpose.transpose().rows)
         return FinHopfAlgebra(
             self.field,
             tuple(f"{lbl}*" for lbl in self.labels),
             mult,
             {i: tuple(triples) for i, triples in comult.items()},
-            counit,
-            unit=unit,
+            self.unit_coeffs,
+            unit=self._counit,
             antipode=antipode,
             name=f"{self.name}^*",
         )

@@ -22,7 +22,11 @@ the one loop report.grid_check, entered through key_check, pair_check or
 triple_grid_check.  These fix the order of the points (ops.keys, then
 lexicographic) and the witness of the first failing one: "at <h>",
 "at (<h>, <l>)" or "at (<h>, <l>, <m>)".  A check module passes only its
-predicate, so a traced run sees each grid and counts its points.
+predicate, so a traced run sees each grid and counts its points.  A
+triple grid's row kernel (associativity_rows; sigma's two laws in
+coquasitriangular) builds both sides of its (h, l) row once, over the
+columns m, from nonzero terms and cached product rows, and compares them
+once: equal raw sides pass, and only differing cells are reduced (first_gap).
 
 On a finite algebra a law that is linear in one argument h and closed
 under h -> s h is decided by the rows of a generating set S of keys
@@ -37,8 +41,8 @@ under h -> s h is decided by the rows of a generating set S of keys
 The laws after sigma's two reduce only on the S that a Hopf battery passing
 in full keeps (verify_hopf, Carrier.generators).  The S-rows run first and
 a pass decides; a fail reruns every row for the first witness, so reports
-are unchanged.  is_character names no witness, so there a fail decides too.  A Laurent window is not closed under products and runs
-exhaustively.
+are unchanged.  is_character names no witness, so there a fail decides
+too.  A Laurent window is not closed under products and runs exhaustively.
 """
 
 from __future__ import annotations
@@ -276,6 +280,14 @@ class BasisOps:
         return "[" + ", ".join(self.field.format(f(k)) for k in self.keys) + "]"
 
 
+def group(pairs) -> dict:
+    """{key: [value, ...]} of (key, value) pairs, in their order."""
+    out: dict = {}
+    for key, value in pairs:
+        out.setdefault(key, []).append(value)
+    return out
+
+
 def memo_fn(f):
     """Cache a one-argument function of hashable keys (a KeyTable lookup)."""
     return KeyTable(f).__getitem__
@@ -378,8 +390,10 @@ class LoweredTables:
     (sigma and its inverse) in the same order.  Every table is filled on
     first lookup, also for keys outside the grid, and a lowered pair table
     reads the table it lowers, so its fn is still evaluated once per pair.
-    gens is None until hopf_axiom_checks reads these tables; it then keeps
-    the generators S read off prod, when associativity holds on their rows.
+    columns are the grid's keys, and line[l] the items of l m for each
+    column m.  gens is None until hopf_axiom_checks reads these tables; it
+    then keeps the generators S read off prod, when associativity holds on
+    their rows, or () when it holds on every row and generators gives no S.
     """
 
     def __init__(self, ops: BasisOps, *pairs: PairTable) -> None:
@@ -396,11 +410,36 @@ class LoweredTables:
                 lambda k: tuple((lower(c), k1, k2) for c, k1, k2 in delta(k)))
             self.eps = KeyTable(lambda k: lower(eps(k)))
             self.pairs = tuple(PairTable(lambda x, y, t=t: lower(t[x][y])) for t in pairs)
-        self.prod = PairTable(lambda x, y: items(mul(x, y)))
+        self.prod = prod = PairTable(lambda x, y: items(mul(x, y)))
         self.s = KeyTable(lambda k: items(s(k)))
         self.s_inv = KeyTable(lambda k: items(s_inv(k)))
         self.unit = items(ops.unit)
         self.gens: tuple | None = None
+        self.columns = ops.keys
+        self.line = KeyTable(lambda l: tuple(map(prod[l].__getitem__, ops.keys)))
+
+
+def combine(items, table) -> dict:
+    """The sum of c table[k] over the items (k, c) of a combination, for a
+    table of sparse rows {cell: value}; one term with c = 1 is its row itself."""
+    if len(items) == 1 and items[0][1] == 1:
+        return table[items[0][0]]
+    out: dict = {}
+    for k, c in items:
+        for cell, v in table[k].items():
+            out[cell] = out.get(cell, 0) + c * v
+    return out
+
+
+def first_gap(left: dict, right: dict, ms, gap):
+    """The first m in ms at which the sides {m: raw value} of a row differ
+    in the field, or None: equal raw sides pass unreduced, else gap(lhs,
+    rhs) decides each cell whose raw values differ (0 where one is absent)."""
+    if left == right:
+        return None
+    bad = {m for m in left.keys() | right.keys()
+           if left.get(m, 0) != right.get(m, 0) and gap(left.get(m, 0), right.get(m, 0))}
+    return next(filter(bad.__contains__, ms), None)
 
 
 def key_check(name: str, ops: BasisOps, holds) -> CheckResult:
@@ -433,15 +472,13 @@ def triple_grid_check(name: str, ops: BasisOps, first_failure, gens=None,
     """grid_check over the key triples (h, l, m) in lexicographic order,
     evaluated one (h, l) row at a time; with generators, the rows (s, l),
     or (h, s) when second, for s in gens decide a pass.
-
     first_failure(h, l, ms) returns the first m in ms at which the identity
     fails, or None; it is called once per row, on all keys.  grid_check
     reads (triple, verdict) cells built by C iterators: a passing row is its
-    triples zipped with True, and the failing row ends the stream with the
-    cells before its witness and then (witness, False).  So grid_check
-    still sees one item per triple up to the first failure, and no Python
-    code runs per triple outside the row kernel.
-    """
+    triples zipped with True, the failing row its cells before the witness
+    and then (witness, False).  So grid_check sees one item per triple up
+    to the first failure, and no Python code runs per triple outside the
+    row kernel."""
     keys = ops.keys
 
     def cells(rows):
@@ -491,8 +528,9 @@ def generators(ops: BasisOps, raw: LoweredTables) -> tuple | None:
 def braiding_generators(ops: BasisOps, raw: LoweredTables, proven=None) -> tuple | None:
     """generators(ops, raw) once associativity holds on their rows and
     coassociativity on the keys, the premises of sigma's two laws, else
-    None; proven S, kept by a Hopf battery passing in full, is taken as is."""
-    if proven:
+    None; proven S, kept by a Hopf battery passing in full, is taken as is,
+    () (nothing to reduce) included."""
+    if proven is not None:
         return proven
     gens, keys, assoc = generators(ops, raw), ops.keys, associativity_rows(raw)
     premises = gens and all(assoc(s, l, keys) is None for s in gens for l in keys) and all(
@@ -500,28 +538,36 @@ def braiding_generators(ops: BasisOps, raw: LoweredTables, proven=None) -> tuple
     return gens if premises else None
 
 
+def sum_items(a, row) -> tuple:
+    """The items, repeats kept, of the sum of c row(k) over the items (k, c)
+    of a combination; for one term with c = 1, row(k) itself."""
+    if len(a) == 1 and a[0][1] == 1:
+        return row(a[0][0])
+    return tuple((k2, c * w) for k, c in a for k2, w in row(k))
+
+
 def associativity_rows(raw: LoweredTables):
-    """The row kernel of (h l) m = h (l m)."""
-    prod, residue = raw.prod, raw.residue
+    """The row kernel of (h l) m = h (l m).  Both sides of a row are lists
+    of raw items over the columns: the left one of h l, cached per h l, and
+    the right one of h on the items of each l m (raw.line), cached for the
+    latest h.  Equal rows pass at once; a cell whose items differ sums them."""
+    prod, line, cols = raw.prod, raw.line, raw.columns
+    left_rows = KeyTable(lambda a: [sum_items(a, lambda k: prod[k][m]) for m in cols])
+    times_h: dict = {}  # h -> KeyTable of the items of h a, for the latest h
+
+    def items_gap(a, b) -> bool:
+        diff: dict = {}
+        for k, v in chain(a, ((k, -v) for k, v in b)):
+            diff[k] = diff.get(k, 0) + v
+        return any(map(raw.residue, diff.values()))
 
     def associativity(h, l, ms):
-        hl = [(c, prod[k]) for k, c in prod[h][l]]
-        by_h, by_l = prod[h], prod[l]
-        for m in ms:
-            left: LC = {}
-            for c, by_k in hl:
-                for k2, w in by_k[m]:
-                    left[k2] = left.get(k2, 0) + c * w
-            right: LC = {}
-            for k, c in by_l[m]:
-                for k2, w in by_h[k]:
-                    right[k2] = right.get(k2, 0) + c * w
-            if left != right:  # raw sums may still agree in the field
-                for k2, w in right.items():
-                    left[k2] = left.get(k2, 0) - w
-                if any(map(residue, left.values())):
-                    return m
-        return None
+        if h not in times_h:
+            times_h.clear()
+            times_h[h] = KeyTable(partial(sum_items, row=prod[h].__getitem__))
+        left, right = left_rows[prod[h][l]], list(map(times_h[h].__getitem__, line[l]))
+        return None if left == right else first_gap(
+            dict(zip(cols, left)), dict(zip(cols, right)), ms, items_gap)
 
     return associativity
 
@@ -593,7 +639,7 @@ def hopf_axiom_checks(ops: BasisOps, raw: LoweredTables | None = None) -> list[C
     gens = generators(ops, raw)
     out.append(triple_grid_check("hopf.associativity", ops, associativity_rows(raw), gens))
     # Delta and eps close on an associative product; raw keeps the S proved here
-    gens = raw.gens = gens if out[0].ok else None
+    gens = raw.gens = (gens or ()) if out[0].ok else None
 
     out.append(key_check(
         "hopf.unit_laws", ops,

@@ -101,8 +101,7 @@ def _hexagon_diff(ops: BasisOps, tensor: dict, leg: int) -> str | None:
         entries = [(i, j, v) for (i, j), v in tensor.items()]
         lhs_key = lambda a, b, t: (a, b, t)
         rhs_key = lambda s1, s2, m: (s1, s2, m)
-    lhs: dict = {}
-    rhs: dict = {}
+    lhs, rhs = {}, {}
     for s, t, v in entries:
         for c, a, b in ops.delta(s):
             key = lhs_key(a, b, t)

@@ -76,10 +76,7 @@ class Report:
 
     @property
     def counts(self) -> tuple[int, int, int]:
-        ps = sum(1 for c in self.checks if c.status == PASS)
-        fs = sum(1 for c in self.checks if c.status == FAIL)
-        ss = sum(1 for c in self.checks if c.status == SKIP)
-        return ps, fs, ss
+        return tuple(sum(c.status == s for c in self.checks) for s in (PASS, FAIL, SKIP))
 
     def render_text(self, timestamp: str | None = None) -> str:
         lines = [f"== {self.title} =="]

@@ -58,7 +58,8 @@ from hopfcheck.coquasitriangular import (
     braiding_from_matrix,
     dualize_qt,
 )
-from hopfcheck.document import build_algebra, parse_document
+from hopfcheck.cli import main
+from hopfcheck.document import build_algebra, document_text, parse_document
 from hopfcheck.hopf import require_passing, verify_hopf
 from hopfcheck.lincomb import (
     _pair_label,
@@ -577,6 +578,69 @@ def test_raw_sums_that_agree_mod_p_pass(monkeypatch):
     assert planned == naive_results(ops, br)
     assert all(r.status == PASS for r in planned.values())
     assert any(n and n % 7 == 0 for n in sums)
+
+
+def test_a_row_whose_raw_sides_differ_only_by_multiples_of_p_passes(monkeypatch):
+    """On kC4 over F_7 with the braiding (-1)^(ij), the row (g, g) of the
+    first multiplicativity law has the raw sides sigma(g^2, m) = 1 and
+    sigma(g, m)^2, which is 36 at m = g and m = g^3.  The two sparse sides
+    differ as ints, so the kernel reduces each difference, finds every
+    residue 0 and passes the row."""
+    f7 = PrimeField(7)
+    algebra = build_algebra(cyclic_group_document(4, f7))
+    require_passing(verify_hopf(algebra))
+    rows = [[f7.from_int((-1) ** (i * j)) for j in range(4)] for i in range(4)]
+    ops, br = algebra.ops, braiding_from_matrix(algebra, rows)[0]
+    sums = []
+    residue = PrimeField.residue.fget
+    monkeypatch.setattr(PrimeField, "residue", property(
+        lambda field: lambda n: sums.append(n) or residue(field)(n)))
+    kernels, _, _ = spy_triple_grids(monkeypatch)
+    planned_results(ops, br)
+    g = ops.keys[1]
+    sums.clear()
+    assert kernels["cqt.multiplicative_first_argument"](g, g, ops.keys) is None
+    assert sums.count(1 - 36) == 2 and not any(n % 7 for n in sums)
+
+
+@pytest.mark.parametrize("name", TRIPLE_CHECKS[1:])
+def test_a_row_failing_at_two_columns_names_the_earlier(name, monkeypatch):
+    """sigma bumped at (g^-3, g^-2) and (g^-3, g) on a Laurent window fails
+    the first failing row of each sigma law at two or more columns; the
+    witness is the first of them in key order, and asked for the columns
+    in reverse order the row kernel names the last."""
+    ops = laurent.basis_ops(3)
+    value, spots = laurent.sigma_value, {((-3, 0), (-2, 0)), ((-3, 0), (1, 0))}
+    br = Braiding(value=lambda x, y: value(x, y) + 1 if (x, y) in spots else value(x, y),
+                  inverse=value)
+    kernels, _, _ = spy_triple_grids(monkeypatch)
+    planned = planned_results(ops, br)
+    naive, keys = naive_predicates(ops, br)[name], ops.keys
+    h, l = next((h, l) for h in keys for l in keys if not all(naive((h, l, m)) for m in keys))
+    bad = [m for m in keys if not naive((h, l, m))]
+    assert len(bad) >= 2
+    assert planned[name].witness == f"at {_triple_label(ops, (h, l, bad[0]))}"
+    assert kernels[name](h, l, keys[::-1]) == bad[-1]
+
+
+def test_a_proof_with_nothing_to_reduce_is_not_derived_again(tmp_path, monkeypatch):
+    """The dual of kC8 needs every key in S.  Its Hopf battery passes and
+    keeps (): proved, nothing to reduce.  Its braiding battery takes that
+    as is, so a verify of kC8 reads generators off three products (kC8, the
+    minimal subHopf algebra k, the dual), not four, and the dual's grids
+    run every row."""
+    seen, real = [], lincomb.generators
+    monkeypatch.setattr(lincomb, "generators",
+                        lambda ops, raw: seen.append((len(ops.keys), real(ops, raw))) or seen[-1][1])
+    path = tmp_path / "c8.json"
+    path.write_text(document_text(cyclic_group_document(8)), encoding="utf-8")
+    assert main(["verify", str(path), "--json"]) == 0
+    assert seen == [(8, (0, 1)), (1, None), (8, None)]
+    dual = build_algebra(cyclic_group_document(8)).dual()
+    assert all(r.ok for r in verify_hopf(dual)) and dual.generators == ()
+    _, rows, _ = spy_triple_grids(monkeypatch)
+    braiding_axiom_checks(dual.ops, counit_braiding(dual.ops), dual.generators)
+    assert rows["cqt.multiplicative_first_argument"] == [8 * 8]
 
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
