@@ -60,7 +60,7 @@ from .document import (
     load_document,
 )
 from .hopf import AxiomError, NotInvertibleError, require_passing, verify_hopf
-from .lincomb import BasisOps, lc_canon
+from .lincomb import BasisOps
 from .presets import preset_document
 from .quasitriangular import (
     QT_CONVENTIONS,
@@ -319,7 +319,7 @@ def _dual_source(r: RMatrix, qt: QTData | None, characters: dict,
     dual, br, functionals, bridge = dualize_qt(r, qt)
     structure = verify_hopf(dual) if prove else None
     dual_data = cofrobenius_data(dual)
-    glikes = {name: lc_canon({k: f(k) for k in range(dual.dim)})
+    glikes = {name: {k: v for k in range(dual.dim) if (v := f(k))}
               for name, f in characters.items()}
     return bridge, structure, _table_source(dual.ops, lambda: dual_data, lambda c: [], None,
                                             lambda: (br, glikes, functionals), {})

@@ -34,15 +34,13 @@ from .lincomb import (
     is_character_fn,
     is_grouplike_lc,
     key_check,
-    lc_canon,
     lc_eq,
-    lc_scale,
     memo_fn,
     pair_check,
 )
 from .linalg import SingularMatrixError, SparseMatrix, invert_matrix, nullspace
 from .report import PASS, CheckResult, check, failed, skipped
-from .scalars import Scalar, div
+from .scalars import Scalar
 
 CONVENTIONS = (
     "left integral: (f * lambda)(h) = f(1) lambda(h), equivalently h1 lambda(h2) = lambda(h) 1",
@@ -93,7 +91,7 @@ def derive_carrier(ops: BasisOps, lam, lam_mul: PairTable, chi,
     pivot = next((k for k in ops.keys if lam(k)), None)
     if pivot is None:
         raise AxiomError("integral is zero; no modular element")
-    a_inv = {k: div(v, lam(pivot)) for k, v in ops.hit_right(lam, pivot).items()}
+    a_inv = {k: ops.field.div(v, lam(pivot)) for k, v in ops.hit_right(lam, pivot).items()}
     alpha = memo_fn(lambda k: ops.eps_lc(chi(k)))
     return Carrier(ops, lam, lam_mul, ops.s_lc(a_inv), a_inv, chi, alpha,
                    memo_fn(ops.compose_s_power(alpha, 1)), nakayama, generators)
@@ -106,14 +104,14 @@ def derive_carrier(ops: BasisOps, lam, lam_mul: PairTable, chi,
 def left_integral_law_check(ops: BasisOps, lam) -> CheckResult:
     return key_check(
         "integral.left_law", ops,
-        lambda h: lc_eq(ops.hit_left(lam, h), lc_scale(lam(h), ops.unit)))
+        lambda h: lc_eq(ops.hit_left(lam, h), ops.scale(lam(h), ops.unit)))
 
 
 def modular_element_checks(ops: BasisOps, lam, a: LC, a_inv: LC) -> list[CheckResult]:
     out: list[CheckResult] = []
     out.append(key_check(
         "integral.modular_element_law", ops,
-        lambda h: lc_eq(ops.hit_right(lam, h), lc_scale(lam(h), a_inv))))
+        lambda h: lc_eq(ops.hit_right(lam, h), ops.scale(lam(h), a_inv))))
     out.append(check("integral.modular_element_grouplike", is_grouplike_lc(ops, a)))
     out.append(check("integral.modular_element_inverse",
                      lc_eq(ops.mul_lc(a, a_inv), ops.unit)
@@ -221,12 +219,11 @@ def _twisted_product_predicate(ops: BasisOps, lam_mul, rho1, tau1):
     is computed once per key, and lam_mul(x, y) = lambda(x y) is read
     K^2 + sum_h |h'| K times over the grid.
     """
-    h_prime = memo_fn(partial(ops.coinner, rho1, tau1))
+    h_prime, reduce = memo_fn(partial(ops.coinner, rho1, tau1)), ops.field.reduce
 
     def holds(pair) -> bool:
         h, l = pair
-        return lam_mul(l, h) == sum((c * lam_mul(k, l) for k, c in h_prime(h).items()),
-                                    ops.zero)
+        return lam_mul(l, h) == reduce(sum(c * lam_mul(k, l) for k, c in h_prime(h).items()))
 
     return holds
 
@@ -280,13 +277,13 @@ def coinner_from_integral_twist(ops: BasisOps, a_inv: LC, alpha_inv, rho1, tau1)
     """
     rho = lambda x, y: rho1(x) * ops.eps(y)
     tau = lambda x, y: tau1(x) * ops.eps(y)
+    reduce = ops.field.reduce
     # rho'(h) = rho(h1, S h2), tau'(h) = tau(h2, S^-1(h1) a^-1), tau'' = tau' * alpha^-1
-    rho_prime = memo_fn(lambda h: sum(
-        (c * ops.eval_fn(partial(rho, h1), ops.antipode(h2)) for c, h1, h2 in ops.delta(h)),
-        ops.zero))
-    tau_prime = memo_fn(lambda h: sum(
-        (c * ops.eval_fn(partial(tau, h2), ops.mul_lc(ops.antipode_inv(h1), a_inv))
-         for c, h1, h2 in ops.delta(h)), ops.zero))
+    rho_prime = memo_fn(lambda h: reduce(sum(
+        c * ops.eval_fn(partial(rho, h1), ops.antipode(h2)) for c, h1, h2 in ops.delta(h))))
+    tau_prime = memo_fn(lambda h: reduce(sum(
+        c * ops.eval_fn(partial(tau, h2), ops.mul_lc(ops.antipode_inv(h1), a_inv))
+        for c, h1, h2 in ops.delta(h))))
     tau_second = memo_fn(ops.convolve(tau_prime, alpha_inv))
 
     checks = list(conv_inverse_checks(ops, "coinner.extracted_pair", rho_prime, tau_second))
@@ -333,7 +330,7 @@ def left_integrals(algebra: FinHopfAlgebra) -> list[tuple]:
         for r, u in enumerate(algebra.unit_coeffs):
             if u:
                 eqs.add(i * n + r, i, -u)
-    out = []
+    out, div = [], algebra.field.div
     for vec in nullspace(eqs):
         lead = next(v for v in vec if v)
         out.append(tuple(div(v, lead) for v in vec))
@@ -358,7 +355,7 @@ def cofrobenius_data(algebra: FinHopfAlgebra) -> Carrier:
     lam = integrals[0].__getitem__
     ops = algebra.ops
     lam_mul = lam_mul_table(ops, lam)
-    pairing = SparseMatrix(algebra.field, [lc_canon({j: lam_mul(i, j) for j in ops.keys})
+    pairing = SparseMatrix(algebra.field, [{j: v for j in ops.keys if (v := lam_mul(i, j))}
                                            for i in ops.keys], algebra.dim)
     chi_matrix = frobenius_chi(pairing)
     return derive_carrier(ops, lam, lam_mul, chi_matrix.transpose().rows.__getitem__,
@@ -413,7 +410,7 @@ def check_s2_inner_witness(algebra: FinHopfAlgebra, c: Carrier, w: LC,
         return out + [skipped(name, "w does not implement S^2") for name in later[1:]]
 
     scale = ops.eval_fn(c.alpha, c.a_inv)
-    target = lc_scale(scale, ops.unit)
+    target = ops.scale(scale, ops.unit)
     out.append(check("s2_witness.nakayama_product",
                      lc_eq(ops.mul_lc(ops.map_lc(c.chi, w_inv), w), target)))
     out.append(check("s2_witness.nakayama_modular_product",

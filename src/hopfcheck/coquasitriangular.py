@@ -35,7 +35,7 @@ from .lincomb import (
     triple_grid_check,
 )
 from .quasitriangular import QTData, RMatrix
-from .report import PASS, CheckResult, check, grid_check, skipped
+from .report import PASS, CheckResult, check, flag, grid_check, skipped
 from .scalars import Scalar
 
 CQT_CONVENTIONS = (
@@ -53,13 +53,13 @@ class Braiding:
 
 
 def pair_eval(ops: BasisOps, fn, a: LC, b: LC) -> Scalar:
-    acc = ops.zero
+    acc = 0
     for ka, va in a.items():
         for kb, vb in b.items():
             f = fn(ka, kb)
             if f:
                 acc = acc + va * vb * f
-    return acc
+    return ops.field.reduce(acc)
 
 
 def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[CheckResult]:
@@ -79,10 +79,10 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
     out: list[CheckResult] = []
     raw = LoweredTables(ops, PairTable(br.value), PairTable(br.inverse))
     sig, sig_inv = raw.pairs
-    prod, delta, eps, residue = raw.prod, raw.delta, raw.eps, raw.residue
+    prod, delta, eps, reduce = raw.prod, raw.delta, raw.eps, raw.reduce
     gens = braiding_generators(ops, raw, proven)
 
-    differs = lambda a, b: residue(a - b)
+    differs = lambda a, b: reduce(a - b)
     # the coproduct terms (c, m, m2) of the columns, by first leg m1
     legs = group((m1, (c, m, m2)) for m in ops.keys for c, m1, m2 in delta[m])
 
@@ -125,8 +125,8 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
     def unit_pairing(h) -> bool:
         """sigma(h, 1) = eps(h) = sigma(1, h)."""
         e = eps[h]
-        return not (residue(sum(c * sig[h][u] for u, c in raw.unit) - e)
-                    or residue(sum(c * sig[u][h] for u, c in raw.unit) - e))
+        return not (reduce(sum(c * sig[h][u] for u, c in raw.unit) - e)
+                    or reduce(sum(c * sig[u][h] for u, c in raw.unit) - e))
 
     out.append(key_check("cqt.unit_pairing", ops, unit_pairing))
 
@@ -145,7 +145,7 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
                 if f:
                     for k, w in prod[h2][l2]:
                         diff[k] = diff.get(k, 0) - c * f * w
-        return not any(map(residue, diff.values()))
+        return not any(map(reduce, diff.values()))
 
     out.append(pair_check("cqt.commutation_relation", ops, commutation, pair_gens))
 
@@ -159,7 +159,7 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
                     f = first[h1][l1]
                     if f:
                         acc += c1 * c2 * f * second[h2][l2]
-            return not residue(acc)
+            return not reduce(acc)
 
         return holds
 
@@ -181,7 +181,7 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
     }
     gate_open = all(c.status == PASS for c in out)
     for name, (gap, rows) in gaps.items():
-        out.append(pair_check(name, ops, lambda p, gap=gap: not residue(gap(*p)), rows)
+        out.append(pair_check(name, ops, lambda p, gap=gap: not reduce(gap(*p)), rows)
                    if gate_open else skipped(name, "a braiding axiom above fails"))
     return out
 
@@ -193,12 +193,12 @@ def braided_functionals(ops: BasisOps, br: Braiding) -> tuple[dict, list[CheckRe
     def over_delta(args):
         """h -> sum of c sigma(x, y) over Delta(h), with (x, y) = args(h1, h2)."""
         def fn(h):
-            acc = ops.zero
+            acc = 0
             for c, h1, h2 in ops.delta(h):
                 f = pair_eval(ops, br.value, *args(h1, h2))
                 if f:
                     acc = acc + c * f
-            return acc
+            return ops.field.reduce(acc)
         return memo_fn(fn)
 
     single, s = ops.single, ops.antipode
@@ -277,7 +277,7 @@ def braided_modular_corollary_checks(ops: BasisOps, br: Braiding, fns: dict,
     right = all(alpha_a(h) == alpha_inv(h) for h in ops.keys)
     out.append(check(
         "braided_modular.u_antipode_fixed_iff_alpha_a_inverse", left == right,
-        f"u o S = u is {str(left).lower()}, alpha_a = alpha^-1 is {str(right).lower()}"))
+        f"u o S = u is {flag(left)}, alpha_a = alpha^-1 is {flag(right)}"))
     return out
 
 

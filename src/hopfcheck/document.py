@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .hopf import FinHopfAlgebra
 from .lincomb import group, is_character_fn, is_grouplike_lc, lc_canon
-from .scalars import Field, RationalField, Scalar, ScalarError, field_from_spec
+from .scalars import Field, Scalar, ScalarError, field_from_spec
 
 
 class DocumentError(ValueError):
@@ -157,7 +157,7 @@ def parse_document(obj) -> AlgebraDocument:
                         f"sigma: entry {pos} must be [i, j, value] or a dense matrix")
                 i = _index(entry[0], "sigma", pos, n)
                 j = _index(entry[1], "sigma", pos, n)
-                rows[i][j] = rows[i][j] + _scalar(field, entry[2], "sigma", pos)
+                rows[i][j] = field.reduce(rows[i][j] + _scalar(field, entry[2], "sigma", pos))
             sigma = tuple(tuple(row) for row in rows)
 
     def named_vectors(key: str) -> dict:
@@ -195,18 +195,18 @@ def load_document(path: str) -> AlgebraDocument:
 
 
 def build_algebra(doc: AlgebraDocument) -> FinHopfAlgebra:
-    n = doc.dim
+    n, reduce = doc.dim, doc.field.reduce
     mult: dict = {}
-    for i, j, k, c in doc.mult:
+    for i, j, k, c in doc.mult:  # FinHopfAlgebra reduces the sums
         row = mult.setdefault((i, j), {})
-        row[k] = row.get(k, doc.field.zero) + c
+        row[k] = row.get(k, 0) + c
     comult = group((i, (c, j, k)) for i, j, k, c in doc.comult)
     antipode = None
     if doc.antipode is not None:  # entry [i, j, c]: c e_i in S(e_j), column j
         columns: list[dict] = [{} for _ in range(n)]
         for i, j, c in doc.antipode:
-            columns[j][i] = columns[j].get(i, doc.field.zero) + c
-        antipode = tuple(map(lc_canon, columns))
+            columns[j][i] = columns[j].get(i, 0) + c
+        antipode = tuple(lc_canon(column, reduce) for column in columns)
     return FinHopfAlgebra(doc.field, doc.basis, mult,
                           {i: tuple(ts) for i, ts in comult.items()},
                           doc.counit, antipode=antipode, name=doc.name)
@@ -229,33 +229,32 @@ def document_grouplikes(doc: AlgebraDocument, algebra: FinHopfAlgebra) -> dict:
     ops = algebra.ops
     out = {}
     for name in sorted(doc.grouplikes):
-        x = lc_canon(dict(enumerate(doc.grouplikes[name])))
+        x = lc_canon(dict(enumerate(doc.grouplikes[name])), doc.field.reduce)
         if not is_grouplike_lc(ops, x):
             raise DocumentError(f"grouplikes: '{name}' is not grouplike")
         out[name] = x
     return out
 
 
-def _scalar_to_json(field: Field, s: Scalar):
-    if isinstance(field, RationalField):
-        if s.denominator == 1:
-            return int(s.numerator)
-        return f"{s.numerator}/{s.denominator}"
-    return int(s.value)
+def _scalar_to_json(s: Scalar):
+    """A reduced value as JSON: an int, or a rational as "p/q"."""
+    return int(s.numerator) if s.denominator == 1 else f"{s.numerator}/{s.denominator}"
 
 
 def emit_document(doc: AlgebraDocument) -> dict:
     """Canonical JSON form: merged duplicates, zeros dropped, sorted entries."""
     field = doc.field
-    n = doc.dim
+
+    def merged(entries) -> list:
+        """(key, value) entries, duplicate keys summed, zeros dropped, sorted."""
+        acc: dict = {}
+        for key, c in entries:
+            acc[key] = acc.get(key, 0) + c
+        return sorted(lc_canon(acc, field.reduce).items())
 
     def merge_triples(entries):
-        acc: dict = {}
-        for i, j, k, c in entries:
-            key = (i, j, k)
-            acc[key] = acc.get(key, field.zero) + c
-        return [[i, j, k, _scalar_to_json(field, c)]
-                for (i, j, k), c in sorted(acc.items(), key=lambda kv: kv[0]) if c]
+        return [[i, j, k, _scalar_to_json(c)]
+                for (i, j, k), c in merged(((i, j, k), c) for i, j, k, c in entries)]
 
     obj = {
         "name": doc.name,
@@ -263,28 +262,22 @@ def emit_document(doc: AlgebraDocument) -> dict:
         "basis": list(doc.basis),
         "mult": merge_triples(doc.mult),
         "comult": merge_triples(doc.comult),
-        "counit": [[i, _scalar_to_json(field, c)] for i, c in enumerate(doc.counit)],
+        "counit": [[i, _scalar_to_json(c)] for i, c in enumerate(doc.counit)],
     }
     if doc.antipode is not None:
-        acc: dict = {}
-        for i, j, c in doc.antipode:
-            acc[(i, j)] = acc.get((i, j), field.zero) + c
-        obj["antipode"] = [[i, j, _scalar_to_json(field, c)]
-                           for (i, j), c in sorted(acc.items()) if c]
+        obj["antipode"] = [[i, j, _scalar_to_json(c)]
+                           for (i, j), c in merged(((i, j), c) for i, j, c in doc.antipode)]
     if doc.r_entries is not None:
-        acc = {}
-        for c, i, j in doc.r_entries:
-            acc[(i, j)] = acc.get((i, j), field.zero) + c
+        r_terms = merged(((i, j), c) for c, i, j in doc.r_entries)
         # R = 0 keeps one explicit zero entry, since "R" never parses empty
-        obj["R"] = [[_scalar_to_json(field, c), i, j]
-                    for (i, j), c in sorted(acc.items()) if c] or [[0, 0, 0]]
+        obj["R"] = [[_scalar_to_json(c), i, j] for (i, j), c in r_terms] or [[0, 0, 0]]
     if doc.sigma is not None:
-        obj["sigma"] = [[_scalar_to_json(field, v) for v in row] for row in doc.sigma]
+        obj["sigma"] = [[_scalar_to_json(v) for v in row] for row in doc.sigma]
     if doc.characters:
-        obj["characters"] = {name: [_scalar_to_json(field, v) for v in vec]
+        obj["characters"] = {name: [_scalar_to_json(v) for v in vec]
                              for name, vec in sorted(doc.characters.items())}
     if doc.grouplikes:
-        obj["grouplikes"] = {name: [_scalar_to_json(field, v) for v in vec]
+        obj["grouplikes"] = {name: [_scalar_to_json(v) for v in vec]
                              for name, vec in sorted(doc.grouplikes.items())}
     return obj
 

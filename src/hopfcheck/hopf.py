@@ -67,8 +67,8 @@ class FinHopfAlgebra:
         if n == 0:
             raise AxiomError("basis: at least one basis element required")
         self._mult = {}
-        for (i, j), vec in mult.items():
-            vec = lc_canon(dict(vec))
+        for (i, j), vec in mult.items():  # a vec may hold raw sums
+            vec = lc_canon(dict(vec), field.reduce)
             if vec:
                 self._mult[(i, j)] = vec
         self._comult = {}
@@ -129,7 +129,7 @@ class FinHopfAlgebra:
         for k in range(self.dim):
             for c, i, j in self.ops.delta(k):
                 vec = mult.setdefault((i, j), {})
-                vec[k] = vec.get(k, self.field.zero) + c
+                vec[k] = vec.get(k, 0) + c
         comult = group((i, (c, j, k)) for (j, k), vec in self._mult.items() for i, c in vec.items())
         # S^* has the columns of S^T, the rows of S
         antipode = None if self.antipode is None else tuple(self._s_transpose.transpose().rows)
@@ -199,7 +199,8 @@ def _right_inverse(algebra: FinHopfAlgebra, x: LC, power: int, what: Callable[[]
     sol = solve_linear(eqs, tuple(rhs.get(p, zero) for p in range(n ** power)))
     if sol is None:
         raise NotInvertibleError(f"{what()} has no right inverse")
-    return lc_canon({divmod(p, n) if power == 2 else p: v for p, v in enumerate(sol.particular)})
+    return lc_canon({divmod(p, n) if power == 2 else p: v for p, v in enumerate(sol.particular)},
+                    field.reduce)
 
 
 def require_passing(results: list[CheckResult]) -> None:
@@ -245,7 +246,8 @@ def compute_antipode(algebra: FinHopfAlgebra) -> tuple[LC, ...]:
     if not sol.unique:
         raise AxiomError("antipode equations are degenerate; tables are not a bialgebra")
     x = sol.particular
-    return tuple(lc_canon({a: x[a * n + b] for a in range(n)}) for b in range(n))
+    return tuple(lc_canon({a: x[a * n + b] for a in range(n)}, algebra.field.reduce)
+                 for b in range(n))
 
 
 def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:

@@ -17,7 +17,7 @@ from .coquasitriangular import Braiding, modular_characters
 from .hopf import AxiomError
 from .lincomb import BasisOps, LC, hopf_axiom_checks, key_check, lc_eq, memo_fn
 from .report import CheckResult
-from .scalars import QQ, Scalar, div
+from .scalars import QQ, Scalar
 
 ZERO = 0
 ONE = 1
@@ -133,7 +133,7 @@ def solve_nakayama(ops: BasisOps):
         base = ops.eval_fn(integral_value, ops.mul(key, m))
         if not base:
             raise AxiomError(f"nakayama witness degenerate at {ops.label(key)}")
-        return {key: div(lhs, base)}
+        return {key: QQ.div(lhs, base)}
 
     return memo_fn(chi)
 

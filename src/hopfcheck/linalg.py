@@ -1,24 +1,24 @@
 """Exact linear algebra: solving, nullspaces, inverses, echelon bases.
 
-Everything works over the fields from hopfcheck.scalars with exact
-division.  SparseMatrix is the one matrix type: its rows are {column:
-value} dicts holding only the nonzero coefficients, and every linear
-system, the integral pairing and the Nakayama matrix are built as one.
-Gauss-Jordan elimination keeps the rows sparse until the solution comes
-out: a column -> rows index means only the rows that hold the pivot
-column get visited, and among the rows that can pivot a column the
-sparsest is taken, to limit fill-in.  The pivot choice cannot change any
-result: the reduced row echelon form of a matrix is unique, so every
-pivot order gives the same rows.  invert_matrix(a, b) reduces [A | B]
-once and reads A^-1 B off the right block, so no product with an inverse
-is ever formed.
+Everything works over the fields from hopfcheck.scalars, with the field's
+exact division and each sum reduced as it is stored.  SparseMatrix is the
+one matrix type: its rows are {column: value} dicts holding only the
+nonzero coefficients, and every linear system, the integral pairing and
+the Nakayama matrix are built as one.  Gauss-Jordan elimination keeps the
+rows sparse until the solution comes out: a column -> rows index means
+only the rows that hold the pivot column get visited, and among the rows
+that can pivot a column the sparsest is taken, to limit fill-in.  The
+pivot choice cannot change any result: the reduced row echelon form of a
+matrix is unique, so every pivot order gives the same rows.
+invert_matrix(a, b) reduces [A | B] once and reads A^-1 B off the right
+block, so no product with an inverse is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import Field, Scalar, div
+from .scalars import Field, Scalar
 
 Vector = tuple
 
@@ -46,10 +46,10 @@ class SparseMatrix:
         return len(self.rows)
 
     def add(self, i: int, j: int, v: Scalar) -> None:
-        """Entry (i, j) += v; an entry that cancels to zero is left for the
-        solver to drop."""
+        """Entry (i, j) += v, reduced; an entry that cancels to zero is left
+        for the solver to drop."""
         row = self.rows[i]
-        row[j] = row[j] + v if j in row else v
+        row[j] = self.field.reduce(row[j] + v if j in row else v)
 
     def transpose(self) -> "SparseMatrix":
         out = SparseMatrix.zeros(self.field, self.ncols, self.nrows)
@@ -59,13 +59,15 @@ class SparseMatrix:
         return out
 
 
-def _rref(rows, ncols: int) -> tuple[list[int], list[dict]]:
-    """Gauss-Jordan elimination on {column: value} rows over range(ncols).
+def _rref(field: Field, rows, ncols: int) -> tuple[list[int], list[dict]]:
+    """Gauss-Jordan elimination on {column: value} rows over range(ncols),
+    in field.
 
     Returns the pivot columns and the reduced pivot rows, in pivot order, as
     {column: value} dicts; the zero rows of the echelon form are dropped.
     The input rows may hold zero values and are not modified.
     """
+    div, reduce = field.div, field.reduce
     sparse = [{j: x for j, x in row.items() if x} for row in rows]
     holders: list[set[int]] = [set() for _ in range(ncols)]  # column -> rows nonzero there
     for i, row in enumerate(sparse):
@@ -90,7 +92,7 @@ def _rref(rows, ncols: int) -> tuple[list[int], list[dict]]:
             for j, v in prow.items():
                 if j == c:
                     continue
-                x = row[j] + f * v if j in row else f * v
+                x = reduce(row[j] + f * v if j in row else f * v)
                 if x:
                     row[j] = x
                     holders[j].add(i)
@@ -122,10 +124,10 @@ def solve_linear(a: SparseMatrix, b: Vector) -> LinearSolution | None:
     """
     if len(b) != a.nrows:
         raise ValueError(f"right-hand side of length {len(b)} against {a.nrows} rows")
-    zero, one = a.field.zero, a.field.one
+    zero, one, reduce = a.field.zero, a.field.one, a.field.reduce
     n = a.ncols
-    aug = [{**row, n: rhs} if rhs else row for row, rhs in zip(a.rows, b)]
-    pivots, pivot_rows = _rref(aug, n + 1)
+    aug = [{**row, n: x} if (x := reduce(rhs)) else row for row, rhs in zip(a.rows, b)]
+    pivots, pivot_rows = _rref(a.field, aug, n + 1)
     if pivots and pivots[-1] == n:
         return None
     pivot_set = set(pivots)
@@ -140,7 +142,7 @@ def solve_linear(a: SparseMatrix, b: Vector) -> LinearSolution | None:
             if j == n:
                 particular[c] = x
             elif j != c:
-                homogeneous[j][c] = -x
+                homogeneous[j][c] = reduce(-x)
     return LinearSolution(tuple(particular), tuple(tuple(v) for v in homogeneous.values()))
 
 
@@ -152,7 +154,7 @@ def nullspace(a: SparseMatrix) -> tuple[Vector, ...]:
 
 
 def rank(a: SparseMatrix) -> int:
-    return len(_rref(a.rows, a.ncols)[0])
+    return len(_rref(a.field, a.rows, a.ncols)[0])
 
 
 def invert_matrix(a: SparseMatrix, b: SparseMatrix | None = None) -> SparseMatrix:
@@ -165,7 +167,7 @@ def invert_matrix(a: SparseMatrix, b: SparseMatrix | None = None) -> SparseMatri
     elif b.nrows != n:
         raise ValueError(f"{b.nrows} right-hand rows against {n}")
     aug = [{**row, **{n + j: x for j, x in rhs.items()}} for row, rhs in zip(a.rows, b.rows)]
-    pivots, pivot_rows = _rref(aug, n + b.ncols)
+    pivots, pivot_rows = _rref(a.field, aug, n + b.ncols)
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return SparseMatrix(a.field, [{j - n: x for j, x in prow.items() if j >= n}
@@ -173,7 +175,8 @@ def invert_matrix(a: SparseMatrix, b: SparseMatrix | None = None) -> SparseMatri
 
 
 class EchelonBasis:
-    """An incrementally built subspace basis kept in reduced echelon form.
+    """An incrementally built subspace basis kept in reduced echelon form,
+    over field.
 
     Used for closure computations: insert vectors one at a time, read off
     dimension, and compute coordinates of members relative to the basis.
@@ -181,7 +184,8 @@ class EchelonBasis:
     inserting touch only nonzeros.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, field: Field) -> None:
+        self.field = field
         self._rows: list[dict] = []
         self._pivots: list[int] = []
 
@@ -208,7 +212,7 @@ class EchelonBasis:
         for row, p in zip(self._rows, self._pivots):
             f = v.get(p)
             if f is not None:
-                _axpy(v, -f, row)
+                self._axpy(v, -f, row)
         return v
 
     def insert(self, vec: dict) -> bool:
@@ -218,11 +222,11 @@ class EchelonBasis:
             return False
         pivot = min(v)
         inv = v[pivot]
-        v = {j: div(x, inv) for j, x in v.items()}
+        v = {j: self.field.div(x, inv) for j, x in v.items()}
         for row in self._rows:
             f = row.get(pivot)
             if f is not None:
-                _axpy(row, -f, v)
+                self._axpy(row, -f, v)
         at = next((k for k, p in enumerate(self._pivots) if p > pivot), len(self._pivots))
         self._rows.insert(at, v)
         self._pivots.insert(at, pivot)
@@ -238,12 +242,13 @@ class EchelonBasis:
             return None
         return {k: vec[p] for k, p in enumerate(self._pivots) if vec.get(p)}
 
-
-def _axpy(row: dict, f: Scalar, other: dict) -> None:
-    """row += f * other on {column: value} rows, dropping the zeros made."""
-    for j, x in other.items():
-        y = row[j] + f * x if j in row else f * x
-        if y:
-            row[j] = y
-        else:
-            del row[j]
+    def _axpy(self, row: dict, f: Scalar, other: dict) -> None:
+        """row += f * other on {column: value} rows, reduced, dropping the
+        zeros made."""
+        reduce = self.field.reduce
+        for j, x in other.items():
+            y = reduce(row[j] + f * x if j in row else f * x)
+            if y:
+                row[j] = y
+            else:
+                del row[j]

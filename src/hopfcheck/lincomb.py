@@ -48,7 +48,7 @@ too.  A Laurent window is not closed under products and runs exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, product, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, Sequence
@@ -60,30 +60,19 @@ Key = Hashable
 LC = dict  # key -> scalar, zero coefficients dropped
 
 
-def lc_canon(d: LC) -> LC:
-    return {k: v for k, v in d.items() if v}
-
-
-def lc_add(a: LC, b: LC) -> LC:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        out[k] = v if w is None else w + v
-    return lc_canon(out)
-
-
-def lc_scale(c: Scalar, a: LC) -> LC:
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
+def lc_canon(d: LC, reduce) -> LC:
+    """d with each value reduced in its field (Field.reduce) and the zeros
+    dropped: a sum built from raw values, made an LC."""
+    return {k: r for k, v in d.items() if (r := reduce(v))}
 
 
 def lc_eq(a: LC, b: LC) -> bool:
-    return lc_canon(a) == lc_canon(b)
+    """Equality of two LCs of reduced values, zero values ignored."""
+    return {k: v for k, v in a.items() if v} == {k: v for k, v in b.items() if v}
 
 
 def lc_format(a: LC, label: Callable[[Key], str], fmt: Callable[[Scalar], str]) -> str:
-    items = sorted(lc_canon(a).items(), key=lambda kv: repr(kv[0]))
+    items = sorted(((k, v) for k, v in a.items() if v), key=lambda kv: repr(kv[0]))
     if not items:
         return "0"
     parts = []
@@ -110,7 +99,9 @@ class BasisOps:
 
     mul and the antipodes return linear combinations; delta returns sparse
     triples (coefficient, left key, right key); eps returns a scalar of
-    field, whose lower and residue LoweredTables reads.
+    field.  Every value they return is reduced in field (Field.reduce), and
+    so is every value the methods below return: each sums raw products and
+    reduces the sum once, when it is stored.
     """
 
     keys: tuple
@@ -123,13 +114,8 @@ class BasisOps:
     field: Field
     label: Callable[[Key], str]
 
-    @cached_property
-    def zero(self) -> Scalar:
-        return self.field.zero
-
-    @cached_property
-    def one(self) -> Scalar:
-        return self.field.one
+    zero = 0  # the zero and the one of either field
+    one = 1
 
     # -- linear extensions -------------------------------------------------
 
@@ -146,7 +132,7 @@ class BasisOps:
                 for k, w in self.mul(ka, kb).items():
                     prev = out.get(k)
                     out[k] = c * w if prev is None else prev + c * w
-        return lc_canon(out)
+        return lc_canon(out, self.field.reduce)
 
     def mul_many(self, *factors: LC) -> LC:
         acc = dict(self.unit)
@@ -160,15 +146,15 @@ class BasisOps:
             for k2, w in fn(k).items():
                 prev = out.get(k2)
                 out[k2] = v * w if prev is None else prev + v * w
-        return lc_canon(out)
+        return lc_canon(out, self.field.reduce)
 
     def eval_fn(self, f: Callable[[Key], Scalar], a: LC) -> Scalar:
-        acc = self.zero
+        acc = 0
         for k, v in a.items():
             fv = f(k)
             if fv:
                 acc = acc + v * fv
-        return acc
+        return self.field.reduce(acc)
 
     def eps_lc(self, a: LC) -> Scalar:
         return self.eval_fn(self.eps, a)
@@ -197,7 +183,7 @@ class BasisOps:
                 key = (k1, k2)
                 prev = out.get(key)
                 out[key] = v * c if prev is None else prev + v * c
-        return lc_canon(out)
+        return lc_canon(out, self.field.reduce)
 
     def delta_n(self, key: Key, legs: int) -> list[tuple[Scalar, tuple]]:
         """Sparse terms of the iterated coproduct with the given leg count."""
@@ -208,7 +194,7 @@ class BasisOps:
             nxt = []
             for coef, keys in terms:
                 for c, k1, k2 in self.delta(keys[0]):
-                    nxt.append((coef * c, (k1, k2) + keys[1:]))
+                    nxt.append((self.field.reduce(coef * c), (k1, k2) + keys[1:]))
             terms = nxt
         return terms
 
@@ -222,7 +208,7 @@ class BasisOps:
             if fv:
                 prev = out.get(k1)
                 out[k1] = c * fv if prev is None else prev + c * fv
-        return lc_canon(out)
+        return lc_canon(out, self.field.reduce)
 
     def hit_right(self, f: Callable[[Key], Scalar], key: Key) -> LC:
         """f(h1) h2 for h = key."""
@@ -232,7 +218,7 @@ class BasisOps:
             if fv:
                 prev = out.get(k2)
                 out[k2] = c * fv if prev is None else prev + c * fv
-        return lc_canon(out)
+        return lc_canon(out, self.field.reduce)
 
     def coinner(self, f: Callable[[Key], Scalar], g: Callable[[Key], Scalar],
                 key: Key) -> LC:
@@ -249,13 +235,15 @@ class BasisOps:
                     term = c * c2 * fv * gv
                     prev = out.get(k2)
                     out[k2] = term if prev is None else prev + term
-        return lc_canon(out)
+        return lc_canon(out, self.field.reduce)
 
     # -- convolution --------------------------------------------------------
 
     def convolve(self, f: Callable[[Key], Scalar], g: Callable[[Key], Scalar]):
+        reduce = self.field.reduce
+
         def conv(key: Key) -> Scalar:
-            acc = self.zero
+            acc = 0
             for c, k1, k2 in self.delta(key):
                 fv = f(k1)
                 if not fv:
@@ -263,12 +251,21 @@ class BasisOps:
                 gv = g(k2)
                 if gv:
                     acc = acc + c * fv * gv
-            return acc
+            return reduce(acc)
 
         return conv
 
     def compose_s_power(self, f: Callable[[Key], Scalar], power: int):
         return lambda key: self.eval_fn(f, self.s_power(self.single(key), power))
+
+    def scale(self, c: Scalar, a: LC) -> LC:
+        """c a."""
+        return {k: self.field.reduce(c * v) for k, v in a.items()} if c else {}
+
+    def outer(self, a: LC, b: LC) -> dict:
+        """a (x) b as a leg-pair combination {(key_a, key_b): coefficient}."""
+        return lc_canon({(ka, kb): va * vb for ka, va in a.items() for kb, vb in b.items()},
+                        self.field.reduce)
 
     # -- printing -----------------------------------------------------------
 
@@ -296,7 +293,7 @@ def memo_fn(f):
 def is_grouplike_lc(ops: BasisOps, a: LC) -> bool:
     if ops.eps_lc(a) != ops.one:
         return False
-    return lc_eq(ops.delta_lc(a), lc_outer(a, a))
+    return lc_eq(ops.delta_lc(a), ops.outer(a, a))
 
 
 def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar], gens=None) -> bool:
@@ -305,7 +302,7 @@ def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar], gens=None) -> boo
     with gens they decide a fail too: no grid runs twice."""
     return ops.eval_fn(f, ops.unit) == ops.one and grid_check(
         "lincomb.is_character", product(gens, ops.keys) if gens else _pairs(ops),
-        lambda p: ops.eval_fn(f, ops.mul(*p)) == f(p[0]) * f(p[1]),
+        lambda p: ops.eval_fn(f, ops.mul(*p)) == ops.field.reduce(f(p[0]) * f(p[1])),
         lambda p: f"at {_pair_label(ops, p)}").ok
 
 
@@ -378,42 +375,31 @@ class PairTable(dict):
 
 
 class LoweredTables:
-    """The structure tables the grid kernels read, in raw field values.
+    """The structure tables the grid kernels read, filled once per call.
 
-    Over F_p a value is the int in range(p) behind its FpElement (the
-    field's lower), so a kernel adds plain ints without reducing and
-    decides a cell once: residue(lhs - rhs) is nonzero exactly when the
-    cell fails.  Over QQ there is nothing to lower, and the tables hold the
-    values themselves.  prod[x][y] holds the items of x y, delta[k] the
-    terms of Delta(k), eps[k] the counit, s[k] and s_inv[k] the items of
-    S(k) and S^-1(k), unit the items of 1, and pairs the given PairTables
-    (sigma and its inverse) in the same order.  Every table is filled on
-    first lookup, also for keys outside the grid, and a lowered pair table
-    reads the table it lowers, so its fn is still evaluated once per pair.
-    columns are the grid's keys, and line[l] the items of l m for each
-    column m.  gens is None until hopf_axiom_checks reads these tables; it
-    then keeps the generators S read off prod, when associativity holds on
-    their rows, or () when it holds on every row and generators gives no S.
+    The values are the reduced field values ops returns, so a kernel adds
+    them as plain numbers without reducing and decides a cell once, by the
+    field's reduce: reduce(lhs - rhs) is nonzero exactly when the cell
+    fails.  prod[x][y] holds the items of x y, delta[k] the terms of
+    Delta(k), eps[k] the counit, s[k] and s_inv[k] the items of S(k) and
+    S^-1(k), unit the items of 1, and pairs the given PairTables (sigma and
+    its inverse) in the same order.  Every table is filled on first lookup,
+    also for keys outside the grid.  columns are the grid's keys, and
+    line[l] the items of l m for each column m.  gens is None until
+    hopf_axiom_checks reads these tables; it then keeps the generators S
+    read off prod, when associativity holds on their rows, or () when it
+    holds on every row and generators gives no S.
     """
 
     def __init__(self, ops: BasisOps, *pairs: PairTable) -> None:
-        lower, self.residue = ops.field.lower, ops.field.residue
-        mul, delta, eps, s, s_inv = ops.mul, ops.delta, ops.eps, ops.antipode, ops.antipode_inv
-        if lower is None:
-            items = lambda lc: tuple(lc.items())
-            self.delta = KeyTable(lambda k: tuple(delta(k)))
-            self.eps = KeyTable(eps)
-            self.pairs = pairs
-        else:
-            items = lambda lc: tuple((k, lower(c)) for k, c in lc.items())
-            self.delta = KeyTable(
-                lambda k: tuple((lower(c), k1, k2) for c, k1, k2 in delta(k)))
-            self.eps = KeyTable(lambda k: lower(eps(k)))
-            self.pairs = tuple(PairTable(lambda x, y, t=t: lower(t[x][y])) for t in pairs)
-        self.prod = prod = PairTable(lambda x, y: items(mul(x, y)))
-        self.s = KeyTable(lambda k: items(s(k)))
-        self.s_inv = KeyTable(lambda k: items(s_inv(k)))
-        self.unit = items(ops.unit)
+        self.reduce, self.pairs = ops.field.reduce, pairs
+        mul, s, s_inv = ops.mul, ops.antipode, ops.antipode_inv
+        self.delta = KeyTable(lambda k: tuple(ops.delta(k)))
+        self.eps = KeyTable(ops.eps)
+        self.prod = prod = PairTable(lambda x, y: tuple(mul(x, y).items()))
+        self.s = KeyTable(lambda k: tuple(s(k).items()))
+        self.s_inv = KeyTable(lambda k: tuple(s_inv(k).items()))
+        self.unit = tuple(ops.unit.items())
         self.gens: tuple | None = None
         self.columns = ops.keys
         self.line = KeyTable(lambda l: tuple(map(prod[l].__getitem__, ops.keys)))
@@ -502,7 +488,7 @@ def generators(ops: BasisOps, raw: LoweredTables) -> tuple | None:
     key order, a key not yet reached joins S, and s h' = c k with c nonzero,
     s in S and h' reached, reaches k.  None when a product of two keys
     leaves the keys (a Laurent window) or S is every key."""
-    keys, prod, residue = ops.keys, raw.prod, raw.residue
+    keys, prod = ops.keys, raw.prod
     index = set(keys)
     if any(k not in index for h in keys for l in keys for k, _ in prod[h][l]):
         return None
@@ -519,7 +505,7 @@ def generators(ops: BasisOps, raw: LoweredTables) -> tuple | None:
             reach(key)
         while todo:
             s, h = todo.pop()
-            terms = [k for k, c in prod[s][h] if residue(c)]
+            terms = [k for k, c in prod[s][h] if c]
             if len(terms) == 1 and terms[0] not in reached:
                 reach(terms[0])
     return None if len(gens) == len(keys) else tuple(gens)
@@ -559,7 +545,7 @@ def associativity_rows(raw: LoweredTables):
         diff: dict = {}
         for k, v in chain(a, ((k, -v) for k, v in b)):
             diff[k] = diff.get(k, 0) + v
-        return any(map(raw.residue, diff.values()))
+        return any(map(raw.reduce, diff.values()))
 
     def associativity(h, l, ms):
         if h not in times_h:
@@ -574,7 +560,7 @@ def associativity_rows(raw: LoweredTables):
 
 def coassociative(raw: LoweredTables):
     """The key predicate (Delta (x) id) Delta(k) = (id (x) Delta) Delta(k)."""
-    delta, residue = raw.delta, raw.residue
+    delta, reduce = raw.delta, raw.reduce
 
     def holds(k) -> bool:
         diff: dict = {}
@@ -583,14 +569,9 @@ def coassociative(raw: LoweredTables):
                 diff[a, b, k2] = diff.get((a, b, k2), 0) + c * c2
             for c2, a, b in delta[k2]:
                 diff[k1, a, b] = diff.get((k1, a, b), 0) - c * c2
-        return not any(map(residue, diff.values()))
+        return not any(map(reduce, diff.values()))
 
     return holds
-
-
-def lc_outer(a: LC, b: LC) -> dict:
-    """a (x) b as a leg-pair combination {(key_a, key_b): coefficient}."""
-    return lc_canon({(ka, kb): va * vb for ka, va in a.items() for kb, vb in b.items()})
 
 
 def tensor2_flip(t: dict) -> dict:
@@ -607,7 +588,7 @@ def tensor2_map(ops: BasisOps, t: dict, first=None, second=None) -> dict:
                 key = (ka, kb)
                 prev = out.get(key)
                 out[key] = v * va * vb if prev is None else prev + v * va * vb
-    return lc_canon(out)
+    return lc_canon(out, ops.field.reduce)
 
 
 def tensor2_mul(ops: BasisOps, t1: dict, t2: dict) -> dict:
@@ -626,7 +607,7 @@ def tensor2_mul(ops: BasisOps, t1: dict, t2: dict) -> dict:
                     term = c * va * vb
                     prev = out.get(key)
                     out[key] = term if prev is None else prev + term
-    return lc_canon(out)
+    return lc_canon(out, ops.field.reduce)
 
 
 def hopf_axiom_checks(ops: BasisOps, raw: LoweredTables | None = None) -> list[CheckResult]:
@@ -635,7 +616,7 @@ def hopf_axiom_checks(ops: BasisOps, raw: LoweredTables | None = None) -> list[C
     computed once and each cell is reduced once."""
     out: list[CheckResult] = []
     raw = raw or LoweredTables(ops)
-    prod, delta, eps, residue = raw.prod, raw.delta, raw.eps, raw.residue
+    prod, delta, eps, reduce = raw.prod, raw.delta, raw.eps, raw.reduce
     gens = generators(ops, raw)
     out.append(triple_grid_check("hopf.associativity", ops, associativity_rows(raw), gens))
     # Delta and eps close on an associative product; raw keeps the S proved here
@@ -654,8 +635,8 @@ def hopf_axiom_checks(ops: BasisOps, raw: LoweredTables | None = None) -> list[C
             for c, k1, k2 in ops.delta(k):
                 for acc, side in zip(sums, (left, right)):
                     for m, v in side(k1, k2).items():
-                        acc[m] = acc.get(m, ops.zero) + c * v
-            return all(lc_eq(acc, goal) for acc in sums)
+                        acc[m] = acc.get(m, 0) + c * v
+            return all(lc_eq(lc_canon(acc, reduce), goal) for acc in sums)
 
         return holds
 
@@ -675,17 +656,17 @@ def hopf_axiom_checks(ops: BasisOps, raw: LoweredTables | None = None) -> list[C
                 for k1, w1 in prod[a1][b1]:
                     for k2, w2 in prod[a2][b2]:
                         diff[k1, k2] = diff.get((k1, k2), 0) - c * w1 * w2
-        return not any(map(residue, diff.values()))
+        return not any(map(reduce, diff.values()))
 
     out.append(pair_check("hopf.comultiplication_multiplicative", ops, delta_multiplicative,
                           gens))
 
     out.append(check("hopf.comultiplication_unital",
-                     lc_eq(ops.delta_lc(ops.unit), lc_outer(ops.unit, ops.unit))))
+                     lc_eq(ops.delta_lc(ops.unit), ops.outer(ops.unit, ops.unit))))
 
     out.append(pair_check(
         "hopf.counit_multiplicative", ops,
-        lambda p: not residue(sum(c * eps[k] for k, c in prod[p[0]][p[1]])
+        lambda p: not reduce(sum(c * eps[k] for k, c in prod[p[0]][p[1]])
                               - eps[p[0]] * eps[p[1]]), gens))
 
     out.append(check("hopf.counit_unital", ops.eps_lc(ops.unit) == ops.one))
@@ -697,7 +678,7 @@ def hopf_axiom_checks(ops: BasisOps, raw: LoweredTables | None = None) -> list[C
     out.append(key_check("hopf.antipode_laws", ops, two_sided(
         lambda k1, k2: ops.mul_lc(ops.antipode(k1), ops.single(k2)),
         lambda k1, k2: ops.mul_lc(ops.single(k1), ops.antipode(k2)),
-        lambda k: lc_scale(ops.eps(k), ops.unit))))
+        lambda k: ops.scale(ops.eps(k), ops.unit))))
 
     if ops.antipode_inv is not None:
         out.append(key_check(

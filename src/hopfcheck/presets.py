@@ -10,7 +10,7 @@ the quasitriangular and braided suites have trivial positive cases.
 from __future__ import annotations
 
 from .document import AlgebraDocument, DocumentError
-from .scalars import Field, QQ, div
+from .scalars import Field, QQ
 
 FINITE_PRESETS = ("group:C2", "group:C4", "sweedler4")
 PRESET_NAMES = FINITE_PRESETS + ("laurent",)
@@ -42,16 +42,15 @@ def cyclic_group_document(order: int, field: Field = QQ) -> AlgebraDocument:
 def sweedler_document(xi=1, field: Field = QQ) -> AlgebraDocument:
     """Basis (1, g, x, gx) with g^2 = 1, x^2 = 0, gx = -xg, and the
     one-parameter family of R-matrices R = c + xi b."""
-    one = field.one
-    zero = field.zero
+    one, zero, minus, half = map(field.parse, (1, 0, -1, "1/2"))
+    neg = lambda x: field.reduce(-x)
     xi = field.parse(xi)
-    half = div(one, field.parse(2))
     labels = ("1", "g", "x", "gx")
     mult = (
         (0, 0, 0, one), (0, 1, 1, one), (0, 2, 2, one), (0, 3, 3, one),
         (1, 0, 1, one), (1, 1, 0, one), (1, 2, 3, one), (1, 3, 2, one),
-        (2, 0, 2, one), (2, 1, 3, -one),
-        (3, 0, 3, one), (3, 1, 2, -one),
+        (2, 0, 2, one), (2, 1, 3, minus),
+        (3, 0, 3, one), (3, 1, 2, minus),
     )
     comult = (
         (0, 0, 0, one),
@@ -60,19 +59,19 @@ def sweedler_document(xi=1, field: Field = QQ) -> AlgebraDocument:
         (3, 3, 1, one), (3, 0, 3, one),
     )
     counit = (one, one, zero, zero)
-    antipode = ((0, 0, one), (1, 1, one), (3, 2, -one), (2, 3, one))
+    antipode = ((0, 0, one), (1, 1, one), (3, 2, minus), (2, 3, one))
     r_entries = [
-        (half, 0, 0), (half, 0, 1), (half, 1, 0), (-half, 1, 1),
+        (half, 0, 0), (half, 0, 1), (half, 1, 0), (neg(half), 1, 1),
     ]
     if xi:
-        b_half = xi * half
-        r_entries.extend([(b_half, 2, 2), (-b_half, 2, 3),
+        b_half = field.reduce(xi * half)
+        r_entries.extend([(b_half, 2, 2), (neg(b_half), 2, 3),
                           (b_half, 3, 2), (b_half, 3, 3)])
     return AlgebraDocument(
         name=f"sweedler4[xi={field.format(xi)}]", field=field, basis=labels,
         mult=mult, comult=comult, counit=counit, antipode=antipode,
         r_entries=tuple(r_entries),
-        characters={"sign": (one, -one, zero, zero)},
+        characters={"sign": (one, minus, zero, zero)},
         grouplikes={"g": (zero, one, zero, zero)},
     )
 

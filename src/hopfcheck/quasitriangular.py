@@ -25,14 +25,13 @@ from .lincomb import (
     key_check,
     lc_canon,
     lc_eq,
-    lc_outer,
     memo_fn,
     tensor2_flip,
     tensor2_map,
     tensor2_mul,
 )
 from .linalg import EchelonBasis
-from .report import PASS, CheckResult, check, grid_check, skipped
+from .report import PASS, CheckResult, check, flag, grid_check, skipped
 
 QT_CONVENTIONS = (
     "R-matrix stored as a coefficient matrix: R = sum_ij M[i][j] e_i (x) e_j",
@@ -50,7 +49,7 @@ class RMatrix:
 
     @classmethod
     def build(cls, algebra: FinHopfAlgebra, terms: dict) -> "RMatrix":
-        tensor = lc_canon(terms)
+        tensor = lc_canon(terms, algebra.field.reduce)
         return cls(algebra, tensor, Tensor2.invert(algebra, tensor))
 
     @classmethod
@@ -58,7 +57,7 @@ class RMatrix:
         """entries are (coefficient, i, j) triples, duplicates summed."""
         terms: dict = {}
         for c, i, j in entries:
-            terms[(i, j)] = terms.get((i, j), algebra.field.zero) + c
+            terms[(i, j)] = terms.get((i, j), 0) + c
         return cls.build(algebra, terms)
 
 
@@ -71,8 +70,9 @@ class QTData:
 
 
 def _triple_diff(ops: BasisOps, lhs: dict, rhs: dict) -> str | None:
+    """The first key where the raw sums lhs and rhs differ in the field."""
     for key in sorted(set(lhs) | set(rhs)):
-        if lhs.get(key, ops.zero) != rhs.get(key, ops.zero):
+        if ops.field.reduce(lhs.get(key, 0) - rhs.get(key, 0)):
             return f"at ({', '.join(map(ops.label, key))})"
     return None
 
@@ -92,7 +92,6 @@ def _hexagon_diff(ops: BasisOps, tensor: dict, leg: int) -> str | None:
     """The first triple where R with leg 0 or 1 comultiplied differs from
     R13 R23 (leg 0) or R13 R12 (leg 1), or None.  Each term of R is read as
     (s, t): s the leg comultiplied, t the leg the product multiplies."""
-    zero = ops.zero
     if leg:  # (id ⊗ Δ)R = R13 R12
         entries = [(j, i, v) for (i, j), v in tensor.items()]
         lhs_key = lambda a, b, t: (t, a, b)
@@ -105,12 +104,12 @@ def _hexagon_diff(ops: BasisOps, tensor: dict, leg: int) -> str | None:
     for s, t, v in entries:
         for c, a, b in ops.delta(s):
             key = lhs_key(a, b, t)
-            lhs[key] = lhs.get(key, zero) + v * c
+            lhs[key] = lhs.get(key, 0) + v * c
     for s1, t1, v1 in entries:
         for s2, t2, v2 in entries:
             for m, w in ops.mul(t1, t2).items():
                 key = rhs_key(s1, s2, m)
-                rhs[key] = rhs.get(key, zero) + v1 * v2 * w
+                rhs[key] = rhs.get(key, 0) + v1 * v2 * w
     return _triple_diff(ops, lhs, rhs)
 
 
@@ -125,7 +124,7 @@ def verify_qt(r: RMatrix) -> list[CheckResult]:
         diff = _hexagon_diff(ops, r.tensor, leg)
         out.append(check(f"qt.hexagon_comultiply_{side}_leg", diff is None, diff))
     for leg, side in sides:
-        counit = _contract_leg(r.tensor, ops.eps, leg)
+        counit = _contract_leg(ops, r.tensor, ops.eps, leg)
         out.append(check(f"qt.counit_{side}_leg", lc_eq(counit, ops.unit)))
     out.append(verify_almost_cocommutative(r))
 
@@ -159,7 +158,7 @@ def verify_delta_u(r: RMatrix, qt: QTData) -> list[CheckResult]:
     ops = r.algebra.ops
     # (R21 R)^-1 = R^-1 (R^-1)21
     braid = tensor2_mul(ops, r.inverse, tensor2_flip(r.inverse))
-    uu = lc_outer(qt.u, qt.u)
+    uu = ops.outer(qt.u, qt.u)
     delta_u = ops.delta_lc(qt.u)
     return [
         check("drinfeld.comultiplication_of_u_left",
@@ -170,13 +169,13 @@ def verify_delta_u(r: RMatrix, qt: QTData) -> list[CheckResult]:
     ]
 
 
-def _contract_leg(tensor: dict, f, leg: int) -> LC:
+def _contract_leg(ops: BasisOps, tensor: dict, f, leg: int) -> LC:
     """f applied to one leg of a leg-pair combination, leaving the other."""
     out: LC = {}
     for pair, val in tensor.items():
         k, x = pair[1 - leg], val * f(pair[leg])
         out[k] = out[k] + x if k in out else x
-    return lc_canon(out)
+    return lc_canon(out, ops.field.reduce)
 
 
 def grouplike_from_character(r: RMatrix, eta) -> tuple[LC, LC]:
@@ -189,8 +188,9 @@ def grouplike_from_character(r: RMatrix, eta) -> tuple[LC, LC]:
     callers pass the counit, alpha, alpha^-1, validated document characters
     and convolution products of these, which are characters by construction.
     """
-    eta_inv = r.algebra.ops.compose_s_power(eta, 1)
-    return _contract_leg(r.tensor, eta, 0), _contract_leg(r.tensor, eta_inv, 1)
+    ops = r.algebra.ops
+    eta_inv = ops.compose_s_power(eta, 1)
+    return _contract_leg(ops, r.tensor, eta, 0), _contract_leg(ops, r.tensor, eta_inv, 1)
 
 
 def character_maps_checks(r: RMatrix, characters: dict) -> list[CheckResult]:
@@ -277,7 +277,7 @@ def check_antipode_u_biconditional(c: Carrier, r: RMatrix, qt: QTData) -> list[C
     right = lc_eq(a_alpha, c.a_inv)
     out.append(check(
         "drinfeld.antipode_fixes_u_iff_modular_match", left == right,
-        f"S(u)=u is {str(left).lower()}, a_alpha=a^-1 is {str(right).lower()}"))
+        f"S(u)=u is {flag(left)}, a_alpha=a^-1 is {flag(right)}"))
     return out
 
 
@@ -290,10 +290,10 @@ def conjugation_witnesses(r: RMatrix, gamma,
     gamma_inv = memo_fn(ops.compose_s_power(gamma, 1))
 
     witnesses = [
-        _contract_leg(r.inverse, gamma_inv, 0),
-        _contract_leg(r.tensor, gamma, 0),
-        _contract_leg(r.inverse, gamma, 1),
-        _contract_leg(r.tensor, gamma_inv, 1),
+        _contract_leg(ops, r.inverse, gamma_inv, 0),
+        _contract_leg(ops, r.tensor, gamma, 0),
+        _contract_leg(ops, r.inverse, gamma, 1),
+        _contract_leg(ops, r.tensor, gamma_inv, 1),
     ]
     # gamma^-1(h1) h2 gamma(h3), the gamma double-hit of each basis element
     twisted = {h: ops.coinner(gamma_inv, gamma, h) for h in ops.keys}
@@ -354,16 +354,16 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
         """sum of c left[p] (x) right[q] over the terms {(p, q): c}"""
         out: dict = {}
         for (p, q), c in terms.items():
-            for key, v in lc_outer(left[p], right[q]).items():
+            for key, v in ops.outer(left[p], right[q]).items():
                 out[key] = out.get(key, zero) + c * v
-        return lc_canon(out)
+        return lc_canon(out, field.reduce)
 
     # rank factorization R = sum_k first[k] (x) second[k] through the row
     # space: R's row i is the LC whose coefficient at j is that of e_i (x) e_j
     rows: dict = {}
     for (i, j), c in r.tensor.items():
         rows.setdefault(i, {})[j] = c
-    factor_rows = EchelonBasis()
+    factor_rows = EchelonBasis(field)
     for row in rows.values():
         factor_rows.insert(row)
     second = list(factor_rows.vectors)
@@ -374,7 +374,7 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
     factorization_ok = lc_eq(
         expand({(k, k): field.one for k in range(len(second))}, first, second), r.tensor)
 
-    span = EchelonBasis()
+    span = EchelonBasis(field)
     for x in [ops.unit] + first + second:
         span.insert(x)
 
@@ -423,8 +423,8 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
         def restrict(t: dict) -> dict:
             """Coordinates of a tensor-square element of the closure, read
             off at the pivot pairs."""
-            return lc_canon({(p, q): t.get((pivots[p], pivots[q]), zero)
-                             for p in range(m) for q in range(m)})
+            return {(p, q): v for p in range(m) for q in range(m)
+                    if (v := t.get((pivots[p], pivots[q])))}
 
         mult = {(p, q): coords_of(ops.mul_lc(basis[p], basis[q]))
                 for p in range(m) for q in range(m)}
@@ -454,7 +454,7 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
     alpha_eq = all(sub_c.alpha(p) == ops.eval_fn(parent.alpha, basis[p]) for p in range(m))
     chi_eq = all(lc_eq(include(sub_c.chi(p)), ops.map_lc(parent.chi, basis[p]))
                  for p in range(m))
-    flags = f"a: {a_eq}, alpha: {alpha_eq}, chi: {chi_eq}".lower()
+    flags = f"a: {flag(a_eq)}, alpha: {flag(alpha_eq)}, chi: {flag(chi_eq)}"
 
     checks = [
         check("subhopf.rank_factorization_reconstructs", factorization_ok),
@@ -467,8 +467,8 @@ def minimal_subhopf(r: RMatrix, parent: Carrier) -> MinimalSubHopf:
         ("basis(L)", ", ".join(labels)),
         ("a_L", sub.ops.format(sub_c.a)),
         ("alpha_L", sub.ops.format_values(sub_c.alpha)),
-        ("a_L equals a_H", str(a_eq).lower()),
-        ("alpha_L equals alpha_H restricted", str(alpha_eq).lower()),
-        ("chi_L equals chi_H restricted", str(chi_eq).lower()),
+        ("a_L equals a_H", flag(a_eq)),
+        ("alpha_L equals alpha_H restricted", flag(alpha_eq)),
+        ("chi_L equals chi_H restricted", flag(chi_eq)),
     ]
     return MinimalSubHopf(sub, tuple(basis), r_sub, sub_c, checks, computed)

@@ -43,6 +43,11 @@ def check(name: str, ok: bool, witness: str | None = None) -> CheckResult:
     return passed(name) if ok else failed(name, witness)
 
 
+def flag(value: bool) -> str:
+    """A truth value as a report line prints it: true or false."""
+    return json.dumps(value)
+
+
 def grid_check(name: str, items, predicate, describe) -> CheckResult:
     """Run predicate over items in order, once per item up to the first it
     rejects; fail with that item's witness.  The loop runs in C, so items

@@ -1,21 +1,30 @@
 """Exact scalar fields: arbitrary-precision rationals and odd prime fields.
 
-Every computation in this package runs over one of these fields.  Floating
-point is never used.  A rational stays a plain int while it is integral and
-becomes a fractions.Fraction only when a division leaves a denominator;
-div() is the one division that keeps int / int exact.  Prime-field elements
-stay reduced mod p.
+Every computation in this package runs over one of these fields, and every
+value is a plain Python number.  Floating point is never used.  A rational
+stays an int while it is integral and becomes a fractions.Fraction only
+when a division leaves a denominator.  An element of F_p is the int in
+range(p) that represents it.  Code adds and multiplies values as numbers
+and passes each sum or negation through the field's reduce once before it
+is stored, compared or tested for zero: reduce is the identity on QQ and
+x mod p on F_p, and reduce(x) is falsy exactly when x is zero in the field.
+A product of two nonzero reduced values is nonzero (a field has no zero
+divisors), so it is tested unreduced.  The field's div is the one division:
+on ints, plain / would leave QQ's exact values or the range of F_p.  Values
+are parsed and formatted only where a document is read or a report written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from functools import cached_property
+from operator import pos
 
 
 class ScalarError(ValueError):
-    """Malformed scalar input, or arithmetic across different fields."""
+    """Malformed scalar input: an inexact or unparsable value, or a
+    denominator that vanishes in the field."""
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -40,118 +49,6 @@ def div(a, b):
     return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
-class FpElement:
-    """An element of the field with p elements, kept reduced mod p.
-
-    Immutable.  Supports mixed arithmetic with plain ints (lifted mod p)
-    but refuses floats, bools and elements of a different prime field.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int) -> None:
-        _set_value(self, value % p)
-        _set_p(self, p)
-
-    @staticmethod
-    def _reduced(value: int, p: int) -> "FpElement":
-        """Trusted constructor: value must already lie in range(p)."""
-        x = _new(FpElement)
-        _set_value(x, value)
-        _set_p(x, p)
-        return x
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _other(self, other) -> int | None:
-        """The int behind an operand of the same field, None for a foreign type."""
-        if type(other) is FpElement:
-            if other.p != self.p:
-                raise ScalarError(f"mixed prime fields: F_{self.p} and F_{other.p}")
-            return other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is None else _reduced((self.value + o) % self.p, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is None else _reduced((self.value - o) % self.p, self.p)
-
-    def __rsub__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is None else _reduced((o - self.value) % self.p, self.p)
-
-    def __mul__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is None else _reduced(self.value * o % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        p = self.p
-        if o % p == 0:
-            raise ZeroDivisionError(f"division by zero in F_{p}")
-        return _reduced(self.value * pow(o, p - 2, p) % p, p)
-
-    def __rtruediv__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        p = self.p
-        if self.value == 0:
-            raise ZeroDivisionError(f"division by zero in F_{p}")
-        return _reduced(o * pow(self.value, p - 2, p) % p, p)
-
-    def __neg__(self):
-        return _reduced(-self.value % self.p, self.p)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        p = self.p
-        if n < 0:
-            if self.value == 0:
-                raise ZeroDivisionError(f"zero has no negative power in F_{p}")
-            return _reduced(pow(self.value, -n * (p - 2), p), p)
-        return _reduced(pow(self.value, n, p), p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other):
-        if other.__class__ is not FpElement:
-            return NotImplemented
-        return self.value == other.value and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.p))
-
-    def __repr__(self) -> str:
-        return f"FpElement(value={self.value!r}, p={self.p!r})"
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-_new = object.__new__
-_set_value = FpElement.value.__set__
-_set_p = FpElement.p.__set__
-_reduced = FpElement._reduced
-
-
 class RationalField:
     """The rationals; an element is an int while integral, else a
     fractions.Fraction."""
@@ -159,13 +56,9 @@ class RationalField:
     name = "rationals"
     zero = 0
     one = 1
-    # values are exact as they are: nothing to lower (see PrimeField.lower),
-    # and a sum is decided by its truth value
-    lower = None
-    residue = bool
-
-    def from_int(self, n: int) -> int:
-        return n
+    # a value is exact as it is: reduce is the identity, a C-level call
+    reduce = staticmethod(pos)
+    div = staticmethod(div)
 
     def parse(self, value) -> int | Fraction:
         if isinstance(value, bool) or isinstance(value, float):
@@ -206,10 +99,8 @@ class PrimeField:
     """
 
     p: int
-
-    # The axiom-grid kernels add raw values and decide a cell once:
-    # lower(x) is the int in range(p) behind x, residue(n) is n mod p.
-    lower = attrgetter("value")
+    zero = 0
+    one = 1
 
     def __post_init__(self) -> None:
         if not _is_odd_prime(self.p):
@@ -219,33 +110,24 @@ class PrimeField:
     def name(self) -> str:
         return f"prime field F_{self.p}"
 
-    @property
-    def residue(self):
+    @cached_property
+    def reduce(self):
+        """x -> x mod p, the representative in range(p)."""
         return self.p.__rmod__
 
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
+    def div(self, a: int, b: int) -> int:
+        if not b % self.p:
+            raise ZeroDivisionError(f"division by zero in F_{self.p}")
+        return a * pow(b, -1, self.p) % self.p
 
-    @property
-    def one(self) -> FpElement:
-        return FpElement(1, self.p)
-
-    def from_int(self, n: int) -> FpElement:
-        return FpElement(n, self.p)
-
-    def parse(self, value) -> FpElement:
-        if isinstance(value, FpElement):
-            if value.p != self.p:
-                raise ScalarError(f"element of F_{value.p} given to F_{self.p}")
-            return value
+    def parse(self, value) -> int:
         q = QQ.parse(value)
         if q.denominator % self.p == 0:
             raise ScalarError(f"denominator of {value!r} vanishes mod {self.p}")
-        return FpElement(q.numerator * pow(q.denominator, self.p - 2, self.p), self.p)
+        return self.div(q.numerator, q.denominator)
 
-    def format(self, x: FpElement) -> str:
-        return str(x.value)
+    def format(self, x: int) -> str:
+        return str(x)
 
     def spec(self) -> dict:
         return {"type": "prime", "p": self.p}
@@ -253,7 +135,7 @@ class PrimeField:
 
 QQ = RationalField()
 
-Scalar = int | Fraction | FpElement
+Scalar = int | Fraction
 Field = RationalField | PrimeField
 
 

@@ -4,12 +4,14 @@ hopf.associativity and the two multiplicativity laws of a braiding are
 grids over all K^3 key triples; the multiplicativity of Delta and eps,
 the commutation relation and the two convolution-inverse laws are grids
 over the K^2 key pairs.  hopf_axiom_checks and braiding_axiom_checks evaluate
-them over product, coproduct and sigma tables filled once per call, in raw
-field values (lincomb.LoweredTables), and run the triple grids one (h, l)
-row at a time.  The naive predicates below are the per-cell definitions
-those kernels replaced, in field arithmetic; the kernels must report the
-same status and witness, also on perturbed carriers, must evaluate sigma
-far less often, and must leave no field arithmetic per cell.
+them over product, coproduct and sigma tables filled once per call
+(lincomb.LoweredTables), adding field values as plain numbers, and run the
+triple grids one (h, l) row at a time.  The naive predicates below are the
+per-cell definitions those kernels replaced, each cell reduced through the
+field; the kernels must report the same status and witness, also on
+perturbed carriers (perturbed values are reduced as the program's are),
+must evaluate sigma far less often, and must leave no field arithmetic per
+cell.
 
 On a finite algebra the three triple grids and the Delta and eps
 multiplicativity grids first run only the rows of a generating set S of
@@ -67,6 +69,7 @@ from hopfcheck.lincomb import (
     _triple_label,
     hopf_axiom_checks,
     is_character_fn,
+    lc_canon,
     lc_eq,
     tensor2_mul,
 )
@@ -74,12 +77,13 @@ from hopfcheck.linalg import SparseMatrix, rank
 from hopfcheck.presets import cyclic_group_document
 from hopfcheck.quasitriangular import RMatrix, drinfeld_elements
 from hopfcheck.report import PASS, failed, grid_check
-from hopfcheck.scalars import FpElement, PrimeField
+from hopfcheck.scalars import PrimeField
 from test_golden import (
     double_c2_document,
     double_c4_permuted_document,
     laurent_quotient_document,
 )
+from test_scalars import CountingField
 
 TRIPLE_CHECKS = ("hopf.associativity", "cqt.multiplicative_first_argument",
                  "cqt.multiplicative_second_argument")
@@ -109,7 +113,7 @@ def naive_mult_first(ops, br):
             f = br.value(h, m1) * br.value(l, m2)
             if f:
                 rhs = rhs + c * f
-        return lhs == rhs
+        return not ops.field.reduce(lhs - rhs)
 
     return holds
 
@@ -127,7 +131,7 @@ def naive_mult_second(ops, br):
             f = br.value(h1, m) * br.value(h2, l)
             if f:
                 rhs = rhs + c * f
-        return lhs == rhs
+        return not ops.field.reduce(lhs - rhs)
 
     return holds
 
@@ -144,7 +148,8 @@ def naive_delta_multiplicative(ops):
 
 
 def naive_counit_multiplicative(ops):
-    return lambda pair: ops.eps_lc(ops.mul(*pair)) == ops.eps(pair[0]) * ops.eps(pair[1])
+    return lambda pair: not ops.field.reduce(
+        ops.eps_lc(ops.mul(*pair)) - ops.eps(pair[0]) * ops.eps(pair[1]))
 
 
 def naive_commutation(ops, br):
@@ -162,7 +167,7 @@ def naive_commutation(ops, br):
                 if f:
                     for k, w in ops.mul(h2, l2).items():
                         rhs[k] = rhs.get(k, ops.zero) + c * f * w
-        return lc_eq(lhs, rhs)
+        return lc_canon(lhs, ops.field.reduce) == lc_canon(rhs, ops.field.reduce)
 
     return holds
 
@@ -179,9 +184,17 @@ def naive_conv_pair(ops, first, second):
                 g = second(h2, l2)
                 if g:
                     acc = acc + c1 * c2 * f * g
-        return acc == ops.eps(h) * ops.eps(l)
+        return not ops.field.reduce(acc - ops.eps(h) * ops.eps(l))
 
     return holds
+
+
+def lc_add(ops, a, b):
+    """a + b in ops.field."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return lc_canon(out, ops.field.reduce)
 
 
 def triples(ops):
@@ -283,7 +296,7 @@ def carrier(name, sweedler=None, sweedler_r=None, c4=None):
 def counit_braiding(ops) -> Braiding:
     """sigma = eps (x) eps, its own convolution inverse; a braiding exactly
     when the product is commutative."""
-    value = lambda x, y: ops.eps(x) * ops.eps(y)
+    value = lambda x, y: ops.field.reduce(ops.eps(x) * ops.eps(y))
     return Braiding(value=value, inverse=value)
 
 
@@ -358,7 +371,8 @@ def test_perturbed_carrier_fails_at_the_same_triple(grid_carrier, which, i, j, b
     if which == "sigma":
         value = br.value
         br = dataclasses.replace(
-            br, value=lambda x, y: value(x, y) + bump if (x, y) == spot else value(x, y))
+            br, value=lambda x, y: (ops.field.reduce(value(x, y) + bump) if (x, y) == spot
+                                    else value(x, y)))
     else:
         mul = ops.mul
 
@@ -366,7 +380,7 @@ def test_perturbed_carrier_fails_at_the_same_triple(grid_carrier, which, i, j, b
             out = dict(mul(x, y))
             if (x, y) == spot:
                 k = next(iter(out), x)
-                out[k] = out.get(k, ops.zero) + bump
+                out[k] = ops.field.reduce(out.get(k, ops.zero) + bump)
             return out
 
         ops = dataclasses.replace(ops, mul=bumped)
@@ -459,13 +473,14 @@ def test_failing_triple_grid_counts_points_up_to_its_witness(name, monkeypatch):
     spot = (keys[len(keys) // 2], keys[len(keys) // 3])
     value, mul = br.value, ops.mul
     br = dataclasses.replace(
-        br, value=lambda x, y: value(x, y) + 1 if (x, y) == spot else value(x, y))
+        br, value=lambda x, y: (ops.field.reduce(value(x, y) + 1) if (x, y) == spot
+                                else value(x, y)))
 
     def bumped(x, y):
         out = dict(mul(x, y))
         if (x, y) == spot:
             k = next(iter(out), x)
-            out[k] = out.get(k, ops.zero) + 1
+            out[k] = ops.field.reduce(out.get(k, ops.zero) + 1)
         return out
 
     ops = dataclasses.replace(ops, mul=bumped)
@@ -559,22 +574,20 @@ def test_braiding_laws_reduce_only_under_their_premises(c4):
     assert planned["cqt.multiplicative_second_argument"].witness == "at (1, g^3, 1)"
 
 
-def test_raw_sums_that_agree_mod_p_pass(monkeypatch):
-    """Over F_7 the braiding (-1)^(ij) of kC4 lowers -1 to 6, so at (g, g, g)
+def test_raw_sums_that_agree_mod_p_pass():
+    """Over F_7 the braiding (-1)^(ij) of kC4 holds -1 as 6, so at (g, g, g)
     the first multiplicativity law adds sigma(g^2, g) = 1 on one side and
     sigma(g, g) sigma(g, g) = 36 on the other: the raw sums differ by a
     multiple of 7, and the cell holds.  The kernels reduce once per cell
     and must PASS wherever the definitions in F_7 do."""
-    f7 = PrimeField(7)
+    f7 = CountingField(7)
     algebra = build_algebra(cyclic_group_document(4, f7))
     require_passing(verify_hopf(algebra))
-    rows = [[f7.from_int((-1) ** (i * j)) for j in range(4)] for i in range(4)]
+    rows = [[f7.reduce((-1) ** (i * j)) for j in range(4)] for i in range(4)]
     ops, br = algebra.ops, braiding_from_matrix(algebra, rows)[0]
-    sums = []
-    residue = PrimeField.residue.fget
-    monkeypatch.setattr(PrimeField, "residue", property(
-        lambda field: lambda n: sums.append(n) or residue(field)(n)))
+    f7.reduced.clear()
     planned = planned_results(ops, br)
+    sums = list(f7.reduced)
     assert planned == naive_results(ops, br)
     assert all(r.status == PASS for r in planned.values())
     assert any(n and n % 7 == 0 for n in sums)
@@ -586,20 +599,17 @@ def test_a_row_whose_raw_sides_differ_only_by_multiples_of_p_passes(monkeypatch)
     sigma(g, m)^2, which is 36 at m = g and m = g^3.  The two sparse sides
     differ as ints, so the kernel reduces each difference, finds every
     residue 0 and passes the row."""
-    f7 = PrimeField(7)
+    f7 = CountingField(7)
     algebra = build_algebra(cyclic_group_document(4, f7))
     require_passing(verify_hopf(algebra))
-    rows = [[f7.from_int((-1) ** (i * j)) for j in range(4)] for i in range(4)]
+    rows = [[f7.reduce((-1) ** (i * j)) for j in range(4)] for i in range(4)]
     ops, br = algebra.ops, braiding_from_matrix(algebra, rows)[0]
-    sums = []
-    residue = PrimeField.residue.fget
-    monkeypatch.setattr(PrimeField, "residue", property(
-        lambda field: lambda n: sums.append(n) or residue(field)(n)))
     kernels, _, _ = spy_triple_grids(monkeypatch)
     planned_results(ops, br)
     g = ops.keys[1]
-    sums.clear()
+    f7.reduced.clear()
     assert kernels["cqt.multiplicative_first_argument"](g, g, ops.keys) is None
+    sums = f7.reduced
     assert sums.count(1 - 36) == 2 and not any(n % 7 for n in sums)
 
 
@@ -643,20 +653,21 @@ def test_a_proof_with_nothing_to_reduce_is_not_derived_again(tmp_path, monkeypat
     assert rows["cqt.multiplicative_first_argument"] == [8 * 8]
 
 
-ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-              "__truediv__", "__rtruediv__", "__neg__", "__pow__")
-
-
 @pytest.mark.parametrize("n", [4, 8])
 def test_axiom_batteries_do_no_field_arithmetic_per_cell(n, monkeypatch):
-    """On H_n over F_10007 (K = 2n keys) the key grids run on raw ints, so
-    the FpElement arithmetic left in both batteries is the per-key checks'
-    (unit, counit, coassociativity and antipode laws, unit pairing): at
-    most 40 K operations, linear in K.  Field arithmetic per grid cell
-    would be at least K^3; per-cell kernels made 4,496 operations at n = 4
-    and 26,684 at n = 8.  Lowering sigma still evaluates it once per pair."""
-    doc, algebra = document_algebra(laurent_quotient_document(n))
-    ops, br = algebra.ops, braiding_from_matrix(algebra, doc.sigma)[0]
+    """On H_n over F_10007 (K = 2n keys) the triple grids add raw values and
+    reduce only a cell whose raw sides differ: each grid reduces at most K
+    times, where its per-triple definition reduces at least once per
+    triple, K^3 times.  A pair grid decides a pair with one reduction per
+    output key, so both batteries reduce at most 10 K^2 times in all (595
+    at n = 4, 1,955 at n = 8), and the per-cell definitions of their triple
+    and pair grids 2,256 and 15,168 times.  sigma is still evaluated once
+    per pair."""
+    obj = laurent_quotient_document(n)
+    doc = dataclasses.replace(parse_document(obj), field=CountingField(obj["field"]["p"]))
+    algebra = build_algebra(doc)
+    require_passing(verify_hopf(algebra))
+    ops, br, field = algebra.ops, braiding_from_matrix(algebra, doc.sigma)[0], algebra.field
     sigma_calls, value = [], br.value
 
     def spy(x, y):
@@ -664,21 +675,31 @@ def test_axiom_batteries_do_no_field_arithmetic_per_cell(n, monkeypatch):
         return value(x, y)
 
     br = dataclasses.replace(br, value=spy)
-    count = [0]
+    per_grid, real = {}, lincomb.grid_check
 
-    def counted(real):
-        def op(*args):
-            count[0] += 1
-            return real(*args)
-        return op
+    def counting_grid_check(name, *args):
+        before = field.work()
+        result = real(name, *args)
+        per_grid[name] = per_grid.get(name, 0) + field.work() - before
+        return result
 
-    for name in ARITHMETIC:
-        monkeypatch.setattr(FpElement, name, counted(FpElement.__dict__[name]))
+    monkeypatch.setattr(lincomb, "grid_check", counting_grid_check)
+    field.calls.clear()
     results = hopf_axiom_checks(ops) + braiding_axiom_checks(ops, br)
     assert all(r.status == PASS for r in results), [r for r in results if not r.ok]
-    assert 0 < count[0] <= 40 * len(ops.keys)
-    # the lowered sigma table reads the shared one: one value per pair
+    k, total = len(ops.keys), field.work()
+    assert all(per_grid[name] <= k for name in TRIPLE_CHECKS), per_grid
+    assert 0 < total <= 10 * k * k
+    # sigma is evaluated through one table: one value per pair
     assert len(sigma_calls) == len(set(sigma_calls))
+
+    for name, holds in naive_predicates(ops, br).items():
+        field.calls.clear()
+        assert all(holds(t) for t in triples(ops))
+        assert field.work() >= k ** 3, name
+    field.calls.clear()
+    naive_results(ops, br)
+    assert field.work() > 3 * total
 
 
 # -- the pair laws decided on the S-rows ------------------------------------------
@@ -768,21 +789,22 @@ def test_perturbed_pair_laws_match_exhaustive(law_carrier, which, i, j, bump):
     ops, gens = c.ops, c.generators
     outside = [k for k in ops.keys if k not in (gens or ())]
     x, y = outside[i % len(outside)], ops.keys[j % len(ops.keys)]
-    delta, character = bump * ops.one, None
+    delta, character, reduce = bump * ops.one, None, ops.field.reduce
     if which == "lambda":
         lam = c.lam
-        bumped = lambda k: lam(k) + delta if k == x else lam(k)
+        bumped = lambda k: reduce(lam(k) + delta) if k == x else lam(k)
         c = dataclasses.replace(c, lam=bumped, lam_mul=lam_mul_table(ops, bumped))
     elif which == "chi":
         chi = c.chi
         c = dataclasses.replace(
-            c, chi=lambda k: lincomb.lc_add(chi(k), {y: delta}) if k == x else chi(k))
+            c, chi=lambda k: lc_add(ops, chi(k), {y: delta}) if k == x else chi(k))
     elif which == "sigma":
         value = br.value
         br = dataclasses.replace(
-            br, value=lambda h, l: value(h, l) + delta if (h, l) == (x, y) else value(h, l))
+            br, value=lambda h, l: reduce(value(h, l) + delta) if (h, l) == (x, y)
+            else value(h, l))
     else:
-        character = lambda k: c.alpha(k) + delta if k == x else c.alpha(k)
+        character = lambda k: reduce(c.alpha(k) + delta) if k == x else c.alpha(k)
     assert (verdicts(law_grids(c, br, gens, character))
             == verdicts(law_grids(c, br, None, character)))
 
@@ -830,7 +852,7 @@ def test_nakayama_law_runs_every_row_when_chi_is_not_multiplicative(sweedler, sw
     one, gx = ops.keys[0], ops.keys[3]
     chi = c.chi
     c = dataclasses.replace(
-        c, chi=lambda k: lincomb.lc_add(chi(k), {one: ops.one}) if k == gx else chi(k))
+        c, chi=lambda k: lc_add(ops, chi(k), {one: ops.one}) if k == gx else chi(k))
     assert gens == ops.keys[:3]
     assert all(shift_law_holds(c, m, s) for m in ops.keys for s in gens)
     grids = law_grids(c, br, gens)
@@ -882,7 +904,7 @@ def exchange_gap(c, lam_mul, h, l):
     ops = c.ops
     lhs = ops.hit_left(lambda k: lam_mul(h, k), l)
     rhs = ops.s_lc(ops.hit_left(lambda k: lam_mul(k, l), h))
-    return lincomb.lc_add(lhs, lincomb.lc_scale(-ops.one, rhs))
+    return lc_add(ops, lhs, ops.scale(-ops.one, rhs))
 
 
 def exchange_inverse_gap(c, lam_mul, h, l):
@@ -890,12 +912,13 @@ def exchange_inverse_gap(c, lam_mul, h, l):
     ops = c.ops
     lhs = ops.hit_right(lambda k: lam_mul(h, k), l)
     rhs = ops.mul_lc(ops.s_inv_lc(ops.hit_right(lambda k: lam_mul(k, l), h)), c.a_inv)
-    return lincomb.lc_add(lhs, lincomb.lc_scale(-ops.one, rhs))
+    return lc_add(ops, lhs, ops.scale(-ops.one, rhs))
 
 
 def nakayama_gap(c, lam_mul, m, h):
     """lambda(m h) - lambda(chi(h) m), with chi held."""
-    return {None: lam_mul(m, h) - c.ops.eval_fn(lambda k: lam_mul(k, m), c.chi(h))}
+    return {None: c.ops.field.reduce(
+        lam_mul(m, h) - c.ops.eval_fn(lambda k: lam_mul(k, m), c.chi(h)))}
 
 
 def lambda_conditions(c, gap, pairs) -> SparseMatrix:

@@ -126,16 +126,19 @@ def test_braiding_matrix_without_inverse_is_rejected(c2):
 @pytest.mark.parametrize("n", [4, 10])
 def test_braiding_inverse_over_fp_is_field_valued(n):
     """sigma^-1 of H_n over F_10007, solved for in the tensor square of H*:
-    off its support the evaluator returns the field's zero, an FpElement
-    as the lowered tables need, and both convolution laws pass.  With the
-    row sigma(1, -) zeroed no inverse exists: sigma(1, 1) tau(1, 1) = 0."""
+    off its support the evaluator returns the field's zero, and every value
+    is an int in range(p), as the tables of the grids need; both
+    convolution laws pass.  With the row sigma(1, -) zeroed no inverse
+    exists: sigma(1, 1) tau(1, 1) = 0."""
     doc = parse_document(laurent_quotient_document(n))
     algebra = build_algebra(doc)
     require_passing(verify_hopf(algebra))
     br, inv = braiding_from_matrix(algebra, doc.sigma)
     zero, keys = algebra.field.zero, range(algebra.dim)
     off = [br.inverse(x, y) for x in keys for y in keys if (x, y) not in inv]
-    assert off and all(type(v) is type(zero) and v == zero for v in off)
+    assert off and all(type(v) is int and v == zero for v in off)
+    p = algebra.field.p
+    assert all(type(v) is int and 0 < v < p for v in inv.values())
     lines = [r.status for r in braiding_axiom_checks(algebra.ops, br, algebra.generators)
              if r.name.startswith("cqt.convolution_inverse_")]
     assert lines == [PASS, PASS]
@@ -253,28 +256,35 @@ def test_flip_battery_is_read_off_a_cotriangular_braiding(name, monkeypatch):
 
 
 def test_flip_agreement_covers_read_pairs_outside_the_window(monkeypatch):
-    """Bump sigma^-1 at (y, x), where (x, y) is a pair sigma's battery read
-    outside the Laurent window and sigma's battery never reads sigma^-1 at
-    (y, x): sigma's battery is unchanged, but the flip differs from sigma
-    at (x, y), so the flip's battery runs and fails there."""
+    """For every pair (x, y), in sorted order, that sigma's battery read
+    outside the Laurent window while it never read sigma^-1 at (y, x): bump
+    sigma^-1 at (y, x).  sigma's battery is unchanged, but the flip differs
+    from sigma at (x, y), so the flip's battery runs again.  At some of
+    these pairs it fails sigma's first law."""
     ops, br = laurent.basis_ops(2), laurent.braiding()
     read = Braiding(PairTable(br.value), PairTable(br.inverse))
     intact = braiding_axiom_checks(ops, read)
     read_inverse = {(x, y) for x, row in read.inverse.items() for y in row}
-    x, y = next((x, y) for x, row in read.value.items() for y in row
-                if not {x, y} <= set(ops.keys) and (y, x) not in read_inverse)
-    bumped = Braiding(br.value,
-                      lambda s, t: br.inverse(s, t) + (ONE if (s, t) == (y, x) else 0))
-    flipped = flip_braiding(bumped)
-    # on the key grid alone the flip still agrees with sigma
-    assert all(flipped.value(h, l) == br.value(h, l) and flipped.inverse(h, l) == br.inverse(h, l)
-               for h in ops.keys for l in ops.keys)
+    outside = sorted((x, y) for x, row in read.value.items() for y in row
+                     if not {x, y} <= set(ops.keys) and (y, x) not in read_inverse)
+    assert outside
     calls = spy_batteries(monkeypatch)
-    _, out = braided_chain(family_data(ops), bumped, {}, None)
-    assert len(calls) == 2
-    assert out[:len(intact)] == intact
-    by_name = {r.name: r for r in out}
-    assert by_name["flip_braiding.cqt.multiplicative_first_argument"].status == FAIL
+    statuses = []
+    for x, y in outside:
+        bumped = Braiding(br.value,
+                          lambda s, t, at=(y, x): br.inverse(s, t) + (ONE if (s, t) == at else 0))
+        flipped = flip_braiding(bumped)
+        # on the key grid alone the flip still agrees with sigma
+        assert all(flipped.value(h, l) == br.value(h, l)
+                   and flipped.inverse(h, l) == br.inverse(h, l)
+                   for h in ops.keys for l in ops.keys)
+        calls.clear()
+        _, out = braided_chain(family_data(ops), bumped, {}, None)
+        assert len(calls) == 2, (x, y)
+        assert out[:len(intact)] == intact, (x, y)
+        by_name = {r.name: r for r in out}
+        statuses.append(by_name["flip_braiding.cqt.multiplicative_first_argument"].status)
+    assert FAIL in statuses
 
 
 @pytest.mark.parametrize("source, batteries", [("laurent", 1), ("double", 2)])

@@ -18,6 +18,9 @@ matrix type: no other class defines both nrows and ncols, and the antipode
 is read as FinHopfAlgebra.antipode columns, never as a matrix.  Only the
 unit solve, compute_antipode, hopf._right_inverse and linalg.nullspace
 read linalg.solve_linear, so every inverse goes through the one solver.
+A scalar is a plain number, reduced through its field: no class defines
+arithmetic dunders, and outside scalars.py no module imports div or
+divides with /, so every division goes through Field.div.
 """
 
 import ast
@@ -414,3 +417,65 @@ def test_stray_solve_detector_flags_each_form(tmp_path):
 def test_only_the_named_solvers_solve():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in stray_solves(path)]
     assert not found, "linear solves outside the named solvers:\n" + "\n".join(found)
+
+
+ARITHMETIC_DUNDERS = {f"__{op}__" for base in ("add", "sub", "mul", "truediv", "floordiv",
+                                               "mod", "pow", "matmul")
+                      for op in (base, f"r{base}", f"i{base}")} | {"__neg__", "__pos__"}
+
+
+def scalar_twins(path: Path) -> list[str]:
+    """A second scalar type beside the plain numbers of scalars.py, and a
+    division that bypasses Field.div: a class defining an arithmetic dunder,
+    anywhere; outside scalars.py an import of div and a / or /=."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = {item.name}
+                elif isinstance(item, ast.Assign):
+                    names = {t.id for t in item.targets if isinstance(t, ast.Name)}
+                else:
+                    continue
+                out.extend(f"{path.name}:{item.lineno}: {node.name}.{name}"
+                           for name in sorted(names & ARITHMETIC_DUNDERS))
+        if path.name == "scalars.py":
+            continue
+        if isinstance(node, ast.ImportFrom) and any(a.name == "div" for a in node.names):
+            out.append(f"{path.name}:{node.lineno}: import of div")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            out.append(f"{path.name}:{node.lineno}: /")
+    return sorted(out)
+
+
+def test_scalar_twin_detector_flags_each_form(tmp_path):
+    # the FpElement class and the divisions that plain ints would make wrong
+    lincomb = tmp_path / "lincomb.py"
+    lincomb.write_text("from .scalars import QQ, div\n"
+                       "class FpElement:\n"
+                       "    def __add__(self, other):\n"
+                       "        return self\n"
+                       "    __radd__ = __add__\n"
+                       "    def __bool__(self):\n"
+                       "        return True\n"
+                       "def f(a, b):\n"
+                       "    a /= b\n"
+                       "    return a / b, a // b\n")
+    assert scalar_twins(lincomb) == ["lincomb.py:10: /", "lincomb.py:1: import of div",
+                                     "lincomb.py:3: FpElement.__add__",
+                                     "lincomb.py:5: FpElement.__radd__",
+                                     "lincomb.py:9: /"]
+    scalars = tmp_path / "scalars.py"
+    scalars.write_text("def div(a, b):\n"
+                       "    return a / b\n"
+                       "class Element:\n"
+                       "    def __mul__(self, other):\n"
+                       "        return self\n")
+    assert scalar_twins(scalars) == ["scalars.py:4: Element.__mul__"]
+
+
+def test_scalars_are_plain_numbers_divided_by_their_field():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in scalar_twins(path)]
+    assert not found, "scalar types or divisions besides Field.div:\n" + "\n".join(found)

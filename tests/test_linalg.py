@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from unittest import mock
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcheck import linalg
+from hopfcheck import hopf, linalg
 from hopfcheck.document import build_algebra, parse_document
 from hopfcheck.hopf import compute_antipode
 from hopfcheck.linalg import (
@@ -18,7 +19,8 @@ from hopfcheck.linalg import (
     rank,
     solve_linear,
 )
-from hopfcheck.scalars import FpElement, PrimeField, QQ, div
+from hopfcheck.scalars import PrimeField, QQ
+from test_scalars import CountingField
 
 
 def sparse_vector(vec):
@@ -44,23 +46,24 @@ def dense(a):
 
 def apply(a, vec):
     """A vec, by the dense definition."""
-    zero = a.field.zero
-    return tuple(sum((x * v for x, v in zip(row, vec)), zero) for row in dense(a))
+    reduce = a.field.reduce
+    return tuple(reduce(sum(x * v for x, v in zip(row, vec))) for row in dense(a))
 
 
 def matmul(a, b):
     """The dense product of two SparseMatrix, by the definition."""
-    zero = a.field.zero
+    reduce = a.field.reduce
     cols = list(zip(*dense(b))) if b.rows else [()] * b.ncols
-    return [[sum((x * y for x, y in zip(row, col)), zero) for col in cols] for row in dense(a)]
+    return [[reduce(sum(x * y for x, y in zip(row, col))) for col in cols] for row in dense(a)]
 
 
 def identity(field, n):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
-def dense_rref(rows):
-    """Dense Gauss-Jordan: the first nonzero entry pivots, whole rows update.
+def dense_rref(rows, field=QQ):
+    """Dense Gauss-Jordan in field: the first nonzero entry pivots, whole
+    rows update.
 
     The reference the sparse _rref must reproduce exactly, rows and
     pivots, and the elimination inside naive_solve.
@@ -76,11 +79,11 @@ def dense_rref(rows):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c]
-        rows[r] = [div(x, inv) for x in rows[r]]
+        rows[r] = [field.div(x, inv) for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [field.reduce(a - f * b) for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -88,16 +91,14 @@ def dense_rref(rows):
     return pivots
 
 
-def dense_rref_on_sparse(rows, ncols):
+def dense_rref_on_sparse(field, rows, ncols):
     """dense_rref behind the kernel's interface: densify the {col: value}
     rows, reduce them whole, and hand back the pivots and the nonzero
     entries of the pivot rows, as _rref does."""
-    values = [x for row in rows for x in row.values()]
-    if not values:
+    if not any(rows):
         return [], []
-    zero = values[0] - values[0]
-    dense = [[row.get(j, zero) for j in range(ncols)] for row in rows]
-    pivots = dense_rref(dense)
+    dense = [[row.get(j, field.zero) for j in range(ncols)] for row in rows]
+    pivots = dense_rref(dense, field)
     return pivots, sparse_of(dense[:len(pivots)])
 
 
@@ -191,9 +192,22 @@ def test_matrix_arithmetic_prime_field():
     assert matmul(a, inv) == identity(f5, 2)
 
 
+def test_entries_that_cancel_mod_p_are_zero():
+    """SparseMatrix.add reduces each entry it stores, so entries whose sum
+    is a multiple of p are zero to the solver: over F_7, 3 + 4 at (0, 0)
+    leaves x_0 free, where an unreduced 7 would pivot and divide by zero."""
+    f7 = PrimeField(7)
+    a = SparseMatrix.zeros(f7, 1, 2)
+    for j, v in ((0, 3), (0, 4), (1, 2)):
+        a.add(0, j, v)
+    assert a.rows == [{0: 0, 1: 2}]
+    sol = solve_linear(a, (f7.one,))
+    assert sol.particular == (0, 4) and sol.homogeneous == ((1, 0),)
+
+
 class TestEchelonBasis:
     def test_insert_and_coords(self):
-        span = EchelonBasis()
+        span = EchelonBasis(QQ)
         v1 = {0: Fraction(1), 1: Fraction(2)}
         v2 = {1: Fraction(1), 2: Fraction(1)}
         assert span.insert(v1)
@@ -213,7 +227,7 @@ class TestEchelonBasis:
         assert span.vectors[0]
 
     def test_contains(self):
-        span = EchelonBasis()
+        span = EchelonBasis(QQ)
         span.insert({0: Fraction(1), 1: Fraction(1)})
         assert span.contains({0: Fraction(2), 1: Fraction(2)})
         assert not span.contains({0: Fraction(1)})
@@ -221,7 +235,7 @@ class TestEchelonBasis:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(small, small, small), max_size=6))
     def test_dim_matches_rank(self, vecs):
-        span = EchelonBasis()
+        span = EchelonBasis(QQ)
         for v in vecs:
             span.insert(sparse_vector(map(Fraction, v)))
         expected = rank(mat(vecs)) if vecs else 0
@@ -239,13 +253,13 @@ FIELDS = [QQ, PrimeField(7), PrimeField(10007)]
 def is_field_scalar(field, x):
     if field == QQ:
         return type(x) in (int, Fraction)
-    return type(x) is FpElement and x.p == field.p
+    return type(x) is int and 0 <= x < field.p
 
 
 def nonzero_scalars(field):
     if field == QQ:
         return st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
-    return st.integers(1, field.p - 1).map(field.from_int)
+    return st.integers(1, field.p - 1)
 
 
 @st.composite
@@ -283,8 +297,8 @@ def assert_matches_dense(field, rows):
     ncols = len(rows[0]) if rows else 0
     sparse_rows = sparse_of(rows)
     dense_rows = [list(r) for r in rows]
-    pivots, pivot_rows = _rref(sparse_rows, ncols)
-    assert pivots == dense_rref(dense_rows)
+    pivots, pivot_rows = _rref(field, sparse_rows, ncols)
+    assert pivots == dense_rref(dense_rows, field)
     assert pivot_rows == sparse_of(dense_rows[:len(pivots)])
     assert not any(x for row in dense_rows[len(pivots):] for x in row)
     assert sparse_rows == sparse_of(rows), "the input rows were modified"
@@ -336,14 +350,14 @@ def test_kernel_edge_cases(field):
 
     assert invert_matrix(SparseMatrix(field, [], 0)) == SparseMatrix(field, [], 0)
 
-    ints = lambda rows: [[field.from_int(x) for x in row] for row in rows]
+    ints = lambda rows: [[field.reduce(x) for x in row] for row in rows]
     for given in ([[1, 2], [3, 4]], [[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6]], [[5]]):
         rows = ints(given)
         assert all(x for row in rows for x in row), "no zero entry to reuse"
         assert_matches_dense(field, rows)
     inverse = invert_matrix(sparse_matrix(field, ints([[1, 2], [3, 4]])))
     assert all(is_field_scalar(field, x) for row in inverse.rows for x in row.values())
-    assert inverse.rows[0][0] == field.from_int(-2)
+    assert inverse.rows[0][0] == field.reduce(-2)
 
 
 def h_n_document(big_n, field_spec=None):
@@ -366,53 +380,48 @@ def h_n_document(big_n, field_spec=None):
     }
 
 
-FIELD_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                    "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+def counting_h4():
+    """H_4 over F_10007, built over a CountingField."""
+    doc = parse_document(h_n_document(4, {"type": "prime", "p": 10007}))
+    return build_algebra(dataclasses.replace(doc, field=CountingField(10007)))
 
 
-def test_antipode_solve_scalar_work_is_bounded(monkeypatch):
+def test_antipode_solve_scalar_work_is_bounded():
     """The antipode system of H_4 (dimension 8, 64 unknowns) is almost all
-    zeros: over F_10007, compute_antipode takes 558 field operations with the
-    sparse kernel and 30,709 with the dense loop (655 and 30,804 when the
-    rows were built dense).  The count is taken on FpElement because over QQ
-    the integral products are plain ints."""
-    doc = h_n_document(4, {"type": "prime", "p": 10007})
-    algebra = build_algebra(parse_document(doc))
-    count = [0]
-
-    def counted(op):
-        def wrapper(*args):
-            count[0] += 1
-            return op(*args)
-        return wrapper
-
-    for name in FIELD_ARITHMETIC:
-        monkeypatch.setattr(FpElement, name, counted(getattr(FpElement, name)))
+    zeros: over F_10007, compute_antipode makes 479 field operations
+    (reduce and div calls) with the sparse kernel and 17,642 with the dense
+    loop.  The count is taken over F_p, where every sum is reduced through
+    the field."""
+    algebra = counting_h4()
+    field = algebra.field
+    field.calls.clear()
     antipode = compute_antipode(algebra)
-    sparse_ops, count[0] = count[0], 0
+    sparse_ops = field.work()
+    field.calls.clear()
     with mock.patch.object(linalg, "_rref", dense_rref_on_sparse):
         assert compute_antipode(algebra) == antipode
-    dense_ops = count[0]
+    dense_ops = field.work()
     assert sparse_ops <= 2000 < dense_ops
 
 
 def test_antipode_system_is_built_sparse(monkeypatch):
     """compute_antipode on H_4 over F_10007 never visits the zero cells of
-    its 2 * 64 x 65 = 8,320-cell augmented system.  Counting truth tests of
-    an FpElement: 8,375 when the rows were built dense and turned into
-    dicts by the kernel, 351 with rows built from the table entries."""
-    doc = h_n_document(4, {"type": "prime", "p": 10007})
-    algebra = build_algebra(parse_document(doc))
-    count = [0]
-    real = FpElement.__bool__
+    its 2 * 64 x 65 = 8,320-cell augmented system: the matrix it solves
+    holds 160 entries, one per table term it adds, and building and
+    solving it reduces 407 values.  Rows built dense would hold, and
+    reduce, every cell."""
+    algebra = counting_h4()
+    field, entries, real = algebra.field, [], hopf.solve_linear
 
-    def counted(x):
-        count[0] += 1
-        return real(x)
+    def spy(a, b):
+        entries.append(sum(map(len, a.rows)))
+        return real(a, b)
 
-    monkeypatch.setattr(FpElement, "__bool__", counted)
+    monkeypatch.setattr(hopf, "solve_linear", spy)
+    field.calls.clear()
     compute_antipode(algebra)
-    assert count[0] <= 1000 < 2 * 64 * 65, count[0]
+    assert len(entries) == 1 and entries[0] <= 1000 < 2 * 64 * 65, entries
+    assert field.calls["reduce"] <= 1000 < 2 * 64 * 65, field.calls
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -449,15 +458,15 @@ class DenseEchelonBasis:
     """The dense EchelonBasis that the sparse one replaced: whole-vector
     reductions and row updates, kept as its reference."""
 
-    def __init__(self, ambient_dim):
-        self.rows, self.pivots = [], []
+    def __init__(self, field):
+        self.field, self.rows, self.pivots = field, [], []
 
     def reduce(self, vec):
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
                 f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+                v = [self.field.reduce(a - f * b) for a, b in zip(v, row)]
         return v
 
     def insert(self, vec):
@@ -466,9 +475,9 @@ class DenseEchelonBasis:
         if pivot is None:
             return False
         inv = v[pivot]
-        v = [div(x, inv) for x in v]
-        self.rows = [tuple(a - row[pivot] * b for a, b in zip(row, v)) if row[pivot] else row
-                     for row in self.rows]
+        v = [self.field.div(x, inv) for x in v]
+        self.rows = [tuple(self.field.reduce(a - row[pivot] * b) for a, b in zip(row, v))
+                     if row[pivot] else row for row in self.rows]
         at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
         self.rows.insert(at, tuple(v))
         self.pivots.insert(at, pivot)
@@ -488,7 +497,7 @@ def test_echelon_basis_matches_dense_reference(field, data):
     entry = st.one_of(*[st.just(field.zero)] * data.draw(st.integers(0, 4)),
                       nonzero_scalars(field))
     vector = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
-    span, reference = EchelonBasis(), DenseEchelonBasis(dim)
+    span, reference = EchelonBasis(field), DenseEchelonBasis(field)
     for vec in data.draw(st.lists(vector, max_size=8)):
         assert span.insert(sparse_vector(vec)) == reference.insert(vec)
         assert span.vectors == tuple(sparse_of(reference.rows))
