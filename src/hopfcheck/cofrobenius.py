@@ -27,6 +27,8 @@ from .lincomb import (
     LC,
     BasisOps,
     Key,
+    KeyTable,
+    LoweredTables,
     PairTable,
     coinner_law,
     conv_inverse_checks,
@@ -129,45 +131,74 @@ def modular_element_checks(ops: BasisOps, lam, a: LC, a_inv: LC) -> list[CheckRe
 def integral_exchange_checks(ops: BasisOps, lam_mul, a_inv: LC, gens=None) -> list[CheckResult]:
     """The two translation identities relating lambda, S and the modular element:
     l1 lambda(h l2) = S(h1) lambda(h2 l) and lambda(h l1) l2 = lambda(h1 l)
-    S^-1(h2) a^-1, with lam_mul(x, y) = lambda(x y).  gens, proved by a Hopf
+    S^-1(h2) a^-1, with lam_mul the PairTable of lambda(x y).  Each pair sums
+    one raw difference over the coproduct terms (LoweredTables) and S(k) or
+    S^-1(k) a^-1, the latter built once per key.  gens, proved by a Hopf
     battery with S bijective, decide on their rows: the first identity at
     (s x, l) follows from it at (s, x2 l) and S(x1) x2 = eps(x), the second
     from it at (s, x1 l) and S^-1(x2) x1 = eps(x)."""
+    raw = LoweredTables(ops)
+    delta, reduce = raw.delta, raw.reduce
+    s_inv_a = KeyTable(lambda k: tuple(ops.mul_lc(ops.antipode_inv(k), a_inv).items()))
+    swapped = KeyTable(lambda k: tuple((c, k2, k1) for c, k1, k2 in delta[k]))
 
-    def with_antipode(pair) -> bool:
-        h, l = pair
-        lhs = ops.hit_left(lambda k: lam_mul(h, k), l)
-        rhs = ops.s_lc(ops.hit_left(lambda k: lam_mul(k, l), h))
-        return lc_eq(lhs, rhs)
+    def exchange(terms, image):
+        """sum c lambda(h y) x over the terms (c, x, y) of l, less sum c
+        lambda(y l) image(x) over those of h, is zero."""
+        def holds(pair) -> bool:
+            h, l = pair
+            lam_h, diff = lam_mul[h], {}
+            for c, x, y in terms[l]:
+                f = lam_h[y]
+                if f:
+                    diff[x] = diff.get(x, 0) + c * f
+            for c, x, y in terms[h]:
+                f = lam_mul[y][l]
+                if f:
+                    for k, w in image[x]:
+                        diff[k] = diff.get(k, 0) - c * f * w
+            return not any(map(reduce, diff.values()))
 
-    def with_antipode_inv(pair) -> bool:
-        h, l = pair
-        lhs = ops.hit_right(lambda k: lam_mul(h, k), l)
-        rhs = ops.s_inv_lc(ops.hit_right(lambda k: lam_mul(k, l), h))
-        return lc_eq(lhs, ops.mul_lc(rhs, a_inv))
+        return holds
 
     return [
-        pair_check("integral.exchange_antipode", ops, with_antipode, gens),
-        pair_check("integral.exchange_antipode_inverse", ops, with_antipode_inv, gens),
+        pair_check("integral.exchange_antipode", ops, exchange(delta, raw.s), gens),
+        pair_check("integral.exchange_antipode_inverse", ops, exchange(swapped, s_inv_a), gens),
     ]
 
 
 def nakayama_checks(ops: BasisOps, lam_mul, chi, alpha, alpha_inv,
                     gens=None) -> list[CheckResult]:
     """chi shifts lambda across products, lambda(m h) = lambda(chi(h) m) with
-    lam_mul(x, y) = lambda(x y); alpha = eps(chi(-)) is a character.  gens,
-    given on an associative product, decide chi's multiplicativity on the
-    rows (s, l) and alpha's, and, once chi is multiplicative, the law on the
-    rows (m, s): lambda(m s h') = lambda(chi(h') m s) = lambda(chi(s h') m)."""
+    lam_mul the PairTable of lambda(x y); alpha = eps(chi(-)) is a character.
+    Both pair laws sum raw values over the items of chi(k), kept once per key,
+    and of the products (LoweredTables).  gens, given on an associative
+    product, decide chi's multiplicativity on the rows (s, l) and alpha's,
+    and, once chi is multiplicative, the law on the rows (m, s):
+    lambda(m s h') = lambda(chi(h') m s) = lambda(chi(s h') m)."""
+    raw = LoweredTables(ops)
+    prod, reduce = raw.prod, raw.reduce
+    chis = KeyTable(lambda k: tuple(chi(k).items()))
 
     def shift_law(pair) -> bool:
         m, h = pair
-        return lam_mul(m, h) == ops.eval_fn(lambda k: lam_mul(k, m), chi(h))
+        return not reduce(lam_mul[m][h] - sum(c * lam_mul[k][m] for k, c in chis[h]))
 
-    multiplicative = pair_check(
-        "integral.nakayama_multiplicative", ops,
-        lambda p: lc_eq(ops.map_lc(chi, ops.mul(p[0], p[1])),
-                        ops.mul_lc(chi(p[0]), chi(p[1]))), gens)
+    def chi_multiplicative(pair) -> bool:
+        """chi(h l) - chi(h) chi(l), summed raw, is zero."""
+        h, l = pair
+        diff: dict = {}
+        for k, c in prod[h][l]:
+            for k2, w in chis[k]:
+                diff[k2] = diff.get(k2, 0) + c * w
+        for k1, c1 in chis[h]:
+            for k2, c2 in chis[l]:
+                for k, w in prod[k1][k2]:
+                    diff[k] = diff.get(k, 0) - c1 * c2 * w
+        return not any(map(reduce, diff.values()))
+
+    multiplicative = pair_check("integral.nakayama_multiplicative", ops, chi_multiplicative,
+                                gens)
     out = [pair_check("integral.nakayama_law", ops, shift_law,
                       gens if multiplicative.status == PASS else None, second=True),
            multiplicative]

@@ -67,8 +67,9 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
     antipode formulas for the inverse, which are SKIPs unless everything
     before them passes.
 
-    sigma and its inverse are tables filled on first lookup, so each pair is
-    evaluated once per call; every grid reads them, the products and the
+    sigma and its inverse are tables filled on first lookup (PairTables
+    handed in are read as they are), so each pair is evaluated once per
+    call; every grid reads them, the products and the
     coproducts through LoweredTables, and the two multiplicativity grids
     over key triples run one (h, l) row at a time, on the generator rows
     when braiding_generators establishes their premises.  proven is the S
@@ -77,7 +78,8 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
     commutation relation and antipode_square_invariance run on the rows
     (s, l) first (lincomb).  Without it both run every row."""
     out: list[CheckResult] = []
-    raw = LoweredTables(ops, PairTable(br.value), PairTable(br.inverse))
+    raw = LoweredTables(ops, *(fn if isinstance(fn, PairTable) else PairTable(fn)
+                               for fn in (br.value, br.inverse)))
     sig, sig_inv = raw.pairs
     prod, delta, eps, reduce = raw.prod, raw.delta, raw.eps, raw.reduce
     gens = braiding_generators(ops, raw, proven)
@@ -85,13 +87,17 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
     differs = lambda a, b: reduce(a - b)
     # the coproduct terms (c, m, m2) of the columns, by first leg m1
     legs = group((m1, (c, m, m2)) for m in ops.keys for c, m1, m2 in delta[m])
+    # sigma's rows are indexed over the legs and the column products, not over
+    # the keys: on a Laurent window both leave it
+    second_legs = dict.fromkeys(m2 for terms in legs.values() for _, _, m2 in terms)
+    products = dict.fromkeys(k for l in ops.keys for lm in raw.line[l] for k, _ in lm)
 
-    def nonzero(over) -> KeyTable:
-        """k -> {m: sigma(k, m)} over the keys m in over, nonzero values only."""
-        return KeyTable(lambda k: {m: v for m, v in zip(over, map(sig[k].__getitem__, over)) if v})
+    def nonzero(table, over) -> KeyTable:
+        """k -> {m: table(k, m)} over the keys m in over, nonzero values only."""
+        return KeyTable(lambda k: {m: v for m, v in zip(over, map(table[k].__getitem__, over))
+                                   if v})
 
-    seconds = dict.fromkeys(m2 for terms in legs.values() for _, _, m2 in terms)
-    cols, firsts, seconds = nonzero(ops.keys), nonzero(legs), nonzero(seconds)
+    cols, firsts, seconds = nonzero(sig, ops.keys), nonzero(sig, legs), nonzero(sig, second_legs)
 
     def mult_first(h, l, ms):
         """sigma(h l, m) = sigma(h, m1) sigma(l, m2), each side {m: value}."""
@@ -108,14 +114,23 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
     # sigma(h k, m) = sigma(h, m1) sigma(k, m2) closes two pair laws below under h -> s h
     pair_gens = proven if out[0].status == PASS else None
 
+    # sigma(h, -) over the column products, and the items (m, c) of each l m
+    # by product key, kept where some sigma(h, -) is nonzero
+    prods = nonzero(sig, products)
+    live = set().union(*map(prods.__getitem__, ops.keys))
+    by_product = KeyTable(lambda l: group((k, (m, c)) for m, lm in zip(ops.keys, raw.line[l])
+                                          for k, c in lm if k in live))
+
     def mult_second(h, l, ms):
-        """sigma(h, l m) = sigma(h1, m) sigma(h2, l), each side {m: value}."""
-        left, sig_h = {}, sig[h]
-        for m, lm in zip(ops.keys, raw.line[l]):
-            for k, c in lm:
-                f = sig_h[k]
+        """sigma(h, l m) = sigma(h1, m) sigma(h2, l), each side {m: value}; the
+        left one is zero when sigma(h, -) is zero on every column product."""
+        left, sig_h = {}, prods[h]
+        if sig_h:
+            for k, terms in by_product[l].items():
+                f = sig_h.get(k)
                 if f:
-                    left[m] = left.get(m, 0) + c * f
+                    for m, c in terms:
+                        left[m] = left.get(m, 0) + c * f
         terms = [(h1, w) for c, h1, h2 in delta[h] if (w := c * sig[h2][l])]
         return first_gap(left, combine(terms, cols), ms, differs)
 
@@ -130,41 +145,56 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
 
     out.append(key_check("cqt.unit_pairing", ops, unit_pairing))
 
+    by_second = group((m2, (c, m, m1)) for m in ops.keys for c, m1, m2 in delta[m])
+
+    def commutation_row(h) -> dict:
+        """{l: raw l1 h1 sigma(h2, l2) - sigma(h1, l1) h2 l2}, from the nonzero
+        sigma(h2, -) over the second legs and sigma(h1, -) over the first."""
+        out: dict = {}
+        for c1, h1, h2 in delta[h]:
+            for l2, f in seconds[h2].items():
+                for c2, l, l1 in by_second[l2]:
+                    diff, c = out.setdefault(l, {}), c1 * c2 * f
+                    for k, w in prod[l1][h1]:
+                        diff[k] = diff.get(k, 0) + c * w
+            for l1, f in firsts[h1].items():
+                for c2, l, l2 in legs[l1]:
+                    diff, c = out.setdefault(l, {}), c1 * c2 * f
+                    for k, w in prod[h2][l2]:
+                        diff[k] = diff.get(k, 0) - c * w
+        return out
+
+    commutation_rows = KeyTable(commutation_row)
+
     def commutation(p) -> bool:
         """l1 h1 sigma(h2, l2) = sigma(h1, l1) h2 l2."""
-        h, l = p
-        diff: LC = {}
-        for c1, h1, h2 in delta[h]:
-            for c2, l1, l2 in delta[l]:
-                c = c1 * c2
-                f = sig[h2][l2]
-                if f:
-                    for k, w in prod[l1][h1]:
-                        diff[k] = diff.get(k, 0) + c * f * w
-                f = sig[h1][l1]
-                if f:
-                    for k, w in prod[h2][l2]:
-                        diff[k] = diff.get(k, 0) - c * f * w
-        return not any(map(reduce, diff.values()))
+        return not any(map(reduce, commutation_rows[p[0]].get(p[1], {}).values()))
 
     out.append(pair_check("cqt.commutation_relation", ops, commutation, pair_gens))
 
-    def conv_pair(first, second):
-        def holds(p) -> bool:
-            """first(h1, l1) second(h2, l2) = eps(h) eps(l)."""
-            h, l = p
-            acc = -eps[h] * eps[l]
+    def conv_pair(firsts, seconds):
+        """first(h1, l1) second(h2, l2) = eps(h) eps(l), read off one row
+        {l: raw sum} per h, built from the nonzero first(h1, -) over the first
+        legs (firsts) and second(h2, -) over the second legs (seconds)."""
+        def row(h) -> dict:
+            out: dict = {}
             for c1, h1, h2 in delta[h]:
-                for c2, l1, l2 in delta[l]:
-                    f = first[h1][l1]
-                    if f:
-                        acc += c1 * c2 * f * second[h2][l2]
-            return not reduce(acc)
+                second = seconds[h2]
+                if second:
+                    for l1, f in firsts[h1].items():
+                        for c2, l, l2 in legs[l1]:
+                            g = second.get(l2)
+                            if g:
+                                out[l] = out.get(l, 0) + c1 * c2 * f * g
+            return out
 
-        return holds
+        rows = KeyTable(row)
+        return lambda p: not reduce(rows[p[0]].get(p[1], 0) - eps[p[0]] * eps[p[1]])
 
-    out.append(pair_check("cqt.convolution_inverse_left", ops, conv_pair(sig, sig_inv)))
-    out.append(pair_check("cqt.convolution_inverse_right", ops, conv_pair(sig_inv, sig)))
+    out.append(pair_check("cqt.convolution_inverse_left", ops,
+                          conv_pair(firsts, nonzero(sig_inv, second_legs))))
+    out.append(pair_check("cqt.convolution_inverse_right", ops,
+                          conv_pair(nonzero(sig_inv, legs), seconds)))
 
     s, s_inv = raw.s, raw.s_inv
     gaps = {  # each formula as (its left side) - (its right side) at (h, l), with its generators
@@ -410,26 +440,29 @@ def braided_chain(c: Carrier, br: Braiding, grouplikes: dict,
     unless given with their checks, and every check built on them; returns
     the functionals, None when an axiom fails, and the checks.
 
-    The battery reads sigma through PairTables, which then hold the pairs it
-    read, product keys outside a window included; flip_braiding_checks
-    reuses its lines where the flip agrees on them, since there the flip's
-    battery would make the same reads and return the same lines."""
+    The battery and the checks after it read sigma through one pair of
+    PairTables, so each pair is evaluated once, product keys outside a
+    window included.  The flip is built on br itself, whose evaluators cost
+    less than a lookup through those tables; flip_braiding_checks reuses the
+    battery's lines where the flip agrees on every pair the tables hold by
+    then, a superset of the battery's reads, since there the flip's battery
+    would make the same reads and return the same lines."""
     ops, gens = c.ops, c.generators
     read = Braiding(PairTable(br.value), PairTable(br.inverse))
     axioms = braiding_axiom_checks(ops, read, gens)
     if not all(x.ok for x in axioms):
         return None, axioms
     out = list(axioms)  # the flip checks read axioms after out has grown
-    fns, fn_checks = functionals or braided_functionals(ops, br)
+    fns, fn_checks = functionals or braided_functionals(ops, read)
     out.extend(fn_checks)
-    out.extend(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))
-    out.extend(braided_modular_corollary_checks(ops, br, fns, c.alpha, c.alpha_inv,
+    out.extend(modular_convolution_checks(ops, read, fns, c.alpha, c.a, c.a_inv))
+    out.extend(braided_modular_corollary_checks(ops, read, fns, c.alpha, c.alpha_inv,
                                                 c.a, c.a_inv))
     # the inverse of a grouplike is its antipode
     pairs = {name: (g, ops.s_lc(g)) for name, g in {"a": c.a, **grouplikes}.items()}
     for name in sorted(pairs):
-        out.extend(grouplike_witness_checks(ops, br, *pairs[name], name=name, gens=gens)[1])
-    out.extend(grouplike_homomorphism_checks(ops, br, pairs))
+        out.extend(grouplike_witness_checks(ops, read, *pairs[name], name=name, gens=gens)[1])
+    out.extend(grouplike_homomorphism_checks(ops, read, pairs))
     out.extend(flip_braiding_checks(ops, br, fns, c.a, c.a_inv, (read, axioms), gens)[1])
     out.extend(twist_round_trip(c, fns["u"], fns["u_inv"]))
     return fns, out

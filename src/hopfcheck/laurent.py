@@ -15,7 +15,7 @@ from __future__ import annotations
 from .cofrobenius import Carrier, derive_carrier, lam_mul_table
 from .coquasitriangular import Braiding, modular_characters
 from .hopf import AxiomError
-from .lincomb import BasisOps, LC, hopf_axiom_checks, key_check, lc_eq, memo_fn
+from .lincomb import BasisOps, LC, PairTable, hopf_axiom_checks, key_check, lc_eq, memo_fn
 from .report import CheckResult
 from .scalars import QQ, Scalar
 
@@ -102,17 +102,29 @@ def braiding() -> Braiding:
 
 
 def basis_ops(window: int) -> BasisOps:
+    """The family on the window's keys.  mul, delta and both antipodes are
+    tables filled on first lookup, one per BasisOps, so each closed form runs
+    once per distinct argument; the LCs they return are shared, read-only,
+    as a finite algebra's product table entries are, and the pairs with
+    equal products share one LC, so the table keeps a few hundred LCs for
+    its thousands of pairs."""
     if window < 2:
         raise ValueError("window must be at least 2")
     keys = tuple((i, j) for i in range(-window, window + 1) for j in (0, 1))
+    products: dict = {}
+
+    def mul(x, y) -> LC:
+        lc = mul_key(x, y)
+        return products.setdefault(tuple(lc.items()), lc)
+
     return BasisOps(
         keys=keys,
         unit={(0, 0): ONE},
-        mul=mul_key,
-        delta=delta_key,
+        mul=PairTable(mul),
+        delta=memo_fn(delta_key),
         eps=eps_key,
-        antipode=antipode_key,
-        antipode_inv=antipode_inv_key,
+        antipode=memo_fn(antipode_key),
+        antipode_inv=memo_fn(antipode_inv_key),
         field=QQ,
         label=label_key,
     )

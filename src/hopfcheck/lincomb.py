@@ -27,6 +27,10 @@ triple grid's row kernel (associativity_rows; sigma's two laws in
 coquasitriangular) builds both sides of its (h, l) row once, over the
 columns m, from nonzero terms and cached product rows, and compares them
 once: equal raw sides pass, and only differing cells are reduced (first_gap).
+A pair law whose sides are LCs (is_character_fn; the exchange, Nakayama,
+commutation and convolution-inverse laws) sums one raw difference per pair
+from table tuples and reduces its values once; its nonzero indexes range
+over coproduct legs and product keys, which leave a Laurent window.
 
 On a finite algebra a law that is linear in one argument h and closed
 under h -> s h is decided by the rows of a generating set S of keys
@@ -297,13 +301,22 @@ def is_grouplike_lc(ops: BasisOps, a: LC) -> bool:
 
 
 def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar], gens=None) -> bool:
-    """f(1) = 1 and f(h l) = f(h) f(l), as f(s h l) = f(s) f(h l) with gens.
+    """f(1) = 1 and f(h l) = f(h) f(l), as f(s h l) = f(s) f(h l) with gens;
+    a pair sums raw values over the items of the product ops.mul keeps.
     The rows (s, l) are among the pairs and no caller reads a witness, so
     with gens they decide a fail too: no grid runs twice."""
+    mul, reduce = ops.mul, ops.field.reduce
+
+    def multiplicative(pair) -> bool:
+        h, l = pair
+        acc = -f(h) * f(l)
+        for k, c in mul(h, l).items():
+            acc += c * f(k)
+        return not reduce(acc)
+
     return ops.eval_fn(f, ops.unit) == ops.one and grid_check(
         "lincomb.is_character", product(gens, ops.keys) if gens else _pairs(ops),
-        lambda p: ops.eval_fn(f, ops.mul(*p)) == ops.field.reduce(f(p[0]) * f(p[1])),
-        lambda p: f"at {_pair_label(ops, p)}").ok
+        multiplicative, lambda p: f"at {_pair_label(ops, p)}").ok
 
 
 def conv_inverse_checks(ops: BasisOps, name: str, f, f_inv) -> list[CheckResult]:

@@ -37,6 +37,13 @@ reduced lines must equal the exhaustive ones on every LAW_CARRIERS entry
 (CARRIERS and the finite ones' duals), also under perturbations of
 lambda, chi, sigma and the character; where the premise fails, the law
 must run every row.
+
+Eight pair laws with LC-valued sides (KERNEL_LAWS) are raw kernels over
+the structure tables; their LC-level per-pair definitions are kept here
+(lc_law_predicates), and each kernel must report their verdict and
+witness, with and without generator rows, under bumps of lambda, chi,
+sigma, sigma^-1 and a character, and at a Laurent window's edge, where
+coproduct legs and products leave the keys.
 """
 
 import dataclasses
@@ -74,7 +81,7 @@ from hopfcheck.lincomb import (
     tensor2_mul,
 )
 from hopfcheck.linalg import SparseMatrix, rank
-from hopfcheck.presets import cyclic_group_document
+from hopfcheck.presets import cyclic_group_document, sweedler_document
 from hopfcheck.quasitriangular import RMatrix, drinfeld_elements
 from hopfcheck.report import PASS, failed, grid_check
 from hopfcheck.scalars import PrimeField
@@ -257,7 +264,52 @@ def dual_braiding(algebra, r):
 
 
 CARRIERS = ("sweedler", "dual_sweedler", "c4", "double_c2", "double_c2_dual",
-            "h4_f10007", "laurent3", "h10_f10007", "double_c4")
+            "h4_f10007", "laurent3", "h10_f10007", "double_c4", "sweedler_sheared")
+SWEEDLER_SIGMA = [[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+def sheared(doc, i: int, j: int, sigma):
+    """doc, and the value rows sigma, on the basis with e_i replaced by
+    e_i + e_j.  Where every table of doc has one term per entry, the
+    sheared ones have several: products, coproducts, the Nakayama map and
+    the kernels' sums then combine terms."""
+    ops = build_algebra(doc).ops
+    new = lambda k: {k: 1, j: 1} if k == i else {k: 1}  # a new key in the old basis
+
+    def to_new(lc) -> dict:
+        out: dict = {}
+        for k, c in lc.items():
+            out[k] = out.get(k, 0) + c
+            if k == i:
+                out[j] = out.get(j, 0) - c
+        return {k: c for k, c in out.items() if c}
+
+    def pairs_to_new(t) -> dict:
+        out: dict = {}
+        for (a, b), c in t.items():
+            for (ka, va), (kb, vb) in product(to_new({a: c}).items(), to_new({b: 1}).items()):
+                out[ka, kb] = out.get((ka, kb), 0) + va * vb
+        return out
+
+    keys = range(len(doc.basis))
+    value = lambda f, a: sum(c * f(k) for k, c in new(a).items())
+    return dataclasses.replace(
+        doc, name=f"{doc.name}[e_{i} + e_{j}]",
+        basis=tuple(f"({x}+{doc.basis[j]})" if k == i else x for k, x in enumerate(doc.basis)),
+        mult=tuple((a, b, r, c) for a in keys for b in keys
+                   for r, c in to_new(ops.mul_lc(new(a), new(b))).items()),
+        comult=tuple((a, k1, k2, c) for a in keys
+                     for (k1, k2), c in pairs_to_new(ops.delta_lc(new(a))).items() if c),
+        counit=tuple(value(ops.eps, a) for a in keys),
+        antipode=tuple((r, a, c) for a in keys for r, c in to_new(ops.s_lc(new(a))).items()),
+        r_entries=tuple((c, a, b) for (a, b), c in pairs_to_new(
+            {(a, b): c for c, a, b in doc.r_entries}).items() if c),
+        characters={name: tuple(value(v.__getitem__, a) for a in keys)
+                    for name, v in doc.characters.items()},
+        grouplikes={name: tuple(to_new(dict(enumerate(v))).get(a, 0) for a in keys)
+                    for name, v in doc.grouplikes.items()}), [
+        [sum(c * d * sigma[k][l] for k, c in new(a).items() for l, d in new(b).items())
+         for b in keys] for a in keys]
 
 
 def carrier_source(name, sweedler=None, sweedler_r=None, c4=None):
@@ -265,8 +317,12 @@ def carrier_source(name, sweedler=None, sweedler_r=None, c4=None):
     the BasisOps of a Laurent window; the braiding need not pass."""
     if name == "sweedler":
         # the Laurent family's sigma on its quotient g^2 = 1
-        rows = [[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-        return sweedler, braiding_from_matrix(sweedler, rows)[0]
+        return sweedler, braiding_from_matrix(sweedler, SWEEDLER_SIGMA)[0]
+    if name == "sweedler_sheared":  # the same on the basis (1, 1 + g, x, gx)
+        doc, rows = sheared(sweedler_document(), 1, 0, SWEEDLER_SIGMA)
+        algebra = build_algebra(doc)
+        require_passing(verify_hopf(algebra))
+        return algebra, braiding_from_matrix(algebra, rows)[0]
     if name == "dual_sweedler":
         return dual_braiding(sweedler, sweedler_r)
     if name == "c4":
@@ -731,8 +787,8 @@ def law_carrier(request, sweedler, sweedler_r, c4):
     return law_carrier_data(request.param, sweedler, sweedler_r, c4)
 
 
-def law_grids(c, br, gens, character=None) -> dict:
-    """Each of LAWS -> its grid_check runs as (points, result), when the
+def law_grids(c, br, gens, character=None, names=LAWS) -> dict:
+    """Each of names -> its grid_check runs as (points, result), when the
     exchange, Nakayama and braiding batteries run on c and br with gens
     handed over (None: no proof); is_character runs on character, else on
     alpha, as integral.modular_functional_character reads it."""
@@ -759,7 +815,7 @@ def law_grids(c, br, gens, character=None) -> dict:
             runs.pop("lincomb.is_character", None)
             is_character_fn(ops, character, gens)
         braiding_axiom_checks(ops, br, gens)
-    return {name: runs[name] for name in LAWS if name in runs}
+    return {name: runs[name] for name in names if name in runs}
 
 
 def verdicts(grids: dict) -> dict:
@@ -778,14 +834,11 @@ def test_reduced_pair_laws_match_exhaustive(law_carrier):
                for runs in exhaustive.values())
 
 
-@settings(max_examples=8, deadline=None)
-@given(which=st.sampled_from(["lambda", "chi", "sigma", "character"]),
-       i=st.integers(0, 63), j=st.integers(0, 63), bump=st.sampled_from([-2, -1, 1, 3]))
-def test_perturbed_pair_laws_match_exhaustive(law_carrier, which, i, j, bump):
-    """lambda, chi, sigma or a character bumped at a key outside S (at any
-    key where there is no S): the reduced verdicts and witnesses are still
-    the exhaustive ones, whether or not the premises still pass."""
-    c, br = law_carrier
+def perturbed(c, br, which, i, j, bump):
+    """(c, br, character) with lambda, chi, sigma, sigma^-1 or a character
+    (alpha, bumped) bumped by bump: lambda and the character at a key x,
+    chi(x) by bump y, sigma and sigma^-1 at (x, y); x is outside S (any key
+    where there is no S), y any key.  character is None unless bumped."""
     ops, gens = c.ops, c.generators
     outside = [k for k in ops.keys if k not in (gens or ())]
     x, y = outside[i % len(outside)], ops.keys[j % len(ops.keys)]
@@ -798,15 +851,115 @@ def test_perturbed_pair_laws_match_exhaustive(law_carrier, which, i, j, bump):
         chi = c.chi
         c = dataclasses.replace(
             c, chi=lambda k: lc_add(ops, chi(k), {y: delta}) if k == x else chi(k))
-    elif which == "sigma":
-        value = br.value
-        br = dataclasses.replace(
-            br, value=lambda h, l: reduce(value(h, l) + delta) if (h, l) == (x, y)
-            else value(h, l))
-    else:
+    elif which in ("sigma", "sigma_inv"):
+        field = "value" if which == "sigma" else "inverse"
+        fn = getattr(br, field)
+        br = dataclasses.replace(br, **{field: lambda h, l: reduce(fn(h, l) + delta)
+                                        if (h, l) == (x, y) else fn(h, l)})
+    elif which == "character":
         character = lambda k: reduce(c.alpha(k) + delta) if k == x else c.alpha(k)
-    assert (verdicts(law_grids(c, br, gens, character))
+    return c, br, character
+
+
+@settings(max_examples=8, deadline=None)
+@given(which=st.sampled_from(["lambda", "chi", "sigma", "character"]),
+       i=st.integers(0, 63), j=st.integers(0, 63), bump=st.sampled_from([-2, -1, 1, 3]))
+def test_perturbed_pair_laws_match_exhaustive(law_carrier, which, i, j, bump):
+    """lambda, chi, sigma or a character bumped at a key outside S (at any
+    key where there is no S): the reduced verdicts and witnesses are still
+    the exhaustive ones, whether or not the premises still pass."""
+    c, br, character = perturbed(*law_carrier, which, i, j, bump)
+    assert (verdicts(law_grids(c, br, c.generators, character))
             == verdicts(law_grids(c, br, None, character)))
+
+
+# -- the raw pair kernels against their LC-level definitions ---------------------------
+
+KERNEL_LAWS = ("lincomb.is_character", "integral.exchange_antipode",
+               "integral.exchange_antipode_inverse", "integral.nakayama_multiplicative",
+               "integral.nakayama_law", "cqt.commutation_relation",
+               "cqt.convolution_inverse_left", "cqt.convolution_inverse_right")
+
+
+def lc_law_predicates(c, br, character=None) -> dict:
+    """The per-pair definitions the raw kernels of KERNEL_LAWS replaced:
+    each side an LC built through BasisOps (hit_left, s_lc, map_lc, mul_lc)
+    and compared canonically, or a scalar per pair reduced through the
+    field; is_character reads character, else alpha."""
+    ops, chi, f = c.ops, c.chi, character or c.alpha
+    return {
+        "lincomb.is_character": lambda p: ops.eval_fn(f, ops.mul(*p)) == ops.field.reduce(
+            f(p[0]) * f(p[1])),
+        "integral.exchange_antipode": lambda p: not exchange_gap(c, c.lam_mul, *p),
+        "integral.exchange_antipode_inverse":
+            lambda p: not exchange_inverse_gap(c, c.lam_mul, *p),
+        "integral.nakayama_multiplicative": lambda p: lc_eq(
+            ops.map_lc(chi, ops.mul(*p)), ops.mul_lc(chi(p[0]), chi(p[1]))),
+        "integral.nakayama_law": lambda p: shift_law_holds(c, *p),
+        "cqt.commutation_relation": naive_commutation(ops, br),
+        "cqt.convolution_inverse_left": naive_conv_pair(ops, br.value, br.inverse),
+        "cqt.convolution_inverse_right": naive_conv_pair(ops, br.inverse, br.value),
+    }
+
+
+def lc_law_lines(c, br, character=None) -> dict:
+    """Each of KERNEL_LAWS -> the line its LC-level definition gives over
+    every key pair, in verdicts' form; is_character only where f(1) = 1,
+    since only then does its grid run."""
+    ops, f = c.ops, character or c.alpha
+    lines = {name: grid_check(name, _pairs(ops), holds, lambda p: f"at {_pair_label(ops, p)}")
+             for name, holds in lc_law_predicates(c, br, character).items()}
+    lines["lincomb.is_character"] = lines["lincomb.is_character"].ok
+    if ops.eval_fn(f, ops.unit) != ops.one:
+        del lines["lincomb.is_character"]
+    return lines
+
+
+KERNEL_CARRIERS = ("laurent4", "sweedler", "h10_f10007", "double_c4", "sweedler_sheared")
+
+
+@pytest.fixture(scope="module", params=KERNEL_CARRIERS)
+def kernel_carrier(request, sweedler, sweedler_r, c4):
+    return law_carrier_data(request.param, sweedler, sweedler_r, c4)
+
+
+@settings(max_examples=12, deadline=None)
+@given(which=st.sampled_from(["none", "lambda", "chi", "sigma", "sigma_inv", "character"]),
+       i=st.integers(0, 63), j=st.integers(0, 63), bump=st.sampled_from([-2, -1, 1, 3]))
+def test_pair_kernels_match_their_lc_definitions(kernel_carrier, which, i, j, bump):
+    """Each raw pair kernel reports the verdict and witness of its LC-level
+    definition, run over every pair, on its generator rows and without
+    them, unperturbed and with lambda, chi, sigma, sigma^-1 or a character
+    bumped."""
+    c, br, character = perturbed(*kernel_carrier, which, i, j, bump)
+    expected = lc_law_lines(c, br, character)
+    assert which != "none" or all(getattr(line, "ok", line) for line in expected.values())
+    for gens in (c.generators, None):
+        assert verdicts(law_grids(c, br, gens, character, KERNEL_LAWS)) == expected
+
+
+def test_window_edge_perturbations_fail_at_the_exhaustive_witness():
+    """On a Laurent window the coproduct legs and the products leave the
+    keys, so the kernels' nonzero indexes range over legs and product keys.
+    sigma^-1 bumped at (1, g^4x), whose coproduct reaches g^5 outside the
+    window 4, breaks both convolution-inverse laws; the left one sees it
+    only through that leg, as sigma(1, g^5) sigma^-1(1, g^4x).  lambda
+    bumped at g^8, a product key outside the window, breaks both exchange
+    identities.  Each FAILs at the witness of its LC-level definition."""
+    c, br = law_carrier_data("laurent4")
+    ops, reduce = c.ops, c.ops.field.reduce
+    one, edge, far = (0, 0), (4, 1), (8, 0)
+    assert (5, 0) not in ops.keys and far not in ops.keys
+    inverse, lam = br.inverse, c.lam
+    edge_br = dataclasses.replace(br, inverse=lambda h, l: reduce(inverse(h, l) + 1)
+                                  if (h, l) == (one, edge) else inverse(h, l))
+    far_lam = lambda k: reduce(lam(k) + 1) if k == far else lam(k)
+    far_c = dataclasses.replace(c, lam=far_lam, lam_mul=lam_mul_table(ops, far_lam))
+    for c, br, names in ((c, edge_br, KERNEL_LAWS[-2:]), (far_c, br, KERNEL_LAWS[1:3])):
+        got, expected = verdicts(law_grids(c, br, None, names=names)), lc_law_lines(c, br)
+        assert {name: expected[name] for name in names} == got
+        assert not any(line.ok for line in got.values()), got
+    assert got["integral.exchange_antipode"].witness == "at (g^4, g^4)"
 
 
 @pytest.mark.parametrize("name", ["sweedler", "h10_f10007", "double_c4"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcheck import laurent
 from hopfcheck.cli import main
 from hopfcheck.cofrobenius import modular_element_checks
 from hopfcheck.coquasitriangular import Braiding, braiding_axiom_checks
@@ -86,6 +87,23 @@ def test_grid_size_tracks_window():
 def test_window_too_small_is_rejected():
     with pytest.raises(ValueError, match="window must be at least 2"):
         basis_ops(1)
+
+
+def test_a_verify_evaluates_each_closed_form_once_per_argument(monkeypatch, capsys):
+    """basis_ops keeps mul, delta and both antipodes as tables filled on
+    first lookup, shared by every reader of one window's BasisOps: a whole
+    verify at window 9 runs each closed form once per distinct argument
+    (before the tables, mul_key ran 15,504 times on 4,218 pairs)."""
+    calls: dict = {}
+    for name in ("mul_key", "delta_key", "antipode_key", "antipode_inv_key"):
+        real = getattr(laurent, name)
+        monkeypatch.setattr(laurent, name, lambda *args, real=real, name=name: (
+            calls.setdefault(name, []).append(args), real(*args))[1])
+    verify_json(capsys, "preset:laurent", "--window", "9")
+    assert sorted(calls) == ["antipode_inv_key", "antipode_key", "delta_key", "mul_key"]
+    assert all(len(args) == len(set(args)) for args in calls.values()), {
+        name: (len(args), len(set(args))) for name, args in calls.items()}
+    assert len(calls["mul_key"]) > len(basis_ops(9).keys) ** 2  # products of legs too
 
 
 def test_multiplication_closed_form():

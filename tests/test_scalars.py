@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import operator
@@ -12,6 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfcheck.cli import COMPUTE_TARGETS, main
+from hopfcheck.document import document_text
+from hopfcheck.presets import sweedler_document
 from hopfcheck.scalars import (
     PrimeField,
     QQ,
@@ -264,3 +267,53 @@ def test_rational_values_reduce_to_the_prime_field_values(source):
             assert all(0 <= x < p and x.denominator == 1
                        for x in (over_p[name] if isinstance(over_p[name], list)
                                  else over_p[name].values())), (source, name)
+
+
+def rescaled(doc, k: int, t, convert=lambda q: q):
+    """doc on the basis with e_k replaced by t e_k, each rational value
+    passed through convert: e'_i e'_j = (t_i t_j / t_r) c e'_r,
+    Delta(e'_i) = (t_i / (t_j t_k)) c e'_j (x) e'_k, eps(e'_i) = t_i eps(e_i),
+    S(e'_j) = (t_j / t_i) c e'_i, R = sum c / (t_i t_j) e'_i (x) e'_j, a
+    character's values times t_i and a grouplike's coefficients over t_i."""
+    s = [Fraction(t) if i == k else Fraction(1) for i in range(len(doc.basis))]
+    vec = lambda values, scale: tuple(convert(v * scale(i)) for i, v in enumerate(values))
+    return dataclasses.replace(
+        doc,
+        mult=tuple((i, j, r, convert(c * s[i] * s[j] / s[r])) for i, j, r, c in doc.mult),
+        comult=tuple((i, j, l, convert(c * s[i] / (s[j] * s[l]))) for i, j, l, c in doc.comult),
+        counit=vec(doc.counit, s.__getitem__),
+        antipode=tuple((i, j, convert(c * s[j] / s[i])) for i, j, c in doc.antipode),
+        r_entries=tuple((convert(c / (s[i] * s[j])), i, j) for c, i, j in doc.r_entries),
+        characters={name: vec(v, s.__getitem__) for name, v in doc.characters.items()},
+        grouplikes={name: vec(v, lambda i: 1 / s[i]) for name, v in doc.grouplikes.items()})
+
+
+def test_rescaled_sweedler_values_reduce_to_the_prime_field_values(tmp_path):
+    """Sweedler's algebra with g rescaled by 3 holds 1/3 in its coproduct,
+    Delta(3g) = 1/3 (3g) (x) (3g), and its solved a, u, v, a_alpha and
+    b_alpha are 1/3 (3g).  Over QQ, reduced mod p as n d^-1, every computed
+    value equals the run of the same document over F_p, whose entries are
+    written reduced, so only the program's own solves divide there: a
+    PrimeField.div that multiplied would fail this test."""
+    p = 10007
+    doc = rescaled(sweedler_document(), 1, 3)
+    over_fp = rescaled(dataclasses.replace(sweedler_document(), field=PrimeField(p)), 1, 3,
+                       lambda q: q.numerator * pow(q.denominator, -1, p) % p)
+    paths = []
+    for name, source in (("qq", doc), ("fp", over_fp)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(document_text(source), encoding="utf-8")
+    fractional = set()
+    for what in ("lambda", "a", "alpha", "chi", "u", "v", "uv", "a_alpha", "b_alpha"):
+        lines = []
+        for path in paths:
+            code, out, _ = run(["compute", str(path), what, "--json"])
+            assert code == 0, (path.name, what)
+            lines.append({c["name"]: parse_value(c["value"]) for c in json.loads(out)["computed"]})
+        over_q, over_p = lines
+        assert over_q.keys() == over_p.keys()
+        for name, value in over_q.items():
+            assert mod_p(value, p) == mod_p(over_p[name], p), (what, name)
+            values = value if isinstance(value, list) else value.values()
+            fractional.update(name for x in values if x.denominator > 1)
+    assert {"a", "u", "v", "a_alpha", "b_alpha"} <= fractional, fractional
