@@ -59,7 +59,7 @@ from .document import (
     document_text,
     load_document,
 )
-from .hopf import AxiomError, NotInvertibleError, require_passing, verify_hopf
+from .hopf import AxiomError, FinHopfAlgebra, NotInvertibleError, require_passing, verify_hopf
 from .lincomb import BasisOps
 from .presets import preset_document
 from .quasitriangular import (
@@ -307,35 +307,32 @@ def _drinfeld_lines(ops: BasisOps, qt: QTData) -> list[tuple[str, str]]:
             for name, x in (("u", qt.u), ("v", qt.v), ("uv", ops.mul_lc(qt.u, qt.v)))]
 
 
-def _dual_source(r: RMatrix, qt: QTData | None, characters: dict,
-                 prove: bool = False) -> tuple[list[CheckResult], list | None, Source]:
-    """The bridge checks, the dual's structure battery when prove (else
-    None), and the dual with sigma(f, g) = (f x g)(R) as a Source.  The
-    battery runs before the dual's Carrier is solved, so that the Carrier
-    holds the generators it proves; check, which reports no battery, skips
-    it.  The algebra's named characters become grouplikes of the dual."""
+def _dual_source(r: RMatrix, qt: QTData | None,
+                 characters: dict) -> tuple[list[CheckResult], FinHopfAlgebra, Source]:
+    """The bridge checks, the dual algebra, and the dual with
+    sigma(f, g) = (f x g)(R) as a Source.  The algebra's named characters
+    become grouplikes of the dual."""
     if qt is None:  # the caller has not reached u and v
         qt, _ = drinfeld_elements(r)
     dual, br, functionals, bridge = dualize_qt(r, qt)
-    structure = verify_hopf(dual) if prove else None
     dual_data = cofrobenius_data(dual)
     glikes = {name: {k: v for k in range(dual.dim) if (v := f(k))}
               for name, f in characters.items()}
-    return bridge, structure, _table_source(dual.ops, lambda: dual_data, lambda c: [], None,
-                                            lambda: (br, glikes, functionals), {})
+    return bridge, dual, _table_source(dual.ops, lambda: dual_data, lambda c: [], None,
+                                       lambda: (br, glikes, functionals), {})
 
 
 def _dual_chain(r: RMatrix, qt: QTData | None, characters: dict, report: Report) -> None:
     """The bridge checks, then the verify pipeline on the dual, its names
     prefixed with "dual."."""
     try:
-        bridge, structure, source = _dual_source(r, qt, characters, prove=True)
+        bridge, dual, source = _dual_source(r, qt, characters)
     except (AxiomError, NotInvertibleError) as exc:
         report.add(failed("dual.construction", str(exc)))
         return
     report.extend(bridge)
     sub = Report(title="dual")
-    run_verify(sub, structure, lambda: source)
+    run_verify(sub, verify_hopf(dual), lambda: source)
     _add(report, [CheckResult("dual." + x.name, x.status, x.witness) for x in sub.checks],
          [("dual." + name, value) for name, value in sub.computed])
 
@@ -411,7 +408,7 @@ def cmd_compute(res: Resolved, args) -> int:
             lines = [x for x in _drinfeld_lines(ops, drinfeld_elements(r)[0]) if x[0] == what]
     elif src.braiding is not None:  # the same targets as functionals
         br = src.braiding()[0]
-        report.extend(_first_failure(braiding_axiom_checks(ops, br, c.generators)))
+        report.extend(_first_failure(braiding_axiom_checks(ops, br)))
         if what in ("a_alpha", "b_alpha"):
             images = modular_characters(ops, br, c.a, c.a_inv)
             lines = functional(("alpha_a", "beta_a")[second], images[second])
@@ -481,7 +478,7 @@ def _check_braided(label: str, src: Source, token: str, report: Report) -> None:
     else:
         raise UsageError(f"check {token} needs a braiding or an R-matrix")
     ops = c.ops
-    report.extend(_first_failure(braiding_axiom_checks(ops, br, c.generators)))
+    report.extend(_first_failure(braiding_axiom_checks(ops, br)))
     fns, fn_checks = functionals or braided_functionals(ops, br)
     report.extend(fn_checks)
     if token == "main3":

@@ -28,7 +28,6 @@ from .lincomb import (
     BasisOps,
     Key,
     KeyTable,
-    LoweredTables,
     PairTable,
     coinner_law,
     conv_inverse_checks,
@@ -62,8 +61,6 @@ class Carrier:
     chi(e_j)) is the solution of P^T X = P for the pairing P, so a finite
     algebra has it only when P^T, hence P and chi, are invertible; it is
     None on the Laurent family, where the rank and invertibility lines SKIP.
-    generators is the S its Hopf battery kept (FinHopfAlgebra.generators),
-    None on the Laurent family.
     """
 
     ops: BasisOps
@@ -75,7 +72,6 @@ class Carrier:
     alpha: Callable[[Key], Scalar]
     alpha_inv: Callable[[Key], Scalar]
     nakayama: SparseMatrix | None = None
-    generators: tuple | None = None
 
 
 def lam_mul_table(ops: BasisOps, lam) -> PairTable:
@@ -84,8 +80,7 @@ def lam_mul_table(ops: BasisOps, lam) -> PairTable:
 
 
 def derive_carrier(ops: BasisOps, lam, lam_mul: PairTable, chi,
-                   nakayama: SparseMatrix | None = None,
-                   generators: tuple | None = None) -> Carrier:
+                   nakayama: SparseMatrix | None = None) -> Carrier:
     """The carrier of lambda and chi, each further value read off the
     identity that fixes it: a^-1 from lambda(h1) h2 = lambda(h) a^-1 at the
     first key where lambda is nonzero, a = S(a^-1) (a^-1 is grouplike),
@@ -96,7 +91,7 @@ def derive_carrier(ops: BasisOps, lam, lam_mul: PairTable, chi,
     a_inv = {k: ops.field.div(v, lam(pivot)) for k, v in ops.hit_right(lam, pivot).items()}
     alpha = memo_fn(lambda k: ops.eps_lc(chi(k)))
     return Carrier(ops, lam, lam_mul, ops.s_lc(a_inv), a_inv, chi, alpha,
-                   memo_fn(ops.compose_s_power(alpha, 1)), nakayama, generators)
+                   memo_fn(ops.compose_s_power(alpha, 1)), nakayama)
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +123,17 @@ def modular_element_checks(ops: BasisOps, lam, a: LC, a_inv: LC) -> list[CheckRe
     return out
 
 
-def integral_exchange_checks(ops: BasisOps, lam_mul, a_inv: LC, gens=None) -> list[CheckResult]:
+def integral_exchange_checks(ops: BasisOps, lam_mul, a_inv: LC) -> list[CheckResult]:
     """The two translation identities relating lambda, S and the modular element:
     l1 lambda(h l2) = S(h1) lambda(h2 l) and lambda(h l1) l2 = lambda(h1 l)
     S^-1(h2) a^-1, with lam_mul the PairTable of lambda(x y).  Each pair sums
-    one raw difference over the coproduct terms (LoweredTables) and S(k) or
-    S^-1(k) a^-1, the latter built once per key.  gens, proved by a Hopf
-    battery with S bijective, decide on their rows: the first identity at
-    (s x, l) follows from it at (s, x2 l) and S(x1) x2 = eps(x), the second
-    from it at (s, x1 l) and S^-1(x2) x1 = eps(x)."""
-    raw = LoweredTables(ops)
-    delta, reduce = raw.delta, raw.reduce
+    one raw difference over the coproduct terms (ops.tables) and S(k) or
+    S^-1(k) a^-1, the latter built once per key.  The S proof of ops, left
+    by a Hopf battery with S bijective, decides on its rows: the first
+    identity at (s x, l) follows from it at (s, x2 l) and S(x1) x2 = eps(x),
+    the second from it at (s, x1 l) and S^-1(x2) x1 = eps(x)."""
+    tables = ops.tables
+    delta, reduce, gens = tables.delta, ops.field.reduce, tables.proof
     s_inv_a = KeyTable(lambda k: tuple(ops.mul_lc(ops.antipode_inv(k), a_inv).items()))
     swapped = KeyTable(lambda k: tuple((c, k2, k1) for c, k1, k2 in delta[k]))
 
@@ -162,22 +157,21 @@ def integral_exchange_checks(ops: BasisOps, lam_mul, a_inv: LC, gens=None) -> li
         return holds
 
     return [
-        pair_check("integral.exchange_antipode", ops, exchange(delta, raw.s), gens),
+        pair_check("integral.exchange_antipode", ops, exchange(delta, tables.s), gens),
         pair_check("integral.exchange_antipode_inverse", ops, exchange(swapped, s_inv_a), gens),
     ]
 
 
-def nakayama_checks(ops: BasisOps, lam_mul, chi, alpha, alpha_inv,
-                    gens=None) -> list[CheckResult]:
+def nakayama_checks(ops: BasisOps, lam_mul, chi, alpha, alpha_inv) -> list[CheckResult]:
     """chi shifts lambda across products, lambda(m h) = lambda(chi(h) m) with
     lam_mul the PairTable of lambda(x y); alpha = eps(chi(-)) is a character.
     Both pair laws sum raw values over the items of chi(k), kept once per key,
-    and of the products (LoweredTables).  gens, given on an associative
-    product, decide chi's multiplicativity on the rows (s, l) and alpha's,
-    and, once chi is multiplicative, the law on the rows (m, s):
-    lambda(m s h') = lambda(chi(h') m s) = lambda(chi(s h') m)."""
-    raw = LoweredTables(ops)
-    prod, reduce = raw.prod, raw.reduce
+    and of the products (ops.tables).  The S proof of ops, which holds on
+    an associative product, decides chi's multiplicativity on the rows
+    (s, l) and alpha's, and, once chi is multiplicative, the law on the
+    rows (m, s): lambda(m s h') = lambda(chi(h') m s) = lambda(chi(s h') m)."""
+    tables = ops.tables
+    prod, reduce, gens = tables.prod, ops.field.reduce, tables.proof
     chis = KeyTable(lambda k: tuple(chi(k).items()))
 
     def shift_law(pair) -> bool:
@@ -205,7 +199,7 @@ def nakayama_checks(ops: BasisOps, lam_mul, chi, alpha, alpha_inv,
     out.append(check("integral.nakayama_unital",
                      lc_eq(ops.map_lc(chi, ops.unit), ops.unit)))
     out.append(check("integral.modular_functional_character",
-                     is_character_fn(ops, alpha, gens)))
+                     is_character_fn(ops, alpha, on_proof=True)))
     out.extend(conv_inverse_checks(ops, "integral.modular_functional", alpha, alpha_inv))
 
     # chi(h) = S^-2(h1 alpha(h2))
@@ -390,7 +384,7 @@ def cofrobenius_data(algebra: FinHopfAlgebra) -> Carrier:
                                            for i in ops.keys], algebra.dim)
     chi_matrix = frobenius_chi(pairing)
     return derive_carrier(ops, lam, lam_mul, chi_matrix.transpose().rows.__getitem__,
-                          chi_matrix, algebra.generators)
+                          chi_matrix)
 
 
 def cofrobenius_checks(c: Carrier) -> list[CheckResult]:
@@ -400,14 +394,14 @@ def cofrobenius_checks(c: Carrier) -> list[CheckResult]:
     on the carrier's Nakayama matrix, which exists only when the elimination
     that solved it showed P^T invertible (Carrier); without it (the infinite
     carrier) they are skipped."""
-    ops, gens, finite = c.ops, c.generators, c.nakayama is not None
+    ops, finite = c.ops, c.nakayama is not None
     out = [left_integral_law_check(ops, c.lam)]
     out.extend(modular_element_checks(ops, c.lam, c.a, c.a_inv))
-    out.extend(integral_exchange_checks(ops, c.lam_mul, c.a_inv, gens))
+    out.extend(integral_exchange_checks(ops, c.lam_mul, c.a_inv))
     out.extend(check(f"integral.pairing_full_rank_{side}", True) if finite else
                skipped(f"integral.pairing_full_rank_{side}", "infinite carrier: no pairing matrix")
                for side in ("left", "right"))
-    out.extend(nakayama_checks(ops, c.lam_mul, c.chi, c.alpha, c.alpha_inv, gens))
+    out.extend(nakayama_checks(ops, c.lam_mul, c.chi, c.alpha, c.alpha_inv))
     out.append(check("integral.nakayama_invertible", True) if finite else
                skipped("integral.nakayama_invertible", "infinite carrier: no Nakayama matrix"))
     out.extend(radford_s4_checks(ops, c.a, c.a_inv, c.alpha, c.alpha_inv))

@@ -19,7 +19,6 @@ from .lincomb import (
     BasisOps,
     KeyTable,
     LC,
-    LoweredTables,
     PairTable,
     braiding_generators,
     coinner_law,
@@ -62,27 +61,26 @@ def pair_eval(ops: BasisOps, fn, a: LC, b: LC) -> Scalar:
     return ops.field.reduce(acc)
 
 
-def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[CheckResult]:
+def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
     """The four braiding axioms, the convolution-inverse laws, and the
     antipode formulas for the inverse, which are SKIPs unless everything
     before them passes.
 
     sigma and its inverse are tables filled on first lookup (PairTables
     handed in are read as they are), so each pair is evaluated once per
-    call; every grid reads them, the products and the
-    coproducts through LoweredTables, and the two multiplicativity grids
-    over key triples run one (h, l) row at a time, on the generator rows
-    when braiding_generators establishes their premises.  proven is the S
-    a Hopf battery of ops kept on passing in full (Carrier.generators):
-    then S is not derived again, and once sigma's first law passes the
-    commutation relation and antipode_square_invariance run on the rows
-    (s, l) first (lincomb).  Without it both run every row."""
+    call; every grid reads them and ops' products and coproducts
+    (ops.tables), and the two multiplicativity grids over key triples run
+    one (h, l) row at a time, on the generator rows when
+    braiding_generators establishes their premises.  Where ops' tables
+    hold an S proof, S is not derived again, and once sigma's first law
+    passes the commutation relation and antipode_square_invariance run on
+    the rows (s, l) first (lincomb).  Without one both run every row."""
     out: list[CheckResult] = []
-    raw = LoweredTables(ops, *(fn if isinstance(fn, PairTable) else PairTable(fn)
-                               for fn in (br.value, br.inverse)))
-    sig, sig_inv = raw.pairs
-    prod, delta, eps, reduce = raw.prod, raw.delta, raw.eps, raw.reduce
-    gens = braiding_generators(ops, raw, proven)
+    sig, sig_inv = (fn if isinstance(fn, PairTable) else PairTable(fn)
+                    for fn in (br.value, br.inverse))
+    tables = ops.tables
+    prod, delta, eps, reduce = tables.prod, tables.delta, tables.eps, ops.field.reduce
+    gens = braiding_generators(ops)
 
     differs = lambda a, b: reduce(a - b)
     # the coproduct terms (c, m, m2) of the columns, by first leg m1
@@ -90,7 +88,7 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
     # sigma's rows are indexed over the legs and the column products, not over
     # the keys: on a Laurent window both leave it
     second_legs = dict.fromkeys(m2 for terms in legs.values() for _, _, m2 in terms)
-    products = dict.fromkeys(k for l in ops.keys for lm in raw.line[l] for k, _ in lm)
+    products = dict.fromkeys(k for l in ops.keys for lm in tables.line[l] for k, _ in lm)
 
     def nonzero(table, over) -> KeyTable:
         """k -> {m: table(k, m)} over the keys m in over, nonzero values only."""
@@ -112,13 +110,13 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
 
     out.append(triple_grid_check("cqt.multiplicative_first_argument", ops, mult_first, gens))
     # sigma(h k, m) = sigma(h, m1) sigma(k, m2) closes two pair laws below under h -> s h
-    pair_gens = proven if out[0].status == PASS else None
+    pair_gens = tables.proof if out[0].status == PASS else None
 
     # sigma(h, -) over the column products, and the items (m, c) of each l m
     # by product key, kept where some sigma(h, -) is nonzero
     prods = nonzero(sig, products)
     live = set().union(*map(prods.__getitem__, ops.keys))
-    by_product = KeyTable(lambda l: group((k, (m, c)) for m, lm in zip(ops.keys, raw.line[l])
+    by_product = KeyTable(lambda l: group((k, (m, c)) for m, lm in zip(ops.keys, tables.line[l])
                                           for k, c in lm if k in live))
 
     def mult_second(h, l, ms):
@@ -140,8 +138,8 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
     def unit_pairing(h) -> bool:
         """sigma(h, 1) = eps(h) = sigma(1, h)."""
         e = eps[h]
-        return not (reduce(sum(c * sig[h][u] for u, c in raw.unit) - e)
-                    or reduce(sum(c * sig[u][h] for u, c in raw.unit) - e))
+        return not (reduce(sum(c * sig[h][u] for u, c in tables.unit) - e)
+                    or reduce(sum(c * sig[u][h] for u, c in tables.unit) - e))
 
     out.append(key_check("cqt.unit_pairing", ops, unit_pairing))
 
@@ -196,7 +194,7 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding, proven=None) -> list[Chec
     out.append(pair_check("cqt.convolution_inverse_right", ops,
                           conv_pair(nonzero(sig_inv, legs), seconds)))
 
-    s, s_inv = raw.s, raw.s_inv
+    s, s_inv = tables.s, tables.s_inv
     gaps = {  # each formula as (its left side) - (its right side) at (h, l), with its generators
         # sigma^-1(h, l) = sigma(S h, l)
         "cqt.inverse_is_antipode_first_argument": (
@@ -312,18 +310,19 @@ def braided_modular_corollary_checks(ops: BasisOps, br: Braiding, fns: dict,
 
 
 def grouplike_witness_checks(ops: BasisOps, br: Braiding, g_lc: LC, g_inv_lc: LC,
-                             name: str = "g", gens=None) -> tuple[tuple, list[CheckResult]]:
+                             name: str = "g") -> tuple[tuple, list[CheckResult]]:
     """alpha_g, beta_g, and the four sigma contractions that conjugate by g.
 
     Each witness omega satisfies omega(h1) h2 omega^-1(h3) = g h g^-1; the
     convolution inverses are the displayed closed forms, and the witness
-    value set matches {alpha_g, beta_g}.  gens, given on an associative
-    product, decide the two character checks on their rows.
+    value set matches {alpha_g, beta_g}.  The two character checks are
+    decided on the rows of ops' S proof, when there is one.
     """
     alpha_g, beta_g = modular_characters(ops, br, g_lc, g_inv_lc)
     out: list[CheckResult] = []
     out.append(check(f"cqt.grouplike_characters[{name}]",
-                     is_character_fn(ops, alpha_g, gens) and is_character_fn(ops, beta_g, gens)))
+                     is_character_fn(ops, alpha_g, on_proof=True)
+                     and is_character_fn(ops, beta_g, on_proof=True)))
 
     val, inv = br.value, br.inverse
     witnesses = [
@@ -392,8 +391,7 @@ def flip_agrees(read: Braiding, flipped: Braiding) -> bool:
 
 
 def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC, a_inv_lc: LC,
-                         battery: tuple | None = None,
-                         proven=None) -> tuple[Braiding, list[CheckResult]]:
+                         battery: tuple | None = None) -> tuple[Braiding, list[CheckResult]]:
     """The flipped braiding passes every axiom; its functionals swap with the
     originals (u~ = v^-1, v~ = u^-1, alpha~_a = beta_a, beta~_a = alpha_a);
     flipping twice restores the original values.
@@ -405,12 +403,12 @@ def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC, a_inv
     equals sigma and sigma^-1 on every pair filled in those tables
     (flip_agrees; a cotriangular sigma is its own flip), its battery would
     make the same reads in the same order and return the same lines; they
-    are taken, renamed.  Otherwise, and without a battery, it runs, handed
-    proven as sigma's battery was (braiding_axiom_checks)."""
+    are taken, renamed.  Otherwise, and without a battery, it runs on the
+    same ops, so on the same S proof, as sigma's (braiding_axiom_checks)."""
     flipped = flip_braiding(br)
     read, axioms = battery or (None, None)
     if read is None or not flip_agrees(read, flipped):
-        axioms = braiding_axiom_checks(ops, flipped, proven)
+        axioms = braiding_axiom_checks(ops, flipped)
     flip_fns, fn_checks = braided_functionals(ops, flipped)
     out = [CheckResult(f"flip_braiding.{result.name}", result.status, result.witness)
            for result in axioms + fn_checks]
@@ -447,9 +445,9 @@ def braided_chain(c: Carrier, br: Braiding, grouplikes: dict,
     battery's lines where the flip agrees on every pair the tables hold by
     then, a superset of the battery's reads, since there the flip's battery
     would make the same reads and return the same lines."""
-    ops, gens = c.ops, c.generators
+    ops = c.ops
     read = Braiding(PairTable(br.value), PairTable(br.inverse))
-    axioms = braiding_axiom_checks(ops, read, gens)
+    axioms = braiding_axiom_checks(ops, read)
     if not all(x.ok for x in axioms):
         return None, axioms
     out = list(axioms)  # the flip checks read axioms after out has grown
@@ -461,9 +459,9 @@ def braided_chain(c: Carrier, br: Braiding, grouplikes: dict,
     # the inverse of a grouplike is its antipode
     pairs = {name: (g, ops.s_lc(g)) for name, g in {"a": c.a, **grouplikes}.items()}
     for name in sorted(pairs):
-        out.extend(grouplike_witness_checks(ops, read, *pairs[name], name=name, gens=gens)[1])
+        out.extend(grouplike_witness_checks(ops, read, *pairs[name], name=name)[1])
     out.extend(grouplike_homomorphism_checks(ops, read, pairs))
-    out.extend(flip_braiding_checks(ops, br, fns, c.a, c.a_inv, (read, axioms), gens)[1])
+    out.extend(flip_braiding_checks(ops, br, fns, c.a, c.a_inv, (read, axioms))[1])
     out.extend(twist_round_trip(c, fns["u"], fns["u_inv"]))
     return fns, out
 

@@ -21,9 +21,9 @@ from dataclasses import replace
 from functools import cached_property
 from typing import Callable
 
-from .lincomb import BasisOps, LC, LoweredTables, group, hopf_axiom_checks, lc_canon
+from .lincomb import BasisOps, LC, group, hopf_axiom_checks, lc_canon
 from .linalg import SingularMatrixError, SparseMatrix, invert_matrix, solve_linear
-from .report import PASS, CheckResult, check, failed
+from .report import CheckResult, check, failed
 from .scalars import Field
 
 
@@ -53,8 +53,7 @@ class FinHopfAlgebra:
     maps a basis index to sparse (coefficient, left, right) triples, counit
     is a value vector, and antipode is a tuple whose entry j is S(e_j) as
     an LC, or None until verify_hopf solves for it.  The unit is solved for
-    when not supplied.  generators is None until verify_hopf passes in full
-    and keeps the S its battery read off the product, () for none.
+    when not supplied.
     """
 
     def __init__(self, field: Field, labels, mult, comult, counit,
@@ -81,7 +80,6 @@ class FinHopfAlgebra:
             raise AxiomError("counit: wrong length")
         self.unit_coeffs = tuple(unit) if unit is not None else self._solve_unit()
         self.antipode = antipode
-        self.generators: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -252,9 +250,11 @@ def compute_antipode(algebra: FinHopfAlgebra) -> tuple[LC, ...]:
 
 def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
     """Report every Hopf axiom instead of raising; safe on broken tables.
-    A missing antipode is solved for here and kept by the algebra, and so,
-    once every line passes, are the generators S the battery derived from
-    its product (LoweredTables.gens): the proof the later grids reduce on."""
+    A missing antipode is solved for here and kept by the algebra.  S^-1 is
+    solved for before the battery runs: a singular antipode fails
+    hopf.antipode_invertible, and the battery then runs on a copy of ops
+    without S^-1, so only a battery that passes in full, that line
+    included, leaves its S proof with the tables of algebra.ops."""
     if algebra.unit_coeffs is None:
         return [failed("hopf.unit_exists", "no two-sided unit solves the tables")]
     if algebra.antipode is None:
@@ -264,15 +264,13 @@ def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
             bialgebra = replace(algebra.ops, antipode=None, antipode_inv=None)
             return hopf_axiom_checks(bialgebra) + [failed("hopf.antipode_exists", str(exc))]
     ops = algebra.ops
-    raw = LoweredTables(ops)
-    out = hopf_axiom_checks(ops, raw)
     try:
         algebra.antipode_inv
-        out.append(check("hopf.antipode_invertible", True))
+        invertible = check("hopf.antipode_invertible", True)
     except SingularMatrixError:
-        out.append(failed("hopf.antipode_invertible", "antipode matrix is singular"))
-    algebra.generators = raw.gens if all(x.status == PASS for x in out) else None
-    return out
+        invertible = failed("hopf.antipode_invertible", "antipode matrix is singular")
+        ops = replace(ops, antipode_inv=None)
+    return hopf_axiom_checks(ops) + [invertible]
 
 
 def same_structure_constants(a: FinHopfAlgebra, b: FinHopfAlgebra) -> bool:

@@ -43,21 +43,21 @@ under h -> s h is decided by the rows of a generating set S of keys
 (h, s) rows: sigma's second law [braiding_generators];
   integral.nakayama_law [integral.nakayama_multiplicative].
 The laws after sigma's two reduce only on the S that a Hopf battery passing
-in full keeps (verify_hopf, Carrier.generators).  The S-rows run first and
-a pass decides; a fail reruns every row for the first witness, so reports
-are unchanged.  is_character names no witness, so there a fail decides
-too.  A Laurent window is not closed under products and runs exhaustively.
+in full keeps (KernelTables.proof).  The S-rows run first and a pass
+decides; a fail reruns every row for the first witness, so reports are
+unchanged.  is_character names no witness, so there a fail decides too.
+A Laurent window is not closed under products and runs exhaustively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, product, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, Sequence
 
-from .report import CheckResult, check, grid_check, skipped
+from .report import PASS, CheckResult, check, grid_check, skipped
 from .scalars import Field, Scalar
 
 Key = Hashable
@@ -105,7 +105,8 @@ class BasisOps:
     triples (coefficient, left key, right key); eps returns a scalar of
     field.  Every value they return is reduced in field (Field.reduce), and
     so is every value the methods below return: each sums raw products and
-    reduces the sum once, when it is stored.
+    reduces the sum once, when it is stored.  A BasisOps holds its
+    KernelTables, and a dataclasses.replace'd copy builds its own.
     """
 
     keys: tuple
@@ -120,6 +121,10 @@ class BasisOps:
 
     zero = 0  # the zero and the one of either field
     one = 1
+
+    @cached_property
+    def tables(self) -> KernelTables:
+        return KernelTables(self)
 
     # -- linear extensions -------------------------------------------------
 
@@ -300,12 +305,13 @@ def is_grouplike_lc(ops: BasisOps, a: LC) -> bool:
     return lc_eq(ops.delta_lc(a), ops.outer(a, a))
 
 
-def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar], gens=None) -> bool:
-    """f(1) = 1 and f(h l) = f(h) f(l), as f(s h l) = f(s) f(h l) with gens;
-    a pair sums raw values over the items of the product ops.mul keeps.
-    The rows (s, l) are among the pairs and no caller reads a witness, so
-    with gens they decide a fail too: no grid runs twice."""
+def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar], on_proof=False) -> bool:
+    """f(1) = 1 and f(h l) = f(h) f(l), as f(s h l) = f(s) f(h l) on_proof
+    for s in ops' S proof; a pair sums raw values over the items of the
+    product ops.mul keeps.  The rows (s, l) are among the pairs and no
+    caller reads a witness, so on S they decide a fail too."""
     mul, reduce = ops.mul, ops.field.reduce
+    gens = ops.tables.proof if on_proof else None
 
     def multiplicative(pair) -> bool:
         h, l = pair
@@ -387,35 +393,33 @@ class PairTable(dict):
         return self[x][y]
 
 
-class LoweredTables:
-    """The structure tables the grid kernels read, filled once per call.
+class KernelTables:
+    """The structure tables the grid kernels read, and the S proof: one set
+    per BasisOps (BasisOps.tables), read by every battery of the carrier.
 
     The values are the reduced field values ops returns, so a kernel adds
-    them as plain numbers without reducing and decides a cell once, by the
-    field's reduce: reduce(lhs - rhs) is nonzero exactly when the cell
+    them as plain numbers without reducing and decides a cell once, by
+    ops.field.reduce: reduce(lhs - rhs) is nonzero exactly when the cell
     fails.  prod[x][y] holds the items of x y, delta[k] the terms of
     Delta(k), eps[k] the counit, s[k] and s_inv[k] the items of S(k) and
-    S^-1(k), unit the items of 1, and pairs the given PairTables (sigma and
-    its inverse) in the same order.  Every table is filled on first lookup,
-    also for keys outside the grid.  columns are the grid's keys, and
-    line[l] the items of l m for each column m.  gens is None until
-    hopf_axiom_checks reads these tables; it then keeps the generators S
-    read off prod, when associativity holds on their rows, or () when it
-    holds on every row and generators gives no S.
+    S^-1(k), unit the items of 1, and line[l] the items of l m for each key
+    m.  Every table is filled on first lookup, also for keys outside the
+    grid; the closures hold ops' maps, not ops, so they make no reference
+    cycle.  proof is None (derive S) until hopf_axiom_checks passes in full
+    on ops; it then keeps the generators S read off prod, or () when
+    generators gives none: proved, nothing to reduce.
     """
 
-    def __init__(self, ops: BasisOps, *pairs: PairTable) -> None:
-        self.reduce, self.pairs = ops.field.reduce, pairs
-        mul, s, s_inv = ops.mul, ops.antipode, ops.antipode_inv
-        self.delta = KeyTable(lambda k: tuple(ops.delta(k)))
+    def __init__(self, ops: BasisOps) -> None:
+        mul, delta, s, s_inv, keys = ops.mul, ops.delta, ops.antipode, ops.antipode_inv, ops.keys
+        self.delta = KeyTable(lambda k: tuple(delta(k)))
         self.eps = KeyTable(ops.eps)
         self.prod = prod = PairTable(lambda x, y: tuple(mul(x, y).items()))
         self.s = KeyTable(lambda k: tuple(s(k).items()))
         self.s_inv = KeyTable(lambda k: tuple(s_inv(k).items()))
         self.unit = tuple(ops.unit.items())
-        self.gens: tuple | None = None
-        self.columns = ops.keys
-        self.line = KeyTable(lambda l: tuple(map(prod[l].__getitem__, ops.keys)))
+        self.line = KeyTable(lambda l: tuple(map(prod[l].__getitem__, keys)))
+        self.proof: tuple | None = None
 
 
 def combine(items, table) -> dict:
@@ -496,12 +500,12 @@ def triple_grid_check(name: str, ops: BasisOps, first_failure, gens=None,
         keys, gens, second, product(keys, keys))
 
 
-def generators(ops: BasisOps, raw: LoweredTables) -> tuple | None:
-    """Keys S whose left products reach every key, read off raw.prod: in
+def generators(ops: BasisOps) -> tuple | None:
+    """Keys S whose left products reach every key, read off ops' prod: in
     key order, a key not yet reached joins S, and s h' = c k with c nonzero,
     s in S and h' reached, reaches k.  None when a product of two keys
     leaves the keys (a Laurent window) or S is every key."""
-    keys, prod = ops.keys, raw.prod
+    keys, prod = ops.keys, ops.tables.prod
     index = set(keys)
     if any(k not in index for h in keys for l in keys for k, _ in prod[h][l]):
         return None
@@ -524,16 +528,16 @@ def generators(ops: BasisOps, raw: LoweredTables) -> tuple | None:
     return None if len(gens) == len(keys) else tuple(gens)
 
 
-def braiding_generators(ops: BasisOps, raw: LoweredTables, proven=None) -> tuple | None:
-    """generators(ops, raw) once associativity holds on their rows and
+def braiding_generators(ops: BasisOps) -> tuple | None:
+    """ops' S proof, () (nothing to reduce) included, when there is one;
+    else generators(ops) once associativity holds on their rows and
     coassociativity on the keys, the premises of sigma's two laws, else
-    None; proven S, kept by a Hopf battery passing in full, is taken as is,
-    () (nothing to reduce) included."""
-    if proven is not None:
-        return proven
-    gens, keys, assoc = generators(ops, raw), ops.keys, associativity_rows(raw)
+    None."""
+    if ops.tables.proof is not None:
+        return ops.tables.proof
+    gens, keys, assoc = generators(ops), ops.keys, associativity_rows(ops)
     premises = gens and all(assoc(s, l, keys) is None for s in gens for l in keys) and all(
-        map(coassociative(raw), keys))
+        map(coassociative(ops), keys))
     return gens if premises else None
 
 
@@ -545,12 +549,14 @@ def sum_items(a, row) -> tuple:
     return tuple((k2, c * w) for k, c in a for k2, w in row(k))
 
 
-def associativity_rows(raw: LoweredTables):
+def associativity_rows(ops: BasisOps):
     """The row kernel of (h l) m = h (l m).  Both sides of a row are lists
     of raw items over the columns: the left one of h l, cached per h l, and
-    the right one of h on the items of each l m (raw.line), cached for the
-    latest h.  Equal rows pass at once; a cell whose items differ sums them."""
-    prod, line, cols = raw.prod, raw.line, raw.columns
+    the right one of h on the items of each l m (KernelTables.line), cached
+    for the latest h.  Equal rows pass at once; a cell whose items differ
+    sums them."""
+    tables, cols = ops.tables, ops.keys
+    prod, line, reduce = tables.prod, tables.line, ops.field.reduce
     left_rows = KeyTable(lambda a: [sum_items(a, lambda k: prod[k][m]) for m in cols])
     times_h: dict = {}  # h -> KeyTable of the items of h a, for the latest h
 
@@ -558,7 +564,7 @@ def associativity_rows(raw: LoweredTables):
         diff: dict = {}
         for k, v in chain(a, ((k, -v) for k, v in b)):
             diff[k] = diff.get(k, 0) + v
-        return any(map(raw.reduce, diff.values()))
+        return any(map(reduce, diff.values()))
 
     def associativity(h, l, ms):
         if h not in times_h:
@@ -571,9 +577,9 @@ def associativity_rows(raw: LoweredTables):
     return associativity
 
 
-def coassociative(raw: LoweredTables):
+def coassociative(ops: BasisOps):
     """The key predicate (Delta (x) id) Delta(k) = (id (x) Delta) Delta(k)."""
-    delta, reduce = raw.delta, raw.reduce
+    delta, reduce = ops.tables.delta, ops.field.reduce
 
     def holds(k) -> bool:
         diff: dict = {}
@@ -623,23 +629,24 @@ def tensor2_mul(ops: BasisOps, t1: dict, t2: dict) -> dict:
     return lc_canon(out, ops.field.reduce)
 
 
-def hopf_axiom_checks(ops: BasisOps, raw: LoweredTables | None = None) -> list[CheckResult]:
+def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
     """The full axiom battery on the key grid, in a fixed order.  The grids
-    read LoweredTables (raw, when given), so each product and coproduct is
-    computed once and each cell is reduced once."""
+    read ops' tables, so each product and coproduct is computed once and
+    each cell is reduced once; when every line passes, the tables keep the
+    S proved here as their proof."""
     out: list[CheckResult] = []
-    raw = raw or LoweredTables(ops)
-    prod, delta, eps, reduce = raw.prod, raw.delta, raw.eps, raw.reduce
-    gens = generators(ops, raw)
-    out.append(triple_grid_check("hopf.associativity", ops, associativity_rows(raw), gens))
-    # Delta and eps close on an associative product; raw keeps the S proved here
-    gens = raw.gens = (gens or ()) if out[0].ok else None
+    tables = ops.tables
+    prod, delta, eps, reduce = tables.prod, tables.delta, tables.eps, ops.field.reduce
+    gens = generators(ops)
+    out.append(triple_grid_check("hopf.associativity", ops, associativity_rows(ops), gens))
+    # Delta and eps close on an associative product
+    gens = (gens or ()) if out[0].ok else None
 
     out.append(key_check(
         "hopf.unit_laws", ops,
         lambda k: lc_eq(ops.mul_lc(ops.unit, ops.single(k)), ops.single(k))
         and lc_eq(ops.mul_lc(ops.single(k), ops.unit), ops.single(k))))
-    out.append(key_check("hopf.coassociativity", ops, coassociative(raw)))
+    out.append(key_check("hopf.coassociativity", ops, coassociative(ops)))
 
     def two_sided(left, right, target):
         """Sums of c left(k1, k2) and of c right(k1, k2) over Delta(k) = target(k)."""
@@ -698,4 +705,6 @@ def hopf_axiom_checks(ops: BasisOps, raw: LoweredTables | None = None) -> list[C
             "hopf.antipode_bijective", ops,
             lambda k: lc_eq(ops.s_inv_lc(ops.antipode(k)), ops.single(k))
             and lc_eq(ops.s_lc(ops.antipode_inv(k)), ops.single(k))))
+    if all(x.status == PASS for x in out):
+        tables.proof = gens
     return out

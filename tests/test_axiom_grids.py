@@ -4,9 +4,10 @@ hopf.associativity and the two multiplicativity laws of a braiding are
 grids over all K^3 key triples; the multiplicativity of Delta and eps,
 the commutation relation and the two convolution-inverse laws are grids
 over the K^2 key pairs.  hopf_axiom_checks and braiding_axiom_checks evaluate
-them over product, coproduct and sigma tables filled once per call
-(lincomb.LoweredTables), adding field values as plain numbers, and run the
-triple grids one (h, l) row at a time.  The naive predicates below are the
+them over the product and coproduct tables of their BasisOps, built once
+per BasisOps (lincomb.KernelTables), and sigma tables filled once per call,
+adding field values as plain numbers, and run the triple grids one (h, l)
+row at a time.  The naive predicates below are the
 per-cell definitions those kernels replaced, each cell reduced through the
 field; the kernels must report the same status and witness, also on
 perturbed carriers (perturbed values are reduced as the program's are),
@@ -25,8 +26,9 @@ differential over CARRIERS includes H_10 over F_10007 (S = 3 of 20 keys)
 and a permuted D(kC4) (6 of 16), and the hypothesis perturbations run on
 every carrier, so a reduced verdict is compared with the per-cell one
 also where the premises fail.  The batteries run here as a verify runs
-them: the braiding battery is handed the S that the Hopf battery proved
-(verify_hopf keeps it when every line passes).
+them: the braiding battery reads the S proof that the Hopf battery left
+with the tables of the same BasisOps when every line passed
+(KernelTables.proof); a dataclasses.replace'd copy has none.
 
 Seven more pair laws (LAWS) run their S-rows first once their premise has
 passed in the same run: the two exchange identities and chi's and a
@@ -81,7 +83,7 @@ from hopfcheck.lincomb import (
     tensor2_mul,
 )
 from hopfcheck.linalg import SparseMatrix, rank
-from hopfcheck.presets import cyclic_group_document, sweedler_document
+from hopfcheck.presets import cyclic_group_document, preset_document, sweedler_document
 from hopfcheck.quasitriangular import RMatrix, drinfeld_elements
 from hopfcheck.report import PASS, failed, grid_check
 from hopfcheck.scalars import PrimeField
@@ -230,18 +232,15 @@ def naive_results(ops, br) -> dict:
 
 
 def hopf_battery(ops) -> tuple[list, tuple | None]:
-    """The Hopf battery on ops, and the generators S that verify_hopf keeps
-    once it passes in full, the ones the battery derived; else None."""
-    raw = lincomb.LoweredTables(ops)
-    results = hopf_axiom_checks(ops, raw)
-    return results, raw.gens if all(r.status == PASS for r in results) else None
+    """The Hopf battery on ops, and the S proof the tables of ops keep once
+    it passes in full, the generators the battery derived; else None."""
+    return hopf_axiom_checks(ops), ops.tables.proof
 
 
 def planned_results(ops, br) -> dict:
-    """Both batteries as a verify runs them: the braiding battery is handed
-    the S the Hopf battery proved, when it passes in full."""
-    hopf, gens = hopf_battery(ops)
-    results = hopf + braiding_axiom_checks(ops, br, gens)
+    """Both batteries as a verify runs them: the braiding battery reads the
+    S proof the Hopf battery leaves with ops' tables when it passes in full."""
+    results = hopf_axiom_checks(ops) + braiding_axiom_checks(ops, br)
     return {r.name: r for r in results if r.name in TRIPLE_CHECKS + PAIR_CHECKS}
 
 
@@ -399,11 +398,11 @@ def spy_triple_grids(monkeypatch) -> tuple[dict, dict, dict]:
 def generator_rows(ops, name):
     """The (h, l) rows a triple grid of the batteries runs first on ops, or
     None when it runs every row: (s, l), or (h, s) for sigma's second law,
-    over generators read off the product table ops.mul gives."""
-    raw = lincomb.LoweredTables(ops)
+    over generators read off the product table ops.mul gives, or the S
+    proof of ops' tables, where () reduces nothing."""
     gens = (lincomb.generators if name == "hopf.associativity"
-            else lincomb.braiding_generators)(ops, raw)
-    if gens is None:
+            else lincomb.braiding_generators)(ops)
+    if not gens:
         return None
     if name == "cqt.multiplicative_second_argument":
         return list(product(ops.keys, gens))
@@ -558,20 +557,20 @@ def test_failing_triple_grid_counts_points_up_to_its_witness(name, monkeypatch):
 
 def test_generators_are_read_off_the_product_the_battery_reads(c4, monkeypatch):
     """The Hopf battery derives S from the product table it reads, once,
-    and verify_hopf keeps that S once the battery passes in full; the
-    braiding battery handed that S derives none.  On kC4 S is
+    and keeps that S as the proof of ops' tables once it passes in full;
+    the braiding battery on the same ops derives none.  On kC4 S is
     (1, g).  A copy of its BasisOps whose g g has coefficient 0 no longer
     reaches g^2 from g, so there g^2 joins S; that copy fails the Hopf
-    battery, so no S is handed over, the braiding battery derives its own,
+    battery, so it holds no proof, the braiding battery derives its own,
     and the verdicts still match the definitions."""
     seen, real = [], lincomb.generators
     monkeypatch.setattr(lincomb, "generators",
-                        lambda ops, raw: seen.append(real(ops, raw)) or seen[-1])
+                        lambda ops: seen.append(real(ops)) or seen[-1])
     ops, br = carrier("c4", c4=c4)
     g, g2 = ops.keys[1:3]
     _, gens = hopf_battery(ops)
     assert gens == ops.keys[:2] and seen == [gens]
-    braiding_axiom_checks(ops, br, gens)
+    braiding_axiom_checks(ops, br)
     assert seen == [gens]
     seen.clear()
     mul = ops.mul
@@ -582,30 +581,33 @@ def test_generators_are_read_off_the_product_the_battery_reads(c4, monkeypatch):
 
 
 def test_standalone_braiding_battery_derives_s_and_checks_its_premises(c4, monkeypatch):
-    """Called without a proof, braiding_axiom_checks derives S and checks
-    associativity on its rows and coassociativity itself, so its triple
-    grids still reduce; its pair laws then run every row."""
+    """On a BasisOps without a proof (a copy of kC4's), braiding_axiom_checks
+    derives S and checks associativity on its rows and coassociativity
+    itself, so its triple grids still reduce; its pair laws then run every
+    row.  On kC4's own BasisOps, whose verified Hopf battery left the proof
+    (1, g), it checks no premise and the pair laws reduce too."""
     ops, br = carrier("c4", c4=c4)
     derived, premises, real = [], [], lincomb.braiding_generators
 
-    def spy(ops, raw, proven=None):
-        derived.append(proven)
-        return real(ops, raw, proven)
+    def spy(ops):
+        derived.append(ops.tables.proof)
+        return real(ops)
 
     real_assoc, real_coassoc = lincomb.associativity_rows, lincomb.coassociative
     monkeypatch.setattr(lincomb, "associativity_rows",
-                        lambda raw: premises.append("associativity") or real_assoc(raw))
+                        lambda ops: premises.append("associativity") or real_assoc(ops))
     monkeypatch.setattr(lincomb, "coassociative",
-                        lambda raw: premises.append("coassociativity") or real_coassoc(raw))
+                        lambda ops: premises.append("coassociativity") or real_coassoc(ops))
     monkeypatch.setattr(coquasitriangular, "braiding_generators", spy)
     _, _, points = spy_triple_grids(monkeypatch)
-    standalone = braiding_axiom_checks(ops, br)
+    standalone = braiding_axiom_checks(dataclasses.replace(ops), br)
     assert derived == [None] and premises == ["associativity", "coassociativity"]
     k, s = len(ops.keys), 2
     assert points["cqt.multiplicative_first_argument"] == [s * k * k]
     assert points["cqt.commutation_relation"] == [k * k]
     premises.clear()
-    handed = braiding_axiom_checks(ops, br, ops.keys[:s])
+    assert ops.tables.proof == ops.keys[:s]
+    handed = braiding_axiom_checks(ops, br)
     assert handed == standalone and premises == []
     assert points["cqt.multiplicative_first_argument"] == [s * k * k]
     assert points["cqt.commutation_relation"] == [k * k, s * k]
@@ -621,9 +623,8 @@ def test_braiding_laws_reduce_only_under_their_premises(c4):
     mul = ops.mul
     ops = dataclasses.replace(
         ops, mul=lambda x, y: {g3: ops.one + ops.one} if (x, y) == (g3, one) else mul(x, y))
-    raw = lincomb.LoweredTables(ops)
-    assert lincomb.generators(ops, raw) == ops.keys[:2]
-    assert lincomb.braiding_generators(ops, raw) is None
+    assert lincomb.generators(ops) == ops.keys[:2]
+    assert lincomb.braiding_generators(ops) is None
     planned = planned_results(ops, br)
     assert planned == naive_results(ops, br)
     assert planned["cqt.multiplicative_first_argument"].witness == "at (g^3, 1, 1)"
@@ -697,16 +698,96 @@ def test_a_proof_with_nothing_to_reduce_is_not_derived_again(tmp_path, monkeypat
     run every row."""
     seen, real = [], lincomb.generators
     monkeypatch.setattr(lincomb, "generators",
-                        lambda ops, raw: seen.append((len(ops.keys), real(ops, raw))) or seen[-1][1])
+                        lambda ops: seen.append((len(ops.keys), real(ops))) or seen[-1][1])
     path = tmp_path / "c8.json"
     path.write_text(document_text(cyclic_group_document(8)), encoding="utf-8")
     assert main(["verify", str(path), "--json"]) == 0
     assert seen == [(8, (0, 1)), (1, None), (8, None)]
     dual = build_algebra(cyclic_group_document(8)).dual()
-    assert all(r.ok for r in verify_hopf(dual)) and dual.generators == ()
+    assert all(r.ok for r in verify_hopf(dual)) and dual.ops.tables.proof == ()
     _, rows, _ = spy_triple_grids(monkeypatch)
-    braiding_axiom_checks(dual.ops, counit_braiding(dual.ops), dual.generators)
+    braiding_axiom_checks(dual.ops, counit_braiding(dual.ops))
     assert rows["cqt.multiplicative_first_argument"] == [8 * 8]
+
+
+@pytest.mark.parametrize("source, builds, fills", [
+    (["preset:laurent", "--window", "9"], 1, 4181),
+    (["preset:group:C4"], 3, 33),
+])
+def test_a_verify_builds_one_table_set_per_basis_ops(source, builds, fills, monkeypatch):
+    """Every battery of a carrier reads the one KernelTables of its
+    BasisOps, so a verify builds one per BasisOps and fills each product
+    tuple once: one on the Laurent window 9 (4,181 distinct products),
+    three on kC4 (kC4, its minimal subHopf algebra k and the dual: 16 + 1
+    + 16 products)."""
+    built, fills_seen = [], []
+    real = lincomb.KernelTables.__init__
+
+    def init(self, ops):
+        real(self, ops)
+        built.append(ops)
+        fill = self.prod.fn
+        self.prod.fn = lambda x, y, n=len(built): fills_seen.append((n, x, y)) or fill(x, y)
+
+    monkeypatch.setattr(lincomb.KernelTables, "__init__", init)
+    assert main(["verify", *source, "--json"]) == 0
+    assert len(built) == len({id(ops) for ops in built}) == builds
+    assert len(fills_seen) == len(set(fills_seen)) == fills
+
+
+def test_the_s_proof_stays_with_its_structure(c4, tmp_path, monkeypatch):
+    """kC4's verified Hopf battery left the proof (1, g) with the tables of
+    its BasisOps.  A dataclasses.replace'd copy with g g = 0 g^2 builds
+    its own tables and holds no proof, so its braiding battery derives its
+    own S, and its verdicts are still the definitions'.  kC4 with S = id
+    passes associativity but not the antipode laws, and leaves no proof.
+    A document whose antipode matrix is singular fails
+    hopf.antipode_invertible, its battery
+    runs on a copy without S^-1, and it leaves no proof; verify reports it
+    and exits 1.  A Laurent window's Hopf battery leaves (): every row of
+    the triple and pair grids still runs."""
+    ops, br = carrier("c4", c4=c4)
+    assert ops.tables.proof == ops.keys[:2]
+    g, g2 = ops.keys[1:3]
+    mul = ops.mul
+    copy = dataclasses.replace(
+        ops, mul=lambda x, y: {g2: ops.zero} if (x, y) == (g, g) else mul(x, y))
+    assert copy.tables is not ops.tables and copy.tables.proof is None
+    seen, real = [], lincomb.generators
+    monkeypatch.setattr(lincomb, "generators", lambda ops: seen.append(real(ops)) or seen[-1])
+    results = {r.name: r for r in braiding_axiom_checks(copy, br)}
+    assert seen == [ops.keys[:3]]
+    naive = naive_results(copy, br)
+    assert {name: results[name] for name in naive if name.startswith("cqt.")} == {
+        name: line for name, line in naive.items() if name.startswith("cqt.")}
+    assert ops.tables.proof == ops.keys[:2]
+
+    # S = id on kC4: invertible and associative, but no antipode
+    wrong = build_algebra(dataclasses.replace(
+        preset_document("group:C4"), antipode=tuple((k, k, 1) for k in range(4))))
+    results = {r.name: r for r in verify_hopf(wrong)}
+    assert results["hopf.associativity"].ok and results["hopf.antipode_invertible"].ok
+    assert not results["hopf.antipode_laws"].ok and wrong.ops.tables.proof is None
+
+    doc = preset_document("group:C4")
+    doc = dataclasses.replace(doc, antipode=((0, 0, 1), (0, 1, 1), (2, 2, 1), (1, 3, 1)))
+    algebra = build_algebra(doc)
+    results = {r.name: r for r in verify_hopf(algebra)}
+    assert results["hopf.antipode_invertible"] == failed("hopf.antipode_invertible",
+                                                         "antipode matrix is singular")
+    assert "hopf.antipode_bijective" not in results
+    assert algebra.ops.tables.proof is None
+    path = tmp_path / "singular.json"
+    path.write_text(document_text(doc), encoding="utf-8")
+    assert main(["verify", str(path), "--json"]) == 1
+
+    ops, br = carrier("laurent4")
+    _, rows, points = spy_triple_grids(monkeypatch)
+    results = hopf_axiom_checks(ops) + braiding_axiom_checks(ops, br)
+    assert all(r.ok for r in results) and ops.tables.proof == ()
+    k = len(ops.keys)
+    assert all(rows[name] == [k * k] for name in TRIPLE_CHECKS), rows
+    assert all(points[name] == [k * k] for name in PAIR_CHECKS), points
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -770,8 +851,8 @@ LAW_CARRIERS = CARRIERS + tuple(f"{name}*" for name in CARRIERS
 
 def law_carrier_data(name, sweedler=None, sweedler_r=None, c4=None):
     """(Carrier, braiding) of a named carrier, or, with a trailing *, of its
-    dual with sigma = eps (x) eps; the Carrier holds the S its verified Hopf
-    battery proved (None on a Laurent window)."""
+    dual with sigma = eps (x) eps; the tables of its ops hold the S its
+    verified Hopf battery proved (no proof on a Laurent window)."""
     algebra, br = carrier_source(name.rstrip("*"), sweedler, sweedler_r, c4)
     if name.startswith("laurent"):
         return laurent.family_data(algebra), br
@@ -787,11 +868,12 @@ def law_carrier(request, sweedler, sweedler_r, c4):
     return law_carrier_data(request.param, sweedler, sweedler_r, c4)
 
 
-def law_grids(c, br, gens, character=None, names=LAWS) -> dict:
+def law_grids(c, br, proved=True, character=None, names=LAWS) -> dict:
     """Each of names -> its grid_check runs as (points, result), when the
-    exchange, Nakayama and braiding batteries run on c and br with gens
-    handed over (None: no proof); is_character runs on character, else on
-    alpha, as integral.modular_functional_character reads it."""
+    exchange, Nakayama and braiding batteries run on c and br, on c.ops
+    with the S proof its tables hold when proved, else on a copy of c.ops,
+    which holds none; is_character runs on character, else on alpha, as
+    integral.modular_functional_character reads it."""
     runs: dict = {}
     real = lincomb.grid_check
 
@@ -806,15 +888,15 @@ def law_grids(c, br, gens, character=None, names=LAWS) -> dict:
         runs.setdefault(name, []).append((points[0], result))
         return result
 
-    ops = c.ops
+    ops = c.ops if proved else dataclasses.replace(c.ops)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lincomb, "grid_check", recording)
-        integral_exchange_checks(ops, c.lam_mul, c.a_inv, gens)
-        nakayama_checks(ops, c.lam_mul, c.chi, c.alpha, c.alpha_inv, gens)
+        integral_exchange_checks(ops, c.lam_mul, c.a_inv)
+        nakayama_checks(ops, c.lam_mul, c.chi, c.alpha, c.alpha_inv)
         if character is not None:
             runs.pop("lincomb.is_character", None)
-            is_character_fn(ops, character, gens)
-        braiding_axiom_checks(ops, br, gens)
+            is_character_fn(ops, character, on_proof=True)
+        braiding_axiom_checks(ops, br)
     return {name: runs[name] for name in names if name in runs}
 
 
@@ -827,7 +909,7 @@ def verdicts(grids: dict) -> dict:
 
 def test_reduced_pair_laws_match_exhaustive(law_carrier):
     c, br = law_carrier
-    reduced, exhaustive = law_grids(c, br, c.generators), law_grids(c, br, None)
+    reduced, exhaustive = law_grids(c, br), law_grids(c, br, proved=False)
     assert verdicts(reduced) == verdicts(exhaustive)
     k = len(c.ops.keys)
     assert all(runs == [(k * k, runs[0][1])] or not runs[0][1].ok
@@ -839,7 +921,7 @@ def perturbed(c, br, which, i, j, bump):
     (alpha, bumped) bumped by bump: lambda and the character at a key x,
     chi(x) by bump y, sigma and sigma^-1 at (x, y); x is outside S (any key
     where there is no S), y any key.  character is None unless bumped."""
-    ops, gens = c.ops, c.generators
+    ops, gens = c.ops, c.ops.tables.proof
     outside = [k for k in ops.keys if k not in (gens or ())]
     x, y = outside[i % len(outside)], ops.keys[j % len(ops.keys)]
     delta, character, reduce = bump * ops.one, None, ops.field.reduce
@@ -869,8 +951,8 @@ def test_perturbed_pair_laws_match_exhaustive(law_carrier, which, i, j, bump):
     key where there is no S): the reduced verdicts and witnesses are still
     the exhaustive ones, whether or not the premises still pass."""
     c, br, character = perturbed(*law_carrier, which, i, j, bump)
-    assert (verdicts(law_grids(c, br, c.generators, character))
-            == verdicts(law_grids(c, br, None, character)))
+    assert (verdicts(law_grids(c, br, True, character))
+            == verdicts(law_grids(c, br, False, character)))
 
 
 # -- the raw pair kernels against their LC-level definitions ---------------------------
@@ -934,8 +1016,8 @@ def test_pair_kernels_match_their_lc_definitions(kernel_carrier, which, i, j, bu
     c, br, character = perturbed(*kernel_carrier, which, i, j, bump)
     expected = lc_law_lines(c, br, character)
     assert which != "none" or all(getattr(line, "ok", line) for line in expected.values())
-    for gens in (c.generators, None):
-        assert verdicts(law_grids(c, br, gens, character, KERNEL_LAWS)) == expected
+    for proved in (True, False):
+        assert verdicts(law_grids(c, br, proved, character, KERNEL_LAWS)) == expected
 
 
 def test_window_edge_perturbations_fail_at_the_exhaustive_witness():
@@ -956,7 +1038,7 @@ def test_window_edge_perturbations_fail_at_the_exhaustive_witness():
     far_lam = lambda k: reduce(lam(k) + 1) if k == far else lam(k)
     far_c = dataclasses.replace(c, lam=far_lam, lam_mul=lam_mul_table(ops, far_lam))
     for c, br, names in ((c, edge_br, KERNEL_LAWS[-2:]), (far_c, br, KERNEL_LAWS[1:3])):
-        got, expected = verdicts(law_grids(c, br, None, names=names)), lc_law_lines(c, br)
+        got, expected = verdicts(law_grids(c, br, False, names=names)), lc_law_lines(c, br)
         assert {name: expected[name] for name in names} == got
         assert not any(line.ok for line in got.values()), got
     assert got["integral.exchange_antipode"].witness == "at (g^4, g^4)"
@@ -967,24 +1049,24 @@ def test_pair_laws_run_only_their_s_rows_on_a_passing_carrier(name, sweedler, sw
     """Where every premise passes, each of the seven laws runs one grid, on
     its |S| K rows, and passes."""
     c, br = law_carrier_data(name, sweedler, sweedler_r, c4)
-    grids = law_grids(c, br, c.generators)
+    grids = law_grids(c, br)
     assert set(grids) == set(LAWS)
-    cells = len(c.generators) * len(c.ops.keys)
+    cells = len(c.ops.tables.proof) * len(c.ops.keys)
     assert all(runs == [(cells, runs[0][1])] and runs[0][1].ok for runs in grids.values())
 
 
 def test_a_failing_character_row_decides_in_one_grid(sweedler, monkeypatch):
     """1 on 1 and gx, 0 on g and x, is no character: f(g g) = 1, f(g)^2 = 0.
-    (g, g) is a row of S = (1, g, x), so with S handed in is_character
-    runs that one grid and says False, as the exhaustive grid does."""
-    ops, gens = sweedler.ops, sweedler.generators
+    (g, g) is a row of S = (1, g, x), so on the proof is_character runs
+    that one grid and says False, as the exhaustive grid does."""
+    ops, gens = sweedler.ops, sweedler.ops.tables.proof
     one, gx = ops.keys[0], ops.keys[3]
     f = lambda k: ops.one if k in (one, gx) else ops.zero
     seen, real = [], lincomb.grid_check
     monkeypatch.setattr(lincomb, "grid_check",
                         lambda name, *args: seen.append(name) or real(name, *args))
     assert gens == ops.keys[:3]
-    assert not is_character_fn(ops, f, gens)
+    assert not is_character_fn(ops, f, on_proof=True)
     assert seen == ["lincomb.is_character"]
     assert not is_character_fn(ops, f)
     assert seen == ["lincomb.is_character"] * 2
@@ -1001,14 +1083,14 @@ def test_nakayama_law_runs_every_row_when_chi_is_not_multiplicative(sweedler, sw
     not multiplicative (at (g, x)), so the law must not reduce: it runs one
     grid over all K^2 pairs and reports the exhaustive witness."""
     c, br = law_carrier_data("sweedler", sweedler, sweedler_r)
-    ops, gens = c.ops, c.generators
+    ops, gens = c.ops, c.ops.tables.proof
     one, gx = ops.keys[0], ops.keys[3]
     chi = c.chi
     c = dataclasses.replace(
         c, chi=lambda k: lc_add(ops, chi(k), {one: ops.one}) if k == gx else chi(k))
     assert gens == ops.keys[:3]
     assert all(shift_law_holds(c, m, s) for m in ops.keys for s in gens)
-    grids = law_grids(c, br, gens)
+    grids = law_grids(c, br)
     assert grids["integral.nakayama_multiplicative"][-1][1].witness == "at (g, x)"
     k = len(ops.keys)
     assert grids["integral.nakayama_law"] == [
@@ -1021,17 +1103,17 @@ def test_commutation_runs_every_row_when_sigma_first_law_fails(sweedler, sweedle
     fails (at (g, x, 1)), so the relation runs one grid over every row up
     to that witness, and antipode_square_invariance is SKIPPED."""
     c, br = law_carrier_data("sweedler", sweedler, sweedler_r)
-    ops, gens = c.ops, c.generators
+    ops, gens = c.ops, c.ops.tables.proof
     one, gx = ops.keys[0], ops.keys[3]
     value = br.value
     br = dataclasses.replace(
         br, value=lambda h, l: value(h, l) + 1 if (h, l) == (gx, one) else value(h, l))
     holds = naive_commutation(ops, br)
     assert all(holds((s, l)) for s in gens for l in ops.keys)
-    results = {r.name: r for r in braiding_axiom_checks(ops, br, gens)}
+    results = {r.name: r for r in braiding_axiom_checks(ops, br)}
     assert results["cqt.multiplicative_first_argument"].witness == "at (g, x, 1)"
     assert results["cqt.antipode_square_invariance"].status == "skipped"
-    grids = law_grids(c, br, gens)
+    grids = law_grids(c, br)
     assert grids["cqt.commutation_relation"] == [
         (3 * len(ops.keys) + 1, failed("cqt.commutation_relation", "at (gx, 1)"))]
 
@@ -1039,7 +1121,8 @@ def test_commutation_runs_every_row_when_sigma_first_law_fails(sweedler, sweedle
 def test_a_failing_hopf_battery_keeps_no_generators():
     """The proof is kept only when every line of verify_hopf passes: a
     product entry of H_4 bumped, g gx = 2 g^2x, fails associativity, and the
-    algebra holds no S."""
+    tables of the algebra's ops hold no S.  The Carrier of the intact H_4
+    reads the one table set of the algebra, and so its proof."""
     doc = laurent_quotient_document(4)
     doc["mult"] = [list(entry) for entry in doc["mult"]]
     assert doc["mult"][15][:3] == [2, 3, 5]
@@ -1047,9 +1130,10 @@ def test_a_failing_hopf_battery_keeps_no_generators():
     algebra = build_algebra(parse_document(doc))
     failing = [(r.name, r.witness) for r in verify_hopf(algebra) if not r.ok]
     assert failing[0] == ("hopf.associativity", "at (g, x, g)")
-    assert algebra.generators is None
+    assert algebra.ops.tables.proof is None
     _, intact = document_algebra(laurent_quotient_document(4))
-    assert intact.generators == cofrobenius_data(intact).generators == (0, 1, 2)
+    assert intact.ops.tables.proof == (0, 1, 2)
+    assert cofrobenius_data(intact).ops.tables is intact.ops.tables
 
 
 def exchange_gap(c, lam_mul, h, l):
@@ -1096,7 +1180,7 @@ def test_s_rows_cut_out_every_lambda_the_full_grid_does(name, sweedler, sweedler
     the same one as all K^2 pairs (equal rank): the reduced verdict is the
     exhaustive one for every lambda, not only for the sampled ones."""
     c, _ = law_carrier_data(name, sweedler, sweedler_r, c4)
-    keys, gens = c.ops.keys, c.generators
+    keys, gens = c.ops.keys, c.ops.tables.proof
     for gap, reduced in ((exchange_gap, product(gens, keys)),
                          (exchange_inverse_gap, product(gens, keys)),
                          (nakayama_gap, product(keys, gens))):

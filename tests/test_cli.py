@@ -230,9 +230,9 @@ def test_verify_double_validates_characters_only_in_named_checks(capsys, tmp_pat
     calls = []
     real = lincomb.is_character_fn
 
-    def spy(ops, f, gens=None):
+    def spy(ops, f, on_proof=False):
         calls.append(1)
-        return real(ops, f, gens)
+        return real(ops, f, on_proof)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("hopfcheck") and getattr(module, "is_character_fn", None) is real:

@@ -5,8 +5,9 @@ int looks like a reduced one: a sum that escapes its reduction would go on
 silently, where a dedicated element type would have raised.  This guard
 runs every F_p source the tests build through `verify --json`, with the
 LC- and scalar-returning BasisOps methods, the tables of the grid kernels
-(LoweredTables) and the solutions of solve_linear watched, and finds each
-value watched there an int in range(p).  A document whose comultiplication
+(the one KernelTables of each BasisOps), the sigma tables of the braiding
+batteries and the solutions of solve_linear watched, and finds each value
+watched there an int in range(p).  A document whose comultiplication
 holds p + 1, a value that was never reduced, is caught.
 """
 
@@ -17,10 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from hopfcheck import hopf, linalg
+from hopfcheck import coquasitriangular, hopf, linalg
 from hopfcheck.document import build_algebra, parse_document
 from hopfcheck.hopf import verify_hopf
-from hopfcheck.lincomb import BasisOps, LoweredTables
+from hopfcheck.lincomb import BasisOps, KernelTables, PairTable
 from hopfcheck.scalars import PrimeField
 from test_golden import laurent_quotient_document, run
 
@@ -49,26 +50,28 @@ class Watch:
         for x in xs:
             self.scalar(field, x, where)
 
-    def tables(self, field, raw: LoweredTables) -> None:
-        """Every value filled into the tables of one LoweredTables."""
+    def tables(self, field, tables: KernelTables) -> None:
+        """Every value filled into the kernel tables of one BasisOps."""
         items = lambda table: (c for row in table.values() for _, c in row)
-        self.values(field, (c for row in raw.prod.values() for items_ in row.values()
-                            for _, c in items_), "LoweredTables.prod")
-        self.values(field, (c for terms in raw.delta.values() for c, _, _ in terms),
-                    "LoweredTables.delta")
-        self.values(field, raw.eps.values(), "LoweredTables.eps")
-        self.values(field, items(raw.s), "LoweredTables.s")
-        self.values(field, items(raw.s_inv), "LoweredTables.s_inv")
-        self.values(field, (c for _, c in raw.unit), "LoweredTables.unit")
-        for pairs in raw.pairs:
-            self.values(field, (v for row in pairs.values() for v in row.values()),
-                        "LoweredTables.pairs")
+        self.values(field, (c for row in tables.prod.values() for items_ in row.values()
+                            for _, c in items_), "KernelTables.prod")
+        self.values(field, (c for terms in tables.delta.values() for c, _, _ in terms),
+                    "KernelTables.delta")
+        self.values(field, tables.eps.values(), "KernelTables.eps")
+        self.values(field, items(tables.s), "KernelTables.s")
+        self.values(field, items(tables.s_inv), "KernelTables.s_inv")
+        self.values(field, (c for _, c in tables.unit), "KernelTables.unit")
+
+    def pairs(self, field, table: PairTable) -> None:
+        """Every value filled into one sigma or sigma^-1 table."""
+        self.values(field, (v for row in table.values() for v in row.values()), "sigma tables")
 
 
-def watch(monkeypatch) -> tuple[Watch, list]:
-    """Wrap what the guard watches; the LoweredTables built are returned
-    with their fields, to be read once they are filled."""
-    w, built = Watch(), []
+def watch(monkeypatch) -> tuple[Watch, list, list]:
+    """Wrap what the guard watches; the KernelTables built are returned
+    with their fields, and the PairTables the braiding batteries build for
+    sigma and sigma^-1, to be read once they are filled."""
+    w, built, sigmas = Watch(), [], []
 
     def lc_method(name, real):
         def method(self, *args):
@@ -108,13 +111,20 @@ def watch(monkeypatch) -> tuple[Watch, list]:
 
     monkeypatch.setattr(BasisOps, "delta_n", delta_n)
 
-    real_init = LoweredTables.__init__
+    real_init = KernelTables.__init__
 
-    def init(self, ops, *pairs):
-        real_init(self, ops, *pairs)
+    def init(self, ops):
+        real_init(self, ops)
         built.append((ops.field, self))
 
-    monkeypatch.setattr(LoweredTables, "__init__", init)
+    monkeypatch.setattr(KernelTables, "__init__", init)
+
+    class SigmaTable(PairTable):
+        def __init__(self, fn) -> None:
+            super().__init__(fn)
+            sigmas.append(self)
+
+    monkeypatch.setattr(coquasitriangular, "PairTable", SigmaTable)
 
     real_solve = linalg.solve_linear
 
@@ -128,7 +138,7 @@ def watch(monkeypatch) -> tuple[Watch, list]:
 
     for module in (linalg, hopf):
         monkeypatch.setattr(module, "solve_linear", solve_linear)
-    return w, built
+    return w, built, sigmas
 
 
 def scale_document(name: str) -> dict:
@@ -151,15 +161,18 @@ def test_every_value_over_fp_is_reduced(name, tmp_path, monkeypatch):
     if name in DOCUMENTS:
         source = [str(tmp_path / "source.json")]
         Path(source[0]).write_text(json.dumps(DOCUMENTS[name]()), encoding="utf-8")
-    w, built = watch(monkeypatch)
+    w, built, sigmas = watch(monkeypatch)
     code, _, _ = run(["verify", *source, "--json"])
     assert code == 0
-    for field, raw in built:
-        w.tables(field, raw)
+    for field, tables in built:
+        w.tables(field, tables)
+    (field,) = {field for field, _ in built}
+    for table in sigmas:
+        w.pairs(field, table)
     assert w.bad == []
-    # the guard is not vacuous: the batteries, the solves and the checks
-    # were all watched
-    assert len(built) >= 2 and w.seen > 1000, (len(built), w.seen)
+    # the guard is not vacuous: the kernel tables, the sigma tables, the
+    # solves and the checks were all watched
+    assert built and sigmas and w.seen > 1000, (len(built), len(sigmas), w.seen)
 
 
 def test_a_value_never_reduced_is_caught(monkeypatch):
@@ -172,8 +185,8 @@ def test_a_value_never_reduced_is_caught(monkeypatch):
     comult = list(doc.comult)
     comult[at] = (*comult[at][:3], p + 1)
     algebra = build_algebra(dataclasses.replace(doc, comult=tuple(comult)))
-    w, built = watch(monkeypatch)
+    w, built, _ = watch(monkeypatch)
     verify_hopf(algebra)
-    for field, raw in built:
-        w.tables(field, raw)
-    assert ("LoweredTables.delta", p + 1) in w.bad
+    for field, tables in built:
+        w.tables(field, tables)
+    assert ("KernelTables.delta", p + 1) in w.bad

@@ -20,7 +20,11 @@ unit solve, compute_antipode, hopf._right_inverse and linalg.nullspace
 read linalg.solve_linear, so every inverse goes through the one solver.
 A scalar is a plain number, reduced through its field: no class defines
 arithmetic dunders, and outside scalars.py no module imports div or
-divides with /, so every division goes through Field.div.
+divides with /, so every division goes through Field.div.  A carrier's
+kernel tables and its S proof have one holder, BasisOps.tables: only
+lincomb builds a KernelTables, no function takes the tables or the proof
+as a parameter named raw or proven, and neither FinHopfAlgebra nor
+Carrier has a generators attribute.
 """
 
 import ast
@@ -479,3 +483,66 @@ def test_scalar_twin_detector_flags_each_form(tmp_path):
 def test_scalars_are_plain_numbers_divided_by_their_field():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in scalar_twins(path)]
     assert not found, "scalar types or divisions besides Field.div:\n" + "\n".join(found)
+
+
+PLUMBING_PARAMETERS = ("raw", "proven")
+PROOF_HOLDERS = ("FinHopfAlgebra", "Carrier")
+
+
+def table_twins(path: Path) -> list[str]:
+    """Second holders of a carrier's kernel tables or of its S proof: a
+    KernelTables or LoweredTables built outside lincomb, a parameter (of a
+    function or a lambda) named raw or proven, and a generators attribute
+    of FinHopfAlgebra or Carrier: a method, an annotated field or a store
+    to <x>.generators in its body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and _callee(node) in ("KernelTables", "LoweredTables")
+                and path.stem != "lincomb"):
+            out.append(f"{path.name}:{node.lineno}: {_callee(node)} built outside lincomb")
+        elif isinstance(node, ast.arg) and node.arg in PLUMBING_PARAMETERS:
+            out.append(f"{path.name}:{node.lineno}: parameter {node.arg}")
+        elif isinstance(node, ast.ClassDef) and node.name in PROOF_HOLDERS:
+            out.extend(
+                f"{path.name}:{item.lineno}: {node.name}.generators" for item in ast.walk(node)
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and item.name == "generators"
+                or isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                and item.target.id == "generators"
+                or isinstance(item, ast.Attribute) and item.attr == "generators"
+                and isinstance(item.ctx, ast.Store))
+    return sorted(out)
+
+
+def test_table_twin_detector_flags_each_form(tmp_path):
+    # the per-battery tables and the proof plumbing that BasisOps.tables replaced
+    mod = tmp_path / "mod.py"
+    mod.write_text("def battery(ops, raw=None):\n"
+                   "    raw = raw or LoweredTables(ops)\n"
+                   "    return lincomb.KernelTables(ops), lambda proven: proven\n\n"
+                   "class FinHopfAlgebra:\n"
+                   "    def __init__(self):\n"
+                   "        self.generators = None\n\n"
+                   "class Carrier:\n"
+                   "    generators: tuple | None = None\n\n"
+                   "class Other:\n"
+                   "    generators: tuple = ()\n\n"
+                   "    def generators_of(self, ops):\n"
+                   "        return ops.tables.proof, generators(ops)\n")
+    assert table_twins(mod) == ["mod.py:10: Carrier.generators",
+                                "mod.py:1: parameter raw",
+                                "mod.py:2: LoweredTables built outside lincomb",
+                                "mod.py:3: KernelTables built outside lincomb",
+                                "mod.py:3: parameter proven",
+                                "mod.py:7: FinHopfAlgebra.generators"]
+    lincomb = tmp_path / "lincomb.py"
+    lincomb.write_text("class BasisOps:\n"
+                       "    def tables(self):\n"
+                       "        return KernelTables(self)\n")
+    assert table_twins(lincomb) == []
+
+
+def test_kernel_tables_and_the_s_proof_have_one_holder():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in table_twins(path)]
+    assert not found, "kernel tables or S proofs outside BasisOps.tables:\n" + "\n".join(found)
