@@ -76,7 +76,8 @@ class Carrier:
 
 def lam_mul_table(ops: BasisOps, lam) -> PairTable:
     """lambda(x y) for keys x, y, each pair evaluated on its first lookup."""
-    return PairTable(lambda x, y: ops.eval_fn(lam, ops.mul(x, y)))
+    prod, reduce = ops.tables.prod, ops.field.reduce
+    return PairTable(lambda x, y: reduce(sum(c * lam(k) for k, c in prod[x][y])))
 
 
 def derive_carrier(ops: BasisOps, lam, lam_mul: PairTable, chi,
@@ -134,7 +135,7 @@ def integral_exchange_checks(ops: BasisOps, lam_mul, a_inv: LC) -> list[CheckRes
     the second from it at (s, x1 l) and S^-1(x2) x1 = eps(x)."""
     tables = ops.tables
     delta, reduce, gens = tables.delta, ops.field.reduce, tables.proof
-    s_inv_a = KeyTable(lambda k: tuple(ops.mul_lc(ops.antipode_inv(k), a_inv).items()))
+    s_inv_a = KeyTable(lambda k: tuple(ops.mul_lc(ops.s_inv_lc(ops.single(k)), a_inv).items()))
     swapped = KeyTable(lambda k: tuple((c, k2, k1) for c, k1, k2 in delta[k]))
 
     def exchange(terms, image):
@@ -302,13 +303,13 @@ def coinner_from_integral_twist(ops: BasisOps, a_inv: LC, alpha_inv, rho1, tau1)
     """
     rho = lambda x, y: rho1(x) * ops.eps(y)
     tau = lambda x, y: tau1(x) * ops.eps(y)
-    reduce = ops.field.reduce
+    delta, reduce, single = ops.tables.delta, ops.field.reduce, ops.single
     # rho'(h) = rho(h1, S h2), tau'(h) = tau(h2, S^-1(h1) a^-1), tau'' = tau' * alpha^-1
     rho_prime = memo_fn(lambda h: reduce(sum(
-        c * ops.eval_fn(partial(rho, h1), ops.antipode(h2)) for c, h1, h2 in ops.delta(h))))
+        c * ops.eval_fn(partial(rho, h1), ops.s_lc(single(h2))) for c, h1, h2 in delta[h])))
     tau_prime = memo_fn(lambda h: reduce(sum(
-        c * ops.eval_fn(partial(tau, h2), ops.mul_lc(ops.antipode_inv(h1), a_inv))
-        for c, h1, h2 in ops.delta(h))))
+        c * ops.eval_fn(partial(tau, h2), ops.mul_lc(ops.s_inv_lc(single(h1)), a_inv))
+        for c, h1, h2 in delta[h])))
     tau_second = memo_fn(ops.convolve(tau_prime, alpha_inv))
 
     checks = list(conv_inverse_checks(ops, "coinner.extracted_pair", rho_prime, tau_second))
@@ -345,12 +346,12 @@ coinner_from_integral_twist_findim = coinner_from_integral_twist
 def left_integrals(algebra: FinHopfAlgebra) -> list[tuple]:
     """Basis of the space of left integrals on the algebra, normalized, as
     value vectors on the basis."""
-    n, ops = algebra.dim, algebra.ops
+    n = algebra.dim
     # row (i, r), column k: the coefficient of lambda(e_k) in the e_r part of
     # h1 lambda(h2) - lambda(h) 1 at h = e_i
     eqs = SparseMatrix.zeros(algebra.field, n * n, n)
     for i in range(n):
-        for c, j, k in ops.delta(i):
+        for c, j, k in algebra._comult.get(i, ()):
             eqs.add(i * n + j, k, c)
         for r, u in enumerate(algebra.unit_coeffs):
             if u:

@@ -222,14 +222,14 @@ def braided_functionals(ops: BasisOps, br: Braiding) -> tuple[dict, list[CheckRe
         """h -> sum of c sigma(x, y) over Delta(h), with (x, y) = args(h1, h2)."""
         def fn(h):
             acc = 0
-            for c, h1, h2 in ops.delta(h):
+            for c, h1, h2 in ops.tables.delta[h]:
                 f = pair_eval(ops, br.value, *args(h1, h2))
                 if f:
                     acc = acc + c * f
             return ops.field.reduce(acc)
         return memo_fn(fn)
 
-    single, s = ops.single, ops.antipode
+    single, s = ops.single, lambda k: ops.s_lc(ops.single(k))
     s2 = lambda k: ops.s_power(ops.single(k), 2)
     fns = {
         "u": over_delta(lambda h1, h2: (single(h2), s(h1))),

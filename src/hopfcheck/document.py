@@ -292,8 +292,8 @@ def document_from_algebra(algebra: FinHopfAlgebra, r_terms: dict | None = None,
     R-matrix given as its leg-pair combination {(i, j): c}."""
     n, ops = algebra.dim, algebra.ops
     mult = tuple((i, j, k, c) for i in range(n) for j in range(n)
-                 for k, c in sorted(ops.mul(i, j).items()))
-    comult = tuple((i, j, k, c) for i in range(n) for c, j, k in ops.delta(i))
+                 for k, c in sorted(algebra._mult.get((i, j), {}).items()))
+    comult = tuple((i, j, k, c) for i in range(n) for c, j, k in algebra._comult.get(i, ()))
     antipode = tuple(sorted((i, j, c) for j, column in enumerate(algebra.antipode)
                             for i, c in column.items()))
     r_entries = None

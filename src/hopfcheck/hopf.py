@@ -87,9 +87,9 @@ class FinHopfAlgebra:
 
     @cached_property
     def ops(self) -> BasisOps:
-        """The structure maps on the basis indices, built once.  The antipode
-        columns are read on each use, so an antipode that verify_hopf solves
-        for after this is built is still the one read."""
+        """The structure maps on the basis indices, built once.  ops.tables
+        reads the antipode columns on its first lookup of S(e_j), so an
+        antipode verify_hopf solves for after this is built is the one read."""
         mult, comult = self._mult, self._comult
         return BasisOps(
             keys=tuple(range(self.dim)),
@@ -125,7 +125,7 @@ class FinHopfAlgebra:
         """The dual Hopf algebra on the dual basis."""
         mult: dict = {}
         for k in range(self.dim):
-            for c, i, j in self.ops.delta(k):
+            for c, i, j in self._comult.get(k, ()):
                 vec = mult.setdefault((i, j), {})
                 vec[k] = vec.get(k, 0) + c
         comult = group((i, (c, j, k)) for (j, k), vec in self._mult.items() for i, c in vec.items())
@@ -217,7 +217,7 @@ def compute_antipode(algebra: FinHopfAlgebra) -> tuple[LC, ...]:
     antipode law are imposed, which forces the unique two-sided
     convolution inverse of the identity.
     """
-    n, ops = algebra.dim, algebra.ops
+    n = algebra.dim
     # the nonzero table entries e_a e_b = ... + m e_r, indexed by one factor
     # and r: as_right[b][r] lists (a, m), as_left[a][r] lists (b, m)
     as_right: list[dict] = [{} for _ in range(n)]
@@ -229,14 +229,14 @@ def compute_antipode(algebra: FinHopfAlgebra) -> tuple[LC, ...]:
     # rows (i, r, left/right): the coefficient of e_r in S(i1) i2, and in i1 S(i2)
     eqs = SparseMatrix.zeros(algebra.field, 2 * n * n, n * n)
     for i in range(n):
-        for c, j, k in ops.delta(i):
+        for c, j, k in algebra._comult.get(i, ()):
             for r, hits in as_right[k].items():
                 for a, m in hits:
                     eqs.add(2 * (i * n + r), a * n + j, c * m)
             for r, hits in as_left[j].items():
                 for a, m in hits:
                     eqs.add(2 * (i * n + r) + 1, a * n + k, c * m)
-    rhs = tuple(ops.eps(i) * algebra.unit_coeffs[r]
+    rhs = tuple(algebra._counit[i] * algebra.unit_coeffs[r]
                 for i in range(n) for r in range(n) for _ in (0, 1))
     sol = solve_linear(eqs, rhs)
     if sol is None:
@@ -283,6 +283,6 @@ def same_structure_constants(a: FinHopfAlgebra, b: FinHopfAlgebra) -> bool:
         return False
     norm = lambda tr: sorted((j, k, c) for c, j, k in tr)
     for i in range(a.dim):
-        if norm(a.ops.delta(i)) != norm(b.ops.delta(i)):
+        if norm(a._comult.get(i, ())) != norm(b._comult.get(i, ())):
             return False
     return a.antipode == b.antipode

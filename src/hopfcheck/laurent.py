@@ -4,6 +4,8 @@ Generated by an invertible grouplike g and a skew-primitive x with
 gx = -xg and x^2 = 0.  Basis keys are pairs (i, j) for g^i x^j with i any
 integer and j in {0, 1}; every structure map is a closed form over all of
 Z, so a window parameter only bounds the grid the identity suite runs on.
+basis_ops hands the closed forms over as they are; the tables of its
+BasisOps are their one cache.
 The carrier (family_data) gives lambda and chi in closed form; a = S(a^-1),
 a^-1, alpha and alpha^-1 are read off them by cofrobenius.derive_carrier,
 as on a finite algebra.  Beyond the shared verify driver, the family has
@@ -15,7 +17,7 @@ from __future__ import annotations
 from .cofrobenius import Carrier, derive_carrier, lam_mul_table
 from .coquasitriangular import Braiding, modular_characters
 from .hopf import AxiomError
-from .lincomb import BasisOps, LC, PairTable, hopf_axiom_checks, key_check, lc_eq, memo_fn
+from .lincomb import BasisOps, LC, hopf_axiom_checks, key_check, lc_eq, memo_fn
 from .report import CheckResult
 from .scalars import QQ, Scalar
 
@@ -102,29 +104,19 @@ def braiding() -> Braiding:
 
 
 def basis_ops(window: int) -> BasisOps:
-    """The family on the window's keys.  mul, delta and both antipodes are
-    tables filled on first lookup, one per BasisOps, so each closed form runs
-    once per distinct argument; the LCs they return are shared, read-only,
-    as a finite algebra's product table entries are, and the pairs with
-    equal products share one LC, so the table keeps a few hundred LCs for
-    its thousands of pairs."""
+    """The family on the window's keys, its structure maps the closed forms;
+    every reader goes through the BasisOps' tables, so each closed form runs
+    once per distinct argument."""
     if window < 2:
         raise ValueError("window must be at least 2")
-    keys = tuple((i, j) for i in range(-window, window + 1) for j in (0, 1))
-    products: dict = {}
-
-    def mul(x, y) -> LC:
-        lc = mul_key(x, y)
-        return products.setdefault(tuple(lc.items()), lc)
-
     return BasisOps(
-        keys=keys,
+        keys=tuple((i, j) for i in range(-window, window + 1) for j in (0, 1)),
         unit={(0, 0): ONE},
-        mul=PairTable(mul),
-        delta=memo_fn(delta_key),
+        mul=mul_key,
+        delta=delta_key,
         eps=eps_key,
-        antipode=memo_fn(antipode_key),
-        antipode_inv=memo_fn(antipode_inv_key),
+        antipode=antipode_key,
+        antipode_inv=antipode_inv_key,
         field=QQ,
         label=label_key,
     )
@@ -141,8 +133,8 @@ def solve_nakayama(ops: BasisOps):
     def chi(key) -> LC:
         i, j = key
         m = (-1 - i, 1 - j)
-        lhs = ops.eval_fn(integral_value, ops.mul(m, key))
-        base = ops.eval_fn(integral_value, ops.mul(key, m))
+        lhs = sum(c * integral_value(k) for k, c in ops.tables.prod[m][key])
+        base = sum(c * integral_value(k) for k, c in ops.tables.prod[key][m])
         if not base:
             raise AxiomError(f"nakayama witness degenerate at {ops.label(key)}")
         return {key: QQ.div(lhs, base)}

@@ -1,11 +1,12 @@
 """Sparse linear combinations over an abstract basis.
 
 The structure maps of a Hopf algebra are packaged as callables on basis
-keys (BasisOps).  The same checking code then runs against a finite
-structure-constant algebra, whose keys are basis indices, and against the
-built-in infinite-dimensional family, whose keys are (exponent, degree)
-pairs.  A BasisOps key list bounds the grid of test points only;
-intermediate results may leave it freely.
+keys (BasisOps) and read through its one set of tables (KernelTables), so
+each runs once per distinct argument.  The same checking code then runs
+against a finite structure-constant algebra, whose keys are basis indices,
+and against the built-in infinite-dimensional family, whose keys are
+(exponent, degree) pairs.  A BasisOps key list bounds the grid of test
+points only; intermediate results may leave it freely.
 
 The identities are written with three actions of functionals on a basis
 key h, in Sweedler notation (BasisOps; map_lc extends them linearly):
@@ -106,7 +107,8 @@ class BasisOps:
     field.  Every value they return is reduced in field (Field.reduce), and
     so is every value the methods below return: each sums raw products and
     reduces the sum once, when it is stored.  A BasisOps holds its
-    KernelTables, and a dataclasses.replace'd copy builds its own.
+    KernelTables, the one cache of these maps, which the methods below read;
+    a dataclasses.replace'd copy builds its own.
     """
 
     keys: tuple
@@ -132,13 +134,13 @@ class BasisOps:
         return {key: self.one}
 
     def mul_lc(self, a: LC, b: LC) -> LC:
-        out: LC = {}
+        prod, out = self.tables.prod, {}
         for ka, va in a.items():
             for kb, vb in b.items():
                 c = va * vb
                 if not c:
                     continue
-                for k, w in self.mul(ka, kb).items():
+                for k, w in prod[ka][kb]:
                     prev = out.get(k)
                     out[k] = c * w if prev is None else prev + c * w
         return lc_canon(out, self.field.reduce)
@@ -150,9 +152,13 @@ class BasisOps:
         return acc
 
     def map_lc(self, fn: Callable[[Key], LC], a: LC) -> LC:
+        return self._apply(lambda k: fn(k).items(), a)
+
+    def _apply(self, items, a: LC) -> LC:
+        """The sum of v f(k) over the items (k, v) of a; items(k) lists f(k)'s items."""
         out: LC = {}
         for k, v in a.items():
-            for k2, w in fn(k).items():
+            for k2, w in items(k):
                 prev = out.get(k2)
                 out[k2] = v * w if prev is None else prev + v * w
         return lc_canon(out, self.field.reduce)
@@ -169,26 +175,22 @@ class BasisOps:
         return self.eval_fn(self.eps, a)
 
     def s_lc(self, a: LC) -> LC:
-        assert self.antipode is not None
-        return self.map_lc(self.antipode, a)
+        return self._apply(self.tables.s.__getitem__, a)
 
     def s_inv_lc(self, a: LC) -> LC:
-        assert self.antipode_inv is not None
-        return self.map_lc(self.antipode_inv, a)
+        return self._apply(self.tables.s_inv.__getitem__, a)
 
     def s_power(self, a: LC, power: int) -> LC:
-        fn = self.antipode if power >= 0 else self.antipode_inv
-        assert fn is not None
         for _ in range(abs(power)):
-            a = self.map_lc(fn, a)
+            a = self.s_lc(a) if power > 0 else self.s_inv_lc(a)
         return a
 
     # -- coproducts ---------------------------------------------------------
 
     def delta_lc(self, a: LC) -> dict:
-        out: dict = {}
+        delta, out = self.tables.delta, {}
         for k, v in a.items():
-            for c, k1, k2 in self.delta(k):
+            for c, k1, k2 in delta[k]:
                 key = (k1, k2)
                 prev = out.get(key)
                 out[key] = v * c if prev is None else prev + v * c
@@ -198,11 +200,11 @@ class BasisOps:
         """Sparse terms of the iterated coproduct with the given leg count."""
         if legs < 1:
             raise ValueError("legs must be at least 1")
-        terms = [(self.one, (key,))]
+        terms, delta = [(self.one, (key,))], self.tables.delta
         while len(terms[0][1]) < legs:
             nxt = []
             for coef, keys in terms:
-                for c, k1, k2 in self.delta(keys[0]):
+                for c, k1, k2 in delta[keys[0]]:
                     nxt.append((self.field.reduce(coef * c), (k1, k2) + keys[1:]))
             terms = nxt
         return terms
@@ -212,7 +214,7 @@ class BasisOps:
     def hit_left(self, f: Callable[[Key], Scalar], key: Key) -> LC:
         """h1 f(h2) for h = key."""
         out: LC = {}
-        for c, k1, k2 in self.delta(key):
+        for c, k1, k2 in self.tables.delta[key]:
             fv = f(k2)
             if fv:
                 prev = out.get(k1)
@@ -222,7 +224,7 @@ class BasisOps:
     def hit_right(self, f: Callable[[Key], Scalar], key: Key) -> LC:
         """f(h1) h2 for h = key."""
         out: LC = {}
-        for c, k1, k2 in self.delta(key):
+        for c, k1, k2 in self.tables.delta[key]:
             fv = f(k1)
             if fv:
                 prev = out.get(k2)
@@ -233,12 +235,12 @@ class BasisOps:
                 key: Key) -> LC:
         """f(h1) h2 g(h3) for h = key, with Delta^3 expanded as delta_n does:
         the first leg of Delta(h) is split again."""
-        out: LC = {}
-        for c, k12, k3 in self.delta(key):
+        delta, out = self.tables.delta, {}
+        for c, k12, k3 in delta[key]:
             gv = g(k3)
             if not gv:
                 continue
-            for c2, k1, k2 in self.delta(k12):
+            for c2, k1, k2 in delta[k12]:
                 fv = f(k1)
                 if fv:
                     term = c * c2 * fv * gv
@@ -249,11 +251,11 @@ class BasisOps:
     # -- convolution --------------------------------------------------------
 
     def convolve(self, f: Callable[[Key], Scalar], g: Callable[[Key], Scalar]):
-        reduce = self.field.reduce
+        delta, reduce = self.tables.delta, self.field.reduce
 
         def conv(key: Key) -> Scalar:
             acc = 0
-            for c, k1, k2 in self.delta(key):
+            for c, k1, k2 in delta[key]:
                 fv = f(k1)
                 if not fv:
                     continue
@@ -308,15 +310,15 @@ def is_grouplike_lc(ops: BasisOps, a: LC) -> bool:
 def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar], on_proof=False) -> bool:
     """f(1) = 1 and f(h l) = f(h) f(l), as f(s h l) = f(s) f(h l) on_proof
     for s in ops' S proof; a pair sums raw values over the items of the
-    product ops.mul keeps.  The rows (s, l) are among the pairs and no
+    product in ops.tables.  The rows (s, l) are among the pairs and no
     caller reads a witness, so on S they decide a fail too."""
-    mul, reduce = ops.mul, ops.field.reduce
+    prod, reduce = ops.tables.prod, ops.field.reduce
     gens = ops.tables.proof if on_proof else None
 
     def multiplicative(pair) -> bool:
         h, l = pair
         acc = -f(h) * f(l)
-        for k, c in mul(h, l).items():
+        for k, c in prod[h][l]:
             acc += c * f(k)
         return not reduce(acc)
 
@@ -394,8 +396,9 @@ class PairTable(dict):
 
 
 class KernelTables:
-    """The structure tables the grid kernels read, and the S proof: one set
-    per BasisOps (BasisOps.tables), read by every battery of the carrier.
+    """The structure tables, the one cache of ops' maps (only __init__ calls
+    them), and the S proof: one set per BasisOps (BasisOps.tables), read by
+    every battery of the carrier and by ops' LC helpers.
 
     The values are the reduced field values ops returns, so a kernel adds
     them as plain numbers without reducing and decides a cell once, by
@@ -597,13 +600,12 @@ def tensor2_flip(t: dict) -> dict:
     return {(b, a): v for (a, b), v in t.items()}
 
 
-def tensor2_map(ops: BasisOps, t: dict, first=None, second=None) -> dict:
-    """Apply key -> LC maps to the legs of t; a missing map is the identity."""
-    first, second = first or ops.single, second or ops.single
+def tensor2_map(ops: BasisOps, t: dict, first: int = 0, second: int = 0) -> dict:
+    """Apply S^first to the first legs of t and S^second to the second."""
     out: dict = {}
     for (a, b), v in t.items():
-        for ka, va in first(a).items():
-            for kb, vb in second(b).items():
+        for ka, va in ops.s_power(ops.single(a), first).items():
+            for kb, vb in ops.s_power(ops.single(b), second).items():
                 key = (ka, kb)
                 prev = out.get(key)
                 out[key] = v * va * vb if prev is None else prev + v * va * vb
@@ -612,16 +614,14 @@ def tensor2_map(ops: BasisOps, t: dict, first=None, second=None) -> dict:
 
 def tensor2_mul(ops: BasisOps, t1: dict, t2: dict) -> dict:
     """Product of two leg-pair combinations inside the tensor square."""
-    out: dict = {}
+    prod, out = ops.tables.prod, {}
     for (a1, b1), v1 in t1.items():
         for (a2, b2), v2 in t2.items():
             c = v1 * v2
             if not c:
                 continue
-            left = ops.mul(a1, a2)
-            right = ops.mul(b1, b2)
-            for ka, va in left.items():
-                for kb, vb in right.items():
+            for ka, va in prod[a1][a2]:
+                for kb, vb in prod[b1][b2]:
                     key = (ka, kb)
                     term = c * va * vb
                     prev = out.get(key)
@@ -652,7 +652,7 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
         """Sums of c left(k1, k2) and of c right(k1, k2) over Delta(k) = target(k)."""
         def holds(k) -> bool:
             sums, goal = ({}, {}), target(k)
-            for c, k1, k2 in ops.delta(k):
+            for c, k1, k2 in delta[k]:
                 for acc, side in zip(sums, (left, right)):
                     for m, v in side(k1, k2).items():
                         acc[m] = acc.get(m, 0) + c * v
@@ -661,7 +661,7 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
         return holds
 
     out.append(key_check("hopf.counit_laws", ops, two_sided(
-        lambda k1, k2: {k2: ops.eps(k1)}, lambda k1, k2: {k1: ops.eps(k2)}, ops.single)))
+        lambda k1, k2: {k2: eps[k1]}, lambda k1, k2: {k1: eps[k2]}, ops.single)))
 
     def delta_multiplicative(pair) -> bool:
         """Delta(a b) = Delta(a) Delta(b)."""
@@ -696,15 +696,15 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
         return out
 
     out.append(key_check("hopf.antipode_laws", ops, two_sided(
-        lambda k1, k2: ops.mul_lc(ops.antipode(k1), ops.single(k2)),
-        lambda k1, k2: ops.mul_lc(ops.single(k1), ops.antipode(k2)),
-        lambda k: ops.scale(ops.eps(k), ops.unit))))
+        lambda k1, k2: ops.mul_lc(ops.s_lc(ops.single(k1)), ops.single(k2)),
+        lambda k1, k2: ops.mul_lc(ops.single(k1), ops.s_lc(ops.single(k2))),
+        lambda k: ops.scale(eps[k], ops.unit))))
 
     if ops.antipode_inv is not None:
         out.append(key_check(
             "hopf.antipode_bijective", ops,
-            lambda k: lc_eq(ops.s_inv_lc(ops.antipode(k)), ops.single(k))
-            and lc_eq(ops.s_lc(ops.antipode_inv(k)), ops.single(k))))
+            lambda k: lc_eq(ops.s_inv_lc(ops.s_lc(ops.single(k))), ops.single(k))
+            and lc_eq(ops.s_lc(ops.s_inv_lc(ops.single(k))), ops.single(k))))
     if all(x.status == PASS for x in out):
         tables.proof = gens
     return out

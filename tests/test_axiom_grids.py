@@ -711,15 +711,16 @@ def test_a_proof_with_nothing_to_reduce_is_not_derived_again(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("source, builds, fills", [
-    (["preset:laurent", "--window", "9"], 1, 4181),
+    (["preset:laurent", "--window", "9"], 1, 4218),
     (["preset:group:C4"], 3, 33),
 ])
 def test_a_verify_builds_one_table_set_per_basis_ops(source, builds, fills, monkeypatch):
-    """Every battery of a carrier reads the one KernelTables of its
-    BasisOps, so a verify builds one per BasisOps and fills each product
-    tuple once: one on the Laurent window 9 (4,181 distinct products),
-    three on kC4 (kC4, its minimal subHopf algebra k and the dual: 16 + 1
-    + 16 products)."""
+    """Every battery of a carrier, and every LC helper of its BasisOps,
+    reads the one KernelTables of that BasisOps, so a verify builds one per
+    BasisOps and fills each product tuple once: one on the Laurent window 9
+    (4,218 distinct products, every pair the whole verify reads), three on
+    kC4 (kC4, its minimal subHopf algebra k and the dual: 16 + 1 + 16
+    products)."""
     built, fills_seen = [], []
     real = lincomb.KernelTables.__init__
 

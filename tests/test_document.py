@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfcheck.cli import main
 from hopfcheck.document import (
     DocumentError,
     build_algebra,
@@ -15,6 +22,8 @@ from hopfcheck.document import (
 )
 from hopfcheck.hopf import require_passing, same_structure_constants, verify_hopf
 from hopfcheck.presets import FINITE_PRESETS, preset_document
+
+from test_golden import cyclic_group_document, double_c2_document, laurent_quotient_document
 
 
 def c2_obj():
@@ -226,3 +235,67 @@ def test_character_and_grouplike_validation():
     doc = parse_document(obj)
     with pytest.raises(DocumentError, match="grouplikes: 'bad' is not grouplike"):
         document_grouplikes(doc, algebra)
+
+
+# the documents mutated below, and where each list key keeps its entries'
+# indexes and coefficient; sigma is H_4's dense matrix of values
+MUTATED = {"kC2": lambda: cyclic_group_document(2), "D(kC2)": double_c2_document,
+           "H_4": lambda: laurent_quotient_document(4)}
+LAYOUT = {"mult": ((0, 1, 2), 3), "comult": ((0, 1, 2), 3), "counit": ((0,), 1),
+          "antipode": ((0, 1), 2), "R": ((1, 2), 0), "sigma": ((), None)}
+DOCUMENT_KEYS = ("name", "field", "basis", *LAYOUT, "characters", "grouplikes")
+
+
+@st.composite
+def mutants(draw) -> dict:
+    """One of the documents with one entry dropped or duplicated, an index
+    pushed out of range, an entry of the wrong arity, a coefficient that
+    is not an exact number or is 1/0, or a character or grouplike of the
+    wrong length."""
+    doc = MUTATED[draw(st.sampled_from(sorted(MUTATED)))]()
+    n = len(doc["basis"])
+    vectors = [(key, name) for key in ("characters", "grouplikes") for name in doc.get(key, {})]
+    lists = [key for key in LAYOUT if key in doc]
+    kinds = ["drop", "duplicate", "arity", "coefficient", "index"] + ["length"] * bool(vectors)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "length":
+        key, name = draw(st.sampled_from(vectors))
+        vec = doc[key][name]
+        doc[key][name] = vec[:-1] if draw(st.booleans()) else vec + [0]
+        return doc
+    key = draw(st.sampled_from([k for k in lists if LAYOUT[k][0]] if kind == "index" else lists))
+    entries = doc[key]
+    pos = draw(st.integers(0, len(entries) - 1))
+    entry = entries[pos] = list(entries[pos])
+    indexes, coefficient = LAYOUT[key]
+    if kind == "drop":
+        del entries[pos]
+    elif kind == "duplicate":
+        entries.insert(pos, list(entry))
+    elif kind == "arity":
+        entries[pos] = entry[:-1] if draw(st.booleans()) else entry + [0]
+    elif kind == "index":
+        entry[draw(st.sampled_from(indexes))] = draw(st.sampled_from([n, n + 3, -1]))
+    else:
+        bad = draw(st.sampled_from(["1/0", "x", "", "1.5", 0.5, None, [1], True]))
+        entry[draw(st.integers(0, n - 1)) if coefficient is None else coefficient] = bad
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=mutants())
+def test_a_mutated_document_exits_cleanly(doc):
+    """A malformed or mutated document never escapes main with an
+    exception: verify exits 0, 1 or 2, and on 2 stderr is one error line
+    that names the document key at fault."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path), "--json"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].split(":")[0] == "error", lines
+        assert lines[0].split(": ")[1] in DOCUMENT_KEYS, lines

@@ -206,8 +206,8 @@ def test_tensor_square_operations(sweedler):
     x = ops.single(2)
     t = ops.outer(g, x)
     assert tensor2_flip(t) == ops.outer(x, g)
-    assert tensor2_map(ops, t, ops.antipode) == ops.outer(ops.s_lc(g), x)
-    assert tensor2_map(ops, t, None, ops.antipode) == ops.outer(g, ops.s_lc(x))
+    assert tensor2_map(ops, t, 1) == ops.outer(ops.s_lc(g), x)
+    assert tensor2_map(ops, t, 0, 1) == ops.outer(g, ops.s_lc(x))
     assert tensor2_mul(ops, ops.outer(g, g), ops.outer(g, x)) == ops.outer(ops.unit, ops.mul_lc(g, x))
     with pytest.raises(NotInvertibleError):
         Tensor2.invert(sweedler, t)

@@ -24,7 +24,11 @@ divides with /, so every division goes through Field.div.  A carrier's
 kernel tables and its S proof have one holder, BasisOps.tables: only
 lincomb builds a KernelTables, no function takes the tables or the proof
 as a parameter named raw or proven, and neither FinHopfAlgebra nor
-Carrier has a generators attribute.
+Carrier has a generators attribute.  Those tables are also the one cache
+of the structure maps: outside KernelTables.__init__ no module wraps
+memo_fn, KeyTable, PairTable or a functools cache around mul, delta, an
+antipode or a Laurent *_key closed form, or calls .mul, .delta, .antipode
+or .antipode_inv.
 """
 
 import ast
@@ -546,3 +550,103 @@ def test_table_twin_detector_flags_each_form(tmp_path):
 def test_kernel_tables_and_the_s_proof_have_one_holder():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in table_twins(path)]
     assert not found, "kernel tables or S proofs outside BasisOps.tables:\n" + "\n".join(found)
+
+
+STRUCTURE_MAPS = ("mul", "delta", "antipode", "antipode_inv")
+CACHES = ("memo_fn", "KeyTable", "PairTable", "lru_cache", "cache")
+
+
+def _names_structure_map(node: ast.AST) -> str | None:
+    """The name of a structure map named as it is, as a name or an
+    attribute: mul, delta, antipode, antipode_inv or a closed form *_key."""
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+    return name if name in STRUCTURE_MAPS or name and name.endswith("_key") else None
+
+
+def _is_cache(node: ast.AST) -> bool:
+    """memo_fn, KeyTable, PairTable, lru_cache or cache, as a name, an
+    attribute or a call of one (lru_cache(maxsize))."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None) in CACHES
+
+
+def structure_map_caches(path: Path) -> list[str]:
+    """Second caches of a carrier's structure maps beside BasisOps.tables,
+    and reads that bypass those tables, outside lincomb's
+    KernelTables.__init__, the one place that calls the maps: a cache
+    (CACHES) called on a structure map, on a lambda or partial that calls
+    one, or decorating a function named as one; and any call .mul(...),
+    .delta(...), .antipode(...) or .antipode_inv(...)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+
+    def calls_map(node) -> str | None:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and (name := _names_structure_map(sub.func)):
+                return name
+            if (isinstance(sub, ast.Call) and _callee(sub) == "partial" and sub.args
+                    and (name := _names_structure_map(sub.args[0]))):
+                return name
+        return None
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner + (getattr(child, "name", None),)
+            if inner == ("KernelTables", "__init__") and path.stem == "lincomb":
+                continue
+            if isinstance(child, ast.Call) and _is_cache(child.func):
+                name = next(filter(None, (_names_structure_map(arg) or calls_map(arg)
+                                          for arg in child.args)), None)
+                if name:
+                    out.append(f"{path.name}:{child.lineno}: cache around {name}")
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and (
+                    child.func.attr in STRUCTURE_MAPS):
+                out.append(f"{path.name}:{child.lineno}: .{child.func.attr}() call")
+            elif (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and _names_structure_map(ast.Name(child.name))
+                  and any(map(_is_cache, child.decorator_list))):
+                out.append(f"{path.name}:{child.lineno}: cache around {child.name}")
+            visit(child, inner if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else owner)
+
+    visit(tree, ())
+    return sorted(out)
+
+
+def test_structure_map_cache_detector_flags_each_form(tmp_path):
+    # the Laurent family's product interning and memos that BasisOps.tables replaced
+    laurent = tmp_path / "laurent.py"
+    laurent.write_text("def basis_ops(window):\n"
+                       "    def mul(x, y):\n"
+                       "        return products.setdefault(x, mul_key(x, y))\n"
+                       "    return BasisOps(mul=PairTable(mul), delta=memo_fn(delta_key),\n"
+                       "                    antipode=KeyTable(lambda k: antipode_key(k)),\n"
+                       "                    antipode_inv=lru_cache(None)(antipode_inv_key),\n"
+                       "                    eps=functools.cache(partial(eps_key)))\n\n"
+                       "@functools.lru_cache(maxsize=None)\n"
+                       "def mul_key(x, y):\n"
+                       "    return {}\n\n"
+                       "def nakayama(ops, tables, chi):\n"
+                       "    swapped = KeyTable(lambda k: tables.delta[k])\n"
+                       "    return memo_fn(chi), ops.mul(1, 2), ops.tables.antipode_inv(3)\n")
+    assert structure_map_caches(laurent) == [
+        "laurent.py:10: cache around mul_key", "laurent.py:15: .antipode_inv() call",
+        "laurent.py:15: .mul() call", "laurent.py:4: cache around delta_key",
+        "laurent.py:4: cache around mul", "laurent.py:5: cache around antipode_key",
+        "laurent.py:6: cache around antipode_inv_key", "laurent.py:7: cache around eps_key"]
+    lincomb = tmp_path / "lincomb.py"
+    lincomb.write_text("class KernelTables:\n"
+                       "    def __init__(self, ops):\n"
+                       "        delta = ops.delta\n"
+                       "        self.delta = KeyTable(lambda k: tuple(delta(k)))\n"
+                       "        self.s = KeyTable(lambda k: ops.antipode(k))\n\n"
+                       "    def refill(self, ops):\n"
+                       "        return ops.delta(0)\n")
+    assert structure_map_caches(lincomb) == ["lincomb.py:8: .delta() call"]
+
+
+def test_structure_maps_have_one_cache_and_every_reader_uses_it():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in structure_map_caches(path)]
+    assert not found, "structure maps cached or read outside KernelTables:\n" + "\n".join(found)

@@ -89,17 +89,28 @@ def test_window_too_small_is_rejected():
         basis_ops(1)
 
 
-def test_a_verify_evaluates_each_closed_form_once_per_argument(monkeypatch, capsys):
-    """basis_ops keeps mul, delta and both antipodes as tables filled on
-    first lookup, shared by every reader of one window's BasisOps: a whole
-    verify at window 9 runs each closed form once per distinct argument
-    (before the tables, mul_key ran 15,504 times on 4,218 pairs)."""
+@pytest.mark.parametrize("command", [
+    ["verify"],
+    *(["compute", what] for what in ("lambda", "a", "alpha", "chi", "u", "v", "uv",
+                                     "a_alpha", "b_alpha")),
+    *(["check", token] for token in ("s4", "main3", "cor3", "tangent")),
+], ids="-".join)
+def test_each_command_evaluates_each_closed_form_once_per_argument(command, monkeypatch,
+                                                                   capsys):
+    """basis_ops hands over the closed forms as they are, and every reader
+    of mul, delta and both antipodes goes through the one set of tables of
+    the window's BasisOps: a whole verify at window 9, and each compute
+    target and braided check token, which reach the battery and the
+    functionals through cmd_compute and _check_braided, run each closed
+    form once per distinct argument (before the tables, a verify ran
+    mul_key 15,504 times on 4,218 pairs)."""
     calls: dict = {}
     for name in ("mul_key", "delta_key", "antipode_key", "antipode_inv_key"):
         real = getattr(laurent, name)
         monkeypatch.setattr(laurent, name, lambda *args, real=real, name=name: (
             calls.setdefault(name, []).append(args), real(*args))[1])
-    verify_json(capsys, "preset:laurent", "--window", "9")
+    assert main([command[0], "preset:laurent", *command[1:], "--window", "9", "--json"]) == 0
+    capsys.readouterr()
     assert sorted(calls) == ["antipode_inv_key", "antipode_key", "delta_key", "mul_key"]
     assert all(len(args) == len(set(args)) for args in calls.values()), {
         name: (len(args), len(set(args))) for name, args in calls.items()}
