@@ -41,7 +41,6 @@ from .coquasitriangular import (
     CQT_CONVENTIONS,
     Braiding,
     braided_chain,
-    braided_functionals,
     braided_modular_corollary_checks,
     braiding_axiom_checks,
     braiding_from_matrix,
@@ -98,15 +97,15 @@ class Source:
     """What a source hands every command once its structure battery passes:
     data, solving its Carrier; lines, its computed lines from the carrier;
     r and braiding, None or building the R-matrix and (braiding, named
-    grouplikes, braided functionals if already computed); closing, giving
-    the checks and lines after the braided chain; the named characters the
-    R-matrix chains read; and how a named functional prints.  Every carrier
-    prints an element the same way, by its ops.format."""
+    grouplikes), the Braiding being the one cache of sigma that every command
+    reads; closing, giving the checks and lines after the braided chain; the
+    named characters the R-matrix chains read; and how a named functional
+    prints.  Every carrier prints an element the same way, by its ops.format."""
 
     data: Callable[[], Carrier]
     lines: Callable[[Carrier], list[tuple[str, str]]]
     r: Callable[[], RMatrix] | None
-    braiding: Callable[[], tuple[Braiding, dict, tuple | None]] | None
+    braiding: Callable[[], tuple[Braiding, dict]] | None
     closing: Callable[[Carrier, Braiding, dict], tuple[list[CheckResult], list]]
     characters: dict
     functional_lines: Callable[[str, Callable], list[tuple[str, str]]]
@@ -190,7 +189,7 @@ def _document_source(doc: AlgebraDocument) -> Resolved:
         if doc.r_entries is not None:
             r = lambda: RMatrix.from_entries(algebra, doc.r_entries)
         if doc.sigma is not None:
-            braiding = lambda: (braiding_from_matrix(algebra, doc.sigma)[0], grouplikes, None)
+            braiding = lambda: (braiding_from_matrix(algebra, doc.sigma)[0], grouplikes)
         return _table_source(algebra.ops, lambda: cofrobenius_data(algebra), _carrier_lines,
                              r, braiding, characters)
 
@@ -207,7 +206,7 @@ def _laurent_source(window: int) -> Resolved:
     def build() -> Source:
         return Source(partial(laurent.family_data, ops),
                       partial(laurent.computed_lines, window), None,
-                      lambda: (laurent.braiding(), {}, None),
+                      lambda: (laurent.braiding(ops), {}),
                       lambda c, br, fns: (laurent.closed_form_checks(c, br, fns), []), {},
                       partial(laurent.window_table, ops))
 
@@ -256,11 +255,11 @@ def run_verify(report: Report, structure: list[CheckResult],
         report.conventions.extend(CQT_CONVENTIONS)
     if src.braiding is not None:
         try:
-            br, grouplikes, functionals = src.braiding()
+            br, grouplikes = src.braiding()
         except (AxiomError, NotInvertibleError) as exc:
             report.add(failed("cqt.braiding_invertible", str(exc)))
         else:
-            fns, checks = braided_chain(c, br, grouplikes, functionals)
+            fns, checks = braided_chain(c, br, grouplikes)
             report.extend(checks)
             if fns is not None:
                 _add(report, *src.closing(c, br, fns))
@@ -314,12 +313,12 @@ def _dual_source(r: RMatrix, qt: QTData | None,
     become grouplikes of the dual."""
     if qt is None:  # the caller has not reached u and v
         qt, _ = drinfeld_elements(r)
-    dual, br, functionals, bridge = dualize_qt(r, qt)
+    dual, br, bridge = dualize_qt(r, qt)
     dual_data = cofrobenius_data(dual)
     glikes = {name: {k: v for k in range(dual.dim) if (v := f(k))}
               for name, f in characters.items()}
     return bridge, dual, _table_source(dual.ops, lambda: dual_data, lambda c: [], None,
-                                       lambda: (br, glikes, functionals), {})
+                                       lambda: (br, glikes), {})
 
 
 def _dual_chain(r: RMatrix, qt: QTData | None, characters: dict, report: Report) -> None:
@@ -413,7 +412,7 @@ def cmd_compute(res: Resolved, args) -> int:
             images = modular_characters(ops, br, c.a, c.a_inv)
             lines = functional(("alpha_a", "beta_a")[second], images[second])
         else:
-            fns, _ = braided_functionals(ops, br)
+            fns = br.functionals[0]
             lines = functional(what, fns[what] if what != "uv"
                                else ops.convolve(fns["u"], fns["v"]))
     else:
@@ -467,19 +466,17 @@ def _check_braided(label: str, src: Source, token: str, report: Report) -> None:
     first FAIL line, ahead of the theorem's checks."""
     report.conventions.extend(CQT_CONVENTIONS)
     if src.braiding is not None:
-        c = src.data()
-        br, _, functionals = src.braiding()
+        c, br = src.data(), src.braiding()[0]
     elif src.r is not None:
         bridge, _, dual = _dual_source(src.r(), None, {})
         report.extend(bridge)
         report.add_computed("carrier", f"dual of {label}")
-        c = dual.data()
-        br, _, functionals = dual.braiding()
+        c, br = dual.data(), dual.braiding()[0]
     else:
         raise UsageError(f"check {token} needs a braiding or an R-matrix")
     ops = c.ops
     report.extend(_first_failure(braiding_axiom_checks(ops, br)))
-    fns, fn_checks = functionals or braided_functionals(ops, br)
+    fns, fn_checks = br.functionals
     report.extend(fn_checks)
     if token == "main3":
         report.extend(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))

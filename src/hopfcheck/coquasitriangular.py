@@ -1,16 +1,17 @@
 """Braidings: bilinear forms on a Hopf algebra making it coquasitriangular.
 
-A Braiding is a pair of evaluators on basis-key pairs.  Finite-dimensional
-carriers wrap n-by-n value rows, whose convolution inverse is an inverse
-in the tensor square of the dual (hopf.Tensor2.invert); the built-in
-infinite family supplies closed forms.  Every theorem checker below is
-written against the evaluator interface so both carriers share one code
-path.
+A Braiding holds evaluators of sigma and its convolution inverse on
+basis-key pairs and their one cache, which every checker below reads (the
+flip's evaluators included), so each pair is evaluated once per braiding.
+Finite-dimensional carriers wrap n-by-n value rows, whose convolution
+inverse is an inverse in the tensor square of the dual (Tensor2.invert);
+the built-in infinite family supplies closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .cofrobenius import Carrier, twist_round_trip
@@ -45,17 +46,27 @@ CQT_CONVENTIONS = (
 
 @dataclass(frozen=True)
 class Braiding:
-    """Evaluators for sigma and its convolution inverse on basis-key pairs."""
+    """sigma and its convolution inverse on ops' key pairs as raw evaluators,
+    and their one cache: the PairTables sigma and sigma_inv, and functionals,
+    the braided functionals with their checks.  A dataclasses.replace'd copy
+    builds its own."""
 
+    ops: BasisOps
     value: Callable
     inverse: Callable
 
+    sigma = cached_property(lambda self: PairTable(self.value))
+    sigma_inv = cached_property(lambda self: PairTable(self.inverse))
+    functionals = cached_property(lambda self: braided_functionals(self.ops, self))
 
-def pair_eval(ops: BasisOps, fn, a: LC, b: LC) -> Scalar:
+
+def pair_eval(ops: BasisOps, table: PairTable, a: LC, b: LC) -> Scalar:
+    """table extended bilinearly to the pair (a, b)."""
     acc = 0
     for ka, va in a.items():
+        row = table[ka]
         for kb, vb in b.items():
-            f = fn(ka, kb)
+            f = row[kb]
             if f:
                 acc = acc + va * vb * f
     return ops.field.reduce(acc)
@@ -66,19 +77,15 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
     antipode formulas for the inverse, which are SKIPs unless everything
     before them passes.
 
-    sigma and its inverse are tables filled on first lookup (PairTables
-    handed in are read as they are), so each pair is evaluated once per
-    call; every grid reads them and ops' products and coproducts
-    (ops.tables), and the two multiplicativity grids over key triples run
-    one (h, l) row at a time, on the generator rows when
-    braiding_generators establishes their premises.  Where ops' tables
+    Every grid reads sigma and its inverse through br's tables and ops'
+    products and coproducts through ops.tables, and the two multiplicativity
+    grids over key triples run one (h, l) row at a time, on the generator
+    rows when braiding_generators establishes their premises.  Where ops' tables
     hold an S proof, S is not derived again, and once sigma's first law
     passes the commutation relation and antipode_square_invariance run on
     the rows (s, l) first (lincomb).  Without one both run every row."""
     out: list[CheckResult] = []
-    sig, sig_inv = (fn if isinstance(fn, PairTable) else PairTable(fn)
-                    for fn in (br.value, br.inverse))
-    tables = ops.tables
+    sig, sig_inv, tables = br.sigma, br.sigma_inv, ops.tables
     prod, delta, eps, reduce = tables.prod, tables.delta, tables.eps, ops.field.reduce
     gens = braiding_generators(ops)
 
@@ -216,14 +223,15 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
 
 def braided_functionals(ops: BasisOps, br: Braiding) -> tuple[dict, list[CheckResult]]:
     """u(h) = sigma(h2, S(h1)) and its three companions, with the convolution
-    inverse laws and the co-inner realization of S^2."""
+    inverse laws and the co-inner realization of S^2 (br.functionals)."""
+    sigma = br.sigma
 
     def over_delta(args):
         """h -> sum of c sigma(x, y) over Delta(h), with (x, y) = args(h1, h2)."""
         def fn(h):
             acc = 0
             for c, h1, h2 in ops.tables.delta[h]:
-                f = pair_eval(ops, br.value, *args(h1, h2))
+                f = pair_eval(ops, sigma, *args(h1, h2))
                 if f:
                     acc = acc + c * f
             return ops.field.reduce(acc)
@@ -253,19 +261,19 @@ def braided_functionals(ops: BasisOps, br: Braiding) -> tuple[dict, list[CheckRe
     return fns, out
 
 
-def contract_second(ops: BasisOps, fn, lc: LC):
-    """h -> fn(h, lc), memoized."""
-    return memo_fn(lambda h: pair_eval(ops, fn, ops.single(h), lc))
+def contract_second(ops: BasisOps, table: PairTable, lc: LC):
+    """h -> table(h, lc), memoized."""
+    return memo_fn(lambda h: pair_eval(ops, table, ops.single(h), lc))
 
 
-def contract_first(ops: BasisOps, fn, lc: LC):
-    """h -> fn(lc, h), memoized."""
-    return memo_fn(lambda h: pair_eval(ops, fn, lc, ops.single(h)))
+def contract_first(ops: BasisOps, table: PairTable, lc: LC):
+    """h -> table(lc, h), memoized."""
+    return memo_fn(lambda h: pair_eval(ops, table, lc, ops.single(h)))
 
 
 def modular_characters(ops: BasisOps, br: Braiding, a_lc: LC, a_inv_lc: LC):
     """alpha_a = sigma(-, a^-1) and beta_a = sigma(a, -)."""
-    return contract_second(ops, br.value, a_inv_lc), contract_first(ops, br.value, a_lc)
+    return contract_second(ops, br.sigma, a_inv_lc), contract_first(ops, br.sigma, a_lc)
 
 
 def modular_convolution_checks(ops: BasisOps, br: Braiding, fns: dict,
@@ -324,7 +332,7 @@ def grouplike_witness_checks(ops: BasisOps, br: Braiding, g_lc: LC, g_inv_lc: LC
                      is_character_fn(ops, alpha_g, on_proof=True)
                      and is_character_fn(ops, beta_g, on_proof=True)))
 
-    val, inv = br.value, br.inverse
+    val, inv = br.sigma, br.sigma_inv
     witnesses = [
         (contract_second(ops, val, g_lc), contract_second(ops, inv, g_lc)),
         (contract_first(ops, inv, g_lc), contract_first(ops, val, g_lc)),
@@ -378,38 +386,40 @@ def grouplike_homomorphism_checks(ops: BasisOps, br: Braiding,
 
 
 def flip_braiding(br: Braiding) -> Braiding:
-    """sigma-tilde(x, y) = sigma^-1(y, x), again a braiding."""
-    return Braiding(value=lambda x, y: br.inverse(y, x),
-                    inverse=lambda x, y: br.value(y, x))
+    """sigma-tilde(x, y) = sigma^-1(y, x), again a braiding on br.ops, read
+    off br's tables."""
+    sig, sig_inv = br.sigma, br.sigma_inv
+    return Braiding(br.ops, value=lambda x, y: sig_inv[y][x], inverse=lambda x, y: sig[y][x])
 
 
-def flip_agrees(read: Braiding, flipped: Braiding) -> bool:
-    """flipped equals read's evaluators on every pair filled in their tables."""
-    return all(fn(x, y) == v for table, fn in ((read.value, flipped.value),
-                                               (read.inverse, flipped.inverse))
-               for x, row in table.items() for y, v in row.items())
+def flip_agrees(br: Braiding) -> bool:
+    """br's flip equals br on every pair filled in br's tables: sigma^-1(y, x)
+    = sigma(x, y) and sigma(y, x) = sigma^-1(x, y), on copies of the rows made
+    before these reads fill the tables further (not a tuple per cell: gc)."""
+    filled = [(other, {x: dict(row) for x, row in table.items()})
+              for table, other in ((br.sigma, br.sigma_inv), (br.sigma_inv, br.sigma))]
+    return all(other[y][x] == v for other, rows in filled
+               for x, row in rows.items() for y, v in row.items())
 
 
 def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC, a_inv_lc: LC,
-                         battery: tuple | None = None) -> tuple[Braiding, list[CheckResult]]:
+                         axioms: list | None = None) -> tuple[Braiding, list[CheckResult]]:
     """The flipped braiding passes every axiom; its functionals swap with the
     originals (u~ = v^-1, v~ = u^-1, alpha~_a = beta_a, beta~_a = alpha_a);
     flipping twice restores the original values.
 
-    battery, when given, is (the braiding sigma's axiom battery ran on, with
-    PairTables over br.value and br.inverse; its lines).  The battery is
-    deterministic in ops and in the values it reads: the next pair it reads,
-    and each verdict and witness, depend on nothing else.  So where the flip
-    equals sigma and sigma^-1 on every pair filled in those tables
-    (flip_agrees; a cotriangular sigma is its own flip), its battery would
-    make the same reads in the same order and return the same lines; they
-    are taken, renamed.  Otherwise, and without a battery, it runs on the
+    axioms, when given, are the lines of sigma's axiom battery on br.  The
+    battery is deterministic in ops and in the values it reads: the next
+    pair it reads, and each verdict and witness, depend on nothing else.  So
+    where the flip equals sigma and sigma^-1 on every pair filled in br's
+    tables (flip_agrees; a cotriangular sigma is its own flip), its battery
+    would make the same reads in the same order and return the same lines;
+    they are taken, renamed.  Otherwise, and without them, it runs on the
     same ops, so on the same S proof, as sigma's (braiding_axiom_checks)."""
     flipped = flip_braiding(br)
-    read, axioms = battery or (None, None)
-    if read is None or not flip_agrees(read, flipped):
+    if axioms is None or not flip_agrees(br):
         axioms = braiding_axiom_checks(ops, flipped)
-    flip_fns, fn_checks = braided_functionals(ops, flipped)
+    flip_fns, fn_checks = flipped.functionals
     out = [CheckResult(f"flip_braiding.{result.name}", result.status, result.witness)
            for result in axioms + fn_checks]
 
@@ -427,41 +437,36 @@ def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC, a_inv
     twice = flip_braiding(flipped)
     out.append(pair_check(
         "flip_braiding.involution", ops,
-        lambda p: twice.value(p[0], p[1]) == br.value(p[0], p[1])
-        and twice.inverse(p[0], p[1]) == br.inverse(p[0], p[1])))
+        lambda p: twice.sigma(*p) == br.sigma(*p) and twice.sigma_inv(*p) == br.sigma_inv(*p)))
     return flipped, out
 
 
-def braided_chain(c: Carrier, br: Braiding, grouplikes: dict,
-                  functionals: tuple | None) -> tuple[dict | None, list[CheckResult]]:
-    """The braiding axioms, then (once they pass) the braided functionals,
-    unless given with their checks, and every check built on them; returns
-    the functionals, None when an axiom fails, and the checks.
+def braided_chain(c: Carrier, br: Braiding,
+                  grouplikes: dict) -> tuple[dict | None, list[CheckResult]]:
+    """The braiding axioms, then (once they pass) the braided functionals and
+    every check built on them; returns the functionals, None when an axiom
+    fails, and the checks.
 
-    The battery and the checks after it read sigma through one pair of
-    PairTables, so each pair is evaluated once, product keys outside a
-    window included.  The flip is built on br itself, whose evaluators cost
-    less than a lookup through those tables; flip_braiding_checks reuses the
-    battery's lines where the flip agrees on every pair the tables hold by
-    then, a superset of the battery's reads, since there the flip's battery
-    would make the same reads and return the same lines."""
+    Every check reads sigma through br's tables, so each pair is evaluated
+    once, product keys outside a window included.  flip_braiding_checks
+    reuses the battery's lines where the flip agrees on every pair the
+    tables hold by then, a superset of the battery's reads, since there the
+    flip's battery would make the same reads and return the same lines."""
     ops = c.ops
-    read = Braiding(PairTable(br.value), PairTable(br.inverse))
-    axioms = braiding_axiom_checks(ops, read)
+    axioms = braiding_axiom_checks(ops, br)
     if not all(x.ok for x in axioms):
         return None, axioms
-    out = list(axioms)  # the flip checks read axioms after out has grown
-    fns, fn_checks = functionals or braided_functionals(ops, read)
-    out.extend(fn_checks)
-    out.extend(modular_convolution_checks(ops, read, fns, c.alpha, c.a, c.a_inv))
-    out.extend(braided_modular_corollary_checks(ops, read, fns, c.alpha, c.alpha_inv,
+    fns, fn_checks = br.functionals
+    out = axioms + fn_checks  # the flip checks read axioms after out has grown
+    out.extend(modular_convolution_checks(ops, br, fns, c.alpha, c.a, c.a_inv))
+    out.extend(braided_modular_corollary_checks(ops, br, fns, c.alpha, c.alpha_inv,
                                                 c.a, c.a_inv))
     # the inverse of a grouplike is its antipode
     pairs = {name: (g, ops.s_lc(g)) for name, g in {"a": c.a, **grouplikes}.items()}
     for name in sorted(pairs):
-        out.extend(grouplike_witness_checks(ops, read, *pairs[name], name=name)[1])
-    out.extend(grouplike_homomorphism_checks(ops, read, pairs))
-    out.extend(flip_braiding_checks(ops, br, fns, c.a, c.a_inv, (read, axioms))[1])
+        out.extend(grouplike_witness_checks(ops, br, *pairs[name], name=name)[1])
+    out.extend(grouplike_homomorphism_checks(ops, br, pairs))
+    out.extend(flip_braiding_checks(ops, br, fns, c.a, c.a_inv, axioms)[1])
     out.extend(twist_round_trip(c, fns["u"], fns["u_inv"]))
     return fns, out
 
@@ -492,22 +497,21 @@ def braiding_from_matrix(algebra: FinHopfAlgebra, rows) -> tuple[Braiding, LC]:
         inv = Tensor2.invert(algebra.dual(), sigma)
     except NotInvertibleError:
         raise NotInvertibleError("braiding has no convolution inverse") from None
-    br = Braiding(value=lambda x, y: rows[x][y], inverse=lambda x, y: inv.get((x, y), zero))
+    br = Braiding(algebra.ops, value=lambda x, y: rows[x][y],
+                  inverse=lambda x, y: inv.get((x, y), zero))
     return br, inv
 
 
-def dualize_qt(r: RMatrix, qt: QTData) -> tuple[FinHopfAlgebra, Braiding,
-                                                tuple[dict, list[CheckResult]],
-                                                list[CheckResult]]:
+def dualize_qt(r: RMatrix, qt: QTData) -> tuple[FinHopfAlgebra, Braiding, list[CheckResult]]:
     """The dual Hopf algebra with sigma(f, g) = (f x g)(R).
 
-    Returns the dual, the braiding, its braided functionals with their
-    checks, and the bridge checks.  sigma^-1, solved for in the tensor
-    square of dual.dual(), must equal R^-1 solved for on the algebra: the
-    two are separate solves on equal tables.  The braided functionals must
-    evaluate the Drinfeld elements qt of the algebra: u(f) = f(u), and
-    v(f) = sigma(f1, S f2) = f(R^1 S(R^2)) = f(S(u)), which is f(v^-1) since
-    the QT side defines v = S(u)^-1.
+    Returns the dual, the braiding, whose cached functionals the bridge
+    reads, and the bridge checks.  sigma^-1, solved for in the tensor square
+    of dual.dual(), must equal R^-1 solved for on the algebra: the two are
+    separate solves on equal tables.  The braided functionals must evaluate
+    the Drinfeld elements qt of the algebra: u(f) = f(u), and v(f) =
+    sigma(f1, S f2) = f(R^1 S(R^2)) = f(S(u)), which is f(v^-1) since the
+    QT side defines v = S(u)^-1.
     """
     algebra, zero = r.algebra, r.algebra.field.zero
     dual, keys = algebra.dual(), range(algebra.dim)
@@ -515,10 +519,8 @@ def dualize_qt(r: RMatrix, qt: QTData) -> tuple[FinHopfAlgebra, Braiding,
     br, inv = braiding_from_matrix(dual, rows)
     out = [check("cqt.inverse_two_paths_agree", inv == r.inverse)]
 
-    ops = dual.ops
-    functionals = braided_functionals(ops, br)
-    fns = functionals[0]
+    ops, fns = dual.ops, br.functionals[0]
     out.append(key_check("cqt.dual_bridge_u", ops, lambda i: fns["u"](i) == qt.u.get(i, zero)))
     out.append(key_check("cqt.dual_bridge_v", ops,
                          lambda i: fns["v"](i) == qt.v_inv.get(i, zero)))
-    return dual, br, functionals, out
+    return dual, br, out

@@ -97,10 +97,10 @@ def sigma_value(k1, k2) -> Scalar:
     return _sign(i * t)
 
 
-def braiding() -> Braiding:
+def braiding(ops: BasisOps) -> Braiding:
     # sigma composed with S on the first leg gives the inverse; on grouplike
     # keys that is (-1)^(-i t) = (-1)^(i t), so sigma is its own inverse
-    return Braiding(value=sigma_value, inverse=sigma_value)
+    return Braiding(ops, value=sigma_value, inverse=sigma_value)
 
 
 def basis_ops(window: int) -> BasisOps:

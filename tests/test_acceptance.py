@@ -197,7 +197,8 @@ def test_criterion_08_braidings_and_dual_bridge(c2, sweedler, sweedler_r,
 
     for algebra, r in ((sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r)):
         qt, _ = drinfeld_elements(r)
-        dual, dual_br, (fns, fn_checks), bridge = dualize_qt(r, qt)
+        dual, dual_br, bridge = dualize_qt(r, qt)
+        fns, fn_checks = dual_br.functionals
         no_failures(bridge)
         ops = dual.ops
         no_failures(braiding_axiom_checks(ops, dual_br))
@@ -207,13 +208,15 @@ def test_criterion_08_braidings_and_dual_bridge(c2, sweedler, sweedler_r,
             assert fns["u"](i) == qt.u.get(i, ZERO)
             assert fns["v"](i) == qt.v.get(i, ZERO)
 
-    no_failures(braiding_axiom_checks(laurent.basis_ops(5), laurent.braiding()))
+    ops = laurent.basis_ops(5)
+    no_failures(braiding_axiom_checks(ops, laurent.braiding(ops)))
 
 
 def test_criterion_09_braided_modular_identities(sweedler, sweedler_r,
                                                  sweedler_xi0, sweedler_xi0_r):
     for algebra, r in ((sweedler, sweedler_r), (sweedler_xi0, sweedler_xi0_r)):
-        dual, br, (fns, _), _ = dualize_qt(r, drinfeld_elements(r)[0])
+        dual, br, _ = dualize_qt(r, drinfeld_elements(r)[0])
+        fns = br.functionals[0]
         c = cofrobenius_data(dual)
         no_failures(modular_convolution_checks(c.ops, br, fns, c.alpha, c.a, c.a_inv))
         no_failures(braided_modular_corollary_checks(c.ops, br, fns, c.alpha,
@@ -221,7 +224,7 @@ def test_criterion_09_braided_modular_identities(sweedler, sweedler_r,
 
     ops = laurent.basis_ops(5)
     c = laurent.family_data(ops)
-    br = laurent.braiding()
+    br = laurent.braiding(ops)
     fns, fn_checks = braided_functionals(ops, br)
     no_failures(fn_checks)
     for k in ops.keys:
@@ -236,10 +239,10 @@ def test_criterion_09_braided_modular_identities(sweedler, sweedler_r,
 
 
 def test_criterion_10_integral_twist_roundtrip_and_refusal(sweedler, sweedler_r):
-    dual, dual_br, _, _ = dualize_qt(sweedler_r, drinfeld_elements(sweedler_r)[0])
+    dual, dual_br, _ = dualize_qt(sweedler_r, drinfeld_elements(sweedler_r)[0])
+    family = laurent.family_data(laurent.basis_ops(5))
     carriers = [(cofrobenius_data(dual), dual_br, 0, "at (1*, x*)"),
-                (laurent.family_data(laurent.basis_ops(5)), laurent.braiding(),
-                 (-1, 0), "at (g^-1, x)")]
+                (family, laurent.braiding(family.ops), (-1, 0), "at (g^-1, x)")]
     for c, br, spot, witness in carriers:
         ops = c.ops
         fns, _ = braided_functionals(ops, br)

@@ -257,7 +257,7 @@ def document_algebra(obj):
 def dual_braiding(algebra, r):
     """The dual of algebra, verified, with sigma(f, g) = (f x g)(R)."""
     qt, _ = drinfeld_elements(r)
-    dual, br, _, _ = dualize_qt(r, qt)
+    dual, br, _ = dualize_qt(r, qt)
     require_passing(verify_hopf(dual))
     return dual, br
 
@@ -338,7 +338,8 @@ def carrier_source(name, sweedler=None, sweedler_r=None, c4=None):
         doc, algebra = document_algebra(laurent_quotient_document(int(name[1:-7])))
         return algebra, braiding_from_matrix(algebra, doc.sigma)[0]
     if name.startswith("laurent"):  # laurent<window>
-        return laurent.basis_ops(int(name.removeprefix("laurent"))), laurent.braiding()
+        ops = laurent.basis_ops(int(name.removeprefix("laurent")))
+        return ops, laurent.braiding(ops)
     raise ValueError(name)
 
 
@@ -352,7 +353,7 @@ def counit_braiding(ops) -> Braiding:
     """sigma = eps (x) eps, its own convolution inverse; a braiding exactly
     when the product is commutative."""
     value = lambda x, y: ops.field.reduce(ops.eps(x) * ops.eps(y))
-    return Braiding(value=value, inverse=value)
+    return Braiding(ops, value=value, inverse=value)
 
 
 @pytest.fixture(scope="module", params=CARRIERS)
@@ -450,7 +451,7 @@ def test_row_kernels_find_the_first_failure_from_any_start(monkeypatch):
     ops = laurent.basis_ops(2)
     value = laurent.sigma_value
     spots = {((0, 0), (1, 0)), ((-1, 0), (2, 0)), ((1, 1), (0, 0))}
-    br = Braiding(value=lambda x, y: value(x, y) + 1 if (x, y) in spots else value(x, y),
+    br = Braiding(ops, value=lambda x, y: value(x, y) + 1 if (x, y) in spots else value(x, y),
                   inverse=value)
     mul = ops.mul
     ops = dataclasses.replace(
@@ -678,7 +679,7 @@ def test_a_row_failing_at_two_columns_names_the_earlier(name, monkeypatch):
     in reverse order the row kernel names the last."""
     ops = laurent.basis_ops(3)
     value, spots = laurent.sigma_value, {((-3, 0), (-2, 0)), ((-3, 0), (1, 0))}
-    br = Braiding(value=lambda x, y: value(x, y) + 1 if (x, y) in spots else value(x, y),
+    br = Braiding(ops, value=lambda x, y: value(x, y) + 1 if (x, y) in spots else value(x, y),
                   inverse=value)
     kernels, _, _ = spy_triple_grids(monkeypatch)
     planned = planned_results(ops, br)

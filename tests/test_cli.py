@@ -261,7 +261,8 @@ def test_verify_twists_the_dual_integral_with_u(capsys, tmp_path, monkeypatch):
     doc = load_document(path)
     algebra = build_algebra(doc)
     r = RMatrix.from_entries(algebra, doc.r_entries)
-    dual, br, (fns, _), _ = dualize_qt(r, drinfeld_elements(r)[0])
+    dual, br, _ = dualize_qt(r, drinfeld_elements(r)[0])
+    fns = br.functionals[0]
     ops = dual.ops
     assert any(fns["u"](k) != fns["u_inv"](k) for k in ops.keys)
     assert len(seen) == 1

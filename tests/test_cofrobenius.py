@@ -282,12 +282,13 @@ def twist_carrier(request, sweedler, sweedler_data, sweedler_r, c4):
         return finite_twist(sweedler, c.alpha, c.ops.compose_s_power(c.alpha, 1))
     if request.param == "dual_sweedler":
         qt, _ = drinfeld_elements(sweedler_r)
-        dual, _, (fns, _), _ = dualize_qt(sweedler_r, qt)
+        dual, br, _ = dualize_qt(sweedler_r, qt)
+        fns = br.functionals[0]
         return finite_twist(dual, fns["u"], fns["u_inv"])
     if request.param == "dual_c4":
         return dual_c4_twist(c4)
     c = laurent.family_data(laurent.basis_ops(3))
-    fns, _ = braided_functionals(c.ops, laurent.braiding())
+    fns, _ = braided_functionals(c.ops, laurent.braiding(c.ops))
     rho1, tau1, _ = integral_twist_from_coinner(c.ops, c.lam_mul, c.alpha,
                                                 fns["u"], fns["u_inv"])
     return c, rho1, tau1

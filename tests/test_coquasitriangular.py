@@ -1,5 +1,9 @@
+import dataclasses
+import importlib.util
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,6 @@ from hopfcheck.coquasitriangular import (
 from hopfcheck.document import build_algebra, parse_document
 from hopfcheck.hopf import NotInvertibleError, require_passing, verify_hopf
 from hopfcheck.laurent import family_data
-from hopfcheck.lincomb import PairTable
 from hopfcheck.presets import cyclic_group_document, sweedler_document
 from hopfcheck.quasitriangular import RMatrix, drinfeld_elements
 from hopfcheck.report import FAIL, PASS, SKIP, CheckResult
@@ -34,6 +37,7 @@ from test_golden import (
 )
 
 ONE = Fraction(1)
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def trivial_rows(n):
@@ -84,7 +88,8 @@ def test_sign_braiding_on_group_algebra(c2):
 
 
 def test_dualized_sweedler_bridge(sweedler, sweedler_r):
-    dual, br, (fns, fn_checks), checks = dualize(sweedler, sweedler_r)
+    dual, br, checks = dualize(sweedler, sweedler_r)
+    fns, fn_checks = br.functionals
     assert all(r.ok for r in checks)
     ops = dual.ops
     for r in braiding_axiom_checks(ops, br):
@@ -97,7 +102,8 @@ def test_dualized_sweedler_bridge(sweedler, sweedler_r):
 
 
 def test_dual_modular_chain(sweedler, sweedler_r):
-    dual, br, (fns, _), _ = dualize(sweedler, sweedler_r)
+    dual, br, _ = dualize(sweedler, sweedler_r)
+    fns = br.functionals[0]
     c = cofrobenius_data(dual)
     results = modular_chain(c, br, fns)
     by_name = {r.name: r for r in results}
@@ -108,7 +114,7 @@ def test_dual_modular_chain(sweedler, sweedler_r):
 
 
 def test_grouplike_witnesses_on_dual(sweedler, sweedler_r):
-    dual, br, _, _ = dualize(sweedler, sweedler_r)
+    dual, br, _ = dualize(sweedler, sweedler_r)
     c = cofrobenius_data(dual)
     (alpha_a, beta_a), checks = grouplike_witness_checks(c.ops, br, c.a, c.a_inv, name="a")
     assert all(r.ok for r in checks)
@@ -202,12 +208,13 @@ def braided_carrier(name):
         require_passing(verify_hopf(algebra))
         return cofrobenius_data(algebra), braiding_from_matrix(algebra, doc.sigma)[0]
     if name.startswith("laurent"):
-        return family_data(laurent.basis_ops(int(name[7:]))), laurent.braiding()
+        ops = laurent.basis_ops(int(name[7:]))
+        return family_data(ops), laurent.braiding(ops)
     doc = {"sweedler4": sweedler_document,
            "D(kC2)": lambda: parse_document(double_c2_document()),
            "D(kC4)": lambda: parse_document(double_c4_permuted_document())}[name]()
     algebra = build_algebra(doc)
-    dual, br, _, _ = dualize(algebra, RMatrix.from_entries(algebra, doc.r_entries))
+    dual, br, _ = dualize(algebra, RMatrix.from_entries(algebra, doc.r_entries))
     return cofrobenius_data(dual), br
 
 
@@ -242,16 +249,16 @@ def test_flip_battery_is_read_off_a_cotriangular_braiding(name, monkeypatch):
     c, br = braided_carrier(name)
     full = renamed(braiding_axiom_checks(c.ops, flip_braiding(br)))
     calls = spy_batteries(monkeypatch)
-    fns, out = braided_chain(c, br, {}, None)
+    fns, out = braided_chain(c, br, {})
     assert fns is not None
     assert len(calls) == (1 if name in COTRIANGULAR else 2), name
     start = next(i for i, r in enumerate(out) if r.name.startswith("flip_braiding."))
     assert out[start:start + len(full)] == full
     assert out[start + len(full)].name == "flip_braiding.cqt.u.convolution_inverse_left"
 
-    monkeypatch.setattr(coquasitriangular, "flip_agrees", lambda read, flipped: False)
+    monkeypatch.setattr(coquasitriangular, "flip_agrees", lambda br: False)
     calls.clear()
-    assert braided_chain(c, br, {}, None)[1] == out
+    assert braided_chain(c, br, {})[1] == out
     assert len(calls) == 2
 
 
@@ -261,17 +268,17 @@ def test_flip_agreement_covers_read_pairs_outside_the_window(monkeypatch):
     sigma^-1 at (y, x).  sigma's battery is unchanged, but the flip differs
     from sigma at (x, y), so the flip's battery runs again.  At some of
     these pairs it fails sigma's first law."""
-    ops, br = laurent.basis_ops(2), laurent.braiding()
-    read = Braiding(PairTable(br.value), PairTable(br.inverse))
-    intact = braiding_axiom_checks(ops, read)
-    read_inverse = {(x, y) for x, row in read.inverse.items() for y in row}
-    outside = sorted((x, y) for x, row in read.value.items() for y in row
+    ops = laurent.basis_ops(2)
+    br = laurent.braiding(ops)
+    intact = braiding_axiom_checks(ops, br)
+    read_inverse = {(x, y) for x, row in br.sigma_inv.items() for y in row}
+    outside = sorted((x, y) for x, row in br.sigma.items() for y in row
                      if not {x, y} <= set(ops.keys) and (y, x) not in read_inverse)
     assert outside
     calls = spy_batteries(monkeypatch)
     statuses = []
     for x, y in outside:
-        bumped = Braiding(br.value,
+        bumped = Braiding(ops, br.value,
                           lambda s, t, at=(y, x): br.inverse(s, t) + (ONE if (s, t) == at else 0))
         flipped = flip_braiding(bumped)
         # on the key grid alone the flip still agrees with sigma
@@ -279,7 +286,7 @@ def test_flip_agreement_covers_read_pairs_outside_the_window(monkeypatch):
                    and flipped.inverse(h, l) == br.inverse(h, l)
                    for h in ops.keys for l in ops.keys)
         calls.clear()
-        _, out = braided_chain(family_data(ops), bumped, {}, None)
+        _, out = braided_chain(family_data(ops), bumped, {})
         assert len(calls) == 2, (x, y)
         assert out[:len(intact)] == intact, (x, y)
         by_name = {r.name: r for r in out}
@@ -303,3 +310,38 @@ def test_verify_runs_the_axiom_battery_once_per_cotriangular_chain(source, batte
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == batteries
+
+
+def perfbench_double_c4() -> dict:
+    """D(kC4) as perfbench/workloads.py generates it for the double-qt workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.drinfeld_double_cyclic(4)
+
+
+@pytest.mark.parametrize("document", [perfbench_double_c4, double_c4_permuted_document])
+def test_verify_reads_the_dual_braiding_once_per_pair_per_table(document, monkeypatch,
+                                                                tmp_path, capsys):
+    """The benchmark's D(kC4) document and a permuted one: every reader of
+    the dual braiding, the bridge, the chain and the flip, goes through the
+    Braiding that braiding_from_matrix builds, so its value rows and its
+    solved inverse are each read once per pair (before, 1,408 and 1,413
+    reads of 256 on the benchmark's, 1,408 and 1,419 on the permuted)."""
+    reads: dict = {"value": [], "inverse": []}
+    real = coquasitriangular.braiding_from_matrix
+
+    def braiding_from_matrix(algebra, rows):
+        br, inv = real(algebra, rows)
+        spy = lambda side, fn: lambda x, y: (reads[side].append((x, y)), fn(x, y))[1]
+        return dataclasses.replace(br, value=spy("value", br.value),
+                                   inverse=spy("inverse", br.inverse)), inv
+
+    monkeypatch.setattr(coquasitriangular, "braiding_from_matrix", braiding_from_matrix)
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps(document()), encoding="utf-8")
+    assert main(["verify", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert {side: (len(pairs), len(set(pairs))) for side, pairs in reads.items()} == {
+        "value": (256, 256), "inverse": (256, 256)}

@@ -28,7 +28,9 @@ Carrier has a generators attribute.  Those tables are also the one cache
 of the structure maps: outside KernelTables.__init__ no module wraps
 memo_fn, KeyTable, PairTable or a functools cache around mul, delta, an
 antipode or a Laurent *_key closed form, or calls .mul, .delta, .antipode
-or .antipode_inv.
+or .antipode_inv.  Likewise a Braiding is the one cache of sigma: outside
+Braiding and flip_braiding no module wraps a PairTable around a braiding's
+.value or .inverse, reads either evaluator, or calls braided_functionals.
 """
 
 import ast
@@ -650,3 +652,93 @@ def test_structure_map_cache_detector_flags_each_form(tmp_path):
 def test_structure_maps_have_one_cache_and_every_reader_uses_it():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in structure_map_caches(path)]
     assert not found, "structure maps cached or read outside KernelTables:\n" + "\n".join(found)
+
+
+BRAIDING_EVALUATORS = ("value", "inverse")
+
+
+def braiding_bypasses(path: Path) -> list[str]:
+    """Reads of sigma that bypass a braiding's one cache, outside the class
+    Braiding and flip_braiding, which build on the raw evaluators: a
+    PairTable built in a statement that reads .value or .inverse; any other
+    read of .value or .inverse, called or handed on, except on a parameter
+    annotated RMatrix, whose inverse is an element; and a call of
+    braided_functionals, which Braiding.functionals caches."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    out = set()
+
+    def check(stmt, rmatrices) -> None:
+        exprs = [e for e in ast.iter_child_nodes(stmt) if isinstance(e, ast.expr)]
+        nodes = [sub for e in exprs for sub in ast.walk(e)]
+        raw = [a for a in nodes if isinstance(a, ast.Attribute) and a.attr in BRAIDING_EVALUATORS
+               and not (isinstance(a.value, ast.Name) and a.value.id in rmatrices)]
+        callees = [(c.lineno, _callee(c)) for c in nodes if isinstance(c, ast.Call)]
+        if raw and any(name == "PairTable" for _, name in callees):
+            out.add(f"{path.name}:{stmt.lineno}: PairTable over a braiding's evaluator")
+        else:
+            out.update(f"{path.name}:{a.lineno}: "
+                       + (f".{a.attr}() call" if id(a) in called else f"raw .{a.attr} read")
+                       for a in raw)
+        out.update(f"{path.name}:{line}: braided_functionals call"
+                   for line, name in callees if name == "braided_functionals")
+
+    def visit(node, rmatrices) -> None:
+        for child in ast.iter_child_nodes(node):
+            if node is tree and getattr(child, "name", None) in ("Braiding", "flip_braiding"):
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, rmatrices | {a.arg for a in child.args.args + child.args.kwonlyargs
+                                          if a.annotation is not None
+                                          and ast.unparse(a.annotation).strip("'\"") == "RMatrix"})
+            elif isinstance(child, ast.stmt):
+                check(child, rmatrices)
+                visit(child, rmatrices)
+
+    visit(tree, frozenset())
+    return sorted(out)
+
+
+def test_braiding_bypass_detector_flags_each_form(tmp_path):
+    # the sites that read sigma past the Braiding's tables before they were
+    # its one cache: the battery's wrap, the raw modular characters, the
+    # chain's re-wrap and its functionals hand-over, the raw involution, and
+    # cli's own functionals
+    coquasitriangular = tmp_path / "coquasitriangular.py"
+    coquasitriangular.write_text(
+        "class Braiding:\n"
+        "    def sigma(self):\n"
+        "        return PairTable(self.value)\n\n"
+        "def flip_braiding(br):\n"
+        "    return Braiding(br.ops, lambda x, y: br.inverse(y, x), lambda x, y: br.value(y, x))\n\n"
+        "def braiding_axiom_checks(ops, br):\n"
+        "    sig, sig_inv = (fn if isinstance(fn, PairTable) else PairTable(fn)\n"
+        "                    for fn in (br.value, br.inverse))\n\n"
+        "def modular_characters(ops, br, a_lc, a_inv_lc):\n"
+        "    return contract_second(ops, br.value, a_inv_lc), contract_first(ops, br.value, a_lc)\n\n"
+        "def braided_chain(c, br, grouplikes, functionals):\n"
+        "    read = Braiding(PairTable(br.value), PairTable(br.inverse))\n"
+        "    fns, fn_checks = functionals or braided_functionals(c.ops, read)\n"
+        "    twice = flip_braiding(flip_braiding(br))\n"
+        "    return pair_check('involution', c.ops, lambda p: twice.value(*p) == br.sigma(*p))\n\n"
+        "def dualize_qt(r: RMatrix, qt):\n"
+        "    return check('cqt.inverse_two_paths_agree', inv == r.inverse)\n")
+    assert braiding_bypasses(coquasitriangular) == [
+        "coquasitriangular.py:13: raw .value read",
+        "coquasitriangular.py:16: PairTable over a braiding's evaluator",
+        "coquasitriangular.py:17: braided_functionals call",
+        "coquasitriangular.py:19: .value() call",
+        "coquasitriangular.py:9: PairTable over a braiding's evaluator"]
+    cli = tmp_path / "cli.py"
+    cli.write_text("def cmd_compute(ops, src):\n"
+                   "    br = src.braiding()[0]\n"
+                   "    if br:\n"
+                   "        fns, _ = braided_functionals(ops, br)\n"
+                   "    return modular_characters(ops, br, br.value, br.inverse)\n")
+    assert braiding_bypasses(cli) == ["cli.py:4: braided_functionals call",
+                                      "cli.py:5: raw .inverse read", "cli.py:5: raw .value read"]
+
+
+def test_each_braiding_is_the_one_cache_of_sigma_and_every_reader_uses_it():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in braiding_bypasses(path)]
+    assert not found, "sigma read past a braiding's tables or functionals:\n" + "\n".join(found)

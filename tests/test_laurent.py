@@ -89,6 +89,9 @@ def test_window_too_small_is_rejected():
         basis_ops(1)
 
 
+BRAIDED_TARGETS = ("u", "v", "uv", "a_alpha", "b_alpha", "main3", "cor3", "tangent")
+
+
 @pytest.mark.parametrize("command", [
     ["verify"],
     *(["compute", what] for what in ("lambda", "a", "alpha", "chi", "u", "v", "uv",
@@ -103,18 +106,36 @@ def test_each_command_evaluates_each_closed_form_once_per_argument(command, monk
     target and braided check token, which reach the battery and the
     functionals through cmd_compute and _check_braided, run each closed
     form once per distinct argument (before the tables, a verify ran
-    mul_key 15,504 times on 4,218 pairs)."""
+    mul_key 15,504 times on 4,218 pairs).  Likewise every reader of sigma
+    and sigma^-1 goes through the family's Braiding, so each braided
+    command evaluates each side once per pair; both sides are sigma_value,
+    so each gets its own spy (before, a verify ran sigma_value 17,536 times
+    on 4,186 pairs)."""
     calls: dict = {}
     for name in ("mul_key", "delta_key", "antipode_key", "antipode_inv_key"):
         real = getattr(laurent, name)
         monkeypatch.setattr(laurent, name, lambda *args, real=real, name=name: (
             calls.setdefault(name, []).append(args), real(*args))[1])
+    sides: dict = {"value": [], "inverse": []}
+    real_braiding = laurent.braiding
+
+    def braiding(ops):
+        br = real_braiding(ops)
+        spy = lambda side, fn: lambda x, y: (sides[side].append((x, y)), fn(x, y))[1]
+        return dataclasses.replace(br, value=spy("value", br.value),
+                                   inverse=spy("inverse", br.inverse))
+
+    monkeypatch.setattr(laurent, "braiding", braiding)
     assert main([command[0], "preset:laurent", *command[1:], "--window", "9", "--json"]) == 0
     capsys.readouterr()
     assert sorted(calls) == ["antipode_inv_key", "antipode_key", "delta_key", "mul_key"]
     assert all(len(args) == len(set(args)) for args in calls.values()), {
         name: (len(args), len(set(args))) for name, args in calls.items()}
     assert len(calls["mul_key"]) > len(basis_ops(9).keys) ** 2  # products of legs too
+    braided = command[0] == "verify" or command[-1] in BRAIDED_TARGETS
+    assert [bool(pairs) for pairs in sides.values()] == [braided, braided]
+    assert all(len(pairs) == len(set(pairs)) for pairs in sides.values()), {
+        side: (len(pairs), len(set(pairs))) for side, pairs in sides.items()}
 
 
 def test_multiplication_closed_form():
@@ -188,8 +209,8 @@ def test_family_data_matches_closed_forms():
 
 
 def test_braiding_is_self_inverse():
-    br = braiding()
     ops = basis_ops(3)
+    br = braiding(ops)
     for k1 in ops.keys:
         for k2 in ops.keys:
             assert br.value(k1, k2) == sigma_value(k1, k2)
@@ -200,9 +221,10 @@ def test_braiding_is_self_inverse():
 
 
 def test_sign_flipped_braiding_is_detected():
-    bad = Braiding(value=lambda a, b: -sigma_value(a, b),
+    ops = basis_ops(2)
+    bad = Braiding(ops, value=lambda a, b: -sigma_value(a, b),
                    inverse=lambda a, b: -sigma_value(a, b))
-    results = {c.name: c for c in braiding_axiom_checks(basis_ops(2), bad)}
+    results = {c.name: c for c in braiding_axiom_checks(ops, bad)}
     mult = results["cqt.multiplicative_first_argument"]
     assert not mult.ok
     assert mult.witness and mult.witness.startswith("at (")
