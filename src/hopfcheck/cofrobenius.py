@@ -29,14 +29,20 @@ from .lincomb import (
     Key,
     KeyTable,
     PairTable,
+    by_key,
     coinner_law,
+    combine,
     conv_inverse_checks,
+    first_gap,
+    first_in,
+    group,
     inner_law,
     is_character_fn,
     is_grouplike_lc,
     key_check,
     lc_eq,
     memo_fn,
+    nonzero,
     pair_check,
 )
 from .linalg import SingularMatrixError, SparseMatrix, invert_matrix, nullspace
@@ -127,35 +133,39 @@ def modular_element_checks(ops: BasisOps, lam, a: LC, a_inv: LC) -> list[CheckRe
 def integral_exchange_checks(ops: BasisOps, lam_mul, a_inv: LC) -> list[CheckResult]:
     """The two translation identities relating lambda, S and the modular element:
     l1 lambda(h l2) = S(h1) lambda(h2 l) and lambda(h l1) l2 = lambda(h1 l)
-    S^-1(h2) a^-1, with lam_mul the PairTable of lambda(x y).  Each pair sums
-    one raw difference over the coproduct terms (ops.tables) and S(k) or
-    S^-1(k) a^-1, the latter built once per key.  The S proof of ops, left
-    by a Hopf battery with S bijective, decides on its rows: the first
-    identity at (s x, l) follows from it at (s, x2 l) and S(x1) x2 = eps(x),
-    the second from it at (s, x1 l) and S^-1(x2) x1 = eps(x)."""
-    tables = ops.tables
+    S^-1(h2) a^-1, with lam_mul the PairTable of lambda(x y).  A row h sums
+    one raw difference per column from the nonzero lambda(h, -) over the
+    columns' coproduct legs and lambda(y, -) over the columns, and the items
+    of S(k) or S^-1(k) a^-1.  The S proof of ops, left by a Hopf battery with
+    S bijective, decides on its rows: the first identity at (s x, l) follows
+    from it at (s, x2 l) and S(x1) x2 = eps(x), the second from it at (s, x1
+    l) and S^-1(x2) x1 = eps(x)."""
+    tables, keys = ops.tables, ops.keys
     delta, reduce, gens = tables.delta, ops.field.reduce, tables.proof
     s_inv_a = KeyTable(lambda k: tuple(ops.mul_lc(ops.s_inv_lc(ops.single(k)), a_inv).items()))
     swapped = KeyTable(lambda k: tuple((c, k2, k1) for c, k1, k2 in delta[k]))
+    lam_rows = nonzero(lam_mul, keys)
 
     def exchange(terms, image):
         """sum c lambda(h y) x over the terms (c, x, y) of l, less sum c
         lambda(y l) image(x) over those of h, is zero."""
-        def holds(pair) -> bool:
-            h, l = pair
-            lam_h, diff = lam_mul[h], {}
-            for c, x, y in terms[l]:
-                f = lam_h[y]
-                if f:
+        by_leg = group((y, (c, x, l)) for l in keys for c, x, y in terms[l])
+        lam_legs = nonzero(lam_mul, tuple(by_leg))
+
+        def first_failure(h, ls):
+            row: dict = {}  # l -> {key: raw difference}
+            for y, f in lam_legs[h].items():
+                for c, x, l in by_leg[y]:
+                    diff = row.setdefault(l, {})
                     diff[x] = diff.get(x, 0) + c * f
             for c, x, y in terms[h]:
-                f = lam_mul[y][l]
-                if f:
+                for l, f in lam_rows[y].items():
+                    diff = row.setdefault(l, {})
                     for k, w in image[x]:
                         diff[k] = diff.get(k, 0) - c * f * w
-            return not any(map(reduce, diff.values()))
+            return first_in({l for l, d in row.items() if any(map(reduce, d.values()))}, ls)
 
-        return holds
+        return first_failure
 
     return [
         pair_check("integral.exchange_antipode", ops, exchange(delta, tables.s), gens),
@@ -167,30 +177,34 @@ def nakayama_checks(ops: BasisOps, lam_mul, chi, alpha, alpha_inv) -> list[Check
     """chi shifts lambda across products, lambda(m h) = lambda(chi(h) m) with
     lam_mul the PairTable of lambda(x y); alpha = eps(chi(-)) is a character.
     Both pair laws sum raw values over the items of chi(k), kept once per key,
-    and of the products (ops.tables).  The S proof of ops, which holds on
-    an associative product, decides chi's multiplicativity on the rows
-    (s, l) and alpha's, and, once chi is multiplicative, the law on the
-    rows (m, s): lambda(m s h') = lambda(chi(h') m s) = lambda(chi(s h') m)."""
-    tables = ops.tables
+    and of the products (ops.tables).  The S proof of ops, which holds on an
+    associative product, decides chi's multiplicativity on the rows (s, l)
+    and alpha's, and, once chi is multiplicative, the law on the rows (m, s):
+    lambda(m s h') = lambda(chi(h') m s) = lambda(chi(s h') m)."""
+    tables, keys = ops.tables, ops.keys
     prod, reduce, gens = tables.prod, ops.field.reduce, tables.proof
     chis = KeyTable(lambda k: tuple(chi(k).items()))
+    lam_rows, chi_cols = nonzero(lam_mul, keys), by_key(keys, chis)
 
-    def shift_law(pair) -> bool:
-        m, h = pair
-        return not reduce(lam_mul[m][h] - sum(c * lam_mul[k][m] for k, c in chis[h]))
+    def shift_law(m, hs):
+        lam_m = tuple((k, f) for k in chi_cols if (f := lam_mul[k][m]))
+        return first_gap(lam_rows[m], combine(lam_m, chi_cols), hs, lambda a, b: reduce(a - b))
 
-    def chi_multiplicative(pair) -> bool:
+    def chi_multiplicative(h, ls):
         """chi(h l) - chi(h) chi(l), summed raw, is zero."""
-        h, l = pair
-        diff: dict = {}
-        for k, c in prod[h][l]:
-            for k2, w in chis[k]:
-                diff[k2] = diff.get(k2, 0) + c * w
-        for k1, c1 in chis[h]:
-            for k2, c2 in chis[l]:
-                for k, w in prod[k1][k2]:
-                    diff[k] = diff.get(k, 0) - c1 * c2 * w
-        return not any(map(reduce, diff.values()))
+        row, chi_h = prod[h], [(c1, prod[k1]) for k1, c1 in chis[h]]
+        for l in ls:
+            diff: dict = {}
+            for k, c in row[l]:
+                for k2, w in chis[k]:
+                    diff[k2] = diff.get(k2, 0) + c * w
+            for c1, row1 in chi_h:
+                for k2, c2 in chis[l]:
+                    for k, w in row1[k2]:
+                        diff[k] = diff.get(k, 0) - c1 * c2 * w
+            if any(map(reduce, diff.values())):
+                return l
+        return None
 
     multiplicative = pair_check("integral.nakayama_multiplicative", ops, chi_multiplicative,
                                 gens)
@@ -235,30 +249,33 @@ def radford_s4_checks(ops: BasisOps, a: LC, a_inv: LC, alpha, alpha_inv) -> list
 # the twisted product formula for lambda and its extraction (both directions)
 
 
-def _twisted_product_predicate(ops: BasisOps, lam_mul, rho1, tau1):
-    """Pair predicate for lambda(l h) = rho(h1, l1) lambda(h2 l2) tau(h3, l3)
-    on the pair rho(x, y) = rho1(x) eps(y), tau(x, y) = tau1(x) eps(y).
+def _twisted_product_rows(ops: BasisOps, lam_mul, rho1, tau1):
+    """Row kernel of lambda(l h) = rho(h1, l1) lambda(h2 l2) tau(h3, l3) on
+    the pair rho(x, y) = rho1(x) eps(y), tau(x, y) = tau1(x) eps(y).
 
     The counit law, eps(l1) l2 eps(l3) = l, and the linearity of lambda
     regroup the sum over Delta^3(h) x Delta^3(l) into the same field value
-    lambda(h' l), h' = rho1(h1) h2 tau1(h3) = ops.coinner(rho1, tau1, h).  h'
-    is computed once per key, and lam_mul(x, y) = lambda(x y) is read
-    K^2 + sum_h |h'| K times over the grid.
+    lambda(h' l), h' = rho1(h1) h2 tau1(h3) = ops.coinner(rho1, tau1, h),
+    computed once per key.  A row h compares lambda(-, h) with the nonzero
+    lambda(k, -) over the items (k, c) of h': lam_mul(x, y) = lambda(x y) is
+    read K^2 + sum_h |h'| K times over the grid.
     """
-    h_prime, reduce = memo_fn(partial(ops.coinner, rho1, tau1)), ops.field.reduce
+    h_prime, reduce, keys = memo_fn(partial(ops.coinner, rho1, tau1)), ops.field.reduce, ops.keys
+    rows = KeyTable(lambda k: {l: v for l in keys if (v := lam_mul(k, l))})
 
-    def holds(pair) -> bool:
-        h, l = pair
-        return lam_mul(l, h) == reduce(sum(c * lam_mul(k, l) for k, c in h_prime(h).items()))
+    def first_failure(h, ls):
+        left = {l: v for l in keys if (v := lam_mul(l, h))}
+        return first_gap(left, combine(tuple(h_prime(h).items()), rows), ls,
+                         lambda a, b: reduce(a - b))
 
-    return holds
+    return first_failure
 
 
 def product_formula_check(ops: BasisOps, lam_mul, rho1, tau1) -> CheckResult:
     """The twisted product formula on every key pair, with the first failing
     pair as its witness; rho1 and tau1 are the first-leg factors of the pair."""
     return pair_check("integral_twist.product_formula", ops,
-                      _twisted_product_predicate(ops, lam_mul, rho1, tau1))
+                      _twisted_product_rows(ops, lam_mul, rho1, tau1))
 
 
 def integral_twist_from_coinner(ops: BasisOps, lam_mul, alpha, omega, omega_inv):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import ne
 from typing import Callable
 
 from .cofrobenius import Carrier, twist_round_trip
@@ -22,15 +24,18 @@ from .lincomb import (
     LC,
     PairTable,
     braiding_generators,
+    by_key,
     coinner_law,
     combine,
     conv_inverse_checks,
     first_gap,
+    first_in,
     group,
     is_character_fn,
     key_check,
     lc_eq,
     memo_fn,
+    nonzero,
     pair_check,
     triple_grid_check,
 )
@@ -75,15 +80,10 @@ def pair_eval(ops: BasisOps, table: PairTable, a: LC, b: LC) -> Scalar:
 def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
     """The four braiding axioms, the convolution-inverse laws, and the
     antipode formulas for the inverse, which are SKIPs unless everything
-    before them passes.
-
-    Every grid reads sigma and its inverse through br's tables and ops'
-    products and coproducts through ops.tables, and the two multiplicativity
-    grids over key triples run one (h, l) row at a time, on the generator
-    rows when braiding_generators establishes their premises.  Where ops' tables
-    hold an S proof, S is not derived again, and once sigma's first law
-    passes the commutation relation and antipode_square_invariance run on
-    the rows (s, l) first (lincomb).  Without one both run every row."""
+    before them passes.  Every grid reads br's tables and ops.tables; the
+    two over key triples run the generator rows first when
+    braiding_generators establishes their premises, and two pair laws do
+    once sigma's first law passes on an S proof (lincomb)."""
     out: list[CheckResult] = []
     sig, sig_inv, tables = br.sigma, br.sigma_inv, ops.tables
     prod, delta, eps, reduce = tables.prod, tables.delta, tables.eps, ops.field.reduce
@@ -96,11 +96,6 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
     # the keys: on a Laurent window both leave it
     second_legs = dict.fromkeys(m2 for terms in legs.values() for _, _, m2 in terms)
     products = dict.fromkeys(k for l in ops.keys for lm in tables.line[l] for k, _ in lm)
-
-    def nonzero(table, over) -> KeyTable:
-        """k -> {m: table(k, m)} over the keys m in over, nonzero values only."""
-        return KeyTable(lambda k: {m: v for m, v in zip(over, map(table[k].__getitem__, over))
-                                   if v})
 
     cols, firsts, seconds = nonzero(sig, ops.keys), nonzero(sig, legs), nonzero(sig, second_legs)
 
@@ -152,37 +147,32 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
 
     by_second = group((m2, (c, m, m1)) for m in ops.keys for c, m1, m2 in delta[m])
 
-    def commutation_row(h) -> dict:
-        """{l: raw l1 h1 sigma(h2, l2) - sigma(h1, l1) h2 l2}, from the nonzero
-        sigma(h2, -) over the second legs and sigma(h1, -) over the first."""
-        out: dict = {}
+    def commutation(h, ls):
+        """l1 h1 sigma(h2, l2) = sigma(h1, l1) h2 l2, as one row {l: raw lhs -
+        rhs} from the nonzero sigma(h2, -) and sigma(h1, -) over the legs."""
+        row: dict = {}
         for c1, h1, h2 in delta[h]:
             for l2, f in seconds[h2].items():
                 for c2, l, l1 in by_second[l2]:
-                    diff, c = out.setdefault(l, {}), c1 * c2 * f
+                    diff, c = row.setdefault(l, {}), c1 * c2 * f
                     for k, w in prod[l1][h1]:
                         diff[k] = diff.get(k, 0) + c * w
             for l1, f in firsts[h1].items():
                 for c2, l, l2 in legs[l1]:
-                    diff, c = out.setdefault(l, {}), c1 * c2 * f
+                    diff, c = row.setdefault(l, {}), c1 * c2 * f
                     for k, w in prod[h2][l2]:
                         diff[k] = diff.get(k, 0) - c * w
-        return out
-
-    commutation_rows = KeyTable(commutation_row)
-
-    def commutation(p) -> bool:
-        """l1 h1 sigma(h2, l2) = sigma(h1, l1) h2 l2."""
-        return not any(map(reduce, commutation_rows[p[0]].get(p[1], {}).values()))
+        return first_in({l for l, d in row.items() if any(map(reduce, d.values()))}, ls)
 
     out.append(pair_check("cqt.commutation_relation", ops, commutation, pair_gens))
 
+    eps_row = {l: e for l in ops.keys if (e := eps[l])}
+
     def conv_pair(firsts, seconds):
-        """first(h1, l1) second(h2, l2) = eps(h) eps(l), read off one row
-        {l: raw sum} per h, built from the nonzero first(h1, -) over the first
-        legs (firsts) and second(h2, -) over the second legs (seconds)."""
-        def row(h) -> dict:
-            out: dict = {}
+        """first(h1, l1) second(h2, l2) = eps(h) eps(l), as one row {l: raw
+        sum} from the nonzero first(h1, -) and second(h2, -) over the legs."""
+        def first_failure(h, ls):
+            row, e = {}, eps[h]
             for c1, h1, h2 in delta[h]:
                 second = seconds[h2]
                 if second:
@@ -190,35 +180,37 @@ def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
                         for c2, l, l2 in legs[l1]:
                             g = second.get(l2)
                             if g:
-                                out[l] = out.get(l, 0) + c1 * c2 * f * g
-            return out
+                                row[l] = row.get(l, 0) + c1 * c2 * f * g
+            return first_gap(row, {l: e * v for l, v in eps_row.items()} if e else {}, ls,
+                             differs)
 
-        rows = KeyTable(row)
-        return lambda p: not reduce(rows[p[0]].get(p[1], 0) - eps[p[0]] * eps[p[1]])
+        return first_failure
 
     out.append(pair_check("cqt.convolution_inverse_left", ops,
                           conv_pair(firsts, nonzero(sig_inv, second_legs))))
     out.append(pair_check("cqt.convolution_inverse_right", ops,
                           conv_pair(nonzero(sig_inv, legs), seconds)))
 
-    s, s_inv = tables.s, tables.s_inv
-    gaps = {  # each formula as (its left side) - (its right side) at (h, l), with its generators
+    names = ("cqt.inverse_is_antipode_first_argument",
+             "cqt.inverse_is_antipode_inv_second_argument", "cqt.antipode_square_invariance")
+    if not all(c.status == PASS for c in out):
+        return out + [skipped(name, "a braiding axiom above fails") for name in names]
+    # the columns l in which each key k of S(l) or S^-1(l) occurs, sigma(h, -)
+    # over those keys, and sigma(k, S -) over the columns
+    s_cols, s_inv_cols = by_key(ops.keys, tables.s), by_key(ops.keys, tables.s_inv)
+    s_sig, s_inv_sig, inv_cols = nonzero(sig, s_cols), nonzero(sig, s_inv_cols), nonzero(
+        sig_inv, ops.keys)
+    sig_s = KeyTable(lambda k: combine(tuple(s_sig[k].items()), s_cols))
+    laws = (  # each formula as a row kernel of (its left side) - (its right side)
         # sigma^-1(h, l) = sigma(S h, l)
-        "cqt.inverse_is_antipode_first_argument": (
-            lambda h, l: sig_inv[h][l] - sum(c * sig[k][l] for k, c in s[h]), None),
+        lambda h, ls: first_gap(inv_cols[h], combine(tables.s[h], cols), ls, differs),
         # sigma^-1(h, l) = sigma(h, S^-1 l)
-        "cqt.inverse_is_antipode_inv_second_argument": (
-            lambda h, l: sig_inv[h][l] - sum(c * sig[h][k] for k, c in s_inv[l]), None),
+        lambda h, ls: first_gap(inv_cols[h], combine(tuple(s_inv_sig[h].items()), s_inv_cols),
+                                ls, differs),
         # sigma(h, l) = sigma(S h, S l); sigma(S(s h), S l) = sigma(S h, S l2) sigma(S s, S l1)
-        "cqt.antipode_square_invariance": (
-            lambda h, l: sig[h][l] - sum(c * d * sig[k][k2] for k, c in s[h] for k2, d in s[l]),
-            pair_gens),
-    }
-    gate_open = all(c.status == PASS for c in out)
-    for name, (gap, rows) in gaps.items():
-        out.append(pair_check(name, ops, lambda p, gap=gap: not reduce(gap(*p)), rows)
-                   if gate_open else skipped(name, "a braiding axiom above fails"))
-    return out
+        lambda h, ls: first_gap(cols[h], combine(tables.s[h], sig_s), ls, differs))
+    return out + [pair_check(name, ops, law, rows)
+                  for name, law, rows in zip(names, laws, (None, None, pair_gens))]
 
 
 def braided_functionals(ops: BasisOps, br: Braiding) -> tuple[dict, list[CheckResult]]:
@@ -435,9 +427,15 @@ def flip_braiding_checks(ops: BasisOps, br: Braiding, fns: dict, a_lc: LC, a_inv
                for name, lhs, rhs in swaps)
 
     twice = flip_braiding(flipped)
-    out.append(pair_check(
-        "flip_braiding.involution", ops,
-        lambda p: twice.sigma(*p) == br.sigma(*p) and twice.sigma_inv(*p) == br.sigma_inv(*p)))
+
+    def involution(h, ls):
+        """sigma and sigma^-1 of the flip of the flip equal br's on the row h."""
+        bad = set()
+        for again, row in ((twice.sigma[h], br.sigma[h]), (twice.sigma_inv[h], br.sigma_inv[h])):
+            bad.update(compress(ls, map(ne, map(again.__getitem__, ls), map(row.__getitem__, ls))))
+        return first_in(bad, ls)
+
+    out.append(pair_check("flip_braiding.involution", ops, involution))
     return flipped, out
 
 

@@ -19,19 +19,17 @@ so the co-inner action of omega in the CQT conventions, omega(h1) h2
 omega^-1(h3), is coinner(omega, omega_inv, h).
 
 Every named check over the keys, the key pairs or the key triples runs
-the one loop report.grid_check, entered through key_check, pair_check or
-triple_grid_check.  These fix the order of the points (ops.keys, then
-lexicographic) and the witness of the first failing one: "at <h>",
-"at (<h>, <l>)" or "at (<h>, <l>, <m>)".  A check module passes only its
-predicate, so a traced run sees each grid and counts its points.  A
-triple grid's row kernel (associativity_rows; sigma's two laws in
-coquasitriangular) builds both sides of its (h, l) row once, over the
-columns m, from nonzero terms and cached product rows, and compares them
-once: equal raw sides pass, and only differing cells are reduced (first_gap).
-A pair law whose sides are LCs (is_character_fn; the exchange, Nakayama,
-commutation and convolution-inverse laws) sums one raw difference per pair
-from table tuples and reduces its values once; its nonzero indexes range
-over coproduct legs and product keys, which leave a Laurent window.
+the one loop report.grid_check: key_check over the keys, and row_grid,
+behind pair_check and triple_grid_check, over the pairs and triples.
+These fix the order of the points (ops.keys, then lexicographic) and the
+witness of the first failing one: "at <h>", "at (<h>, <l>)" or "at (<h>,
+<l>, <m>)".  A pair or triple law is a row kernel, called once per row h
+or (h, l) with the columns: it builds both sides of its row from nonzero
+terms and cached product rows, reduces only cells whose raw sides differ
+(first_gap) and names the first failing column.  Passing points reach
+grid_check as one shared cell each, so a traced run counts every grid and
+its points.  Nonzero indexes range over coproduct legs and product keys,
+which leave a Laurent window.
 
 On a finite algebra a law that is linear in one argument h and closed
 under h -> s h is decided by the rows of a generating set S of keys
@@ -307,24 +305,31 @@ def is_grouplike_lc(ops: BasisOps, a: LC) -> bool:
     return lc_eq(ops.delta_lc(a), ops.outer(a, a))
 
 
+def multiplicative_rows(ops: BasisOps, f: Callable[[Key], Scalar]):
+    """The row kernel of f(h l) = f(h) f(l): raw values summed over the
+    items of each product h l in ops.tables."""
+    prod, reduce = ops.tables.prod, ops.field.reduce
+
+    def multiplicative(h, ls):
+        row, fh = prod[h], f(h)
+        for l in ls:
+            acc = -fh * f(l)
+            for k, c in row[l]:
+                acc += c * f(k)
+            if reduce(acc):
+                return l
+        return None
+
+    return multiplicative
+
+
 def is_character_fn(ops: BasisOps, f: Callable[[Key], Scalar], on_proof=False) -> bool:
     """f(1) = 1 and f(h l) = f(h) f(l), as f(s h l) = f(s) f(h l) on_proof
-    for s in ops' S proof; a pair sums raw values over the items of the
-    product in ops.tables.  The rows (s, l) are among the pairs and no
+    for s in ops' S proof.  The rows (s, l) are among the pairs and no
     caller reads a witness, so on S they decide a fail too."""
-    prod, reduce = ops.tables.prod, ops.field.reduce
     gens = ops.tables.proof if on_proof else None
-
-    def multiplicative(pair) -> bool:
-        h, l = pair
-        acc = -f(h) * f(l)
-        for k, c in prod[h][l]:
-            acc += c * f(k)
-        return not reduce(acc)
-
-    return ops.eval_fn(f, ops.unit) == ops.one and grid_check(
-        "lincomb.is_character", product(gens, ops.keys) if gens else _pairs(ops),
-        multiplicative, lambda p: f"at {_pair_label(ops, p)}").ok
+    return ops.eval_fn(f, ops.unit) == ops.one and row_grid(
+        "lincomb.is_character", ops, multiplicative_rows(ops, f), gens or ops.keys, ops.keys).ok
 
 
 def conv_inverse_checks(ops: BasisOps, name: str, f, f_inv) -> list[CheckResult]:
@@ -347,18 +352,6 @@ def coinner_law(ops: BasisOps, power: int, f, g):
     """The key predicate f(h1) h2 g(h3) = S^power(h): S^power is co-inner,
     by f and g."""
     return lambda h: lc_eq(ops.coinner(f, g, h), ops.s_power(ops.single(h), power))
-
-
-def _pair_label(ops: BasisOps, pair) -> str:
-    return f"({ops.label(pair[0])}, {ops.label(pair[1])})"
-
-
-def _triple_label(ops: BasisOps, t) -> str:
-    return f"({ops.label(t[0])}, {ops.label(t[1])}, {ops.label(t[2])})"
-
-
-def _pairs(ops: BasisOps):
-    return [(a, b) for a in ops.keys for b in ops.keys]
 
 
 class KeyTable(dict):
@@ -437,15 +430,34 @@ def combine(items, table) -> dict:
     return out
 
 
+def nonzero(table, over) -> KeyTable:
+    """k -> {m: table[k][m]} over the keys m in over, nonzero values only."""
+    return KeyTable(lambda k: {m: v for m, v in zip(over, map(table[k].__getitem__, over)) if v})
+
+
+def by_key(cols, items) -> dict:
+    """{k: {l: c}} over the items (k, c) of items[l] for l in cols."""
+    out: dict = {}
+    for l in cols:
+        for k, c in items[l]:
+            out.setdefault(k, {})[l] = c
+    return out
+
+
+def first_in(cells, cols):
+    """The first col in cols that is among cells, or None."""
+    return next(filter(cells.__contains__, cols), None)
+
+
 def first_gap(left: dict, right: dict, ms, gap):
     """The first m in ms at which the sides {m: raw value} of a row differ
     in the field, or None: equal raw sides pass unreduced, else gap(lhs,
     rhs) decides each cell whose raw values differ (0 where one is absent)."""
     if left == right:
         return None
-    bad = {m for m in left.keys() | right.keys()
-           if left.get(m, 0) != right.get(m, 0) and gap(left.get(m, 0), right.get(m, 0))}
-    return next(filter(bad.__contains__, ms), None)
+    return first_in({m for m in left.keys() | right.keys()
+                     if left.get(m, 0) != right.get(m, 0) and gap(left.get(m, 0), right.get(m, 0))},
+                    ms)
 
 
 def key_check(name: str, ops: BasisOps, holds) -> CheckResult:
@@ -453,54 +465,50 @@ def key_check(name: str, ops: BasisOps, holds) -> CheckResult:
     return grid_check(name, ops.keys, holds, lambda h: f"at {ops.label(h)}")
 
 
-def _decided(grid, keys, gens, second, full) -> CheckResult:
-    """grid of the generator rows, (s, l) or (h, s) when second for s in
-    gens, when gens are given and those rows pass, else grid(full): the
-    reduced cells are among the full ones, so only a full grid fails."""
+PASSED = (None, True)  # the one cell of every passing point
+
+
+def row_grid(name: str, ops: BasisOps, first_failure, *axes) -> CheckResult:
+    """grid_check over product(*axes) in lexicographic order, one row at a
+    time: first_failure(*row, cols) names the first col of the last axis at
+    which the law fails, or None.  grid_check reads one item per point, by C
+    iterators: PASSED per passing point, and (witness, False) ends it."""
+    cols = axes[-1]
+
+    def cells():
+        for row in product(*axes[:-1]):
+            bad = first_failure(*row, cols)
+            if bad is not None:
+                yield repeat(PASSED, cols.index(bad))
+                yield (((*row, bad), False),)
+                return
+            yield repeat(PASSED, len(cols))
+
+    return grid_check(name, chain.from_iterable(cells()), itemgetter(1),
+                      lambda cell: f"at ({', '.join(map(ops.label, cell[0]))})")
+
+
+def _decided(name: str, ops: BasisOps, first_failure, arity: int, gens, second) -> CheckResult:
+    """row_grid over the points with s in gens as first key, or as second
+    when second, when gens are given and those pass, else over every key
+    point: the reduced points are among them, so only a full grid fails."""
     if gens:
-        result = grid(product(keys, gens) if second else product(gens, keys))
-        if result.ok:
+        axes = [ops.keys] * arity
+        axes[1 if second else 0] = gens
+        if (result := row_grid(name, ops, first_failure, *axes)).ok:
             return result
-    return grid(full)
+    return row_grid(name, ops, first_failure, *[ops.keys] * arity)
 
 
-def pair_check(name: str, ops: BasisOps, holds, gens=None, second=False) -> CheckResult:
-    """grid_check of holds((h, l)) over the key pairs in lexicographic
-    order, with witness "at (<h>, <l>)"; with generators, the pairs (s, l),
-    or (h, s) when second, for s in gens decide a pass."""
-    return _decided(
-        lambda pairs: grid_check(name, pairs, holds, lambda p: f"at {_pair_label(ops, p)}"),
-        ops.keys, gens, second, _pairs(ops))
+def pair_check(name: str, ops: BasisOps, first_failure, gens=None, second=False) -> CheckResult:
+    """_decided over the key pairs, first_failure(h, ls) per row h."""
+    return _decided(name, ops, first_failure, 2, gens, second)
 
 
 def triple_grid_check(name: str, ops: BasisOps, first_failure, gens=None,
                       second=False) -> CheckResult:
-    """grid_check over the key triples (h, l, m) in lexicographic order,
-    evaluated one (h, l) row at a time; with generators, the rows (s, l),
-    or (h, s) when second, for s in gens decide a pass.
-    first_failure(h, l, ms) returns the first m in ms at which the identity
-    fails, or None; it is called once per row, on all keys.  grid_check
-    reads (triple, verdict) cells built by C iterators: a passing row is its
-    triples zipped with True, the failing row its cells before the witness
-    and then (witness, False).  So grid_check sees one item per triple up
-    to the first failure, and no Python code runs per triple outside the
-    row kernel."""
-    keys = ops.keys
-
-    def cells(rows):
-        for h, l in rows:
-            bad = first_failure(h, l, keys)
-            if bad is None:
-                yield zip(product((h,), (l,), keys), repeat(True))
-            else:
-                yield zip(product((h,), (l,), keys[:keys.index(bad)]), repeat(True))
-                yield (((h, l, bad), False),)
-                return
-
-    return _decided(
-        lambda rows: grid_check(name, chain.from_iterable(cells(rows)), itemgetter(1),
-                                lambda cell: f"at {_triple_label(ops, cell[0])}"),
-        keys, gens, second, product(keys, keys))
+    """_decided over the key triples, first_failure(h, l, ms) per row (h, l)."""
+    return _decided(name, ops, first_failure, 3, gens, second)
 
 
 def generators(ops: BasisOps) -> tuple | None:
@@ -555,13 +563,15 @@ def sum_items(a, row) -> tuple:
 def associativity_rows(ops: BasisOps):
     """The row kernel of (h l) m = h (l m).  Both sides of a row are lists
     of raw items over the columns: the left one of h l, cached per h l, and
-    the right one of h on the items of each l m (KernelTables.line), cached
-    for the latest h.  Equal rows pass at once; a cell whose items differ
-    sums them."""
+    the right one read by the id of each l m (KernelTables.line) off the
+    items of h (l m), a list by id for the latest h.  Equal rows pass at
+    once; a cell whose items differ sums them."""
     tables, cols = ops.tables, ops.keys
     prod, line, reduce = tables.prod, tables.line, ops.field.reduce
     left_rows = KeyTable(lambda a: [sum_items(a, lambda k: prod[k][m]) for m in cols])
-    times_h: dict = {}  # h -> KeyTable of the items of h a, for the latest h
+    ids: dict = {}  # each distinct l m -> its index in products
+    line_ids = {l: [ids.setdefault(lm, len(ids)) for lm in line[l]] for l in cols}
+    products, times_h = tuple(ids), {}  # h -> [h a for a in products], for the latest h
 
     def items_gap(a, b) -> bool:
         diff: dict = {}
@@ -572,8 +582,8 @@ def associativity_rows(ops: BasisOps):
     def associativity(h, l, ms):
         if h not in times_h:
             times_h.clear()
-            times_h[h] = KeyTable(partial(sum_items, row=prod[h].__getitem__))
-        left, right = left_rows[prod[h][l]], list(map(times_h[h].__getitem__, line[l]))
+            times_h[h] = [sum_items(a, prod[h].__getitem__) for a in products]
+        left, right = left_rows[prod[h][l]], list(map(times_h[h].__getitem__, line_ids[l]))
         return None if left == right else first_gap(
             dict(zip(cols, left)), dict(zip(cols, right)), ms, items_gap)
 
@@ -663,20 +673,23 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
     out.append(key_check("hopf.counit_laws", ops, two_sided(
         lambda k1, k2: {k2: eps[k1]}, lambda k1, k2: {k1: eps[k2]}, ops.single)))
 
-    def delta_multiplicative(pair) -> bool:
-        """Delta(a b) = Delta(a) Delta(b)."""
-        a, b = pair
-        diff: dict = {}
-        for k, c in prod[a][b]:
-            for c2, k1, k2 in delta[k]:
-                diff[k1, k2] = diff.get((k1, k2), 0) + c * c2
-        for c1, a1, a2 in delta[a]:
-            for c2, b1, b2 in delta[b]:
-                c = c1 * c2
-                for k1, w1 in prod[a1][b1]:
-                    for k2, w2 in prod[a2][b2]:
-                        diff[k1, k2] = diff.get((k1, k2), 0) - c * w1 * w2
-        return not any(map(reduce, diff.values()))
+    def delta_multiplicative(a, bs):
+        """Delta(a b) = Delta(a) Delta(b), with Delta(a) expanded once per row."""
+        row, terms = prod[a], [(c1, prod[a1], prod[a2]) for c1, a1, a2 in delta[a]]
+        for b in bs:
+            diff: dict = {}
+            for k, c in row[b]:
+                for c2, k1, k2 in delta[k]:
+                    diff[k1, k2] = diff.get((k1, k2), 0) + c * c2
+            for c1, row1, row2 in terms:
+                for c2, b1, b2 in delta[b]:
+                    c = c1 * c2
+                    for k1, w1 in row1[b1]:
+                        for k2, w2 in row2[b2]:
+                            diff[k1, k2] = diff.get((k1, k2), 0) - c * w1 * w2
+            if any(map(reduce, diff.values())):
+                return b
+        return None
 
     out.append(pair_check("hopf.comultiplication_multiplicative", ops, delta_multiplicative,
                           gens))
@@ -684,10 +697,8 @@ def hopf_axiom_checks(ops: BasisOps) -> list[CheckResult]:
     out.append(check("hopf.comultiplication_unital",
                      lc_eq(ops.delta_lc(ops.unit), ops.outer(ops.unit, ops.unit))))
 
-    out.append(pair_check(
-        "hopf.counit_multiplicative", ops,
-        lambda p: not reduce(sum(c * eps[k] for k, c in prod[p[0]][p[1]])
-                              - eps[p[0]] * eps[p[1]]), gens))
+    out.append(pair_check("hopf.counit_multiplicative", ops,
+                          multiplicative_rows(ops, eps.__getitem__), gens))
 
     out.append(check("hopf.counit_unital", ops.eps_lc(ops.unit) == ops.one))
 

@@ -40,12 +40,15 @@ reduced lines must equal the exhaustive ones on every LAW_CARRIERS entry
 lambda, chi, sigma and the character; where the premise fails, the law
 must run every row.
 
-Eight pair laws with LC-valued sides (KERNEL_LAWS) are raw kernels over
-the structure tables; their LC-level per-pair definitions are kept here
-(lc_law_predicates), and each kernel must report their verdict and
-witness, with and without generator rows, under bumps of lambda, chi,
-sigma, sigma^-1 and a character, and at a Laurent window's edge, where
-coproduct legs and products leave the keys.
+Every pair law is a row kernel: lincomb.row_grid calls it once per row h
+with the columns, and it names the first failing column.  Their per-pair
+definitions are kept here (lc_law_predicates, KERNEL_LAWS: the scalar laws
+too, the product formula, the three sigma^-1 formulas and the flip's
+involution), and each kernel must report their verdict and witness, with
+and without generator rows, under bumps of a product, lambda, chi, sigma,
+sigma^-1 and a character, and at a Laurent window's edge, where coproduct
+legs, products and antipode images leave the keys.  A passing point
+reaches grid_check as the one shared cell lincomb.PASSED.
 """
 
 import dataclasses
@@ -56,30 +59,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcheck import coquasitriangular, laurent, lincomb
+from hopfcheck import cofrobenius, coquasitriangular, laurent, lincomb
 from hopfcheck.cofrobenius import (
     cofrobenius_data,
     integral_exchange_checks,
     lam_mul_table,
     nakayama_checks,
+    product_formula_check,
 )
 from hopfcheck.coquasitriangular import (
     Braiding,
     braiding_axiom_checks,
     braiding_from_matrix,
     dualize_qt,
+    flip_braiding,
+    flip_braiding_checks,
 )
 from hopfcheck.cli import main
 from hopfcheck.document import build_algebra, document_text, parse_document
 from hopfcheck.hopf import require_passing, verify_hopf
 from hopfcheck.lincomb import (
-    _pair_label,
-    _pairs,
-    _triple_label,
     hopf_axiom_checks,
     is_character_fn,
     lc_canon,
     lc_eq,
+    memo_fn,
     tensor2_mul,
 )
 from hopfcheck.linalg import SparseMatrix, rank
@@ -210,6 +214,15 @@ def triples(ops):
     return [(h, l, m) for h in ops.keys for l in ops.keys for m in ops.keys]
 
 
+def key_pairs(ops):
+    return [(h, l) for h in ops.keys for l in ops.keys]
+
+
+def cell_label(ops, cell) -> str:
+    """A grid point as its witness names it: "(<h>, <l>)" or "(<h>, <l>, <m>)"."""
+    return f"({', '.join(map(ops.label, cell))})"
+
+
 def naive_predicates(ops, br) -> dict:
     return dict(zip(TRIPLE_CHECKS, (naive_associativity(ops), naive_mult_first(ops, br),
                                     naive_mult_second(ops, br))))
@@ -223,10 +236,10 @@ def naive_pair_predicates(ops, br) -> dict:
 
 
 def naive_results(ops, br) -> dict:
-    grid, pairs = triples(ops), _pairs(ops)
-    out = {name: grid_check(name, grid, holds, lambda t: f"at {_triple_label(ops, t)}")
+    grid, pairs = triples(ops), key_pairs(ops)
+    out = {name: grid_check(name, grid, holds, lambda t: f"at {cell_label(ops, t)}")
            for name, holds in naive_predicates(ops, br).items()}
-    out.update({name: grid_check(name, pairs, holds, lambda p: f"at {_pair_label(ops, p)}")
+    out.update({name: grid_check(name, pairs, holds, lambda p: f"at {cell_label(ops, p)}")
                 for name, holds in naive_pair_predicates(ops, br).items()})
     return out
 
@@ -361,23 +374,28 @@ def grid_carrier(request, sweedler, sweedler_r, c4):
     return carrier(request.param, sweedler, sweedler_r, c4)
 
 
-def spy_triple_grids(monkeypatch) -> tuple[dict, dict, dict]:
-    """Record, per triple grid, its row kernel (first_failure) and, for each
-    grid_check it runs (the generator rows, then every row when they
-    fail), the calls of that kernel and of its grid_check predicate (one
-    call per point, as the trace counts them)."""
-    kernels, rows, points = {}, {}, {}
-    real_triple_grid_check = lincomb.triple_grid_check
+def spy_row_grids(monkeypatch) -> tuple[dict, dict, dict, dict]:
+    """Record, per triple or pair grid, its row kernel (first_failure) and,
+    for each grid_check it runs (the generator rows, then every row when
+    they fail), the calls of that kernel and of its grid_check predicate
+    (one call per point, as the trace counts them; a triple grid's count
+    starts afresh with each battery, a pair grid's runs on); and, per grid
+    name, the ids of the cells its predicate passed."""
+    kernels, rows, points, passed = {}, {}, {}, {}
     real_grid_check = lincomb.grid_check
 
-    def counting_triple_grid_check(name, ops, first_failure, *args, **kwargs):
-        kernels[name], rows[name], points[name] = first_failure, [], []
+    def counting(real, fresh):
+        def counting_check(name, ops, first_failure, *args, **kwargs):
+            kernels[name], rows[name] = first_failure, []
+            points[name] = [] if fresh else points.get(name, [])
 
-        def counted(*args):
-            rows[name][-1] += 1
-            return first_failure(*args)
+            def counted(*args):
+                rows[name][-1] += 1
+                return first_failure(*args)
 
-        return real_triple_grid_check(name, ops, counted, *args, **kwargs)
+            return real(name, ops, counted, *args, **kwargs)
+
+        return counting_check
 
     def counting_grid_check(name, items, predicate, describe):
         points.setdefault(name, []).append(0)
@@ -386,14 +404,20 @@ def spy_triple_grids(monkeypatch) -> tuple[dict, dict, dict]:
 
         def counted(item):
             points[name][-1] += 1
-            return predicate(item)
+            ok = predicate(item)
+            if ok:
+                passed.setdefault(name, set()).add(id(item))
+            return ok
 
         return real_grid_check(name, items, counted, describe)
 
-    monkeypatch.setattr(lincomb, "triple_grid_check", counting_triple_grid_check)
-    monkeypatch.setattr(coquasitriangular, "triple_grid_check", counting_triple_grid_check)
+    for entry in ("triple_grid_check", "pair_check"):
+        spy = counting(getattr(lincomb, entry), entry == "triple_grid_check")
+        for module in (lincomb, coquasitriangular, cofrobenius):
+            if hasattr(module, entry):
+                monkeypatch.setattr(module, entry, spy)
     monkeypatch.setattr(lincomb, "grid_check", counting_grid_check)
-    return kernels, rows, points
+    return kernels, rows, points, passed
 
 
 def generator_rows(ops, name):
@@ -456,7 +480,7 @@ def test_row_kernels_find_the_first_failure_from_any_start(monkeypatch):
     mul = ops.mul
     ops = dataclasses.replace(
         ops, mul=lambda x, y: {(0, 0): 1} if (x, y) == ((1, 0), (-1, 1)) else mul(x, y))
-    kernels, _, _ = spy_triple_grids(monkeypatch)
+    kernels, _, _ = spy_row_grids(monkeypatch)[:3]
     planned = planned_results(ops, br)
     assert not any(planned[name].ok for name in TRIPLE_CHECKS)
     keys = ops.keys
@@ -487,7 +511,7 @@ def test_braiding_grids_evaluate_each_sigma_pair_once(name, monkeypatch):
         calls.append((x, y))
         return br.value(x, y)
 
-    _, rows, points = spy_triple_grids(monkeypatch)
+    _, rows, points = spy_row_grids(monkeypatch)[:3]
     results = hopf_axiom_checks(ops) + braiding_axiom_checks(
         ops, dataclasses.replace(br, value=spy))
     assert all(r.ok for r in results), [r for r in results if not r.ok]
@@ -520,10 +544,11 @@ def test_braiding_grids_evaluate_each_sigma_pair_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["laurent4", "double_c2_dual", "h4_f10007", "double_c4"])
 def test_failing_triple_grid_counts_points_up_to_its_witness(name, monkeypatch):
-    """Perturbed at one product and one sigma value, each triple grid
-    fails at the first triple whose definition fails: its predicate is
-    called once per triple up to and including that one, and its row
-    kernel once per row up to that triple's row."""
+    """Perturbed at one product and one sigma value, each triple grid, and
+    the pair grid of Delta's multiplicativity, fails at the first point
+    whose definition fails: its predicate is called once per point up to
+    and including that one, and its row kernel once per row up to that
+    point's row.  Every passing point of a grid is one shared cell."""
     ops, br = carrier(name)
     keys = ops.keys
     spot = (keys[len(keys) // 2], keys[len(keys) // 3])
@@ -541,11 +566,11 @@ def test_failing_triple_grid_counts_points_up_to_its_witness(name, monkeypatch):
 
     ops = dataclasses.replace(ops, mul=bumped)
     grid = triples(ops)
-    _, rows, points = spy_triple_grids(monkeypatch)
+    _, rows, points, passed = spy_row_grids(monkeypatch)
     planned = planned_results(ops, br)
     for check_name, naive in naive_predicates(ops, br).items():
         position = next(i for i, t in enumerate(grid) if not naive(t))
-        assert planned[check_name].witness == f"at {_triple_label(ops, grid[position])}"
+        assert planned[check_name].witness == f"at {cell_label(ops, grid[position])}"
         # the generator rows, when there are any, fail first, and then every
         # row runs up to the witness
         reduced = generator_rows(ops, check_name)
@@ -554,6 +579,14 @@ def test_failing_triple_grid_counts_points_up_to_its_witness(name, monkeypatch):
             if not naive(t))]
         assert points[check_name] == [i + 1 for i in first + [position]], check_name
         assert rows[check_name] == [i // len(keys) + 1 for i in first + [position]], check_name
+        assert passed[check_name] == {id(lincomb.PASSED)}, check_name
+    # associativity fails, so Delta's multiplicativity runs every row, once
+    check_name, pairs = "hopf.comultiplication_multiplicative", key_pairs(ops)
+    position = next(i for i, p in enumerate(pairs) if not naive_delta_multiplicative(ops)(p))
+    assert planned[check_name].witness == f"at {cell_label(ops, pairs[position])}"
+    assert points[check_name] == [position + 1]
+    assert rows[check_name] == [position // len(keys) + 1]
+    assert passed[check_name] == ({id(lincomb.PASSED)} if position else set())
 
 
 def test_generators_are_read_off_the_product_the_battery_reads(c4, monkeypatch):
@@ -600,7 +633,7 @@ def test_standalone_braiding_battery_derives_s_and_checks_its_premises(c4, monke
     monkeypatch.setattr(lincomb, "coassociative",
                         lambda ops: premises.append("coassociativity") or real_coassoc(ops))
     monkeypatch.setattr(coquasitriangular, "braiding_generators", spy)
-    _, _, points = spy_triple_grids(monkeypatch)
+    _, _, points = spy_row_grids(monkeypatch)[:3]
     standalone = braiding_axiom_checks(dataclasses.replace(ops), br)
     assert derived == [None] and premises == ["associativity", "coassociativity"]
     k, s = len(ops.keys), 2
@@ -662,7 +695,7 @@ def test_a_row_whose_raw_sides_differ_only_by_multiples_of_p_passes(monkeypatch)
     require_passing(verify_hopf(algebra))
     rows = [[f7.reduce((-1) ** (i * j)) for j in range(4)] for i in range(4)]
     ops, br = algebra.ops, braiding_from_matrix(algebra, rows)[0]
-    kernels, _, _ = spy_triple_grids(monkeypatch)
+    kernels, _, _ = spy_row_grids(monkeypatch)[:3]
     planned_results(ops, br)
     g = ops.keys[1]
     f7.reduced.clear()
@@ -681,13 +714,13 @@ def test_a_row_failing_at_two_columns_names_the_earlier(name, monkeypatch):
     value, spots = laurent.sigma_value, {((-3, 0), (-2, 0)), ((-3, 0), (1, 0))}
     br = Braiding(ops, value=lambda x, y: value(x, y) + 1 if (x, y) in spots else value(x, y),
                   inverse=value)
-    kernels, _, _ = spy_triple_grids(monkeypatch)
+    kernels, _, _ = spy_row_grids(monkeypatch)[:3]
     planned = planned_results(ops, br)
     naive, keys = naive_predicates(ops, br)[name], ops.keys
     h, l = next((h, l) for h in keys for l in keys if not all(naive((h, l, m)) for m in keys))
     bad = [m for m in keys if not naive((h, l, m))]
     assert len(bad) >= 2
-    assert planned[name].witness == f"at {_triple_label(ops, (h, l, bad[0]))}"
+    assert planned[name].witness == f"at {cell_label(ops, (h, l, bad[0]))}"
     assert kernels[name](h, l, keys[::-1]) == bad[-1]
 
 
@@ -706,7 +739,7 @@ def test_a_proof_with_nothing_to_reduce_is_not_derived_again(tmp_path, monkeypat
     assert seen == [(8, (0, 1)), (1, None), (8, None)]
     dual = build_algebra(cyclic_group_document(8)).dual()
     assert all(r.ok for r in verify_hopf(dual)) and dual.ops.tables.proof == ()
-    _, rows, _ = spy_triple_grids(monkeypatch)
+    _, rows, _ = spy_row_grids(monkeypatch)[:3]
     braiding_axiom_checks(dual.ops, counit_braiding(dual.ops))
     assert rows["cqt.multiplicative_first_argument"] == [8 * 8]
 
@@ -784,7 +817,7 @@ def test_the_s_proof_stays_with_its_structure(c4, tmp_path, monkeypatch):
     assert main(["verify", str(path), "--json"]) == 1
 
     ops, br = carrier("laurent4")
-    _, rows, points = spy_triple_grids(monkeypatch)
+    _, rows, points = spy_row_grids(monkeypatch)[:3]
     results = hopf_axiom_checks(ops) + braiding_axiom_checks(ops, br)
     assert all(r.ok for r in results) and ops.tables.proof == ()
     k = len(ops.keys)
@@ -875,7 +908,10 @@ def law_grids(c, br, proved=True, character=None, names=LAWS) -> dict:
     exchange, Nakayama and braiding batteries run on c and br, on c.ops
     with the S proof its tables hold when proved, else on a copy of c.ops,
     which holds none; is_character runs on character, else on alpha, as
-    integral.modular_functional_character reads it."""
+    integral.modular_functional_character reads it.  Asked for them, the
+    flip's involution runs first, and the product formula, on the twist of
+    br's u (twist_factors), and the Hopf battery last; unproved, the Hopf
+    battery finds no generators either."""
     runs: dict = {}
     real = lincomb.grid_check
 
@@ -893,12 +929,20 @@ def law_grids(c, br, proved=True, character=None, names=LAWS) -> dict:
     ops = c.ops if proved else dataclasses.replace(c.ops)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lincomb, "grid_check", recording)
+        if "flip_braiding.involution" in names:
+            flip_braiding_checks(ops, br, br.functionals[0], c.a, c.a_inv, [])
         integral_exchange_checks(ops, c.lam_mul, c.a_inv)
         nakayama_checks(ops, c.lam_mul, c.chi, c.alpha, c.alpha_inv)
         if character is not None:
             runs.pop("lincomb.is_character", None)
             is_character_fn(ops, character, on_proof=True)
         braiding_axiom_checks(ops, br)
+        if "integral_twist.product_formula" in names:
+            product_formula_check(ops, c.lam_mul, *twist_factors(c, br))
+        if HOPF_LAWS[0] in names:
+            if not proved:
+                mp.setattr(lincomb, "generators", lambda ops: None)
+            hopf_axiom_checks(ops)
     return {name: runs[name] for name in names if name in runs}
 
 
@@ -919,10 +963,11 @@ def test_reduced_pair_laws_match_exhaustive(law_carrier):
 
 
 def perturbed(c, br, which, i, j, bump):
-    """(c, br, character) with lambda, chi, sigma, sigma^-1 or a character
-    (alpha, bumped) bumped by bump: lambda and the character at a key x,
-    chi(x) by bump y, sigma and sigma^-1 at (x, y); x is outside S (any key
-    where there is no S), y any key.  character is None unless bumped."""
+    """(c, br, character) with lambda, chi, sigma, sigma^-1, a character
+    (alpha, bumped) or a product bumped by bump: lambda and the character at
+    a key x, chi(x) by bump y, sigma, sigma^-1 and the product x y at (x, y),
+    the product at its first term (or at x); x is outside S (any key where
+    there is no S), y any key.  character is None unless bumped."""
     ops, gens = c.ops, c.ops.tables.proof
     outside = [k for k in ops.keys if k not in (gens or ())]
     x, y = outside[i % len(outside)], ops.keys[j % len(ops.keys)]
@@ -942,6 +987,19 @@ def perturbed(c, br, which, i, j, bump):
                                         if (h, l) == (x, y) else fn(h, l)})
     elif which == "character":
         character = lambda k: reduce(c.alpha(k) + delta) if k == x else c.alpha(k)
+    elif which == "product":
+        mul = ops.mul
+
+        def bumped(a, b):
+            out = dict(mul(a, b))
+            if (a, b) == (x, y):
+                k = next(iter(out), a)
+                out[k] = reduce(out.get(k, ops.zero) + delta)
+            return out
+
+        ops = dataclasses.replace(ops, mul=bumped)
+        c = dataclasses.replace(c, ops=ops, lam_mul=lam_mul_table(ops, c.lam))
+        br = dataclasses.replace(br, ops=ops)
     return c, br, character
 
 
@@ -959,18 +1017,45 @@ def test_perturbed_pair_laws_match_exhaustive(law_carrier, which, i, j, bump):
 
 # -- the raw pair kernels against their LC-level definitions ---------------------------
 
+HOPF_LAWS = ("hopf.comultiplication_multiplicative", "hopf.counit_multiplicative")
+# the three run only once every braiding axiom above them passes
+SIGMA_INVERSE_LAWS = ("cqt.inverse_is_antipode_first_argument",
+                      "cqt.inverse_is_antipode_inv_second_argument",
+                      "cqt.antipode_square_invariance")
 KERNEL_LAWS = ("lincomb.is_character", "integral.exchange_antipode",
                "integral.exchange_antipode_inverse", "integral.nakayama_multiplicative",
                "integral.nakayama_law", "cqt.commutation_relation",
-               "cqt.convolution_inverse_left", "cqt.convolution_inverse_right")
+               "cqt.convolution_inverse_left", "cqt.convolution_inverse_right",
+               *HOPF_LAWS, "integral_twist.product_formula", *SIGMA_INVERSE_LAWS,
+               "flip_braiding.involution")
+
+
+def twist_factors(c, br):
+    """(rho1, tau1) of the integral twist of br's u: u^-1 and u * alpha, as
+    cofrobenius.integral_twist_from_coinner builds them."""
+    fns = br.functionals[0]
+    return memo_fn(fns["u_inv"]), memo_fn(c.ops.convolve(fns["u"], c.alpha))
+
+
+def form(ops, f, a, b):
+    """A bilinear form, given by its evaluator f on key pairs, at the LCs a
+    and b."""
+    return ops.field.reduce(sum(va * vb * f(ka, kb) for ka, va in a.items()
+                                for kb, vb in b.items()))
 
 
 def lc_law_predicates(c, br, character=None) -> dict:
-    """The per-pair definitions the raw kernels of KERNEL_LAWS replaced:
-    each side an LC built through BasisOps (hit_left, s_lc, map_lc, mul_lc)
-    and compared canonically, or a scalar per pair reduced through the
-    field; is_character reads character, else alpha."""
+    """The per-pair definitions the row kernels of KERNEL_LAWS replaced:
+    each side an LC built through BasisOps (hit_left, s_lc, map_lc, mul_lc,
+    coinner) and compared canonically, or a scalar per pair reduced through
+    the field, with sigma and sigma^-1 read off br's evaluators; is_character
+    reads character, else alpha."""
     ops, chi, f = c.ops, c.chi, character or c.alpha
+    rho1, tau1 = twist_factors(c, br)
+    s = lambda k: ops.s_lc(ops.single(k))
+    s_inv = lambda k: ops.s_inv_lc(ops.single(k))
+    one = ops.single
+    twice = flip_braiding(flip_braiding(br))
     return {
         "lincomb.is_character": lambda p: ops.eval_fn(f, ops.mul(*p)) == ops.field.reduce(
             f(p[0]) * f(p[1])),
@@ -983,20 +1068,45 @@ def lc_law_predicates(c, br, character=None) -> dict:
         "cqt.commutation_relation": naive_commutation(ops, br),
         "cqt.convolution_inverse_left": naive_conv_pair(ops, br.value, br.inverse),
         "cqt.convolution_inverse_right": naive_conv_pair(ops, br.inverse, br.value),
+        "hopf.comultiplication_multiplicative": naive_delta_multiplicative(ops),
+        "hopf.counit_multiplicative": naive_counit_multiplicative(ops),
+        # lambda(l h) = lambda(h' l), h' = rho1(h1) h2 tau1(h3)
+        "integral_twist.product_formula": lambda p: ops.eval_fn(c.lam, ops.mul(p[1], p[0]))
+            == ops.eval_fn(lambda k: c.lam_mul(k, p[1]), ops.coinner(rho1, tau1, p[0])),
+        "cqt.inverse_is_antipode_first_argument":
+            lambda p: br.inverse(*p) == form(ops, br.value, s(p[0]), one(p[1])),
+        "cqt.inverse_is_antipode_inv_second_argument":
+            lambda p: br.inverse(*p) == form(ops, br.value, one(p[0]), s_inv(p[1])),
+        "cqt.antipode_square_invariance":
+            lambda p: br.value(*p) == form(ops, br.value, s(p[0]), s(p[1])),
+        "flip_braiding.involution": lambda p: twice.value(*p) == br.value(*p)
+            and twice.inverse(*p) == br.inverse(*p),
     }
 
 
 def lc_law_lines(c, br, character=None) -> dict:
-    """Each of KERNEL_LAWS -> the line its LC-level definition gives over
+    """Each of KERNEL_LAWS -> the line its per-pair definition gives over
     every key pair, in verdicts' form; is_character only where f(1) = 1,
     since only then does its grid run."""
     ops, f = c.ops, character or c.alpha
-    lines = {name: grid_check(name, _pairs(ops), holds, lambda p: f"at {_pair_label(ops, p)}")
+    lines = {name: grid_check(name, key_pairs(ops), holds, lambda p: f"at {cell_label(ops, p)}")
              for name, holds in lc_law_predicates(c, br, character).items()}
     lines["lincomb.is_character"] = lines["lincomb.is_character"].ok
     if ops.eval_fn(f, ops.unit) != ops.one:
         del lines["lincomb.is_character"]
     return lines
+
+
+def kernel_lines(c, br, proved, character=None, expected=None) -> dict:
+    """The lines the row kernels of KERNEL_LAWS give (law_grids), checked
+    against their per-pair definitions' (expected, else lc_law_lines): the
+    same line for every law that ran, and only a sigma^-1 formula, which a
+    failing braiding axiom skips, may not run."""
+    got = verdicts(law_grids(c, br, proved, character, KERNEL_LAWS))
+    expected = expected or lc_law_lines(c, br, character)
+    assert got == {name: expected[name] for name in got}
+    assert set(expected) - set(got) <= set(SIGMA_INVERSE_LAWS)
+    return got
 
 
 KERNEL_CARRIERS = ("laurent4", "sweedler", "h10_f10007", "double_c4", "sweedler_sheared")
@@ -1008,42 +1118,65 @@ def kernel_carrier(request, sweedler, sweedler_r, c4):
 
 
 @settings(max_examples=12, deadline=None)
-@given(which=st.sampled_from(["none", "lambda", "chi", "sigma", "sigma_inv", "character"]),
+@given(which=st.sampled_from(["none", "lambda", "chi", "sigma", "sigma_inv", "character",
+                              "product"]),
        i=st.integers(0, 63), j=st.integers(0, 63), bump=st.sampled_from([-2, -1, 1, 3]))
 def test_pair_kernels_match_their_lc_definitions(kernel_carrier, which, i, j, bump):
-    """Each raw pair kernel reports the verdict and witness of its LC-level
+    """Each row kernel reports the verdict and witness of its per-pair
     definition, run over every pair, on its generator rows and without
-    them, unperturbed and with lambda, chi, sigma, sigma^-1 or a character
-    bumped."""
+    them, unperturbed and with lambda, chi, sigma, sigma^-1, a character or
+    a product bumped."""
     c, br, character = perturbed(*kernel_carrier, which, i, j, bump)
     expected = lc_law_lines(c, br, character)
     assert which != "none" or all(getattr(line, "ok", line) for line in expected.values())
     for proved in (True, False):
-        assert verdicts(law_grids(c, br, proved, character, KERNEL_LAWS)) == expected
+        got = kernel_lines(c, br, proved, character, expected)
+        assert which != "none" or set(got) == set(expected)
 
 
 def test_window_edge_perturbations_fail_at_the_exhaustive_witness():
-    """On a Laurent window the coproduct legs and the products leave the
-    keys, so the kernels' nonzero indexes range over legs and product keys.
-    sigma^-1 bumped at (1, g^4x), whose coproduct reaches g^5 outside the
-    window 4, breaks both convolution-inverse laws; the left one sees it
-    only through that leg, as sigma(1, g^5) sigma^-1(1, g^4x).  lambda
-    bumped at g^8, a product key outside the window, breaks both exchange
-    identities.  Each FAILs at the witness of its LC-level definition."""
+    """On a Laurent window the coproduct legs, the products and the
+    antipode's images leave the keys, so the kernels' nonzero indexes range
+    over legs, product and image keys.  sigma^-1 bumped at (1, g^4x), whose
+    coproduct reaches g^5 outside the window 4, breaks both
+    convolution-inverse laws; the left one sees it only through that leg,
+    as sigma(1, g^5) sigma^-1(1, g^4x).  lambda bumped at g^8, a product
+    key outside the window, breaks both exchange identities, and at g^8x
+    also the Nakayama law and the product formula.  sigma bumped at
+    (g^-5x, g^-5x), S(g^4x) on both sides, breaks antipode_square_invariance
+    alone.  The product g^4 g^4 = g^8 doubled breaks Delta's, eps's and
+    alpha's multiplicativity.  Every row kernel gives the line of its
+    per-pair definition, the failing ones included."""
     c, br = law_carrier_data("laurent4")
     ops, reduce = c.ops, c.ops.field.reduce
-    one, edge, far = (0, 0), (4, 1), (8, 0)
-    assert (5, 0) not in ops.keys and far not in ops.keys
-    inverse, lam = br.inverse, c.lam
+    one, edge, image, top = (0, 0), (4, 1), (-5, 1), (4, 0)
+    assert not {(5, 0), (8, 0), (8, 1), image} & set(ops.keys)
+    inverse, value, lam, mul = br.inverse, br.value, c.lam, ops.mul
     edge_br = dataclasses.replace(br, inverse=lambda h, l: reduce(inverse(h, l) + 1)
                                   if (h, l) == (one, edge) else inverse(h, l))
-    far_lam = lambda k: reduce(lam(k) + 1) if k == far else lam(k)
-    far_c = dataclasses.replace(c, lam=far_lam, lam_mul=lam_mul_table(ops, far_lam))
-    for c, br, names in ((c, edge_br, KERNEL_LAWS[-2:]), (far_c, br, KERNEL_LAWS[1:3])):
-        got, expected = verdicts(law_grids(c, br, False, names=names)), lc_law_lines(c, br)
-        assert {name: expected[name] for name in names} == got
-        assert not any(line.ok for line in got.values()), got
-    assert got["integral.exchange_antipode"].witness == "at (g^4, g^4)"
+    image_br = dataclasses.replace(br, value=lambda h, l: reduce(value(h, l) + 1)
+                                   if (h, l) == (image, image) else value(h, l))
+
+    def far_c(far):
+        far_lam = lambda k: reduce(lam(k) + 1) if k == far else lam(k)
+        return dataclasses.replace(c, lam=far_lam, lam_mul=lam_mul_table(ops, far_lam))
+
+    doubled = dataclasses.replace(ops, mul=lambda x, y: {(8, 0): 2} if (x, y) == (top, top)
+                                  else mul(x, y))
+    doubled_c = dataclasses.replace(c, ops=doubled, lam_mul=lam_mul_table(doubled, lam))
+    cases = ((c, edge_br, KERNEL_LAWS[6:8]),
+             (far_c((8, 0)), br, KERNEL_LAWS[1:3]),
+             (far_c((8, 1)), br, (*KERNEL_LAWS[1:3], KERNEL_LAWS[4],
+                                  "integral_twist.product_formula")),
+             (c, image_br, SIGMA_INVERSE_LAWS[2:]),
+             (doubled_c, dataclasses.replace(br, ops=doubled), (KERNEL_LAWS[0], *HOPF_LAWS)))
+    lines = [kernel_lines(c, br, False) for c, br, _ in cases]
+    for got, (_, _, failing) in zip(lines, cases):
+        assert [name for name, line in got.items() if not getattr(line, "ok", line)] == list(
+            failing), failing
+    assert lines[1]["integral.exchange_antipode"].witness == "at (g^4, g^4)"
+    # Delta(g^3x) has the leg g^4, so Delta's law meets g^4 g^4 before (g^4, g^4)
+    assert lines[4]["hopf.comultiplication_multiplicative"].witness == "at (g^3x, g^4)"
 
 
 @pytest.mark.parametrize("name", ["sweedler", "h10_f10007", "double_c4"])

@@ -156,6 +156,42 @@ def test_verify_corrupted_mult_exits_one(capsys, tmp_path):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize("entry, lines", [
+    # g gx = 2 g^2x: the two-sided antipode system still solves, so the
+    # solved S passes its laws
+    (15, [("hopf.associativity", "fail", "at (g, x, g)"),
+          ("hopf.comultiplication_multiplicative", "fail", "at (x, gx)"),
+          ("hopf.antipode_laws", "pass", None), ("hopf.antipode_bijective", "pass", None),
+          ("hopf.antipode_invertible", "pass", None)]),
+    # g g^2x = 2 g^3x: the system has no solution
+    (17, [("hopf.associativity", "fail", "at (g, x, g^2)"),
+          ("hopf.comultiplication_multiplicative", "fail", "at (x, g^2x)"),
+          ("hopf.antipode_laws", "skipped", "no antipode available"),
+          ("hopf.antipode_exists", "fail", "bialgebra admits no antipode")]),
+])
+def test_non_associative_table_without_antipode_pins_its_lines(capsys, tmp_path, entry,
+                                                                lines):
+    """H_4 over F_10007 with the antipode omitted and one product entry
+    doubled is not associative.  verify solves for the antipode anyway,
+    from both antipode laws; where that solve fails, hopf.antipode_exists
+    FAILs, else the solved S passes hopf.antipode_laws.  These lines are
+    pinned, so a change to the antipode solve (a one-sided system, say)
+    that moves a verdict between the two shows here."""
+    obj = laurent_quotient_document(4)
+    assert "antipode" not in obj
+    obj["mult"] = [list(e) for e in obj["mult"]]
+    assert obj["mult"][entry][3] == 1
+    obj["mult"][entry][3] = 2
+    rc, out, _ = run(capsys, "verify", write_doc(tmp_path, obj), "--json")
+    report = json.loads(out)
+    assert rc == 1 and report["result"] == "fail"
+    checks = [(c["name"], c["status"], c["witness"]) for c in report["checks"]]
+    passed = [(f"hopf.{name}", "pass", None) for name in (
+        "unit_laws", "coassociativity", "counit_laws", "comultiplication_unital",
+        "counit_multiplicative", "counit_unital")]
+    assert checks == [lines[0], *passed[:3], lines[1], *passed[3:], *lines[2:]]
+
+
 def test_verify_corrupted_r_exits_one(capsys, tmp_path):
     obj = json.loads(document_text(preset_document("sweedler4")))
     obj["R"] = [e if e[1:] != [2, 2] else ["-1/2", 2, 2] for e in obj["R"]]

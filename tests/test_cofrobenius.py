@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hopfcheck import cofrobenius, laurent, lincomb
 from hopfcheck.cofrobenius import (
-    _twisted_product_predicate,
+    _twisted_product_rows,
     check_s2_inner_witness,
     cofrobenius_checks,
     cofrobenius_data,
@@ -22,7 +22,6 @@ from hopfcheck.cofrobenius import (
 from hopfcheck.coquasitriangular import braided_functionals, dualize_qt
 from hopfcheck.hopf import FinHopfAlgebra
 from hopfcheck.quasitriangular import drinfeld_elements
-from hopfcheck.lincomb import _pair_label, _pairs
 from hopfcheck.linalg import SparseMatrix
 from hopfcheck.scalars import QQ
 
@@ -191,13 +190,13 @@ def test_round_trip_reports_every_line_when_omega_fails(sweedler_data):
 
 def test_round_trip_evaluates_the_product_formula_once(sweedler_data, monkeypatch):
     calls = []
-    real = cofrobenius._twisted_product_predicate
+    real = cofrobenius._twisted_product_rows
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cofrobenius, "_twisted_product_predicate", spy)
+    monkeypatch.setattr(cofrobenius, "_twisted_product_rows", spy)
     c = sweedler_data
     assert all(r.ok for r in twist_round_trip(c, c.alpha, c.alpha_inv))
     assert len(calls) == 1
@@ -211,14 +210,28 @@ def test_extraction_refuses_perturbed_pair(sweedler_data):
     assert refused.name == "integral_twist.product_formula"
     assert not refused.ok and refused.witness == "at (g, x)"
     first = naive_first_failure(c, rho1, bumped)
-    assert refused.witness == f"at {_pair_label(c.ops, first)}"
+    assert refused.witness == f"at {pair_label(c.ops, first)}"
     # the extraction still reports on the perturbed pair
     _, _, backward = coinner_from_integral_twist(c.ops, c.a_inv, c.alpha_inv, rho1, bumped)
     assert [r.name for r in backward] == TWIST_LINES[3:]
 
 
 # ---------------------------------------------------------------------------
-# the factored twisted-product predicate against the per-pair definition
+# the factored twisted-product row kernel against the per-pair definition
+
+
+def key_pairs(ops):
+    return [(h, l) for h in ops.keys for l in ops.keys]
+
+
+def pair_label(ops, pair) -> str:
+    return f"({ops.label(pair[0])}, {ops.label(pair[1])})"
+
+
+def kernel_holds(first_failure, pair) -> bool:
+    """The row kernel's verdict at one pair: asked for the one column l of
+    the row h, it names no failure."""
+    return first_failure(pair[0], (pair[1],)) is None
 
 
 def naive_twisted_product_rhs(ops, lam, rho1, tau1, h, l):
@@ -249,7 +262,7 @@ def naive_twisted_product_holds(c, rho1, tau1, h, l) -> bool:
 
 def naive_first_failure(c, rho1, tau1):
     """The first key pair, in grid order, where the term-by-term formula fails."""
-    return next((p for p in _pairs(c.ops)
+    return next((p for p in key_pairs(c.ops)
                  if not naive_twisted_product_holds(c, rho1, tau1, *p)), None)
 
 
@@ -296,10 +309,11 @@ def twist_carrier(request, sweedler, sweedler_data, sweedler_r, c4):
 
 def test_twisted_product_predicate_matches_definition(twist_carrier):
     c, rho1, tau1 = twist_carrier
-    holds = _twisted_product_predicate(c.ops, c.lam_mul, rho1, tau1)
-    for h, l in _pairs(c.ops):
+    first_failure = _twisted_product_rows(c.ops, c.lam_mul, rho1, tau1)
+    for h, l in key_pairs(c.ops):
         assert naive_twisted_product_holds(c, rho1, tau1, h, l)
-        assert holds((h, l))
+        assert kernel_holds(first_failure, (h, l))
+    assert all(first_failure(h, c.ops.keys) is None for h in c.ops.keys)
 
 
 def bumped_factors(ops, rho1, tau1, which, i, bump):
@@ -318,16 +332,16 @@ def test_perturbed_pair_is_refused_at_the_same_pair(twist_carrier, which, i, bum
     c, rho1, tau1 = twist_carrier
     ops = c.ops
     rho1, tau1 = bumped_factors(ops, rho1, tau1, which, i, bump)
-    holds = _twisted_product_predicate(ops, c.lam_mul, rho1, tau1)
-    pairs = _pairs(ops)
-    verdicts = [holds(p) for p in pairs]
+    first_failure = _twisted_product_rows(ops, c.lam_mul, rho1, tau1)
+    pairs = key_pairs(ops)
+    verdicts = [kernel_holds(first_failure, p) for p in pairs]
     assert verdicts == [naive_twisted_product_holds(c, rho1, tau1, *p) for p in pairs]
     bad = naive_first_failure(c, rho1, tau1)
     grid = product_formula_check(ops, c.lam_mul, rho1, tau1)
     if bad is None:
         assert grid.ok
     else:
-        assert not grid.ok and grid.witness == f"at {_pair_label(ops, bad)}"
+        assert not grid.ok and grid.witness == f"at {pair_label(ops, bad)}"
     # the extraction reports on the pair whether or not the formula holds
     _, _, backward = coinner_from_integral_twist(ops, c.a_inv, c.alpha_inv, rho1, tau1)
     assert [r.name for r in backward] == TWIST_LINES[3:]
@@ -373,9 +387,9 @@ def test_product_formula_grid_builds_delta3_once_per_key(c4, monkeypatch):
         return lambda k: factor_reads.append(k) or f(k)
 
     counted = dataclasses.replace(ops, delta=counting_delta)
-    holds = _twisted_product_predicate(counted, counting_lam_mul,
-                                       counting(rho1), counting(tau1))
-    assert all(holds(p) for p in _pairs(ops))
+    first_failure = _twisted_product_rows(counted, counting_lam_mul,
+                                          counting(rho1), counting(tau1))
+    assert all(first_failure(h, ops.keys) is None for h in ops.keys)
     # Delta^3 of k costs one delta call on k and one on each left leg
     budget = sum(1 + len(ops.delta(k)) for k in ops.keys)
     assert len(calls) <= budget
