@@ -51,7 +51,7 @@ from workloads import (  # noqa: E402
 )
 
 SEED = 1
-REPEATS = 3
+REPEATS = 7
 # a generator of a document, or the argv of a Laurent family preset
 INPUTS = (
     ("kC16", lambda: cyclic_group(16)),

@@ -16,6 +16,7 @@ from itertools import compress
 from operator import ne
 from typing import Callable
 
+from . import lincomb
 from .cofrobenius import Carrier, twist_round_trip
 from .hopf import FinHopfAlgebra, NotInvertibleError, Tensor2
 from .lincomb import (
@@ -504,15 +505,19 @@ def dualize_qt(r: RMatrix, qt: QTData) -> tuple[FinHopfAlgebra, Braiding, list[C
     """The dual Hopf algebra with sigma(f, g) = (f x g)(R).
 
     Returns the dual, the braiding, whose cached functionals the bridge
-    reads, and the bridge checks.  sigma^-1, solved for in the tensor square
-    of dual.dual(), must equal R^-1 solved for on the algebra: the two are
-    separate solves on equal tables.  The braided functionals must evaluate
-    the Drinfeld elements qt of the algebra: u(f) = f(u), and v(f) =
-    sigma(f1, S f2) = f(R^1 S(R^2)) = f(S(u)), which is f(v^-1) since the
-    QT side defines v = S(u)^-1.
+    reads, and the bridge checks.  The dual of a proved algebra is proved,
+    its Hopf battery being the transpose of the algebra's (cli._dual_chain),
+    so its tables get the S proof that battery would leave (lincomb).
+    sigma^-1, solved for in the tensor square of dual.dual(), must equal
+    R^-1 solved for on the algebra: the two are separate solves on equal
+    tables.  The braided functionals must evaluate the Drinfeld elements qt
+    of the algebra: u(f) = f(u), and v(f) = sigma(f1, S f2) = f(R^1 S(R^2))
+    = f(S(u)), which is f(v^-1) since the QT side defines v = S(u)^-1.
     """
     algebra, zero = r.algebra, r.algebra.field.zero
     dual, keys = algebra.dual(), range(algebra.dim)
+    if algebra.ops.tables.proof is not None:
+        dual.ops.tables.proof = lincomb.generators(dual.ops) or ()
     rows = [[r.tensor.get((i, j), zero) for j in keys] for i in keys]
     br, inv = braiding_from_matrix(dual, rows)
     out = [check("cqt.inverse_two_paths_agree", inv == r.inverse)]

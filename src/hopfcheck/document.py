@@ -89,20 +89,19 @@ def parse_document(obj) -> AlgebraDocument:
                 f"basis: label '{label}' repeats at entries {basis.index(label)} and {pos}")
     n = len(basis)
 
-    def triples(key: str, coeff_first: bool):
+    def entries(key: str, fields: str, shape: str) -> tuple:
+        """The entries of list key, each a list of the given fields, i an
+        index and c a scalar, read in order; shape describes one in errors."""
         out = []
         for pos, entry in enumerate(_want_list(obj, key)):
-            if not isinstance(entry, list) or len(entry) != 4:
-                raise DocumentError(f"{key}: entry {pos} must have four fields")
-            raw = entry if not coeff_first else entry[1:] + entry[:1]
-            i = _index(raw[0], key, pos, n)
-            j = _index(raw[1], key, pos, n)
-            k = _index(raw[2], key, pos, n)
-            out.append((i, j, k, _scalar(field, raw[3], key, pos)))
+            if not isinstance(entry, list) or len(entry) != len(fields):
+                raise DocumentError(f"{key}: entry {pos} {shape}")
+            out.append(tuple(_index(v, key, pos, n) if f == "i" else _scalar(field, v, key, pos)
+                             for f, v in zip(fields, entry)))
         return tuple(out)
 
-    mult = triples("mult", coeff_first=False)
-    comult = triples("comult", coeff_first=False)
+    mult = entries("mult", "iiic", "must have four fields")
+    comult = entries("comult", "iiic", "must have four fields")
 
     counit_raw = _want_list(obj, "counit")
     seen: dict = {}
@@ -117,28 +116,11 @@ def parse_document(obj) -> AlgebraDocument:
         raise DocumentError("counit: missing entries")
     counit = tuple(seen[i] for i in range(n))
 
-    antipode = None
+    antipode = r_entries = None
     if "antipode" in obj:
-        out = []
-        for pos, entry in enumerate(_want_list(obj, "antipode")):
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise DocumentError(f"antipode: entry {pos} must be [i, j, coefficient]")
-            i = _index(entry[0], "antipode", pos, n)
-            j = _index(entry[1], "antipode", pos, n)
-            out.append((i, j, _scalar(field, entry[2], "antipode", pos)))
-        antipode = tuple(out)
-
-    r_entries = None
+        antipode = entries("antipode", "iic", "must be [i, j, coefficient]")
     if "R" in obj:
-        out = []
-        for pos, entry in enumerate(_want_list(obj, "R")):
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise DocumentError(f"R: entry {pos} must be [coefficient, i, j]")
-            c = _scalar(field, entry[0], "R", pos)
-            i = _index(entry[1], "R", pos, n)
-            j = _index(entry[2], "R", pos, n)
-            out.append((c, i, j))
-        r_entries = tuple(out)
+        r_entries = entries("R", "cii", "must be [coefficient, i, j]")
 
     sigma = None
     if "sigma" in obj:
@@ -151,13 +133,8 @@ def parse_document(obj) -> AlgebraDocument:
                           for i, row in enumerate(raw))
         else:
             rows = [[field.zero] * n for _ in range(n)]
-            for pos, entry in enumerate(raw):
-                if not isinstance(entry, list) or len(entry) != 3:
-                    raise DocumentError(
-                        f"sigma: entry {pos} must be [i, j, value] or a dense matrix")
-                i = _index(entry[0], "sigma", pos, n)
-                j = _index(entry[1], "sigma", pos, n)
-                rows[i][j] = field.reduce(rows[i][j] + _scalar(field, entry[2], "sigma", pos))
+            for i, j, v in entries("sigma", "iic", "must be [i, j, value] or a dense matrix"):
+                rows[i][j] = field.reduce(rows[i][j] + v)
             sigma = tuple(tuple(row) for row in rows)
 
     def named_vectors(key: str) -> dict:

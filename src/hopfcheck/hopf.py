@@ -122,7 +122,9 @@ class FinHopfAlgebra:
     # -- dualization -------------------------------------------------------------
 
     def dual(self) -> "FinHopfAlgebra":
-        """The dual Hopf algebra on the dual basis."""
+        """The dual Hopf algebra on the dual basis; its counit is the unit."""
+        if self.unit_coeffs is None:
+            raise AxiomError("unit: no two-sided unit solves the tables; the dual has no counit")
         mult: dict = {}
         for k in range(self.dim):
             for c, i, j in self._comult.get(k, ()):
@@ -254,7 +256,9 @@ def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:
     solved for before the battery runs: a singular antipode fails
     hopf.antipode_invertible, and the battery then runs on a copy of ops
     without S^-1, so only a battery that passes in full, that line
-    included, leaves its S proof with the tables of algebra.ops."""
+    included, leaves its S proof with the tables of algebra.ops.  The one
+    other source of a proof is the dual of a proved algebra, whose battery
+    is this one transposed and does not run (coquasitriangular.dualize_qt)."""
     if algebra.unit_coeffs is None:
         return [failed("hopf.unit_exists", "no two-sided unit solves the tables")]
     if algebra.antipode is None:

@@ -42,10 +42,12 @@ under h -> s h is decided by the rows of a generating set S of keys
 (h, s) rows: sigma's second law [braiding_generators];
   integral.nakayama_law [integral.nakayama_multiplicative].
 The laws after sigma's two reduce only on the S that a Hopf battery passing
-in full keeps (KernelTables.proof).  The S-rows run first and a pass
-decides; a fail reruns every row for the first witness, so reports are
-unchanged.  is_character names no witness, so there a fail decides too.
-A Laurent window is not closed under products and runs exhaustively.
+in full keeps (KernelTables.proof), or that the dual of an algebra so proved
+gets with its tables (coquasitriangular.dualize_qt), its battery being the
+transposed one.  The S-rows run first and a pass decides; a fail reruns
+every row for the first witness, so reports are unchanged.  is_character
+names no witness, so there a fail decides too.  A Laurent window is not
+closed under products and runs exhaustively.
 """
 
 from __future__ import annotations
@@ -402,8 +404,9 @@ class KernelTables:
     m.  Every table is filled on first lookup, also for keys outside the
     grid; the closures hold ops' maps, not ops, so they make no reference
     cycle.  proof is None (derive S) until hopf_axiom_checks passes in full
-    on ops; it then keeps the generators S read off prod, or () when
-    generators gives none: proved, nothing to reduce.
+    on ops, or until dualize_qt builds ops as the dual of a proved algebra;
+    it then keeps the generators S read off prod, or () when generators
+    gives none: proved, nothing to reduce.
     """
 
     def __init__(self, ops: BasisOps) -> None:

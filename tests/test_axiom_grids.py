@@ -725,11 +725,11 @@ def test_a_row_failing_at_two_columns_names_the_earlier(name, monkeypatch):
 
 
 def test_a_proof_with_nothing_to_reduce_is_not_derived_again(tmp_path, monkeypatch):
-    """The dual of kC8 needs every key in S.  Its Hopf battery passes and
-    keeps (): proved, nothing to reduce.  Its braiding battery takes that
-    as is, so a verify of kC8 reads generators off three products (kC8, the
-    minimal subHopf algebra k, the dual), not four, and the dual's grids
-    run every row."""
+    """The dual of kC8 needs every key in S.  dualize_qt gives it (): the
+    proof its Hopf battery, which passes, keeps too, proved with nothing to
+    reduce.  Its braiding battery takes that as is, so a verify of kC8 reads
+    generators off three products (kC8, the minimal subHopf algebra k, the
+    dual), not four, and the dual's grids run every row."""
     seen, real = [], lincomb.generators
     monkeypatch.setattr(lincomb, "generators",
                         lambda ops: seen.append((len(ops.keys), real(ops))) or seen[-1][1])

@@ -626,3 +626,35 @@ def test_check_on_the_dual_solves_integral_data_once(capsys, monkeypatch):
     assert rc == 0
     assert "carrier = dual of sweedler4[xi=1]" in out
     assert seen == ["sweedler4[xi=1]^*"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "preset:group:C4"], ["verify", "preset:sweedler4"], ["verify", "D(kC4)"],
+    *(["check", "preset:sweedler4", token] for token in ("main3", "cor3", "tangent")),
+    ["compute", "preset:sweedler4", "u"]])
+def test_no_hopf_battery_runs_on_a_dual(capsys, tmp_path, monkeypatch, argv):
+    # the dual's lines restate the primal battery under the transpose
+    # (cli._dual_chain), and dualize_qt hands the dual its S proof
+    labels = []
+    real = hopf.hopf_axiom_checks
+    monkeypatch.setattr(hopf, "hopf_axiom_checks",
+                        lambda ops: labels.extend(map(ops.label, ops.keys)) or real(ops))
+    if argv[1] == "D(kC4)":
+        argv = [argv[0], write_doc(tmp_path, double_c4_permuted_document())]
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 0 and labels
+    assert not [label for label in labels if label.endswith("*")]
+    if argv[0] == "verify":
+        assert '"dual.hopf.antipode_invertible"' in out
+
+
+def test_check_on_the_dual_runs_associativity_once(capsys, monkeypatch):
+    # sweedler4's verified battery proves its S; the dual inherits a proof,
+    # so main3's braiding battery neither derives S nor re-runs associativity
+    calls = {"generators": 0, "associativity_rows": 0}
+    for name in calls:
+        real = getattr(lincomb, name)
+        monkeypatch.setattr(lincomb, name, lambda ops, real=real, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(ops))
+    assert run(capsys, "check", "preset:sweedler4", "main3")[0] == 0
+    assert calls == {"generators": 2, "associativity_rows": 1}

@@ -282,11 +282,8 @@ def mutants(draw) -> dict:
     return doc
 
 
-@settings(max_examples=100, deadline=None)
-@given(doc=mutants())
-def test_a_mutated_document_exits_cleanly(doc):
-    """A malformed or mutated document never escapes main with an
-    exception: verify exits 0, 1 or 2, and on 2 stderr is one error line
+def verify_exit(doc) -> int:
+    """The exit code of verify on doc; on 2, stderr must be one error line
     that names the document key at fault."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -294,8 +291,63 @@ def test_a_mutated_document_exits_cleanly(doc):
         path.write_text(json.dumps(doc), encoding="utf-8")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["verify", str(path), "--json"])
-    assert code in (0, 1, 2)
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].split(":")[0] == "error", lines
         assert lines[0].split(": ")[1] in DOCUMENT_KEYS, lines
+    return code
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=mutants())
+def test_a_mutated_document_exits_cleanly(doc):
+    """A malformed or mutated document never escapes main with an
+    exception: verify exits 0, 1 or 2, and on 2 names the key at fault."""
+    assert verify_exit(doc) in (0, 1, 2)
+
+
+# values no document key accepts: JSON shapes other than the expected one
+NOT_A_LIST = ({"0": [0, 0, 0, 1]}, "[[0, 0, 0, 1]]", 7)
+BAD_NAMES = ("", 7, None, ["kC2"], {"name": "kC2"})
+BAD_FIELDS = ("rationals", 7, None, [], {}, {"type": "prime"},
+              {"type": "prime", "p": "7"}, {"type": "reals"})
+
+
+@st.composite
+def malformed(draw) -> dict:
+    """One of the documents with a bad name, field or basis (a list of
+    the wrong shape, length or labels, or no list), with a dict, a str or
+    an int where a list of entries is expected, or with one entry, or
+    one of its fields, nested in a list."""
+    doc = MUTATED[draw(st.sampled_from(sorted(MUTATED)))]()
+    basis, lists = doc["basis"], [key for key in LAYOUT if key in doc]
+    kind = draw(st.sampled_from(["name", "field", "basis", "shape", "nested"]))
+    if kind == "name":
+        doc["name"] = draw(st.sampled_from(BAD_NAMES))
+    elif kind == "field":
+        doc["field"] = draw(st.sampled_from(BAD_FIELDS))
+    elif kind == "basis":
+        doc["basis"] = draw(st.sampled_from([
+            [], basis[:-1], basis + ["extra"], basis[:-1] + [basis[0]], basis[:-1] + [""],
+            basis[:-1] + [1], [basis], *NOT_A_LIST]))
+    elif kind == "shape":
+        doc[draw(st.sampled_from(lists))] = draw(st.sampled_from(NOT_A_LIST))
+    else:
+        entries = doc[draw(st.sampled_from(lists))]
+        pos = draw(st.integers(0, len(entries) - 1))
+        entry = entries[pos]
+        if draw(st.booleans()):
+            entries[pos] = [entry]
+        else:
+            i = draw(st.integers(0, len(entry) - 1))
+            entries[pos] = entry[:i] + [[entry[i]]] + entry[i + 1:]
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=malformed())
+def test_a_malformed_document_exits_two_at_its_key(doc):
+    """A document whose name, field or basis is bad, or which holds a
+    non-list or a nested entry where a list of entries is expected, is
+    refused with exit 2 and a message that names a document key."""
+    assert verify_exit(doc) == 2

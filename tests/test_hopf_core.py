@@ -1,6 +1,8 @@
 from fractions import Fraction
 from functools import reduce
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,11 @@ from hopfcheck.lincomb import (
 from hopfcheck.presets import cyclic_group_document, preset_document
 from hopfcheck.report import SKIP
 from hopfcheck.scalars import QQ
-from test_golden import double_c2_document, laurent_quotient_document
+from test_golden import (
+    double_c2_document,
+    double_c4_permuted_document,
+    laurent_quotient_document,
+)
 
 
 def test_presets_satisfy_all_axioms(c2, c4, sweedler, sweedler_xi0):
@@ -225,6 +231,59 @@ def test_dual_of_dual_is_original(c2, c4, sweedler):
 def test_dual_is_hopf(sweedler):
     dual = sweedler.dual()
     assert all(r.ok for r in verify_hopf(dual))
+
+
+# -- the dual's battery is the transposed primal battery ----------------------
+
+# H* holds the transposes of H's tables, so each hopf.* law of H* is one of
+# H's: these three pairs swap, and every other line (Delta's multiplicativity,
+# counit_unital, the antipode laws, S bijective and invertible, S* = S^T) is
+# its own transpose.  A verify reports the primal battery for the dual's
+# (cli._dual_chain); this differential is the definition it replaces.
+TRANSPOSED = {"hopf.associativity": "hopf.coassociativity",
+              "hopf.unit_laws": "hopf.counit_laws",
+              "hopf.comultiplication_unital": "hopf.counit_multiplicative"}
+TRANSPOSED.update({v: k for k, v in TRANSPOSED.items()})
+DUAL_GUARD_DOCUMENTS = {"sweedler4": lambda: preset_document("sweedler4"),
+                        "c4": lambda: preset_document("group:C4"),
+                        "double_c4": lambda: parse_document(double_c4_permuted_document()),
+                        "h10_f10007": lambda: parse_document(laurent_quotient_document(10))}
+
+
+def doubled(doc, table: str, i: int = -1):
+    """doc with the coefficient of entry i (the last by default) of its
+    mult or comult table doubled."""
+    entries = list(getattr(doc, table))
+    *where, c = entries[i]
+    entries[i] = (*where, doc.field.reduce(2 * c))
+    return dataclasses.replace(doc, **{table: tuple(entries)})
+
+
+@pytest.mark.parametrize("table", [None, "mult", "comult"])
+@pytest.mark.parametrize("name", sorted(DUAL_GUARD_DOCUMENTS))
+def test_the_dual_battery_is_the_transposed_primal_battery(name, table):
+    """verify_hopf(A.dual()) gives A's verdicts under TRANSPOSED, line for
+    line, on intact tables and with one product or coproduct coefficient
+    doubled, failing lines included.  Only H_10 with a coproduct bump has
+    no antipode and is skipped."""
+    doc = DUAL_GUARD_DOCUMENTS[name]()
+    algebra = build_algebra(doubled(doc, table) if table else doc)
+    primal = verify_hopf(algebra)
+    if algebra.unit_coeffs is None or algebra.antipode is None:
+        pytest.skip("the tables have no unit or no antipode, so no dual battery")
+    dual = verify_hopf(algebra.dual())
+    assert sorted((TRANSPOSED.get(x.name, x.name), x.status) for x in dual) == sorted(
+        (x.name, x.status) for x in primal)
+    assert (table is None) == all(x.ok for x in primal)
+
+
+def test_the_dual_of_tables_without_a_unit_names_it():
+    """Tables whose unit solve failed have no dual: its counit would be
+    the unit.  dual() says so instead of failing on the missing vector."""
+    algebra = build_algebra(doubled(preset_document("sweedler4"), "mult", 0))  # 1 1 = 2 1
+    assert algebra.unit_coeffs is None
+    with pytest.raises(AxiomError, match="unit: no two-sided unit"):
+        algebra.dual()
 
 
 def test_cyclic_preset_over_prime_field():
