@@ -509,8 +509,8 @@ def dualize_qt(r: RMatrix, qt: QTData) -> tuple[FinHopfAlgebra, Braiding, list[C
     its Hopf battery being the transpose of the algebra's (cli._dual_chain),
     so its tables get the S proof that battery would leave (lincomb).
     sigma^-1, solved for in the tensor square of dual.dual(), must equal
-    R^-1 solved for on the algebra: the two are separate solves on equal
-    tables.  The braided functionals must evaluate the Drinfeld elements qt
+    R^-1, read off (S (x) id)(R) on an R-matrix: a solve against a read-off.
+    The braided functionals must evaluate the Drinfeld elements qt
     of the algebra: u(f) = f(u), and v(f) = sigma(f1, S f2) = f(R^1 S(R^2))
     = f(S(u)), which is f(v^-1) since the QT side defines v = S(u)^-1.
     """

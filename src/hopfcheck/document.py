@@ -77,7 +77,7 @@ def parse_document(obj) -> AlgebraDocument:
     try:
         field = field_from_spec(obj["field"])
     except ScalarError as exc:
-        raise DocumentError(str(exc)) from exc
+        raise DocumentError(f"field: {exc}") from exc
 
     basis = obj["basis"]
     if (not isinstance(basis, list) or not basis

@@ -4,15 +4,17 @@ A FinHopfAlgebra holds a sparse multiplication table, a sparse coproduct,
 a counit vector and the antipode over an exact field.  Construction only
 stores the tables and solves for a missing unit; verify_hopf reports
 every axiom, solving for a missing antipode on the way, and
-require_passing turns its first failure into an AxiomError.
+require_passing turns its first failure into an AxiomError.  The unit and
+the antipode are solved from their left law, and the right law is checked
+at the solution (_solve_unit, compute_antipode).
 Elements are sparse LCs over the basis indices and functionals are key
 functions, both handled through the algebra's one BasisOps, its ops.
 The antipode is kept as its columns S(e_j), each an LC; its inverse is
 solved for once, as the rows of (S^T)^-1, which are the columns of S^-1.
-Every other inverse solved for, R^-1 and u^-1 on H and a braiding's
-convolution inverse on H*, is a right inverse in H or its tensor square
-(_right_inverse).  Dense coefficient vectors appear only where a linear
-solve returns them.
+Every other inverse solved for, u^-1 on H, R^-1 where (S (x) id)(R) is
+not its inverse, and a braiding's convolution inverse on H*, is a right
+inverse in H or its tensor square (_right_inverse).  Dense coefficient
+vectors appear only where a linear solve returns them.
 """
 
 from __future__ import annotations
@@ -147,20 +149,38 @@ class FinHopfAlgebra:
     # -- validation ---------------------------------------------------------------
 
     def _solve_unit(self):
-        """Solve u e_j = e_j = e_j u for the unit coefficients u_i, one
-        equation per output key k of each side: rows (j, k, left/right)."""
-        n = self.dim
-        zero, one = self.field.zero, self.field.one
-        eqs = SparseMatrix.zeros(self.field, 2 * n * n, n)
+        """Solve u e_j = e_j for the unit coefficients u_i, row (j, k) the
+        coefficient of e_k.  A two-sided unit 1 is its only solution, as
+        u = u 1 = 1 by bilinearity alone, so a system that leaves u free
+        has none, and a unique u is a unit exactly when e_j u = e_j."""
+        n, field, one = self.dim, self.field, self.field.one
+        eqs = SparseMatrix.zeros(field, n * n, n)
         for (i, j), vec in self._mult.items():
             for k, m in vec.items():
-                eqs.add(2 * (j * n + k), i, m)  # e_i e_j, unknown u_i on the left
-                eqs.add(2 * (i * n + k) + 1, j, m)  # e_i e_j, unknown u_j on the right
-        rhs = tuple(one if j == k else zero for j in range(n) for k in range(n) for _ in (0, 1))
+                eqs.add(j * n + k, i, m)  # e_i e_j, unknown u_i
+        rhs = tuple(one if j == k else field.zero for j in range(n) for k in range(n))
         sol = solve_linear(eqs, rhs)
-        if sol is None:
+        if sol is None or not sol.unique:
+            return None
+        u = {i: c for i, c in enumerate(sol.particular) if c}
+        if not _right_law_holds(self, (([(one, j, u)], {j: one}) for j in range(n))):
             return None
         return sol.particular
+
+
+def _right_law_holds(algebra: FinHopfAlgebra, sides) -> bool:
+    """Whether the sum of c e_j y over terms equals target, for each (terms,
+    target) in sides: terms are (c, j, y) triples, y and target LCs."""
+    mult, reduce = algebra._mult, algebra.field.reduce
+    for terms, target in sides:
+        acc = {r: -v for r, v in target.items()}
+        for c, j, y in terms:
+            for a, s in y.items():
+                for r, m in mult.get((j, a), {}).items():
+                    acc[r] = acc.get(r, 0) + c * s * m
+        if any(map(reduce, acc.values())):
+            return False
+    return True
 
 
 def _right_inverse(algebra: FinHopfAlgebra, x: LC, power: int, what: Callable[[], str]) -> LC:
@@ -215,39 +235,46 @@ def compute_antipode(algebra: FinHopfAlgebra) -> tuple[LC, ...]:
     """Solve the antipode equations of a bialgebra; raise when none exists.
 
     Unknown s[a][b] is the coefficient of basis a in S(basis b), and the
-    result is the columns S(e_b) as LCs.  Both the left and the right
-    antipode law are imposed, which forces the unique two-sided
-    convolution inverse of the identity.
+    result is the columns S(e_b) as LCs.  The left law S(h1) h2 = eps(h) 1
+    is solved alone, and a unique solution, the only candidate, is checked
+    against the right law h1 S(h2) = eps(h) 1; both are solved together
+    only where the left one leaves S free.  So on any table the outcome is
+    the two-sided system's.
     """
-    n = algebra.dim
-    # the nonzero table entries e_a e_b = ... + m e_r, indexed by one factor
-    # and r: as_right[b][r] lists (a, m), as_left[a][r] lists (b, m)
-    as_right: list[dict] = [{} for _ in range(n)]
-    as_left: list[dict] = [{} for _ in range(n)]
-    for (a, b), vec in algebra._mult.items():
-        for r, m in vec.items():
-            as_right[b].setdefault(r, []).append((a, m))
-            as_left[a].setdefault(r, []).append((b, m))
-    # rows (i, r, left/right): the coefficient of e_r in S(i1) i2, and in i1 S(i2)
-    eqs = SparseMatrix.zeros(algebra.field, 2 * n * n, n * n)
-    for i in range(n):
-        for c, j, k in algebra._comult.get(i, ()):
-            for r, hits in as_right[k].items():
-                for a, m in hits:
-                    eqs.add(2 * (i * n + r), a * n + j, c * m)
-            for r, hits in as_left[j].items():
-                for a, m in hits:
-                    eqs.add(2 * (i * n + r) + 1, a * n + k, c * m)
-    rhs = tuple(algebra._counit[i] * algebra.unit_coeffs[r]
-                for i in range(n) for r in range(n) for _ in (0, 1))
-    sol = solve_linear(eqs, rhs)
+    n, field = algebra.dim, algebra.field
+
+    def law(right: bool) -> SparseMatrix:
+        """Rows (i, r): the coefficient of e_r in S(i1) i2, or in i1 S(i2);
+        by[b] lists the terms (a, r, m) of e_a e_b = m e_r + ..., or by[a] (b, r, m)."""
+        by: list[list] = [[] for _ in range(n)]
+        for (a, b), vec in algebra._mult.items():
+            fixed, moving = (a, b) if right else (b, a)
+            by[fixed].extend((moving, r, m) for r, m in vec.items())
+        eqs = SparseMatrix.zeros(field, n * n, n * n)
+        for i in range(n):
+            for c, j, k in algebra._comult.get(i, ()):
+                fixed, moving = (j, k) if right else (k, j)
+                for a, r, m in by[fixed]:
+                    eqs.add(i * n + r, a * n + moving, c * m)
+        return eqs
+
+    unit, counit = algebra.unit_coeffs, algebra._counit
+    rhs = tuple(counit[i] * unit[r] for i in range(n) for r in range(n))
+    left = law(False)
+    sol = solve_linear(left, rhs)
+    if sol is not None and not sol.unique:
+        sol = solve_linear(SparseMatrix(field, left.rows + law(True).rows, n * n), rhs + rhs)
     if sol is None:
         raise AxiomError("bialgebra admits no antipode")
     if not sol.unique:
         raise AxiomError("antipode equations are degenerate; tables are not a bialgebra")
     x = sol.particular
-    return tuple(lc_canon({a: x[a * n + b] for a in range(n)}, algebra.field.reduce)
-                 for b in range(n))
+    cols = tuple(lc_canon({a: x[a * n + b] for a in range(n)}, field.reduce) for b in range(n))
+    if not _right_law_holds(algebra, (
+            ([(c, j, cols[k]) for c, j, k in algebra._comult.get(i, ())],
+             {r: counit[i] * u for r, u in enumerate(unit) if u}) for i in range(n))):
+        raise AxiomError("bialgebra admits no antipode")
+    return cols
 
 
 def verify_hopf(algebra: FinHopfAlgebra) -> list[CheckResult]:

@@ -67,7 +67,7 @@ def _rref(field: Field, rows, ncols: int) -> tuple[list[int], list[dict]]:
     {column: value} dicts; the zero rows of the echelon form are dropped.
     The input rows may hold zero values and are not modified.
     """
-    div, reduce = field.div, field.reduce
+    div, reduce, one = field.div, field.reduce, field.one
     sparse = [{j: x for j, x in row.items() if x} for row in rows]
     holders: list[set[int]] = [set() for _ in range(ncols)]  # column -> rows nonzero there
     for i, row in enumerate(sparse):
@@ -76,16 +76,20 @@ def _rref(field: Field, rows, ncols: int) -> tuple[list[int], list[dict]]:
     unpivoted = set(range(len(sparse)))
     pivots: list[int] = []
     pivot_rows: list[dict] = []
+    by_size = lambda i: (len(sparse[i]), i)  # the sparsest candidate pivots
     for c in range(ncols):
         candidates = holders[c] & unpivoted
         if not candidates:
             continue
-        p = min(candidates, key=lambda i: (len(sparse[i]), i))
+        p = candidates.pop() if len(candidates) == 1 else min(candidates, key=by_size)
         unpivoted.discard(p)
         prow = sparse[p]
-        inv = prow[c]
-        for j, x in prow.items():
-            prow[j] = div(x, inv)
+        pivot = prow[c]
+        if pivot != one:
+            inv = div(one, pivot)
+            exact = type(pivot) is int and type(inv) is int  # F_p, or -1 on QQ
+            for j, x in prow.items():  # x * inv leaves no denominator where exact
+                prow[j] = reduce(x * inv) if exact else div(x, pivot)
         for i in holders[c] - {p}:
             row = sparse[i]
             f = -row.pop(c)

@@ -121,6 +121,8 @@ class PrimeField:
         return a * pow(b, -1, self.p) % self.p
 
     def parse(self, value) -> int:
+        if type(value) is int:  # not a bool: its type is bool
+            return value % self.p
         q = QQ.parse(value)
         if q.denominator % self.p == 0:
             raise ScalarError(f"denominator of {value!r} vanishes mod {self.p}")
@@ -140,15 +142,16 @@ Field = RationalField | PrimeField
 
 
 def field_from_spec(spec) -> Field:
-    """Build a field from its document form, e.g. {"type": "rationals"}."""
+    """Build a field from its document form, e.g. {"type": "rationals"};
+    the caller names the key it came from in a ScalarError."""
     if not isinstance(spec, dict) or "type" not in spec:
-        raise ScalarError(f"field: expected an object with a 'type', got {spec!r}")
+        raise ScalarError(f"expected an object with a 'type', got {spec!r}")
     kind = spec["type"]
     if kind == "rationals":
         return QQ
     if kind == "prime":
         p = spec.get("p")
         if not isinstance(p, int) or isinstance(p, bool):
-            raise ScalarError(f"field: prime field needs an integer 'p', got {spec!r}")
+            raise ScalarError(f"prime field needs an integer 'p', got {spec!r}")
         return PrimeField(p)
-    raise ScalarError(f"field: unknown type {kind!r}")
+    raise ScalarError(f"unknown type {kind!r}")

@@ -322,11 +322,12 @@ def test_one_verify_builds_one_basis_ops_per_algebra(capsys, tmp_path, monkeypat
 
 
 def test_one_verify_solves_only_for_r_inverse_and_u_inverse(capsys, tmp_path, monkeypatch):
-    # R^-1 and u^-1 are solved for on H; the inverse of a document's sigma
-    # (the group preset has one) in the tensor square of H*; and the inverse
-    # of sigma(f, g) = (f x g)(R) in dualize_qt, in the tensor square of the
-    # dual's dual.  check_s2_inner_witness takes u^-1 once two products
-    # check it, and every other inverse is read off these
+    # R^-1 is read off as (S x id)(R) once R times it is 1 x 1, so an
+    # R-matrix needs no solve; u^-1 is solved for on H; the inverse of a
+    # document's sigma (the group preset has one) in the tensor square of
+    # H*; and the inverse of sigma(f, g) = (f x g)(R) in dualize_qt, in the
+    # tensor square of the dual's dual.  check_s2_inner_witness takes u^-1
+    # once two products check it, and every other inverse is read off these
     calls = []
     invert, invert_element = hopf.Tensor2.invert, hopf.FinHopfAlgebra.invert_element
 
@@ -341,12 +342,41 @@ def test_one_verify_solves_only_for_r_inverse_and_u_inverse(capsys, tmp_path, mo
     monkeypatch.setattr(hopf.Tensor2, "invert", staticmethod(tensor_spy))
     monkeypatch.setattr(hopf.FinHopfAlgebra, "invert_element", element_spy)
     assert run(capsys, "verify", write_doc(tmp_path, double_c4_permuted_document()))[0] in (0, 1)
-    assert calls == [("Tensor2.invert", "D(kC4)"), ("invert_element", "D(kC4)"),
-                     ("Tensor2.invert", "D(kC4)^*^*")]
+    assert calls == [("invert_element", "D(kC4)"), ("Tensor2.invert", "D(kC4)^*^*")]
     calls.clear()
     assert run(capsys, "verify", "preset:group:C4")[0] in (0, 1)
-    assert calls == [("Tensor2.invert", "kC4"), ("invert_element", "kC4"),
-                     ("Tensor2.invert", "kC4^*"), ("Tensor2.invert", "kC4^*^*")]
+    assert calls == [("invert_element", "kC4"), ("Tensor2.invert", "kC4^*"),
+                     ("Tensor2.invert", "kC4^*^*")]
+    # sweedler4's R with one coefficient negated is invertible but not an
+    # R-matrix: (S x id)(R) is not its inverse, so R^-1 is solved for, and
+    # the formulas for the inverse are skipped behind the failing hexagons
+    # (the dual chain still solves for u^-1)
+    calls.clear()
+    obj = json.loads(document_text(preset_document("sweedler4")))
+    obj["R"] = [e if e[1:] != [2, 2] else ["-1/2", 2, 2] for e in obj["R"]]
+    rc, out, _ = run(capsys, "verify", write_doc(tmp_path, obj), "--json")
+    assert rc == 1
+    assert calls == [("Tensor2.invert", "sweedler4[xi=1]"), ("invert_element", "sweedler4[xi=1]"),
+                     ("Tensor2.invert", "sweedler4[xi=1]^*^*")]
+    qt = [(c["name"], c["status"], c["witness"]) for c in json.loads(out)["checks"]
+          if c["name"].startswith("qt.")]
+    skip = "an R-matrix axiom above fails"
+    assert qt == [("qt.hexagon_comultiply_first_leg", "fail", "at (1, x, x)"),
+                  ("qt.hexagon_comultiply_second_leg", "fail", "at (x, 1, x)"),
+                  ("qt.counit_first_leg", "pass", None), ("qt.counit_second_leg", "pass", None),
+                  ("qt.almost_cocommutative", "pass", None),
+                  ("qt.inverse_is_antipode_on_first_leg", "skipped", skip),
+                  ("qt.inverse_is_antipode_inv_on_second_leg", "skipped", skip),
+                  ("qt.antipode_square_invariance", "skipped", skip)]
+
+
+def test_a_field_spec_error_names_the_field_key(capsys, tmp_path):
+    obj = json.loads(document_text(preset_document("group:C2")))
+    for p in (4, 9):
+        obj["field"] = {"type": "prime", "p": p}
+        rc, _, err = run(capsys, "verify", write_doc(tmp_path, obj))
+        assert rc == 2
+        assert err == f"error: field: prime field: p must be an odd prime, got {p}\n"
 
 
 def test_degenerate_pairing_fails_integral_data(capsys, monkeypatch):

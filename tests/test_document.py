@@ -310,7 +310,8 @@ def test_a_mutated_document_exits_cleanly(doc):
 NOT_A_LIST = ({"0": [0, 0, 0, 1]}, "[[0, 0, 0, 1]]", 7)
 BAD_NAMES = ("", 7, None, ["kC2"], {"name": "kC2"})
 BAD_FIELDS = ("rationals", 7, None, [], {}, {"type": "prime"},
-              {"type": "prime", "p": "7"}, {"type": "reals"})
+              {"type": "prime", "p": "7"}, {"type": "reals"},
+              {"type": "prime", "p": 4}, {"type": "prime", "p": 9})
 
 
 @st.composite

@@ -118,6 +118,23 @@ class TestPrimeField:
         with pytest.raises(ScalarError):
             f5.parse("1/5")
 
+    @given(st.one_of(st.integers(), st.sampled_from([-10014, -10007, -1, 0, 10007, 20014,
+                                                      10008, 10007 ** 3 + 5])))
+    def test_int_parse_matches_the_rational_route(self, v):
+        """A plain int is parsed by one % p; as a str or a Fraction the same
+        value takes the rational route, QQ.parse then div, and lands on the
+        same residue, for negative ints, ints above p and multiples of p."""
+        f = PrimeField(10007)
+        got = f.parse(v)
+        assert type(got) is int and got == f.parse(str(v)) == f.parse(Fraction(v))
+        assert got == f.div(QQ.parse(v), 1)
+
+    def test_int_parse_refuses_bools_and_floats(self):
+        f5 = PrimeField(5)
+        for bad in (True, False, 1.0, 0.5):
+            with pytest.raises(ScalarError, match=f"exact rational expected, got {bad!r}"):
+                f5.parse(bad)
+
     def test_division(self):
         f7 = PrimeField(7)
         a = f7.parse(3)
