@@ -32,11 +32,12 @@ from .lincomb import (
     by_key,
     coinner_law,
     combine,
+    commutes_rows,
+    conjugates,
     conv_inverse_checks,
     first_gap,
     first_in,
     group,
-    inner_law,
     is_character_fn,
     is_grouplike_lc,
     key_check,
@@ -98,7 +99,7 @@ def derive_carrier(ops: BasisOps, lam, lam_mul: PairTable, chi,
     a_inv = {k: ops.field.div(v, lam(pivot)) for k, v in ops.hit_right(lam, pivot).items()}
     alpha = memo_fn(lambda k: ops.eps_lc(chi(k)))
     return Carrier(ops, lam, lam_mul, ops.s_lc(a_inv), a_inv, chi, alpha,
-                   memo_fn(ops.compose_s_power(alpha, 1)), nakayama)
+                   ops.compose_s_power(alpha, 1), nakayama)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +122,9 @@ def modular_element_checks(ops: BasisOps, lam, a: LC, a_inv: LC) -> list[CheckRe
                      lc_eq(ops.mul_lc(a, a_inv), ops.unit)
                      and lc_eq(ops.mul_lc(a_inv, a), ops.unit)))
 
-    def twist(m) -> bool:
-        lhs = ops.eval_fn(lam, ops.s_power(ops.single(m), 2))
-        rhs = ops.eval_fn(lam, ops.mul_many(a, ops.single(m), a_inv))
-        return lhs == rhs
-
-    out.append(key_check("integral.s2_twist_law", ops, twist))
+    lam_s2, conj = ops.compose_s_power(lam, 2), conjugates(ops, a, a_inv)
+    out.append(key_check("integral.s2_twist_law", ops,
+                         lambda m: lam_s2(m) == ops.eval_fn(lam, conj[m])))
     return out
 
 
@@ -226,16 +224,11 @@ def nakayama_checks(ops: BasisOps, lam_mul, chi, alpha, alpha_inv) -> list[Check
 
 def radford_s4_checks(ops: BasisOps, a: LC, a_inv: LC, alpha, alpha_inv) -> list[CheckResult]:
     """S^4 as conjugation by a composed with the alpha double-hit, three ways."""
-
-    def hit_both(h) -> LC:
-        first = ops.hit_left(alpha, h)
-        second = ops.map_lc(lambda k: ops.hit_right(alpha_inv, k), first)
-        return ops.mul_many(a, second, a_inv)
-
-    def expanded(h) -> LC:
-        return ops.mul_many(a, ops.coinner(alpha_inv, alpha, h), a_inv)
-
-    s4 = lambda h: ops.s_power(ops.single(h), 4)
+    conj = conjugates(ops, a, a_inv).__getitem__
+    hit_both = lambda h: ops.map_lc(conj, ops.map_lc(partial(ops.hit_right, alpha_inv),
+                                                     ops.hit_left(alpha, h)))
+    expanded = lambda h: ops.map_lc(conj, ops.coinner(alpha_inv, alpha, h))
+    s4 = lambda h: dict(ops.tables.s_pow[4][h])
     return [
         key_check("radford.s4_matches_hit_form", ops, lambda h: lc_eq(s4(h), hit_both(h))),
         key_check("radford.s4_matches_expanded_form", ops,
@@ -448,7 +441,7 @@ def check_s2_inner_witness(algebra: FinHopfAlgebra, c: Carrier, w: LC,
             return [failed("s2_witness.invertible", "w has no two-sided inverse"),
                     *(skipped(name, "w is not invertible") for name in later)]
     out = [check("s2_witness.invertible", True),
-           key_check("s2_witness.implements_s2", ops, inner_law(ops, 2, w))]
+           key_check("s2_witness.implements_s2", ops, commutes_rows(ops, w, ops.tables.s_pow[2]))]
     if not out[-1].ok:
         return out + [skipped(name, "w does not implement S^2") for name in later[1:]]
 

@@ -28,6 +28,7 @@ from .lincomb import (
     by_key,
     coinner_law,
     combine,
+    conjugates,
     conv_inverse_checks,
     first_gap,
     first_in,
@@ -42,7 +43,6 @@ from .lincomb import (
 )
 from .quasitriangular import QTData, RMatrix
 from .report import PASS, CheckResult, check, flag, grid_check, skipped
-from .scalars import Scalar
 
 CQT_CONVENTIONS = (
     "braiding is multiplicative in the first argument and reversed in the second",
@@ -64,18 +64,6 @@ class Braiding:
     sigma = cached_property(lambda self: PairTable(self.value))
     sigma_inv = cached_property(lambda self: PairTable(self.inverse))
     functionals = cached_property(lambda self: braided_functionals(self.ops, self))
-
-
-def pair_eval(ops: BasisOps, table: PairTable, a: LC, b: LC) -> Scalar:
-    """table extended bilinearly to the pair (a, b)."""
-    acc = 0
-    for ka, va in a.items():
-        row = table[ka]
-        for kb, vb in b.items():
-            f = row[kb]
-            if f:
-                acc = acc + va * vb * f
-    return ops.field.reduce(acc)
 
 
 def braiding_axiom_checks(ops: BasisOps, br: Braiding) -> list[CheckResult]:
@@ -219,25 +207,25 @@ def braided_functionals(ops: BasisOps, br: Braiding) -> tuple[dict, list[CheckRe
     inverse laws and the co-inner realization of S^2 (br.functionals)."""
     sigma = br.sigma
 
-    def over_delta(args):
-        """h -> sum of c sigma(x, y) over Delta(h), with (x, y) = args(h1, h2)."""
+    delta, s_pow, reduce = ops.tables.delta, ops.tables.s_pow, ops.field.reduce
+
+    def over_delta(x_power, y_power, flip=False):
+        """h -> sum of c sigma(S^x_power(x), S^y_power(y)) over Delta(h), with
+        (x, y) = (h1, h2), or (h2, h1) when flip: sigma rows against S-power rows."""
+        xs, ys = s_pow[x_power], s_pow[y_power]
+
         def fn(h):
             acc = 0
-            for c, h1, h2 in ops.tables.delta[h]:
-                f = pair_eval(ops, sigma, *args(h1, h2))
-                if f:
-                    acc = acc + c * f
-            return ops.field.reduce(acc)
+            for c, h1, h2 in delta[h]:
+                x, y = (h2, h1) if flip else (h1, h2)
+                for kx, dx in xs[x]:
+                    row = sigma[kx]
+                    acc += c * dx * sum(dy * row[ky] for ky, dy in ys[y])
+            return reduce(acc)
         return memo_fn(fn)
 
-    single, s = ops.single, lambda k: ops.s_lc(ops.single(k))
-    s2 = lambda k: ops.s_power(ops.single(k), 2)
-    fns = {
-        "u": over_delta(lambda h1, h2: (single(h2), s(h1))),
-        "u_inv": over_delta(lambda h1, h2: (s2(h2), single(h1))),
-        "v": over_delta(lambda h1, h2: (single(h1), s(h2))),
-        "v_inv": over_delta(lambda h1, h2: (s2(h1), single(h2))),
-    }
+    fns = {"u": over_delta(0, 1, flip=True), "u_inv": over_delta(2, 0, flip=True),
+           "v": over_delta(0, 1), "v_inv": over_delta(2, 0)}
     out: list[CheckResult] = []
     out.extend(conv_inverse_checks(ops, "cqt.u", fns["u"], fns["u_inv"]))
     out.extend(conv_inverse_checks(ops, "cqt.v", fns["v"], fns["v_inv"]))
@@ -256,12 +244,14 @@ def braided_functionals(ops: BasisOps, br: Braiding) -> tuple[dict, list[CheckRe
 
 def contract_second(ops: BasisOps, table: PairTable, lc: LC):
     """h -> table(h, lc), memoized."""
-    return memo_fn(lambda h: pair_eval(ops, table, ops.single(h), lc))
+    items, reduce = tuple(lc.items()), ops.field.reduce
+    return memo_fn(lambda h: reduce(sum(v * table[h][k] for k, v in items)))
 
 
 def contract_first(ops: BasisOps, table: PairTable, lc: LC):
     """h -> table(lc, h), memoized."""
-    return memo_fn(lambda h: pair_eval(ops, table, lc, ops.single(h)))
+    items, reduce = tuple(lc.items()), ops.field.reduce
+    return memo_fn(lambda h: reduce(sum(v * table[k][h] for k, v in items)))
 
 
 def modular_characters(ops: BasisOps, br: Braiding, a_lc: LC, a_inv_lc: LC):
@@ -332,7 +322,7 @@ def grouplike_witness_checks(ops: BasisOps, br: Braiding, g_lc: LC, g_inv_lc: LC
         (contract_first(ops, val, g_inv_lc), contract_first(ops, inv, g_inv_lc)),
         (contract_second(ops, inv, g_inv_lc), contract_second(ops, val, g_inv_lc)),
     ]
-    conjugated = {h: ops.mul_many(g_lc, ops.single(h), g_inv_lc) for h in ops.keys}
+    conjugated = conjugates(ops, g_lc, g_inv_lc)
     for idx, (w, w_inv) in enumerate(witnesses, start=1):
         out.extend(conv_inverse_checks(ops, f"cqt.witness[{name}:{idx}]", w, w_inv))
         out.append(key_check(

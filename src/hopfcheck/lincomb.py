@@ -145,23 +145,12 @@ class BasisOps:
                     out[k] = c * w if prev is None else prev + c * w
         return lc_canon(out, self.field.reduce)
 
-    def mul_many(self, *factors: LC) -> LC:
-        acc = dict(self.unit)
-        for f in factors:
-            acc = self.mul_lc(acc, f)
-        return acc
-
     def map_lc(self, fn: Callable[[Key], LC], a: LC) -> LC:
         return self._apply(lambda k: fn(k).items(), a)
 
     def _apply(self, items, a: LC) -> LC:
         """The sum of v f(k) over the items (k, v) of a; items(k) lists f(k)'s items."""
-        out: LC = {}
-        for k, v in a.items():
-            for k2, w in items(k):
-                prev = out.get(k2)
-                out[k2] = v * w if prev is None else prev + v * w
-        return lc_canon(out, self.field.reduce)
+        return lc_canon(raw_sum(a.items(), items), self.field.reduce)
 
     def eval_fn(self, f: Callable[[Key], Scalar], a: LC) -> Scalar:
         acc = 0
@@ -181,20 +170,14 @@ class BasisOps:
         return self._apply(self.tables.s_inv.__getitem__, a)
 
     def s_power(self, a: LC, power: int) -> LC:
-        for _ in range(abs(power)):
-            a = self.s_lc(a) if power > 0 else self.s_inv_lc(a)
-        return a
+        return self._apply(self.tables.s_pow[power].__getitem__, a)
 
     # -- coproducts ---------------------------------------------------------
 
     def delta_lc(self, a: LC) -> dict:
-        delta, out = self.tables.delta, {}
-        for k, v in a.items():
-            for c, k1, k2 in delta[k]:
-                key = (k1, k2)
-                prev = out.get(key)
-                out[key] = v * c if prev is None else prev + v * c
-        return lc_canon(out, self.field.reduce)
+        delta = self.tables.delta
+        return lc_canon(raw_sum(a.items(), lambda k: [((k1, k2), c) for c, k1, k2 in delta[k]]),
+                        self.field.reduce)
 
     def delta_n(self, key: Key, legs: int) -> list[tuple[Scalar, tuple]]:
         """Sparse terms of the iterated coproduct with the given leg count."""
@@ -267,7 +250,9 @@ class BasisOps:
         return conv
 
     def compose_s_power(self, f: Callable[[Key], Scalar], power: int):
-        return lambda key: self.eval_fn(f, self.s_power(self.single(key), power))
+        """f o S^power, read off tables.s_pow once per key."""
+        rows, reduce = self.tables.s_pow[power], self.field.reduce
+        return memo_fn(lambda key: reduce(sum(c * f(k) for k, c in rows[key])))
 
     def scale(self, c: Scalar, a: LC) -> LC:
         """c a."""
@@ -344,16 +329,42 @@ def conv_inverse_checks(ops: BasisOps, name: str, f, f_inv) -> list[CheckResult]
     ]
 
 
-def inner_law(ops: BasisOps, power: int, w: LC):
-    """The key predicate S^power(h) w = w h: S^power is conjugation by w."""
-    return lambda h: lc_eq(ops.mul_lc(ops.s_power(ops.single(h), power), w),
-                           ops.mul_lc(w, ops.single(h)))
+def raw_sum(items, row) -> dict:
+    """{key: raw value} of the sum of c row(k) over the items (k, c), row(k) listing items."""
+    out: dict = {}
+    for k, c in items:
+        for k2, v in row(k):
+            out[k2] = out.get(k2, 0) + c * v
+    return out
+
+
+def commutes_rows(ops: BasisOps, w: LC, left_items):
+    """The key predicate left(h) w = w h, left_items[h] the items of left(h)
+    (S^n inner by w for tables.s_pow[n], w central for s_pow[0]): k w summed
+    raw once per key k, w h read off the prod rows, differing entries reduced."""
+    prod, reduce, w_items = ops.tables.prod, ops.field.reduce, tuple(w.items())
+    times_w = KeyTable(lambda k: raw_sum(w_items, prod[k].__getitem__))
+
+    def holds(h) -> bool:
+        lhs, rhs = combine(left_items[h], times_w), raw_sum(w_items, lambda j: prod[j][h])
+        return first_gap(lhs, rhs, chain(lhs, rhs), lambda a, b: reduce(a - b)) is None
+
+    return holds
+
+
+def conjugates(ops: BasisOps, g: LC, g_inv: LC) -> KeyTable:
+    """h -> g h g_inv, summed raw from the prod rows and reduced once per key."""
+    prod, g_items, inv_items = ops.tables.prod, tuple(g.items()), tuple(g_inv.items())
+    times_inv = KeyTable(lambda k: raw_sum(inv_items, prod[k].__getitem__))
+    return KeyTable(lambda h: lc_canon(combine(tuple(raw_sum(
+        g_items, lambda j: prod[j][h]).items()), times_inv), ops.field.reduce))
 
 
 def coinner_law(ops: BasisOps, power: int, f, g):
     """The key predicate f(h1) h2 g(h3) = S^power(h): S^power is co-inner,
     by f and g."""
-    return lambda h: lc_eq(ops.coinner(f, g, h), ops.s_power(ops.single(h), power))
+    rows = ops.tables.s_pow[power]
+    return lambda h: lc_eq(ops.coinner(f, g, h), dict(rows[h]))
 
 
 class KeyTable(dict):
@@ -400,8 +411,10 @@ class KernelTables:
     ops.field.reduce: reduce(lhs - rhs) is nonzero exactly when the cell
     fails.  prod[x][y] holds the items of x y, delta[k] the terms of
     Delta(k), eps[k] the counit, s[k] and s_inv[k] the items of S(k) and
-    S^-1(k), unit the items of 1, and line[l] the items of l m for each key
-    m.  Every table is filled on first lookup, also for keys outside the
+    S^-1(k), s_pow[n][k] those of S^n(k) for any integer n (s_pow[1] is s,
+    s_pow[-1] is s_inv, s_pow[0] holds k itself), composed from the s or
+    s_inv rows, unit the items of 1, and line[l] the items of l m for each
+    key m.  Every table is filled on first lookup, also for keys outside the
     grid; the closures hold ops' maps, not ops, so they make no reference
     cycle.  proof is None (derive S) until hopf_axiom_checks passes in full
     on ops, or until dualize_qt builds ops as the dual of a proved algebra;
@@ -414,8 +427,22 @@ class KernelTables:
         self.delta = KeyTable(lambda k: tuple(delta(k)))
         self.eps = KeyTable(ops.eps)
         self.prod = prod = PairTable(lambda x, y: tuple(mul(x, y).items()))
-        self.s = KeyTable(lambda k: tuple(s(k).items()))
-        self.s_inv = KeyTable(lambda k: tuple(s_inv(k).items()))
+        self.s = s_rows = KeyTable(lambda k: tuple(s(k).items()))
+        self.s_inv = s_inv_rows = KeyTable(lambda k: tuple(s_inv(k).items()))
+        reduce = ops.field.reduce
+
+        def s_power_rows(n: int) -> KeyTable:
+            rows = s_rows if n > 0 else s_inv_rows
+
+            def row(k) -> tuple:
+                items = ((k, 1),)
+                for _ in range(abs(n)):
+                    items = tuple(lc_canon(raw_sum(items, rows.__getitem__), reduce).items())
+                return items
+
+            return rows if abs(n) == 1 else KeyTable(row)
+
+        self.s_pow = KeyTable(s_power_rows)
         self.unit = tuple(ops.unit.items())
         self.line = KeyTable(lambda l: tuple(map(prod[l].__getitem__, keys)))
         self.proof: tuple | None = None
@@ -615,14 +642,10 @@ def tensor2_flip(t: dict) -> dict:
 
 def tensor2_map(ops: BasisOps, t: dict, first: int = 0, second: int = 0) -> dict:
     """Apply S^first to the first legs of t and S^second to the second."""
-    out: dict = {}
-    for (a, b), v in t.items():
-        for ka, va in ops.s_power(ops.single(a), first).items():
-            for kb, vb in ops.s_power(ops.single(b), second).items():
-                key = (ka, kb)
-                prev = out.get(key)
-                out[key] = v * va * vb if prev is None else prev + v * va * vb
-    return lc_canon(out, ops.field.reduce)
+    rows_a, rows_b = ops.tables.s_pow[first], ops.tables.s_pow[second]
+    return lc_canon(raw_sum(t.items(), lambda ab: [
+        ((ka, kb), va * vb) for ka, va in rows_a[ab[0]] for kb, vb in rows_b[ab[1]]]),
+        ops.field.reduce)
 
 
 def tensor2_mul(ops: BasisOps, t1: dict, t2: dict) -> dict:

@@ -28,7 +28,7 @@ from test_golden import laurent_quotient_document, run
 SCALE = Path(__file__).resolve().parent.parent / "scripts" / "scale.py"
 
 # BasisOps methods by what they return
-LC_METHODS = ("single", "mul_lc", "mul_many", "map_lc", "s_lc", "s_inv_lc", "s_power",
+LC_METHODS = ("single", "mul_lc", "map_lc", "s_lc", "s_inv_lc", "s_power",
               "delta_lc", "hit_left", "hit_right", "coinner", "scale", "outer")
 SCALAR_METHODS = ("eval_fn", "eps_lc")
 FUNCTIONAL_METHODS = ("convolve", "compose_s_power")
@@ -60,6 +60,8 @@ class Watch:
         self.values(field, tables.eps.values(), "KernelTables.eps")
         self.values(field, items(tables.s), "KernelTables.s")
         self.values(field, items(tables.s_inv), "KernelTables.s_inv")
+        self.values(field, (c for n in tables.s_pow for c in items(tables.s_pow[n])),
+                    "KernelTables.s_pow")
         self.values(field, (c for _, c in tables.unit), "KernelTables.unit")
 
     def pairs(self, field, table: PairTable) -> None:

@@ -64,7 +64,7 @@ def test_sweedler_antipode_order_four(sweedler):
     g = ops.single(1)
     for i in range(4):
         h = ops.single(i)
-        assert s(s(h)) == ops.mul_many(g, h, g)
+        assert s(s(h)) == ops.mul_lc(ops.mul_lc(g, h), g)
 
 
 def test_antipode_inverse_consistent(sweedler):

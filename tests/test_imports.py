@@ -31,6 +31,9 @@ antipode or a Laurent *_key closed form, or calls .mul, .delta, .antipode
 or .antipode_inv.  Likewise a Braiding is the one cache of sigma: outside
 Braiding and flip_braiding no module wraps a PairTable around a braiding's
 .value or .inverse, reads either evaluator, or calls braided_functionals.
+S^n has one cache as well, KernelTables.s_pow: outside KernelTables no
+module applies s_lc or s_inv_lc to its own output, in a loop or nested,
+or caches s_power or compose_s_power.
 """
 
 import ast
@@ -652,6 +655,99 @@ def test_structure_map_cache_detector_flags_each_form(tmp_path):
 def test_structure_maps_have_one_cache_and_every_reader_uses_it():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in structure_map_caches(path)]
     assert not found, "structure maps cached or read outside KernelTables:\n" + "\n".join(found)
+
+
+S_STEPS = ("s_lc", "s_inv_lc")
+S_POWERS = ("s_power", "compose_s_power")
+
+
+def s_power_repeats(path: Path) -> list[str]:
+    """Repeated S application outside lincomb's KernelTables, whose s_pow
+    holds S^n once per carrier: a loop that assigns a name from s_lc or
+    s_inv_lc of that name, an s_lc or s_inv_lc call nested in one of the
+    same name, and a cache (CACHES, called or as a decorator) around
+    s_power or compose_s_power, named, called or called in a lambda or
+    partial."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    names = lambda node, among: [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                                 and _callee(sub) in among]
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner + (getattr(child, "name", None),)
+            if inner == ("KernelTables",) and path.stem == "lincomb":
+                continue
+            if isinstance(child, (ast.For, ast.While)):
+                out.extend(f"{path.name}:{a.lineno}: loop of {_callee(call)}"
+                           for a in ast.walk(child) if isinstance(a, ast.Assign)
+                           for call in names(a.value, S_STEPS)
+                           if {t.id for target in a.targets for t in ast.walk(target)
+                               if isinstance(t, ast.Name)}
+                           & {arg.id for arg in call.args if isinstance(arg, ast.Name)})
+            if isinstance(child, ast.Call) and _callee(child) in S_STEPS and any(
+                    _callee(sub) == _callee(child)
+                    for arg in child.args for sub in names(arg, S_STEPS)):
+                out.append(f"{path.name}:{child.lineno}: nested {_callee(child)}")
+            if isinstance(child, ast.Call) and _is_cache(child.func) and any(
+                    names(arg, S_POWERS) or _names_s_power(arg) for arg in child.args):
+                out.append(f"{path.name}:{child.lineno}: cache around an S power")
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(map(_is_cache, child.decorator_list)) and names(child, S_POWERS)):
+                out.append(f"{path.name}:{child.lineno}: cache around an S power")
+            visit(child, inner if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else owner)
+
+    visit(tree, ())
+    return sorted(set(out))
+
+
+def _names_s_power(node: ast.AST) -> bool:
+    """s_power or compose_s_power named as it is, as a name or an attribute."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None) in S_POWERS
+
+
+def test_s_power_repeat_detector_flags_each_form(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def powers(ops, a, n, keys):\n"
+                   "    for _ in range(n):\n"
+                   "        a = ops.s_lc(a) if n > 0 else ops.s_inv_lc(a)\n"
+                   "    while n:\n"
+                   "        a, n = s_inv_lc(a), n - 1\n"
+                   "    b = ops.s_lc(ops.s_lc(a))\n"
+                   "    f = memo_fn(ops.compose_s_power(alpha, 1))\n"
+                   "    g = KeyTable(lambda k: ops.s_power(ops.single(k), 2))\n"
+                   "    h = functools.lru_cache(None)(ops.s_power)\n"
+                   "    bijective = ops.s_inv_lc(ops.s_lc(a))\n"
+                   "    images = [ops.s_lc(ops.single(k)) for k in keys]\n"
+                   "    for k in keys:\n"
+                   "        images.append(ops.s_lc(ops.single(k)))\n"
+                   "    return ops.compose_s_power(alpha, -1), ops.s_power(a, 4)\n\n"
+                   "@functools.cache\n"
+                   "def s2(k):\n"
+                   "    return OPS.s_power(OPS.single(k), 2)\n")
+    assert s_power_repeats(mod) == [
+        "mod.py:17: cache around an S power", "mod.py:3: loop of s_inv_lc",
+        "mod.py:3: loop of s_lc", "mod.py:5: loop of s_inv_lc", "mod.py:6: nested s_lc",
+        "mod.py:7: cache around an S power",
+        "mod.py:8: cache around an S power", "mod.py:9: cache around an S power"]
+    lincomb = tmp_path / "lincomb.py"
+    lincomb.write_text("class KernelTables:\n"
+                       "    def __init__(self, s_rows):\n"
+                       "        def row(k, n):\n"
+                       "            items = ((k, 1),)\n"
+                       "            for _ in range(n):\n"
+                       "                items = s_lc(items)\n"
+                       "            return items\n\n"
+                       "def powers(ops, a, n):\n"
+                       "    for _ in range(n):\n"
+                       "        a = ops.s_lc(a)\n")
+    assert s_power_repeats(lincomb) == ["lincomb.py:11: loop of s_lc"]
+
+
+def test_s_powers_have_one_cache_in_the_kernel_tables():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in s_power_repeats(path)]
+    assert not found, "S applied repeatedly outside KernelTables.s_pow:\n" + "\n".join(found)
 
 
 BRAIDING_EVALUATORS = ("value", "inverse")
